@@ -105,18 +105,32 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _call_service(name: str, connect: str, call, timeout: float = 30.0):
+    """Run ``call(client)`` against the service at ``connect`` (HOST:PORT).
+
+    The one place the client subcommands open a connection: a
+    ``ServiceError``/``OSError`` is reported as ``<name>: <error>`` on
+    stderr and ``None`` is returned (the subcommand then exits 2).
+    """
+    from repro.service.client import ServiceClient
+
+    host, _, port = connect.rpartition(":")
+    try:
+        with ServiceClient(host or "127.0.0.1", int(port),
+                           timeout=timeout) as client:
+            return call(client)
+    except (ServiceError, OSError) as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     import json
 
     if args.connect:
-        from repro.service.client import ServiceClient
-
-        host, _, port = args.connect.rpartition(":")
-        try:
-            with ServiceClient(host or "127.0.0.1", int(port)) as client:
-                payload = client.status()
-        except (ServiceError, OSError) as exc:
-            print(f"info: {exc}", file=sys.stderr)
+        payload = _call_service("info", args.connect,
+                                lambda client: client.status())
+        if payload is None:
             return 2
         payload.pop("id", None)
         if args.json:
@@ -455,7 +469,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         breaker_failure_threshold=args.breaker_threshold,
         breaker_reset_timeout=args.breaker_reset,
-        health_interval=args.health_interval,
         probe_interval_s=args.probe_interval,
     )
     supervisor = FleetSupervisor(
@@ -482,14 +495,9 @@ def _cmd_autopilot(args: argparse.Namespace) -> int:
     import json
 
     if args.autopilot_cmd == "status":
-        from repro.service.client import ServiceClient
-
-        host, _, port = args.connect.rpartition(":")
-        try:
-            with ServiceClient(host or "127.0.0.1", int(port)) as client:
-                status = client.status()
-        except (ServiceError, OSError) as exc:
-            print(f"autopilot status: {exc}", file=sys.stderr)
+        status = _call_service("autopilot status", args.connect,
+                               lambda client: client.status())
+        if status is None:
             return 2
         payload = status.get("autopilot")
         if payload is None:
@@ -601,30 +609,19 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
 
 
 def _cmd_ping(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    host, _, port = args.connect.rpartition(":")
-    try:
-        with ServiceClient(host or "127.0.0.1", int(port),
-                           timeout=args.timeout) as client:
-            alive = client.ping()
-    except (ServiceError, OSError) as exc:
-        print(f"ping: {exc}", file=sys.stderr)
+    alive = _call_service("ping", args.connect,
+                          lambda client: client.ping(), args.timeout)
+    if alive is None:
         return 2
     print(f"ping {args.connect}: {'ok' if alive else 'not ok'}")
     return 0 if alive else 2
 
 
 def _cmd_shutdown(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient
-
-    host, _, port = args.connect.rpartition(":")
-    try:
-        with ServiceClient(host or "127.0.0.1", int(port),
-                           timeout=args.timeout) as client:
-            client.shutdown()
-    except (ServiceError, OSError) as exc:
-        print(f"shutdown: {exc}", file=sys.stderr)
+    done = _call_service("shutdown", args.connect,
+                         lambda client: client.shutdown() or True,
+                         args.timeout)
+    if done is None:
         return 2
     print(f"shutdown {args.connect}: requested")
     return 0
@@ -643,22 +640,19 @@ def _parse_edges(pairs: list, what: str) -> list:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
     try:
         additions = _parse_edges(args.add, "add")
         deletions = _parse_edges(args.delete, "delete")
     except ValueError as exc:
         print(f"ingest: {exc}", file=sys.stderr)
         return 2
-    host, _, port = args.connect.rpartition(":")
-    try:
-        with ServiceClient(host or "127.0.0.1", int(port),
-                           timeout=args.timeout) as client:
-            response = client.ingest(additions=additions,
-                                     deletions=deletions)
-    except (ServiceError, OSError) as exc:
-        print(f"ingest: {exc}", file=sys.stderr)
+    response = _call_service(
+        "ingest", args.connect,
+        lambda client: client.ingest(additions=additions,
+                                     deletions=deletions),
+        args.timeout,
+    )
+    if response is None:
         return 2
     if args.json:
         print(json.dumps(response, indent=2, sort_keys=True))
@@ -673,8 +667,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_update(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
     edge = None
     if args.edge is not None:
         try:
@@ -688,17 +680,12 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if args.kind == "compact" and edge is not None:
         print("update: compact carries no --edge", file=sys.stderr)
         return 2
-    host, _, port = args.connect.rpartition(":")
-    try:
-        with ServiceClient(host or "127.0.0.1", int(port),
-                           timeout=args.timeout) as client:
-            response = client.update(
-                args.kind,
-                edge[0] if edge else None,
-                edge[1] if edge else None,
-            )
-    except (ServiceError, OSError) as exc:
-        print(f"update: {exc}", file=sys.stderr)
+    response = _call_service(
+        "update", args.connect,
+        lambda client: client.update(args.kind, *(edge or (None, None))),
+        args.timeout,
+    )
+    if response is None:
         return 2
     if args.json:
         print(json.dumps(response, indent=2, sort_keys=True))
@@ -723,17 +710,13 @@ def _cmd_update(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
-    host, _, port = args.connect.rpartition(":")
-    try:
-        with ServiceClient(host or "127.0.0.1", int(port),
-                           timeout=args.timeout) as client:
-            response = client.query(
-                args.algorithm, args.source, first=args.first, last=args.last
-            )
-    except (ServiceError, OSError) as exc:
-        print(f"query: {exc}", file=sys.stderr)
+    response = _call_service(
+        "query", args.connect,
+        lambda client: client.query(args.algorithm, args.source,
+                                    first=args.first, last=args.last),
+        args.timeout,
+    )
+    if response is None:
         return 2
     values = response["values"]
     if args.json:
@@ -865,16 +848,13 @@ def _render_temporal_result(result: dict) -> str:
 def _cmd_temporal(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service.client import ServiceClient
-
     spec = _temporal_spec_from_args(args)
-    host, _, port = args.connect.rpartition(":")
-    try:
-        with ServiceClient(host or "127.0.0.1", int(port),
-                           timeout=args.timeout) as client:
-            response = client.temporal(args.algorithm, args.source, [spec])
-    except (ServiceError, OSError) as exc:
-        print(f"temporal: {exc}", file=sys.stderr)
+    response = _call_service(
+        "temporal", args.connect,
+        lambda client: client.temporal(args.algorithm, args.source, [spec]),
+        args.timeout,
+    )
+    if response is None:
         return 2
     if args.json:
         from repro.temporal import encode_results
@@ -903,8 +883,6 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
     ]
     print(render_table(["property", "value"], rows,
                        title=f"verify {args.store}"))
-    for note in report.notes:
-        print(f"note: {note}")
     for problem in report.problems:
         print(f"problem: {problem}", file=sys.stderr)
     if not report.ok:
@@ -1215,14 +1193,10 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--breaker-reset", type=float, default=1.0,
                        help="seconds an open replica breaker waits "
                             "before admitting a probe")
-    route.add_argument("--health-interval", type=float, default=2.0,
-                       help="seconds between background health probes "
-                            "(deprecated spelling of --probe-interval)")
-    route.add_argument("--probe-interval", type=float, default=None,
+    route.add_argument("--probe-interval", type=float, default=2.0,
                        help="seconds between background health probes; "
                             "each cycle adds seeded jitter so several "
-                            "routers do not synchronize probe storms "
-                            "(wins over --health-interval)")
+                            "routers do not synchronize probe storms")
     route.add_argument("--max-weight", type=int, default=64)
     route.add_argument("--weight-seed", type=int, default=0)
     route.set_defaults(func=_cmd_route)

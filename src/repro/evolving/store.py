@@ -33,12 +33,13 @@ Format v2 makes the store crash-safe and self-verifying:
   cleanly to the tip) or back (otherwise), restores the manifest from
   its backup when corrupted, truncates to the longest verifiable batch
   prefix, and rewrites a clean v2 manifest.
-* **Compatibility** — v1 stores open and load exactly as before; the
-  first ``append`` (or a ``recover``) upgrades them to v2 in place.
+
+A manifest in any other format (including the pre-integrity v1) is
+refused with ``SnapshotError: unsupported store format``.
 
 The cached tip (checksum-verified on first materialisation) makes
-``append`` O(batch · log tip) per call instead of the v1 behaviour of
-replaying every batch from ``base.npz`` on every append.
+``append`` O(batch · log tip) per call instead of replaying every batch
+from ``base.npz`` on every append.
 
 All I/O hooks into :mod:`repro.faults`, so crash-recovery behaviour is
 testable on demand (see ``docs/robustness.md``).
@@ -77,7 +78,6 @@ __all__ = [
     "IO_RETRY_POLICY",
 ]
 
-_FORMAT_V1 = "repro-snapshot-store-v1"
 _FORMAT_V2 = "repro-snapshot-store-v2"
 _MANIFEST = "manifest.json"
 _MANIFEST_BAK = "manifest.json.bak"
@@ -166,7 +166,7 @@ def _npz_bytes(**arrays: np.ndarray) -> bytes:
 
 
 def _parse_manifest(raw: bytes, context: str) -> dict:
-    """Parse and integrity-check manifest bytes (v1 or v2)."""
+    """Parse and integrity-check manifest bytes."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -174,8 +174,6 @@ def _parse_manifest(raw: bytes, context: str) -> dict:
     if not isinstance(doc, dict):
         raise IntegrityError(f"{context}: manifest is not a JSON object")
     fmt = doc.get("format")
-    if fmt == _FORMAT_V1:
-        return doc
     if fmt != _FORMAT_V2:
         raise SnapshotError(f"{context}: unsupported store format {fmt!r}")
     payload = {key: value for key, value in doc.items()
@@ -199,15 +197,13 @@ class VerifyReport:
     """Outcome of a store integrity audit (:meth:`SnapshotStore.verify`).
 
     ``ok`` is true when no problems were found.  ``problems`` are
-    integrity violations (corruption, missing files, torn appends);
-    ``notes`` are informational (e.g. a v1 store carries no checksums).
+    integrity violations (corruption, missing files, torn appends).
     """
 
     directory: str
     format_version: int = 0
     files_checked: int = 0
     problems: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -259,10 +255,9 @@ class SnapshotStore:
         self.name: str = payload["name"]
         self.num_vertices: int = int(payload["num_vertices"])
         self._num_batches: int = int(payload["num_batches"])
-        self._format_version = 1 if payload["format"] == _FORMAT_V1 else 2
-        self._checksums: Dict[str, str] = dict(payload.get("checksums", {}))
-        self._tip_edge_count: Optional[int] = payload.get("tip_edge_count")
-        self._tip_checksum: Optional[str] = payload.get("tip_checksum")
+        self._checksums: Dict[str, str] = dict(payload["checksums"])
+        self._tip_edge_count: int = payload["tip_edge_count"]
+        self._tip_checksum: str = payload["tip_checksum"]
         self._tip_cache: Optional[EdgeSet] = None
         self._manifest_stat = self._stat_manifest()
 
@@ -391,15 +386,14 @@ class SnapshotStore:
 
     @property
     def format_version(self) -> int:
-        """2 for checksummed stores, 1 for legacy (pre-integrity) stores."""
-        return self._format_version
+        """The on-disk format generation (2: checksummed, crash-safe)."""
+        return 2
 
     # -- reading ----------------------------------------------------------------
     def _verified_read(self, name: str) -> bytes:
-        """Read a data file, verifying its recorded checksum (v2)."""
+        """Read a data file, verifying its recorded checksum."""
         data = _read_file(self.directory / name)
-        expected = self._checksums.get(name)
-        if expected is not None and _sha256(data) != expected:
+        if _sha256(data) != self._checksums.get(name):
             raise IntegrityError(
                 f"{self.directory}: {name} failed checksum verification "
                 f"(run SnapshotStore.recover)"
@@ -515,7 +509,7 @@ class SnapshotStore:
         except ReproError:
             return  # damaged manifest: let the normal append path raise
         if (int(payload["num_batches"]) != self._num_batches
-                or payload.get("tip_checksum") != self._tip_checksum):
+                or payload["tip_checksum"] != self._tip_checksum):
             self.__init__(self.directory)
         else:
             self._manifest_stat = self._stat_manifest()
@@ -531,10 +525,8 @@ class SnapshotStore:
             tip = self.base_edges()
             for batch in self.iter_batches():
                 tip = batch.apply(tip, strict=False)
-            if self._tip_checksum is not None and (
-                len(tip) != self._tip_edge_count
-                or _edges_checksum(tip) != self._tip_checksum
-            ):
+            if (len(tip) != self._tip_edge_count
+                    or _edges_checksum(tip) != self._tip_checksum):
                 raise IntegrityError(
                     f"{self.directory}: tip digest mismatch — store state "
                     f"is inconsistent (run SnapshotStore.recover)"
@@ -549,9 +541,7 @@ class SnapshotStore:
         anything, so a bad batch leaves the store untouched.  The batch
         file is written (atomically) before the manifest references it;
         a crash in between leaves a torn append that
-        :meth:`recover` resolves deterministically.  Appending to a v1
-        store upgrades its manifest to v2 (checksums are computed for
-        the existing files first).
+        :meth:`recover` resolves deterministically.
 
         Appends are serialised across processes by an advisory file
         lock, and the handle resynchronises with the on-disk manifest
@@ -576,8 +566,6 @@ class SnapshotStore:
             batch.deletions.max_vertex() >= self.num_vertices
         ):
             raise SnapshotError("batch references vertex out of range")
-        if self._format_version == 1:
-            self._compute_legacy_checksums()
         index = self._num_batches
         name = self._batch_name(index)
         checksums = dict(self._checksums)
@@ -602,16 +590,7 @@ class SnapshotStore:
         self._tip_cache = new_tip
         self._tip_edge_count = len(new_tip)
         self._tip_checksum = _edges_checksum(new_tip)
-        self._format_version = 2
         return index
-
-    def _compute_legacy_checksums(self) -> None:
-        """Backfill checksums for a v1 store ahead of its v2 upgrade."""
-        checksums = {"base.npz": _sha256(_read_file(self.directory / "base.npz"))}
-        for index in range(self._num_batches):
-            name = self._batch_name(index)
-            checksums[name] = _sha256(_read_file(self.directory / name))
-        self._checksums = checksums
 
     # -- integrity ------------------------------------------------------------
     def verify(self, deep: bool = False) -> VerifyReport:
@@ -643,7 +622,7 @@ class SnapshotStore:
             report.problems.append(str(exc))
             payload = None
         if payload is not None:
-            report.format_version = 1 if payload["format"] == _FORMAT_V1 else 2
+            report.format_version = 2
             cls._verify_files(directory, payload, report)
             if deep and not report.problems:
                 cls._verify_deep(directory, payload, report)
@@ -659,22 +638,19 @@ class SnapshotStore:
     def _verify_files(cls, directory: Path, payload: dict,
                       report: VerifyReport) -> None:
         num_batches = int(payload["num_batches"])
-        checksums = payload.get("checksums", {})
+        checksums = payload["checksums"]
         expected = ["base.npz"] + [cls._batch_name(i) for i in range(num_batches)]
-        if report.format_version == 1:
-            report.notes.append("v1 store: no checksums recorded")
         for name in expected:
             path = directory / name
             if not path.is_file():
                 report.problems.append(f"missing {name}")
                 continue
             report.files_checked += 1
-            if report.format_version == 2:
-                recorded = checksums.get(name)
-                if recorded is None:
-                    report.problems.append(f"no checksum recorded for {name}")
-                elif _sha256(path.read_bytes()) != recorded:
-                    report.problems.append(f"checksum mismatch: {name}")
+            recorded = checksums.get(name)
+            if recorded is None:
+                report.problems.append(f"no checksum recorded for {name}")
+            elif _sha256(path.read_bytes()) != recorded:
+                report.problems.append(f"checksum mismatch: {name}")
         for name in sorted(checksums):
             if name not in expected:
                 report.problems.append(
@@ -709,10 +685,8 @@ class SnapshotStore:
         except Exception as exc:
             report.problems.append(f"replay failed: {exc}")
             return
-        if payload["format"] == _FORMAT_V2 and (
-            len(tip) != payload["tip_edge_count"]
-            or _edges_checksum(tip) != payload["tip_checksum"]
-        ):
+        if (len(tip) != payload["tip_edge_count"]
+                or _edges_checksum(tip) != payload["tip_checksum"]):
             report.problems.append("tip digest mismatch after replay")
 
     @staticmethod
@@ -777,14 +751,13 @@ class SnapshotStore:
             actions.append(f"removed leftover temporary file {path.name}")
         payload = cls._recover_manifest(directory, actions)
         num_batches = int(payload["num_batches"])
-        checksums = payload.get("checksums", {})
-        is_v2 = payload["format"] == _FORMAT_V2
+        checksums = payload["checksums"]
 
         base_path = directory / "base.npz"
         if not base_path.is_file():
             raise IntegrityError(f"{directory}: base.npz is missing")
         base_data = base_path.read_bytes()
-        if is_v2 and _sha256(base_data) != checksums.get("base.npz"):
+        if _sha256(base_data) != checksums.get("base.npz"):
             raise IntegrityError(
                 f"{directory}: base.npz is corrupt and has no redundancy"
             )
@@ -805,7 +778,7 @@ class SnapshotStore:
             if not path.is_file():
                 break
             data = path.read_bytes()
-            if is_v2 and checksums.get(name) not in (None, _sha256(data)):
+            if checksums.get(name) not in (None, _sha256(data)):
                 break
             try:
                 with np.load(io.BytesIO(data)) as npz:

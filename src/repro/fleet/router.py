@@ -2,24 +2,24 @@
 
 Request lifecycle::
 
-    client line ──> validate (protocol) ──> dispatch
-        query / temporal
+    client line ──> validate (protocol) ──> dispatch on the op's
+                    routing policy (``protocol.OPS``)
+        by-source (query / temporal)
                ──> consistent-hash owner of the source vertex
                    ──> per-replica circuit breaker ──> forward
                    ──> on replica failure: eject + fail over to the
                    next ring owner, caller's Deadline still honoured
-        ingest ──> serialised fan-out to every replica in rotation
-                   ──> receipt-consistency check (same batch => same
-                   version everywhere); a diverging or missing receipt
-                   quarantines that replica until it is resynced
-        update ──> serialised fan-out of one single-edge live-tip
-                   update (same order as ingests); receipts must agree
-                   on ``(tip_version, overlay_depth)`` — the durable
-                   tip plus how deep the pending overlay log is —
-                   since deterministic compaction keeps replicas in
-                   lockstep; divergence quarantines, a refusal every
-                   replica agrees on passes through unchanged
-        status ──> fleet health: per-replica state, ring, receipts
+        fan-out (ingest / update)
+               ──> serialised fan-out to every replica in rotation
+                   ──> one receipt settle: every replica that applied
+                   the write must agree on the resulting ``(durable
+                   tip, pending overlay depth)``; a diverging or
+                   missing receipt quarantines that replica until it
+                   is resynced.  An update every replica refuses the
+                   same way passes through unchanged
+        local (ping / status / shutdown)
+               ──> answered by the router itself; ``status`` is fleet
+                   health: per-replica state, ring, receipts
 
 Design points:
 
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import threading
 from collections import Counter as TallyCounter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -75,6 +74,7 @@ from repro.fleet.transport import ReplicaTransport
 from repro.obs.clock import Clock
 from repro.resilience import CircuitBreaker, Deadline
 from repro.service import protocol
+from repro.service.lineserver import LineServer, LoopThreadRunner
 
 __all__ = ["FleetRouter", "FleetRunner", "Replica", "RouterConfig"]
 
@@ -83,6 +83,9 @@ __all__ = ["FleetRouter", "FleetRunner", "Replica", "RouterConfig"]
 #: takes to come back (probe for ``unhealthy``, supervisor resync for
 #: ``quarantined``, supervisor restore for ``draining``).
 REPLICA_STATES = ("ready", "unhealthy", "quarantined", "draining")
+
+#: One fan-out leg: ``(replica, response, error, elapsed seconds)``.
+Leg = Tuple[str, Optional[Dict[str, Any]], Optional[BaseException], float]
 
 
 @dataclass
@@ -105,10 +108,6 @@ class RouterConfig:
     breaker_reset_timeout: float = 1.0
     #: Seconds between background health probes (``None`` disables the
     #: probe task; the supervisor or tests call :meth:`probe` directly).
-    #: Deprecated spelling — prefer :attr:`probe_interval_s`.
-    health_interval: Optional[float] = None
-    #: Seconds between background health probes (canonical name).  Wins
-    #: over ``health_interval`` when both are set.
     probe_interval_s: Optional[float] = None
     #: Per-cycle jitter as a fraction of the interval: each probe sleeps
     #: ``interval * (1 + jitter * u)`` with ``u`` uniform in [0, 1), so N
@@ -122,12 +121,6 @@ class RouterConfig:
     max_line_bytes: int = 1 << 20
     #: Injected time source for the breakers (tests pass ``FakeClock``).
     clock: Optional[Clock] = None
-
-    def probe_interval(self) -> Optional[float]:
-        """The effective probe interval (canonical name wins)."""
-        if self.probe_interval_s is not None:
-            return self.probe_interval_s
-        return self.health_interval
 
 
 class Replica:
@@ -172,24 +165,19 @@ class Replica:
                 f"{self.state})")
 
 
-class FleetRouter:
-    """Route queries by source affinity, fan ingests to every replica."""
+class FleetRouter(LineServer):
+    """Route reads by source affinity, fan writes to every replica."""
 
     def __init__(self, replicas: Sequence[Tuple[str, str, int]],
                  config: Optional[RouterConfig] = None) -> None:
-        self.config = config or RouterConfig()
+        super().__init__(config or RouterConfig())
         if not replicas:
             raise FleetError("a fleet needs at least one replica")
         names = [name for name, _, _ in replicas]
         if len(set(names)) != len(names):
             raise FleetError(f"duplicate replica names in {names}")
         self.replicas: Dict[str, Replica] = {
-            name: Replica(
-                name, host, port,
-                connect_timeout=self.config.connect_timeout,
-                max_line_bytes=self.config.max_line_bytes,
-                breaker=self._make_breaker(name),
-            )
+            name: self._new_replica(name, host, port)
             for name, host, port in replicas
         }
         self.ring = ConsistentHashRing(names, vnodes=self.config.vnodes)
@@ -198,52 +186,36 @@ class FleetRouter:
         #: Pending live-tip updates per the last agreed update receipt
         #: (0 after any ingest or compaction — both fold the log).
         self.fleet_overlay_depth: int = 0
-        self.port: Optional[int] = None
-        self.counters: Dict[str, int] = {
-            "connections": 0, "requests": 0, "queries": 0, "temporals": 0,
-            "ingests": 0, "updates": 0, "answered": 0, "shed": 0,
-            "errors": 0, "failovers": 0, "ejections": 0, "rebalances": 0,
-            "receipt_divergences": 0, "probes": 0,
-        }
+        self.counters.update({
+            "queries": 0, "temporals": 0, "ingests": 0, "updates": 0,
+            "answered": 0, "shed": 0, "errors": 0, "failovers": 0,
+            "ejections": 0, "rebalances": 0, "receipt_divergences": 0,
+            "probes": 0,
+        })
         #: Last autopilot status payload published via
         #: :meth:`set_autopilot`; surfaced verbatim in ``status``.
         self.autopilot: Optional[Dict[str, Any]] = None
         self._ingest_lock: Optional[asyncio.Lock] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
         self._health_task: Optional["asyncio.Task[None]"] = None
-        self._live = False
         self._unregister_collector = lambda: None
 
-    def _make_breaker(self, name: str) -> CircuitBreaker:
-        def record_transition(previous: str, to: str) -> None:
-            obs.counter_inc("repro_breaker_transitions_total",
-                            breaker=f"replica:{name}", to=to)
-
-        return CircuitBreaker(
-            f"replica:{name}",
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout=self.config.breaker_reset_timeout,
-            clock=self.config.clock,
-            on_transition=record_transition,
+    def _new_replica(self, name: str, host: str, port: int) -> Replica:
+        return Replica(
+            name, host, port,
+            connect_timeout=self.config.connect_timeout,
+            max_line_bytes=self.config.max_line_bytes,
+            breaker=self._make_breaker(f"replica:{name}"),
         )
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         self._ingest_lock = asyncio.Lock()
-        self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=self.config.max_line_bytes,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._live = True
+        await self._listen()
         self._unregister_collector = obs.register_collector(
             self._collect_metrics
         )
         await self._initial_sync()
-        interval = self.config.probe_interval()
+        interval = self.config.probe_interval_s
         if interval is not None:
             self._health_task = asyncio.get_running_loop().create_task(
                 self._health_loop(interval)
@@ -280,26 +252,11 @@ class FleetRouter:
             if version != tip:
                 self._quarantine(name, "lagging")
 
-    def request_stop(self) -> None:
-        """Stop accepting and drop open connections (idempotent)."""
-        if self._stop is not None:
-            self._stop.set()
-
     async def wait_closed(self) -> None:
-        assert self._stop is not None and self._server is not None
-        await self._stop.wait()
+        await super().wait_closed()
         if self._health_task is not None:
             self._health_task.cancel()
-        self._server.close()
-        for writer in list(self._writers):
-            writer.close()
-        await self._server.wait_closed()
-        self._live = False
         self._unregister_collector()
-
-    async def run(self) -> None:
-        await self.start()
-        await self.wait_closed()
 
     async def _health_loop(self, interval: float) -> None:
         seed = self.config.probe_jitter_seed
@@ -393,7 +350,8 @@ class FleetRouter:
                 # tip.  The flush advances the fleet tip; the caller's
                 # resync/restore loop chases it.
                 deadline = Deadline.after(self.config.connect_timeout * 2)
-                await self._fanout_update(
+                await self._fan_out(
+                    "update",
                     self._forward_doc(
                         {"op": "update", "kind": "compact"}, deadline
                     ),
@@ -431,12 +389,7 @@ class FleetRouter:
         """
         if name in self.replicas:
             raise FleetError(f"replica {name!r} already exists")
-        replica = Replica(
-            name, host, port,
-            connect_timeout=self.config.connect_timeout,
-            max_line_bytes=self.config.max_line_bytes,
-            breaker=self._make_breaker(name),
-        )
+        replica = self._new_replica(name, host, port)
         replica.state = "quarantined"
         replica.reason = "provisioning"
         self.replicas[name] = replica
@@ -505,104 +458,29 @@ class FleetRouter:
                 verdicts[name] = "ready"
         return verdicts
 
-    # -- connection handling -------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.counters["connections"] += 1
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(writer, self._error_response(
-                        None, ProtocolError(
-                            "request line exceeds "
-                            f"{self.config.max_line_bytes} bytes"
-                        )))
-                    break
-                if not line:
-                    break
-                response = await self._handle_line(line)
-                await self._send(writer, response)
-                if response.get("op") == "shutdown" and response.get("ok"):
-                    self.request_stop()
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    response: Dict[str, Any]) -> None:
-        writer.write(protocol.encode_line(response))
-        await writer.drain()
-
-    async def _handle_line(self, line: bytes) -> Dict[str, Any]:
-        self.counters["requests"] += 1
-        request_id = None
-        try:
-            doc = protocol.decode_line(line)
-            request_id = doc.get("id")
-            protocol.validate_request(doc)
-            response = await self._dispatch(doc)
-        except ReproError as exc:
-            response = self._error_response(request_id, exc)
-        except Exception as exc:  # never let a handler kill the router
-            response = self._error_response(request_id, exc)
-        if request_id is not None:
-            response["id"] = request_id
-        return response
-
-    def _error_response(self, request_id: Optional[Any],
-                        exc: BaseException) -> Dict[str, Any]:
-        response: Dict[str, Any] = {
-            "ok": False,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-        }
+    # -- the request path ------------------------------------------------------
+    def _error_response(self, exc: BaseException) -> Dict[str, Any]:
+        response = self._error_payload(exc)
         if isinstance(exc, ServiceOverloadedError):
             self.counters["shed"] += 1
-            response["overloaded"] = True
-            response["retry_after_ms"] = exc.retry_after_ms
         else:
             self.counters["errors"] += 1
             obs.counter_inc("repro_errors_total")
         if isinstance(exc, ServiceUnavailableError):
             response["unavailable"] = True
-        if request_id is not None:
-            response["id"] = request_id
         return response
 
-    # -- dispatch ------------------------------------------------------------
     async def _dispatch(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        """By the op's routing policy: ``_route_<policy>`` (or, for the
+        ops the router answers itself, ``_local_<op>``)."""
         op = doc["op"]
-        if op == "ping":
-            return {"ok": True, "op": "ping", "fleet": True}
-        if op == "shutdown":
-            return {"ok": True, "op": "shutdown"}
-        if op == "status":
-            return self._handle_status()
-        if op == "ingest":
-            return await self._handle_ingest(doc)
-        if op == "update":
-            return await self._handle_update(doc)
-        # query and temporal are both source-affine reads: route them by
-        # the same consistent hash so a temporal batch lands on the
-        # replica whose planner cache already holds that source's ranges.
-        return await self._handle_query(doc)
-
-    def _request_deadline(self, doc: Dict[str, Any]) -> Deadline:
-        budget = self.config.request_timeout
-        timeout_ms = doc.get("timeout_ms")
-        if timeout_ms is not None:
-            client_budget = timeout_ms / 1000.0
-            budget = (client_budget if budget is None
-                      else min(budget, client_budget))
-        return (Deadline.after(budget) if budget is not None
-                else Deadline.never())
+        obs.counter_inc("repro_fleet_requests_total", op=op)
+        routing = protocol.OPS[op].routing
+        if routing == "local":
+            return getattr(self, f"_local_{op}")()
+        return await getattr(
+            self, "_route_" + routing.replace("-", "_")
+        )(doc)
 
     def _forward_doc(self, doc: Dict[str, Any],
                      deadline: Deadline) -> Dict[str, Any]:
@@ -613,8 +491,13 @@ class FleetRouter:
             forward["timeout_ms"] = max(1, int(remaining * 1000))
         return forward
 
-    def _handle_status(self) -> Dict[str, Any]:
-        obs.counter_inc("repro_fleet_requests_total", op="status")
+    def _local_ping(self) -> Dict[str, Any]:
+        return {"ok": True, "op": "ping", "fleet": True}
+
+    def _local_shutdown(self) -> Dict[str, Any]:
+        return {"ok": True, "op": "shutdown"}
+
+    def _local_status(self) -> Dict[str, Any]:
         return {
             "ok": True,
             "op": "status",
@@ -634,11 +517,16 @@ class FleetRouter:
             "observability": obs.describe(),
         }
 
-    # -- queries -------------------------------------------------------------
-    async def _handle_query(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+    # -- reads: consistent-hash owner, failover ------------------------------
+    async def _route_by_source(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        """Forward a source-affine read to the ring owner of its source.
+
+        Query and temporal route by the same hash, so a temporal batch
+        lands on the replica whose planner cache already holds that
+        source's ranges.
+        """
         op = doc["op"]
         self.counters["temporals" if op == "temporal" else "queries"] += 1
-        obs.counter_inc("repro_fleet_requests_total", op=op)
         source = doc["source"]
         deadline = self._request_deadline(doc)
         tried: Set[str] = set()
@@ -716,38 +604,45 @@ class FleetRouter:
             f"{source} (tried {sorted(tried) or 'none'}): {last_error!r}"
         )
 
-    # -- ingest --------------------------------------------------------------
-    async def _handle_ingest(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        protocol.parse_ingest_batch(doc)  # reject garbage before fan-out
-        obs.counter_inc("repro_fleet_requests_total", op="ingest")
+    # -- writes: serialised fan-out, one receipt settle -------------------------
+    async def _route_fan_out(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        op = doc["op"]
+        if op == "ingest":
+            # Reject garbage before fan-out (validate_request already
+            # parsed an update; it leaves the batch to whoever needs it).
+            protocol.parse_ingest_batch(doc)
         deadline = self._request_deadline(doc)
         assert self._ingest_lock is not None
-        # Serialised: receipts can only be strictly consecutive if
-        # batches reach every replica in one global order.
+        # Serialised: receipts can only be strictly consecutive, and
+        # overlay receipts can only agree, if every replica sees batches
+        # and updates in one global order.
         async with self._ingest_lock:
-            rotation = self._rotation()
-            if not rotation:
-                raise ServiceUnavailableError(
-                    "no replicas in rotation to ingest into"
-                )
-            forward = self._forward_doc(doc, deadline)
-            with obs.phase_span("router", "ingest",
-                                replicas=len(rotation)):
-                legs = await asyncio.gather(*(
-                    self._ingest_leg(name, forward, deadline)
-                    for name in rotation
-                ))
-            return self._settle_receipts(rotation, legs)
+            return await self._fan_out(
+                op, self._forward_doc(doc, deadline), deadline
+            )
 
-    async def _ingest_leg(
-        self, name: str, forward: Dict[str, Any], deadline: Deadline,
-    ) -> Tuple[str, Optional[Dict[str, Any]], Optional[BaseException], float]:
+    async def _fan_out(self, op: str, forward: Dict[str, Any],
+                       deadline: Deadline) -> Dict[str, Any]:
+        """Fan one write to the rotation (ingest lock must be held)."""
+        rotation = self._rotation()
+        if not rotation:
+            raise ServiceUnavailableError(
+                f"no replicas in rotation to {op}"
+            )
+        with obs.phase_span("router", op, replicas=len(rotation)):
+            legs = await asyncio.gather(*(
+                self._leg(name, forward, deadline) for name in rotation
+            ))
+        return self._settle(op, rotation, legs)
+
+    async def _leg(self, name: str, forward: Dict[str, Any],
+                   deadline: Deadline) -> Leg:
         """One fan-out leg: ``(name, response, error, elapsed)``."""
         loop = asyncio.get_running_loop()
         started = loop.time()
         replica = self.replicas[name]
         try:
-            replica.breaker.before_call(f"ingest via {name}")
+            replica.breaker.before_call(f"{forward['op']} via {name}")
         except CircuitOpenError as exc:
             return name, None, exc, loop.time() - started
         try:
@@ -758,227 +653,114 @@ class FleetRouter:
         replica.breaker.record_success()
         return name, response, None, loop.time() - started
 
-    def _settle_receipts(
-        self,
-        rotation: List[str],
-        legs: List[Tuple[str, Optional[Dict[str, Any]],
-                         Optional[BaseException], float]],
-    ) -> Dict[str, Any]:
+    def _settle(self, op: str, rotation: List[str],
+                legs: List[Leg]) -> Dict[str, Any]:
         """Verify fan-out receipts; quarantine divergent replicas.
 
-        The consistency law: every replica that applied the batch must
-        report the same absolute version, and that version must be the
-        fleet's next consecutive receipt.  Violators leave rotation —
-        a replica whose history no longer matches the fleet's cannot be
-        allowed to answer queries.
-        """
-        receipts: Dict[str, Dict[str, Any]] = {}
-        shed: Optional[Dict[str, Any]] = None
-        failed: List[str] = []
-        for name, response, error, _elapsed in legs:
-            if error is not None:
-                # Unknown whether the batch landed on this replica —
-                # its store may or may not carry it.  Quarantine: only
-                # a resync can reconcile it with the fleet history.
-                failed.append(name)
-                continue
-            if response.get("ok"):
-                receipts[name] = response
-            elif response.get("overloaded"):
-                shed = response  # admission refused: batch NOT applied
-            else:
-                failed.append(name)
-        if not receipts:
-            if shed is not None and not failed:
-                # Every replica shed the batch: nothing was applied
-                # anywhere, the fleet is still consistent — pass the
-                # backpressure through untouched.
-                self.counters["shed"] += 1
-                return dict(shed)
-            for name in failed:
-                self._quarantine(name, "ingest_failed")
-            raise FleetError(
-                f"ingest reached no replica (failed: {sorted(failed)}); "
-                "fleet needs supervisor attention"
-            )
-        # At least one replica applied the batch: anyone who didn't is
-        # now behind the fleet history.
-        for name, response, error, _elapsed in legs:
-            if name in receipts:
-                continue
-            reason = ("ingest_failed" if error is not None or shed is None
-                      else "missed_ingest")
-            self._quarantine(name, reason)
-        versions = {name: receipt.get("version")
-                    for name, receipt in receipts.items()}
-        tally = TallyCounter(versions.values())
-        expected = (None if self.fleet_version is None
-                    else self.fleet_version + 1)
-        if expected is not None and expected in tally:
-            agreed = expected
-        else:
-            agreed = tally.most_common(1)[0][0]
-        for name, version in versions.items():
-            if version != agreed:
-                self.counters["receipt_divergences"] += 1
-                self._quarantine(name, "divergence")
-                del receipts[name]
-        if not receipts:
-            raise FleetError(
-                f"ingest receipts diverged beyond reconciliation "
-                f"({versions}); fleet needs supervisor attention"
-            )
-        self.fleet_version = int(agreed)
-        # Every replica folds its pending live-tip updates before
-        # appending an ingested batch, so an agreed ingest receipt
-        # means the overlay log is empty fleet-wide.
-        self.fleet_overlay_depth = 0
-        for name in receipts:
-            self.replicas[name].version = int(agreed)
-        elapsed = [leg_elapsed for name, _, _, leg_elapsed in legs
-                   if name in receipts]
-        if len(elapsed) > 1:
-            obs.observe("repro_fleet_fanout_lag_seconds",
-                        max(elapsed) - min(elapsed))
-        self.counters["ingests"] += 1
-        self.counters["answered"] += 1
-        reference = next(receipts[name] for name in rotation
-                         if name in receipts)
-        response = dict(reference)
-        response.update({
-            "ok": True,
-            "op": "ingest",
-            "replicas": len(receipts),
-            "fleet_version": self.fleet_version,
-        })
-        return response
-
-    # -- live-tip updates ----------------------------------------------------
-    async def _handle_update(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        protocol.parse_update(doc)  # reject garbage before fan-out
-        obs.counter_inc("repro_fleet_requests_total", op="update")
-        deadline = self._request_deadline(doc)
-        assert self._ingest_lock is not None
-        # Serialised with ingests: overlay receipts only agree if every
-        # replica sees updates and batches in one global order.
-        async with self._ingest_lock:
-            return await self._fanout_update(
-                self._forward_doc(doc, deadline), deadline
-            )
-
-    async def _fanout_update(self, forward: Dict[str, Any],
-                             deadline: Deadline) -> Dict[str, Any]:
-        """Fan one update to the rotation (ingest lock must be held)."""
-        rotation = self._rotation()
-        if not rotation:
-            raise ServiceUnavailableError(
-                "no replicas in rotation to update"
-            )
-        with obs.phase_span("router", "update", replicas=len(rotation)):
-            legs = await asyncio.gather(*(
-                self._ingest_leg(name, forward, deadline)
-                for name in rotation
-            ))
-        return self._settle_update_receipts(rotation, legs)
-
-    def _settle_update_receipts(
-        self,
-        rotation: List[str],
-        legs: List[Tuple[str, Optional[Dict[str, Any]],
-                         Optional[BaseException], float]],
-    ) -> Dict[str, Any]:
-        """Verify update receipts; quarantine divergent replicas.
-
-        The consistency law for the live tip: every replica that
-        applied the update must agree on ``(tip_version,
-        overlay_depth)``.  The overlay ``seq`` is deliberately *not*
+        The consistency law: every replica that applied the write must
+        report the same stream position — ``(durable tip, pending
+        overlay depth)``.  An ingest receipt's ``version`` is the new
+        tip and implies depth 0 (every replica folds its overlay before
+        appending); it must also be the fleet's next consecutive
+        version.  An update receipt carries ``tip_version`` and
+        ``overlay_depth``; the overlay ``seq`` is deliberately *not*
         compared — it is monotonic per overlay instance and resets when
-        a replica restarts, while the durable tip plus pending depth
-        pins the actual stream position.  Deterministic count-based
-        compaction folds at the same stream point everywhere, so a
-        depth mismatch means a replica missed an update (or folded on
-        its own) and no longer matches the fleet's history.
+        a replica restarts.  Deterministic count-based compaction folds
+        at the same stream point everywhere, so a mismatch means a
+        replica missed a write (or folded on its own).  Violators leave
+        rotation — a replica whose history no longer matches the
+        fleet's cannot be allowed to answer queries.
         """
+        ingest = op == "ingest"
         receipts: Dict[str, Dict[str, Any]] = {}
-        errored: Dict[str, Dict[str, Any]] = {}
+        refused: Dict[str, Dict[str, Any]] = {}
         shed: Optional[Dict[str, Any]] = None
         failed: List[str] = []
         for name, response, error, _elapsed in legs:
             if error is not None:
+                # Unknown whether the write landed on this replica.
+                # Quarantine: only a resync can reconcile it.
                 failed.append(name)
             elif response.get("ok"):
                 receipts[name] = response
             elif response.get("overloaded"):
-                shed = response  # live lane refused: update NOT applied
+                shed = response  # admission refused: write NOT applied
+            elif ingest:
+                # A failed append may or may not have reached the store.
+                failed.append(name)
             else:
-                errored[name] = response
+                # The overlay validates before it mutates: a refused
+                # update (insert of a present edge, live tip disabled)
+                # left the replica untouched.
+                refused[name] = response
         if not receipts:
             if not failed:
                 # Nothing was applied anywhere — the fleet is still
-                # consistent.  A deterministic refusal (insert of a
-                # present edge, live tip disabled) passes through; so
-                # does unanimous backpressure.
-                if errored:
-                    self.counters["errors"] += 1
-                    return dict(next(iter(errored.values())))
-                assert shed is not None
-                self.counters["shed"] += 1
-                return dict(shed)
+                # consistent.  A refusal every replica agrees on passes
+                # through; so does unanimous backpressure.
+                self.counters["errors" if refused else "shed"] += 1
+                answer = next(iter(refused.values())) if refused else shed
+                assert answer is not None
+                return dict(answer)
             for name in failed:
-                self._quarantine(name, "update_failed")
+                self._quarantine(name, f"{op}_failed")
             raise FleetError(
-                f"update reached no replica (failed: {sorted(failed)}); "
+                f"{op} reached no replica (failed: {sorted(failed)}); "
                 "fleet needs supervisor attention"
             )
-        # At least one replica absorbed the update: anyone who didn't
-        # is now behind the fleet's update stream.
-        for name, response, error, _elapsed in legs:
-            if name in receipts:
-                continue
-            reason = ("update_failed" if error is not None
-                      else "missed_update")
-            self._quarantine(name, reason)
+        # At least one replica applied the write: anyone who didn't is
+        # now behind the fleet history.
+        for name in rotation:
+            if name not in receipts:
+                self._quarantine(
+                    name,
+                    f"{op}_failed" if name in failed else f"missed_{op}",
+                )
         keys = {
-            name: (receipt.get("tip_version"),
-                   receipt.get("overlay_depth"))
+            name: (receipt.get("tip_version", receipt.get("version")),
+                   receipt.get("overlay_depth") or 0)
             for name, receipt in receipts.items()
         }
         tally = TallyCounter(keys.values())
         agreed = tally.most_common(1)[0][0]
+        if ingest and self.fleet_version is not None:
+            expected = (self.fleet_version + 1, 0)
+            if expected in tally:
+                agreed = expected
         for name, key in keys.items():
             if key != agreed:
                 self.counters["receipt_divergences"] += 1
                 self._quarantine(name, "divergence")
                 del receipts[name]
-        if not receipts:
-            raise FleetError(
-                f"update receipts diverged beyond reconciliation "
-                f"({keys}); fleet needs supervisor attention"
-            )
         tip, depth = agreed
         if tip is not None:
             self.fleet_version = int(tip)
             for name in receipts:
                 self.replicas[name].version = int(tip)
-        self.fleet_overlay_depth = int(depth or 0)
-        self.counters["updates"] += 1
+        self.fleet_overlay_depth = int(depth)
+        elapsed = [leg_elapsed for name, _, _, leg_elapsed in legs
+                   if name in receipts]
+        if ingest and len(elapsed) > 1:
+            obs.observe("repro_fleet_fanout_lag_seconds",
+                        max(elapsed) - min(elapsed))
+        self.counters[f"{op}s"] += 1
         self.counters["answered"] += 1
         reference = next(receipts[name] for name in rotation
                          if name in receipts)
         response = dict(reference)
         response.update({
             "ok": True,
-            "op": "update",
+            "op": op,
             "replicas": len(receipts),
             "fleet_version": self.fleet_version,
         })
         return response
 
 
-class FleetRunner:
+class FleetRunner(LoopThreadRunner):
     """Run a :class:`FleetRouter` on a background thread.
 
-    Mirrors :class:`~repro.service.server.ServiceRunner`, plus
+    A :class:`~repro.service.lineserver.LoopThreadRunner` plus
     thread-safe control methods (:meth:`eject`, :meth:`restore`,
     :meth:`mark_draining`, :meth:`set_address`, :meth:`probe`) that the
     supervisor and tests use to drive rotation changes — each one runs
@@ -986,42 +768,15 @@ class FleetRunner:
     is what keeps the router free of locks.
     """
 
+    thread_name = "repro-fleet-router"
+    what = "fleet router"
+
     def __init__(self, router: FleetRouter) -> None:
+        super().__init__()
         self.router = router
-        self.port: Optional[int] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
-    def start(self) -> "FleetRunner":
-        self._thread = threading.Thread(
-            target=self._thread_main, name="repro-fleet-router", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise ServiceError("fleet router failed to start within 30s")
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"fleet router failed to start: {self._startup_error!r}"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.router.request_stop)
-            except RuntimeError:
-                pass  # loop already closed
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def call(self, factory, timeout: float = 30.0):
-        """Run ``factory()`` (a coroutine) on the router's event loop."""
-        if self._loop is None:
-            raise ServiceError("the fleet router never started")
-        future = asyncio.run_coroutine_threadsafe(factory(), self._loop)
-        return future.result(timeout=timeout)
+    def _make_server(self) -> FleetRouter:
+        return self.router
 
     def eject(self, name: str, reason: str = "operator") -> None:
         self.call(lambda: self.router.eject(name, reason))
@@ -1046,29 +801,3 @@ class FleetRunner:
 
     def probe(self) -> Dict[str, str]:
         return self.call(self.router.probe)
-
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surface startup failures
-            if not self._started.is_set():
-                self._startup_error = exc
-                self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.router.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self.port = self.router.port
-        self._started.set()
-        await self.router.wait_closed()
-
-    def __enter__(self) -> "FleetRunner":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -16,7 +16,6 @@ the author must replace (the engine refuses to load placeholders).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,16 +35,8 @@ __all__ = [
 PLACEHOLDER_JUSTIFICATION = "FIXME: justify why this finding is benign"
 
 #: v2 fingerprints hash ``(rule, context, message)`` — path-independent,
-#: so renames don't invalidate entries.  v1 files (which hashed the path
-#: too) are accepted and migrated on load; the next ``--update-baseline``
-#: rewrites them as v2.
+#: so renames don't invalidate entries.
 _VERSION = 2
-_LEGACY_VERSIONS = (1,)
-
-
-def _v2_fingerprint(rule: str, context: str, message: str) -> str:
-    payload = "|".join((rule, context, message))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -75,11 +66,10 @@ def load_baseline(path: Path) -> List[BaselineEntry]:
     except json.JSONDecodeError as exc:
         raise LintError(f"baseline {path} is not valid JSON: {exc}") from exc
     version = payload.get("version") if isinstance(payload, dict) else None
-    if version not in (_VERSION, *_LEGACY_VERSIONS):
+    if version != _VERSION:
         raise LintError(
             f"baseline {path} must be a JSON object with 'version': {_VERSION}"
         )
-    legacy = version != _VERSION
     entries: List[BaselineEntry] = []
     seen: Dict[str, int] = {}
     for position, doc in enumerate(payload.get("entries", [])):
@@ -97,24 +87,12 @@ def load_baseline(path: Path) -> List[BaselineEntry]:
                 f"({doc['rule']} in {doc['path']}) has no justification; "
                 "every grandfathered finding must explain why it is benign"
             )
-        if legacy:
-            # v1 hashed the path into the fingerprint; recompute the v2
-            # identity from the recorded fields.  Entries that collapse
-            # onto one v2 fingerprint (same defect recorded under two
-            # paths) merge silently — the first justification wins.
-            fingerprint = _v2_fingerprint(
-                str(doc["rule"]), str(doc.get("context", "")),
-                str(doc["message"]),
+        fingerprint = str(doc["fingerprint"])
+        if fingerprint in seen:
+            raise LintError(
+                f"baseline {path}: duplicate fingerprint {fingerprint} "
+                f"(entries {seen[fingerprint]} and {position})"
             )
-            if fingerprint in seen:
-                continue
-        else:
-            fingerprint = str(doc["fingerprint"])
-            if fingerprint in seen:
-                raise LintError(
-                    f"baseline {path}: duplicate fingerprint {fingerprint} "
-                    f"(entries {seen[fingerprint]} and {position})"
-                )
         seen[fingerprint] = position
         entries.append(BaselineEntry(
             rule=str(doc["rule"]),

@@ -4,11 +4,16 @@ Both rules consume the phase-1 :class:`~repro.lint.project.ProgramIndex`
 and check a *shared vocabulary* invariant:
 
 ``wire-contract``
-    ``protocol.OPS`` is the single source of truth for the wire
-    vocabulary.  Every op must surface in the server dispatch, the
-    client API, the fleet router, and the CLI — and no layer may speak
-    an op the protocol never declared (a "phantom" op that would be
-    rejected at validation, i.e. dead or drifted code).
+    The ``protocol.OPS`` table is the single declaration of the wire
+    vocabulary, and server and router dispatch from it *by name*.  So
+    for those two layers the contract is structural: every row needs a
+    ``_handle_<op>`` on the server and, on the router, the method of
+    its routing policy (``_local_<op>`` for ops the router answers
+    itself, ``_route_<policy>`` otherwise) — and neither may define a
+    handler the table has no row for.  The client API and the CLI still
+    *speak* ops (request payloads, subcommands), so there the rule
+    keeps checking that every op surfaces and that no undeclared
+    ("phantom") op is spoken.
 
 ``instrument-contract``
     ``repro.obs.instruments.INSTRUMENTS`` is the single source of
@@ -38,114 +43,100 @@ __all__ = ["InstrumentContractRule", "WireContractRule"]
 
 
 PROTOCOL_MODULE = "repro/service/protocol.py"
+SERVER_MODULE = "repro/service/server.py"
+ROUTER_MODULE = "repro/fleet/router.py"
 
-#: Layer → (relpath, human description of the expected surface).
-WIRE_LAYERS: Tuple[Tuple[str, str, str], ...] = (
-    ("server", "repro/service/server.py", "a dispatch branch or _handle_* method"),
-    ("client", "repro/service/client.py", "a ServiceClient method or request payload"),
-    ("router", "repro/fleet/router.py", "a routing branch or _handle_* method"),
+#: Layers that speak ops rather than dispatch on the table:
+#: (layer, relpath, human description of the expected surface).
+SPEAKING_LAYERS: Tuple[Tuple[str, str, str], ...] = (
+    ("client", "repro/service/client.py",
+     "a ServiceClient method or request payload"),
     ("cli", "repro/cli.py", "a subcommand invoking the client method"),
 )
-
-
-def _op_expression(node: ast.expr) -> bool:
-    """Whether ``node`` plausibly evaluates to the request's op field."""
-    if isinstance(node, ast.Name):
-        return node.id == "op"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "op"
-    if isinstance(node, ast.Subscript):
-        key = node.slice
-        return isinstance(key, ast.Constant) and key.value == "op"
-    if isinstance(node, ast.Call):
-        # doc.get("op"), doc.get("op", default)
-        callee = node.func
-        return (isinstance(callee, ast.Attribute) and callee.attr == "get"
-                and bool(node.args)
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value == "op")
-    return False
 
 
 def _spoken_ops(module: "ModuleUnit") -> List[Tuple[str, int]]:
     """Every op-name string literal this module *speaks*, with its line.
 
-    An op is spoken by (a) a comparison of a string literal against an
-    op-valued expression (``op == "ping"``, ``doc["op"] in (...)``) or
-    (b) an ``"op"`` key in a dict literal with a constant string value
-    (request construction / response echo).  Attribute or method
-    *names* never count — they establish coverage, not vocabulary.
+    An op is spoken by an ``"op"`` key in a dict literal with a constant
+    string value (request construction).  Attribute or method *names*
+    never count — they establish coverage, not vocabulary.
     """
     spoken: List[Tuple[str, int]] = []
     for node in ast.walk(module.tree):
-        if isinstance(node, ast.Compare):
-            sides = [node.left, *node.comparators]
-            if not any(_op_expression(side) for side in sides):
-                continue
-            for side in sides:
-                if isinstance(side, ast.Constant) and \
-                        isinstance(side.value, str):
-                    spoken.append((side.value, side.lineno))
-                elif isinstance(side, (ast.Tuple, ast.List, ast.Set)):
-                    for elt in side.elts:
-                        if isinstance(elt, ast.Constant) and \
-                                isinstance(elt.value, str):
-                            spoken.append((elt.value, elt.lineno))
-        elif isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if (isinstance(key, ast.Constant) and key.value == "op"
-                        and isinstance(value, ast.Constant)
-                        and isinstance(value.value, str)):
-                    spoken.append((value.value, value.lineno))
+        if not isinstance(node, ast.Dict):
+            continue
+        for key, value in zip(node.keys, node.values):
+            if (isinstance(key, ast.Constant) and key.value == "op"
+                    and isinstance(value, ast.Constant)
+                    and isinstance(value.value, str)):
+                spoken.append((value.value, value.lineno))
     return spoken
 
 
 def _surfaced_ops(module: "ModuleUnit") -> Set[str]:
     """Op names this module covers by *naming* rather than comparing.
 
-    ``_handle_<op>`` methods (server/router dispatch targets), methods
-    named exactly after an op (client API), and attribute calls named
-    after an op (CLI invoking the client) all count.
+    Methods named exactly after an op (client API) and attribute calls
+    named after an op (CLI invoking the client) count.
     """
     surfaced: Set[str] = set()
     for node in ast.walk(module.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             surfaced.add(node.name)
-            if node.name.startswith("_handle_"):
-                surfaced.add(node.name[len("_handle_"):])
         elif isinstance(node, ast.Call) and isinstance(node.func,
                                                        ast.Attribute):
             surfaced.add(node.func.attr)
     return surfaced
 
 
+def _methods(module: "ModuleUnit") -> Dict[str, int]:
+    """Every function/method name defined in the module, with its line."""
+    return {
+        node.name: node.lineno for node in ast.walk(module.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
 class WireContractRule(ProjectRule):
-    """Every protocol op surfaces in every layer; no layer speaks a phantom."""
+    """Every row of the op table is served, routed, and surfaced."""
 
     name = "wire-contract"
-    title = ("protocol.OPS, server dispatch, client API, fleet routing and "
-             "the CLI must agree on the op vocabulary")
+    title = ("every op in protocol.OPS has its server handler and router "
+             "routing method; the client API and the CLI surface it; no "
+             "layer handles an op the table does not declare")
 
     def check_project(self, project: "ProjectIndex") -> Iterator[Finding]:
         protocol = project.module_units.get(PROTOCOL_MODULE)
         if protocol is None:
             return
-        ops = self._declared_ops(protocol)
-        if ops is None:
+        table = self._declared_ops(protocol)
+        if table is None:
             yield self.project_finding(
                 project, PROTOCOL_MODULE, 1,
-                "could not locate the OPS tuple of string literals; the "
-                "wire vocabulary must stay statically enumerable",
+                "could not parse the OPS table (a dict literal of string "
+                "keys to OpSpec(...) rows with literal routing); the wire "
+                "vocabulary must stay statically enumerable",
             )
             return
-        declared, ops_line = ops
-        for layer, relpath, expectation in WIRE_LAYERS:
+        yield from self._check_dispatch(
+            project, "server", SERVER_MODULE,
+            {f"_handle_{op}": op for op in table}, ("_handle_",),
+        )
+        yield from self._check_dispatch(
+            project, "router", ROUTER_MODULE,
+            {(f"_local_{op}" if routing == "local"
+              else "_route_" + routing.replace("-", "_")): op
+             for op, routing in table.items()},
+            ("_local_", "_route_"),
+        )
+        for layer, relpath, expectation in SPEAKING_LAYERS:
             module = project.module_units.get(relpath)
             if module is None:
                 continue
             spoken = _spoken_ops(module)
             covered = {name for name, _ in spoken} | _surfaced_ops(module)
-            for op in declared:
+            for op in table:
                 if op not in covered:
                     yield self.project_finding(
                         project, relpath, 1,
@@ -155,20 +146,46 @@ class WireContractRule(ProjectRule):
                     )
             reported: Set[str] = set()
             for op, line in spoken:
-                if op in declared or op in reported:
+                if op in table or op in reported:
                     continue
                 reported.add(op)
                 yield self.project_finding(
                     project, relpath, line,
-                    f"the {layer} layer handles op '{op}' which "
+                    f"the {layer} layer speaks op '{op}' which "
                     "protocol.OPS does not declare (phantom op: "
                     "validate_request would reject it before dispatch)",
                 )
 
+    def _check_dispatch(
+        self, project: "ProjectIndex", layer: str, relpath: str,
+        required: Dict[str, str], prefixes: Tuple[str, ...],
+    ) -> Iterator[Finding]:
+        """A by-name dispatch layer: ``required`` maps method -> an op
+        that needs it; any other ``prefixes`` method is a phantom."""
+        module = project.module_units.get(relpath)
+        if module is None:
+            return
+        defined = _methods(module)
+        for method, op in sorted(required.items()):
+            if method not in defined:
+                yield self.project_finding(
+                    project, relpath, 1,
+                    f"op '{op}' declared in protocol.OPS has no "
+                    f"'{method}' in the {layer} layer; dispatch resolves "
+                    "it by that name",
+                )
+        for method, line in sorted(defined.items()):
+            if method.startswith(prefixes) and method not in required:
+                yield self.project_finding(
+                    project, relpath, line,
+                    f"the {layer} layer defines '{method}' but no row of "
+                    "protocol.OPS dispatches to it (phantom op: "
+                    "validate_request would reject it before dispatch)",
+                )
+
     @staticmethod
-    def _declared_ops(
-        protocol: "ModuleUnit",
-    ) -> Optional[Tuple[Set[str], int]]:
+    def _declared_ops(protocol: "ModuleUnit") -> Optional[Dict[str, str]]:
+        """``op -> routing policy`` from the ``OPS`` dict literal."""
         for stmt in protocol.tree.body:
             targets: List[ast.expr] = []
             if isinstance(stmt, ast.Assign):
@@ -180,17 +197,23 @@ class WireContractRule(ProjectRule):
             if not any(isinstance(t, ast.Name) and t.id == "OPS"
                        for t in targets):
                 continue
-            value = stmt.value
-            if isinstance(value, (ast.Tuple, ast.List)) and all(
-                isinstance(e, ast.Constant) and isinstance(e.value, str)
-                for e in value.elts
-            ):
-                return (
-                    {e.value for e in value.elts
-                     if isinstance(e, ast.Constant)},
-                    stmt.lineno,
-                )
-            return None
+            if not isinstance(stmt.value, ast.Dict):
+                return None
+            table: Dict[str, str] = {}
+            for key, row in zip(stmt.value.keys, stmt.value.values):
+                if not (isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)
+                        and isinstance(row, ast.Call)):
+                    return None
+                routing = "local"
+                for kw in row.keywords:
+                    if kw.arg == "routing":
+                        if not (isinstance(kw.value, ast.Constant)
+                                and isinstance(kw.value.value, str)):
+                            return None
+                        routing = kw.value.value
+                table[key.value] = routing
+            return table
         return None
 
 

@@ -20,9 +20,13 @@ Operations::
     {"op": "update", "kind": "compact"}   # force a live-tip fold
     {"op": "shutdown"}
 
-Query, temporal and ingest requests may carry an optional ``timeout_ms`` — the
-client's end-to-end budget for the request, capped server-side by the
-configured ``request_timeout``.
+Every op is declared once, as a row of :data:`OPS`: which fields it may
+carry, whether it takes ``timeout_ms`` (the client's end-to-end budget,
+capped server-side by the configured ``request_timeout`` — query,
+temporal, ingest and update all do), which admission lane and circuit
+breaker guard it, whether its primary path is retried and has an
+offline fallback, and how the fleet router routes it.  The server and
+the router dispatch from that table; ``docs/service.md`` renders it.
 
 Responses are ``{"ok": true, ...payload}`` or ``{"ok": false,
 "error": "...", "error_type": "..."}``; query responses additionally
@@ -37,7 +41,17 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -48,6 +62,7 @@ from repro.graph.edgeset import EdgeSet
 __all__ = [
     "MAX_LINE_BYTES",
     "OPS",
+    "OpSpec",
     "UPDATE_WIRE_KINDS",
     "decode_line",
     "decode_values",
@@ -62,15 +77,63 @@ __all__ = [
 #: Hard cap on one protocol line; a longer line is a malformed request.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
-OPS = ("ping", "status", "query", "temporal", "ingest", "update",
-       "shutdown")
 
-_QUERY_FIELDS = {"op", "id", "algorithm", "source", "first", "last",
-                 "timeout_ms"}
-_TEMPORAL_FIELDS = {"op", "id", "algorithm", "source", "queries",
-                    "timeout_ms"}
-_INGEST_FIELDS = {"op", "id", "additions", "deletions", "timeout_ms"}
-_UPDATE_FIELDS = {"op", "id", "kind", "edge", "timeout_ms"}
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One wire op: what it may carry and how it is served and routed."""
+
+    #: Op-specific request fields (``op``/``id`` are always allowed).  An
+    #: op that declares none (ping, status, shutdown) ignores extras.
+    fields: FrozenSet[str] = frozenset()
+    #: May carry ``timeout_ms``.
+    timeout: bool = False
+    #: Admission lane on a replica: ``"query"`` / ``"ingest"`` / ``"live"``.
+    lane: Optional[str] = None
+    #: Circuit breaker around the primary path: ``"planner"`` / ``"store"``.
+    breaker: Optional[str] = None
+    #: The primary path runs under the server's retry policy.  ``update``
+    #: must not: a retried insert whose first attempt landed would bounce
+    #: off the overlay's already-present validation.
+    retried: bool = False
+    #: Exhausted retries / an open breaker degrade to the offline
+    #: evaluator instead of failing.
+    fallback: bool = False
+    #: Fleet routing: ``"local"`` (the router answers), ``"by-source"``
+    #: (consistent-hash owner, with failover), ``"fan-out"`` (every
+    #: replica in rotation, receipts must agree).
+    routing: str = "local"
+
+
+def _fields(*names: str) -> FrozenSet[str]:
+    return frozenset(names)
+
+
+#: The wire vocabulary — the single declaration of every op.
+OPS: Mapping[str, OpSpec] = {
+    "ping": OpSpec(),
+    "status": OpSpec(),
+    "query": OpSpec(
+        fields=_fields("algorithm", "source", "first", "last"),
+        timeout=True, lane="query", breaker="planner", retried=True,
+        fallback=True, routing="by-source",
+    ),
+    "temporal": OpSpec(
+        fields=_fields("algorithm", "source", "queries"),
+        timeout=True, lane="query", breaker="planner", retried=True,
+        fallback=True, routing="by-source",
+    ),
+    "ingest": OpSpec(
+        fields=_fields("additions", "deletions"),
+        timeout=True, lane="ingest", breaker="store", retried=True,
+        routing="fan-out",
+    ),
+    "update": OpSpec(
+        fields=_fields("kind", "edge"),
+        timeout=True, lane="live", routing="fan-out",
+    ),
+    "shutdown": OpSpec(),
+}
 
 #: ``update`` verbs: single-edge mutations plus the explicit fold.
 UPDATE_WIRE_KINDS = ("insert", "delete", "compact")
@@ -117,15 +180,22 @@ def validate_request(doc: Dict[str, Any]) -> Dict[str, Any]:
     state, which raises the same error type for out-of-window ranges.
     """
     op = doc.get("op")
-    if op not in OPS:
-        raise ProtocolError(f"unknown op {op!r}; expected one of {OPS}")
-    if op == "query":
-        unknown = set(doc) - _QUERY_FIELDS
+    spec = OPS.get(op) if isinstance(op, str) else None
+    if spec is None:
+        raise ProtocolError(
+            f"unknown op {op!r}; expected one of {tuple(OPS)}"
+        )
+    if spec.fields:
+        allowed = spec.fields | ({"op", "id", "timeout_ms"} if spec.timeout
+                                 else {"op", "id"})
+        unknown = set(doc) - allowed
         if unknown:
-            raise ProtocolError(f"unknown query fields {sorted(unknown)}")
+            raise ProtocolError(f"unknown {op} fields {sorted(unknown)}")
+    if "algorithm" in spec.fields:
         if not isinstance(doc.get("algorithm"), str):
             raise ProtocolError("field 'algorithm' must be a string")
         _require_int(doc, "source")
+    if "first" in spec.fields:
         first = _require_int(doc, "first", optional=True)
         last = _require_int(doc, "last", optional=True)
         for name, value in (("first", first), ("last", last)):
@@ -139,30 +209,13 @@ def validate_request(doc: Dict[str, Any]) -> Dict[str, Any]:
                 f"version range [{first}, {last}] is reversed "
                 "(first > last)"
             )
-        _require_timeout(doc)
-    elif op == "temporal":
+    if "queries" in spec.fields:
         from repro.temporal.plan import parse_specs
 
-        unknown = set(doc) - _TEMPORAL_FIELDS
-        if unknown:
-            raise ProtocolError(
-                f"unknown temporal fields {sorted(unknown)}"
-            )
-        if not isinstance(doc.get("algorithm"), str):
-            raise ProtocolError("field 'algorithm' must be a string")
-        _require_int(doc, "source")
         parse_specs(doc.get("queries"))
-        _require_timeout(doc)
-    elif op == "ingest":
-        unknown = set(doc) - _INGEST_FIELDS
-        if unknown:
-            raise ProtocolError(f"unknown ingest fields {sorted(unknown)}")
-        _require_timeout(doc)
-    elif op == "update":
-        unknown = set(doc) - _UPDATE_FIELDS
-        if unknown:
-            raise ProtocolError(f"unknown update fields {sorted(unknown)}")
+    if "kind" in spec.fields:
         parse_update(doc)
+    if spec.timeout:
         _require_timeout(doc)
     return doc
 

@@ -1,53 +1,55 @@
 """The asyncio front end: JSON-lines over TCP.
 
-Request lifecycle::
+Request lifecycle — one path, steered by the op's row in
+:data:`repro.service.protocol.OPS`::
 
-    client line ──> validate (protocol) ──> dispatch
-        query  ──> coalesce identical in-flight ──> admission slot
-                   ──> circuit breaker gate ──> executor thread
-                   (fault hook + memoizing planner) under retry/deadline
-                   ──> degraded fallback (offline evaluator) if the
-                   primary path is exhausted or the breaker is open
-        ingest ──> admission slot ──> breaker gate ──> serialised,
-                   executor thread (fault hook + store append +
-                   incremental decomposition extension)
-        status ──> store/window/epoch/cache payload + lifecycle,
-                   admission and breaker health (health check)
+    client line ──> LineServer: decode ──> validate ──> ``_handle_<op>``
+        handler ──> parse; build the *primary* closure (fault hook +
+                    one ``ServiceState`` call); a query first coalesces
+                    onto an identical in-flight one
+        gated run ──> admission slot of the op's lane
+                    ──> the op's circuit breaker
+                    ──> the one executor hop, under the request deadline,
+                        retried if the op is (an ingest holds the ingest
+                        lock across its retries)
+                    ──> the op's offline fallback, if it has one and the
+                        primary is exhausted or the breaker is open
+        handler ──> encode the response
+    ping / status / shutdown answer without a gated run.
 
 Design points, mirroring the rest of the codebase:
 
 * **Coalescing** — concurrent identical queries (same algorithm,
   source, range) share one execution; followers await the leader's
-  future and receive the same response payload.
-* **Admission control** — queries and ingests each pass a bounded
-  :class:`~repro.service.admission.AdmissionController` lane before
-  touching an executor thread; a full waiting room or an expired queue
-  budget sheds the request with an explicit ``overloaded`` response
-  (``retry_after_ms`` hint) instead of buffering without limit.
+  future, each on its own deadline, and receive the same payload.
+* **Admission control** — queries, ingests and updates each pass a
+  bounded :class:`~repro.service.admission.AdmissionController` lane
+  before touching an executor thread; a full waiting room or an expired
+  queue budget sheds the request with an explicit ``overloaded``
+  response (``retry_after_ms`` hint) instead of buffering without limit.
 * **Deadlines / retries** — the client-supplied ``timeout_ms`` (capped
   by the server's ``request_timeout``) becomes one shared
   :class:`~repro.resilience.Deadline` that flows through admission
-  wait → retry policy → executor dispatch, so a request never queues,
+  wait → retry policy → executor hop, so a request never queues,
   retries or sleeps past its own budget.
-* **Circuit breakers** — the planner executor path and the store
-  append path each sit behind a
-  :class:`~repro.resilience.CircuitBreaker`; repeated exhausted-retry
-  failures trip it open, after which queries short-circuit straight to
-  the degraded fallback (no retry burn) and ingests fail fast with a
-  ``retry_after_ms`` hint until a half-open probe heals the breaker.
+* **Circuit breakers** — the planner path and the store append path
+  each sit behind a :class:`~repro.resilience.CircuitBreaker`; repeated
+  exhausted-retry failures trip it open, after which reads short-circuit
+  straight to the degraded fallback (no retry burn) and ingests fail
+  fast with a ``retry_after_ms`` hint until a half-open probe heals it.
 * **Graceful degradation** — when retries are spent (or the breaker is
-  open) the server answers from the plain offline evaluator, bypassing
+  open) a read is answered by the plain offline evaluator, bypassing
   planner and caches (``outcome: "degraded"``), consistent with the
   parallel evaluators' :class:`~repro.core.parallel.TaskOutcome` model.
   Client errors (bad range, unknown algorithm, malformed batch) are
-  never retried and never trip the breaker.
+  never retried, never trip the breaker, and read the same on both lanes.
 * **Graceful drain** — :meth:`GraphService.drain` stops accepting new
   work (admission sheds with reason ``"draining"``), lets in-flight
   requests finish within a drain deadline, flushes the store
   subscription and only then stops the loop; ``status`` exposes
   ``live`` / ``ready`` / ``draining`` so orchestrators can sequence
   rollouts.
-* **Fault hooks** — the primary query/ingest paths call
+* **Fault hooks** — every primary closure calls
   :func:`repro.faults.service_check`, so tests inject failures and
   latency deterministically; the degraded path is un-instrumented.
 """
@@ -55,17 +57,15 @@ Design points, mirroring the rest of the codebase:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from repro import faults, obs
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
-    ProtocolError,
-    ReproError,
     RetryExhaustedError,
     ServiceError,
     ServiceOverloadedError,
@@ -79,9 +79,12 @@ from repro.resilience import (
 )
 from repro.service import protocol
 from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.lineserver import LineServer, LoopThreadRunner
 from repro.service.state import ServiceState
 
 __all__ = ["GraphService", "ServiceConfig", "ServiceRunner"]
+
+T = TypeVar("T")
 
 #: Coalescing key of a query: algorithm, source, first, last (as sent).
 QueryKey = Tuple[str, int, Optional[int], Optional[int]]
@@ -137,87 +140,44 @@ class ServiceConfig:
     clock: Optional[Clock] = None
 
 
-class GraphService:
+class GraphService(LineServer):
     """One serving instance: a :class:`ServiceState` behind a TCP listener."""
 
     def __init__(self, state: ServiceState, config: Optional[ServiceConfig] = None) -> None:
+        super().__init__(config or ServiceConfig())
         self.state = state
-        self.config = config or ServiceConfig()
-        self.port: Optional[int] = None
-        self.counters: Dict[str, int] = {
-            "connections": 0, "requests": 0, "queries": 0, "coalesced": 0,
-            "temporals": 0, "ingests": 0, "updates": 0, "retried": 0,
-            "degraded": 0, "errors": 0, "shed": 0, "breaker_fastfail": 0,
-        }
+        self.counters.update({
+            "queries": 0, "coalesced": 0, "temporals": 0, "ingests": 0,
+            "updates": 0, "retried": 0, "degraded": 0, "errors": 0,
+            "shed": 0, "breaker_fastfail": 0,
+        })
         self.admission = AdmissionController(
             query=self.config.query_admission,
             ingest=self.config.ingest_admission,
             live=self.config.live_admission,
         )
-        self.query_breaker = self._make_breaker("planner")
-        self.store_breaker = self._make_breaker("store")
+        #: Circuit breakers by the name the op table refers to them by.
+        self.breakers: Dict[str, CircuitBreaker] = {
+            name: self._make_breaker(name) for name in ("planner", "store")
+        }
         self._inflight: Dict[QueryKey, "asyncio.Future[Dict[str, Any]]"] = {}
         self._ingest_lock: Optional[asyncio.Lock] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        # Lifecycle (all event-loop-confined).
-        self._live = False
+        # Lifecycle (event-loop-confined).
         self._draining = False
         self._drain_report: Optional[Dict[str, Any]] = None
-        self._inflight_requests = 0
-        self._idle: Optional[asyncio.Event] = None
         self._unregister_collector = lambda: None
-
-    def _make_breaker(self, name: str) -> CircuitBreaker:
-        def record_transition(previous: str, to: str) -> None:
-            obs.counter_inc("repro_breaker_transitions_total",
-                            breaker=name, to=to)
-
-        return CircuitBreaker(
-            name,
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout=self.config.breaker_reset_timeout,
-            clock=self.config.clock,
-            on_transition=record_transition,
-        )
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         self._ingest_lock = asyncio.Lock()
-        self._stop = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=self.config.max_line_bytes,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._live = True
+        await self._listen()
         self._unregister_collector = obs.register_collector(
             self._collect_metrics
         )
 
-    def request_stop(self) -> None:
-        """Stop accepting and drop open connections (idempotent)."""
-        if self._stop is not None:
-            self._stop.set()
-
     async def wait_closed(self) -> None:
-        """Block until :meth:`request_stop`, then tear the listener down."""
-        assert self._stop is not None and self._server is not None
-        await self._stop.wait()
-        self._server.close()
-        for writer in list(self._writers):
-            writer.close()
-        await self._server.wait_closed()
-        self._live = False
+        await super().wait_closed()
         self._unregister_collector()
-
-    async def run(self) -> None:
-        """Start and serve until stopped (the CLI entry point)."""
-        await self.start()
-        await self.wait_closed()
 
     async def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Graceful shutdown: stop admitting, finish in-flight, stop.
@@ -238,15 +198,7 @@ class GraphService:
         if self._server is not None:
             self._server.close()
         with obs.timer("repro_drain_seconds"):
-            assert self._idle is not None
-            remaining = deadline.remaining()
-            if self._inflight_requests > 0:
-                try:
-                    await asyncio.wait_for(self._idle.wait(),
-                                           timeout=remaining)
-                except asyncio.TimeoutError:
-                    pass
-        abandoned = self._inflight_requests
+            abandoned = await self._wait_idle(deadline.remaining())
         self.state.close()  # flush the store subscription
         report = {
             "drained": abandoned == 0,
@@ -283,137 +235,179 @@ class GraphService:
             gauge("repro_admission_active", gate["active"], kind=kind)
             gauge("repro_admission_queue_high_water", gate["max_depth"],
                   kind=kind)
-        for breaker in (self.query_breaker, self.store_breaker):
+        for breaker in self.breakers.values():
             gauge("repro_breaker_state",
                   BREAKER_STATE_VALUES[breaker.snapshot()["state"]],
                   breaker=breaker.name)
 
-    # -- connection handling -------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.counters["connections"] += 1
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The line outgrew max_line_bytes: answer with a
-                    # protocol error and drop the connection — the
-                    # stream cannot be resynchronised mid-line, and
-                    # reading further would buffer attacker-controlled
-                    # bytes into memory.
-                    await self._send(writer, self._error_response(
-                        None, ProtocolError(
-                            "request line exceeds "
-                            f"{self.config.max_line_bytes} bytes"
-                        )))
-                    break
-                if not line:
-                    break
-                response = await self._handle_line(line)
-                await self._send(writer, response)
-                if response.get("op") == "shutdown" and response.get("ok"):
-                    self.request_stop()
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _send(self, writer: asyncio.StreamWriter,
-                    response: Dict[str, Any]) -> None:
-        writer.write(protocol.encode_line(response))
-        await writer.drain()
-
-    async def _handle_line(self, line: bytes) -> Dict[str, Any]:
-        self.counters["requests"] += 1
-        self._inflight_requests += 1
-        if self._idle is not None:
-            self._idle.clear()
-        request_id = None
-        try:
-            doc = protocol.decode_line(line)
-            request_id = doc.get("id")
-            protocol.validate_request(doc)
-            response = await self._dispatch(doc)
-        except ReproError as exc:
-            response = self._error_response(request_id, exc)
-        except Exception as exc:  # never let a handler kill the server
-            response = self._error_response(request_id, exc)
-        finally:
-            self._inflight_requests -= 1
-            if self._inflight_requests == 0 and self._idle is not None:
-                self._idle.set()
-        if request_id is not None:
-            response["id"] = request_id
-        return response
-
-    def _error_payload(self, request_id: Optional[Any],
-                       exc: BaseException) -> Dict[str, Any]:
+    # -- error envelope --------------------------------------------------------
+    def _error_payload(self, exc: BaseException) -> Dict[str, Any]:
         """Build an error response without touching the counters."""
-        response = {
-            "ok": False,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-        }
+        response = super()._error_payload(exc)
         if isinstance(exc, ServiceOverloadedError):
-            response["overloaded"] = True
-            response["retry_after_ms"] = exc.retry_after_ms
             if self._draining:
                 response["draining"] = True
         elif isinstance(exc, CircuitOpenError):
             response["retry_after_ms"] = max(
                 0, int(exc.retry_after * 1000)
             )
-        if request_id is not None:
-            response["id"] = request_id
         return response
 
-    def _error_response(self, request_id: Optional[Any],
-                        exc: BaseException) -> Dict[str, Any]:
+    def _error_response(self, exc: BaseException) -> Dict[str, Any]:
         self.counters["errors"] += 1
         if isinstance(exc, ServiceOverloadedError):
             self.counters["shed"] += 1
         obs.counter_inc("repro_errors_total")
-        return self._error_payload(request_id, exc)
+        return self._error_payload(exc)
 
-    # -- dispatch ------------------------------------------------------------
+    # -- the request path ------------------------------------------------------
     async def _dispatch(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        """Every op in :data:`protocol.OPS` has a ``_handle_<op>``."""
         op = doc["op"]
-        if op == "ping":
-            return {"ok": True, "op": "ping"}
-        if op == "shutdown":
-            return {"ok": True, "op": "shutdown"}
-        if op == "status":
-            return await self._handle_status()
-        if op == "ingest":
-            return await self._handle_ingest(doc)
-        if op == "update":
-            return await self._handle_update(doc)
-        if op == "temporal":
-            return await self._handle_temporal(doc)
-        return await self._handle_query(doc)
+        obs.counter_inc("repro_requests_total", op=op)
+        return await getattr(self, f"_handle_{op}")(doc)
 
-    def _request_deadline(self, doc: Dict[str, Any]) -> Deadline:
-        """One shared budget: ``min(server cap, client timeout_ms)``.
+    async def _in_executor(self, fn: Callable[[], T], deadline: Deadline,
+                           what: str) -> T:
+        """The one hop onto an executor thread, under the request deadline.
 
-        The resulting deadline gates the admission wait, the retry
-        policy, and every executor dispatch of this request.
+        ``run_in_executor`` does not propagate contextvars, so the
+        active span is carried across explicitly — the planner, kernel,
+        store and overlay spans of the call nest under the request's
+        trace.  A timeout is converted to
+        :class:`DeadlineExceededError` *here*, before any retry policy
+        sees it: ``TimeoutError`` is an ``OSError`` subclass on Python
+        3.11+, and retrying a deadline expiry would race a duplicate
+        attempt against the still-running executor task.
         """
-        budget = self.config.request_timeout
-        timeout_ms = doc.get("timeout_ms")
-        if timeout_ms is not None:
-            client_budget = timeout_ms / 1000.0
-            budget = (client_budget if budget is None
-                      else min(budget, client_budget))
-        return (Deadline.after(budget) if budget is not None
-                else Deadline.never())
+        deadline.check(what)
+        ctx = contextvars.copy_context()
+        try:
+            return await asyncio.wait_for(
+                asyncio.get_running_loop().run_in_executor(
+                    None, ctx.run, fn),
+                timeout=deadline.remaining(),
+            )
+        except asyncio.TimeoutError:
+            raise DeadlineExceededError(
+                f"{what} exceeded its deadline"
+            ) from None
 
-    async def _handle_status(self) -> Dict[str, Any]:
-        obs.counter_inc("repro_requests_total", op="status")
+    async def _run_gated(
+        self, op: str, what: str, deadline: Deadline,
+        primary: Callable[[], T],
+        fallback: Optional[Callable[[], T]] = None,
+    ) -> Tuple[T, str, int]:
+        """Run ``primary`` the way the op's table row says (module docs).
+
+        Returns ``(result, outcome, attempts)`` with ``outcome`` in the
+        :class:`~repro.core.parallel.TaskOutcome` vocabulary.  A breaker
+        counts *requests* (one ``before_call`` each), not attempts: a
+        retried-then-healed request records one success, an exhausted
+        one records one failure, and anything that says nothing about
+        the guarded path's health (client errors, expired budgets)
+        records neutrally so a half-open probe is always returned.
+        """
+        spec = protocol.OPS[op]
+        breaker = self.breakers[spec.breaker] if spec.breaker else None
+        attempts = 0
+
+        def counted() -> T:
+            nonlocal attempts
+            attempts += 1
+            return primary()
+
+        async def attempt() -> T:
+            return await self._in_executor(counted, deadline, what)
+
+        async def degrade() -> Tuple[T, str, int]:
+            # The recovery path: no planner, no caches, no fault hooks.
+            assert fallback is not None
+            self.counters["degraded"] += 1
+            with obs.phase_span("server", "degraded", label=what):
+                answer = await self._in_executor(fallback, deadline,
+                                                 f"degraded {op}")
+            return answer, "degraded", attempts
+
+        async with self.admission.slot(spec.lane, deadline, what=what):
+            if breaker is None:
+                return await attempt(), "ok", attempts
+            try:
+                # An open breaker means no retry burn against a path that
+                # keeps failing: degrade at once, or fail fast with a
+                # retry_after_ms hint when there is nothing to degrade to.
+                breaker.before_call(what)
+            except CircuitOpenError:
+                if not spec.fallback:
+                    raise
+                self.counters["breaker_fastfail"] += 1
+                obs.annotate(breaker="open")
+                return await degrade()
+            try:
+                async with contextlib.AsyncExitStack() as stack:
+                    if spec.lane == "ingest":
+                        # One total order of appends, whatever the lane's
+                        # configured concurrency.
+                        assert self._ingest_lock is not None
+                        await stack.enter_async_context(self._ingest_lock)
+                    if spec.retried:
+                        result = await retry_call_async(
+                            attempt, policy=self.config.retry,
+                            deadline=deadline, label=what,
+                        )
+                    else:
+                        result = await attempt()
+            except RetryExhaustedError:
+                breaker.record_failure()
+                if not spec.fallback:
+                    raise
+                return await degrade()
+            except BaseException:
+                breaker.record_neutral()
+                raise
+            breaker.record_success()
+            return result, "retried" if attempts > 1 else "ok", attempts
+
+    async def _run_read(
+        self, doc: Dict[str, Any], label: str,
+        primary: Callable[[], T], fallback: Callable[[], T],
+        **attributes: Any,
+    ) -> Tuple[T, str, Optional[str]]:
+        """A gated read under one root span; ``(answer, outcome, trace id)``.
+
+        Shared by ``query`` and ``temporal`` — a temporal batch is just
+        a bigger read: same lane, same breaker, same retry/degrade
+        ladder, same outcome accounting.
+        """
+        op = doc["op"]
+        what = f"{op} {label}"
+        deadline = self._request_deadline(doc)
+
+        def hooked() -> T:
+            faults.service_check(op, label)
+            return primary()
+
+        with obs.timer("repro_query_seconds"):
+            with obs.phase_span("server", op, label=label,
+                                **attributes) as root_span:
+                answer, outcome, attempts = await self._run_gated(
+                    op, what, deadline, hooked, fallback,
+                )
+                root_span.annotate(outcome=outcome, attempts=attempts)
+        if outcome == "retried":
+            self.counters["retried"] += 1
+        obs.counter_inc("repro_task_outcomes_total",
+                        component="service", status=outcome)
+        return answer, outcome, root_span.trace_id
+
+    # -- op handlers: parse, the primary closure, response encoding -----------
+    async def _handle_ping(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        return {"ok": True, "op": "ping"}
+
+    async def _handle_shutdown(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        return {"ok": True, "op": "shutdown"}
+
+    async def _handle_status(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         loop = asyncio.get_running_loop()
         payload = await loop.run_in_executor(None, self.state.status)
         payload.update({
@@ -426,64 +420,23 @@ class GraphService:
             "admission": self.admission.snapshot(),
             "breakers": {
                 breaker.name: breaker.snapshot()
-                for breaker in (self.query_breaker, self.store_breaker)
+                for breaker in self.breakers.values()
             },
         })
         return payload
 
     async def _handle_ingest(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         batch = protocol.parse_ingest_batch(doc)
-        loop = asyncio.get_running_loop()
-        assert self._ingest_lock is not None
-        obs.counter_inc("repro_requests_total", op="ingest")
-        deadline = self._request_deadline(doc)
 
         def primary() -> Dict[str, Any]:
             faults.service_check("ingest", self.state.num_versions)
             return self.state.ingest(batch)
 
-        async def attempt() -> Dict[str, Any]:
-            deadline.check("ingest")
-            # run_in_executor does not propagate contextvars: carry the
-            # active span into the worker thread so the store/state
-            # spans nest under this ingest's trace.
-            ctx = contextvars.copy_context()
-            try:
-                return await asyncio.wait_for(
-                    loop.run_in_executor(None, lambda: ctx.run(primary)),
-                    timeout=deadline.remaining(),
-                )
-            except asyncio.TimeoutError:
-                raise DeadlineExceededError(
-                    "ingest exceeded its deadline"
-                ) from None
-
-        breaker = self.store_breaker
         with obs.timer("repro_ingest_seconds"):
-            with obs.phase_span("server", "ingest",
-                                batch_size=batch.size):
-                async with self.admission.slot("ingest", deadline,
-                                               what="ingest"):
-                    # An open store breaker fails fast (CircuitOpenError
-                    # response with retry_after_ms) instead of burning
-                    # retries into a store that keeps failing.
-                    breaker.before_call("ingest")
-                    recorded = False
-                    try:
-                        async with self._ingest_lock:
-                            receipt = await retry_call_async(
-                                attempt, policy=self.config.retry,
-                                deadline=deadline, label="ingest",
-                            )
-                        breaker.record_success()
-                        recorded = True
-                    except RetryExhaustedError:
-                        breaker.record_failure()
-                        recorded = True
-                        raise
-                    finally:
-                        if not recorded:
-                            breaker.record_neutral()
+            with obs.phase_span("server", "ingest", batch_size=batch.size):
+                receipt, _, _ = await self._run_gated(
+                    "ingest", "ingest", self._request_deadline(doc), primary,
+                )
         self.counters["ingests"] += 1
         receipt.update({"ok": True, "op": "ingest",
                         "batch_size": batch.size})
@@ -492,69 +445,89 @@ class GraphService:
     async def _handle_update(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """One single-edge update (or explicit fold) through the live lane.
 
-        Deliberately *not* retried: a retried insert whose first attempt
-        landed would bounce off the overlay's strict already-present
-        validation and turn one applied update into an error response.
-        Each update either applies exactly once (receipt carries its
+        Never retried (see :class:`~repro.service.protocol.OpSpec`):
+        each update either applies exactly once (receipt carries its
         overlay ``seq``) or fails with the state untouched.
         """
         kind, u, v = protocol.parse_update(doc)
-        loop = asyncio.get_running_loop()
-        obs.counter_inc("repro_requests_total", op="update")
-        deadline = self._request_deadline(doc)
 
         def primary() -> Dict[str, Any]:
             faults.service_check("update", self.state.num_versions)
             return self.state.update(kind, u, v)
 
         with obs.timer("repro_livetip_update_seconds"):
-            async with self.admission.slot("live", deadline,
-                                           what=f"update:{kind}"):
-                deadline.check("update")
-                # run_in_executor does not propagate contextvars: carry
-                # the active span so the overlay's repair/compact spans
-                # nest under this update's trace.
-                ctx = contextvars.copy_context()
-                try:
-                    receipt = await asyncio.wait_for(
-                        loop.run_in_executor(
-                            None, lambda: ctx.run(primary)
-                        ),
-                        timeout=deadline.remaining(),
-                    )
-                except asyncio.TimeoutError:
-                    raise DeadlineExceededError(
-                        "update exceeded its deadline"
-                    ) from None
+            receipt, _, _ = await self._run_gated(
+                "update", f"update:{kind}", self._request_deadline(doc),
+                primary,
+            )
         self.counters["updates"] += 1
         receipt.update({"ok": True, "op": "update"})
         return receipt
 
     async def _handle_query(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        key: QueryKey = (
-            doc["algorithm"].lower(), doc["source"],
-            doc.get("first"), doc.get("last"),
-        )
+        algorithm, source = doc["algorithm"], doc["source"]
+        first, last = doc.get("first"), doc.get("last")
+        label = f"{algorithm}:{source}:{first}:{last}"
+        key: QueryKey = (algorithm.lower(), source, first, last)
         inflight = self._inflight.get(key)
         if inflight is not None:
-            # Identical query already running: share its outcome.
+            # Identical query already running: share its outcome — but
+            # on this request's own budget.  The shield keeps a
+            # follower's expiry from cancelling the leader's future.
             self.counters["coalesced"] += 1
             obs.counter_inc("repro_coalesced_total")
-            shared = await inflight
-            response = dict(shared)
-            response["coalesced"] = True
-            return response
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+            try:
+                shared = await asyncio.wait_for(
+                    asyncio.shield(inflight),
+                    timeout=self._request_deadline(doc).remaining(),
+                )
+            except asyncio.TimeoutError:
+                raise DeadlineExceededError(
+                    f"query {label} exceeded its deadline waiting on an "
+                    "identical in-flight query"
+                ) from None
+            return {**shared, "coalesced": True}
+        future: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
         self._inflight[key] = future
         try:
-            response = await self._run_query(doc)
+            self.counters["queries"] += 1
+            answer, outcome, trace_id = await self._run_read(
+                doc, label,
+                lambda: self.state.query(algorithm, source, first, last),
+                lambda: self.state.offline_answer(algorithm, source,
+                                                  first, last),
+                algorithm=algorithm, source=source,
+            )
+            response = {
+                "ok": True,
+                "op": "query",
+                "algorithm": answer.algorithm,
+                "source": answer.source,
+                "first": answer.first,
+                "last": answer.last,
+                "epoch": answer.epoch,
+                "from_cache": answer.from_cache,
+                "node_hits": answer.node_hits,
+                "node_misses": answer.node_misses,
+                "outcome": outcome,
+                "values": protocol.encode_values(answer.values),
+            }
+            if answer.livetip_seq is not None:
+                # The tip column was patched by the live-tip overlay:
+                # expose which update stream position the answer
+                # reflects, so a client (or a chaos test) can pin
+                # expectations to it.
+                response["livetip_seq"] = answer.livetip_seq
+            if trace_id is not None:
+                response["trace_id"] = trace_id
         except BaseException as exc:
             # Resolve followers with an error payload, then re-raise for
             # this request's own error path.  The payload builder does
             # not bump the "errors" counter — _handle_line counts the
             # failure exactly once when the re-raised exception lands.
-            future.set_result(self._error_payload(None, exc))
+            future.set_result(self._error_payload(exc))
             raise
         else:
             future.set_result(response)
@@ -562,161 +535,10 @@ class GraphService:
         finally:
             del self._inflight[key]
 
-    async def _run_query(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        self.counters["queries"] += 1
-        obs.counter_inc("repro_requests_total", op="query")
-        algorithm = doc["algorithm"]
-        source = doc["source"]
-        first, last = doc.get("first"), doc.get("last")
-        deadline = self._request_deadline(doc)
-        loop = asyncio.get_running_loop()
-        attempts = [0]
-        label = f"{algorithm}:{source}:{first}:{last}"
-
-        def primary():
-            attempts[0] += 1
-            faults.service_check("query", label)
-            return self.state.query(algorithm, source, first, last)
-
-        async def attempt():
-            deadline.check("query")
-            # run_in_executor does not propagate contextvars: carry the
-            # root span into the worker thread so the planner/kernel
-            # spans of this attempt nest under one query trace.
-            ctx = contextvars.copy_context()
-            try:
-                return await asyncio.wait_for(
-                    loop.run_in_executor(None, lambda: ctx.run(primary)),
-                    timeout=deadline.remaining(),
-                )
-            except asyncio.TimeoutError:
-                # Convert before the retry policy sees it: TimeoutError
-                # is an OSError subclass on Python 3.11+, and retrying a
-                # deadline expiry would race a duplicate attempt against
-                # the still-running executor task.
-                raise DeadlineExceededError(
-                    f"query {label} exceeded its deadline"
-                ) from None
-
-        with obs.timer("repro_query_seconds"):
-            with obs.phase_span("server", "query", label=label,
-                                algorithm=algorithm,
-                                source=source) as root_span:
-                async with self.admission.slot("query", deadline,
-                                               what=f"query {label}"):
-                    answer, outcome = await self._execute_gated(
-                        attempt, attempts, deadline, f"query {label}",
-                        lambda: self._degraded_query(doc, deadline),
-                    )
-                root_span.annotate(outcome=outcome, attempts=attempts[0])
-        obs.counter_inc("repro_task_outcomes_total",
-                        component="service", status=outcome)
-        response = {
-            "ok": True,
-            "op": "query",
-            "algorithm": answer.algorithm,
-            "source": answer.source,
-            "first": answer.first,
-            "last": answer.last,
-            "epoch": answer.epoch,
-            "from_cache": answer.from_cache,
-            "node_hits": answer.node_hits,
-            "node_misses": answer.node_misses,
-            "outcome": outcome,
-            "values": protocol.encode_values(answer.values),
-        }
-        if answer.livetip_seq is not None:
-            # The tip column was patched by the live-tip overlay: expose
-            # which update stream position the answer reflects, so a
-            # client (or a chaos test) can pin expectations to it.
-            response["livetip_seq"] = answer.livetip_seq
-        if root_span.trace_id is not None:
-            response["trace_id"] = root_span.trace_id
-        return response
-
-    async def _execute_gated(self, attempt, attempts, deadline, label,
-                             degraded):
-        """The breaker-gated primary path, falling back to ``degraded``.
-
-        Shared by the query and temporal paths.  Returns
-        ``(answer, outcome)``.  The breaker counts *requests* (one
-        ``before_call`` each), not attempts: a retried-then-healed
-        request records one success, an exhausted one records one
-        failure, and anything that says nothing about the planner's
-        health (client errors, expired budgets) records neutrally so a
-        half-open probe is always returned.
-        """
-        breaker = self.query_breaker
-        try:
-            breaker.before_call(label)
-        except CircuitOpenError:
-            # Short-circuit: no retries against a path that keeps
-            # failing — answer from the offline evaluator immediately.
-            self.counters["breaker_fastfail"] += 1
-            obs.annotate(breaker="open")
-            answer = await degraded()
-            return answer, "degraded"
-        recorded = False
-        try:
-            answer = await retry_call_async(
-                attempt, policy=self.config.retry, deadline=deadline,
-                label=label,
-            )
-            breaker.record_success()
-            recorded = True
-            if attempts[0] > 1:
-                self.counters["retried"] += 1
-                return answer, "retried"
-            return answer, "ok"
-        except RetryExhaustedError:
-            # Primary path spent: degrade to the offline evaluator.
-            # Client errors (bad range, unknown algorithm) are not
-            # retryable, so they never reach this branch — they
-            # propagate straight to the error response.
-            breaker.record_failure()
-            recorded = True
-            answer = await degraded()
-            return answer, "degraded"
-        finally:
-            if not recorded:
-                breaker.record_neutral()
-
-    async def _degraded_query(self, doc: Dict[str, Any],
-                              deadline: Deadline):
-        """The recovery path: no planner, no caches, no fault hooks."""
-        self.counters["degraded"] += 1
-        deadline.check("degraded query")
-        loop = asyncio.get_running_loop()
-        state = self.state
-        with state._lock:
-            base = state.base_version
-            latest = base + state.decomposition.num_snapshots - 1
-        first = doc.get("first")
-        last = doc.get("last")
-        with obs.phase_span("server", "degraded", label=doc["algorithm"]):
-            ctx = contextvars.copy_context()
-            try:
-                return await asyncio.wait_for(
-                    loop.run_in_executor(
-                        None, ctx.run, state.offline_answer,
-                        doc["algorithm"], doc["source"],
-                        base if first is None else first,
-                        latest if last is None else last,
-                    ),
-                    timeout=deadline.remaining(),
-                )
-            except asyncio.TimeoutError:
-                raise DeadlineExceededError(
-                    "degraded query exceeded its deadline"
-                ) from None
-
-    # -- temporal -------------------------------------------------------------
     async def _handle_temporal(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """One temporal batch through the query lane.
 
-        Shares the query admission lane, the planner breaker and the
-        retry/degrade ladder with plain queries — a temporal batch is
-        just a bigger read.  The degraded fallback is the cache-free
+        The degraded fallback is the cache-free
         :meth:`ServiceState.temporal_offline`, which still coalesces
         ranges, so even a degraded answer costs one offline evaluation
         per merged range.
@@ -724,68 +546,15 @@ class GraphService:
         from repro.temporal.plan import parse_specs
         from repro.temporal.timeline import encode_results
 
-        self.counters["temporals"] += 1
-        obs.counter_inc("repro_requests_total", op="temporal")
-        algorithm = doc["algorithm"]
-        source = doc["source"]
+        algorithm, source = doc["algorithm"], doc["source"]
         specs = parse_specs(doc["queries"])
-        deadline = self._request_deadline(doc)
-        loop = asyncio.get_running_loop()
-        attempts = [0]
-        label = f"{algorithm}:{source}:{len(specs)} specs"
-
-        def primary():
-            attempts[0] += 1
-            faults.service_check("temporal", label)
-            return self.state.temporal(algorithm, source, specs)
-
-        async def attempt():
-            deadline.check("temporal")
-            # run_in_executor does not propagate contextvars: carry the
-            # root span into the worker thread so the temporal/planner
-            # spans of this attempt nest under one trace.
-            ctx = contextvars.copy_context()
-            try:
-                return await asyncio.wait_for(
-                    loop.run_in_executor(None, lambda: ctx.run(primary)),
-                    timeout=deadline.remaining(),
-                )
-            except asyncio.TimeoutError:
-                raise DeadlineExceededError(
-                    f"temporal {label} exceeded its deadline"
-                ) from None
-
-        async def degraded():
-            self.counters["degraded"] += 1
-            deadline.check("degraded temporal")
-            with obs.phase_span("server", "degraded", label=algorithm):
-                ctx = contextvars.copy_context()
-                try:
-                    return await asyncio.wait_for(
-                        loop.run_in_executor(
-                            None, ctx.run, self.state.temporal_offline,
-                            algorithm, source, specs,
-                        ),
-                        timeout=deadline.remaining(),
-                    )
-                except asyncio.TimeoutError:
-                    raise DeadlineExceededError(
-                        "degraded temporal exceeded its deadline"
-                    ) from None
-
-        with obs.timer("repro_query_seconds"):
-            with obs.phase_span("server", "temporal", label=label,
-                                algorithm=algorithm, source=source,
-                                specs=len(specs)) as root_span:
-                async with self.admission.slot("query", deadline,
-                                               what=f"temporal {label}"):
-                    answer, outcome = await self._execute_gated(
-                        attempt, attempts, deadline, f"temporal {label}",
-                        degraded,
-                    )
-                root_span.annotate(outcome=outcome, attempts=attempts[0])
-        obs.counter_inc("repro_task_outcomes_total",
-                        component="service", status=outcome)
+        self.counters["temporals"] += 1
+        answer, outcome, trace_id = await self._run_read(
+            doc, f"{algorithm}:{source}:{len(specs)} specs",
+            lambda: self.state.temporal(algorithm, source, specs),
+            lambda: self.state.temporal_offline(algorithm, source, specs),
+            algorithm=algorithm, source=source, specs=len(specs),
+        )
         response = {
             "ok": True,
             "op": "temporal",
@@ -799,53 +568,33 @@ class GraphService:
             "snapshots_scanned": answer.snapshots_scanned,
             "results": encode_results(answer.results),
         }
-        if root_span.trace_id is not None:
-            response["trace_id"] = root_span.trace_id
+        if trace_id is not None:
+            response["trace_id"] = trace_id
         return response
 
 
-class ServiceRunner:
+class ServiceRunner(LoopThreadRunner):
     """Run a :class:`GraphService` on a background thread.
 
-    For tests, benchmarks and embedding: the caller's thread stays free,
-    the service gets its own event loop, and ``stop()`` (or the context
-    manager exit) tears everything down.  ``drain()`` performs the
-    graceful variant and returns the drain report.  ``port`` is
-    available once the context is entered.
+    For tests, benchmarks and embedding (see
+    :class:`~repro.service.lineserver.LoopThreadRunner`).  ``drain()``
+    performs the graceful variant of ``stop()`` and returns the drain
+    report.
     """
+
+    thread_name = "repro-service"
+    what = "service"
 
     def __init__(self, state: ServiceState,
                  config: Optional[ServiceConfig] = None) -> None:
+        super().__init__()
         self.state = state
         self.config = config or ServiceConfig()
         self.service: Optional[GraphService] = None
-        self.port: Optional[int] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
 
-    def start(self) -> "ServiceRunner":
-        self._thread = threading.Thread(
-            target=self._thread_main, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise ServiceError("service failed to start within 30s")
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"service failed to start: {self._startup_error!r}"
-            ) from self._startup_error
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self.service is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.service.request_stop)
-            except RuntimeError:
-                pass  # loop already closed (a drain beat us to it)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
+    def _make_server(self) -> GraphService:
+        self.service = GraphService(self.state, self.config)
+        return self.service
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Gracefully drain the service and join the serve thread.
@@ -855,15 +604,14 @@ class ServiceRunner:
         the serve loop.  Raises :class:`ServiceError` if the service
         never started.
         """
-        if self._loop is None or self.service is None:
+        service = self.service
+        if self._loop is None or service is None:
             raise ServiceError("cannot drain: the service never started")
         budget = (timeout if timeout is not None
                   else self.config.drain_timeout)
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.drain(timeout), self._loop
-        )
         try:
-            report = future.result(timeout=budget + 30)
+            report = self.call(lambda: service.drain(timeout),
+                               timeout=budget + 30)
         except TimeoutError:
             raise ServiceError(
                 "drain did not complete within its deadline plus slack"
@@ -871,30 +619,3 @@ class ServiceRunner:
         if self._thread is not None:
             self._thread.join(timeout=30)
         return report
-
-    def _thread_main(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surface startup failures
-            if not self._started.is_set():
-                self._startup_error = exc
-                self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.service = GraphService(self.state, self.config)
-        try:
-            await self.service.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self.port = self.service.port
-        self._started.set()
-        await self.service.wait_closed()
-
-    def __enter__(self) -> "ServiceRunner":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

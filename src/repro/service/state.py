@@ -91,6 +91,54 @@ class QueryAnswer:
                 self.epoch)
 
 
+@dataclass(frozen=True)
+class _ReadView:
+    """Everything one read needs, captured atomically and then immutable.
+
+    An ingest that lands mid-read swaps in a *new* decomposition; it
+    never mutates the one a view holds.
+    """
+
+    algorithm: MonotonicAlgorithm
+    source: int
+    decomposition: CommonGraphDecomposition
+    epoch: int
+    #: Absolute versions of the window's first and last snapshot.
+    base: int
+    latest: int
+    version_times: Dict[int, float]
+    #: The live-tip overlay's repaired state for this (algorithm,
+    #: source), or ``None`` when the overlay is clean or absent.
+    patch: Optional[TipCapture]
+
+    def resolve_range(self, first: Optional[int],
+                      last: Optional[int]) -> Tuple[int, int]:
+        """Default ``first``/``last`` to the window and validate them."""
+        first = self.base if first is None else first
+        last = self.latest if last is None else last
+        if not self.base <= first <= last <= self.latest:
+            # ProtocolError (a ServiceError subclass): the request named
+            # versions this window cannot answer — a client mistake, not
+            # a server fault, so the client sees a clean payload.
+            raise ProtocolError(
+                f"version range [{first}, {last}] outside the window "
+                f"[{self.base}, {self.latest}]"
+            )
+        return first, last
+
+    def patch_tip(self, last: int,
+                  values: List[np.ndarray]) -> List[np.ndarray]:
+        """``values`` with the tip column taken from the overlay."""
+        if self.patch is None or last != self.latest:
+            return values
+        return [*values[:-1], self.patch.resolve()]
+
+
+#: A range evaluator, ``(view, first, last) -> QueryAnswer`` on a validated
+#: range: :meth:`ServiceState._evaluate_cached` or ``_evaluate_offline``.
+_RangeEvaluator = Callable[[_ReadView, int, int], QueryAnswer]
+
+
 class ServiceState:
     """Mutable service core: ingestion, window, epochs, caches, queries."""
 
@@ -377,7 +425,103 @@ class ServiceState:
                 "epoch": self.epoch,
             }
 
-    # -- queries ------------------------------------------------------------
+    # -- reads --------------------------------------------------------------
+    # Every read is the same walk: capture one consistent view, validate
+    # the range against it, evaluate (cached or offline), patch the tip.
+    def _read_view(self, algorithm: str, source: int,
+                   last: Optional[int] = None,
+                   with_times: bool = False) -> _ReadView:
+        """Capture everything a read needs under one lock hold.
+
+        The live-tip patch is captured together with the decomposition,
+        so an answer is exactly "TG at history, overlay at tip" for one
+        consistent instant.  It is skipped when the caller's range
+        (``last``) provably ends before the tip.
+        """
+        alg = get_algorithm(algorithm)  # raises AlgorithmError if unknown
+        with self._lock:
+            self._check_serviceable()
+            decomposition = self.decomposition
+            if not 0 <= source < decomposition.num_vertices:
+                raise ServiceError(
+                    f"source {source} out of range "
+                    f"[0, {decomposition.num_vertices})"
+                )
+            base = self.base_version
+            latest = base + decomposition.num_snapshots - 1
+            patch: Optional[TipCapture] = None
+            if self._livetip is not None and last in (None, latest):
+                patch = self._livetip.capture(alg, source,
+                                              tip_version=latest)
+            return _ReadView(
+                alg, source, decomposition, self.epoch, base, latest,
+                dict(self.version_times) if with_times else {}, patch,
+            )
+
+    def _evaluate_cached(self, view: _ReadView, first: int,
+                         last: int) -> QueryAnswer:
+        """One validated range through the result cache and the planner.
+
+        Every evaluation of a temporal batch runs through here against
+        the *same* view, so a batch shares the result cache and the
+        memoizing planner's node cache with plain queries — and an
+        ingest landing mid-batch can never mix epochs within one answer.
+        """
+        answer = QueryAnswer(
+            algorithm=view.algorithm.name, source=view.source,
+            first=first, last=last, epoch=view.epoch,
+        )
+        cached = self.result_cache.get(answer.key())
+        if cached is not None:
+            answer.values = [values.copy() for values in cached]
+            answer.from_cache = True
+            obs.annotate(result_cache="hit")
+            return answer
+        obs.annotate(result_cache="miss")
+        planned = self.planner.evaluate(
+            view.decomposition, view.algorithm, view.source,
+            first - view.base, last - view.base, view.epoch,
+        )
+        answer.values = planned.values
+        answer.node_hits = planned.node_hits
+        answer.node_misses = planned.node_misses
+        answer.additions_processed = planned.additions_processed
+        self.result_cache.put(
+            answer.key(), [values.copy() for values in answer.values]
+        )
+        return answer
+
+    def _evaluate_offline(self, view: _ReadView, first: int,
+                          last: int) -> QueryAnswer:
+        """One validated range by the stock offline evaluator.
+
+        No planner, no caches: the recovery lane, and the reference the
+        tests compare the cached lane against.  Values are identical to
+        :meth:`_evaluate_cached`'s; only the reuse accounting is absent.
+        """
+        from repro.core.engine import WorkSharingEvaluator
+
+        result = WorkSharingEvaluator(
+            view.decomposition.restrict(first - view.base, last - view.base),
+            view.algorithm, view.source, weight_fn=self.weight_fn,
+        ).run()
+        return QueryAnswer(
+            algorithm=view.algorithm.name, source=view.source,
+            first=first, last=last, epoch=view.epoch,
+            values=list(result.snapshot_values),
+        )
+
+    def _answer(self, evaluate: _RangeEvaluator, algorithm: str,
+                source: int, first: Optional[int],
+                last: Optional[int]) -> QueryAnswer:
+        view = self._read_view(algorithm, source, last)
+        first, last = view.resolve_range(first, last)
+        answer = evaluate(view, first, last)
+        if view.patch is not None and last == view.latest:
+            answer.values = view.patch_tip(last, answer.values)
+            answer.livetip_seq = view.patch.seq
+        return answer
+
     def query(
         self,
         algorithm: str,
@@ -389,260 +533,84 @@ class ServiceState:
 
         When the live-tip overlay holds pending updates and the range
         ends at the tip, the tip snapshot's values are *patched* from
-        the overlay's repaired state — captured under the same lock
-        hold as the decomposition, so the answer is exactly "TG at
-        history, overlay at tip" for one consistent instant.  Patched
-        values never enter the result cache (the cache stays pure-TG
-        and epoch-keyed; the overlay moves without epoch bumps).
+        the overlay's repaired state.  Patched values never enter the
+        result cache (the cache stays pure-TG and epoch-keyed; the
+        overlay moves without epoch bumps).
         """
-        alg = get_algorithm(algorithm)  # raises AlgorithmError if unknown
-        with self._lock:
-            self._check_serviceable()
-            decomposition = self.decomposition
-            epoch = self.epoch
-            base = self.base_version
-            latest = base + decomposition.num_snapshots - 1
-            patch: Optional[TipCapture] = None
-            if self._livetip is not None and (last is None or last == latest):
-                patch = self._livetip.capture(alg, source,
-                                              tip_version=latest)
-        if first is None:
-            first = base
-        if last is None:
-            last = latest
-        if not 0 <= source < decomposition.num_vertices:
-            raise ServiceError(
-                f"source {source} out of range "
-                f"[0, {decomposition.num_vertices})"
-            )
-        if not base <= first <= last <= latest:
-            # ProtocolError (a ServiceError subclass): the request named
-            # versions this window cannot answer — a client mistake, not
-            # a server fault, so the client sees a clean payload.
-            raise ProtocolError(
-                f"version range [{first}, {last}] outside the window "
-                f"[{base}, {latest}]"
-            )
-        answer = self._answer_range(
-            decomposition, epoch, base, alg, source, first, last
-        )
-        if patch is not None and last == latest:
-            values = list(answer.values)
-            values[-1] = patch.resolve()
-            answer.values = values
-            answer.livetip_seq = patch.seq
-        return answer
-
-    def _answer_range(
-        self,
-        decomposition: CommonGraphDecomposition,
-        epoch: int,
-        base: int,
-        alg: MonotonicAlgorithm,
-        source: int,
-        first: int,
-        last: int,
-    ) -> QueryAnswer:
-        """Answer one validated range on a captured state snapshot.
-
-        All evaluations of a temporal batch run through here against
-        the *same* ``(decomposition, epoch, base)`` triple, so a batch
-        shares the result cache and the memoizing planner's node cache
-        with plain queries — and an ingest landing mid-batch can never
-        mix epochs within one answer.
-        """
-        answer = QueryAnswer(
-            algorithm=alg.name, source=source, first=first, last=last,
-            epoch=epoch,
-        )
-        cached = self.result_cache.get(answer.key())
-        if cached is not None:
-            answer.values = [values.copy() for values in cached]
-            answer.from_cache = True
-            obs.annotate(result_cache="hit")
-            return answer
-        obs.annotate(result_cache="miss")
-        planned = self.planner.evaluate(
-            decomposition, alg, source,
-            first - base, last - base, epoch,
-        )
-        answer.values = planned.values
-        answer.node_hits = planned.node_hits
-        answer.node_misses = planned.node_misses
-        answer.additions_processed = planned.additions_processed
-        self.result_cache.put(
-            answer.key(), [values.copy() for values in answer.values]
-        )
-        return answer
+        return self._answer(self._evaluate_cached, algorithm, source,
+                            first, last)
 
     def offline_answer(
-        self, algorithm: str, source: int, first: int, last: int
+        self,
+        algorithm: str,
+        source: int,
+        first: Optional[int] = None,
+        last: Optional[int] = None,
     ) -> QueryAnswer:
-        """Cache-free fallback: a plain offline work-sharing evaluation.
+        """:meth:`query` on the cache-free lane (the server's degraded path).
 
-        The server's degraded path — no planner, no caches, just the
-        stock evaluator on the restricted window.  Values are identical
-        to :meth:`query`'s; only the reuse accounting is absent.
+        Same defaults, same refusals, same values; a plain offline
+        work-sharing evaluation on the restricted window.
         """
-        from repro.core.engine import WorkSharingEvaluator
+        return self._answer(self._evaluate_offline, algorithm, source,
+                            first, last)
 
-        alg = get_algorithm(algorithm)
-        with self._lock:
-            self._check_serviceable()
-            decomposition = self.decomposition
-            epoch = self.epoch
-            base = self.base_version
-            latest = base + decomposition.num_snapshots - 1
-            patch: Optional[TipCapture] = None
-            if self._livetip is not None and last == latest:
-                patch = self._livetip.capture(alg, source,
-                                              tip_version=latest)
-        window = decomposition.restrict(first - base, last - base)
-        result = WorkSharingEvaluator(
-            window, alg, source,
-            weight_fn=self.weight_fn,
-        ).run()
-        answer = QueryAnswer(
-            algorithm=alg.name, source=source,
-            first=first, last=last, epoch=epoch,
-            values=list(result.snapshot_values),
-        )
-        if patch is not None:
-            answer.values[-1] = patch.resolve()
-            answer.livetip_seq = patch.seq
-        return answer
+    def _temporal(self, evaluate: _RangeEvaluator, algorithm: str,
+                  source: int,
+                  specs: Sequence[TemporalSpec]) -> TemporalAnswer:
+        view = self._read_view(algorithm, source, with_times=True)
+        decomposition, base = view.decomposition, view.base
 
-    # -- temporal queries ----------------------------------------------------
-    def _capture(self) -> Tuple[CommonGraphDecomposition, int, int,
-                                Dict[int, float]]:
-        """One atomic snapshot of the mutable state for a temporal batch."""
-        with self._lock:
-            self._check_serviceable()
-            return (self.decomposition, self.epoch, self.base_version,
-                    dict(self.version_times))
+        def evaluate_range(first: int, last: int) -> List[np.ndarray]:
+            return view.patch_tip(last, evaluate(view, first, last).values)
 
-    def _capture_with_patch(
-        self, alg: MonotonicAlgorithm, source: int,
-    ) -> Tuple[CommonGraphDecomposition, int, int, Dict[int, float],
-               Optional[TipCapture]]:
-        """:meth:`_capture` plus the live-tip patch, one lock hold.
-
-        The patch (``None`` when the overlay is clean or absent) is
-        what makes a temporal batch see "overlay at tip, TG at
-        history" consistently: every range the engine descends that
-        ends at the captured tip gets its last snapshot's values
-        replaced by the overlay's repaired state.
-        """
-        with self._lock:
-            self._check_serviceable()
-            decomposition = self.decomposition
-            base = self.base_version
-            latest = base + decomposition.num_snapshots - 1
-            patch: Optional[TipCapture] = None
-            if self._livetip is not None:
-                patch = self._livetip.capture(alg, source,
-                                              tip_version=latest)
-            return (decomposition, self.epoch, base,
-                    dict(self.version_times), patch)
-
-    @staticmethod
-    def _structural_diff(
-        decomposition: CommonGraphDecomposition, base: int,
-    ) -> Callable[[int, int], DeltaBatch]:
-        """``VersionController.diff`` semantics on the captured window.
-
-        Identical construction (surplus-set difference; the common
-        graph cancels), computed against the window decomposition so a
-        temporal diff never races an ingest.
-        """
-        def diff(a: int, b: int) -> DeltaBatch:
+        def structural_diff(a: int, b: int) -> DeltaBatch:
+            # ``VersionController.diff`` semantics (surplus-set
+            # difference; the common graph cancels), computed against
+            # the captured window so a diff never races an ingest.
             surplus_a = decomposition.direct_hop_batch(a - base)
             surplus_b = decomposition.direct_hop_batch(b - base)
             return DeltaBatch(additions=surplus_b - surplus_a,
                               deletions=surplus_a - surplus_b)
 
-        return diff
+        answer = TemporalEngine(
+            algorithm=view.algorithm,
+            source=source,
+            num_vertices=decomposition.num_vertices,
+            window_first=base,
+            window_last=view.latest,
+            evaluate_range=evaluate_range,
+            structural_diff=structural_diff,
+            version_times=view.version_times,
+        ).run(specs)
+        answer.epoch = view.epoch
+        return answer
 
     def temporal(
         self, algorithm: str, source: int, specs: Sequence[TemporalSpec],
     ) -> TemporalAnswer:
         """Answer a temporal batch through the cached evaluation path.
 
-        Every coalesced range the engine descends goes through
-        :meth:`_answer_range` — the result cache and the memoizing
-        planner — against one atomically captured
-        ``(decomposition, epoch, base)``, so a batch costs one TG
-        descent per merged range at most, fewer when caches hit.
+        Every coalesced range the engine descends goes through the
+        result cache and the memoizing planner against one captured
+        view, so a batch costs one TG descent per merged range at most,
+        fewer when caches hit.  Every range that ends at the captured
+        tip gets its last snapshot patched from the live-tip overlay.
         """
-        alg = get_algorithm(algorithm)
-        decomposition, epoch, base, version_times, patch = (
-            self._capture_with_patch(alg, source)
-        )
-        latest = base + decomposition.num_snapshots - 1
-
-        def evaluate_range(first: int, last: int) -> List[np.ndarray]:
-            values = self._answer_range(
-                decomposition, epoch, base, alg, source, first, last
-            ).values
-            if patch is not None and last == latest:
-                values = list(values)
-                values[-1] = patch.resolve()
-            return values
-
-        engine = TemporalEngine(
-            algorithm=alg,
-            source=source,
-            num_vertices=decomposition.num_vertices,
-            window_first=base,
-            window_last=latest,
-            evaluate_range=evaluate_range,
-            structural_diff=self._structural_diff(decomposition, base),
-            version_times=version_times,
-        )
-        answer = engine.run(specs)
-        answer.epoch = epoch
-        return answer
+        return self._temporal(self._evaluate_cached, algorithm, source,
+                              specs)
 
     def temporal_offline(
         self, algorithm: str, source: int, specs: Sequence[TemporalSpec],
     ) -> TemporalAnswer:
-        """Cache-free temporal fallback (the server's degraded path).
+        """:meth:`temporal` on the cache-free lane (the degraded path).
 
         Ranges are still coalesced — each merged range is one plain
         offline work-sharing evaluation — but no planner or cache is
         touched, mirroring :meth:`offline_answer`.
         """
-        from repro.core.engine import WorkSharingEvaluator
-
-        alg = get_algorithm(algorithm)
-        decomposition, epoch, base, version_times, patch = (
-            self._capture_with_patch(alg, source)
-        )
-        latest = base + decomposition.num_snapshots - 1
-
-        def evaluate_range(first: int, last: int) -> List[np.ndarray]:
-            window = decomposition.restrict(first - base, last - base)
-            result = WorkSharingEvaluator(
-                window, alg, source, weight_fn=self.weight_fn,
-            ).run()
-            values = list(result.snapshot_values)
-            if patch is not None and last == latest:
-                values[-1] = patch.resolve()
-            return values
-
-        engine = TemporalEngine(
-            algorithm=alg,
-            source=source,
-            num_vertices=decomposition.num_vertices,
-            window_first=base,
-            window_last=latest,
-            evaluate_range=evaluate_range,
-            structural_diff=self._structural_diff(decomposition, base),
-            version_times=version_times,
-        )
-        answer = engine.run(specs)
-        answer.epoch = epoch
-        return answer
+        return self._temporal(self._evaluate_offline, algorithm, source,
+                              specs)
 
     # -- status ------------------------------------------------------------
     def status(self) -> Dict[str, Any]:

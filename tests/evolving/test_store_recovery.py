@@ -228,55 +228,23 @@ class TestCreateCrashSafety:
         assert store.verify(deep=True).ok
 
 
-class TestV1Compatibility:
-    @staticmethod
-    def write_v1_store(directory, evolving):
-        directory.mkdir(parents=True)
-        np.savez_compressed(directory / "base.npz",
-                            codes=evolving.snapshot_edges(0).codes)
-        for index, batch in enumerate(evolving.batches):
-            np.savez_compressed(
-                directory / f"batch_{index:05d}.npz",
-                additions=batch.additions.codes,
-                deletions=batch.deletions.codes,
-            )
+class TestV1IsRefused:
+    def test_a_v1_manifest_is_refused_with_a_clear_error(self, tmp_path):
+        store = SnapshotStore.create(tmp_path / "s", make_evolving())
         manifest = {
             "format": "repro-snapshot-store-v1",
-            "name": evolving.name,
-            "num_vertices": evolving.num_vertices,
-            "num_batches": len(evolving.batches),
+            "name": store.name,
+            "num_vertices": store.num_vertices,
+            "num_batches": store.num_batches,
         }
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-    def test_v1_store_opens_and_loads_identically(self, tmp_path):
-        evolving = make_evolving()
-        self.write_v1_store(tmp_path / "v1", evolving)
-        store = SnapshotStore(tmp_path / "v1")
-        assert store.format_version == 1
-        loaded = store.load()
-        assert loaded.num_snapshots == evolving.num_snapshots
-        for i in range(evolving.num_snapshots):
-            assert loaded.snapshot_edges(i) == evolving.snapshot_edges(i)
-        report = store.verify(deep=True)
-        assert report.ok
-        assert any("v1" in note for note in report.notes)
-
-    def test_append_upgrades_v1_to_v2(self, tmp_path):
-        self.write_v1_store(tmp_path / "v1", make_evolving())
-        store = SnapshotStore(tmp_path / "v1")
-        store.append(next_batch())
-        assert store.format_version == 2
-        reopened = SnapshotStore(tmp_path / "v1")
-        assert reopened.format_version == 2
-        assert reopened.num_batches == 3
-        assert reopened.verify(deep=True).ok
-
-    def test_recover_upgrades_v1_to_v2(self, tmp_path):
-        self.write_v1_store(tmp_path / "v1", make_evolving())
-        SnapshotStore.recover_store(tmp_path / "v1")
-        reopened = SnapshotStore(tmp_path / "v1")
-        assert reopened.format_version == 2
-        assert reopened.verify(deep=True).ok
+        for name in ("manifest.json", "manifest.json.bak"):
+            (tmp_path / "s" / name).write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="unsupported store format"):
+            SnapshotStore(tmp_path / "s")
+        report = SnapshotStore.verify_store(tmp_path / "s")
+        assert not report.ok
+        assert any("unsupported store format" in problem
+                   for problem in report.problems)
 
 
 class TestAppendComplexity:

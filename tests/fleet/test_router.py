@@ -235,13 +235,17 @@ class TestDeadline:
 
 
 class TestProbeInterval:
-    def test_canonical_name_wins_over_deprecated_spelling(self):
+    def test_route_probes_out_of_the_box_and_the_old_spelling_is_gone(self):
+        from repro.cli import build_parser
         from repro.fleet.router import RouterConfig
 
-        config = RouterConfig(probe_interval_s=0.25, health_interval=5.0)
-        assert config.probe_interval() == 0.25
-        assert RouterConfig(health_interval=5.0).probe_interval() == 5.0
-        assert RouterConfig().probe_interval() is None
+        assert RouterConfig().probe_interval_s is None
+        with pytest.raises(TypeError):
+            RouterConfig(health_interval=5.0)
+        parser = build_parser()
+        assert parser.parse_args(["route", "store"]).probe_interval == 2.0
+        with pytest.raises(SystemExit):
+            parser.parse_args(["route", "store", "--health-interval", "5"])
 
     def test_jitter_knobs_have_safe_defaults(self):
         from repro.fleet.router import RouterConfig

@@ -135,7 +135,7 @@ def test_load_rejects_bad_json_and_bad_version(tmp_path):
 def test_load_rejects_missing_keys(tmp_path):
     doc = entry_dict()
     del doc["fingerprint"]
-    path = write_payload(tmp_path, {"version": 1, "entries": [doc]})
+    path = write_payload(tmp_path, {"version": 2, "entries": [doc]})
     with pytest.raises(LintError, match="fingerprint"):
         load_baseline(path)
 
@@ -143,7 +143,7 @@ def test_load_rejects_missing_keys(tmp_path):
 def test_load_rejects_placeholder_and_empty_justification(tmp_path):
     for justification in ("", "   ", PLACEHOLDER_JUSTIFICATION):
         path = write_payload(tmp_path, {
-            "version": 1,
+            "version": 2,
             "entries": [entry_dict(justification=justification)],
         })
         with pytest.raises(LintError, match="no justification"):
@@ -159,36 +159,15 @@ def test_load_rejects_duplicate_fingerprints(tmp_path):
         load_baseline(path)
 
 
-# ----------------------------------------------------------- migration
+# ------------------------------------------------------------- renames
 
-def test_v1_baseline_loads_with_recomputed_fingerprints(tmp_path):
-    # A v1 file carries path-dependent fingerprints; loading migrates
-    # each entry to the v2 identity so it still suppresses findings.
-    finding = make_finding()
+def test_v1_baseline_is_refused_with_a_clear_error(tmp_path):
     path = write_payload(tmp_path, {
         "version": 1,
         "entries": [entry_dict(fingerprint="0123456789abcdef")],
     })
-    entries = load_baseline(path)
-    assert entries[0].fingerprint == finding.fingerprint
-    active, baselined, stale = apply_baseline([finding], entries)
-    assert not active and not stale
-    assert [f.message for f in baselined] == [finding.message]
-
-
-def test_v1_duplicate_entries_merge_on_load(tmp_path):
-    # Two v1 entries for the same defect under different paths collapse
-    # onto one v2 fingerprint; the first justification wins.
-    path = write_payload(tmp_path, {
-        "version": 1,
-        "entries": [
-            entry_dict(justification="first"),
-            entry_dict(path="repro/fleet/algo.py", justification="second"),
-        ],
-    })
-    entries = load_baseline(path)
-    assert len(entries) == 1
-    assert entries[0].justification == "first"
+    with pytest.raises(LintError, match="'version': 2"):
+        load_baseline(path)
 
 
 def test_rename_keeps_baseline_entry_matching(tmp_path):

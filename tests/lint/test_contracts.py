@@ -1,7 +1,8 @@
 """The project-wide contract rules, driven by synthetic fixture projects.
 
-Each test seeds one specific drift — missing handler, phantom op, dead
-instrument, label mismatch, docs skew — and asserts it is caught by
+Each test seeds one specific drift — missing handler, missing routing
+method, phantom op, dead instrument, label mismatch, docs skew — and
+asserts it is caught by
 exactly the intended rule, at the intended layer.  The clean fixtures
 double as negative controls: a coherent project must produce zero
 contract findings.
@@ -21,10 +22,30 @@ def contract_rules():
 
 # ------------------------------------------------------------- fixtures
 
+ROUTER = """
+    class FleetRouter:
+        async def _dispatch(self, doc):
+            routing = OPS[doc["op"]].routing
+            if routing == "local":
+                return getattr(self, "_local_" + doc["op"])()
+            return await getattr(self, "_route_" + routing)(doc)
+
+        def _local_ping(self):
+            return {"ok": True, "op": "ping"}
+
+        async def _route_by_source(self, doc):
+            return {"ok": True}
+"""
+
+
 def wire_fixture(**overrides):
     files = {
         "repro/service/protocol.py": """
-            OPS = ("ping", "query")
+            OPS = {
+                "ping": OpSpec(),
+                "query": OpSpec(fields=frozenset({"source"}),
+                                routing="by-source"),
+            }
 
 
             def validate_request(doc):
@@ -34,16 +55,13 @@ def wire_fixture(**overrides):
         "repro/service/server.py": """
             class Server:
                 async def _dispatch(self, doc):
-                    op = doc["op"]
-                    if op == "ping":
-                        return {"ok": True, "op": "ping"}
-                    return await self._handle_query(doc)
+                    return await getattr(self, "_handle_" + doc["op"])(doc)
+
+                async def _handle_ping(self, doc):
+                    return {"ok": True, "op": "ping"}
 
                 async def _handle_query(self, doc):
                     return {"ok": True, "op": "query"}
-
-                async def _handle_connection(self, reader, writer):
-                    return None
         """,
         "repro/service/client.py": """
             class ServiceClient:
@@ -56,17 +74,7 @@ def wire_fixture(**overrides):
                 def request(self, doc):
                     return doc
         """,
-        "repro/fleet/router.py": """
-            class FleetRouter:
-                async def _dispatch(self, doc):
-                    op = doc["op"]
-                    if op == "ping":
-                        return {"ok": True, "op": "ping"}
-                    return await self._handle_query(doc)
-
-                async def _handle_query(self, doc):
-                    return {"ok": True}
-        """,
+        "repro/fleet/router.py": ROUTER,
         "repro/cli.py": """
             def cmd_ping(client):
                 return client.ping()
@@ -131,12 +139,12 @@ def test_wire_rule_skips_absent_layers(lint_project):
 
 # ------------------------------------------------- wire: seeded drift
 
-def test_missing_server_dispatch_branch_is_caught(lint_project):
+def test_missing_server_handler_is_caught(lint_project):
     result = lint_project(wire_fixture(**{
         "repro/service/server.py": """
             class Server:
                 async def _dispatch(self, doc):
-                    return await self._handle_query(doc)
+                    return await getattr(self, "_handle_" + doc["op"])(doc)
 
                 async def _handle_query(self, doc):
                     return {"ok": True, "op": "query"}
@@ -146,6 +154,7 @@ def test_missing_server_dispatch_branch_is_caught(lint_project):
     assert len(findings) == 1
     assert findings[0].path == "repro/service/server.py"
     assert "op 'ping'" in findings[0].message
+    assert "'_handle_ping'" in findings[0].message
     assert "server" in findings[0].message
 
 
@@ -165,20 +174,24 @@ def test_missing_client_method_is_caught(lint_project):
     assert "op 'ping'" in findings[0].message
 
 
-def test_missing_router_path_is_caught(lint_project):
+def test_missing_router_routing_method_is_caught(lint_project):
     result = lint_project(wire_fixture(**{
-        "repro/fleet/router.py": """
-            class FleetRouter:
-                async def _dispatch(self, doc):
-                    op = doc["op"]
-                    if op == "ping":
-                        return {"ok": True, "op": "ping"}
-                    raise ValueError("no reads here")
-        """,
+        "repro/fleet/router.py": ROUTER.replace("_route_by_source",
+                                                "_forward"),
     }), rules=contract_rules())
     findings = rule_findings(result, "wire-contract")
     assert [f.path for f in findings] == ["repro/fleet/router.py"]
     assert "op 'query'" in findings[0].message
+    assert "'_route_by_source'" in findings[0].message
+
+
+def test_missing_router_local_answer_is_caught(lint_project):
+    result = lint_project(wire_fixture(**{
+        "repro/fleet/router.py": ROUTER.replace("_local_ping", "_pong"),
+    }), rules=contract_rules())
+    findings = rule_findings(result, "wire-contract")
+    assert [f.path for f in findings] == ["repro/fleet/router.py"]
+    assert "'_local_ping'" in findings[0].message
 
 
 def test_missing_cli_surface_is_caught(lint_project):
@@ -193,27 +206,18 @@ def test_missing_cli_surface_is_caught(lint_project):
     assert "op 'ping'" in findings[0].message
 
 
-def test_phantom_op_is_caught_at_the_speaking_layer(lint_project):
+def test_phantom_handler_is_caught_at_the_dispatching_layer(lint_project):
     result = lint_project(wire_fixture(**{
-        "repro/fleet/router.py": """
-            class FleetRouter:
-                async def _dispatch(self, doc):
-                    op = doc["op"]
-                    if op == "ping":
-                        return {"ok": True, "op": "ping"}
-                    if op == "snapshot":
-                        return {"ok": True}
-                    return await self._handle_query(doc)
-
-                async def _handle_query(self, doc):
-                    return {"ok": True}
-        """,
+        "repro/fleet/router.py": ROUTER + """
+        def _local_snapshot(self):
+            return {"ok": True}
+""",
     }), rules=contract_rules())
     findings = rule_findings(result, "wire-contract")
     assert len(findings) == 1
     assert findings[0].path == "repro/fleet/router.py"
     assert "phantom" in findings[0].message
-    assert "'snapshot'" in findings[0].message
+    assert "'_local_snapshot'" in findings[0].message
 
 
 def test_phantom_op_in_request_payload_is_caught(lint_project):
@@ -260,10 +264,10 @@ def test_inline_allow_suppresses_a_contract_finding(lint_project):
     assert [f.rule for f in result.suppressed] == ["wire-contract"]
 
 
-def test_unparseable_ops_tuple_is_itself_a_finding(lint_project):
+def test_unparseable_ops_table_is_itself_a_finding(lint_project):
     result = lint_project(wire_fixture(**{
         "repro/service/protocol.py": """
-            OPS = tuple(sorted(["ping", "query"]))
+            OPS = dict.fromkeys(["ping", "query"], OpSpec())
         """,
     }), rules=contract_rules())
     findings = rule_findings(result, "wire-contract")

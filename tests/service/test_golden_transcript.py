@@ -1,0 +1,57 @@
+"""Replay the seeded request-path transcript against the current code.
+
+``golden_transcript.json`` was captured (``python -m tests.service.golden``)
+before the request path was collapsed; everything a client can see on
+the wire — per op, per outcome, direct and through the router — must
+still be what it was then.  See ``tests/service/golden.py`` for the
+scenarios and for how they stay deterministic.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from tests.service import golden
+
+pytestmark = [pytest.mark.service, pytest.mark.fleet]
+
+GOLDEN = json.loads(golden.GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def replay():
+    return golden.record()
+
+
+def test_the_transcript_covers_every_op_and_outcome():
+    seen_ops, outcomes = set(), set()
+    for entries in GOLDEN.values():
+        for entry in entries:
+            request = entry.get("request", {})
+            response = entry.get("response", {})
+            seen_ops.add(request.get("op"))
+            outcomes.add(response.get("outcome"))
+            outcomes.add(response.get("error_type"))
+            if response.get("coalesced"):
+                outcomes.add("coalesced")
+            if response.get("draining"):
+                outcomes.add("draining")
+    assert {"ping", "status", "query", "temporal", "ingest", "update",
+            "shutdown"} <= seen_ops
+    assert {"ok", "retried", "degraded", "coalesced", "draining",
+            "ProtocolError", "AlgorithmError", "ServiceOverloadedError",
+            "CircuitOpenError", "DeadlineExceededError",
+            "RetryExhaustedError", "FleetError"} <= outcomes
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_replay_is_unchanged(replay, scenario):
+    want, got = GOLDEN[scenario], replay[scenario]
+    for index, (expected, actual) in enumerate(zip(want, got)):
+        assert actual == expected, (
+            f"{scenario}[{index}] diverged for request "
+            f"{expected.get('request')}"
+        )
+    assert len(got) == len(want)

@@ -196,3 +196,56 @@ class TestValueEncoding:
         decoded = protocol.decode_values(protocol.decode_line(line)["values"])
         for got, want in zip(decoded, vectors):
             assert np.array_equal(got, want)
+
+
+class TestOpTable:
+    """``protocol.OPS`` is the one declaration; the docs render it."""
+
+    @staticmethod
+    def documented_rows():
+        import re
+        from pathlib import Path
+
+        text = (Path(__file__).resolve().parents[2] / "docs"
+                / "service.md").read_text(encoding="utf-8")
+        rows = {}
+        for line in text.splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if len(cells) == 8 and re.fullmatch(r"`\w+`", cells[0]):
+                rows[cells[0].strip("`")] = cells[1:]
+        return rows
+
+    def test_docs_table_rows_equal_the_protocol_table(self):
+        rows = self.documented_rows()
+        assert list(rows) == list(protocol.OPS)
+        for op, spec in protocol.OPS.items():
+            fields, timeout, lane, breaker, retried, fallback, routing = \
+                rows[op]
+            documented = set() if fields == "—" else {
+                name.strip(" `") for name in fields.split(",")
+            }
+            assert documented == set(spec.fields), op
+            yes_no = {True: "yes", False: "no"}
+            assert timeout == yes_no[spec.timeout], op
+            assert lane == (spec.lane or "—"), op
+            assert breaker == (spec.breaker or "—"), op
+            assert retried == yes_no[spec.retried], op
+            assert fallback == yes_no[spec.fallback], op
+            assert routing == spec.routing, op
+
+    def test_unknown_and_unhashable_ops_are_refused(self):
+        for op in ("snapshot", None, 7, ["query"], {"op": "query"}):
+            with pytest.raises(ProtocolError, match="unknown op"):
+                protocol.validate_request({"op": op})
+
+    def test_ops_without_fields_ignore_extras(self):
+        doc = {"op": "ping", "note": "hello"}
+        assert protocol.validate_request(doc) is doc
+
+    def test_only_safe_ops_are_retried(self):
+        # An update must never be retried server-side: a retried insert
+        # whose first attempt landed would bounce off the overlay's
+        # already-present validation.
+        assert not protocol.OPS["update"].retried
+        assert all(spec.retried for spec in protocol.OPS.values()
+                   if spec.fallback)
