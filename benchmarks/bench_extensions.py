@@ -4,8 +4,8 @@
   ``CommonGraphDecomposition.restrict`` (window-rooted) vs direct hops
   from the global common graph — the paper's future-work range-query
   claim, quantified.
-* ``parallel-work-sharing``: the pooled Work-Sharing execution vs its
-  sequential schedule walk.
+* ``parallel-work-sharing``: the sequential Work-Sharing schedule walk
+  (whose per-edge times feed the critical-path projection).
 * ``trend-tracking``: full metric-trend extraction end to end.
 """
 
@@ -17,7 +17,6 @@ from repro.algorithms.registry import get_algorithm
 from repro.analysis.trends import TrendTracker
 from repro.core.direct_hop import DirectHopEvaluator
 from repro.core.engine import WorkSharingEvaluator
-from repro.core.parallel import ParallelWorkSharing
 
 from conftest import WF
 
@@ -71,18 +70,6 @@ def test_sequential_work_sharing(benchmark, workload, decomposition):
             decomposition, get_algorithm(ALGORITHM), workload.source,
             weight_fn=WF,
         ).run(keep_values=False)
-
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-
-
-@pytest.mark.benchmark(group="parallel-work-sharing")
-def test_pooled_work_sharing(benchmark, workload, decomposition):
-    evaluator = ParallelWorkSharing(
-        decomposition, get_algorithm(ALGORITHM), workload.source, weight_fn=WF
-    )
-
-    def run():
-        evaluator.run(use_pool=True, max_workers=8)
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
 

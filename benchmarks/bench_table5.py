@@ -1,10 +1,9 @@
 """Table 5 — parallel Direct-Hop.
 
 Benchmarks a *single* hop (the unit whose maximum is the paper's
-critical-path estimate) against the full sequential KickStarter stream,
-plus the real thread-pool execution of all hops.  The paper projects
-one to two orders of magnitude; compare ``table5-single-hop`` with
-``table5-sequential-kickstarter``.
+critical-path estimate) against the full sequential KickStarter stream.
+The paper projects one to two orders of magnitude; compare
+``table5-single-hop`` with ``table5-sequential-kickstarter``.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_algorithm
-from repro.core.parallel import ParallelDirectHop
+from repro.core.direct_hop import DirectHopEvaluator
 from repro.graph.overlay import OverlayGraph
 from repro.kickstarter.engine import incremental_additions
 from repro.kickstarter.streaming import StreamingSession
@@ -39,8 +38,9 @@ def test_sequential_kickstarter(benchmark, workload):
 def test_single_hop(benchmark, workload, decomposition):
     """One direct hop — the critical-path unit of the parallel estimate."""
     alg = get_algorithm(ALGORITHM)
-    evaluator = ParallelDirectHop(decomposition, alg, workload.source, weight_fn=WF)
-    base_state = evaluator._hopper.base_state()
+    base_state = DirectHopEvaluator(
+        decomposition, alg, workload.source, weight_fn=WF
+    ).base_state()
     base_csr = decomposition.common_csr(WF)
     # The most expensive hop is the last snapshot (largest surplus).
     index = int(np.argmax([len(s) for s in decomposition.surpluses]))
@@ -56,14 +56,3 @@ def test_single_hop(benchmark, workload, decomposition):
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=2)
 
-
-@pytest.mark.benchmark(group="table5")
-def test_thread_pool_all_hops(benchmark, workload, decomposition):
-    alg = get_algorithm(ALGORITHM)
-
-    def run():
-        ParallelDirectHop(decomposition, alg, workload.source, weight_fn=WF).run(
-            use_pool=True, max_workers=8
-        )
-
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1)

@@ -19,9 +19,9 @@ from repro.algorithms.base import MonotonicAlgorithm
 from repro.analysis.metrics import Metric, evaluate_metric
 from repro.bench.reporting import render_chart, render_table
 from repro.core.common import CommonGraphDecomposition
-from repro.core.direct_hop import DirectHopEvaluator
 from repro.core.engine import WorkSharingEvaluator
-from repro.errors import ReproError
+from repro.core.steiner import schedule_builder
+from repro.core.triangular_grid import TriangularGrid
 from repro.evolving.snapshots import EvolvingGraph
 from repro.graph.weights import WeightFn
 
@@ -98,16 +98,13 @@ class TrendTracker:
         weight_fn: Optional[WeightFn] = None,
         strategy: str = "work-sharing",
     ) -> None:
-        if strategy not in ("direct-hop", "work-sharing"):
-            raise ReproError(
-                f"unknown strategy {strategy!r}; expected "
-                f"'direct-hop' or 'work-sharing'"
-            )
         self.evolving = evolving
         self.algorithm = algorithm
         self.source = source
         self.weight_fn = weight_fn
         self.strategy = strategy
+        # Resolved here so an unknown name fails at construction.
+        self._build_schedule = schedule_builder(strategy)
         self._decomposition: Optional[CommonGraphDecomposition] = None
 
     @property
@@ -126,15 +123,10 @@ class TrendTracker:
         if last < 0:
             last += self.evolving.num_snapshots
         window = self.decomposition.restrict(first, last)
-        if self.strategy == "direct-hop":
-            evaluator = DirectHopEvaluator(
-                window, self.algorithm, self.source, weight_fn=self.weight_fn
-            )
-        else:
-            evaluator = WorkSharingEvaluator(
-                window, self.algorithm, self.source, weight_fn=self.weight_fn
-            )
-        result = evaluator.run()
+        result = WorkSharingEvaluator(
+            window, self.algorithm, self.source, weight_fn=self.weight_fn,
+            schedule=self._build_schedule(TriangularGrid(window)),
+        ).run()
         report = TrendReport(first_snapshot=first)
         for metric in metrics:
             name = metric if isinstance(metric, str) else getattr(

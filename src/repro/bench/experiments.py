@@ -509,23 +509,18 @@ def table5(
     datasets: Sequence[str] = ("LJ", "DL", "WEN", "TTW"),
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     spec: Optional[WorkloadSpec] = None,
-    use_pool: bool = False,
 ) -> ExperimentResult:
     """Table 5: longest single hop vs sequential KickStarter.
 
     As in the paper, the parallel time is the critical-path estimate —
     the slowest of the independent hops ("given a system with
-    sufficient cores").  ``use_pool=True`` additionally executes the
-    hops on a thread pool and reports the wall time.
+    sufficient cores").
     """
     base_spec = spec if spec is not None else WorkloadSpec()
-    headers = ["graph", "algorithm", "kickstarter_s", "longest_hop_s", "speedup"]
-    if use_pool:
-        headers.append("pool_wall_s")
     result = ExperimentResult(
         name="table5",
         title="Table 5 — parallel Direct-Hop (critical-path projection)",
-        headers=headers,
+        headers=["graph", "algorithm", "kickstarter_s", "longest_hop_s", "speedup"],
         params={"num_snapshots": base_spec.num_snapshots,
                 "batch_size": base_spec.batch_size,
                 "edge_scale": base_spec.edge_scale},
@@ -538,15 +533,12 @@ def table5(
             parallel = ParallelDirectHop(
                 decomp, get_algorithm(algorithm), workload.source,
                 weight_fn=workload.weight_fn,
-            ).run(use_pool=use_pool)
+            ).run()
             longest = parallel.critical_path_seconds
-            row = [
+            result.rows.append([
                 dataset, algorithm, round(ks, 4), round(longest, 5),
                 round(ks / longest, 1) if longest > 0 else float("inf"),
-            ]
-            if use_pool:
-                row.append(round(parallel.pool_wall_seconds, 4))
-            result.rows.append(row)
+            ])
     result.notes.append(
         "paper shape: one to two orders of magnitude over sequential "
         "KickStarter (their Table 5: 51x-396x)"

@@ -6,25 +6,30 @@ snapshot independently, overlay that snapshot's surplus batch on ``Gc``
 never occur, the expensive trim-and-repair machinery and the transpose
 graph are never needed, and every hop starts from the same converged
 state — which is what makes the hops embarrassingly parallel.
+
+That is the schedule walk of :mod:`repro.core.engine` on the star
+schedule (``direct_hop_tree``), so this evaluator is that one.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional
+from typing import Optional
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.common import CommonGraphDecomposition
-from repro.core.results import EvolvingQueryResult
-from repro.graph.overlay import OverlayGraph
-from repro.graph.weights import UnitWeights, WeightFn
-from repro.kickstarter.engine import VertexState, incremental_additions, static_compute
+from repro.core.engine import WorkSharingEvaluator
+from repro.graph.weights import WeightFn
 
 __all__ = ["DirectHopEvaluator"]
 
 
-class DirectHopEvaluator:
-    """Evaluates one query on all snapshots via direct hops from ``Gc``."""
+class DirectHopEvaluator(WorkSharingEvaluator):
+    """Evaluates one query on all snapshots via direct hops from ``Gc``.
+
+    ``run()`` times every hop individually (``per_hop_seconds``).
+    """
+
+    strategy = "direct-hop"
 
     def __init__(
         self,
@@ -34,53 +39,5 @@ class DirectHopEvaluator:
         weight_fn: Optional[WeightFn] = None,
         mode: str = "auto",
     ) -> None:
-        self.decomposition = decomposition
-        self.algorithm = algorithm
-        self.source = source
-        self.weight_fn: WeightFn = weight_fn if weight_fn is not None else UnitWeights()
-        self.mode = mode
-
-    def base_state(self, result: Optional[EvolvingQueryResult] = None) -> VertexState:
-        """Converge the query on the common graph."""
-        counters = result.counters if result is not None else None
-        base_csr = self.decomposition.common_csr(self.weight_fn)
-        if result is not None:
-            with result.timer.phase("initial_compute"):
-                return static_compute(
-                    base_csr, self.algorithm, self.source,
-                    counters=counters, mode="sync",
-                )
-        return static_compute(base_csr, self.algorithm, self.source, mode="sync")
-
-    def run(self, keep_values: bool = True) -> EvolvingQueryResult:
-        """Evaluate all snapshots; hops are timed individually."""
-        result = EvolvingQueryResult(strategy="direct-hop")
-        decomp = self.decomposition
-        base_csr = decomp.common_csr(self.weight_fn)
-        with result.timer.phase("initial_compute"):
-            base_state = static_compute(
-                base_csr, self.algorithm, self.source,
-                counters=result.counters, mode="sync",
-            )
-
-        values: List = []
-        for index in range(decomp.num_snapshots):
-            batch = decomp.direct_hop_batch(index)
-            t0 = time.perf_counter()
-            with result.timer.phase("incremental_add"):
-                state = base_state.copy()
-                delta_csr = decomp.delta_csr(batch, self.weight_fn)
-                overlay = OverlayGraph(base_csr, (delta_csr,))
-                src, dst = batch.arrays()
-                weights = self.weight_fn(src, dst)
-                incremental_additions(
-                    overlay, self.algorithm, state, src, dst, weights,
-                    counters=result.counters, mode=self.mode,
-                )
-            result.per_hop_seconds.append(time.perf_counter() - t0)
-            result.additions_processed += len(batch)
-            result.stabilisations += 1
-            if keep_values:
-                values.append(state.values)
-        result.snapshot_values = values
-        return result
+        super().__init__(decomposition, algorithm, source,
+                         weight_fn=weight_fn, mode=mode)

@@ -1,14 +1,13 @@
-"""Parallel evaluation: Direct-Hop (Table 5) and Work-Sharing.
+"""Parallel projections: Direct-Hop (Table 5) and Work-Sharing.
 
 Because every hop starts from the same converged common-graph state and
 streams only additions, the hops are embarrassingly parallel — unlike
 the streaming baseline, which must visit snapshots in sequence.  The
 paper reports, as the parallel projection, the *longest single hop*
 ("given a system with sufficient cores, this is an estimate of the
-overall run time").  We reproduce exactly that estimate from measured
-per-hop times, and additionally offer a real thread-pool execution
-(NumPy releases the GIL in the bulk kernels, so threads overlap
-meaningfully even in pure Python).
+overall run time").  We reproduce exactly that estimate from per-hop
+times measured by one sequential schedule walk
+(:meth:`repro.core.engine.WorkSharingEvaluator.run`).
 
 :class:`ParallelWorkSharing` realises the paper's closing remark that
 the work-sharing variant can be parallelised too: sibling subtrees of
@@ -19,33 +18,22 @@ path rather than the sum of all batches.
 Resilience
 ----------
 
-A failed hop or schedule-edge task no longer crashes the whole run.
-Each unit executes under a :class:`~repro.resilience.RetryPolicy`; if
-the retries are exhausted, the unit is *recomputed sequentially from
-the last good parent state* (the converged base state for Direct-Hop,
-the parent node's state for Work-Sharing) outside the primary path.
-Every unit carries a :class:`TaskOutcome` record — ``ok`` / ``retried``
-/ ``degraded`` — so benchmark numbers stay honest: a run that needed
-recovery says so.  Fault-injection hooks (:mod:`repro.faults`) fire at
-the start of every primary execution; the recovery path is deliberately
-un-instrumented.
+A failed hop or schedule-edge task does not crash the whole run.
+Each unit executes under a :class:`~repro.resilience.RetryPolicy`
+(:func:`~repro.resilience.retry_call`); if the retries are exhausted,
+the unit is *recomputed sequentially from the last good parent state*
+(the converged base state for Direct-Hop, the parent node's state for
+Work-Sharing) outside the primary path.  Every unit carries a
+:class:`TaskOutcome` record — ``ok`` / ``retried`` / ``degraded`` — so
+benchmark numbers stay honest: a run that needed recovery says so.
+Fault-injection hooks (:mod:`repro.faults`) fire at the start of every
+primary execution; the recovery path is deliberately un-instrumented.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-    TYPE_CHECKING,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,20 +41,14 @@ from repro import faults, obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.common import CommonGraphDecomposition
 from repro.core.direct_hop import DirectHopEvaluator
-from repro.errors import ResilienceError
-from repro.graph.csr import CSRGraph
-from repro.graph.overlay import OverlayGraph
-from repro.graph.weights import WeightFn
+from repro.core.engine import WorkSharingEvaluator
+from repro.core.results import EvolvingQueryResult
+from repro.core.schedule import ScheduleTree
 from repro.core.triangular_grid import Interval
-from repro.kickstarter.engine import VertexState, incremental_additions
-from repro.resilience import RetryPolicy
-
-if TYPE_CHECKING:
-    from repro.core.schedule import ScheduleTree
-
-#: Materialised data of one schedule edge: the Δ CSR plus the batch's
-#: flat (sources, targets, weights) arrays.
-EdgeData = Tuple[CSRGraph, np.ndarray, np.ndarray, np.ndarray]
+from repro.errors import RetryExhaustedError
+from repro.graph.weights import WeightFn
+from repro.kickstarter.engine import VertexState
+from repro.resilience import RetryPolicy, retry_call
 
 __all__ = [
     "ParallelDirectHop",
@@ -77,7 +59,7 @@ __all__ = [
     "TASK_RETRY_POLICY",
 ]
 
-T = TypeVar("T")
+Edge = Tuple[Interval, Interval]
 
 #: Default retry policy for parallel compute units.  Compute retries
 #: are immediate (no backoff): a transient fault either clears on
@@ -86,8 +68,6 @@ TASK_RETRY_POLICY = RetryPolicy(
     max_attempts=2, base_delay=0.0, max_delay=0.0, retry_on=(Exception,),
 )
 
-_SEVERITY = {"ok": 0, "retried": 1, "degraded": 2}
-
 
 @dataclass
 class TaskOutcome:
@@ -95,9 +75,7 @@ class TaskOutcome:
 
     ``status`` is ``"ok"`` (first attempt succeeded), ``"retried"``
     (a retry succeeded) or ``"degraded"`` (every primary attempt failed
-    and the value came from the sequential recovery path).  When a unit
-    is executed more than once (sequential measuring pass plus pooled
-    pass), the record keeps the *worst* status observed.  ``error``
+    and the value came from the sequential recovery path).  ``error``
     preserves the last primary-path exception, if any.
     """
 
@@ -106,43 +84,59 @@ class TaskOutcome:
     attempts: int = 0
     error: Optional[str] = None
 
-    def escalate(self, status: str, attempts: int,
-                 error: Optional[BaseException]) -> None:
-        """Merge one pass's result, keeping the worst status seen."""
-        if _SEVERITY[status] > _SEVERITY[self.status]:
-            self.status = status
-            if error is not None:
-                self.error = repr(error)
-        self.attempts = max(self.attempts, attempts)
+
+def _hop_label(parent: Interval, child: Interval) -> str:
+    return f"hop:{child[0]}"
 
 
-def _run_resilient(
-    primary: Callable[[], T],
-    fallback: Callable[[], T],
-    outcome: TaskOutcome,
-    policy: RetryPolicy,
-) -> T:
-    """Run ``primary`` under ``policy``; degrade to ``fallback`` if spent.
+def _edge_label(parent: Interval, child: Interval) -> str:
+    return f"edge:{parent[0]}-{parent[1]}->{child[0]}-{child[1]}"
 
-    ``fallback`` is the sequential recovery path and is allowed to
-    raise — a failure there is a real error, not an injected or
+
+def _resilient_walk(
+    evaluator: WorkSharingEvaluator,
+    label: Callable[[Interval, Interval], str],
+    retry_policy: Optional[RetryPolicy],
+) -> Tuple[EvolvingQueryResult, Dict[Edge, TaskOutcome]]:
+    """Walk the evaluator's schedule with every edge run resiliently.
+
+    An edge's primary execution (fault hook, then the computation) runs
+    under ``policy``; once that is spent the computation runs again
+    without the hook — the sequential recovery path, which is allowed
+    to raise: a failure there is a real error, not an injected or
     transient one.
     """
-    last: Optional[BaseException] = None
-    for attempt in range(1, policy.max_attempts + 1):
+    policy = retry_policy or TASK_RETRY_POLICY
+    outcomes: Dict[Edge, TaskOutcome] = {}
+
+    def run_edge(parent: Interval, child: Interval,
+                 compute: Callable[[], VertexState]) -> VertexState:
+        outcome = outcomes[(parent, child)] = TaskOutcome(label(parent, child))
+        kind, _, name = outcome.label.partition(":")
+
+        def primary() -> VertexState:
+            outcome.attempts += 1
+            try:
+                faults.task_check(kind, name)
+                return compute()
+            except policy.retry_on as exc:
+                outcome.error = repr(exc)
+                raise
+
         try:
-            value = primary()
-        except policy.retry_on as exc:
-            last = exc
-            delay = policy.delay(attempt) if attempt < policy.max_attempts else 0
-            if delay > 0:
-                time.sleep(delay)
-            continue
-        outcome.escalate("ok" if attempt == 1 else "retried", attempt, last)
-        return value
-    value = fallback()
-    outcome.escalate("degraded", policy.max_attempts, last)
-    return value
+            state = retry_call(primary, policy=policy, label=outcome.label)
+        except RetryExhaustedError:
+            outcome.status = "degraded"
+            return compute()
+        if outcome.attempts > 1:
+            outcome.status = "retried"
+        return state
+
+    walk = evaluator.run(run_edge=run_edge)
+    for outcome in outcomes.values():
+        obs.counter_inc("repro_task_outcomes_total",
+                        component=evaluator.strategy, status=outcome.status)
+    return walk, outcomes
 
 
 def _count_outcomes(outcomes: Iterable[TaskOutcome]) -> Dict[str, int]:
@@ -161,8 +155,6 @@ class ParallelResult:
     per_hop_seconds: List[float] = field(default_factory=list)
     #: Time to converge the query on the common graph.
     initial_seconds: float = 0.0
-    #: Wall time of the thread-pool execution (0 if not run).
-    pool_wall_seconds: float = 0.0
     snapshot_values: List[np.ndarray] = field(default_factory=list)
     #: Per-hop execution records (``ok`` / ``retried`` / ``degraded``).
     outcomes: List[TaskOutcome] = field(default_factory=list)
@@ -170,7 +162,7 @@ class ParallelResult:
     @property
     def critical_path_seconds(self) -> float:
         """The paper's parallel estimate: the longest single hop."""
-        return max(self.per_hop_seconds) if self.per_hop_seconds else 0.0
+        return max(self.per_hop_seconds, default=0.0)
 
     @property
     def sequential_seconds(self) -> float:
@@ -183,7 +175,7 @@ class ParallelResult:
 
 
 class ParallelDirectHop:
-    """Runs Direct-Hop hops concurrently and reports both projections."""
+    """Measures Direct-Hop hops one by one and reports the projection."""
 
     def __init__(
         self,
@@ -193,83 +185,26 @@ class ParallelDirectHop:
         weight_fn: Optional[WeightFn] = None,
         mode: str = "auto",
     ) -> None:
-        self._hopper = DirectHopEvaluator(
+        self._evaluator = DirectHopEvaluator(
             decomposition, algorithm, source, weight_fn=weight_fn, mode=mode
         )
 
-    def run(
-        self,
-        max_workers: Optional[int] = None,
-        use_pool: bool = True,
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> ParallelResult:
-        """Measure per-hop times; optionally execute hops in a pool.
+    def run(self, retry_policy: Optional[RetryPolicy] = None) -> ParallelResult:
+        """Measure per-hop times for the critical-path projection.
 
         A hop that fails is retried per ``retry_policy`` (default
         :data:`TASK_RETRY_POLICY`) and finally recomputed sequentially
         from the converged base state; ``result.outcomes`` records the
         status of every hop.
         """
-        policy = retry_policy or TASK_RETRY_POLICY
-        hopper = self._hopper
-        decomp = hopper.decomposition
-        result = ParallelResult()
-
-        t0 = time.perf_counter()
-        base_state = hopper.base_state()
-        result.initial_seconds = time.perf_counter() - t0
-        base_csr = decomp.common_csr(hopper.weight_fn)
-
-        def one_hop(index: int, hooked: bool = True) -> np.ndarray:
-            if hooked:
-                faults.task_check("hop", index)
-            batch = decomp.direct_hop_batch(index)
-            state = base_state.copy()
-            delta_csr = decomp.delta_csr(batch, hopper.weight_fn)
-            overlay = OverlayGraph(base_csr, (delta_csr,))
-            src, dst = batch.arrays()
-            weights = hopper.weight_fn(src, dst)
-            incremental_additions(
-                overlay, hopper.algorithm, state, src, dst, weights,
-                mode=hopper.mode,
-            )
-            return state.values
-
-        def resilient_hop(index: int, outcome: TaskOutcome) -> np.ndarray:
-            return _run_resilient(
-                lambda: one_hop(index),
-                lambda: one_hop(index, hooked=False),
-                outcome, policy,
-            )
-
-        # Sequential pass for honest per-hop times (no pool interference).
-        with obs.phase_span("parallel", "measure", label="direct-hop"):
-            for index in range(decomp.num_snapshots):
-                outcome = TaskOutcome(label=f"hop:{index}")
-                t0 = time.perf_counter()
-                values = resilient_hop(index, outcome)
-                elapsed = time.perf_counter() - t0
-                obs.phase("parallel", "hop", label=str(index),
-                          seconds=elapsed)
-                result.per_hop_seconds.append(elapsed)
-                result.snapshot_values.append(values)
-                result.outcomes.append(outcome)
-
-        if use_pool:
-            t0 = time.perf_counter()
-            with obs.phase_span("parallel", "pool", label="direct-hop"):
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    list(pool.map(
-                        lambda index: resilient_hop(
-                            index, result.outcomes[index]
-                        ),
-                        range(decomp.num_snapshots),
-                    ))
-            result.pool_wall_seconds = time.perf_counter() - t0
-        for outcome in result.outcomes:
-            obs.counter_inc("repro_task_outcomes_total",
-                            component="direct-hop", status=outcome.status)
-        return result
+        walk, outcomes = _resilient_walk(self._evaluator, _hop_label,
+                                         retry_policy)
+        return ParallelResult(
+            per_hop_seconds=walk.per_hop_seconds,
+            initial_seconds=walk.timer.seconds("initial_compute"),
+            snapshot_values=walk.snapshot_values,
+            outcomes=list(outcomes.values()),
+        )
 
 
 @dataclass
@@ -277,16 +212,13 @@ class ParallelWorkSharingResult:
     """Timings of a parallel Work-Sharing evaluation."""
 
     #: Sequentially-measured seconds per schedule edge (parent, child).
-    edge_seconds: Dict[Tuple[Interval, Interval], float] = field(default_factory=dict)
+    edge_seconds: Dict[Edge, float] = field(default_factory=dict)
     initial_seconds: float = 0.0
-    pool_wall_seconds: float = 0.0
     snapshot_values: Dict[int, np.ndarray] = field(default_factory=dict)
     #: Heaviest root-to-leaf path: the sufficient-cores projection.
     critical_path_seconds: float = 0.0
     #: Per-edge execution records (``ok`` / ``retried`` / ``degraded``).
-    edge_outcomes: Dict[Tuple[Interval, Interval], TaskOutcome] = field(
-        default_factory=dict
-    )
+    edge_outcomes: Dict[Edge, TaskOutcome] = field(default_factory=dict)
 
     @property
     def sequential_seconds(self) -> float:
@@ -299,16 +231,14 @@ class ParallelWorkSharingResult:
 
 
 class ParallelWorkSharing:
-    """Executes a Work-Sharing schedule with subtree parallelism.
+    """Projects a Work-Sharing schedule onto subtree parallelism.
 
     Once a schedule node's state has converged, each child batch is an
-    independent task; tasks fan out down the tree.  The sequential pass
-    measures per-edge times to compute the critical-path projection,
-    and ``use_pool=True`` re-executes the schedule on a thread pool.
-    A failed edge task is retried, then recomputed sequentially from
-    its parent's (still in hand) state, so one bad task can no longer
-    abandon in-flight siblings or lose already-computed snapshot
-    values.
+    independent task; tasks fan out down the tree.  One sequential walk
+    measures per-edge times, from which the critical-path projection is
+    computed.  A failed edge task is retried, then recomputed
+    sequentially from its parent's (still in hand) state, so one bad
+    task cannot lose already-computed snapshot values.
     """
 
     def __init__(
@@ -317,191 +247,42 @@ class ParallelWorkSharing:
         algorithm: MonotonicAlgorithm,
         source: int,
         weight_fn: Optional[WeightFn] = None,
-        schedule: Optional["ScheduleTree"] = None,
+        schedule: Optional[ScheduleTree] = None,
         mode: str = "auto",
     ) -> None:
-        from repro.core.steiner import build_schedule
-        from repro.core.triangular_grid import TriangularGrid
-
-        self.decomposition = decomposition
-        self.algorithm = algorithm
-        self.source = source
-        self.weight_fn = weight_fn
-        self.mode = mode
-        self.grid = TriangularGrid(decomposition)
-        if schedule is None:
-            schedule = build_schedule(self.grid, "work-sharing")
-        schedule.validate(self.grid)
-        self.schedule = schedule
-
-    def _prepare(
-        self,
-    ) -> Tuple[
-        CSRGraph,
-        VertexState,
-        Dict[Interval, List[Interval]],
-        Dict[Tuple[Interval, Interval], EdgeData],
-        float,
-    ]:
-        """Converged root state plus per-edge batch materialisation."""
-        from repro.kickstarter.engine import static_compute
-
-        weight_fn = self.weight_fn
-        base_csr = self.decomposition.common_csr(weight_fn)
-        t0 = time.perf_counter()
-        root_state = static_compute(base_csr, self.algorithm, self.source)
-        initial = time.perf_counter() - t0
-        children = self.schedule.children_map()
-        edges: Dict[Tuple[Interval, Interval], EdgeData] = {}
-        for parent, child in self.schedule.edges():
-            batch = self.grid.label(parent, child)
-            delta_csr = self.decomposition.delta_csr(batch, weight_fn)
-            src, dst = batch.arrays()
-            if weight_fn is not None:
-                weights = weight_fn(src, dst)
-            else:
-                weights = np.ones(src.shape, dtype=np.float64)
-            edges[(parent, child)] = (delta_csr, src, dst, weights)
-        return base_csr, root_state, children, edges, initial
-
-    @staticmethod
-    def _edge_label(parent: Interval, child: Interval) -> str:
-        return (f"edge:{parent[0]}-{parent[1]}->"
-                f"{child[0]}-{child[1]}")
+        self._evaluator = WorkSharingEvaluator(
+            decomposition, algorithm, source,
+            weight_fn=weight_fn, schedule=schedule, mode=mode,
+        )
 
     def run(
-        self,
-        max_workers: Optional[int] = None,
-        use_pool: bool = True,
-        retry_policy: Optional[RetryPolicy] = None,
+        self, retry_policy: Optional[RetryPolicy] = None
     ) -> ParallelWorkSharingResult:
-        """Measure per-edge times sequentially; optionally run pooled.
+        """Measure per-edge times; project them onto the critical path.
 
         Edge tasks execute under ``retry_policy`` (default
         :data:`TASK_RETRY_POLICY`) with sequential recomputation from
         the parent state as the final fallback;
         ``result.edge_outcomes`` records every edge's status.
         """
-        policy = retry_policy or TASK_RETRY_POLICY
-        base_csr, root_state, children, edges, initial = self._prepare()
-        result = ParallelWorkSharingResult(initial_seconds=initial)
-        for parent, child in self.schedule.edges():
-            result.edge_outcomes[(parent, child)] = TaskOutcome(
-                label=self._edge_label(parent, child)
-            )
-
-        def apply_edge(
-            parent_state: VertexState,
-            overlay: OverlayGraph,
-            parent: Interval,
-            child: Interval,
-            collect: Optional[Dict[Tuple[Interval, Interval], float]],
-            hooked: bool = True,
-        ) -> Tuple[VertexState, OverlayGraph]:
-            if hooked:
-                faults.task_check(
-                    "edge", self._edge_label(parent, child)[len("edge:"):]
-                )
-            delta_csr, src, dst, weights = edges[(parent, child)]
-            child_state = parent_state.copy()
-            child_overlay = overlay.with_delta(delta_csr)
-            t0 = time.perf_counter()
-            incremental_additions(
-                child_overlay, self.algorithm, child_state, src, dst, weights,
-                mode=self.mode,
-            )
-            elapsed = time.perf_counter() - t0
-            obs.phase("parallel", "edge",
-                      label=self._edge_label(parent, child), seconds=elapsed)
-            if collect is not None:
-                collect[(parent, child)] = elapsed
-            lo, hi = child
-            if lo == hi:
-                result.snapshot_values[lo] = child_state.values
-            return child_state, child_overlay
-
-        def resilient_edge(
-            parent_state: VertexState,
-            overlay: OverlayGraph,
-            parent: Interval,
-            child: Interval,
-            collect: Optional[Dict[Tuple[Interval, Interval], float]],
-        ) -> Tuple[VertexState, OverlayGraph]:
-            outcome = result.edge_outcomes[(parent, child)]
-            return _run_resilient(
-                lambda: apply_edge(parent_state, overlay, parent, child,
-                                   collect),
-                lambda: apply_edge(parent_state, overlay, parent, child,
-                                   collect, hooked=False),
-                outcome, policy,
-            )
-
-        # Sequential pass: depth-first, timing every edge.
-        with obs.phase_span("parallel", "measure", label="work-sharing"):
-            stack = [(self.schedule.root, root_state, OverlayGraph(base_csr))]
-            while stack:
-                node, state, overlay = stack.pop()
-                for child in children.get(node, []):
-                    child_state, child_overlay = resilient_edge(
-                        state, overlay, node, child, result.edge_seconds
-                    )
-                    if children.get(child):
-                        stack.append((child, child_state, child_overlay))
-        if self.schedule.root in self.grid.leaves:
-            result.snapshot_values[self.schedule.root[0]] = root_state.values.copy()
+        walk, outcomes = _resilient_walk(self._evaluator, _edge_label,
+                                         retry_policy)
+        schedule = self._evaluator.schedule
+        children = schedule.children_map()
 
         # Critical path: heaviest root-to-leaf chain of edge times.
         def path_cost(node: Interval) -> float:
-            kids = children.get(node, [])
-            if not kids:
-                return 0.0
             return max(
-                result.edge_seconds[(node, k)] + path_cost(k) for k in kids
+                (walk.edge_seconds[(node, k)] + path_cost(k)
+                 for k in children[node]),
+                default=0.0,
             )
 
-        result.critical_path_seconds = initial + path_cost(self.schedule.root)
-
-        if use_pool:
-            t0 = time.perf_counter()
-            with obs.phase_span("parallel", "pool", label="work-sharing"), \
-                    ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures: List["Future[None]"] = []
-
-                def launch(node: Interval, state: VertexState,
-                           overlay: OverlayGraph) -> None:
-                    kids = children.get(node, [])
-                    for k, child in enumerate(kids):
-                        futures.append(
-                            pool.submit(task, node, child, state, overlay)
-                        )
-
-                def task(parent: Interval, child: Interval,
-                         parent_state: VertexState,
-                         overlay: OverlayGraph) -> None:
-                    child_state, child_overlay = resilient_edge(
-                        parent_state, overlay, parent, child, None
-                    )
-                    launch(child, child_state, child_overlay)
-
-                launch(self.schedule.root, root_state, OverlayGraph(base_csr))
-                # Futures keep appearing as tasks fan out; drain until
-                # quiet, *without* abandoning in-flight work when one
-                # task fails beyond recovery.
-                cursor = 0
-                failures: List[BaseException] = []
-                while cursor < len(futures):
-                    try:
-                        futures[cursor].result()
-                    except Exception as exc:
-                        failures.append(exc)
-                    cursor += 1
-                if failures:
-                    raise ResilienceError(
-                        f"{len(failures)} work-sharing task(s) failed beyond "
-                        f"recovery: {failures[0]!r}"
-                    ) from failures[0]
-            result.pool_wall_seconds = time.perf_counter() - t0
-        for outcome in result.edge_outcomes.values():
-            obs.counter_inc("repro_task_outcomes_total",
-                            component="work-sharing", status=outcome.status)
-        return result
+        initial = walk.timer.seconds("initial_compute")
+        return ParallelWorkSharingResult(
+            edge_seconds=walk.edge_seconds,
+            initial_seconds=initial,
+            snapshot_values=dict(enumerate(walk.snapshot_values)),
+            critical_path_seconds=initial + path_cost(schedule.root),
+            edge_outcomes=outcomes,
+        )

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.triangular_grid import Interval
 from repro.kickstarter.engine import EngineCounters
 from repro.utils import PhaseTimer
 
@@ -15,23 +16,22 @@ __all__ = ["EvolvingQueryResult"]
 
 @dataclass
 class EvolvingQueryResult:
-    """Converged per-snapshot values plus cost accounting.
-
-    ``per_hop_seconds`` is filled by the Direct-Hop evaluator: the wall
-    time of each snapshot's independent incremental computation.  Its
-    maximum is the critical-path estimate used for the parallel
-    projection (Table 5 of the paper).
-    """
+    """Converged per-snapshot values plus cost accounting."""
 
     strategy: str = ""
     snapshot_values: List[np.ndarray] = field(default_factory=list)
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     counters: EngineCounters = field(default_factory=EngineCounters)
-    per_hop_seconds: List[float] = field(default_factory=list)
+    #: Wall seconds of every schedule edge ``(parent, child)``, in the
+    #: order the walk ran them.
+    edge_seconds: Dict[Tuple[Interval, Interval], float] = field(default_factory=dict)
     #: Total additions streamed (the paper's schedule-cost metric).
     additions_processed: int = 0
     #: Number of incremental stabilisations executed (tree edges).
     stabilisations: int = 0
+    #: Schedule nodes found in / absent from the walk's node-state store.
+    node_hits: int = 0
+    node_misses: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -46,11 +46,18 @@ class EvolvingQueryResult:
         return self.timer.total() - self.timer.seconds("initial_compute")
 
     @property
+    def per_hop_seconds(self) -> List[float]:
+        """Direct-Hop only: the wall time of each snapshot's independent
+        hop, in snapshot order (the star's edges run in that order)."""
+        if self.strategy != "direct-hop":
+            return []
+        return list(self.edge_seconds.values())
+
+    @property
     def critical_path_seconds(self) -> Optional[float]:
-        """Longest single hop, or ``None`` if not a Direct-Hop result."""
-        if not self.per_hop_seconds:
-            return None
-        return max(self.per_hop_seconds)
+        """Longest single hop — the parallel projection of the paper's
+        Table 5 — or ``None`` if not a Direct-Hop result."""
+        return max(self.per_hop_seconds, default=None)
 
     def phase_seconds(self) -> Dict[str, float]:
         return self.timer.as_dict()

@@ -21,7 +21,7 @@ tests and the ablation benchmark to measure the greedy gap.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.schedule import ScheduleTree
 from repro.core.triangular_grid import Interval, TriangularGrid
@@ -33,6 +33,7 @@ __all__ = [
     "agglomerative_schedule",
     "exact_steiner",
     "build_schedule",
+    "schedule_builder",
 ]
 
 
@@ -237,6 +238,30 @@ def exact_steiner(grid: TriangularGrid, max_snapshots: int = 6) -> ScheduleTree:
     return best_tree
 
 
+#: Strategy name -> schedule constructor; the only place names resolve.
+_BUILDERS: Dict[str, Callable[[TriangularGrid], ScheduleTree]] = {
+    "direct-hop": direct_hop_tree,
+    "work-sharing": greedy_steiner,
+    "agglomerative": agglomerative_schedule,
+    "exact": exact_steiner,
+}
+
+
+def schedule_builder(strategy: str) -> Callable[[TriangularGrid], ScheduleTree]:
+    """The schedule constructor ``strategy`` names (see :func:`build_schedule`).
+
+    For callers that learn the name before they have a grid: an unknown
+    name raises :class:`ScheduleError` here, not at the first build.
+    """
+    try:
+        return _BUILDERS[strategy]
+    except KeyError:
+        raise ScheduleError(
+            f"unknown strategy {strategy!r}; expected 'direct-hop', "
+            f"'work-sharing', 'agglomerative' or 'exact'"
+        ) from None
+
+
 def build_schedule(grid: TriangularGrid, strategy: str = "work-sharing") -> ScheduleTree:
     """Build a schedule by strategy name.
 
@@ -244,15 +269,4 @@ def build_schedule(grid: TriangularGrid, strategy: str = "work-sharing") -> Sche
     bypass), ``"agglomerative"`` (bottom-up extension, usually cheaper
     than greedy) or ``"exact"`` (small inputs only).
     """
-    if strategy == "direct-hop":
-        return direct_hop_tree(grid)
-    if strategy == "work-sharing":
-        return greedy_steiner(grid)
-    if strategy == "agglomerative":
-        return agglomerative_schedule(grid)
-    if strategy == "exact":
-        return exact_steiner(grid)
-    raise ScheduleError(
-        f"unknown strategy {strategy!r}; expected 'direct-hop', "
-        f"'work-sharing', 'agglomerative' or 'exact'"
-    )
+    return schedule_builder(strategy)(grid)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.common import CommonGraphDecomposition
-from repro.errors import ScheduleError, SnapshotError
+from repro.errors import SnapshotError
 
 if TYPE_CHECKING:  # the evaluators import the kickstarter engine, which
     # imports this package; resolve them lazily at call time instead.
@@ -130,9 +130,12 @@ class VersionController:
         late, narrow window never pays for history before it — the
         range-query capability the paper's conclusion calls out.
         ``result.snapshot_values[k]`` holds version ``first + k``.
+        ``strategy`` is any schedule name
+        :func:`~repro.core.steiner.build_schedule` knows.
         """
-        from repro.core.direct_hop import DirectHopEvaluator
         from repro.core.engine import WorkSharingEvaluator
+        from repro.core.steiner import build_schedule
+        from repro.core.triangular_grid import TriangularGrid
 
         if last < 0:
             last += self.num_versions
@@ -141,20 +144,10 @@ class VersionController:
                 f"invalid range ({first}, {last}) for {self.num_versions} versions"
             )
         window = self._decomposition.restrict(first, last)
-        if strategy == "direct-hop":
-            evaluator = DirectHopEvaluator(
-                window, algorithm, source, weight_fn=self.weight_fn
-            )
-        elif strategy == "work-sharing":
-            evaluator = WorkSharingEvaluator(
-                window, algorithm, source, weight_fn=self.weight_fn
-            )
-        else:
-            raise ScheduleError(
-                f"unknown strategy {strategy!r}; expected "
-                f"'direct-hop' or 'work-sharing'"
-            )
-        return evaluator.run()
+        return WorkSharingEvaluator(
+            window, algorithm, source, weight_fn=self.weight_fn,
+            schedule=build_schedule(TriangularGrid(window), strategy),
+        ).run()
 
     def __repr__(self) -> str:
         return (

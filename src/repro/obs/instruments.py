@@ -215,7 +215,7 @@ INSTRUMENTS: Dict[str, InstrumentSpec] = {
         "gauge", "Replicas the autopilot observes, by state.",
         ("state",),
     ),
-    # -- phases (engine, parallel, planner, store, kernels) -----------------
+    # -- phases (engine, planner, store, kernels) ---------------------------
     "repro_phase_seconds": InstrumentSpec(
         "histogram", "Duration of one instrumented phase, by layer.",
         ("layer", "phase"),

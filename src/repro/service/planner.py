@@ -2,9 +2,10 @@
 
 The offline :class:`~repro.core.engine.WorkSharingEvaluator` shares
 interior-ICG states *within* one query.  The planner extends that
-sharing *across* queries: the converged :class:`VertexState` at every
-Triangular-Grid node visited by a schedule is cached, keyed by
-``(algorithm, source, epoch, node)`` in window coordinates, so a later
+sharing *across* queries: it runs the same schedule walk with a
+node-state store, so the converged :class:`VertexState` at every
+Triangular-Grid node a schedule visits is cached, keyed by
+``(algorithm, source, epoch, node)`` in window coordinates, and a later
 query whose schedule passes through a cached node resumes from it —
 no static recompute at the window root, no re-streaming of the path
 above the node.
@@ -14,34 +15,30 @@ evaluators: for a monotonic algorithm, the converged state on
 ``ICG(i, j)`` from a given source is *unique*, regardless of which
 ancestor state the incremental computation started from.  A resumed
 walk therefore produces values bit-identical to a cold one (the
-service's end-to-end test asserts exactly this against the offline
-evaluator).
-
-The overlay used to push from a cached node is rebuilt as
-``common CSR + one Δ CSR of the node's interval surplus`` — the same
-edge set the offline evaluator reaches through its accumulated Δ chain,
-each edge appearing exactly once either way.
+service's end-to-end test asserts exactly this against the naive
+oracle), and the walk's overlay rule — common CSR + one Δ CSR of the
+node's interval surplus — depends on the node alone, never on the path
+that reached it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.common import CommonGraphDecomposition
-from repro.core.steiner import build_schedule
-from repro.core.triangular_grid import Interval, TriangularGrid
-from repro.graph.overlay import OverlayGraph
-from repro.graph.weights import UnitWeights, WeightFn
-from repro.kickstarter.engine import (
-    VertexState,
-    incremental_additions,
-    static_compute,
-)
+from repro.core.engine import WorkSharingEvaluator
+from repro.core.triangular_grid import Interval
+from repro.graph.weights import WeightFn
+# ``static_compute`` is not called here (the walk calls it): the perf
+# harness's self-test, frozen under benchmarks/perf, reads
+# ``planner.static_compute`` to check that importers of a traced kernel
+# are patched too.
+from repro.kickstarter.engine import VertexState, static_compute  # noqa: F401
 from repro.service.cache import LRUCache
 
 __all__ = ["MemoizingPlanner", "PlannedAnswer"]
@@ -59,8 +56,28 @@ class PlannedAnswer:
     stabilisations: int = 0
     node_hits: int = 0
     node_misses: int = 0
-    #: The node the walk actually started from ((first, last)-relative).
-    start_node: Optional[Interval] = None
+
+
+@dataclass
+class _EpochView:
+    """The node cache as one walk's store: range-relative nodes in,
+    ``(algorithm, source, epoch, window node)`` keys out."""
+
+    cache: LRUCache
+    algorithm: str
+    source: int
+    epoch: int
+    first: int
+
+    def key(self, node: Interval) -> NodeKey:
+        return (self.algorithm, self.source, self.epoch,
+                (self.first + node[0], self.first + node[1]))
+
+    def get(self, node: Interval) -> Optional[VertexState]:
+        return self.cache.get(self.key(node))
+
+    def put(self, node: Interval, state: VertexState) -> None:
+        self.cache.put(self.key(node), state)
 
 
 class MemoizingPlanner:
@@ -77,18 +94,8 @@ class MemoizingPlanner:
         weight_fn: Optional[WeightFn] = None,
     ) -> None:
         self.node_cache = node_cache
-        self.weight_fn: WeightFn = (
-            weight_fn if weight_fn is not None else UnitWeights()
-        )
+        self.weight_fn = weight_fn
 
-    # -- key helpers --------------------------------------------------------
-    @staticmethod
-    def node_key(
-        algorithm: str, source: int, epoch: int, node: Interval
-    ) -> NodeKey:
-        return (algorithm, source, epoch, node)
-
-    # -- execution ----------------------------------------------------------
     def evaluate(
         self,
         decomposition: CommonGraphDecomposition,
@@ -107,95 +114,20 @@ class MemoizingPlanner:
         with obs.phase_span("planner", "evaluate",
                             label=f"{algorithm.name}:{source}",
                             first=first, last=last, epoch=epoch) as plan_span:
-            answer = self._evaluate(
-                decomposition, algorithm, source, first, last, epoch
+            walk = WorkSharingEvaluator(
+                decomposition.restrict(first, last), algorithm, source,
+                weight_fn=self.weight_fn,
+            ).run(
+                store=_EpochView(self.node_cache, algorithm.name, source,
+                                 epoch, first),
+                layer="planner",
             )
-            plan_span.annotate(node_hits=answer.node_hits,
-                               node_misses=answer.node_misses)
-        return answer
-
-    def _evaluate(
-        self,
-        decomposition: CommonGraphDecomposition,
-        algorithm: MonotonicAlgorithm,
-        source: int,
-        first: int,
-        last: int,
-        epoch: int,
-    ) -> PlannedAnswer:
-        window = decomposition.restrict(first, last)
-        grid = TriangularGrid(window)
-        schedule = build_schedule(grid, "work-sharing")
-        answer = PlannedAnswer()
-        alg_name = algorithm.name
-
-        def key(node: Interval) -> NodeKey:
-            return self.node_key(
-                alg_name, source, epoch,
-                (first + node[0], first + node[1]),
-            )
-
-        base_csr = window.common_csr(self.weight_fn)
-
-        def overlay_for(node: Interval) -> OverlayGraph:
-            surplus = window.interval_surplus(*node)
-            if not surplus:
-                return OverlayGraph(base_csr)
-            return OverlayGraph(
-                base_csr, (window.delta_csr(surplus, self.weight_fn),)
-            )
-
-        # Root state: cached, or one static compute on the window's ICG.
-        root = schedule.root
-        with obs.phase_span("planner", "root") as root_span:
-            root_state = self.node_cache.get(key(root))
-            if root_state is None:
-                answer.node_misses += 1
-                root_span.annotate(cache="miss")
-                root_state = static_compute(base_csr, algorithm, source,
-                                            mode="sync")
-                self.node_cache.put(key(root), root_state)
-            else:
-                answer.node_hits += 1
-                root_span.annotate(cache="hit")
-        answer.start_node = (first + root[0], first + root[1])
-
-        values_by_snapshot: Dict[int, np.ndarray] = {}
-        states: Dict[Interval, VertexState] = {root: root_state}
-        lo, hi = root
-        if lo == hi:
-            values_by_snapshot[lo] = root_state.values
-
-        # schedule.edges() yields parents before children, so a state is
-        # always available (computed or cached) when its child streams.
-        for parent, child in schedule.edges():
-            with obs.phase_span(
-                "planner", "edge", label=f"{child[0]}-{child[1]}",
-            ) as edge_span:
-                cached = self.node_cache.get(key(child))
-                if cached is not None:
-                    answer.node_hits += 1
-                    edge_span.annotate(cache="hit")
-                    states[child] = cached
-                else:
-                    answer.node_misses += 1
-                    edge_span.annotate(cache="miss")
-                    batch = grid.label(parent, child)
-                    state = states[parent].copy()
-                    src, dst = batch.arrays()
-                    incremental_additions(
-                        overlay_for(child), algorithm, state,
-                        src, dst, self.weight_fn(src, dst),
-                    )
-                    answer.additions_processed += len(batch)
-                    answer.stabilisations += 1
-                    self.node_cache.put(key(child), state)
-                    states[child] = state
-            lo, hi = child
-            if lo == hi:
-                values_by_snapshot[lo] = states[child].values
-
-        answer.values = [
-            values_by_snapshot[i].copy() for i in range(window.num_snapshots)
-        ]
-        return answer
+            plan_span.annotate(node_hits=walk.node_hits,
+                               node_misses=walk.node_misses)
+        return PlannedAnswer(
+            values=[values.copy() for values in walk.snapshot_values],
+            additions_processed=walk.additions_processed,
+            stabilisations=walk.stabilisations,
+            node_hits=walk.node_hits,
+            node_misses=walk.node_misses,
+        )

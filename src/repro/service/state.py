@@ -495,8 +495,8 @@ class ServiceState:
                           last: int) -> QueryAnswer:
         """One validated range by the stock offline evaluator.
 
-        No planner, no caches: the recovery lane, and the reference the
-        tests compare the cached lane against.  Values are identical to
+        No planner, no caches: the recovery lane — the same schedule
+        walk without a node store.  Values are identical to
         :meth:`_evaluate_cached`'s; only the reuse accounting is absent.
         """
         from repro.core.engine import WorkSharingEvaluator

@@ -12,8 +12,8 @@ the fleet while ``replica-0`` is killed mid-burst, and the loop must
 * keep the fleet's conservation laws intact throughout: every storm
   request answered exactly once or explicitly shed, ingest receipts
   strictly consecutive, and post-storm answers on *every* replica —
-  including the freshly provisioned ones — bit-identical to an offline
-  ``WorkSharingEvaluator`` on the final store.
+  including the freshly provisioned ones — bit-identical to the naive
+  oracle (static compute per snapshot) on the final store.
 """
 
 from __future__ import annotations

@@ -101,13 +101,6 @@ class TestTable5:
         assert record["longest_hop_s"] > 0
         assert record["speedup"] > 0
 
-    def test_with_pool(self):
-        result = table5(
-            datasets=("LJ",), algorithms=("BFS",), spec=TINY, use_pool=True
-        )
-        record = dict(zip(result.headers, result.rows[0]))
-        assert record["pool_wall_s"] > 0
-
 
 class TestFigure11:
     def test_shape(self):

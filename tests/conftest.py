@@ -15,6 +15,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.graph.generators import rmat_edges
 from repro.graph.weights import HashWeights
+from repro.kickstarter.engine import static_compute
 
 ALL_ALGORITHMS = ("BFS", "SSSP", "SSWP", "SSNP", "Viterbi")
 
@@ -106,6 +107,27 @@ def small_evolving(small_rmat):
         seed=9,
         name="small",
     )
+
+
+def oracle_values(snapshots, algorithm, source, first, last, weight_fn):
+    """The naive oracle (ROADMAP aim 3) for snapshots ``first..last``.
+
+    Materialise each snapshot's edge set, build its CSR, run the static
+    algorithm — no decomposition walk, grid, schedule, overlay or cache,
+    so it stays independent of every evaluator it is compared with.
+    ``snapshots`` is anything with ``num_vertices`` and
+    ``snapshot_edges(i)`` (an evolving graph or a decomposition).
+    """
+    return [
+        static_compute(
+            CSRGraph.from_edge_set(
+                snapshots.snapshot_edges(i), snapshots.num_vertices,
+                weight_fn=weight_fn,
+            ),
+            algorithm, source,
+        ).values
+        for i in range(first, last + 1)
+    ]
 
 
 def assert_values_equal(a: np.ndarray, b: np.ndarray, context: str = "") -> None:

@@ -15,9 +15,7 @@ WF = HashWeights(max_weight=8, seed=7)
 class TestParallelDirectHop:
     def test_values_match_scratch(self, small_evolving, algorithm):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
-        result = ParallelDirectHop(decomp, algorithm, 3, weight_fn=WF).run(
-            use_pool=False
-        )
+        result = ParallelDirectHop(decomp, algorithm, 3, weight_fn=WF).run()
         for i in range(small_evolving.num_snapshots):
             g = small_evolving.snapshot_csr(i, weight_fn=WF)
             want = static_compute(g, algorithm, 3).values
@@ -27,20 +25,12 @@ class TestParallelDirectHop:
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
         result = ParallelDirectHop(
             decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-        ).run(use_pool=False)
+        ).run()
         n = small_evolving.num_snapshots
         assert len(result.per_hop_seconds) == n
         assert result.critical_path_seconds == max(result.per_hop_seconds)
         assert result.sequential_seconds >= result.critical_path_seconds
         assert result.initial_seconds > 0
-        assert result.pool_wall_seconds == 0.0
-
-    def test_pool_execution_runs(self, small_evolving):
-        decomp = CommonGraphDecomposition.from_evolving(small_evolving)
-        result = ParallelDirectHop(
-            decomp, get_algorithm("BFS"), 3, weight_fn=WF
-        ).run(use_pool=True, max_workers=4)
-        assert result.pool_wall_seconds > 0
 
     def test_empty_hop_list_critical_path(self):
         from repro.core.parallel import ParallelResult
@@ -51,9 +41,7 @@ class TestParallelDirectHop:
 class TestParallelWorkSharing:
     def test_values_match_scratch(self, small_evolving, algorithm):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
-        result = ParallelWorkSharing(decomp, algorithm, 3, weight_fn=WF).run(
-            use_pool=False
-        )
+        result = ParallelWorkSharing(decomp, algorithm, 3, weight_fn=WF).run()
         assert sorted(result.snapshot_values) == list(
             range(small_evolving.num_snapshots)
         )
@@ -62,23 +50,11 @@ class TestParallelWorkSharing:
             want = static_compute(g, algorithm, 3).values
             assert_values_equal(result.snapshot_values[i], want, algorithm.name)
 
-    def test_pool_execution_matches(self, small_evolving):
-        decomp = CommonGraphDecomposition.from_evolving(small_evolving)
-        alg = get_algorithm("SSSP")
-        result = ParallelWorkSharing(decomp, alg, 3, weight_fn=WF).run(
-            use_pool=True, max_workers=4
-        )
-        assert result.pool_wall_seconds > 0
-        for i in range(small_evolving.num_snapshots):
-            g = small_evolving.snapshot_csr(i, weight_fn=WF)
-            want = static_compute(g, alg, 3).values
-            assert_values_equal(result.snapshot_values[i], want, f"pooled@{i}")
-
     def test_critical_path_bounds(self, small_evolving):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
         result = ParallelWorkSharing(
             decomp, get_algorithm("BFS"), 3, weight_fn=WF
-        ).run(use_pool=False)
+        ).run()
         assert result.edge_seconds  # every schedule edge was timed
         longest_edge = max(result.edge_seconds.values())
         assert result.critical_path_seconds >= result.initial_seconds + longest_edge
@@ -94,5 +70,5 @@ class TestParallelWorkSharing:
         result = ParallelWorkSharing(
             decomp, get_algorithm("BFS"), 3, weight_fn=WF,
             schedule=direct_hop_tree(grid),
-        ).run(use_pool=False)
+        ).run()
         assert len(result.edge_seconds) == small_evolving.num_snapshots

@@ -31,14 +31,14 @@ def decomp(small_evolving):
 def clean_direct_hop(decomp):
     return ParallelDirectHop(
         decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-    ).run(use_pool=False)
+    ).run()
 
 
 @pytest.fixture(scope="module")
 def clean_work_sharing(decomp):
     return ParallelWorkSharing(
         decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-    ).run(use_pool=False)
+    ).run()
 
 
 def assert_same_values_list(result, clean):
@@ -61,7 +61,7 @@ class TestParallelDirectHopFaults:
         with fault_injection(plan):
             result = ParallelDirectHop(
                 decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-            ).run(use_pool=False)
+            ).run()
         assert plan.fired_rules()
         assert result.outcomes[2].status == "retried"
         assert result.outcomes[2].attempts == 2
@@ -78,25 +78,10 @@ class TestParallelDirectHopFaults:
         with fault_injection(plan):
             result = ParallelDirectHop(
                 decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-            ).run(use_pool=False)
+            ).run()
         assert result.outcomes[4].status == "degraded"
         assert result.outcomes[4].error is not None
         assert result.outcome_counts["degraded"] == 1
-        assert_same_values_list(result, clean_direct_hop)
-
-    def test_pooled_pass_survives_injected_faults(
-        self, decomp, clean_direct_hop
-    ):
-        # The sequential pass executes each hop once, so the second
-        # matching occurrence of hop:1 is its pooled execution.
-        plan = FaultPlan().fail_task(match="hop:1", index=1, times=1)
-        with fault_injection(plan):
-            result = ParallelDirectHop(
-                decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-            ).run(use_pool=True, max_workers=4)
-        assert plan.fired_rules()
-        assert result.outcomes[1].status == "retried"
-        assert result.pool_wall_seconds > 0
         assert_same_values_list(result, clean_direct_hop)
 
     def test_custom_retry_policy_attempt_budget(self, decomp):
@@ -105,7 +90,6 @@ class TestParallelDirectHopFaults:
             result = ParallelDirectHop(
                 decomp, get_algorithm("BFS"), 3, weight_fn=WF
             ).run(
-                use_pool=False,
                 retry_policy=RetryPolicy(
                     max_attempts=4, base_delay=0.0, max_delay=0.0
                 ),
@@ -123,7 +107,7 @@ class TestParallelWorkSharingFaults:
         with fault_injection(plan):
             result = ParallelWorkSharing(
                 decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-            ).run(use_pool=False)
+            ).run()
         assert plan.fired_rules()
         assert result.outcome_counts["retried"] == 1
         assert result.outcome_counts["degraded"] == 0
@@ -137,31 +121,12 @@ class TestParallelWorkSharingFaults:
         with fault_injection(plan):
             result = ParallelWorkSharing(
                 decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-            ).run(use_pool=False)
+            ).run()
         assert result.outcome_counts["degraded"] == 1
         assert result.outcome_counts["retried"] == 0
         degraded = [o for o in result.edge_outcomes.values()
                     if o.status == "degraded"]
         assert degraded[0].error is not None
-        assert_same_values_dict(result, clean_work_sharing)
-
-    def test_pool_drain_survives_injected_task_failure(
-        self, decomp, clean_work_sharing
-    ):
-        """Regression for the unhandled pool-drain failure: one injected
-        task failure mid-drain must not abandon in-flight futures or
-        lose snapshot values."""
-        num_edges = len(result_edges(decomp))
-        # Sequential pass consumes one matching op per edge; the next
-        # matching op is the first pooled task to run.
-        plan = FaultPlan().fail_task(match="edge:*", index=num_edges, times=1)
-        with fault_injection(plan):
-            result = ParallelWorkSharing(
-                decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-            ).run(use_pool=True, max_workers=4)
-        assert plan.fired_rules()
-        assert result.pool_wall_seconds > 0
-        assert result.outcome_counts["retried"] == 1
         assert_same_values_dict(result, clean_work_sharing)
 
     def test_every_edge_failing_once_still_converges(
@@ -175,7 +140,7 @@ class TestParallelWorkSharingFaults:
         with fault_injection(plan):
             result = ParallelWorkSharing(
                 decomp, get_algorithm("SSSP"), 3, weight_fn=WF
-            ).run(use_pool=False)
+            ).run()
         assert result.outcome_counts["ok"] == 0
         assert_same_values_dict(result, clean_work_sharing)
 

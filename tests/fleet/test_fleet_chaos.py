@@ -20,7 +20,7 @@ The assertions are fleet-level conservation laws:
 * the partitioned replica leaves rotation rather than serving stale
   answers, and only a supervisor resync brings it back;
 * after the storm heals, every replica's answers are bit-identical to
-  a from-scratch offline ``WorkSharingEvaluator`` on the final store;
+  the naive oracle (static compute per snapshot) on the final store;
 * the ejections, failovers, and rebalances surface in the metrics
   export.
 """

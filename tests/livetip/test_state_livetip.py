@@ -1,7 +1,7 @@
 """ServiceState + live tip: receipts, query patching, compaction folds.
 
 The acceptance law, asserted across every algorithm: queries at the
-tip equal a ``WorkSharingEvaluator`` on an **equivalent materialized
+tip equal the naive oracle on an **equivalent materialized
 snapshot** (the store's history plus the overlay's net batch as one
 more real snapshot), and stay bit-identical after the log is folded
 into the Triangular Grid for real.
@@ -12,8 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.registry import get_algorithm
-from repro.core.common import CommonGraphDecomposition
-from repro.core.engine import WorkSharingEvaluator
 from repro.errors import ProtocolError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.snapshots import EvolvingGraph
@@ -21,7 +19,7 @@ from repro.graph.edgeset import EdgeSet
 from repro.service import ServiceState
 from repro.temporal.plan import parse_specs
 
-from tests.conftest import assert_values_equal
+from tests.conftest import assert_values_equal, oracle_values
 from tests.livetip.conftest import (
     absent_pairs,
     present_pairs,
@@ -32,8 +30,8 @@ pytestmark = pytest.mark.livetip
 
 
 def materialized_evaluator_values(state, algorithm, source):
-    """Per-snapshot values from a from-scratch ``WorkSharingEvaluator``
-    on the store's history *plus* the overlay's pending net batch as a
+    """Per-snapshot values from the naive oracle (static compute on
+    each materialised snapshot) on the store's history *plus* the overlay's pending net batch as a
     real final snapshot — the materialization the live tip must match."""
     evolving = state.store.load()
     batches = list(evolving.batches)
@@ -44,11 +42,10 @@ def materialized_evaluator_values(state, algorithm, source):
     materialized = EvolvingGraph(
         evolving.num_vertices, evolving.snapshot_edges(0), batches,
     )
-    decomposition = CommonGraphDecomposition.from_evolving(materialized)
-    alg = get_algorithm(algorithm)
-    return WorkSharingEvaluator(
-        decomposition, alg, source, weight_fn=state.weight_fn,
-    ).run().snapshot_values
+    return oracle_values(
+        materialized, get_algorithm(algorithm), source,
+        0, materialized.num_snapshots - 1, state.weight_fn,
+    )
 
 
 class TestUpdateReceipts:

@@ -11,8 +11,8 @@ expectations, so the suite is deterministic under fixed seeds:
 * queue depth stays bounded by the admission policy;
 * no ingest is lost or duplicated: receipts carry strictly
   consecutive versions;
-* after the storm, answers are bit-identical to a from-scratch
-  offline ``WorkSharingEvaluator`` on the final store;
+* after the storm, answers are bit-identical to the naive oracle
+  (static compute per materialised snapshot) on the final store;
 * drain completes within its deadline with zero abandoned work;
 * breaker transitions and shed counts surface in the metrics export.
 """

@@ -1,15 +1,14 @@
-"""The memoizing planner must match the offline evaluator bit-for-bit."""
+"""The memoizing planner must match the naive oracle bit-for-bit."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.common import CommonGraphDecomposition
-from repro.core.engine import WorkSharingEvaluator
 from repro.kickstarter.engine import VertexState
 from repro.service import LRUCache, MemoizingPlanner
 
-from tests.conftest import assert_values_equal
+from tests.conftest import assert_values_equal, oracle_values
 
 
 @pytest.fixture
@@ -24,14 +23,6 @@ def planner(weight_fn):
     return MemoizingPlanner(cache, weight_fn)
 
 
-def offline_values(decomposition, algorithm, source, first, last, weight_fn):
-    window = decomposition.restrict(first, last)
-    result = WorkSharingEvaluator(
-        window, algorithm, source, weight_fn=weight_fn
-    ).run()
-    return result.snapshot_values
-
-
 class TestColdEvaluation:
     def test_matches_offline_evaluator(self, decomposition, planner,
                                        algorithm, weight_fn):
@@ -39,8 +30,8 @@ class TestColdEvaluation:
         last = decomposition.num_snapshots - 1
         answer = planner.evaluate(decomposition, algorithm, 0, 0, last,
                                   epoch=0)
-        expected = offline_values(decomposition, algorithm, 0, 0, last,
-                                  weight_fn)
+        expected = oracle_values(decomposition, algorithm, 0, 0, last,
+                                 weight_fn)
         assert len(answer.values) == last + 1
         assert answer.node_hits == 0
         assert answer.node_misses > 0
@@ -50,8 +41,8 @@ class TestColdEvaluation:
     def test_subrange_matches_offline(self, decomposition, planner,
                                       algorithm, weight_fn):
         answer = planner.evaluate(decomposition, algorithm, 2, 1, 3, epoch=0)
-        expected = offline_values(decomposition, algorithm, 2, 1, 3,
-                                  weight_fn)
+        expected = oracle_values(decomposition, algorithm, 2, 1, 3,
+                                 weight_fn)
         for got, want in zip(answer.values, expected):
             assert_values_equal(got, want, f"{algorithm.name} window")
 
@@ -72,11 +63,11 @@ class TestCrossQueryReuse:
         self, decomposition, planner, algorithm, weight_fn
     ):
         """A second query over an overlapping range reuses interior
-        states yet returns exactly the offline evaluator's values."""
+        states yet returns exactly the oracle's values."""
         planner.evaluate(decomposition, algorithm, 0, 0, 3, epoch=0)
         warm = planner.evaluate(decomposition, algorithm, 0, 1, 3, epoch=0)
-        expected = offline_values(decomposition, algorithm, 0, 1, 3,
-                                  weight_fn)
+        expected = oracle_values(decomposition, algorithm, 0, 1, 3,
+                                 weight_fn)
         for got, want in zip(warm.values, expected):
             assert_values_equal(got, want, f"{algorithm.name} overlap")
 

@@ -1,8 +1,8 @@
 """End-to-end tests of the live query service over its TCP protocol.
 
 The acceptance smoke test mirrors the paper's offline evaluation: every
-vector a live server returns must be bit-identical to what the offline
-``WorkSharingEvaluator`` computes on the same snapshots, across
+vector a live server returns must be bit-identical to what the naive
+oracle (static compute on the materialised snapshot) gives, across
 concurrent clients, cache hits, coalesced requests and epoch changes.
 """
 
@@ -18,12 +18,10 @@ import pytest
 from repro import faults
 from repro.algorithms.registry import get_algorithm
 from repro.cli import main
-from repro.core.common import CommonGraphDecomposition
-from repro.core.engine import WorkSharingEvaluator
 from repro.resilience import RetryPolicy
 from repro.service import ServiceClient, ServiceConfig, ServiceRunner
 
-from tests.conftest import assert_values_equal
+from tests.conftest import assert_values_equal, oracle_values
 from tests.service.conftest import valid_batch
 
 pytestmark = pytest.mark.service
@@ -42,13 +40,9 @@ def client(runner):
 
 
 def offline_values(store, weight_fn, algorithm, source, first, last):
-    """The reference answer: a from-scratch offline evaluation."""
-    decomposition = CommonGraphDecomposition.from_evolving(store.load())
-    window = decomposition.restrict(first, last)
-    result = WorkSharingEvaluator(
-        window, get_algorithm(algorithm), source, weight_fn=weight_fn
-    ).run()
-    return result.snapshot_values
+    """The reference answer: the naive oracle on the stored snapshots."""
+    return oracle_values(store.load(), get_algorithm(algorithm), source,
+                         first, last, weight_fn)
 
 
 def info_json(port):

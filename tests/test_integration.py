@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_algorithm
+from repro.analysis.metrics import evaluate_metric
+from repro.analysis.trends import TrendTracker
 from repro.bench.workloads import WorkloadSpec, build_workload
 from repro.core.common import CommonGraphDecomposition
 from repro.core.direct_hop import DirectHopEvaluator
@@ -21,7 +23,7 @@ from repro.evolving.version_control import VersionController
 from repro.graph.weights import HashWeights
 from repro.kickstarter.engine import static_compute
 from repro.kickstarter.streaming import StreamingSession
-from tests.conftest import ALL_ALGORITHMS, assert_values_equal
+from tests.conftest import ALL_ALGORITHMS, assert_values_equal, oracle_values
 
 WF = HashWeights(max_weight=8, seed=7)
 
@@ -47,7 +49,7 @@ def test_all_strategies_agree(workload, decomposition, name):
     ks = StreamingSession(workload.evolving, alg, src, weight_fn=WF).run()
     dh = DirectHopEvaluator(decomposition, alg, src, weight_fn=WF).run()
     ws = WorkSharingEvaluator(decomposition, alg, src, weight_fn=WF).run()
-    par = ParallelDirectHop(decomposition, alg, src, weight_fn=WF).run(use_pool=False)
+    par = ParallelDirectHop(decomposition, alg, src, weight_fn=WF).run()
     for i in range(workload.evolving.num_snapshots):
         scratch = static_compute(
             workload.evolving.snapshot_csr(i, weight_fn=WF), alg, src
@@ -146,3 +148,26 @@ def test_snapshot_values_are_monotone_consistent(workload, decomposition):
     result = dh.run()
     for values in result.snapshot_values:
         assert np.all(~alg.better(base_values, values))
+
+
+@pytest.mark.parametrize("api", ["version-controller", "trend-tracker"])
+def test_agglomerative_strategy_matches_oracle(small_evolving, api):
+    """Every schedule name ``build_schedule`` knows is a usable strategy:
+    the one-call APIs keep no allow-list of their own."""
+    alg = get_algorithm("SSSP")
+    want = oracle_values(small_evolving, alg, 3, 1, 6, WF)
+    if api == "version-controller":
+        result = VersionController(small_evolving, weight_fn=WF).evaluate(
+            alg, 3, 1, 6, strategy="agglomerative"
+        )
+        for k, (got, expected) in enumerate(zip(result.snapshot_values, want)):
+            assert_values_equal(got, expected, f"version {1 + k}")
+    else:
+        metrics = ("reach", "mean", "extreme")
+        report = TrendTracker(
+            small_evolving, alg, 3, weight_fn=WF, strategy="agglomerative"
+        ).track(metrics=metrics, first=1, last=6)
+        for metric in metrics:
+            assert report.series[metric] == [
+                evaluate_metric(metric, values, alg) for values in want
+            ]
