@@ -71,6 +71,7 @@ import numpy as np
 from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.bench.reporting import render_table
 from repro.core.common import CommonGraphDecomposition
+from repro.core.results import encode_float_row
 from repro.errors import ServiceError
 from repro.evolving.generator import generate_evolving_graph
 from repro.evolving.store import SnapshotStore
@@ -720,10 +721,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 2
     values = response["values"]
     if args.json:
-        response["values"] = [
-            [None if np.isinf(v) else float(v) for v in vec]
-            for vec in values
-        ]
+        response["values"] = list(map(encode_float_row, values))
         print(json.dumps(response, indent=2, sort_keys=True))
         return 0
     rows = []

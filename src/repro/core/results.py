@@ -1,17 +1,71 @@
-"""Result container shared by the evolving-graph query evaluators."""
+"""Result container shared by the evolving-graph query evaluators, plus the leaf codecs
+for held or shipped results: a range answer as *base + sparse Δ*, the JSON float row."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.triangular_grid import Interval
+from repro.errors import ProtocolError
 from repro.kickstarter.engine import EngineCounters
 from repro.utils import PhaseTimer
 
-__all__ = ["EvolvingQueryResult"]
+__all__ = ["CompactRange", "EvolvingQueryResult", "compact_range",
+           "decode_float_row", "encode_float_row", "expand_range"]
+
+#: Base row + per later snapshot ``(indices, values)`` of the changed cells.
+CompactRange = Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]
+
+
+def compact_range(values: Sequence[np.ndarray]) -> CompactRange:
+    """k >= 1 snapshot vectors → the first plus, per later snapshot, the
+    cells whose float64 *bit pattern* differs from the snapshot before (so
+    ``-0.0``, NaN and denormals survive :func:`expand_range`); no aliasing."""
+    rows = [np.asarray(row, dtype=np.float64) for row in values]
+    changes = []
+    for previous, row in zip(rows, rows[1:]):
+        indices = np.flatnonzero(row.view(np.int64) != previous.view(np.int64))
+        changes.append((indices, row[indices]))
+    return rows[0].copy(), changes
+
+
+def expand_range(compact: CompactRange) -> List[np.ndarray]:
+    """Inverse of :func:`compact_range`: fresh, independent float64 rows."""
+    rows = [compact[0].copy()]
+    for indices, cells in compact[1]:
+        rows.append(rows[-1].copy())
+        rows[-1][indices] = cells
+    return rows
+
+
+def encode_float_row(row: Sequence[float]) -> List[Any]:
+    """Float vector → JSON-safe list: JSON has no non-finite numbers, so
+    those cells (only) become the strings ``"inf"`` / ``"-inf"`` / ``"nan"``."""
+    array = np.asarray(row, dtype=np.float64)
+    cells: List[Any] = array.tolist()
+    for index in np.flatnonzero(~np.isfinite(array)).tolist():
+        cells[index] = str(cells[index])
+    return cells
+
+
+def decode_float_row(cells: Any) -> np.ndarray:
+    """Strict inverse of :func:`encode_float_row`: anything else — not a
+    list, ``null`` (NumPy would read it as NaN), bools, nesting, other
+    strings — is a :class:`ProtocolError`."""
+    kinds = list(map(type, cells)) if isinstance(cells, list) else [None]
+    if not set(kinds) <= {float, int, str}:
+        raise ProtocolError("malformed value row: expected a flat list of numbers")
+    try:
+        row = np.array(cells, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed value row: {exc}") from exc
+    odd = np.flatnonzero(~np.isfinite(row)).tolist()
+    if len(odd) != kinds.count(str) or not {cells[i] for i in odd} <= {"inf", "-inf", "nan"}:
+        raise ProtocolError('malformed value row: strings are only "inf", "-inf", "nan"')
+    return row
 
 
 @dataclass

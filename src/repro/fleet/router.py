@@ -501,6 +501,7 @@ class FleetRouter(LineServer):
         return {
             "ok": True,
             "op": "status",
+            "wire_version": protocol.WIRE_VERSION,
             "fleet": {
                 "replicas": {
                     name: replica.snapshot()

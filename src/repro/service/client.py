@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.errors import (
-    ProtocolError,
     ServiceError,
     ServiceOverloadedError,
     ServiceUnavailableError,
@@ -233,7 +232,7 @@ class ServiceClient:
         # ProtocolError, before a socket is even opened.
         protocol.validate_request(doc)
         response = self._request_retrying_overload(doc)
-        response["values"] = self.decode_values(response.get("values", []))
+        response["values"] = self.decode_values(response.get("values"))
         return response
 
     def temporal(
@@ -309,8 +308,6 @@ class ServiceClient:
 
     @staticmethod
     def decode_values(encoded: Any) -> List[np.ndarray]:
-        if not isinstance(encoded, list):
-            raise ProtocolError("query response carries no value vectors")
         return protocol.decode_values(encoded)
 
     def __repr__(self) -> str:

@@ -32,15 +32,21 @@ Responses are ``{"ok": true, ...payload}`` or ``{"ok": false,
 "error": "...", "error_type": "..."}``; query responses additionally
 carry ``outcome`` (``"ok"`` / ``"retried"`` / ``"degraded"``) following
 the :class:`~repro.core.parallel.TaskOutcome` vocabulary, and
-``values`` as one list of per-vertex floats per snapshot
-(non-finite values are encoded as strings ``"inf"`` / ``"-inf"`` since
-JSON has no infinities).
+``values``: the first snapshot's per-vertex row plus, per later snapshot,
+``[indices, row]`` of only the cells that differ from the snapshot before
+(most vertices keep one value across a range).  Three snapshots::
+
+    "values": {"base": [0.0, 2.0, "inf", 5.0],
+               "changes": [[[2], [7.0]], [[], []]]}   # v2 reached, then same
+
+JSON has no non-finite numbers: those cells are the strings ``"inf"`` /
+``"-inf"`` / ``"nan"``.  ``status`` reports :data:`WIRE_VERSION`; a version-1
+payload (one dense row per snapshot) is a :class:`ProtocolError`, never wrong numbers.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -55,6 +61,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.results import compact_range, decode_float_row, encode_float_row, expand_range
 from repro.errors import ProtocolError
 from repro.evolving.delta import DeltaBatch
 from repro.graph.edgeset import EdgeSet
@@ -64,6 +71,7 @@ __all__ = [
     "OPS",
     "OpSpec",
     "UPDATE_WIRE_KINDS",
+    "WIRE_VERSION",
     "decode_line",
     "decode_values",
     "encode_line",
@@ -77,6 +85,8 @@ __all__ = [
 #: Hard cap on one protocol line; a longer line is a malformed request.
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
+#: Reported by ``status``; 2 = query ``values`` are base + sparse changes, not dense rows.
+WIRE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -292,31 +302,31 @@ def parse_update(
     return kind, int(edge[0]), int(edge[1])
 
 
-def encode_values(values: Sequence[np.ndarray]) -> List[List[Any]]:
-    """Per-snapshot value vectors as JSON-safe lists.
-
-    Infinities (the unreached-vertex markers of SSSP and friends) are
-    mapped to the strings ``"inf"`` / ``"-inf"``; everything else stays
-    a float.  The mapping round-trips exactly through
-    :func:`decode_values`.
-    """
-    encoded: List[List[Any]] = []
-    for vector in values:
-        row: List[Any] = []
-        for value in map(float, vector):
-            if math.isinf(value):
-                row.append("inf" if value > 0 else "-inf")
-            else:
-                row.append(value)
-        encoded.append(row)
-    return encoded
+def encode_values(values: Sequence[np.ndarray]) -> Dict[str, Any]:
+    """A range answer in wire form (module docstring); round-trips bit
+    for bit through :func:`decode_values`."""
+    base, changes = compact_range(values)
+    return {"base": encode_float_row(base),
+            "changes": [[indices.tolist(), encode_float_row(cells)]
+                        for indices, cells in changes]}
 
 
-def decode_values(encoded: Sequence[Sequence[Any]]) -> List[np.ndarray]:
-    """Inverse of :func:`encode_values`, back to float64 arrays."""
-    decoded: List[np.ndarray] = []
-    for row in encoded:
-        decoded.append(np.asarray(
-            [float(value) for value in row], dtype=np.float64
-        ))
-    return decoded
+def decode_values(encoded: Any) -> List[np.ndarray]:
+    """Inverse of :func:`encode_values`: one float64 array per snapshot.
+    Any other shape is a :class:`ProtocolError`."""
+    if not isinstance(encoded, dict) or not isinstance(encoded.get("changes"), list):
+        raise ProtocolError("query response carries no {base, changes} values "
+                            f"(wire version {WIRE_VERSION}; 1 sent a list of rows)")
+    base = decode_float_row(encoded.get("base"))
+    changes = []
+    for change in encoded["changes"]:
+        if not isinstance(change, list) or len(change) != 2:
+            raise ProtocolError("each change must be [indices, values]")
+        indices, cells = change[0], decode_float_row(change[1])
+        if (not isinstance(indices, list) or len(indices) != cells.size
+                or set(map(type, indices)) - {int}
+                or (indices and not 0 <= min(indices) <= max(indices) < base.size)):
+            raise ProtocolError(
+                f"change indices must be {cells.size} integers in [0, {base.size})")
+        changes.append((np.array(indices, dtype=np.int64), cells))
+    return expand_range((base, changes))

@@ -413,6 +413,7 @@ class GraphService(LineServer):
         payload.update({
             "ok": True,
             "op": "status",
+            "wire_version": protocol.WIRE_VERSION,
             "server": dict(self.counters),
             "lifecycle": self._lifecycle_payload(
                 serving=bool(payload.get("serving", True))

@@ -51,6 +51,7 @@ from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.core.common import CommonGraphDecomposition
+from repro.core.results import compact_range, expand_range
 from repro.errors import ProtocolError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.store import SnapshotStore
@@ -172,7 +173,9 @@ class ServiceState:
         # Reentrant: the version properties lock internally and must
         # stay callable from code that already holds the lock.
         self._lock = threading.RLock()
-        self.result_cache = LRUCache(result_cache_entries)
+        # Entries are base + sparse Δ, never k dense vectors or aliases.
+        self.result_cache = LRUCache(
+            result_cache_entries, copy_in=compact_range, copy_out=expand_range)
         self.node_cache = LRUCache(
             node_cache_entries,
             copy_in=VertexState.copy,
@@ -473,7 +476,7 @@ class ServiceState:
         )
         cached = self.result_cache.get(answer.key())
         if cached is not None:
-            answer.values = [values.copy() for values in cached]
+            answer.values = cached
             answer.from_cache = True
             obs.annotate(result_cache="hit")
             return answer
@@ -486,9 +489,7 @@ class ServiceState:
         answer.node_hits = planned.node_hits
         answer.node_misses = planned.node_misses
         answer.additions_processed = planned.additions_processed
-        self.result_cache.put(
-            answer.key(), [values.copy() for values in answer.values]
-        )
+        self.result_cache.put(answer.key(), answer.values)
         return answer
 
     def _evaluate_offline(self, view: _ReadView, first: int,

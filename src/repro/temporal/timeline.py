@@ -4,9 +4,10 @@ The engine produces one result document per spec, carrying NumPy
 arrays; this module round-trips them through JSON.  The encoding rules
 are fixed so two runs over the same data serialise byte-identically:
 
-* float vectors use the service's infinity convention — ``inf`` /
-  ``-inf`` become the strings ``"inf"`` / ``"-inf"`` (JSON has no
-  infinities), everything else a plain float;
+* float vectors use the service's one row codec
+  (:func:`repro.core.results.encode_float_row`) — non-finite cells
+  become the strings ``"inf"`` / ``"-inf"`` / ``"nan"`` (JSON has none),
+  everything else a plain float;
 * integer vectors (versions, counts) stay plain integers;
 * :func:`dumps_stable` serialises with sorted keys and compact
   separators, so the byte stream is a function of the content alone.
@@ -19,21 +20,19 @@ guessed from the payload.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
+from repro.core.results import decode_float_row, encode_float_row
 from repro.errors import ProtocolError
 from repro.temporal.plan import INT_AGGREGATES
 
 __all__ = [
     "TemporalAnswer",
-    "decode_float_vector",
     "decode_results",
     "dumps_stable",
-    "encode_float_vector",
     "encode_results",
 ]
 
@@ -55,27 +54,6 @@ class TemporalAnswer:
     ranges_evaluated: int = 0
     snapshots_scanned: int = 0
     epoch: int = 0
-
-
-def encode_float_vector(vector: Sequence[float]) -> List[Any]:
-    """Float vector → JSON-safe list (infinities as strings)."""
-    row: List[Any] = []
-    for value in map(float, vector):
-        if math.isinf(value):
-            row.append("inf" if value > 0 else "-inf")
-        else:
-            row.append(value)
-    return row
-
-
-def decode_float_vector(row: Sequence[Any]) -> np.ndarray:
-    """Inverse of :func:`encode_float_vector`, back to float64."""
-    try:
-        return np.asarray([float(value) for value in row], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"malformed temporal value vector: {exc}"
-        ) from exc
 
 
 def _int_list(vector: Sequence[int]) -> List[int]:
@@ -115,7 +93,7 @@ def encode_results(results: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     for result in results:
         doc = dict(result)
         for name in _float_fields(result):
-            doc[name] = encode_float_vector(result[name])
+            doc[name] = encode_float_row(result[name])
         for name in _int_fields(result):
             doc[name] = _int_list(result[name])
         encoded.append(doc)
@@ -132,7 +110,7 @@ def decode_results(encoded: Any) -> List[Dict[str, Any]]:
             raise ProtocolError("each temporal result must be a JSON object")
         result = dict(doc)
         for name in _float_fields(doc):
-            result[name] = decode_float_vector(doc.get(name, []))
+            result[name] = decode_float_row(doc.get(name, []))
         for name in _int_fields(doc):
             result[name] = np.asarray(doc.get(name, []), dtype=np.int64)
         decoded.append(result)

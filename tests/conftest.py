@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.algorithms.registry import get_algorithm
 from repro.evolving.generator import generate_evolving_graph
@@ -18,6 +19,14 @@ from repro.graph.weights import HashWeights
 from repro.kickstarter.engine import static_compute
 
 ALL_ALGORITHMS = ("BFS", "SSSP", "SSWP", "SSNP", "Viterbi")
+
+# A red property or fuzz test must replay exactly (ROADMAP aim 3): under
+# CI (GitHub Actions sets ``CI``) examples are derived from the test, not
+# from a random seed, and a failure prints its reproduction blob.
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Storm tests are the hardest to debug from a red X alone.  When
 # REPRO_ARTIFACT_DIR is set (CI exports it), a failing chaos/fleet test

@@ -33,6 +33,7 @@ class TestBasics:
         with fleet.client() as client:
             assert client.ping()
             status = client.status()
+        assert status["wire_version"] == 2
         info = status["fleet"]
         assert sorted(info["replicas"]) == [
             "replica-0", "replica-1", "replica-2",

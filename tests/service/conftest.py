@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.evolving.delta import DeltaBatch
@@ -38,6 +39,21 @@ def valid_batch(store, n_add: int = 2, n_del: int = 1) -> DeltaBatch:
         additions=EdgeSet.from_pairs(additions),
         deletions=EdgeSet.from_pairs(deletions),
     )
+
+
+def seeded_answer(snapshots=16, vertices=4096, changed=100, seed=3):
+    """A full-window-sized answer: SSSP-like distances, ``changed`` cells
+    moving per snapshot, a tenth of the vertices unreached."""
+    rng = np.random.default_rng(seed)
+    row = rng.integers(0, 64, vertices).astype(np.float64)
+    row[rng.random(vertices) < 0.1] = np.inf
+    rows = [row]
+    for _ in range(snapshots - 1):
+        row = row.copy()
+        moved = rng.choice(vertices, changed, replace=False)
+        row[moved] = np.where(np.isinf(row[moved]), 7.0, row[moved] + 1.0)
+        rows.append(row)
+    return rows
 
 
 @pytest.fixture(scope="session")

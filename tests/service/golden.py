@@ -9,6 +9,11 @@ was captured at the commit *before* the request path was collapsed
 into one op table / one gated hop / one read walk / one settle, and
 ``test_golden_transcript.py`` replays it against the current code: a
 refactor of that path must leave every byte a client sees unchanged.
+It has been regenerated once since, for wire version 2 (query ``values``
+became base + sparse changes): the 31 entries carrying ``values`` were
+re-spelled — each decodes ``array_equal`` to its old payload — and the
+other 85 entries, like every field outside ``values``, stayed
+byte-identical.
 
 Determinism: server, replicas, router and the driving client all share
 *one* event loop, so arrival order is the order the scenario awaits

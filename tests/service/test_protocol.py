@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.results import compact_range, encode_float_row, expand_range
 from repro.errors import ProtocolError
-from repro.service import protocol
+from repro.service import ServiceClient, protocol
+
+from tests.service.conftest import seeded_answer
 
 
 class TestFraming:
@@ -159,43 +162,175 @@ class TestIngestParsing:
         assert batch.size == 3
 
 
+_EDGE_CELLS = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
+               2.2250738585072014e-308, 1e308, -1e308]
+_cells = st.one_of(st.floats(allow_nan=False), st.sampled_from(_EDGE_CELLS))
+
+
+@st.composite
+def value_matrices(draw, cells=_cells, dtype=np.float64):
+    """k x V rows, k >= 1, V >= 0; a later row repeats the one before
+    it, changes every cell, or changes a few."""
+    width = draw(st.integers(0, 8))
+    row = st.lists(cells, min_size=width, max_size=width)
+    rows = [draw(row)]
+    for _ in range(draw(st.integers(0, 4))):
+        step = draw(st.sampled_from(("same", "all", "some")))
+        if step == "same":
+            rows.append(list(rows[-1]))
+        elif step == "all":
+            rows.append(draw(row))
+        else:
+            rows.append([draw(cells) if draw(st.booleans()) else cell
+                         for cell in rows[-1]])
+    return [np.asarray(r, dtype=dtype) for r in rows]
+
+
+def bits(vector):
+    return vector.view(np.int64).tolist()
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for index, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == np.float64
+        assert bits(g) == bits(w)
+        # Rows are independent: none aliases the input or a sibling.
+        assert not any(np.shares_memory(g, other)
+                       for other in [*want, *got[:index]])
+
+
+def through_the_wire(vectors):
+    """Full trip through JSON framing, exactly as the server sends it."""
+    line = protocol.encode_line({"values": protocol.encode_values(vectors)})
+    return protocol.decode_values(protocol.decode_line(line)["values"])
+
+
 class TestValueEncoding:
     def test_infinities_become_strings(self):
         encoded = protocol.encode_values(
-            [np.array([1.5, np.inf, -np.inf])]
+            [np.array([1.5, np.inf, -np.inf, np.nan])]
         )
-        assert encoded == [[1.5, "inf", "-inf"]]
+        assert encoded == {"base": [1.5, "inf", "-inf", "nan"], "changes": []}
+
+    def test_later_snapshots_ship_only_changed_cells(self):
+        encoded = protocol.encode_values([
+            np.array([0.0, 2.0, np.inf, 5.0]),
+            np.array([0.0, 2.0, 7.0, 5.0]),
+            np.array([0.0, 2.0, 7.0, 5.0]),
+        ])
+        assert encoded == {"base": [0.0, 2.0, "inf", 5.0],
+                           "changes": [[[2], [7.0]], [[], []]]}
 
     def test_roundtrip_exact(self):
         vectors = [
             np.array([0.0, 1.0, np.inf]),
             np.array([0.1 + 0.2, -np.inf, 1e-300]),
+            np.array([-0.0, -np.inf, 5e-324]),
         ]
-        decoded = protocol.decode_values(protocol.encode_values(vectors))
-        assert len(decoded) == len(vectors)
-        for got, want in zip(decoded, vectors):
-            assert got.dtype == np.float64
-            assert np.array_equal(got, want)
+        assert_bit_identical(through_the_wire(vectors), vectors)
 
-    @given(st.lists(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.just(math.inf), st.just(-math.inf),
-            ),
-            max_size=8,
-        ),
-        max_size=4,
-    ))
-    def test_roundtrip_property(self, rows):
-        vectors = [np.asarray(row, dtype=np.float64) for row in rows]
-        # Full trip through JSON framing, exactly as the server sends it.
-        line = protocol.encode_line(
-            {"values": protocol.encode_values(vectors)}
+    @given(value_matrices())
+    def test_roundtrip_property(self, vectors):
+        assert_bit_identical(through_the_wire(vectors), vectors)
+
+    @given(value_matrices(cells=st.integers(-2**63, 2**63 - 1),
+                          dtype=np.int64))
+    def test_compact_form_keeps_every_bit_pattern(self, patterns):
+        # In process (the result cache) even NaN payloads survive; the
+        # wire canonicalises them to the one "nan".
+        vectors = [row.view(np.float64) for row in patterns]
+        assert_bit_identical(expand_range(compact_range(vectors)), vectors)
+
+    def test_compact_answer_is_a_fraction_of_the_dense_one(self):
+        answer = seeded_answer()
+        dense = protocol.encode_line(
+            {"values": [encode_float_row(row) for row in answer]}
         )
-        decoded = protocol.decode_values(protocol.decode_line(line)["values"])
-        for got, want in zip(decoded, vectors):
-            assert np.array_equal(got, want)
+        line = protocol.encode_line({"values": protocol.encode_values(answer)})
+        assert len(line) * 5 <= len(dense)
+        assert_bit_identical(through_the_wire(answer), answer)
+
+
+def _payload(base=(1.0, 2.0), changes=([[0], [3.0]],)):
+    return {"base": list(base), "changes": [list(c) for c in changes]}
+
+
+#: One malformed ``values`` payload per way of being malformed.
+MALFORMED_VALUES = {
+    "not an object": 7,
+    "legacy rows of text": [["abc"]],
+    "legacy rows of null": [[None]],
+    "legacy flat list": [5],
+    "legacy nested rows": [[[1]]],
+    "missing base": {"changes": []},
+    "missing changes": {"base": [1.0]},
+    "base not a list": {"base": "inf", "changes": []},
+    "changes not a list": {"base": [1.0], "changes": {}},
+    "change not a pair": _payload(changes=([[0], [3.0], []],)),
+    "change not a list": _payload(changes=("ab",)),
+    "indices not a list": _payload(changes=([0, [3.0]],)),
+    "values not a list": _payload(changes=([[0], 3.0],)),
+    "float index": _payload(changes=([[0.0], [3.0]],)),
+    "boolean index": _payload(changes=([[True], [3.0]],)),
+    "negative index": _payload(changes=([[-1], [3.0]],)),
+    "index past the base": _payload(changes=([[2], [3.0]],)),
+    "huge index": _payload(changes=([[10**30], [3.0]],)),
+    "more indices than values": _payload(changes=([[0, 1], [3.0]],)),
+    "more values than indices": _payload(changes=([[0], [3.0, 4.0]],)),
+    "text cell": _payload(base=(1.0, "abc")),
+    "numeric text cell": _payload(base=(1.0, "2.0")),
+    "unknown infinity spelling": _payload(base=(1.0, "Infinity")),
+    "bare non-finite number": _payload(base=(1.0, math.inf)),
+    "null cell": _payload(base=(1.0, None)),
+    "null changed cell": _payload(changes=([[0], [None]],)),
+    "boolean cell": _payload(base=(1.0, True)),
+    "nested cell": _payload(base=(1.0, [2.0])),
+    "object cell": _payload(base=(1.0, {})),
+    "integer too large for a float": _payload(base=(1.0, 10**400)),
+}
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["inf", "-inf", "nan"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["base", "changes", "x"]), children),
+    max_leaves=12,
+)
+#: Payloads of the right outer shape, so the fuzz reaches the row and
+#: index checks instead of dying at "not an object".
+_shaped = st.fixed_dictionaries({
+    "base": st.lists(_json, max_size=4),
+    "changes": st.lists(st.lists(st.lists(_json, max_size=3), max_size=3),
+                        max_size=3),
+})
+
+
+class TestMalformedValues:
+    """A bad ``values`` payload is a :class:`ProtocolError`, whatever its
+    shape — never a ``ValueError``/``TypeError``, never silently NaN."""
+
+    @pytest.mark.parametrize("payload", MALFORMED_VALUES.values(),
+                             ids=MALFORMED_VALUES.keys())
+    def test_refused_with_a_protocol_error(self, payload):
+        with pytest.raises(ProtocolError):
+            ServiceClient.decode_values(payload)
+
+    @given(st.binary(max_size=64))
+    def test_fuzz_decode_line(self, line):
+        try:
+            assert isinstance(protocol.decode_line(line), dict)
+        except ProtocolError:
+            pass
+
+    @given(_json | _shaped)
+    def test_fuzz_decode_values(self, payload):
+        try:
+            decoded = protocol.decode_values(payload)
+        except ProtocolError:
+            return
+        assert decoded and all(row.dtype == np.float64 and row.ndim == 1
+                               for row in decoded)
 
 
 class TestOpTable:

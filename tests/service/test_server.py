@@ -18,8 +18,9 @@ import pytest
 from repro import faults
 from repro.algorithms.registry import get_algorithm
 from repro.cli import main
+from repro.core.results import decode_float_row
 from repro.resilience import RetryPolicy
-from repro.service import ServiceClient, ServiceConfig, ServiceRunner
+from repro.service import ServiceClient, ServiceConfig, ServiceRunner, protocol
 
 from tests.conftest import assert_values_equal, oracle_values
 from tests.service.conftest import valid_batch
@@ -66,6 +67,7 @@ class TestBasicOps:
         assert status["serving"] is True
         assert status["epoch"] == 0
         assert status["num_snapshots"] == 5
+        assert status["wire_version"] == protocol.WIRE_VERSION == 2
         assert set(status["server"]) >= {
             "connections", "requests", "queries", "coalesced", "ingests",
             "retried", "degraded", "errors",
@@ -352,16 +354,26 @@ class TestCLIAgainstLiveServer:
         assert "BFS from 0" in out
         assert "version" in out
 
-    def test_query_command_json(self, runner, capsys):
-        code = main([
-            "query", "--connect", f"127.0.0.1:{runner.port}",
-            "--algorithm", "SSSP", "--source", "1", "--json",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["algorithm"] == "SSSP"
-        assert len(payload["values"]) == 5
+    def test_query_command_json(self, runner, capsys, service_store,
+                                service_weights):
+        # SSWP's source value is +inf: it must not print like an
+        # unreached vertex (the old output spelled both as null).
+        for algorithm in ("SSSP", "SSWP"):
+            code = main([
+                "query", "--connect", f"127.0.0.1:{runner.port}",
+                "--algorithm", algorithm, "--source", "1", "--json",
+            ])
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["ok"] is True
+            assert payload["algorithm"] == algorithm
+            # One dense row per snapshot, in the documented row spelling.
+            expected = offline_values(service_store, service_weights,
+                                      algorithm, 1, 0, 4)
+            assert len(payload["values"]) == len(expected) == 5
+            for row, want in zip(payload["values"], expected):
+                assert_values_equal(decode_float_row(row), want, algorithm)
+        assert payload["values"][0][1] == "inf"
 
     def test_query_command_reports_server_errors(self, runner, capsys):
         code = main([

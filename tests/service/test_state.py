@@ -10,7 +10,7 @@ from repro.evolving.store import SnapshotStore
 from repro.service import ServiceState
 
 from tests.conftest import assert_values_equal
-from tests.service.conftest import valid_batch
+from tests.service.conftest import seeded_answer, valid_batch
 
 
 def assert_decompositions_equal(a, b, context=""):
@@ -210,10 +210,26 @@ class TestQueries:
         assert service_state.result_cache.stats.hits == 1
 
     def test_cached_answer_is_a_defensive_copy(self, service_state):
-        first = service_state.query("SSSP", 0)
-        first.values[0][:] = -1.0
-        again = service_state.query("SSSP", 0)
-        assert not (again.values[0] == -1.0).all()
+        cold = service_state.query("SSSP", 0)
+        planned = [row.copy() for row in cold.values]
+        for scribbled in (cold, service_state.query("SSSP", 0)):
+            for row in scribbled.values:
+                row[:] = -1.0
+            hit = service_state.query("SSSP", 0)
+            assert hit.from_cache
+            for got, want in zip(hit.values, planned):
+                assert_values_equal(got, want, "hit after a scribble")
+
+    def test_cache_entries_are_base_plus_sparse_changes(self, service_state):
+        # A full-window-sized answer with 100 cells moving per snapshot
+        # is held in under an eighth of its 16 x 4096 x 8 dense bytes.
+        answer = seeded_answer()
+        service_state.result_cache.put("key", answer)
+        base, changes = service_state.result_cache._entries["key"]
+        held = base.nbytes + sum(i.nbytes + v.nbytes for i, v in changes)
+        assert held * 8 <= 16 * 4096 * 8
+        for got, want in zip(service_state.result_cache.get("key"), answer):
+            assert_values_equal(got, want, "expanded entry")
 
     def test_overlapping_query_reuses_node_states(self, service_state):
         service_state.query("SSSP", 0, first=0, last=3)
