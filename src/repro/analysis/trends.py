@@ -19,9 +19,8 @@ from repro.algorithms.base import MonotonicAlgorithm
 from repro.analysis.metrics import Metric, evaluate_metric
 from repro.bench.reporting import render_chart, render_table
 from repro.core.common import CommonGraphDecomposition
-from repro.core.engine import WorkSharingEvaluator
+from repro.core.engine import WorkSharingEvaluator, planned_schedule
 from repro.core.steiner import schedule_builder
-from repro.core.triangular_grid import TriangularGrid
 from repro.evolving.snapshots import EvolvingGraph
 from repro.graph.weights import WeightFn
 
@@ -103,8 +102,7 @@ class TrendTracker:
         self.source = source
         self.weight_fn = weight_fn
         self.strategy = strategy
-        # Resolved here so an unknown name fails at construction.
-        self._build_schedule = schedule_builder(strategy)
+        schedule_builder(strategy)  # an unknown name fails at construction
         self._decomposition: Optional[CommonGraphDecomposition] = None
 
     @property
@@ -122,10 +120,12 @@ class TrendTracker:
         """Evaluate the query and reduce each snapshot to metric values."""
         if last < 0:
             last += self.evolving.num_snapshots
-        window = self.decomposition.restrict(first, last)
         result = WorkSharingEvaluator(
-            window, self.algorithm, self.source, weight_fn=self.weight_fn,
-            schedule=self._build_schedule(TriangularGrid(window)),
+            self.decomposition, self.algorithm, self.source,
+            weight_fn=self.weight_fn,
+            schedule=planned_schedule(self.decomposition, self.strategy,
+                                      first, last),
+            first=first, last=last,
         ).run()
         report = TrendReport(first_snapshot=first)
         for metric in metrics:

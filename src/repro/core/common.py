@@ -12,12 +12,20 @@ common graph of a consecutive range ``i..j`` is
 ``Gc ∪ interval_surplus(i, j)`` where ``interval_surplus(i, j) =
 ⋂_{t∈[i,j]} surplus_t`` — all the interesting set algebra happens on
 the *small* surplus sets, never on full edge sets.
+
+A decomposition also owns the **plan**: everything an evaluation needs
+that does not depend on the query (§3.2, §4.1 — the schedule is built
+once per window, the common graph and every Δ batch are stored as CSRs
+once).  :meth:`CommonGraphDecomposition.plan` memoises it beside the
+interval surpluses; :mod:`repro.core.engine` says what goes in.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import SnapshotError
 from repro.graph.csr import CSRGraph
@@ -35,11 +43,11 @@ class CommonGraphDecomposition:
 
     Build with :meth:`from_evolving` or :meth:`from_snapshots`.
 
-    The interval-surplus memo is guarded by a lock, so a decomposition
-    may be shared by concurrent readers (``interval_surplus`` /
-    ``restrict`` / ``extended`` from several threads); the common graph
-    and the surplus lists themselves are never mutated after
-    construction.
+    The interval-surplus memo and the plan memo are guarded by a lock,
+    so a decomposition may be shared by concurrent readers
+    (``interval_surplus`` / ``plan`` / ``restrict`` / ``extended`` from
+    several threads); the common graph and the surplus lists themselves
+    are never mutated after construction.
     """
 
     def __init__(
@@ -57,7 +65,8 @@ class CommonGraphDecomposition:
         self.common = common
         self.surpluses: List[EdgeSet] = list(surpluses)
         self._interval_cache: Dict[Tuple[int, int], EdgeSet] = {}  # guarded-by: _cache_lock
-        # Guards _interval_cache only: lazy memo inserts race with the
+        self._plan: Dict[Hashable, Any] = {}  # guarded-by: _cache_lock
+        # Guards the two memos only: lazy inserts race with the
         # snapshot-iterations in extended()/restrict() when queries and
         # ingest share one decomposition.  Never held while computing.
         self._cache_lock = threading.Lock()
@@ -88,12 +97,15 @@ class CommonGraphDecomposition:
         touched = EdgeSet.empty()
         for batch in evolving.batches:
             touched = touched | batch.additions | batch.deletions
-        common = evolving.snapshot_edges(0) - touched
-        surpluses = [
-            evolving.snapshot_edges(i) - common
-            for i in range(evolving.num_snapshots)
-        ]
-        return cls(evolving.num_vertices, common, surpluses)
+        base = evolving.snapshot_edges(0)
+        # No touched edge is ever common, so the stream can be replayed
+        # on the surpluses alone (surplus_t = E_t ∩ touched): a batch
+        # validates against the surplus exactly as it would against the
+        # full snapshot, and no snapshot is materialised.
+        surpluses = [base & touched]
+        for batch in evolving.batches:
+            surpluses.append(batch.apply(surpluses[-1], strict=evolving.strict))
+        return cls(evolving.num_vertices, base - touched, surpluses)
 
     # -- incremental growth -------------------------------------------------
     def extended(self, new_edges: EdgeSet) -> "CommonGraphDecomposition":
@@ -210,6 +222,25 @@ class CommonGraphDecomposition:
                     surplus - range_surplus
                 )
         return result
+
+    # -- the plan ---------------------------------------------------------------
+    def plan(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The memoised query-independent value ``key`` names.
+
+        ``build()`` runs on a miss, outside the lock; of two threads
+        that race to the same key both get the value stored first.  The
+        memo is bounded the way the grid is — schedules by (strategy,
+        range), node graphs by grid node, batches by the tree edges of
+        those schedules — and dies with the decomposition: ``extended``
+        and ``restrict`` return one with an empty plan.
+        """
+        with self._cache_lock:
+            held = self._plan.get(key)
+        if held is not None:
+            return held
+        value = build()
+        with self._cache_lock:
+            return self._plan.setdefault(key, value)
 
     # -- materialisation -----------------------------------------------------
     def common_csr(self, weight_fn: Optional[WeightFn] = None) -> CSRGraph:

@@ -38,6 +38,9 @@ class DirectHopEvaluator(WorkSharingEvaluator):
         source: int,
         weight_fn: Optional[WeightFn] = None,
         mode: str = "auto",
+        first: int = 0,
+        last: Optional[int] = None,
     ) -> None:
         super().__init__(decomposition, algorithm, source,
-                         weight_fn=weight_fn, mode=mode)
+                         weight_fn=weight_fn, mode=mode,
+                         first=first, last=last)

@@ -76,29 +76,23 @@ def greedy_steiner(grid: TriangularGrid, compress: bool = True) -> ScheduleTree:
     """Nearest-terminal greedy Steiner tree (Algorithm 1, step 2).
 
     With ``compress=True`` the bypass step (Algorithm 1, step 3) is
-    applied before returning.
+    applied before returning.  A round costs one pass over the
+    uncovered leaves plus, per node its path adds, the leaves that node
+    spans.
     """
     tree = ScheduleTree(root=grid.root)
-    uncovered = [leaf for leaf in grid.leaves if leaf != grid.root]
-    while uncovered:
-        # For each uncovered leaf, its cheapest anchor is the tree node
-        # containing it with the largest surplus (telescoping weights).
-        best: Optional[Tuple[int, Interval, Interval]] = None
-        tree_nodes = tree.nodes
-        for leaf in uncovered:
-            leaf_size = grid.surplus_size(leaf)
-            anchor = None
-            anchor_size = -1
-            for node in tree_nodes:
-                if TriangularGrid.contains(node, leaf):
-                    size = grid.surplus_size(node)
-                    if size > anchor_size:
-                        anchor, anchor_size = node, size
-            assert anchor is not None  # the root contains everything
-            cost = leaf_size - anchor_size
-            if best is None or cost < best[0]:
-                best = (cost, anchor, leaf)
-        _, anchor, leaf = best
+    # A leaf's cheapest anchor is the tree node containing it with the
+    # largest surplus (telescoping weights), the first in node order
+    # among equals: the minimum of (-size, node).  It is kept per
+    # uncovered leaf and updated against the nodes each committed path
+    # adds, never rescanned against the whole tree.
+    root_key = (-grid.surplus_size(grid.root), grid.root)
+    anchors = {leaf: root_key for leaf in grid.leaves if leaf != grid.root}
+    leaf_size = {leaf: grid.surplus_size(leaf) for leaf in anchors}
+    while anchors:
+        # Cheapest leaf, the first in leaf order among equals.
+        leaf = min(anchors, key=lambda x: leaf_size[x] + anchors[x][0])
+        _, anchor = anchors.pop(leaf)
         path = _descend_path(grid, anchor, leaf)
         # Commit the path; if it runs through an existing tree node,
         # restart from there (those prefix edges would be redundant).
@@ -109,7 +103,10 @@ def greedy_steiner(grid: TriangularGrid, compress: bool = True) -> ScheduleTree:
         for parent, child in zip(path[last_known:], path[last_known + 1:]):
             if not tree.contains_node(child):
                 tree.add_edge(parent, child)
-        uncovered.remove(leaf)
+                key = (-grid.surplus_size(child), child)
+                for x in range(child[0], child[1] + 1):
+                    if (x, x) in anchors and key < anchors[(x, x)]:
+                        anchors[(x, x)] = key
     if compress:
         tree = tree.compressed(grid)
     tree.validate(grid)

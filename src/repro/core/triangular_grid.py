@@ -32,33 +32,55 @@ Interval = Tuple[int, int]
 
 
 class TriangularGrid:
-    """Triangular Grid over a :class:`CommonGraphDecomposition`."""
+    """Triangular Grid over a :class:`CommonGraphDecomposition`.
+
+    :meth:`subgrid` gives the grid below one node, in the same
+    coordinates: a snapshot range is evaluated on the sub-grid rooted at
+    its ICG, with no second decomposition.
+    """
 
     def __init__(self, decomposition: CommonGraphDecomposition) -> None:
         self.decomposition = decomposition
+        self.first = 0
         self.n = decomposition.num_snapshots
+
+    def subgrid(self, first: int, last: int) -> "TriangularGrid":
+        """The grid rooted at node ``(first, last)``, leaves ``first..last``.
+
+        Every surplus in it exceeds the one a
+        :meth:`~CommonGraphDecomposition.restrict`-ed decomposition
+        would report by the same set, ``surplus((first, last))``, so
+        labels and weights — and therefore schedules, which compare only
+        weight differences — are the restricted grid's, shifted by
+        ``first``.
+        """
+        self._check((first, last))
+        sub = TriangularGrid(self.decomposition)
+        sub.first, sub.n = first, last - first + 1
+        return sub
 
     # -- structure ----------------------------------------------------------
     @property
     def root(self) -> Interval:
-        return (0, self.n - 1)
+        return (self.first, self.first + self.n - 1)
 
     @property
     def leaves(self) -> List[Interval]:
-        return [(i, i) for i in range(self.n)]
+        return [(i, i) for i in range(self.first, self.first + self.n)]
 
     def is_node(self, node: Interval) -> bool:
         i, j = node
-        return 0 <= i <= j < self.n
+        return self.first <= i <= j < self.first + self.n
 
     def _check(self, node: Interval) -> None:
         if not self.is_node(node):
-            raise ScheduleError(f"{node} is not a node of a {self.n}-snapshot TG")
+            raise ScheduleError(
+                f"{node} is not a node of the TG rooted at {self.root}")
 
     def nodes(self) -> Iterator[Interval]:
         """All nodes, root first (longest intervals first)."""
         for span in range(self.n - 1, -1, -1):
-            for i in range(self.n - span):
+            for i in range(self.first, self.first + self.n - span):
                 yield (i, i + span)
 
     def num_nodes(self) -> int:
@@ -79,9 +101,9 @@ class TriangularGrid:
         self._check(node)
         i, j = node
         result = []
-        if i > 0:
+        if i > self.first:
             result.append((i - 1, j))
-        if j < self.n - 1:
+        if j < self.first + self.n - 1:
             result.append((i, j + 1))
         return result
 

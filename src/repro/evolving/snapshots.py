@@ -31,7 +31,9 @@ class EvolvingGraph:
 
     ``num_snapshots == len(batches) + 1``: snapshot 0 is the base edge
     set; snapshot ``t+1`` is snapshot ``t`` with batch ``t`` applied.
-    Snapshot edge sets are materialised lazily and cached.
+    Snapshot edge sets are materialised lazily and cached.  ``strict``
+    is the stream's strictness: whether every batch must add only new
+    edges and delete only present ones (:meth:`DeltaBatch.apply`).
     """
 
     def __init__(
@@ -47,7 +49,7 @@ class EvolvingGraph:
         self.num_vertices = int(num_vertices)
         self.name = name
         self.batches: List[DeltaBatch] = list(batches)
-        self._strict = strict
+        self.strict = strict
         self._edge_sets: List[Optional[EdgeSet]] = [base] + [None] * len(self.batches)
 
     # -- shape ------------------------------------------------------------
@@ -74,7 +76,7 @@ class EvolvingGraph:
             known -= 1
         edges = self._edge_sets[known]
         for t in range(known, index):
-            edges = self.batches[t].apply(edges, strict=self._strict)
+            edges = self.batches[t].apply(edges, strict=self.strict)
             self._edge_sets[t + 1] = edges
         assert edges is not None
         return edges
@@ -94,7 +96,7 @@ class EvolvingGraph:
         """Extend the stream with one more batch (one more snapshot)."""
         # Validate eagerly so a bad batch does not poison the cache.
         last = self.snapshot_edges(self.num_snapshots - 1)
-        new_edges = batch.apply(last, strict=self._strict)
+        new_edges = batch.apply(last, strict=self.strict)
         if new_edges.max_vertex() >= self.num_vertices:
             raise SnapshotError("batch references vertex out of range")
         self.batches.append(batch)

@@ -126,16 +126,15 @@ class VersionController:
 
         ``first..last`` (inclusive; ``last=-1`` means the latest
         version) selects the window.  The window is evaluated from its
-        own intermediate common graph rather than the global one, so a
-        late, narrow window never pays for history before it — the
-        range-query capability the paper's conclusion calls out.
+        own intermediate common graph rather than the global one (the
+        walk starts at grid node ``(first, last)``), so a late, narrow
+        window never pays for history before it — the range-query
+        capability the paper's conclusion calls out.
         ``result.snapshot_values[k]`` holds version ``first + k``.
         ``strategy`` is any schedule name
         :func:`~repro.core.steiner.build_schedule` knows.
         """
-        from repro.core.engine import WorkSharingEvaluator
-        from repro.core.steiner import build_schedule
-        from repro.core.triangular_grid import TriangularGrid
+        from repro.core.engine import WorkSharingEvaluator, planned_schedule
 
         if last < 0:
             last += self.num_versions
@@ -143,10 +142,11 @@ class VersionController:
             raise SnapshotError(
                 f"invalid range ({first}, {last}) for {self.num_versions} versions"
             )
-        window = self._decomposition.restrict(first, last)
         return WorkSharingEvaluator(
-            window, algorithm, source, weight_fn=self.weight_fn,
-            schedule=build_schedule(TriangularGrid(window), strategy),
+            self._decomposition, algorithm, source, weight_fn=self.weight_fn,
+            schedule=planned_schedule(self._decomposition, strategy,
+                                      first, last),
+            first=first, last=last,
         ).run()
 
     def __repr__(self) -> str:

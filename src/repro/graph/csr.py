@@ -97,10 +97,7 @@ class CSRGraph:
         else:
             fn = weight_fn if weight_fn is not None else UnitWeights()
             weights = fn(sources, targets)
-        counts = np.bincount(sources, minlength=num_vertices)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(num_vertices, indptr, targets, weights)
+        return cls._from_grouped(sources, targets, weights, num_vertices)
 
     @classmethod
     def from_edge_set(
@@ -109,9 +106,30 @@ class CSRGraph:
         num_vertices: int,
         weight_fn: Optional[WeightFn] = None,
     ) -> "CSRGraph":
-        """Build a CSR from an :class:`EdgeSet` (weights from ``weight_fn``)."""
-        src, dst = edges.arrays()
-        return cls.from_edges(src, dst, num_vertices, weight_fn=weight_fn)
+        """Build a CSR from an :class:`EdgeSet` (weights from ``weight_fn``).
+
+        An edge set's codes are sorted, so its edges arrive grouped by
+        source already: no sort, no reordering copies.
+        """
+        sources, targets = edges.arrays()
+        if sources.size and (sources[0] < 0 or sources[-1] >= num_vertices):
+            raise GraphError("edge source out of range")
+        fn = weight_fn if weight_fn is not None else UnitWeights()
+        return cls._from_grouped(sources, targets, fn(sources, targets),
+                                 num_vertices)
+
+    @classmethod
+    def _from_grouped(
+        cls,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        weights: np.ndarray,
+        num_vertices: int,
+    ) -> "CSRGraph":
+        """A CSR from edge arrays whose sources are non-decreasing."""
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=num_vertices), out=indptr[1:])
+        return cls(num_vertices, indptr, targets, weights)
 
     @classmethod
     def empty(cls, num_vertices: int) -> "CSRGraph":

@@ -51,7 +51,7 @@ def encode_edges(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def decode_edges(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Unpack int64 edge codes into ``(sources, targets)`` arrays."""
     codes = np.asarray(codes, dtype=np.int64)
-    return (codes >> _SHIFT).astype(np.int64), (codes & _MASK).astype(np.int64)
+    return codes >> _SHIFT, codes & _MASK
 
 
 class EdgeSet:

@@ -8,7 +8,9 @@ storing them alongside every edge set; any CSR materialised from any
 snapshot, common graph, or delta batch automatically agrees on weights.
 
 :class:`HashWeights` uses a SplitMix64-style integer mix, vectorised
-with NumPy ``uint64`` arithmetic.
+with NumPy ``uint64`` arithmetic.  Weight functions compare and hash by
+their parameters, so equal ones share memoised CSRs
+(:meth:`repro.core.common.CommonGraphDecomposition.plan`).
 """
 
 from __future__ import annotations
@@ -33,18 +35,16 @@ class UnitWeights:
     def __call__(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return np.ones(np.asarray(sources).shape, dtype=np.float64)
 
+    # Weight functions compare by value: they key the per-decomposition
+    # plan memo, and callers construct an equal one per query.
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, UnitWeights)
+
+    def __hash__(self) -> int:
+        return hash(UnitWeights)
+
     def __repr__(self) -> str:
         return "UnitWeights()"
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised SplitMix64 finaliser over uint64 values."""
-    with np.errstate(over="ignore"):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
-    return x
 
 
 class HashWeights:
@@ -66,13 +66,34 @@ class HashWeights:
         self.seed = int(seed)
 
     def __call__(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        src = np.asarray(sources, dtype=np.uint64)
-        dst = np.asarray(targets, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            code = (src << np.uint64(32)) | dst
-            code = code ^ np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
-        mixed = _splitmix64(code)
-        return (mixed % np.uint64(self.max_weight)).astype(np.float64) + 1.0
+        # SplitMix64 finaliser over the packed (u << 32 | v) ^ seed code,
+        # in place: one code array and one scratch, whatever the batch.
+        src = np.asarray(sources, dtype=np.int64).view(np.uint64)
+        dst = np.asarray(targets, dtype=np.int64).view(np.uint64)
+        x = src << np.uint64(32)
+        x |= dst
+        x ^= np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
+        x += np.uint64(0x9E3779B97F4A7C15)
+        scratch = x >> np.uint64(30)
+        x ^= scratch
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        np.right_shift(x, np.uint64(27), out=scratch)
+        x ^= scratch
+        x *= np.uint64(0x94D049BB133111EB)
+        np.right_shift(x, np.uint64(31), out=scratch)
+        x ^= scratch
+        x %= np.uint64(self.max_weight)
+        weights = x.astype(np.float64)
+        weights += 1.0
+        return weights
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, HashWeights)
+                and (self.max_weight, self.seed)
+                == (other.max_weight, other.seed))
+
+    def __hash__(self) -> int:
+        return hash((HashWeights, self.max_weight, self.seed))
 
     def __repr__(self) -> str:
         return f"HashWeights(max_weight={self.max_weight}, seed={self.seed})"

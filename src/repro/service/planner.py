@@ -8,7 +8,10 @@ Triangular-Grid node a schedule visits is cached, keyed by
 ``(algorithm, source, epoch, node)`` in window coordinates, and a later
 query whose schedule passes through a cached node resumes from it —
 no static recompute at the window root, no re-streaming of the path
-above the node.
+above the node.  A range is walked on the window decomposition itself
+(the sub-grid rooted at the range's node), so the walk's nodes *are*
+window nodes, and the schedule, node CSRs and batches every query needs
+come from the decomposition's plan, built once per epoch.
 
 Correctness rests on the same fixpoint property as the paper's
 evaluators: for a monotonic algorithm, the converged state on
@@ -60,18 +63,16 @@ class PlannedAnswer:
 
 @dataclass
 class _EpochView:
-    """The node cache as one walk's store: range-relative nodes in,
+    """The node cache as one walk's store: window nodes in,
     ``(algorithm, source, epoch, window node)`` keys out."""
 
     cache: LRUCache
     algorithm: str
     source: int
     epoch: int
-    first: int
 
     def key(self, node: Interval) -> NodeKey:
-        return (self.algorithm, self.source, self.epoch,
-                (self.first + node[0], self.first + node[1]))
+        return (self.algorithm, self.source, self.epoch, node)
 
     def get(self, node: Interval) -> Optional[VertexState]:
         return self.cache.get(self.key(node))
@@ -115,11 +116,11 @@ class MemoizingPlanner:
                             label=f"{algorithm.name}:{source}",
                             first=first, last=last, epoch=epoch) as plan_span:
             walk = WorkSharingEvaluator(
-                decomposition.restrict(first, last), algorithm, source,
-                weight_fn=self.weight_fn,
+                decomposition, algorithm, source,
+                weight_fn=self.weight_fn, first=first, last=last,
             ).run(
                 store=_EpochView(self.node_cache, algorithm.name, source,
-                                 epoch, first),
+                                 epoch),
                 layer="planner",
             )
             plan_span.annotate(node_hits=walk.node_hits,

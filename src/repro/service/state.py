@@ -503,8 +503,9 @@ class ServiceState:
         from repro.core.engine import WorkSharingEvaluator
 
         result = WorkSharingEvaluator(
-            view.decomposition.restrict(first - view.base, last - view.base),
-            view.algorithm, view.source, weight_fn=self.weight_fn,
+            view.decomposition, view.algorithm, view.source,
+            weight_fn=self.weight_fn,
+            first=first - view.base, last=last - view.base,
         ).run()
         return QueryAnswer(
             algorithm=view.algorithm.name, source=view.source,

@@ -3,15 +3,17 @@
 import random
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.common import CommonGraphDecomposition
-from repro.errors import SnapshotError
+from repro.errors import DeltaError, SnapshotError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.snapshots import EvolvingGraph
 from repro.graph.edgeset import EdgeSet
-from tests.strategies import evolving_graphs
+from tests.strategies import edge_pairs, evolving_graphs
 
 
 def es(*pairs):
@@ -131,6 +133,74 @@ def test_decomposition_invariants_random(eg):
         eg.num_vertices, eg.all_snapshot_edges()
     )
     assert other.common == decomp.common
+
+
+def reference_from_evolving(evolving):
+    """``from_evolving`` as it was before it replayed the stream on the
+    surpluses (verbatim): every snapshot is materialised."""
+    touched = EdgeSet.empty()
+    for batch in evolving.batches:
+        touched = touched | batch.additions | batch.deletions
+    common = evolving.snapshot_edges(0) - touched
+    surpluses = [
+        evolving.snapshot_edges(i) - common
+        for i in range(evolving.num_snapshots)
+    ]
+    return CommonGraphDecomposition(evolving.num_vertices, common, surpluses)
+
+
+@st.composite
+def loose_evolving_graphs(draw):
+    """A non-strict stream: batches add edges that may be present and
+    delete edges that may be absent, over few enough edges that re-adds
+    and re-deletes are the norm."""
+    n, pairs = draw(edge_pairs(max_vertices=5, max_edges=12))
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    batches = []
+    for _ in range(draw(st.integers(0, 5))):
+        picked = draw(st.lists(st.sampled_from(possible), max_size=6,
+                               unique=True))
+        cut = draw(st.integers(0, len(picked)))
+        batches.append(DeltaBatch(additions=EdgeSet.from_pairs(picked[:cut]),
+                                  deletions=EdgeSet.from_pairs(picked[cut:])))
+    return EvolvingGraph(n, EdgeSet.from_pairs(pairs), batches, strict=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(evolving_graphs(max_vertices=6, max_edges=14, max_batches=6),
+                 loose_evolving_graphs()))
+def test_streamed_from_evolving_is_the_materialising_one(eg):
+    """Not ``from_snapshots``: on a non-strict stream a touched edge can
+    sit in every snapshot, and §4.1 still keeps it out of the common graph."""
+    fresh = EvolvingGraph(eg.num_vertices, eg.snapshot_edges(0), eg.batches,
+                          strict=eg.strict)
+    got = CommonGraphDecomposition.from_evolving(fresh)
+    want = reference_from_evolving(eg)
+    assert np.array_equal(got.common.codes, want.common.codes)
+    assert len(got.surpluses) == len(want.surpluses)
+    for a, b in zip(got.surpluses, want.surpluses):
+        assert np.array_equal(a.codes, b.codes)
+    for i in range(eg.num_snapshots):
+        assert got.snapshot_edges(i) == eg.snapshot_edges(i)
+
+
+@pytest.mark.parametrize("bad", [
+    DeltaBatch(additions=es((0, 1))),   # already present
+    DeltaBatch(deletions=es((0, 2))),   # deleted by the batch before
+    DeltaBatch(deletions=es((2, 0))),   # never present
+])
+def test_malformed_strict_batch_still_raises(eg, bad):
+    first = DeltaBatch(additions=es((1, 3)), deletions=es((0, 2)))
+    stream = EvolvingGraph(4, eg.snapshot_edges(1), [first, bad])
+    with pytest.raises(DeltaError) as streamed:
+        CommonGraphDecomposition.from_evolving(stream)
+    with pytest.raises(DeltaError) as materialised:
+        reference_from_evolving(
+            EvolvingGraph(4, eg.snapshot_edges(1), [first, bad]))
+    assert str(streamed.value) == str(materialised.value)
+    # The same stream read non-strictly decomposes.
+    loose = EvolvingGraph(4, eg.snapshot_edges(1), [first, bad], strict=False)
+    assert CommonGraphDecomposition.from_evolving(loose).num_snapshots == 3
 
 
 class TestConcurrentMemoUse:

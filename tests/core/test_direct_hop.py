@@ -37,6 +37,20 @@ class TestDirectHop:
         assert result.timer.seconds("initial_compute") > 0
         assert result.timer.seconds("incremental_add") > 0
 
+    def test_range_hops_from_the_range_icg(self, small_evolving, algorithm):
+        decomp = CommonGraphDecomposition.from_evolving(small_evolving)
+        result = DirectHopEvaluator(decomp, algorithm, 3, weight_fn=WF,
+                                    first=2, last=5).run()
+        assert result.stabilisations == 4
+        restricted = decomp.restrict(2, 5)
+        assert (result.additions_processed
+                == restricted.total_direct_hop_additions())
+        for k, values in enumerate(result.snapshot_values):
+            want = static_compute(
+                small_evolving.snapshot_csr(2 + k, weight_fn=WF), algorithm, 3
+            ).values
+            assert_values_equal(values, want, f"{algorithm.name}@{2 + k}")
+
     def test_keep_values_false(self, small_evolving):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
         result = DirectHopEvaluator(

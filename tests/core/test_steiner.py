@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.common import CommonGraphDecomposition
+from repro.core.schedule import ScheduleTree
 from repro.core.steiner import (
+    _descend_path,
     agglomerative_schedule,
     build_schedule,
     direct_hop_tree,
@@ -13,6 +15,8 @@ from repro.core.steiner import (
 )
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import ScheduleError
+from repro.evolving.generator import generate_evolving_graph
+from repro.graph.generators import rmat_edges
 from tests.strategies import evolving_graphs
 
 
@@ -112,3 +116,60 @@ def test_greedy_properties_random(eg):
             node = tree.parent[node]
             hops += 1
             assert hops <= grid.num_nodes()
+
+
+def reference_greedy_steiner(grid, compress=True):
+    """``greedy_steiner`` as it was before anchors were kept incrementally
+    (verbatim): every round rescans ``uncovered × tree.nodes``."""
+    tree = ScheduleTree(root=grid.root)
+    uncovered = [leaf for leaf in grid.leaves if leaf != grid.root]
+    while uncovered:
+        # For each uncovered leaf, its cheapest anchor is the tree node
+        # containing it with the largest surplus (telescoping weights).
+        best = None
+        tree_nodes = tree.nodes
+        for leaf in uncovered:
+            leaf_size = grid.surplus_size(leaf)
+            anchor = None
+            anchor_size = -1
+            for node in tree_nodes:
+                if TriangularGrid.contains(node, leaf):
+                    size = grid.surplus_size(node)
+                    if size > anchor_size:
+                        anchor, anchor_size = node, size
+            assert anchor is not None  # the root contains everything
+            cost = leaf_size - anchor_size
+            if best is None or cost < best[0]:
+                best = (cost, anchor, leaf)
+        _, anchor, leaf = best
+        path = _descend_path(grid, anchor, leaf)
+        # Commit the path; if it runs through an existing tree node,
+        # restart from there (those prefix edges would be redundant).
+        last_known = max(
+            (k for k, node in enumerate(path) if tree.contains_node(node)),
+            default=0,
+        )
+        for parent, child in zip(path[last_known:], path[last_known + 1:]):
+            if not tree.contains_node(child):
+                tree.add_edge(parent, child)
+        uncovered.remove(leaf)
+    if compress:
+        tree = tree.compressed(grid)
+    tree.validate(grid)
+    return tree
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 50])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_is_the_reference_tree(n, seed):
+    """Same tree, tie-breaks included: few distinct edges and heavy
+    re-adding make equal surplus sizes (the tie cases) common."""
+    eg = generate_evolving_graph(
+        num_vertices=16,
+        base=rmat_edges(scale=4, num_edges=40, seed=seed),
+        num_snapshots=n, batch_size=4, readd_fraction=0.7, seed=seed,
+    )
+    grid = grid_for(eg)
+    for compress in (False, True):
+        assert (greedy_steiner(grid, compress).parent
+                == reference_greedy_steiner(grid, compress).parent)

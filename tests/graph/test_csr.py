@@ -53,6 +53,20 @@ class TestConstruction:
         s, d, w = g.edge_arrays()
         assert np.array_equal(w, fn(s, d))
 
+    def test_from_edge_set_is_from_edges_without_the_sort(self):
+        rng = np.random.default_rng(3)
+        edges = EdgeSet.from_arrays(rng.integers(0, 50, 400),
+                                    rng.integers(0, 50, 400))
+        fn = HashWeights(max_weight=9, seed=2)
+        for weight_fn in (None, fn):
+            assert CSRGraph.from_edge_set(edges, 50, weight_fn=weight_fn) \
+                == CSRGraph.from_edges(*edges.arrays(), 50, weight_fn=weight_fn)
+        assert CSRGraph.from_edge_set(EdgeSet.empty(), 4) == CSRGraph.empty(4)
+        with pytest.raises(GraphError, match="source out of range"):
+            CSRGraph.from_edge_set(EdgeSet.from_pairs([(5, 0)]), 3)
+        with pytest.raises(GraphError, match="target out of range"):
+            CSRGraph.from_edge_set(EdgeSet.from_pairs([(0, 5)]), 3)
+
     def test_weights_and_weight_fn_conflict(self):
         with pytest.raises(GraphError):
             build([(0, 1)], 2, weights=np.array([1.0]), weight_fn=HashWeights())

@@ -57,6 +57,51 @@ class TestHashWeights:
     def test_repr(self):
         assert "max_weight=64" in repr(HashWeights(64, 1))
 
+    @pytest.mark.parametrize("max_weight, seed", [(64, 0), (7, 2**63 + 5)])
+    def test_in_place_mix_is_the_reference(self, max_weight, seed):
+        rng = np.random.default_rng(seed % 1000)
+        src = rng.integers(0, 1 << 31, size=100_000, dtype=np.int64)
+        dst = rng.integers(0, 1 << 31, size=100_000, dtype=np.int64)
+        before = src.copy(), dst.copy()
+        got = HashWeights(max_weight, seed)(src, dst)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, reference_hash_weights(
+            max_weight, seed, src, dst))
+        assert np.array_equal(src, before[0]) and np.array_equal(dst, before[1])
+
+
+def reference_hash_weights(max_weight, seed, sources, targets):
+    """``HashWeights.__call__`` as it was before it mixed in place
+    (verbatim, ``_splitmix64`` included)."""
+    def _splitmix64(x):
+        with np.errstate(over="ignore"):
+            x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+            x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            x = x ^ (x >> np.uint64(31))
+        return x
+
+    src = np.asarray(sources, dtype=np.uint64)
+    dst = np.asarray(targets, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        code = (src << np.uint64(32)) | dst
+        code = code ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    mixed = _splitmix64(code)
+    return (mixed % np.uint64(max_weight)).astype(np.float64) + 1.0
+
+
+class TestValueEquality:
+    def test_equal_parameters_are_one_key(self):
+        assert HashWeights(64, 0) == HashWeights(64, 0)
+        assert hash(HashWeights(64, 0)) == hash(HashWeights(64, 0))
+        assert HashWeights(64, 0) != HashWeights(64, 1)
+        assert HashWeights(64, 0) != HashWeights(8, 0)
+        assert UnitWeights() == UnitWeights()
+        assert hash(UnitWeights()) == hash(UnitWeights())
+        assert UnitWeights() != HashWeights(1, 0)
+        assert len({HashWeights(64, 0), HashWeights(64, 0), UnitWeights(),
+                    UnitWeights(), default_weights()}) == 2
+
 
 def test_default_weights_is_stable():
     a = default_weights()
