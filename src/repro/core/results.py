@@ -13,23 +13,27 @@ from repro.errors import ProtocolError
 from repro.kickstarter.engine import EngineCounters
 from repro.utils import PhaseTimer
 
-__all__ = ["CompactRange", "EvolvingQueryResult", "compact_range",
+__all__ = ["CompactRange", "EvolvingQueryResult", "changed_cells", "compact_range",
            "decode_float_row", "encode_float_row", "expand_range"]
 
 #: Base row + per later snapshot ``(indices, values)`` of the changed cells.
 CompactRange = Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]
 
 
+def changed_cells(previous: np.ndarray, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indices, cells)`` of the float64 ``row`` cells whose *bit pattern*
+    differs from ``previous`` (so ``-0.0``, NaN payloads and denormals
+    survive ``previous.copy()[indices] = cells``); ``cells`` is a copy."""
+    indices = np.flatnonzero(row.view(np.int64) != previous.view(np.int64))
+    return indices, row[indices]
+
+
 def compact_range(values: Sequence[np.ndarray]) -> CompactRange:
-    """k >= 1 snapshot vectors → the first plus, per later snapshot, the
-    cells whose float64 *bit pattern* differs from the snapshot before (so
-    ``-0.0``, NaN and denormals survive :func:`expand_range`); no aliasing."""
+    """k >= 1 snapshot vectors → the first plus, per later snapshot, its
+    :func:`changed_cells` against the snapshot before; no aliasing."""
     rows = [np.asarray(row, dtype=np.float64) for row in values]
-    changes = []
-    for previous, row in zip(rows, rows[1:]):
-        indices = np.flatnonzero(row.view(np.int64) != previous.view(np.int64))
-        changes.append((indices, row[indices]))
-    return rows[0].copy(), changes
+    return rows[0].copy(), [changed_cells(previous, row)
+                            for previous, row in zip(rows, rows[1:])]
 
 
 def expand_range(compact: CompactRange) -> List[np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.edgeset import EdgeSet, decode_edges, encode_edges
 from repro.graph.weights import UnitWeights, WeightFn
-from repro.utils import concat_ranges
+from repro.utils import expand_ranges
 
 __all__ = ["CSRGraph"]
 
@@ -181,10 +181,9 @@ class CSRGraph:
         """
         frontier = np.asarray(frontier, dtype=np.int64)
         starts = self.indptr[frontier]
-        stops = self.indptr[frontier + 1]
-        eidx = concat_ranges(starts, stops)
-        sources = np.repeat(frontier, stops - starts)
-        return sources, self.indices[eidx], self.weights[eidx]
+        lengths = self.indptr[frontier + 1] - starts
+        eidx = expand_ranges(starts, lengths)
+        return np.repeat(frontier, lengths), self.indices[eidx], self.weights[eidx]
 
     # -- derived graphs ---------------------------------------------------
     def transpose(self) -> "CSRGraph":

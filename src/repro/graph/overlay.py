@@ -24,6 +24,16 @@ from repro.graph.edgeset import EdgeSet
 __all__ = ["OverlayGraph"]
 
 
+def _joined(parts: Sequence[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
+    """Per-component parallel-array tuples concatenated field by field.
+    Usually one component holds all of a frontier's edges: its arrays
+    are returned as they are, uncopied (the base's when none has any)."""
+    parts = [part for part in parts if part[0].size] or parts[:1]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 class OverlayGraph:
     """A graph composed of a base CSR and zero or more delta CSRs.
 
@@ -75,24 +85,12 @@ class OverlayGraph:
 
     def neighbors(self, vertex: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(targets, weights)`` of a vertex's out-edges across components."""
-        targets = [c.indices[c.indptr[vertex]:c.indptr[vertex + 1]] for c in self.components]
-        weights = [c.weights[c.indptr[vertex]:c.indptr[vertex + 1]] for c in self.components]
-        return np.concatenate(targets), np.concatenate(weights)
+        return _joined([c.neighbors(vertex) for c in self.components])
 
     # -- engine protocol ----------------------------------------------------
     def gather(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat out-edges of the frontier across all components."""
-        srcs, dsts, ws = [], [], []
-        for component in self.components:
-            s, d, w = component.gather(frontier)
-            if s.size:
-                srcs.append(s)
-                dsts.append(d)
-                ws.append(w)
-        if not srcs:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
+        return _joined([c.gather(frontier) for c in self.components])
 
     def flatten(self) -> CSRGraph:
         """Materialise a single CSR equal to this overlay (for testing)."""

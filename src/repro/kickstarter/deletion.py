@@ -47,8 +47,8 @@ from repro.graph.edgeset import EdgeSet
 from repro.kickstarter.engine import (
     EngineCounters,
     VertexState,
-    push_until_stable,
     seed_edges,
+    stabilise,
 )
 
 __all__ = ["BidirectionalGraph", "trim_and_repair"]
@@ -212,17 +212,8 @@ def trim_and_repair(
 
     # Seed the trimmed region from in-edges whose origin is untagged.
     origins, targets, weights = graph.gather_in(trimmed)
-    if origins.size:
-        valid = ~tagged[origins]
-        frontier = seed_edges(
-            alg,
-            state,
-            origins[valid],
-            targets[valid],
-            weights[valid],
-            counters=counters,
-        )
-    else:
-        frontier = np.empty(0, dtype=np.int64)
-    push_until_stable(graph, alg, state, frontier, counters=counters, mode=mode)
+    valid = ~tagged[origins]
+    frontier = seed_edges(alg, state, origins[valid], targets[valid],
+                          weights[valid], counters=counters)
+    stabilise(graph, alg, state, frontier, counters, mode)
     return int(trimmed.size)

@@ -1,18 +1,30 @@
 """Core push-based computation engine (KickStarter-style).
 
 The engine maintains one value per vertex and propagates improvements
-along out-edges until a fixpoint.  It has two execution modes, matching
-the scheduler policy of §4.3 of the paper:
+along out-edges until a fixpoint.  Every vectorised step in this
+package — a push round, the seeding of a streamed batch
+(:func:`seed_edges`) and a pull round (:mod:`repro.kickstarter.pull`) —
+is one function, :func:`relax`: *filter, then reduce*.  Given parallel
+``(origins, targets, weights)`` it computes the proposals, keeps only
+the edges whose proposal is strictly better than the target's current
+value, scatter-reduces that subset, and reads the changed vertices off
+a boolean mask.  Filtering first gives the same fixpoint, parents and
+counters as scattering everything: the vertices that strictly improve
+in a step, and the best value each receives, are decided by the
+improving proposals alone.  In a converging query few proposals improve
+anything, so the reduce, the parent pass and the frontier all run on a
+small subset — and a NaN proposal, never *better*, is never written.
 
-* **sync** — vectorised rounds: gather all out-edges of the frontier,
-  scatter-reduce proposals, diff values to find the next frontier.
-  Updates take effect in the next round.  Best for large frontiers.
+Two execution modes, matching the scheduler policy of §4.3 of the paper:
+
+* **sync** — vectorised rounds: gather all out-edges of the frontier
+  and :func:`relax` them.  Updates take effect in the next round.
 * **async** — a Python-level worklist where an updated value is visible
-  immediately.  Best for tiny frontiers (small streaming batches),
-  where the fixed per-round cost of the vectorised path dominates.
+  immediately.  It wins only where the fixed cost of a vectorised round
+  (~25 NumPy calls) exceeds a few Python-level vertex visits.
 
-``mode="auto"`` switches between them based on frontier size and is the
-default used by all evaluators.
+``mode="auto"`` switches between them at :data:`ASYNC_THRESHOLD` and is
+the default used by all evaluators.
 
 Optionally the engine tracks, per vertex, the *parent* — the origin of
 the edge whose proposal produced the vertex's current value.  Parents
@@ -36,6 +48,8 @@ __all__ = [
     "GraphLike",
     "EngineCounters",
     "VertexState",
+    "relax",
+    "stabilise",
     "push_until_stable",
     "static_compute",
     "seed_edges",
@@ -45,6 +59,9 @@ __all__ = [
 
 #: Frontier size below which ``mode="auto"`` uses the async worklist.
 ASYNC_THRESHOLD = 32
+
+_NO_VERTICES = np.empty(0, dtype=np.int64)
+_NO_VERTICES.setflags(write=False)
 
 
 class GraphLike(Protocol):
@@ -119,35 +136,51 @@ class VertexState:
         )
 
 
-def _sync_round(
-    graph: GraphLike,
+def _distinct(vertices: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``vertices`` sorted and duplicate-free, through an all-false
+    ``mask`` that is handed back all-false (only the set cells are
+    cleared, so the cost does not grow with a sparse frontier's graph)."""
+    mask[vertices] = True
+    distinct = mask.nonzero()[0]
+    mask[distinct] = False
+    return distinct
+
+
+def relax(
     alg: MonotonicAlgorithm,
     state: VertexState,
-    frontier: np.ndarray,
+    origins: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
     counters: Optional[EngineCounters],
+    mask: np.ndarray,
 ) -> np.ndarray:
-    """One vectorised push round; returns the next frontier."""
-    src, dst, w = graph.gather(frontier)
-    if src.size == 0:
-        return np.empty(0, dtype=np.int64)
-    proposals = alg.proposals(state.values[src], w)
-    before = state.values[dst].copy()
-    alg.reduce_at(state.values, dst, proposals)
-    changed_mask = alg.better(state.values[dst], before)
+    """Run parallel edges through the edge function once; returns the
+    vertices that improved, sorted and duplicate-free.
+
+    ``mask`` is an all-false boolean scratch array over the vertices
+    (see :func:`_distinct`), allocated once per fixpoint by the caller.
+    """
     if counters is not None:
-        counters.edges_relaxed += int(src.size)
-    if not changed_mask.any():
-        return np.empty(0, dtype=np.int64)
+        counters.edges_relaxed += int(origins.size)
+    values = state.values
+    proposals = alg.proposals(values[origins], weights)
+    improving = alg.better(proposals, values[targets]).nonzero()[0]
+    if improving.size == 0:
+        return _NO_VERTICES
+    targets = targets[improving]
+    proposals = proposals[improving]
+    alg.reduce_at(values, targets, proposals)
     if state.parents is not None:
-        # An edge is a winner if its proposal equals the final value of
-        # its target and the target improved this round.  Ties are
-        # broken arbitrarily (later edges overwrite earlier ones).
-        winners = changed_mask & (proposals == state.values[dst])
-        state.parents[dst[winners]] = src[winners]
-    next_frontier = np.unique(dst[changed_mask])
+        # An improving edge is a winner if its proposal is its target's
+        # new value.  Ties are broken arbitrarily (later edges overwrite
+        # earlier ones).
+        winners = proposals == values[targets]
+        state.parents[targets[winners]] = origins[improving][winners]
+    changed = _distinct(targets, mask)
     if counters is not None:
-        counters.vertices_updated += int(next_frontier.size)
-    return next_frontier
+        counters.vertices_updated += int(changed.size)
+    return changed
 
 
 def _async_drain(
@@ -198,7 +231,33 @@ def _async_drain(
                     work.append(v)
                 if counters is not None:
                     counters.vertices_updated += 1
-    return np.empty(0, dtype=np.int64)
+    return _NO_VERTICES
+
+
+def stabilise(
+    graph: GraphLike,
+    alg: MonotonicAlgorithm,
+    state: VertexState,
+    frontier: np.ndarray,
+    counters: Optional[EngineCounters] = None,
+    mode: str = "auto",
+    async_threshold: int = ASYNC_THRESHOLD,
+) -> None:
+    """:func:`push_until_stable` for a frontier that is already sorted
+    and duplicate-free — what :func:`relax` and :func:`seed_edges`
+    return."""
+    if mode not in ("sync", "async", "auto"):
+        raise EngineError(f"unknown mode {mode!r}")
+    mask = np.zeros(graph.num_vertices, dtype=bool)
+    while frontier.size:
+        use_async = mode == "async" or (mode == "auto" and frontier.size < async_threshold)
+        if use_async:
+            spill = np.inf if mode == "async" else 8 * async_threshold
+            frontier = _async_drain(graph, alg, state, frontier, counters, spill)
+        else:
+            if counters is not None:
+                counters.iterations += 1
+            frontier = relax(alg, state, *graph.gather(frontier), counters, mask)
 
 
 def push_until_stable(
@@ -215,18 +274,9 @@ def push_until_stable(
     ``mode`` is ``"sync"``, ``"async"`` or ``"auto"`` (switch by
     frontier size, per the paper's scheduler design).
     """
-    if mode not in ("sync", "async", "auto"):
-        raise EngineError(f"unknown mode {mode!r}")
-    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
-    while frontier.size:
-        use_async = mode == "async" or (mode == "auto" and frontier.size < async_threshold)
-        if use_async:
-            spill = np.inf if mode == "async" else 8 * async_threshold
-            frontier = _async_drain(graph, alg, state, frontier, counters, spill)
-        else:
-            if counters is not None:
-                counters.iterations += 1
-            frontier = _sync_round(graph, alg, state, frontier, counters)
+    frontier = _distinct(np.asarray(frontier, dtype=np.int64),
+                         np.zeros(graph.num_vertices, dtype=bool))
+    stabilise(graph, alg, state, frontier, counters, mode, async_threshold)
 
 
 def static_compute(
@@ -241,9 +291,8 @@ def static_compute(
     with obs.phase_span("kernel", "static_compute"):
         state = VertexState.fresh(alg, graph.num_vertices, source,
                                   track_parents)
-        frontier = np.asarray([source], dtype=np.int64)
-        push_until_stable(graph, alg, state, frontier, counters=counters,
-                          mode=mode)
+        stabilise(graph, alg, state, np.asarray([source], dtype=np.int64),
+                  counters, mode)
         return state
 
 
@@ -255,29 +304,19 @@ def seed_edges(
     weights: np.ndarray,
     counters: Optional[EngineCounters] = None,
 ) -> np.ndarray:
-    """Apply a set of edges once, returning the vertices that improved.
+    """Apply a set of edges once, returning the vertices that improved
+    (sorted, duplicate-free).
 
     This is lines 4–9 of Algorithm 2 in the paper: each streamed edge is
     run through the edge function; destinations that improve are
     scheduled.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if sources.size == 0:
-        return np.empty(0, dtype=np.int64)
-    proposals = alg.proposals(state.values[sources], np.asarray(weights, dtype=np.float64))
-    before = state.values[targets].copy()
-    alg.reduce_at(state.values, targets, proposals)
-    changed_mask = alg.better(state.values[targets], before)
-    if counters is not None:
-        counters.edges_relaxed += int(sources.size)
-    if state.parents is not None:
-        winners = changed_mask & (proposals == state.values[targets])
-        state.parents[targets[winners]] = sources[winners]
-    changed = np.unique(targets[changed_mask])
-    if counters is not None:
-        counters.vertices_updated += int(changed.size)
-    return changed
+    return relax(
+        alg, state, np.asarray(sources, dtype=np.int64),
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(weights, dtype=np.float64), counters,
+        np.zeros(state.values.size, dtype=bool),
+    )
 
 
 def incremental_additions(
@@ -300,5 +339,4 @@ def incremental_additions(
     with obs.phase_span("kernel", "incremental_additions"):
         frontier = seed_edges(alg, state, sources, targets, weights,
                               counters=counters)
-        push_until_stable(graph, alg, state, frontier, counters=counters,
-                          mode=mode)
+        stabilise(graph, alg, state, frontier, counters, mode)

@@ -11,6 +11,8 @@ This module provides a faithful pull engine over the transpose CSR plus
 a density-switching ``direction="auto"`` wrapper.  It is exact for the
 same reason push is: each pull assigns a vertex the best proposal over
 its full in-neighbourhood, and rounds repeat until no value changes.
+A pull round differs from a push round only in which edges it gathers:
+both hand them to :func:`repro.kickstarter.engine.relax`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ import numpy as np
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
-from repro.kickstarter.engine import EngineCounters, VertexState
+from repro.kickstarter.engine import (
+    EngineCounters,
+    VertexState,
+    _distinct,
+    relax,
+)
 
 __all__ = ["pull_until_stable", "static_compute_pull", "DENSE_FRACTION"]
 
@@ -30,32 +37,22 @@ __all__ = ["pull_until_stable", "static_compute_pull", "DENSE_FRACTION"]
 DENSE_FRACTION = 0.35
 
 
-def _pull_round(
+def _pull_step(
+    graph: CSRGraph,
     transpose: CSRGraph,
     alg: MonotonicAlgorithm,
     state: VertexState,
-    candidates: np.ndarray,
+    changed: np.ndarray,
     counters: Optional[EngineCounters],
+    mask: np.ndarray,
 ) -> np.ndarray:
-    """Recompute ``candidates`` from their in-edges; returns changed set."""
+    """Recompute the out-neighbours of ``changed`` — the only vertices
+    whose values can improve — from their in-edges; returns the changed set."""
+    candidates = _distinct(graph.gather(changed)[1], mask)
     # In the transpose, row v holds v's in-edge origins, so a gather
     # returns (pull targets, origins, weights) directly.
     targets, origins, weights = transpose.gather(candidates)
-    if counters is not None:
-        counters.edges_relaxed += int(origins.size)
-    if origins.size == 0:
-        return np.empty(0, dtype=np.int64)
-    proposals = alg.proposals(state.values[origins], weights)
-    before = state.values[targets].copy()
-    alg.reduce_at(state.values, targets, proposals)
-    changed_mask = alg.better(state.values[targets], before)
-    if state.parents is not None:
-        winners = changed_mask & (proposals == state.values[targets])
-        state.parents[targets[winners]] = origins[winners]
-    changed = np.unique(targets[changed_mask])
-    if counters is not None:
-        counters.vertices_updated += int(changed.size)
-    return changed
+    return relax(alg, state, origins, targets, weights, counters, mask)
 
 
 def pull_until_stable(
@@ -66,22 +63,16 @@ def pull_until_stable(
     transpose: Optional[CSRGraph] = None,
     counters: Optional[EngineCounters] = None,
 ) -> None:
-    """Propagate improvements from ``frontier`` using pull rounds.
-
-    Each round pulls the *out-neighbours of the changed set* — the only
-    vertices whose values can improve — from their full in-edge lists.
-    """
+    """Propagate improvements from ``frontier`` using pull rounds."""
     if transpose is None:
         transpose = graph.transpose()
-    changed = np.unique(np.asarray(frontier, dtype=np.int64))
+    mask = np.zeros(graph.num_vertices, dtype=bool)
+    changed = _distinct(np.asarray(frontier, dtype=np.int64), mask)
     while changed.size:
         if counters is not None:
             counters.iterations += 1
-        _, candidates, _ = graph.gather(changed)
-        candidates = np.unique(candidates)
-        if candidates.size == 0:
-            return
-        changed = _pull_round(transpose, alg, state, candidates, counters)
+        changed = _pull_step(graph, transpose, alg, state, changed, counters,
+                             mask)
 
 
 def static_compute_pull(
@@ -101,22 +92,18 @@ def static_compute_pull(
     """
     if direction not in ("pull", "auto"):
         raise EngineError(f"unknown direction {direction!r}")
-    from repro.kickstarter.engine import _sync_round  # shared push round
-
     if transpose is None:
         transpose = graph.transpose()
     state = VertexState.fresh(alg, graph.num_vertices, source, track_parents)
+    mask = np.zeros(graph.num_vertices, dtype=bool)
     changed = np.asarray([source], dtype=np.int64)
     while changed.size:
         if counters is not None:
             counters.iterations += 1
         dense = changed.size > DENSE_FRACTION * graph.num_vertices
         if direction == "pull" or dense:
-            _, candidates, _ = graph.gather(changed)
-            candidates = np.unique(candidates)
-            if candidates.size == 0:
-                break
-            changed = _pull_round(transpose, alg, state, candidates, counters)
+            changed = _pull_step(graph, transpose, alg, state, changed,
+                                 counters, mask)
         else:
-            changed = _sync_round(graph, alg, state, changed, counters)
+            changed = relax(alg, state, *graph.gather(changed), counters, mask)
     return state

@@ -9,6 +9,13 @@ Two caches share this machinery:
   ``(algorithm, source, epoch, (i, j))`` — this is what lets a query
   over an overlapping range resume from another query's interior work.
 
+Neither holds dense vectors per entry: through the ``copy_in`` /
+``copy_out`` hooks a result is stored as *first snapshot + sparse Δ per
+later snapshot* (:func:`repro.core.results.compact_range`) and a node
+state as *its walk's base + sparse Δ*
+(:func:`repro.service.planner.node_state_cache`), so what a hit returns
+is rebuilt fresh and never aliases an entry.
+
 Both keys embed the decomposition *epoch*: every ingest or window
 slide bumps it, so entries from a superseded decomposition can never be
 returned.  Stale-epoch entries are also purged eagerly
@@ -57,8 +64,8 @@ class CacheStats:
 class LRUCache:
     """A small thread-safe LRU map with observable statistics.
 
-    ``copy_in`` / ``copy_out`` (optional) defensively copy values on
-    insert and on hit — the planner mutates states in place, so cached
+    ``copy_in`` / ``copy_out`` (optional) encode values on insert and
+    rebuild them on hit — the planner mutates states in place, so cached
     arrays must never alias live ones.
     """
 

@@ -13,6 +13,12 @@ above the node.  A range is walked on the window decomposition itself
 window nodes, and the schedule, node CSRs and batches every query needs
 come from the decomposition's plan, built once per epoch.
 
+The cache does not hold a dense vector per node.  Most vertices keep
+one value across a snapshot range, so the states one walk stores are
+kept as that walk's *base* — one dense copy of the first state it
+stores, its root on a cold walk — plus, per node, the few cells that
+differ (:func:`node_state_cache`); a hit rebuilds a fresh dense state.
+
 Correctness rests on the same fixpoint property as the paper's
 evaluators: for a monotonic algorithm, the converged state on
 ``ICG(i, j)`` from a given source is *unique*, regardless of which
@@ -27,7 +33,7 @@ that reached it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.common import CommonGraphDecomposition
 from repro.core.engine import WorkSharingEvaluator
+from repro.core.results import changed_cells
 from repro.core.triangular_grid import Interval
 from repro.graph.weights import WeightFn
 # ``static_compute`` is not called here (the walk calls it): the perf
@@ -44,7 +51,7 @@ from repro.graph.weights import WeightFn
 from repro.kickstarter.engine import VertexState, static_compute  # noqa: F401
 from repro.service.cache import LRUCache
 
-__all__ = ["MemoizingPlanner", "PlannedAnswer"]
+__all__ = ["MemoizingPlanner", "PlannedAnswer", "node_state_cache"]
 
 #: Cache key of a converged state at a TG node, in window coordinates.
 NodeKey = Tuple[str, int, int, Interval]
@@ -61,15 +68,51 @@ class PlannedAnswer:
     node_misses: int = 0
 
 
+def _compact_state(anchored: Tuple[np.ndarray, VertexState]) -> Any:
+    """``(base, state)`` → the cache entry ``(base, indices, cells, source)``:
+    ``base`` by reference, the cells where the state's values differ from
+    it copied.  A state with parents stays a dense private copy."""
+    base, state = anchored
+    if state.parents is not None:
+        return state.copy()
+    return (base, *changed_cells(base, state.values), state.source)
+
+
+def _expand_state(entry: Any) -> VertexState:
+    """A fresh dense state from a cache entry; aliases nothing."""
+    if isinstance(entry, VertexState):
+        return entry.copy()
+    base, indices, cells, source = entry
+    values = base.copy()
+    values[indices] = cells
+    return VertexState(values=values, source=source)
+
+
+def node_state_cache(max_entries: int) -> LRUCache:
+    """The node-state cache: ``put`` takes ``(base, state)``, ``get``
+    returns a fresh :class:`VertexState`; an entry is *base + sparse Δ*.
+
+    The states one walk stores differ from each other in a few hundred
+    cells, so they share one dense ``base`` (by reference — evicting any
+    entry cannot orphan another) and each holds only its differing
+    cells.  ``base`` must never be written after the first ``put``.
+    """
+    return LRUCache(max_entries, copy_in=_compact_state,
+                    copy_out=_expand_state)
+
+
 @dataclass
 class _EpochView:
     """The node cache as one walk's store: window nodes in,
-    ``(algorithm, source, epoch, window node)`` keys out."""
+    ``(algorithm, source, epoch, window node)`` keys out.  The first
+    state the walk stores — its root, on a cold walk — is copied once as
+    the ``base`` every entry of this walk is a sparse Δ against."""
 
     cache: LRUCache
     algorithm: str
     source: int
     epoch: int
+    base: Optional[np.ndarray] = None
 
     def key(self, node: Interval) -> NodeKey:
         return (self.algorithm, self.source, self.epoch, node)
@@ -78,7 +121,9 @@ class _EpochView:
         return self.cache.get(self.key(node))
 
     def put(self, node: Interval, state: VertexState) -> None:
-        self.cache.put(self.key(node), state)
+        if self.base is None:
+            self.base = state.values.copy()
+        self.cache.put(self.key(node), (self.base, state))
 
 
 class MemoizingPlanner:
@@ -94,6 +139,7 @@ class MemoizingPlanner:
         node_cache: LRUCache,
         weight_fn: Optional[WeightFn] = None,
     ) -> None:
+        """``node_cache`` is a :func:`node_state_cache`."""
         self.node_cache = node_cache
         self.weight_fn = weight_fn
 

@@ -56,11 +56,10 @@ from repro.errors import ProtocolError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.store import SnapshotStore
 from repro.graph.weights import UnitWeights, WeightFn
-from repro.kickstarter.engine import VertexState
 from repro.livetip import CompactionPolicy, Compactor, LiveTipOverlay
 from repro.livetip.overlay import TipCapture
 from repro.service.cache import LRUCache
-from repro.service.planner import MemoizingPlanner
+from repro.service.planner import MemoizingPlanner, node_state_cache
 from repro.service.status import store_summary
 from repro.temporal.engine import TemporalEngine
 from repro.temporal.plan import TemporalSpec
@@ -176,11 +175,7 @@ class ServiceState:
         # Entries are base + sparse Δ, never k dense vectors or aliases.
         self.result_cache = LRUCache(
             result_cache_entries, copy_in=compact_range, copy_out=expand_range)
-        self.node_cache = LRUCache(
-            node_cache_entries,
-            copy_in=VertexState.copy,
-            copy_out=VertexState.copy,
-        )
+        self.node_cache = node_state_cache(node_cache_entries)
         self.planner = MemoizingPlanner(self.node_cache, self.weight_fn)
         decomposition, base = self._state_from_store()
         #: Absolute version number of the window's first snapshot.

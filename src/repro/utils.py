@@ -1,7 +1,7 @@
 """Small shared utilities: vectorised range concatenation and timers.
 
 These helpers are deliberately dependency-free (NumPy only) and are used
-throughout the graph engines, where ``concat_ranges`` is the core trick
+throughout the graph engines, where ``expand_ranges`` is the core trick
 that makes frontier-based edge gathering a vectorised operation instead
 of a Python loop.
 """
@@ -15,7 +15,17 @@ from typing import Dict, Iterator
 
 import numpy as np
 
-__all__ = ["concat_ranges", "Stopwatch", "PhaseTimer"]
+__all__ = ["concat_ranges", "expand_ranges", "Stopwatch", "PhaseTimer"]
+
+
+def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(starts[k], starts[k] + lengths[k])`` for all
+    ``k`` (``int64`` arrays, ``lengths >= 0``), with no filtering pass: a
+    zero-length range is a zero-length ``repeat``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    # Position p of range k holds starts[k] + (p - offset of range k).
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -39,19 +49,7 @@ def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     stops = np.asarray(stops, dtype=np.int64)
     if starts.shape != stops.shape:
         raise ValueError("starts and stops must have the same shape")
-    lengths = stops - starts
-    mask = lengths > 0
-    if not mask.any():
-        return np.empty(0, dtype=np.int64)
-    starts = starts[mask]
-    lengths = lengths[mask]
-    ends = np.cumsum(lengths)
-    out = np.ones(int(ends[-1]), dtype=np.int64)
-    out[0] = starts[0]
-    # At each boundary between consecutive ranges, jump from the last
-    # element of the previous range to the start of the next one.
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    return np.cumsum(out)
+    return expand_ranges(starts, np.maximum(stops - starts, 0))
 
 
 class Stopwatch:

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.registry import get_algorithm
 from repro.errors import EngineError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
+from repro.graph.mutable import MutableGraph
+from repro.graph.overlay import OverlayGraph
 from repro.graph.weights import HashWeights
 from repro.kickstarter.engine import (
     EngineCounters,
     VertexState,
     push_until_stable,
+    relax,
     seed_edges,
     static_compute,
 )
@@ -180,3 +184,196 @@ def test_static_matches_reference_random(name, ab, source):
     got = static_compute(g, alg, source, mode="auto").values
     want = reference_compute_edgeset(edges, n, alg, source, WF)
     assert_values_equal(got, want, name)
+
+
+# -- the relax step against the rounds it replaced --------------------------------
+#
+# The two functions below are the bodies of ``_sync_round`` and
+# ``seed_edges`` as they stood before the shared relax step (scatter
+# every proposal, diff against a copy, ``np.unique``), kept verbatim as
+# the reference.
+
+def _reference_sync_round(graph, alg, state, frontier, counters):
+    src, dst, w = graph.gather(frontier)
+    if src.size == 0:
+        return np.empty(0, dtype=np.int64)
+    proposals = alg.proposals(state.values[src], w)
+    before = state.values[dst].copy()
+    alg.reduce_at(state.values, dst, proposals)
+    changed_mask = alg.better(state.values[dst], before)
+    if counters is not None:
+        counters.edges_relaxed += int(src.size)
+    if not changed_mask.any():
+        return np.empty(0, dtype=np.int64)
+    if state.parents is not None:
+        winners = changed_mask & (proposals == state.values[dst])
+        state.parents[dst[winners]] = src[winners]
+    next_frontier = np.unique(dst[changed_mask])
+    if counters is not None:
+        counters.vertices_updated += int(next_frontier.size)
+    return next_frontier
+
+
+def _reference_seed_edges(alg, state, sources, targets, weights, counters=None):
+    sources = np.asarray(sources, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if sources.size == 0:
+        return np.empty(0, dtype=np.int64)
+    proposals = alg.proposals(state.values[sources], np.asarray(weights, dtype=np.float64))
+    before = state.values[targets].copy()
+    alg.reduce_at(state.values, targets, proposals)
+    changed_mask = alg.better(state.values[targets], before)
+    if counters is not None:
+        counters.edges_relaxed += int(sources.size)
+    if state.parents is not None:
+        winners = changed_mask & (proposals == state.values[targets])
+        state.parents[targets[winners]] = sources[winners]
+    changed = np.unique(targets[changed_mask])
+    if counters is not None:
+        counters.vertices_updated += int(changed.size)
+    return changed
+
+
+GRAPH_KINDS = ("csr", "overlay", "mutable")
+#: Finite cells sit on a coarse grid so proposals tie often.
+_CELLS = st.sampled_from([np.inf, -np.inf, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.0])
+
+
+@st.composite
+def round_cases(draw):
+    """``(n, edges, split, values, parents, frontier)``: a multigraph with
+    parallel edges and self-loops (its second part goes to the overlay's
+    Δ / the mutable graph's added batch), an arbitrary — not converged —
+    value vector with ±inf and −0.0 cells, and any frontier (most
+    vertices have no path to it)."""
+    n = draw(st.integers(2, 9))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(vertex, vertex, st.sampled_from([1.0, 2.0, 3.0, 5.0])),
+        max_size=40))
+    split = draw(st.integers(0, len(edges)))
+    values = np.array(draw(st.lists(_CELLS, min_size=n, max_size=n)))
+    parents = np.array(draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)),
+                       dtype=np.int64)
+    frontier = np.array(sorted(draw(st.sets(vertex))), dtype=np.int64)
+    return n, edges, split, values, parents, frontier
+
+
+def _csr(edges, n):
+    src, dst, w = (np.array(column) for column in zip(*edges)) if edges else ([], [], [])
+    return CSRGraph.from_edges(src, dst, n, weights=np.asarray(w, dtype=np.float64))
+
+
+def _graph(kind, n, edges, split):
+    if kind == "csr":
+        return _csr(edges, n)
+    if kind == "overlay":
+        return OverlayGraph(_csr(edges[:split], n), (_csr(edges[split:], n),))
+    graph = MutableGraph(_csr(edges[:split], n), weight_fn=WF)
+    present = {(u, v) for u, v, _ in edges[:split]}
+    graph.add_batch(EdgeSet.from_pairs(
+        sorted({(u, v) for u, v, _ in edges[split:]} - present)))
+    return graph
+
+
+def _assert_same_step(new, ref, new_out, ref_out, new_counters, ref_counters):
+    assert np.array_equal(new.values, ref.values)
+    assert (new.parents is None) == (ref.parents is None)
+    if ref.parents is not None:
+        assert np.array_equal(new.parents, ref.parents)
+    assert np.array_equal(new_out, ref_out)
+    assert new_counters == ref_counters
+
+
+@settings(max_examples=60, deadline=None)
+@given(round_cases())
+@pytest.mark.parametrize("track_parents", [False, True])
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_round_matches_reference_round(name, kind, track_parents, case):
+    n, edges, split, values, parents, frontier = case
+    alg = get_algorithm(name)
+    graph = _graph(kind, n, edges, split)
+    ref = VertexState(values.copy(), parents.copy() if track_parents else None)
+    new = ref.copy()
+    ref_counters, new_counters = EngineCounters(), EngineCounters()
+    ref_out = _reference_sync_round(graph, alg, ref, frontier, ref_counters)
+    mask = np.zeros(n, dtype=bool)
+    new_out = relax(alg, new, *graph.gather(frontier), new_counters, mask)
+    _assert_same_step(new, ref, new_out, ref_out, new_counters, ref_counters)
+    assert not mask.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(round_cases())
+@pytest.mark.parametrize("track_parents", [False, True])
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_seed_edges_matches_reference(name, track_parents, case):
+    n, edges, _, values, parents, _ = case
+    alg = get_algorithm(name)
+    batch = [np.array(column) for column in zip(*edges)] if edges else [[], [], []]
+    ref = VertexState(values.copy(), parents.copy() if track_parents else None)
+    new = ref.copy()
+    ref_counters, new_counters = EngineCounters(), EngineCounters()
+    ref_out = _reference_seed_edges(alg, ref, *batch, counters=ref_counters)
+    new_out = seed_edges(alg, new, *batch, counters=new_counters)
+    _assert_same_step(new, ref, new_out, ref_out, new_counters, ref_counters)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestNanProposalNeverWritten:
+    """``ufunc.at`` propagates NaN; a NaN proposal is not *better*, so
+    the filter drops it before the reduce."""
+
+    def test_max_algorithm(self):
+        alg = get_algorithm("Viterbi")
+        state = VertexState(np.array([1.0, 0.5, 0.0]))
+        changed = seed_edges(alg, state, [2], [1], [0.0])  # 0 / 0
+        assert changed.size == 0
+        assert state.values.tolist() == [1.0, 0.5, 0.0]
+
+    def test_min_algorithm(self):
+        alg = get_algorithm("SSSP")
+        state = VertexState(np.array([0.0, 1.0, np.inf]))
+        changed = seed_edges(alg, state, [2], [1], [-np.inf])  # inf - inf
+        assert changed.size == 0
+        assert state.values.tolist() == [0.0, 1.0, np.inf]
+
+    def test_nan_beside_an_improving_edge(self):
+        alg = get_algorithm("Viterbi")
+        state = VertexState(np.array([1.0, 0.25, 0.0]),
+                            np.full(3, -1, dtype=np.int64))
+        changed = seed_edges(alg, state, [2, 0], [1, 1], [0.0, 2.0])
+        assert changed.tolist() == [1]
+        assert state.values.tolist() == [1.0, 0.5, 0.0]
+        assert state.parents.tolist() == [-1, 0, -1]
+
+
+class TestFrontierMask:
+    def test_consecutive_pushes_with_disjoint_frontiers(self, algorithm):
+        """Two components, pushed one after the other on one state: the
+        second push sees nothing of the first one's frontier."""
+        pairs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (4, 3)]
+        g = CSRGraph.from_edge_set(EdgeSet.from_pairs(pairs), 7, weight_fn=WF)
+        state = VertexState.fresh(algorithm, 7, 0)
+        state.values[3] = algorithm.source_value
+        together = state.copy()
+        first, second, both = (EngineCounters() for _ in range(3))
+        push_until_stable(g, algorithm, state, [0], counters=first, mode="sync")
+        assert np.all(state.values[4:] == algorithm.worst)
+        push_until_stable(g, algorithm, state, [3], counters=second, mode="sync")
+        push_until_stable(g, algorithm, together, [0, 3], counters=both, mode="sync")
+        assert_values_equal(state.values, together.values, algorithm.name)
+        assert first.edges_relaxed + second.edges_relaxed == both.edges_relaxed
+        assert first.vertices_updated + second.vertices_updated == both.vertices_updated
+
+    def test_frontier_is_normalised(self, diamond_csr):
+        alg = get_algorithm("SSSP")
+        want = static_compute(diamond_csr, alg, 0)
+        state = VertexState.fresh(alg, 6, 0)
+        counters, once = EngineCounters(), EngineCounters()
+        push_until_stable(diamond_csr, alg, state, [0, 0, 0], counters=counters,
+                          mode="sync")
+        static_compute(diamond_csr, alg, 0, counters=once)
+        assert_values_equal(state.values, want.values, "duplicated frontier")
+        assert counters == once
