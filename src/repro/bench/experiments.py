@@ -713,6 +713,9 @@ def ablation_scheduler(
                 "num_snapshots": base_spec.num_snapshots,
                 "batch_size": base_spec.batch_size},
     )
+    # The first evaluator of a decomposition builds its plan: not a mode's cost.
+    DirectHopEvaluator(decomp, get_algorithm(algorithm), workload.source,
+                       weight_fn=workload.weight_fn).run(keep_values=False)
     for mode in ("sync", "async", "auto"):
         seconds = DirectHopEvaluator(
             decomp, get_algorithm(algorithm), workload.source,

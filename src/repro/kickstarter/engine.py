@@ -57,8 +57,11 @@ __all__ = [
     "ASYNC_THRESHOLD",
 ]
 
-#: Frontier size below which ``mode="auto"`` uses the async worklist.
-ASYNC_THRESHOLD = 32
+#: Frontier size below which ``mode="auto"`` uses the async worklist:
+#: the measured crossover.  A vectorised round costs ~25 µs whatever the
+#: frontier, an async vertex visit ~7 µs (DL/50 and LJ/16 overlays), so
+#: the worklist wins for 1–3 vertices and loses from 4 on.
+ASYNC_THRESHOLD = 4
 
 _NO_VERTICES = np.empty(0, dtype=np.int64)
 _NO_VERTICES.setflags(write=False)
