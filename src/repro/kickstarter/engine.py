@@ -1,19 +1,16 @@
 """Core push-based computation engine (KickStarter-style).
 
 The engine maintains one value per vertex and propagates improvements
-along out-edges until a fixpoint.  Every vectorised step in this
-package — a push round, the seeding of a streamed batch
-(:func:`seed_edges`) and a pull round (:mod:`repro.kickstarter.pull`) —
-is one function, :func:`relax`: *filter, then reduce*.  Given parallel
-``(origins, targets, weights)`` it computes the proposals, keeps only
-the edges whose proposal is strictly better than the target's current
-value, scatter-reduces that subset, and reads the changed vertices off
-a boolean mask.  Filtering first gives the same fixpoint, parents and
-counters as scattering everything: the vertices that strictly improve
-in a step, and the best value each receives, are decided by the
-improving proposals alone.  In a converging query few proposals improve
-anything, so the reduce, the parent pass and the frontier all run on a
-small subset — and a NaN proposal, never *better*, is never written.
+along out-edges until a fixpoint.  Every vectorised step — a push
+round, a pull round (:mod:`repro.kickstarter.pull`), the seeding of a
+streamed batch (:func:`seed_edges`) — is :func:`relax`: *filter, then
+reduce*.  It keeps only the edges whose proposal is strictly better
+than the target's current value, scatter-reduces that subset, and reads
+the changed vertices off a boolean mask.  That is the same fixpoint,
+parents and counters as scattering every proposal — which vertices
+improve, and to what, is decided by the improving proposals alone — but
+in a converging query the subset is small, and a NaN proposal, never
+*better*, is never written.
 
 Two execution modes, matching the scheduler policy of §4.3 of the paper:
 

@@ -69,9 +69,8 @@ class PlannedAnswer:
 
 
 def _compact_state(anchored: Tuple[np.ndarray, VertexState]) -> Any:
-    """``(base, state)`` → the cache entry ``(base, indices, cells, source)``:
-    ``base`` by reference, the cells where the state's values differ from
-    it copied.  A state with parents stays a dense private copy."""
+    """``(base, state)`` → ``(base, indices, cells, source)``: ``base`` by
+    reference, the differing cells copied.  Parents keep a state dense."""
     base, state = anchored
     if state.parents is not None:
         return state.copy()
@@ -92,10 +91,9 @@ def node_state_cache(max_entries: int) -> LRUCache:
     """The node-state cache: ``put`` takes ``(base, state)``, ``get``
     returns a fresh :class:`VertexState`; an entry is *base + sparse Δ*.
 
-    The states one walk stores differ from each other in a few hundred
-    cells, so they share one dense ``base`` (by reference — evicting any
-    entry cannot orphan another) and each holds only its differing
-    cells.  ``base`` must never be written after the first ``put``.
+    The entries of one walk share one dense ``base`` by reference (so
+    evicting any of them cannot orphan another) and each holds only the
+    cells that differ; ``base`` is never written after the first ``put``.
     """
     return LRUCache(max_entries, copy_in=_compact_state,
                     copy_out=_expand_state)
@@ -130,7 +128,7 @@ class MemoizingPlanner:
     """Plans and executes range queries against a node-state cache.
 
     The planner itself is stateless between calls apart from the shared
-    ``node_cache``; the caller (the service state) owns epochs and the
+    ``node_cache`` (a :func:`node_state_cache`); the caller (the service state) owns epochs and the
     full-result cache.
     """
 
@@ -139,7 +137,6 @@ class MemoizingPlanner:
         node_cache: LRUCache,
         weight_fn: Optional[WeightFn] = None,
     ) -> None:
-        """``node_cache`` is a :func:`node_state_cache`."""
         self.node_cache = node_cache
         self.weight_fn = weight_fn
 
