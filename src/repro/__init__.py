@@ -57,6 +57,7 @@ from repro.core import (
     direct_hop_tree,
     exact_steiner,
     greedy_steiner,
+    halving_schedule,
 )
 from repro.errors import (
     AlgorithmError,
@@ -183,6 +184,7 @@ __all__ = [
     "ScheduleTree",
     "direct_hop_tree",
     "greedy_steiner",
+    "halving_schedule",
     "agglomerative_schedule",
     "exact_steiner",
     "build_schedule",

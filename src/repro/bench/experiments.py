@@ -40,9 +40,11 @@ from repro.core.engine import WorkSharingEvaluator
 from repro.core.parallel import ParallelDirectHop
 from repro.core.steiner import (
     agglomerative_schedule,
+    build_schedule,
     direct_hop_tree,
     exact_steiner,
     greedy_steiner,
+    halving_schedule,
 )
 from repro.core.triangular_grid import TriangularGrid
 from repro.evolving.generator import UpdateStreamGenerator
@@ -627,7 +629,7 @@ def ablation_steiner(
     result = ExperimentResult(
         name="ablation_steiner",
         title="Ablation — schedule construction (cost in additions)",
-        headers=["strategy", "cost_additions", "stabilisations"],
+        headers=["strategy", "cost_additions", "stabilisations", "depth"],
         params={"dataset": dataset, "num_snapshots": num_snapshots,
                 "batch_size": batch_size},
     )
@@ -640,10 +642,12 @@ def ablation_steiner(
         ("direct-hop", star),
         ("greedy (no bypass)", greedy_raw),
         ("greedy + bypass", greedy),
+        ("halving (the default)", halving_schedule(grid)),
         ("agglomerative", agglomerative),
         ("exact + bypass", exact),
     ):
-        result.rows.append([label, tree.cost(grid), tree.num_stabilisations()])
+        result.rows.append([label, tree.cost(grid), tree.num_stabilisations(),
+                            sum(1 for _ in tree.levels())])
     return result
 
 
@@ -793,7 +797,7 @@ def ablation_storage(
         workload = build_workload(base_spec.scaled(dataset=dataset))
         decomp = CommonGraphDecomposition.from_evolving(workload.evolving)
         grid = TriangularGrid(decomp)
-        schedule = greedy_steiner(grid)
+        schedule = build_schedule(grid)
         naive = decomp.snapshot_storage_edges()
         direct = decomp.storage_edges()
         shared = len(decomp.common) + schedule.cost(grid)

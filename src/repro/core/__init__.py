@@ -19,6 +19,7 @@ from repro.core.steiner import (
     direct_hop_tree,
     exact_steiner,
     greedy_steiner,
+    halving_schedule,
 )
 from repro.core.triangular_grid import Interval, TriangularGrid
 
@@ -29,6 +30,7 @@ __all__ = [
     "ScheduleTree",
     "direct_hop_tree",
     "greedy_steiner",
+    "halving_schedule",
     "agglomerative_schedule",
     "exact_steiner",
     "build_schedule",

@@ -24,10 +24,8 @@ __all__ = ["DirectHopEvaluator"]
 
 
 class DirectHopEvaluator(WorkSharingEvaluator):
-    """Evaluates one query on all snapshots via direct hops from ``Gc``.
-
-    ``run()`` times every hop individually (``per_hop_seconds``).
-    """
+    """Evaluates one query on all snapshots via direct hops from ``Gc``:
+    one sweep of ``n`` rows."""
 
     strategy = "direct-hop"
 

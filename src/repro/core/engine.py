@@ -3,18 +3,27 @@
 Every evaluator in the repo — Work-Sharing, Direct-Hop (the star
 schedule), the parallel projections and the service's memoizing
 planner — is :meth:`WorkSharingEvaluator.run`: converge the query on
-the common graph, then for every schedule-tree edge copy the parent's
-converged state, overlay the child's Δ batch on the common-graph CSR
-and push the edge's additions.  The common graph is never mutated, and
-a batch shared by several snapshots (an edge into an interior ICG node)
-is processed exactly once.
+the common graph, then descend the schedule tree one **level** at a
+time.  The tree edges of a level hang off converged parents, so they
+are independent (the paper's point about Direct-Hop and the bypass
+step, §3.1–3.2), and they run as one *sweep*: the children's rows of a
+``(k × V)`` value matrix are copied from their parents' rows, every
+edge's batch is seeded by one ``incremental_additions`` call over flat
+``row·V + v`` vertices, and one stabilisation runs on the level's
+:class:`~repro.graph.stacked.StackedGraph`.  A walk therefore costs
+(tree depth × a few rounds) vectorised steps, not (edges × (seed +
+rounds)); ``k = 1`` is the same code, and the star schedule is the
+one-level case.  This is the executed form of the paper's hop
+parallelism — NumPy's parallel hardware is the vector lane;
+:mod:`repro.core.parallel` remains a projection onto cores.
 
-A node's graph is composed by one rule: the common-graph CSR plus *one*
-Δ CSR holding the node's whole interval surplus (none if it is empty).
-It is the same edge set as the Δ chain accumulated along the path, each
-edge appearing once, but a frontier round gathers from two CSRs
-whatever the node's depth — and, depending on the node alone, it lets a
-walk resume below any node whose state a store already holds.
+Row ``r`` of a level is ``ICG(node_r)``: the common CSR plus the Δ
+edges present throughout the node's snapshots.  That depends on the
+node alone — never on the path that reached it — so a monotonic
+fixpoint on it is unique whatever order computed it, and a walk may
+resume below any node whose state a store already holds.  The common
+graph is never mutated, and a batch shared by several snapshots (an
+edge into an interior ICG node) is processed exactly once.
 
 A snapshot range ``first..last`` is the same walk on the sub-grid rooted
 at node ``(first, last)``, in the decomposition's own coordinates: the
@@ -26,33 +35,41 @@ evaluator builds none of it: it reads the decomposition's plan memo
 (:meth:`CommonGraphDecomposition.plan`), which holds, built on first
 use and shared by every later evaluator of that decomposition,
 
-* ``("schedule", strategy, first, last)`` — the schedule tree and its
-  children map (:func:`planned_schedule`);
 * ``("common", weight_fn)`` — the common graph's CSR;
-* ``("graph", node, weight_fn)`` — the node's graph, so every range,
-  source and algorithm composes a node from the same two CSRs;
-* ``("batch", parent, child, weight_fn)`` — a tree edge's label as
-  ready ``(sources, targets, weights)`` arrays.
+* ``("delta", weight_fn)`` — the
+  :class:`~repro.graph.stacked.IntervalDelta`: every edge outside the
+  common graph once, with the snapshots it spans.  Every node's Δ and
+  every edge's batch is a filter on it, so the plan holds no per-node
+  graph and asks the decomposition for no interval surplus;
+* ``("schedule", strategy, first, last)`` — the schedule tree
+  (:func:`planned_schedule`);
+* ``("levels", strategy, first, last, weight_fn)`` — that tree's
+  sweeps: per level the row → node and row → parent-row maps and the
+  seeds (each edge's batch as flat arrays, with per-row offsets).
 
 Weight functions key by value (:mod:`repro.graph.weights`).  The plan
-needs no bound of its own: it holds at most one graph per grid node and
-one batch per edge of a planned tree, and it dies with the
-decomposition, which every ingest replaces.
+needs no bound of its own: beside the two graphs it holds, per planned
+range, a tree and as many seeds as the tree costs, and it dies with the
+decomposition, which every ingest replaces.  A caller-supplied schedule
+is levelled when the evaluator is built and memoised nowhere.
 
 Two seams, each with one production caller:
 
 * ``store`` — a node-state store (``get(node)`` / ``put(node, state)``).
-  The planner passes its epoch-keyed cache view; a node found there is
-  not recomputed, and the walk reports hits and misses.
-* ``run_edge`` — how one edge's computation is executed.
-  :mod:`repro.core.parallel` passes its fault-hook + retry + degrade
-  wrapper; by default the edge simply runs.
+  The planner passes its epoch-keyed cache view; a node found there
+  fills its row and is not recomputed, and the walk reports hits and
+  misses.
+* ``run_sweep`` — how the edges of one sweep are executed.
+  :mod:`repro.core.parallel` runs them one at a time, each under its
+  fault-hook + retry + degrade wrapper and its own stopwatch; by
+  default they run together.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +82,8 @@ from repro.core.steiner import build_schedule
 from repro.core.triangular_grid import Interval, TriangularGrid
 from repro.errors import ScheduleError, SnapshotError
 from repro.graph.csr import CSRGraph
-from repro.graph.overlay import OverlayGraph
+from repro.graph.edgeset import EdgeSet
+from repro.graph.stacked import IntervalDelta, StackedGraph
 from repro.graph.weights import UnitWeights, WeightFn
 from repro.kickstarter.engine import (
     EngineCounters,
@@ -74,14 +92,18 @@ from repro.kickstarter.engine import (
     incremental_additions,
     static_compute,
 )
+from repro.utils import expand_ranges
 
-__all__ = ["EdgeRunner", "NodeStore", "WorkSharingEvaluator",
+__all__ = ["NodeStore", "SweepRunner", "WorkSharingEvaluator",
            "planned_schedule"]
 
-#: Executes one schedule edge ``(parent, child)``: calls ``compute`` —
-#: which may be called again, each call starts from the parent's state
-#: afresh — and returns the child's converged state.
-EdgeRunner = Callable[[Interval, Interval, Callable[[], VertexState]], VertexState]
+Edge = Tuple[Interval, Interval]
+
+#: Executes the tree edges of one sweep.  ``compute(picked)`` converges
+#: the children of ``edges[picked]`` (an index array or slice), starting
+#: from their parents' states afresh on every call; each edge must be
+#: covered by a call that returned.
+SweepRunner = Callable[[Sequence[Edge], Callable[..., None]], None]
 
 
 class NodeStore(Protocol):
@@ -92,25 +114,70 @@ class NodeStore(Protocol):
     def put(self, node: Interval, state: VertexState) -> None: ...
 
 
-class _NoStore:
-    """The store of a walk that keeps nothing: every lookup misses."""
-
-    def get(self, node: Interval) -> Optional[VertexState]:
-        return None
-
-    def put(self, node: Interval, state: VertexState) -> None:
-        pass
+def _run_together(edges: Sequence[Edge], compute: Callable[..., None]) -> None:
+    compute(slice(None))
 
 
-def _run_directly(
-    parent: Interval, child: Interval, compute: Callable[[], VertexState]
-) -> VertexState:
-    return compute()
+@dataclass(frozen=True)
+class _Level:
+    """One sweep of a schedule: the tree edges ending at one depth."""
+
+    edges: List[Edge]
+    #: Row → the parent's row in the level above.
+    parents: np.ndarray
+    #: ``ICG(child)`` of every row, stacked.
+    graph: StackedGraph
+    #: Every row's batch — the additions growing its parent's ICG into
+    #: its own — as flat parallel arrays, row by row; row ``r`` owns
+    #: ``offsets[r]:offsets[r + 1]``.
+    origins: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    #: The rows that are snapshots, and which (relative to the range).
+    leaf_rows: np.ndarray
+    leaf_snapshots: List[int]
+
+    def seeds(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The batches of ``rows`` (all of them: the arrays as they are)."""
+        if rows.size == len(self.edges):
+            return self.origins, self.targets, self.weights
+        starts = self.offsets[rows]
+        picked = expand_ranges(starts, self.offsets[rows + 1] - starts)
+        return self.origins[picked], self.targets[picked], self.weights[picked]
 
 
-ChildrenMap = Dict[Interval, List[Interval]]
-#: A tree edge's additions: parallel ``(sources, targets, weights)``.
-Batch = Tuple[np.ndarray, np.ndarray, np.ndarray]
+def _levels(tree: ScheduleTree, common: CSRGraph,
+            delta: IntervalDelta) -> List[_Level]:
+    """``tree`` as sweeps over ``common`` + ``delta``."""
+    width = common.num_vertices
+    entries = np.arange(delta.csr.num_edges)[:, None]
+    levels: List[_Level] = []
+    row_of = {tree.root: 0}
+    for edges in tree.levels():
+        parents = np.array([p for p, _ in edges], dtype=np.int64)
+        children = np.array([c for _, c in edges], dtype=np.int64)
+        # An edge's batch: in the child's ICG, not yet in the parent's.
+        fresh = (delta.within(entries, children[:, 0], children[:, 1])
+                 & ~delta.within(entries, parents[:, 0], parents[:, 1]))
+        rows, picked = fresh.T.nonzero()
+        shifts = rows * width
+        offsets = np.zeros(len(edges) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(edges)), out=offsets[1:])
+        leaves = np.flatnonzero(children[:, 0] == children[:, 1])
+        levels.append(_Level(
+            edges=edges,
+            parents=np.array([row_of[p] for p, _ in edges], dtype=np.int64),
+            graph=StackedGraph(common, delta, children),
+            origins=delta.sources[picked] + shifts,
+            targets=delta.csr.indices[picked] + shifts,
+            weights=delta.csr.weights[picked],
+            offsets=offsets,
+            leaf_rows=leaves,
+            leaf_snapshots=(children[leaves, 0] - tree.root[0]).tolist(),
+        ))
+        row_of = {child: row for row, (_, child) in enumerate(edges)}
+    return levels
 
 
 def _subgrid(decomposition: CommonGraphDecomposition, first: int,
@@ -124,14 +191,10 @@ def _subgrid(decomposition: CommonGraphDecomposition, first: int,
     return TriangularGrid(decomposition).subgrid(first, last)
 
 
-def _planned_tree(grid: TriangularGrid,
-                  strategy: str) -> Tuple[ScheduleTree, ChildrenMap]:
-    """The planned ``strategy`` tree over ``grid``, with its children map."""
-    def build() -> Tuple[ScheduleTree, ChildrenMap]:
-        tree = build_schedule(grid, strategy)
-        return tree, tree.children_map()
-
-    return grid.decomposition.plan(("schedule", strategy) + grid.root, build)
+def _planned_tree(grid: TriangularGrid, strategy: str) -> ScheduleTree:
+    return grid.decomposition.plan(
+        ("schedule", strategy) + grid.root,
+        lambda: build_schedule(grid, strategy))
 
 
 def planned_schedule(
@@ -145,16 +208,16 @@ def planned_schedule(
     The tree is shared by every caller of this decomposition: treat it
     as read-only.
     """
-    return _planned_tree(_subgrid(decomposition, first, last), strategy)[0]
+    return _planned_tree(_subgrid(decomposition, first, last), strategy)
 
 
 class WorkSharingEvaluator:
     """Evaluates one query on snapshots ``first..last`` following a schedule tree.
 
     If no schedule is supplied, the decomposition's planned
-    greedy-Steiner + bypass schedule of Algorithm 1 for that range is
-    used; a supplied one is validated against the range's sub-grid.
-    Either way node graphs and edge batches come from the plan.
+    range-halving schedule for that range is used, sweeps included; a
+    supplied one is validated against the range's sub-grid and walked
+    as given.  Either way the graphs come from the plan.
     """
 
     #: Name handed to ``build_schedule`` when no schedule is supplied,
@@ -179,127 +242,156 @@ class WorkSharingEvaluator:
         self.mode = mode
         self.grid = _subgrid(decomposition, first, last)
         if schedule is None:
-            schedule, children = _planned_tree(self.grid, self.strategy)
+            self.schedule = _planned_tree(self.grid, self.strategy)
+            self._levels = decomposition.plan(
+                ("levels", self.strategy) + self.grid.root + (self.weight_fn,),
+                self._level_up)
         else:
             schedule.validate(self.grid)
-            children = schedule.children_map()
-        self.schedule = schedule
-        self._children = children
+            self.schedule = schedule
+            self._levels = self._level_up()
+
+    def _level_up(self) -> List[_Level]:
+        return _levels(self.schedule, self.base_csr, self.delta)
 
     @cached_property
     def base_csr(self) -> CSRGraph:
-        """The common graph in CSR form, shared by every node's overlay."""
+        """The common graph in CSR form, shared by every row of every sweep."""
         return self.decomposition.plan(
             ("common", self.weight_fn),
             lambda: self.decomposition.common_csr(self.weight_fn),
         )
 
-    def _graph(self, node: Interval) -> GraphLike:
-        """``ICG(node)``: the common CSR, plus one Δ CSR of its surplus."""
-        def compose() -> GraphLike:
-            surplus = self.decomposition.interval_surplus(*node)
-            if not surplus:
-                return self.base_csr
-            delta = self.decomposition.delta_csr(surplus, self.weight_fn)
-            return OverlayGraph(self.base_csr, (delta,))
+    @cached_property
+    def delta(self) -> IntervalDelta:
+        """Every edge outside the common graph, with the snapshots it spans."""
+        def build() -> IntervalDelta:
+            surpluses = self.decomposition.surpluses
+            edges = EdgeSet(np.concatenate(
+                [surplus.codes for surplus in surpluses]))
+            return IntervalDelta(
+                self.decomposition.delta_csr(edges, self.weight_fn),
+                edges, surpluses)
 
-        return self.decomposition.plan(("graph", node, self.weight_fn), compose)
+        return self.decomposition.plan(("delta", self.weight_fn), build)
 
-    def _batch(self, parent: Interval, child: Interval) -> Batch:
-        """The additions on edge ``parent → child``, with their weights."""
-        def build() -> Batch:
-            src, dst = self.grid.label(parent, child).arrays()
-            return src, dst, self.weight_fn(src, dst)
-
-        return self.decomposition.plan(
-            ("batch", parent, child, self.weight_fn), build)
+    def _root_graph(self) -> GraphLike:
+        """``ICG(root)``: the common CSR itself when no Δ edge spans the
+        whole range (always so for the full range)."""
+        root = self.schedule.root
+        if not self.delta.within(slice(None), *root).any():
+            return self.base_csr
+        return StackedGraph(self.base_csr, self.delta, [root])
 
     def base_state(self, counters: Optional[EngineCounters] = None) -> VertexState:
         """Converge the query on the range's common graph (the schedule's root)."""
         return static_compute(
-            self._graph(self.schedule.root), self.algorithm, self.source,
+            self._root_graph(), self.algorithm, self.source,
             counters=counters, mode="sync",
         )
-
-    def _push(
-        self, parent_state: VertexState, batch: Batch, child: Interval,
-        counters: EngineCounters,
-    ) -> VertexState:
-        """One edge: ``batch`` streamed into a copy of the parent's state."""
-        state = parent_state.copy()
-        incremental_additions(
-            self._graph(child), self.algorithm, state, *batch,
-            counters=counters, mode=self.mode,
-        )
-        return state
 
     def run(
         self,
         keep_values: bool = True,
         *,
-        store: NodeStore = _NoStore(),
-        run_edge: EdgeRunner = _run_directly,
+        store: Optional[NodeStore] = None,
+        run_sweep: SweepRunner = _run_together,
         layer: str = "engine",
     ) -> EvolvingQueryResult:
-        """Execute the schedule; one incremental computation per edge.
+        """Execute the schedule; one incremental computation per sweep.
 
-        The walk is depth-first from the common graph.  Each node's
+        The walk is level by level from the common graph.  Each node's
         state comes from ``store`` or, on a miss, is computed — the root
-        by a static evaluation, any other node by ``run_edge`` from its
-        parent's state — and stored; only computed edges count as
-        stabilisations.  ``layer`` names the ``<layer>.root`` /
-        ``<layer>.edge`` spans.
+        by a static evaluation, the missing nodes of a level by
+        ``run_sweep`` from their parents' rows — and stored; only
+        computed edges count as stabilisations.  ``layer`` names the
+        ``<layer>.root`` / ``<layer>.sweep`` spans.
         """
         result = EvolvingQueryResult(strategy=self.strategy)
+        width = self.decomposition.num_vertices
 
-        def lookup(node: Interval, span: obs.SpanLike) -> Optional[VertexState]:
-            state = store.get(node)
+        def held(node: Interval) -> Optional[VertexState]:
+            state = None if store is None else store.get(node)
             if state is None:
                 result.node_misses += 1
             else:
                 result.node_hits += 1
-            span.annotate(cache="miss" if state is None else "hit")
             return state
 
         root = self.schedule.root
         with result.timer.phase("initial_compute"), \
                 obs.phase_span(layer, "root") as span:
-            root_state = lookup(root, span)
+            root_state = held(root)
+            span.annotate(cache="miss" if root_state is None else "hit")
             if root_state is None:
                 root_state = self.base_state(result.counters)
-                store.put(root, root_state)
+                if store is not None:
+                    store.put(root, root_state)
 
         values: Dict[int, np.ndarray] = {}
-        # Depth-first, so only states with children still to visit are
-        # alive; a node's edges run in child order when it is popped.
-        stack: List[Tuple[Interval, VertexState]] = [(root, root_state)]
-        while stack:
-            node, state = stack.pop()
-            if keep_values and node[0] == node[1]:
-                values[node[0]] = state.values
-            for child in self._children[node]:
-                with result.timer.phase("incremental_add") as watch, \
-                        obs.phase_span(layer, "edge",
-                                       label=f"{child[0]}-{child[1]}") as span:
-                    before = watch.seconds
-                    child_state = lookup(child, span)
-                    if child_state is None:
-                        batch = self._batch(node, child)
-                        child_state = run_edge(
-                            node, child,
-                            lambda: self._push(state, batch, child,
-                                               result.counters),
-                        )
-                        store.put(child, child_state)
-                        result.additions_processed += batch[0].size
-                        result.stabilisations += 1
-                result.edge_seconds[(node, child)] = watch.seconds - before
-                stack.append((child, child_state))
+        if root[0] == root[1]:
+            values[0] = root_state.values
+        above = root_state.values.reshape(1, width)
+        for level in self._levels:
+            with result.timer.phase("incremental_add"), \
+                    obs.phase_span(layer, "sweep",
+                                   edges=len(level.edges)) as span:
+                matrix = np.empty((len(level.edges), width))
+                missing = []
+                for row, (_, child) in enumerate(level.edges):
+                    state = held(child)
+                    if state is None:
+                        missing.append(row)
+                    else:
+                        matrix[row] = state.values
+                span.annotate(hits=len(level.edges) - len(missing),
+                              misses=len(missing))
+                if missing:
+                    self._sweep(level, above, matrix,
+                                np.array(missing, dtype=np.int64),
+                                run_sweep, result)
+                    if store is not None:
+                        for row in missing:
+                            store.put(level.edges[row][1], VertexState(
+                                values=matrix[row], source=self.source))
+            if keep_values and level.leaf_snapshots:
+                # Snapshot rows leave in a matrix that holds nothing
+                # else, so an answer pins no interior node's row.
+                kept = (matrix if len(level.leaf_snapshots) == len(matrix)
+                        else matrix[level.leaf_rows])
+                values.update(zip(level.leaf_snapshots, kept))
+            above = matrix
 
         if keep_values:
-            snapshots = range(root[0], root[1] + 1)
-            missing = [i for i in snapshots if i not in values]
-            if missing:
-                raise ScheduleError(f"schedule produced no values for {missing}")
+            snapshots = range(root[1] - root[0] + 1)
+            absent = [root[0] + i for i in snapshots if i not in values]
+            if absent:
+                raise ScheduleError(f"schedule produced no values for {absent}")
             result.snapshot_values = [values[i] for i in snapshots]
         return result
+
+    def _sweep(
+        self, level: _Level, above: np.ndarray, matrix: np.ndarray,
+        missing: np.ndarray, run_sweep: SweepRunner,
+        result: EvolvingQueryResult,
+    ) -> None:
+        """Converge rows ``missing`` of ``matrix`` from their parents' rows."""
+        state = VertexState(values=matrix.reshape(-1), source=self.source)
+
+        def compute(picked: object) -> None:
+            rows = missing[picked]
+            if rows.size == len(matrix):
+                # "clip" only because take() then writes straight into
+                # ``out``; the default mode goes through a buffer.
+                np.take(above, level.parents, axis=0, out=matrix, mode="clip")
+            else:
+                matrix[rows] = above[level.parents[rows]]
+            incremental_additions(
+                level.graph, self.algorithm, state, *level.seeds(rows),
+                counters=result.counters, mode=self.mode,
+            )
+
+        run_sweep([level.edges[row] for row in missing], compute)
+        result.stabilisations += missing.size
+        result.additions_processed += int(
+            (level.offsets[missing + 1] - level.offsets[missing]).sum())

@@ -6,8 +6,11 @@ the streaming baseline, which must visit snapshots in sequence.  The
 paper reports, as the parallel projection, the *longest single hop*
 ("given a system with sufficient cores, this is an estimate of the
 overall run time").  We reproduce exactly that estimate from per-hop
-times measured by one sequential schedule walk
-(:meth:`repro.core.engine.WorkSharingEvaluator.run`).
+times measured by one schedule walk
+(:meth:`repro.core.engine.WorkSharingEvaluator.run`) whose sweeps are
+run one edge at a time.  The engine itself *executes* sibling hops
+together, as one vectorised sweep; what stays a projection here is the
+spread over cores.
 
 :class:`ParallelWorkSharing` realises the paper's closing remark that
 the work-sharing variant can be parallelised too: sibling subtrees of
@@ -33,7 +36,7 @@ primary execution; the recovery path is deliberately un-instrumented.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +50,8 @@ from repro.core.schedule import ScheduleTree
 from repro.core.triangular_grid import Interval
 from repro.errors import RetryExhaustedError
 from repro.graph.weights import WeightFn
-from repro.kickstarter.engine import VertexState
 from repro.resilience import RetryPolicy, retry_call
+from repro.utils import Stopwatch
 
 __all__ = [
     "ParallelDirectHop",
@@ -97,8 +100,10 @@ def _resilient_walk(
     evaluator: WorkSharingEvaluator,
     label: Callable[[Interval, Interval], str],
     retry_policy: Optional[RetryPolicy],
-) -> Tuple[EvolvingQueryResult, Dict[Edge, TaskOutcome]]:
-    """Walk the evaluator's schedule with every edge run resiliently.
+) -> Tuple[EvolvingQueryResult, Dict[Edge, TaskOutcome], Dict[Edge, float]]:
+    """Walk the evaluator's schedule one edge at a time, each resiliently
+    and on its own stopwatch (the projections need every hop timed
+    alone, so a sweep is split into one-edge sweeps).
 
     An edge's primary execution (fault hook, then the computation) runs
     under ``policy``; once that is spent the computation runs again
@@ -108,35 +113,42 @@ def _resilient_walk(
     """
     policy = retry_policy or TASK_RETRY_POLICY
     outcomes: Dict[Edge, TaskOutcome] = {}
+    seconds: Dict[Edge, float] = {}
 
-    def run_edge(parent: Interval, child: Interval,
-                 compute: Callable[[], VertexState]) -> VertexState:
-        outcome = outcomes[(parent, child)] = TaskOutcome(label(parent, child))
+    def run_edge(edge: Edge, compute: Callable[[], None]) -> None:
+        outcome = outcomes[edge] = TaskOutcome(label(*edge))
         kind, _, name = outcome.label.partition(":")
 
-        def primary() -> VertexState:
+        def primary() -> None:
             outcome.attempts += 1
             try:
                 faults.task_check(kind, name)
-                return compute()
+                compute()
             except policy.retry_on as exc:
                 outcome.error = repr(exc)
                 raise
 
         try:
-            state = retry_call(primary, policy=policy, label=outcome.label)
+            retry_call(primary, policy=policy, label=outcome.label)
         except RetryExhaustedError:
             outcome.status = "degraded"
-            return compute()
-        if outcome.attempts > 1:
-            outcome.status = "retried"
-        return state
+            compute()
+        else:
+            if outcome.attempts > 1:
+                outcome.status = "retried"
 
-    walk = evaluator.run(run_edge=run_edge)
+    def run_sweep(edges: Sequence[Edge],
+                  compute: Callable[..., None]) -> None:
+        for row, edge in enumerate(edges):
+            with Stopwatch() as watch:
+                run_edge(edge, lambda: compute([row]))
+            seconds[edge] = watch.seconds
+
+    walk = evaluator.run(run_sweep=run_sweep)
     for outcome in outcomes.values():
         obs.counter_inc("repro_task_outcomes_total",
                         component=evaluator.strategy, status=outcome.status)
-    return walk, outcomes
+    return walk, outcomes, seconds
 
 
 def _count_outcomes(outcomes: Iterable[TaskOutcome]) -> Dict[str, int]:
@@ -197,10 +209,10 @@ class ParallelDirectHop:
         from the converged base state; ``result.outcomes`` records the
         status of every hop.
         """
-        walk, outcomes = _resilient_walk(self._evaluator, _hop_label,
-                                         retry_policy)
+        walk, outcomes, seconds = _resilient_walk(
+            self._evaluator, _hop_label, retry_policy)
         return ParallelResult(
-            per_hop_seconds=walk.per_hop_seconds,
+            per_hop_seconds=list(seconds.values()),
             initial_seconds=walk.timer.seconds("initial_compute"),
             snapshot_values=walk.snapshot_values,
             outcomes=list(outcomes.values()),
@@ -265,22 +277,22 @@ class ParallelWorkSharing:
         the parent state as the final fallback;
         ``result.edge_outcomes`` records every edge's status.
         """
-        walk, outcomes = _resilient_walk(self._evaluator, _edge_label,
-                                         retry_policy)
+        walk, outcomes, edge_seconds = _resilient_walk(
+            self._evaluator, _edge_label, retry_policy)
         schedule = self._evaluator.schedule
         children = schedule.children_map()
 
         # Critical path: heaviest root-to-leaf chain of edge times.
         def path_cost(node: Interval) -> float:
             return max(
-                (walk.edge_seconds[(node, k)] + path_cost(k)
+                (edge_seconds[(node, k)] + path_cost(k)
                  for k in children[node]),
                 default=0.0,
             )
 
         initial = walk.timer.seconds("initial_compute")
         return ParallelWorkSharingResult(
-            edge_seconds=walk.edge_seconds,
+            edge_seconds=edge_seconds,
             initial_seconds=initial,
             snapshot_values=dict(enumerate(walk.snapshot_values)),
             critical_path_seconds=initial + path_cost(schedule.root),

@@ -51,15 +51,29 @@ class ScheduleTree:
             lst.sort()
         return children
 
+    def levels(self) -> Iterator[List[Tuple[Interval, Interval]]]:
+        """The ``(parent, child)`` edges one level at a time, top-down:
+        the edges of level ``d`` end at the nodes of depth ``d``, in the
+        order of their parents, siblings sorted.  Linear in the tree.
+
+        The edges of one level are independent once the level above has
+        converged: this is the order the engine sweeps them in.
+        """
+        children: Dict[Interval, List[Interval]] = {}
+        for child, parent in self.parent.items():
+            children.setdefault(parent, []).append(child)
+        reached = [self.root]
+        while reached:
+            level = [(node, child) for node in reached
+                     for child in sorted(children.get(node, ()))]
+            if level:
+                yield level
+            reached = [child for _, child in level]
+
     def edges(self) -> Iterator[Tuple[Interval, Interval]]:
         """(parent, child) pairs in top-down (BFS from root) order."""
-        children = self.children_map()
-        queue = [self.root]
-        while queue:
-            node = queue.pop(0)
-            for child in children.get(node, []):
-                yield node, child
-                queue.append(child)
+        for level in self.levels():
+            yield from level
 
     def contains_node(self, node: Interval) -> bool:
         return node == self.root or node in self.parent

@@ -1,4 +1,4 @@
-"""Graph substrates: edge sets, CSR, overlays, mutation, generation, I/O."""
+"""Graph substrates: edge sets, CSR, overlays and stacks, mutation, generation, I/O."""
 
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet, MAX_VERTEX_ID, decode_edges, encode_edges
@@ -17,6 +17,7 @@ from repro.graph.io import (
 )
 from repro.graph.mutable import MutableGraph, MutationCosts
 from repro.graph.overlay import OverlayGraph
+from repro.graph.stacked import IntervalDelta, StackedGraph
 from repro.graph.stats import GraphStats, compute_stats, weakly_connected_labels
 from repro.graph.transform import (
     induced_subgraph,
@@ -34,6 +35,8 @@ __all__ = [
     "encode_edges",
     "decode_edges",
     "OverlayGraph",
+    "IntervalDelta",
+    "StackedGraph",
     "MutableGraph",
     "MutationCosts",
     "HashWeights",

@@ -180,10 +180,16 @@ class CSRGraph:
         per out-edge of a frontier vertex, with sources repeated.
         """
         frontier = np.asarray(frontier, dtype=np.int64)
-        starts = self.indptr[frontier]
-        lengths = self.indptr[frontier + 1] - starts
-        eidx = expand_ranges(starts, lengths)
-        return np.repeat(frontier, lengths), self.indices[eidx], self.weights[eidx]
+        slots, degrees = self.slots(frontier)
+        return np.repeat(frontier, degrees), self.indices[slots], self.weights[slots]
+
+    def slots(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slots, degrees)``: where the out-edges of ``vertices`` sit
+        in ``indices`` / ``weights``, vertex by vertex, and how many each
+        vertex has."""
+        starts = self.indptr[vertices]
+        degrees = self.indptr[vertices + 1] - starts
+        return expand_ranges(starts, degrees), degrees
 
     # -- derived graphs ---------------------------------------------------
     def transpose(self) -> "CSRGraph":

@@ -1,0 +1,130 @@
+"""Sibling graphs stacked into one: the graph of a schedule sweep.
+
+Hops that share a converged parent are independent (§3.1), so they run
+as one computation on a *stack*: ``k`` graphs over the same ``V``
+vertices, vertex ``v`` of row ``r`` being the flat vertex ``r·V + v``.
+No edge crosses rows, so one fixpoint on the stack is ``k`` fixpoints,
+and a ``(k × V)`` value matrix, flattened, is its vertex state.
+
+Every row is an intermediate common graph ``ICG(i, j)``: the common
+CSR, shared by all rows and never copied, plus the Δ edges present
+throughout snapshots ``i..j``.  The Δ side is one structure for the
+whole decomposition, :class:`IntervalDelta` — every edge outside the
+common graph once, with the snapshots it spans — and a row's Δ is a
+filter on it, so a stack holds no per-row arrays at all.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence, Tuple
+
+import numpy as np
+
+from repro.errors import GraphError
+from repro.graph.csr import CSRGraph
+from repro.graph.edgeset import EdgeSet
+
+__all__ = ["IntervalDelta", "StackedGraph"]
+
+
+class IntervalDelta:
+    """Every edge outside the common graph, and when it is present.
+
+    ``csr`` holds the edges (in ``edges`` order, which is CSR order) and
+    ``until[e, t]`` the last snapshot of the run of consecutive
+    snapshots around ``t`` in which edge ``e`` is present, ``-1`` if it
+    is absent at ``t``.  An edge belongs to ``ICG(i, j)`` — is present
+    in every snapshot ``i..j`` — iff ``until[e, i] >= j``.
+    """
+
+    __slots__ = ("csr", "sources", "until")
+
+    def __init__(self, csr: CSRGraph, edges: EdgeSet,
+                 snapshots: Sequence[EdgeSet]) -> None:
+        if csr.num_edges != len(edges):
+            raise GraphError("the CSR does not hold exactly the given edges")
+        self.csr = csr
+        self.sources = np.repeat(
+            np.arange(csr.num_vertices, dtype=np.int64), csr.degrees())
+        present = np.zeros((len(edges), len(snapshots)), dtype=bool)
+        for t, snapshot in enumerate(snapshots):
+            present[np.searchsorted(edges.codes, snapshot.codes), t] = True
+        self.until = np.empty(present.shape, dtype=np.int32)
+        run_end = np.full(len(edges), -1, dtype=np.int32)
+        for t in range(len(snapshots) - 1, -1, -1):
+            # Present at t: the run that continues at t + 1, or ends here.
+            run_end = np.where(
+                present[:, t], np.where(run_end >= 0, run_end, t), -1)
+            self.until[:, t] = run_end
+
+    def within(self, entries: np.ndarray, first: np.ndarray,
+               last: np.ndarray) -> np.ndarray:
+        """Is edge ``entries[...]`` in ``ICG(first[...], last[...])``?
+        (Broadcasts: a column of entries against a row of nodes gives
+        the membership matrix.)"""
+        return self.until[entries, first] >= last
+
+
+class StackedGraph:
+    """``ICG(nodes[0]), …, ICG(nodes[k-1])`` as one graph of ``k·V``
+    vertices (see the module docstring); ``k = 1`` is the plain ICG.
+
+    Implements the engine's ``gather`` / ``neighbors`` protocol on flat
+    vertices.  ``gather`` takes a frontier in any order.
+    """
+
+    __slots__ = ("common", "delta", "first", "last", "width", "num_vertices")
+
+    def __init__(self, common: CSRGraph, delta: IntervalDelta,
+                 nodes: Sequence[Tuple[int, int]]) -> None:
+        if delta.csr.num_vertices != common.num_vertices:
+            raise GraphError("delta vertex count differs from the common graph")
+        self.common = common
+        self.delta = delta
+        spans = np.asarray(nodes, dtype=np.int64).reshape(-1, 2)
+        self.first = spans[:, 0].copy()
+        self.last = spans[:, 1].copy()
+        self.width = common.num_vertices
+        self.num_vertices = len(spans) * self.width
+
+    def gather(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat out-edges of the flat frontier, each within its own row."""
+        rows = frontier // self.width
+        shifts = rows * self.width
+        vertices = frontier - shifts
+        slots, degrees = self.common.slots(vertices)
+        origins = np.repeat(frontier, degrees)
+        targets = self.common.indices[slots] + np.repeat(shifts, degrees)
+        weights = self.common.weights[slots]
+        slots, degrees = self.delta.csr.slots(vertices)
+        if slots.size:
+            of = np.repeat(np.arange(frontier.size), degrees)
+            at = rows[of]
+            kept = self.delta.within(
+                slots, self.first[at], self.last[at]).nonzero()[0]
+            if kept.size:
+                slots, of = slots[kept], of[kept]
+                origins = np.concatenate([origins, frontier[of]])
+                targets = np.concatenate(
+                    [targets, self.delta.csr.indices[slots] + shifts[of]])
+                weights = np.concatenate(
+                    [weights, self.delta.csr.weights[slots]])
+        return origins, targets, weights
+
+    def neighbors(self, vertex: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(targets, weights)`` of one flat vertex's out-edges."""
+        row, inner = divmod(vertex, self.width)
+        targets, weights = self.common.neighbors(inner)
+        delta = self.delta.csr
+        lo, hi = delta.indptr[inner], delta.indptr[inner + 1]
+        if hi > lo:
+            kept = self.delta.within(
+                slice(lo, hi), self.first[row], self.last[row])
+            if kept.any():
+                targets = np.concatenate([targets, delta.indices[lo:hi][kept]])
+                weights = np.concatenate([weights, delta.weights[lo:hi][kept]])
+        return targets + (vertex - inner), weights
+
+    def __repr__(self) -> str:
+        return (f"StackedGraph(rows={self.first.size}, V={self.width}, "
+                f"|Gc|={self.common.num_edges}, |Δ|={self.delta.csr.num_edges})")

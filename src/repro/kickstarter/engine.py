@@ -193,9 +193,10 @@ def _async_drain(
 ) -> np.ndarray:
     """Asynchronous worklist execution.
 
-    Returns an empty array on convergence, or the remaining worklist if
-    it grew past ``spill_threshold`` (the caller then switches to sync
-    mode — the §4.3 policy in reverse, protecting against cascades).
+    Returns an empty array on convergence, or the remaining worklist —
+    duplicate-free, in no particular order — if it grew past
+    ``spill_threshold`` (the caller then switches to sync mode — the
+    §4.3 policy in reverse, protecting against cascades).
     """
     values = state.values
     parents = state.parents
@@ -243,9 +244,10 @@ def stabilise(
     mode: str = "auto",
     async_threshold: int = ASYNC_THRESHOLD,
 ) -> None:
-    """:func:`push_until_stable` for a frontier that is already sorted
-    and duplicate-free — what :func:`relax` and :func:`seed_edges`
-    return."""
+    """:func:`push_until_stable` for a frontier that is already
+    duplicate-free, in any order — what :func:`relax` and
+    :func:`seed_edges` return (sorted), and what an async spill hands
+    back (unsorted).  No ``gather`` may depend on the order."""
     if mode not in ("sync", "async", "auto"):
         raise EngineError(f"unknown mode {mode!r}")
     mask = np.zeros(graph.num_vertices, dtype=bool)

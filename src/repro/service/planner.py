@@ -8,10 +8,12 @@ Triangular-Grid node a schedule visits is cached, keyed by
 ``(algorithm, source, epoch, node)`` in window coordinates, and a later
 query whose schedule passes through a cached node resumes from it —
 no static recompute at the window root, no re-streaming of the path
-above the node.  A range is walked on the window decomposition itself
-(the sub-grid rooted at the range's node), so the walk's nodes *are*
-window nodes, and the schedule, node CSRs and batches every query needs
-come from the decomposition's plan, built once per epoch.
+above the node.  The walk consults the store per row of each sweep: a
+held node fills its row and contributes no seeds, every computed row is
+``put``.  A range is walked on the window decomposition itself (the
+sub-grid rooted at the range's node), so the walk's nodes *are* window
+nodes, and the schedule, its sweeps and the two graphs every query
+needs come from the decomposition's plan, built once per epoch.
 
 The cache does not hold a dense vector per node.  Most vertices keep
 one value across a snapshot range, so the states one walk stores are
@@ -25,9 +27,9 @@ evaluators: for a monotonic algorithm, the converged state on
 ancestor state the incremental computation started from.  A resumed
 walk therefore produces values bit-identical to a cold one (the
 service's end-to-end test asserts exactly this against the naive
-oracle), and the walk's overlay rule — common CSR + one Δ CSR of the
-node's interval surplus — depends on the node alone, never on the path
-that reached it.
+oracle), and the walk's graph rule — a row is the common CSR plus the
+Δ edges present throughout its node's snapshots — depends on the node
+alone, never on the path that reached it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Plan once, evaluate many: the decomposition's query-independent plan.
 
-The schedule, the common CSR, every node's graph and every tree edge's
-batch are built on first use and then read by every evaluator of that
-decomposition — whatever its source, algorithm or snapshot range — and
-never outlive it.
+The common CSR, the Δ of every ICG (one ``IntervalDelta``), and per
+planned range the schedule and its sweeps are built on first use and
+then read by every evaluator of that decomposition — whatever its
+source, algorithm or snapshot range — and never outlive it.
 """
 
 import sys
@@ -16,14 +16,14 @@ from repro.algorithms.registry import get_algorithm
 from repro.core import engine, steiner
 from repro.core.common import CommonGraphDecomposition
 from repro.core.engine import WorkSharingEvaluator, planned_schedule
-from repro.core.steiner import build_schedule
+from repro.core.steiner import build_schedule, direct_hop_tree, greedy_steiner
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import SnapshotError
 from repro.evolving.generator import generate_evolving_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.graph.generators import rmat_edges
-from repro.graph.overlay import OverlayGraph
+from repro.graph.stacked import IntervalDelta
 from repro.graph.weights import HashWeights, UnitWeights
 from tests.conftest import assert_values_equal, oracle_values
 
@@ -35,15 +35,30 @@ def plan_of(decomposition):
         return dict(decomposition._plan)
 
 
+def plan_arrays(value):
+    """Every array reachable from one plan value."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for part in value:
+            yield from plan_arrays(part)
+    elif isinstance(value, CSRGraph):
+        yield from (value.indptr, value.indices, value.weights)
+    elif isinstance(value, IntervalDelta):
+        yield from (value.sources, value.until)
+        yield from plan_arrays(value.csr)
+    elif isinstance(value, engine._Level):
+        yield from (value.parents, value.origins, value.targets,
+                    value.weights, value.offsets, value.leaf_rows,
+                    value.graph.first, value.graph.last)
+
+
 def plan_objects(decomposition):
     """Identities of everything the plan holds, arrays and CSRs included."""
     ids = set()
     for value in plan_of(decomposition).values():
-        parts = value if isinstance(value, tuple) else (value,)
-        for part in parts:
-            ids.add(id(part))
-            if isinstance(part, OverlayGraph):
-                ids.update(id(c) for c in part.components)
+        ids.add(id(value))
+        ids.update(id(array) for array in plan_arrays(value))
     return ids
 
 
@@ -64,7 +79,7 @@ def assert_range_is_oracle(decomposition, algorithm, source, first, last,
 
 def test_three_evaluators_build_the_plan_once(small_evolving, monkeypatch):
     decomp = CommonGraphDecomposition.from_evolving(small_evolving)
-    calls = {"build_schedule": 0, "from_edge_set": 0, "label": 0, "weights": 0}
+    calls = {"build_schedule": 0, "from_edge_set": 0, "levels": 0, "weights": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -77,8 +92,7 @@ def test_three_evaluators_build_the_plan_once(small_evolving, monkeypatch):
     monkeypatch.setattr(
         CSRGraph, "from_edge_set",
         classmethod(counted("from_edge_set", CSRGraph.from_edge_set.__func__)))
-    monkeypatch.setattr(TriangularGrid, "label",
-                        counted("label", TriangularGrid.label))
+    monkeypatch.setattr(engine, "_levels", counted("levels", engine._levels))
     monkeypatch.setattr(HashWeights, "__call__",
                         counted("weights", HashWeights.__call__))
 
@@ -88,21 +102,71 @@ def test_three_evaluators_build_the_plan_once(small_evolving, monkeypatch):
     ]
     evaluators[0].run()
     first_run = dict(calls)
-    schedule = evaluators[0].schedule
-    # One CSR per schedule node: the common graph for the root (whose
-    # surplus is empty), one Δ CSR for every other node.
-    assert first_run["build_schedule"] == 1
-    assert first_run["from_edge_set"] == len(schedule.nodes)
-    assert first_run["label"] == schedule.num_stabilisations()
+    # Two CSRs whatever the schedule: the common graph and the Δ of
+    # every ICG; every batch is read off the second.
+    assert first_run == {"build_schedule": 1, "from_edge_set": 2,
+                         "levels": 1, "weights": 2}
+    # The plan asks only for what it uses: halving compares no sizes and
+    # batches are filters on the Δ, so no interval surplus is computed
+    # (n(n+1)/2 of them before; the bound the roadmap asked for is 2n-1).
+    assert len(decomp._interval_cache) == 0
 
     for evaluator in evaluators[1:]:
         evaluator.run()
     assert calls == first_run
+    schedule = evaluators[0].schedule
     assert all(e.schedule is schedule for e in evaluators)
     assert all(e.base_csr is evaluators[0].base_csr for e in evaluators)
+    assert all(e._levels is evaluators[0]._levels for e in evaluators)
     # A later constructor on the planned decomposition builds nothing.
     WorkSharingEvaluator(decomp, get_algorithm("SSSP"), 0, weight_fn=WF).run()
     assert calls == first_run
+
+
+def test_level_seeds_are_the_grid_labels(small_evolving):
+    """The sweeps' batches, read off the Δ by snapshot span, are the
+    Triangular Grid's labels (edge-set algebra), edge for edge."""
+    decomp = CommonGraphDecomposition.from_evolving(small_evolving)
+    V = decomp.num_vertices
+    for strategy in ("work-sharing", "greedy", "direct-hop"):
+        evaluator = WorkSharingEvaluator(
+            decomp, get_algorithm("SSSP"), 3, weight_fn=WF,
+            schedule=planned_schedule(decomp, strategy, 1, 6), first=1, last=6)
+        edges = [edge for level in evaluator._levels for edge in level.edges]
+        assert edges == list(evaluator.schedule.edges())
+        for level in evaluator._levels:
+            for row, (parent, child) in enumerate(level.edges):
+                lo, hi = level.offsets[row], level.offsets[row + 1]
+                src, dst = evaluator.grid.label(parent, child).arrays()
+                assert np.array_equal(level.origins[lo:hi], row * V + src)
+                assert np.array_equal(level.targets[lo:hi], row * V + dst)
+                assert np.array_equal(level.weights[lo:hi], WF(src, dst))
+
+
+def test_a_supplied_schedule_is_walked_as_given(small_evolving, monkeypatch):
+    decomp = CommonGraphDecomposition.from_evolving(small_evolving)
+    grid = TriangularGrid(decomp)
+    sssp = get_algorithm("SSSP")
+    default = WorkSharingEvaluator(decomp, sssp, 3, weight_fn=WF)
+    default.run()
+    before = plan_of(decomp)
+    def graphs_only(key, build):
+        # Never the planned tree or its sweeps: reading them fails here.
+        assert key[0] in ("common", "delta"), key
+        return before[key]
+
+    monkeypatch.setattr(decomp, "plan", graphs_only)
+    for tree in (direct_hop_tree(grid), greedy_steiner(grid, compress=False)):
+        evaluator = WorkSharingEvaluator(decomp, sssp, 3, weight_fn=WF,
+                                         schedule=tree)
+        assert evaluator.schedule is tree
+        result = evaluator.run()
+        assert result.additions_processed == tree.cost(grid)
+        assert result.stabilisations == tree.num_stabilisations()
+        for got, want in zip(result.snapshot_values,
+                             oracle_values(decomp, sssp, 3, 0, grid.n - 1, WF)):
+            assert_values_equal(got, want)
+    assert plan_of(decomp).keys() == before.keys()
 
 
 @pytest.mark.parametrize("strategy", sorted(steiner._BUILDERS))
@@ -226,14 +290,13 @@ def test_two_threads_planning_a_fresh_decomposition_share_one_plan(
     a, b = evaluators[0], evaluators[1]
     assert a.schedule is b.schedule and a.base_csr is b.base_csr
     # Whoever lost a race adopted the stored value: one entry per key,
-    # and both walks read the same objects from it.
+    # and both walks read the same sweeps from it.
     plan = plan_of(decomp)
-    nodes, edges = a.schedule.nodes, list(a.schedule.edges())
-    assert len(plan) == 2 + len(nodes) + len(edges)
-    for node in nodes:
-        assert a._graph(node) is b._graph(node) is plan[("graph", node, WF)]
-    for parent, child in edges:
-        assert a._batch(parent, child) is plan[("batch", parent, child, WF)]
+    assert sorted(key[0] for key in plan) == [
+        "common", "delta", "levels", "schedule"]
+    assert a.delta is b.delta is plan[("delta", WF)]
+    assert a._levels is b._levels is plan[
+        ("levels", "work-sharing") + a.schedule.root + (WF,)]
 
 
 class TestMemoKeysByValue:
@@ -246,9 +309,9 @@ class TestMemoKeysByValue:
                                      weight_fn=HashWeights(64, 1))
         assert a.base_csr is b.base_csr
         assert a.base_csr is not other.base_csr
-        leaf = (2, 2)
-        assert a._graph(leaf) is b._graph(leaf)
-        assert a._graph(leaf) is not other._graph(leaf)
+        assert a.delta is b.delta and a._levels is b._levels
+        assert a.delta is not other.delta
+        assert a._levels is not other._levels
         # None means unit weights, by value too.
         unit = WorkSharingEvaluator(decomp, bfs, 3)
         assert unit.base_csr is WorkSharingEvaluator(
@@ -267,7 +330,7 @@ class TestMemoKeysByValue:
         assert a.base_csr is not WorkSharingEvaluator(
             decomp, bfs, 3, weight_fn=lambda s, t: halves(s, t)).base_csr
 
-    def test_sweeping_every_range_holds_one_graph_per_node(self):
+    def test_sweeping_every_range_holds_the_delta_once(self):
         n = 16
         eg = generate_evolving_graph(
             num_vertices=64, base=rmat_edges(scale=6, num_edges=300, seed=2),
@@ -275,13 +338,26 @@ class TestMemoKeysByValue:
         )
         decomp = CommonGraphDecomposition.from_evolving(eg)
         bfs = get_algorithm("BFS")
+        grid = TriangularGrid(decomp)
+        seeds = 0
         for first in range(n):
             for last in range(first, n):
                 for _ in range(2):  # an equal weight function per query
-                    WorkSharingEvaluator(
+                    evaluator = WorkSharingEvaluator(
                         decomp, bfs, 1, weight_fn=HashWeights(64, 0),
                         first=first, last=last,
-                    ).run()
-        graphs = [key for key in plan_of(decomp)
-                  if key[0] in ("common", "graph")]
-        assert len(graphs) <= 1 + n * (n + 1) // 2
+                    )
+                    evaluator.run()
+                seeds += evaluator.schedule.cost(grid.subgrid(first, last))
+        plan = plan_of(decomp)
+        kinds = [key[0] for key in plan]
+        assert kinds.count("common") == kinds.count("delta") == 1
+        assert kinds.count("levels") == kinds.count("schedule") == grid.num_nodes()
+        # What a range adds to the plan is its tree and its seeds — no
+        # graph, nothing of the size of the vertex set.
+        per_range = sum(
+            array.nbytes for key, value in plan.items() if key[0] == "levels"
+            for array in plan_arrays(value))
+        rows = sum(len(tree.parent) for key, tree in plan.items()
+                   if key[0] == "schedule")
+        assert per_range <= 24 * seeds + 64 * rows + 8 * grid.num_nodes() * 8

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 
 from repro.core.common import CommonGraphDecomposition
 from repro.core.schedule import ScheduleTree
-from repro.core.steiner import direct_hop_tree, greedy_steiner
+from repro.core.steiner import (
+    direct_hop_tree, greedy_steiner, halving_schedule,
+)
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import ScheduleError
 from tests.strategies import evolving_graphs
@@ -142,3 +144,41 @@ def test_compression_random(eg):
     for node, kids in children.items():
         if node != grid.root and node not in grid.leaves:
             assert len(kids) != 1
+
+
+def reference_edges(tree):
+    """``ScheduleTree.edges`` as it was before ``levels`` (verbatim)."""
+    children = tree.children_map()
+    queue = [tree.root]
+    while queue:
+        node = queue.pop(0)
+        for child in children.get(node, []):
+            yield node, child
+            queue.append(child)
+
+
+@settings(max_examples=25, deadline=None)
+@given(evolving_graphs(max_batches=5))
+def test_levels_are_the_breadth_first_edges_by_depth(eg):
+    grid = grid_for(eg)
+    for tree in (greedy_steiner(grid, compress=False), greedy_steiner(grid),
+                 halving_schedule(grid), direct_hop_tree(grid)):
+        levels = list(tree.levels())
+        flat = [edge for level in levels for edge in level]
+        assert flat == list(reference_edges(tree)) == list(tree.edges())
+        depth = {tree.root: 0}
+        for d, level in enumerate(levels, start=1):
+            assert level  # no empty sweep
+            for parent, child in level:
+                assert depth[parent] == d - 1
+                depth[child] = d
+        assert len(depth) == len(tree.nodes)
+
+
+def test_a_long_star_is_one_level():
+    n = 20_000
+    tree = ScheduleTree(root=(0, n - 1),
+                        parent={(i, i): (0, n - 1) for i in range(n)})
+    (level,) = tree.levels()
+    assert level == [((0, n - 1), (i, i)) for i in range(n)]
+    assert sum(1 for _ in tree.edges()) == n

@@ -12,6 +12,7 @@ from repro.core.steiner import (
     direct_hop_tree,
     exact_steiner,
     greedy_steiner,
+    halving_schedule,
 )
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import ScheduleError
@@ -43,7 +44,7 @@ class TestGreedy:
     def test_build_schedule_dispatch(self, small_evolving):
         grid = grid_for(small_evolving)
         assert build_schedule(grid, "direct-hop").parent == direct_hop_tree(grid).parent
-        assert build_schedule(grid, "work-sharing").cost(grid) == greedy_steiner(grid).cost(grid)
+        assert build_schedule(grid, "greedy").parent == greedy_steiner(grid).parent
         with pytest.raises(ScheduleError, match="unknown strategy"):
             build_schedule(grid, "magic")
 
@@ -57,6 +58,41 @@ class TestGreedy:
         tree.validate(grid)
         assert tree.cost(grid) == 0
         assert tree.num_stabilisations() == 0
+
+
+class TestHalving:
+    def test_shape(self, small_evolving):
+        grid = grid_for(small_evolving)
+        tree = halving_schedule(grid)
+        tree.validate(grid)
+        assert tree.parent == tree.compressed(grid).parent  # nothing to bypass
+        assert len(tree.nodes) == 2 * grid.n - 1
+        for (i, j), kids in tree.children_map().items():
+            if i < j:
+                mid = (i + j) // 2
+                assert kids == [(i, mid), (mid + 1, j)]
+        assert build_schedule(grid, "work-sharing").parent == tree.parent
+
+    def test_compares_no_surplus(self, small_evolving):
+        decomp = CommonGraphDecomposition.from_evolving(small_evolving)
+        halving_schedule(TriangularGrid(decomp))
+        assert decomp._interval_cache == {}
+
+    def test_single_snapshot_and_subgrid(self, small_evolving):
+        grid = grid_for(small_evolving)
+        assert halving_schedule(grid.subgrid(3, 3)).parent == {}
+        sub = halving_schedule(grid.subgrid(2, 6))
+        sub.validate(grid.subgrid(2, 6))
+        assert sub.root == (2, 6) and sub.parent[(2, 4)] == (2, 6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(evolving_graphs(max_batches=4))
+    def test_bounded_by_exact_and_star(self, eg):
+        grid = grid_for(eg)
+        tree = halving_schedule(grid)
+        tree.validate(grid)
+        assert exact_steiner(grid).cost(grid) <= tree.cost(grid)
+        assert tree.cost(grid) <= direct_hop_tree(grid).cost(grid)
 
 
 class TestAgglomerative:

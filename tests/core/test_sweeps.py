@@ -1,0 +1,155 @@
+"""The one walk, level by level: a sweep of sibling hops on a stacked
+graph answers exactly what the naive oracle answers — for every
+schedule shape, algorithm, sub-range and node-store content — and what
+the same walk answers one edge at a time."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.algorithms.registry import get_algorithm
+from repro.bench.workloads import WorkloadSpec, build_workload
+from repro.core.common import CommonGraphDecomposition
+from repro.core.engine import WorkSharingEvaluator, planned_schedule
+from repro.core.steiner import build_schedule
+from repro.core.triangular_grid import TriangularGrid
+from repro.graph.csr import CSRGraph
+from repro.graph.weights import HashWeights
+from repro.kickstarter.engine import VertexState, static_compute
+from tests.conftest import ALL_ALGORITHMS, assert_values_equal, oracle_values
+from tests.strategies import evolving_graphs
+
+WF = HashWeights(max_weight=8, seed=7)
+STRATEGIES = ("direct-hop", "work-sharing", "greedy", "agglomerative")
+
+
+class DictStore:
+    """A node store that counts what the walk asks of it."""
+
+    def __init__(self, held):
+        self.held = dict(held)
+        self.lookups = []
+        self.puts = []
+
+    def get(self, node):
+        self.lookups.append(node)
+        state = self.held.get(node)
+        return None if state is None else state.copy()
+
+    def put(self, node, state):
+        self.puts.append(node)
+        self.held[node] = state.copy()
+
+
+def one_edge_at_a_time(edges, compute):
+    for row in range(len(edges)):
+        compute([row])
+
+
+@settings(max_examples=60, deadline=None)
+@given(evolving_graphs(max_batches=6), st.sampled_from(STRATEGIES),
+       st.sampled_from(ALL_ALGORITHMS), st.data())
+def test_stacked_walk_is_the_oracle(eg, strategy, name, data):
+    alg = get_algorithm(name)
+    decomp = CommonGraphDecomposition.from_evolving(eg)
+    n, V = decomp.num_snapshots, decomp.num_vertices
+    first = data.draw(st.integers(0, n - 1), label="first")
+    last = data.draw(st.integers(first, n - 1), label="last")
+    source = data.draw(st.integers(0, V - 1), label="source")
+    tree = planned_schedule(decomp, strategy, first, last)
+    nodes = tree.nodes
+
+    def evaluator():
+        # The default schedule reads its sweeps from the plan; any other
+        # is levelled as supplied.
+        return WorkSharingEvaluator(
+            decomp, alg, source, weight_fn=WF, first=first, last=last,
+            schedule=None if strategy == "work-sharing" else tree)
+
+    want = oracle_values(decomp, alg, source, first, last, WF)
+    cold = evaluator().run()
+    assert cold.node_misses == len(nodes) and cold.node_hits == 0
+    assert cold.stabilisations == len(tree.parent)
+    assert cold.additions_processed == tree.cost(
+        TriangularGrid(decomp).subgrid(first, last))
+
+    # A store already holding any subset of the tree's nodes — the root,
+    # a parent whose children are missing, children whose parent is not.
+    held = data.draw(st.sets(st.sampled_from(nodes)), label="held")
+    states = {
+        node: VertexState(static_compute(
+            CSRGraph.from_edge_set(decomp.interval_edges(*node), V,
+                                   weight_fn=WF), alg, source).values,
+            source=source)
+        for node in held
+    }
+    store = DictStore(states)
+    warm = evaluator().run(store=store)
+    stepwise = evaluator().run(store=DictStore(states),
+                               run_sweep=one_edge_at_a_time)
+
+    for result in (cold, warm, stepwise):
+        assert len(result.snapshot_values) == len(want)
+        for got, expected in zip(result.snapshot_values, want):
+            assert got.tobytes() == expected.tobytes()
+    computed = [node for node in nodes if node not in held]
+    for result in (warm, stepwise):
+        assert result.node_hits == len(held)
+        assert result.node_hits + result.node_misses == len(nodes)
+        assert result.stabilisations == len(
+            [node for node in computed if node != tree.root])
+    assert sorted(store.lookups) == nodes  # each node asked for once
+    assert sorted(store.puts) == computed  # each computed row put
+    for node in computed:
+        assert_values_equal(
+            store.held[node].values,
+            static_compute(CSRGraph.from_edge_set(
+                decomp.interval_edges(*node), V, weight_fn=WF),
+                alg, source).values, f"stored {node}")
+
+
+@pytest.mark.parametrize("mode", ["sync", "async", "auto"])
+def test_every_scheduler_mode_sweeps_to_the_same_answer(small_evolving,
+                                                        algorithm, mode):
+    decomp = CommonGraphDecomposition.from_evolving(small_evolving)
+    result = WorkSharingEvaluator(decomp, algorithm, 3, weight_fn=WF,
+                                  mode=mode, first=1, last=6).run()
+    for got, want in zip(result.snapshot_values,
+                         oracle_values(decomp, algorithm, 3, 1, 6, WF)):
+        assert_values_equal(got, want, f"{algorithm.name}/{mode}")
+
+
+def test_an_answer_pins_no_interior_row(small_evolving):
+    """Snapshot rows leave the walk in arrays that hold snapshots only."""
+    decomp = CommonGraphDecomposition.from_evolving(small_evolving)
+    n, V = decomp.num_snapshots, decomp.num_vertices
+    for first, last in ((0, n - 1), (1, 5), (2, 2)):
+        result = WorkSharingEvaluator(decomp, get_algorithm("SSSP"), 3,
+                                      weight_fn=WF, first=first,
+                                      last=last).run()
+        owners = [row if row.base is None else row.base
+                  for row in result.snapshot_values]
+        held = {id(owner): owner.size for owner in owners}
+        assert sum(held.values()) == (last - first + 1) * V
+
+
+@pytest.mark.parametrize("profile, halving, greedy, depth", [
+    ("small", 691, 1002, 3), ("LJ/16", 2389, 5083, 4),
+    ("DL/50", 10708, 48188, 6),
+])
+def test_halving_costs_no_more_than_greedy_on_the_generator_profiles(
+        small_evolving, profile, halving, greedy, depth):
+    """The perf workloads' inputs (seed 11): the pinned costs are what
+    ``core.schedule_cost_edges`` reads there, halving against greedy."""
+    if profile == "small":
+        evolving = small_evolving
+    else:
+        dataset, snapshots = profile.split("/")
+        evolving = build_workload(WorkloadSpec(
+            dataset=dataset, num_snapshots=int(snapshots), batch_size=75,
+            edge_scale=1.0, seed=11)).evolving
+    grid = TriangularGrid(CommonGraphDecomposition.from_evolving(evolving))
+    tree = build_schedule(grid, "work-sharing")
+    assert tree.cost(grid) == halving <= greedy
+    assert build_schedule(grid, "greedy").cost(grid) == greedy
+    assert len(list(tree.levels())) == depth
+    assert len(tree.nodes) == 2 * grid.n - 1

@@ -8,7 +8,9 @@ from repro.core.common import CommonGraphDecomposition
 from repro.core.direct_hop import DirectHopEvaluator
 from repro.core.engine import WorkSharingEvaluator
 from repro.core.schedule import ScheduleTree
-from repro.core.steiner import direct_hop_tree, exact_steiner, greedy_steiner
+from repro.core.steiner import (
+    direct_hop_tree, exact_steiner, greedy_steiner, halving_schedule,
+)
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
@@ -32,11 +34,12 @@ class TestWorkSharing:
                 result.snapshot_values[i], want, f"{algorithm.name}@{i}"
             )
 
-    def test_default_schedule_is_greedy(self, small_evolving):
+    def test_default_schedule_is_range_halving(self, small_evolving):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
         evaluator = WorkSharingEvaluator(decomp, get_algorithm("BFS"), 3, weight_fn=WF)
         grid = TriangularGrid(decomp)
-        assert evaluator.schedule.cost(grid) == greedy_steiner(grid).cost(grid)
+        assert evaluator.schedule.parent == halving_schedule(grid).parent
+        assert evaluator.schedule.cost(grid) <= greedy_steiner(grid).cost(grid)
 
     def test_additions_processed_equals_schedule_cost(self, small_evolving):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)

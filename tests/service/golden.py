@@ -13,7 +13,10 @@ It has been regenerated once since, for wire version 2 (query ``values``
 became base + sparse changes): the 31 entries carrying ``values`` were
 re-spelled — each decodes ``array_equal`` to its old payload — and the
 other 85 entries, like every field outside ``values``, stayed
-byte-identical.
+byte-identical.  And once more when the default schedule became range
+halving walked in sweeps (a different tree visits different nodes): 3
+entries changed, in ``node_hits`` / ``node_misses`` only — the script
+prints the fields a regeneration moves.
 
 Determinism: server, replicas, router and the driving client all share
 *one* event loop, so arrival order is the order the scenario awaits
@@ -638,9 +641,32 @@ def record() -> Dict[str, List[Dict[str, Any]]]:
     return json.loads(json.dumps(asyncio.run(_record())))
 
 
+def _changed_fields(old: Any, new: Any, field: str = "") -> set:
+    """Names of the fields under which ``old`` and ``new`` differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return set().union(*(
+            _changed_fields(old.get(key), new.get(key), key)
+            for key in old.keys() | new.keys()))
+    if (isinstance(old, list) and isinstance(new, list)
+            and len(old) == len(new)):
+        return set().union(*(
+            _changed_fields(a, b, field) for a, b in zip(old, new)))
+    return set() if old == new else {field}
+
+
 def main() -> None:
     lines = ["{"]
     transcript = record()
+    if GOLDEN_PATH.exists():
+        # What the regeneration changes, so a reviewer sees at a glance
+        # that (say) no ``values`` / ``base`` / ``changes`` field moved.
+        held = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        pairs = [(a, b) for name in transcript
+                 for a, b in zip(held.get(name, []), transcript[name])]
+        changed = [_changed_fields(a, b) for a, b in pairs]
+        print(f"entries compared {len(pairs)} / changed "
+              f"{sum(map(bool, changed))}; fields that differ: "
+              f"{sorted(set().union(*changed))}")
     for index, (name, entries) in enumerate(transcript.items()):
         lines.append(f" {json.dumps(name)}: [")
         lines.extend(

@@ -9,6 +9,7 @@ scenarios and for how they stay deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -55,3 +56,33 @@ def test_replay_is_unchanged(replay, scenario):
             f"{expected.get('request')}"
         )
     assert len(got) == len(want)
+
+
+def _value_payloads(doc):
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            if key == "values":
+                yield doc[key]
+            else:
+                yield from _value_payloads(doc[key])
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from _value_payloads(item)
+
+
+def test_every_values_payload_is_the_wire_v2_capture():
+    """The transcript was regenerated when the default schedule became
+    range halving walked in sweeps; only ``node_hits`` / ``node_misses``
+    may have moved.  The digest is that of every ``values`` payload
+    (``base`` + ``changes``, temporal ones included) of the transcript as
+    it stood before that regeneration: byte-equal answers."""
+    digest = hashlib.sha256()
+    count = 0
+    for scenario in sorted(GOLDEN):
+        for payload in _value_payloads(GOLDEN[scenario]):
+            digest.update(json.dumps(payload, sort_keys=True,
+                                     separators=(",", ":")).encode())
+            count += 1
+    assert count == 44
+    assert digest.hexdigest() == (
+        "f80d307224fa7e8aebe12741cc50e405839b8ce37485942289091372a372c535")

@@ -64,12 +64,17 @@ class TestQueryTraces:
         trace_id = response["trace_id"]
         spans = trace_spans(obs_runtime, trace_id)
         names = {span.name for span in spans}
-        # Server → planner → schedule edges → per-hop kernels, one trace.
+        # Server → planner → schedule sweeps → one kernel call each, one trace.
         assert {
             "server.query", "planner.evaluate", "planner.root",
-            "kernel.static_compute", "planner.edge",
+            "kernel.static_compute", "planner.sweep",
             "kernel.incremental_additions",
         } <= names
+        sweeps = [span for span in spans if span.name == "planner.sweep"]
+        assert all(s.attributes["edges"] == s.attributes["misses"] >= 1
+                   and s.attributes["hits"] == 0 for s in sweeps)
+        assert sum(s.attributes["edges"] for s in sweeps) + 1 == (
+            response["node_misses"])
         by_id = {span.span_id: span for span in spans}
         (root,) = [span for span in spans if span.parent_id is None]
         assert root.name == "server.query"
