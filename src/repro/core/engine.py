@@ -151,15 +151,16 @@ def _levels(tree: ScheduleTree, common: CSRGraph,
             delta: IntervalDelta) -> List[_Level]:
     """``tree`` as sweeps over ``common`` + ``delta``."""
     width = common.num_vertices
-    entries = np.arange(delta.csr.num_edges)[:, None]
+    sources, targets, weights = delta.csr.edge_arrays()
+    entries = np.arange(targets.size)[:, None]
     levels: List[_Level] = []
     row_of = {tree.root: 0}
     for edges in tree.levels():
-        parents = np.array([p for p, _ in edges], dtype=np.int64)
+        outer = np.array([p for p, _ in edges], dtype=np.int64)
         children = np.array([c for _, c in edges], dtype=np.int64)
         # An edge's batch: in the child's ICG, not yet in the parent's.
         fresh = (delta.within(entries, children[:, 0], children[:, 1])
-                 & ~delta.within(entries, parents[:, 0], parents[:, 1]))
+                 & ~delta.within(entries, outer[:, 0], outer[:, 1]))
         rows, picked = fresh.T.nonzero()
         shifts = rows * width
         offsets = np.zeros(len(edges) + 1, dtype=np.int64)
@@ -169,9 +170,9 @@ def _levels(tree: ScheduleTree, common: CSRGraph,
             edges=edges,
             parents=np.array([row_of[p] for p, _ in edges], dtype=np.int64),
             graph=StackedGraph(common, delta, children),
-            origins=delta.sources[picked] + shifts,
-            targets=delta.csr.indices[picked] + shifts,
-            weights=delta.csr.weights[picked],
+            origins=sources[picked] + shifts,
+            targets=targets[picked] + shifts,
+            weights=weights[picked],
             offsets=offsets,
             leaf_rows=leaves,
             leaf_snapshots=(children[leaves, 0] - tree.root[0]).tolist(),

@@ -133,9 +133,9 @@ def _resilient_walk(
         except RetryExhaustedError:
             outcome.status = "degraded"
             compute()
-        else:
-            if outcome.attempts > 1:
-                outcome.status = "retried"
+            return
+        if outcome.attempts > 1:
+            outcome.status = "retried"
 
     def run_sweep(edges: Sequence[Edge],
                   compute: Callable[..., None]) -> None:

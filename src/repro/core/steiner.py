@@ -16,8 +16,8 @@ depth grows with ``n`` (DL/50: 10 708 additions at depth 6 against
 
 :func:`greedy_steiner` is the paper's Algorithm 1 heuristic, kept under
 the name ``"greedy"`` for the ablation table.  Because TG edge weights
-telescope (``w(p→c) = |surplus(c)| − |surplus(p)|``), the shortest-path distance
-from any tree node ``A ⊇ x`` down to ``x`` is ``|surplus(x)| −
+telescope (``w(p→c) = |surplus(c)| − |surplus(p)|``), the shortest-path
+distance from any tree node ``A ⊇ x`` down to ``x`` is ``|surplus(x)| −
 |surplus(A)|`` regardless of the route, so the classic
 nearest-terminal greedy reduces to: repeatedly connect the cheapest
 uncovered snapshot to its deepest (largest-surplus) covering node

@@ -37,15 +37,13 @@ class IntervalDelta:
     in every snapshot ``i..j`` — iff ``until[e, i] >= j``.
     """
 
-    __slots__ = ("csr", "sources", "until")
+    __slots__ = ("csr", "until")
 
     def __init__(self, csr: CSRGraph, edges: EdgeSet,
                  snapshots: Sequence[EdgeSet]) -> None:
         if csr.num_edges != len(edges):
             raise GraphError("the CSR does not hold exactly the given edges")
         self.csr = csr
-        self.sources = np.repeat(
-            np.arange(csr.num_vertices, dtype=np.int64), csr.degrees())
         present = np.zeros((len(edges), len(snapshots)), dtype=bool)
         for t, snapshot in enumerate(snapshots):
             present[np.searchsorted(edges.codes, snapshot.codes), t] = True
@@ -98,15 +96,17 @@ class StackedGraph:
         weights = self.common.weights[slots]
         slots, degrees = self.delta.csr.slots(vertices)
         if slots.size:
-            of = np.repeat(np.arange(frontier.size), degrees)
-            at = rows[of]
+            # Each Δ edge's position in the frontier, hence its row.
+            position = np.repeat(np.arange(frontier.size), degrees)
+            row = rows[position]
             kept = self.delta.within(
-                slots, self.first[at], self.last[at]).nonzero()[0]
+                slots, self.first[row], self.last[row]).nonzero()[0]
             if kept.size:
-                slots, of = slots[kept], of[kept]
-                origins = np.concatenate([origins, frontier[of]])
+                slots, position = slots[kept], position[kept]
+                origins = np.concatenate([origins, frontier[position]])
                 targets = np.concatenate(
-                    [targets, self.delta.csr.indices[slots] + shifts[of]])
+                    [targets,
+                     self.delta.csr.indices[slots] + shifts[position]])
                 weights = np.concatenate(
                     [weights, self.delta.csr.weights[slots]])
         return origins, targets, weights

@@ -45,7 +45,7 @@ def plan_arrays(value):
     elif isinstance(value, CSRGraph):
         yield from (value.indptr, value.indices, value.weights)
     elif isinstance(value, IntervalDelta):
-        yield from (value.sources, value.until)
+        yield value.until
         yield from plan_arrays(value.csr)
     elif isinstance(value, engine._Level):
         yield from (value.parents, value.origins, value.targets,

@@ -47,7 +47,7 @@ def test_until_says_which_icgs_hold_an_edge(eg):
     decomp, _, delta = parts_of(eg)
     n = decomp.num_snapshots
     entries = np.arange(delta.csr.num_edges)
-    codes = (delta.sources << 32) | delta.csr.indices
+    codes = delta.csr.edge_set().codes
     for i in range(n):
         for j in range(i, n):
             held = delta.within(entries, i, j)
