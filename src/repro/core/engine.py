@@ -134,9 +134,9 @@ class _Level:
     targets: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
-    #: The rows that are snapshots, and which (relative to the range).
-    leaf_rows: np.ndarray
-    leaf_snapshots: List[int]
+    #: ``(snapshot, row)`` of the rows that are snapshots (snapshots
+    #: counted from the range's first).
+    leaves: List[Tuple[int, int]]
 
     def seeds(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The batches of ``rows`` (all of them: the arrays as they are)."""
@@ -165,7 +165,6 @@ def _levels(tree: ScheduleTree, common: CSRGraph,
         shifts = rows * width
         offsets = np.zeros(len(edges) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(edges)), out=offsets[1:])
-        leaves = np.flatnonzero(children[:, 0] == children[:, 1])
         levels.append(_Level(
             edges=edges,
             parents=np.array([row_of[p] for p, _ in edges], dtype=np.int64),
@@ -174,8 +173,8 @@ def _levels(tree: ScheduleTree, common: CSRGraph,
             targets=targets[picked] + shifts,
             weights=weights[picked],
             offsets=offsets,
-            leaf_rows=leaves,
-            leaf_snapshots=(children[leaves, 0] - tree.root[0]).tolist(),
+            leaves=[(i - tree.root[0], row)
+                    for row, (_, (i, j)) in enumerate(edges) if i == j],
         ))
         row_of = {child: row for row, (_, child) in enumerate(edges)}
     return levels
@@ -333,11 +332,18 @@ class WorkSharingEvaluator:
         if root[0] == root[1]:
             values[0] = root_state.values
         above = root_state.values.reshape(1, width)
+        # One allocation holds every node's row, level after level: a
+        # walk that allocated its levels one by one ran up to a third
+        # slower whenever the allocator's trimming fell out of step with
+        # them (same code, other heap layout).
+        arena = np.empty((len(self.schedule.parent), width))
+        filled = 0
         for level in self._levels:
             with result.timer.phase("incremental_add"), \
                     obs.phase_span(layer, "sweep",
                                    edges=len(level.edges)) as span:
-                matrix = np.empty((len(level.edges), width))
+                matrix = arena[filled:filled + len(level.edges)]
+                filled += len(level.edges)
                 missing = []
                 for row, (_, child) in enumerate(level.edges):
                     state = held(child)
@@ -355,12 +361,9 @@ class WorkSharingEvaluator:
                         for row in missing:
                             store.put(level.edges[row][1], VertexState(
                                 values=matrix[row], source=self.source))
-            if keep_values and level.leaf_snapshots:
-                # Snapshot rows leave in a matrix that holds nothing
-                # else, so an answer pins no interior node's row.
-                kept = (matrix if len(level.leaf_snapshots) == len(matrix)
-                        else matrix[level.leaf_rows])
-                values.update(zip(level.leaf_snapshots, kept))
+            if keep_values:
+                for snapshot, row in level.leaves:
+                    values[snapshot] = matrix[row]
             above = matrix
 
         if keep_values:

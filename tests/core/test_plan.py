@@ -49,7 +49,7 @@ def plan_arrays(value):
         yield from plan_arrays(value.csr)
     elif isinstance(value, engine._Level):
         yield from (value.parents, value.origins, value.targets,
-                    value.weights, value.offsets, value.leaf_rows,
+                    value.weights, value.offsets,
                     value.graph.first, value.graph.last)
 
 

@@ -118,18 +118,21 @@ def test_every_scheduler_mode_sweeps_to_the_same_answer(small_evolving,
         assert_values_equal(got, want, f"{algorithm.name}/{mode}")
 
 
-def test_an_answer_pins_no_interior_row(small_evolving):
-    """Snapshot rows leave the walk in arrays that hold snapshots only."""
+def test_a_walk_allocates_its_rows_once(small_evolving):
+    """Every node's row lives in one arena (a row per tree edge), and a
+    snapshot's answer is its row there: no per-level matrices, no copy."""
     decomp = CommonGraphDecomposition.from_evolving(small_evolving)
     n, V = decomp.num_snapshots, decomp.num_vertices
-    for first, last in ((0, n - 1), (1, 5), (2, 2)):
-        result = WorkSharingEvaluator(decomp, get_algorithm("SSSP"), 3,
-                                      weight_fn=WF, first=first,
-                                      last=last).run()
-        owners = [row if row.base is None else row.base
-                  for row in result.snapshot_values]
-        held = {id(owner): owner.size for owner in owners}
-        assert sum(held.values()) == (last - first + 1) * V
+    for first, last in ((0, n - 1), (1, 5)):
+        evaluator = WorkSharingEvaluator(decomp, get_algorithm("SSSP"), 3,
+                                         weight_fn=WF, first=first, last=last)
+        result = evaluator.run()
+        (arena,) = {id(row.base): row.base for row in result.snapshot_values
+                    }.values()
+        assert arena.shape == (len(evaluator.schedule.parent), V)
+    single = WorkSharingEvaluator(decomp, get_algorithm("SSSP"), 3,
+                                  weight_fn=WF, first=2, last=2).run()
+    assert single.snapshot_values[0].shape == (V,)
 
 
 @pytest.mark.parametrize("profile, halving, greedy, depth", [
