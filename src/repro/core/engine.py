@@ -336,7 +336,8 @@ class WorkSharingEvaluator:
         # walk that allocated its levels one by one ran up to a third
         # slower whenever the allocator's trimming fell out of step with
         # them (same code, other heap layout).
-        arena = np.empty((len(self.schedule.parent), width))
+        arena = np.empty(
+            (sum(len(level.edges) for level in self._levels), width))
         filled = 0
         for level in self._levels:
             with result.timer.phase("incremental_add"), \
