@@ -171,25 +171,28 @@ def test_cached_query_throughput(benchmark, running, workload):
     RESULTS["cached_queries_per_second"] = round(qps, 2)
 
 
-def _next_snapshot(evolving):
-    """The tip perturbed by one synthetic batch (adds + drops)."""
+def _next_batch(evolving):
+    """One synthetic batch against the tip (drops + returning edges)."""
     tip = evolving.snapshot_edges(evolving.num_snapshots - 1)
     dropped = EdgeSet(tip.codes[:BENCH_SPEC.batch_size // 2])
     base = evolving.snapshot_edges(0)
     returned = EdgeSet((base - tip).codes[:BENCH_SPEC.batch_size // 2])
-    return (tip - dropped) | returned
+    return DeltaBatch(additions=returned, deletions=dropped)
+
+
+def _next_snapshot(evolving):
+    """The tip perturbed by :func:`_next_batch`."""
+    tip = evolving.snapshot_edges(evolving.num_snapshots - 1)
+    return _next_batch(evolving).apply(tip)
 
 
 @pytest.mark.benchmark(group="service-ingest")
 def test_incremental_extension(benchmark, workload, decomposition):
     """What the service pays per ingest: one ``extended`` call."""
-    new_edges = _next_snapshot(workload.evolving)
-    n = decomposition.num_snapshots
-    for i in range(n):  # the live cache a long-running service carries
-        decomposition.interval_surplus(i, n - 1)
+    batch = _next_batch(workload.evolving)
 
     def run():
-        decomposition.extended(new_edges)
+        decomposition.extended(batch)
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=3)
     RESULTS["ingest_incremental_ms"] = round(

@@ -22,17 +22,19 @@ interval surpluses; :mod:`repro.core.engine` says what goes in.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
 )
 
-from repro.errors import SnapshotError
+from repro.errors import DeltaError, SnapshotError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.graph.weights import WeightFn
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.evolving
+    from repro.evolving.delta import DeltaBatch
     from repro.evolving.snapshots import EvolvingGraph
 
 __all__ = ["CommonGraphDecomposition"]
@@ -45,9 +47,10 @@ class CommonGraphDecomposition:
 
     The interval-surplus memo and the plan memo are guarded by a lock,
     so a decomposition may be shared by concurrent readers
-    (``interval_surplus`` / ``plan`` / ``restrict`` / ``extended`` from
-    several threads); the common graph and the surplus lists themselves
-    are never mutated after construction.
+    (``interval_surplus`` / ``plan`` from several threads); the common
+    graph and the surplus lists themselves are never mutated after
+    construction, and ``restrict`` / ``extended`` read nothing else —
+    the decomposition they return starts with both memos empty.
     """
 
     def __init__(
@@ -66,9 +69,9 @@ class CommonGraphDecomposition:
         self.surpluses: List[EdgeSet] = list(surpluses)
         self._interval_cache: Dict[Tuple[int, int], EdgeSet] = {}  # guarded-by: _cache_lock
         self._plan: Dict[Hashable, Any] = {}  # guarded-by: _cache_lock
-        # Guards the two memos only: lazy inserts race with the
-        # snapshot-iterations in extended()/restrict() when queries and
-        # ingest share one decomposition.  Never held while computing.
+        # Guards the two memos only: lazy inserts from concurrent
+        # queries race with each other (nothing iterates the memos).
+        # Never held while computing.
         self._cache_lock = threading.Lock()
 
     # -- construction -----------------------------------------------------
@@ -108,47 +111,38 @@ class CommonGraphDecomposition:
         return cls(evolving.num_vertices, base - touched, surpluses)
 
     # -- incremental growth -------------------------------------------------
-    def extended(self, new_edges: EdgeSet) -> "CommonGraphDecomposition":
-        """Decomposition with one more snapshot appended, built incrementally.
+    def extended(self, batch: "DeltaBatch",
+                 drop: int = 0) -> "CommonGraphDecomposition":
+        """One more snapshot (the tip plus ``batch``), minus the oldest ``drop``.
 
-        Per §4.1, the new common graph is ``old Gc ∩ new snapshot``; the
-        edges that leave the common graph were present in *every* old
-        snapshot, so they move into every old surplus unchanged.  The
-        result's interval-surplus memo (= the Triangular Grid's interior
-        nodes) is carried over from this decomposition — old ICG edge
-        sets are unchanged by the append, their surpluses merely absorb
-        the departed common edges — and the new TG column
-        ``(i, n)`` is derived by intersecting down the new surplus, so
-        extension never recomputes the existing grid.
+        Per §4.1 only the edges the batch touches move.  The deleted
+        common edges *depart*: they were in every old snapshot, so they
+        join every old surplus.  The edges every kept snapshot has
+        *rejoin* the common graph — a shrinking intersection of the kept
+        surpluses, empty unless the window slid.  All of it is O(batch +
+        window × churn) plus the copies of the common graph.
+
+        The batch must fit the tip exactly (``DeltaError`` otherwise),
+        checked by membership: additions against the common graph here,
+        the rest by applying the batch to the tip's surplus.
         """
-        if new_edges.max_vertex() >= self.num_vertices:
-            raise SnapshotError("new snapshot references vertex out of range")
-        n = self.num_snapshots
-        new_common = self.common & new_edges
-        departed = self.common - new_common
-        if departed:
-            surpluses = [s | departed for s in self.surpluses]
-        else:
-            surpluses = list(self.surpluses)
-        new_surplus = new_edges - new_common
-        surpluses.append(new_surplus)
-        result = CommonGraphDecomposition(self.num_vertices, new_common, surpluses)
-        # ICG(i, j) is unchanged for j < n, so every memoised interval
-        # surplus is still valid once it absorbs the departed edges.
-        with self._cache_lock:
-            carried = list(self._interval_cache.items())
-        for key, surplus in carried:
-            result._interval_cache[key] = (
-                surplus | departed if departed else surplus
-            )
-        # New column: interval_surplus(i, n) = surplus_i ∩ ... ∩ surplus_n,
-        # built by one shrinking intersection pass over the leaf surpluses.
-        column = new_surplus
-        result._interval_cache[(n, n)] = new_surplus
-        for i in range(n - 1, -1, -1):
-            column = surpluses[i] & column
-            result._interval_cache[(i, n)] = column
-        return result
+        if batch.additions.max_vertex() >= self.num_vertices:
+            raise SnapshotError("batch references vertex out of range")
+        if not 0 <= drop <= self.num_snapshots:
+            raise SnapshotError(
+                f"cannot drop {drop} of {self.num_snapshots + 1} snapshots")
+        if not batch.additions.isdisjoint(self.common):
+            raise DeltaError("additions already present in the common graph")
+        departed = batch.deletions & self.common
+        surpluses = [s | departed for s in self.surpluses]
+        surpluses.append(batch.apply(surpluses[-1], strict=True))
+        surpluses = surpluses[drop:]
+        common = self.common - departed if departed else self.common
+        rejoined = functools.reduce(EdgeSet.intersection, surpluses)
+        if rejoined:
+            common = common | rejoined
+            surpluses = [s - rejoined for s in surpluses]
+        return CommonGraphDecomposition(self.num_vertices, common, surpluses)
 
     # -- shape ------------------------------------------------------------
     @property
@@ -209,19 +203,7 @@ class CommonGraphDecomposition:
         surpluses = [
             self.surpluses[t] - range_surplus for t in range(first, last + 1)
         ]
-        result = CommonGraphDecomposition(self.num_vertices, common, surpluses)
-        # Re-use memoised interval surpluses that fall inside the window:
-        # for [i, j] ⊆ [first, last] the restricted interval surplus is
-        # the global one minus the window surplus (the common graphs
-        # cancel), so the restricted grid starts pre-populated.
-        with self._cache_lock:
-            memo = list(self._interval_cache.items())
-        for (i, j), surplus in memo:
-            if first <= i and j <= last:
-                result._interval_cache[(i - first, j - first)] = (
-                    surplus - range_surplus
-                )
-        return result
+        return CommonGraphDecomposition(self.num_vertices, common, surpluses)
 
     # -- the plan ---------------------------------------------------------------
     def plan(self, key: Hashable, build: Callable[[], Any]) -> Any:

@@ -588,8 +588,8 @@ class SnapshotStore:
         self._checksums = checksums
         self._num_batches = index + 1
         self._tip_cache = new_tip
-        self._tip_edge_count = len(new_tip)
-        self._tip_checksum = _edges_checksum(new_tip)
+        self._tip_edge_count = payload["tip_edge_count"]
+        self._tip_checksum = payload["tip_checksum"]
         return index
 
     # -- integrity ------------------------------------------------------------

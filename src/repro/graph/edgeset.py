@@ -172,6 +172,12 @@ class EdgeSet:
     def difference(self, other: "EdgeSet") -> "EdgeSet":
         if len(self) == 0 or len(other) == 0:
             return EdgeSet(self._codes, _trusted=True)
+        if len(other) * 16 < len(self):
+            # Find the few codes to drop instead of testing every code
+            # to keep; np.delete always returns a fresh array.
+            stale = other._codes[self.contains_codes(other._codes)]
+            positions = np.searchsorted(self._codes, stale)
+            return EdgeSet(np.delete(self._codes, positions), _trusted=True)
         # Binary-search membership of self in other: O(n log m), never
         # re-sorting either side.
         keep = ~other.contains_codes(self._codes)
@@ -204,10 +210,9 @@ class EdgeSet:
     def contains_codes(self, codes: np.ndarray) -> np.ndarray:
         """Vectorised membership test for an array of edge codes."""
         codes = np.asarray(codes, dtype=np.int64)
-        idx = np.searchsorted(self._codes, codes)
-        idx = np.clip(idx, 0, max(self._codes.size - 1, 0))
         if self._codes.size == 0:
             return np.zeros(codes.shape, dtype=bool)
+        idx = np.minimum(self._codes.searchsorted(codes), self._codes.size - 1)
         return self._codes[idx] == codes
 
     def __repr__(self) -> str:

@@ -360,12 +360,13 @@ class LiveTipOverlay:
         The net batch is the *edge-set* difference between the live
         graph and the anchored tip — insert/delete churn on the same
         edge cancels, so folding never replays intermediate states.
+        The two differ only on logged edges, so those are all it reads.
         """
         with self._lock:
-            batch = DeltaBatch(
-                additions=self._edges.difference(self._base_edges),
-                deletions=self._base_edges.difference(self._edges),
-            )
+            touched = EdgeSet.from_pairs({u.edge for u in self._log})
+            live = touched & self._edges
+            base = touched & self._base_edges
+            batch = DeltaBatch(additions=live - base, deletions=base - live)
             return batch, len(self._log), self.seq
 
     def collapse(self, seq: int) -> bool:
@@ -416,7 +417,9 @@ class LiveTipOverlay:
             if edges != self._edges:
                 self._states.clear()
                 self._graph = None
-                self._edges = edges
+            # Equal or not, hold the new object: with nothing kept it is
+            # the anchor itself, one tip-sized array instead of two.
+            self._edges = edges
             self._base_edges = tip_edges
             self._log = kept
             self.tip_version = tip_version

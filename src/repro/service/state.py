@@ -6,9 +6,10 @@ It owns:
 * the :class:`~repro.evolving.store.SnapshotStore` (durability);
 * a :class:`~repro.core.common.CommonGraphDecomposition` over the
   current window, maintained **incrementally**: an ingested batch
-  extends the decomposition and its Triangular Grid by one column
-  (:meth:`CommonGraphDecomposition.extended`) instead of recomputing
-  from scratch, and a full window slides forward via ``restrict``;
+  advances the decomposition by what the batch touches — one
+  :meth:`CommonGraphDecomposition.extended` call appends the snapshot
+  and, on a full window, drops the oldest — in O(batch), never by
+  recomputing from the snapshots;
 * the **epoch** counter: bumped on every ingest/slide, embedded in
   every cache key, so no cache entry can outlive the decomposition
   that produced it;
@@ -25,8 +26,8 @@ Thread model: ``ingest`` mutates under a lock; queries capture
 ``(decomposition, epoch, base_version)`` atomically at entry and then
 run lock-free on that immutable snapshot of the state — an ingest that
 lands mid-query swaps in a *new* decomposition object, it never mutates
-the one an in-flight query holds.  (The decomposition's lazy
-interval-surplus memo is internally locked, so sharing one
+the one an in-flight query holds.  (The decomposition's lazy memos are
+internally locked and an extension reads neither, so sharing one
 decomposition between in-flight queries and an extension is safe.)
 
 Failure model: the store notifies *after* an append is durable, so the
@@ -276,33 +277,39 @@ class ServiceState:
 
         The store notifies *after* the append is durable, so this must
         not leave the state behind the store.  If the incremental path
-        fails (or the state was already poisoned), resynchronise with a
-        full rebuild from the store; if even that fails, poison the
-        state so queries fail loudly instead of answering from a stale
-        graph, and re-raise to the appender.
+        fails (or ``index`` is not the next version's batch, or the
+        state was already poisoned), resynchronise with a full rebuild
+        from the store; if even that fails, poison the state so queries
+        fail loudly instead of answering from a stale graph, and
+        re-raise to the appender.
         """
         with obs.phase_span("state", "extend", label=f"batch:{index}"):
-            self._apply_append(batch)
+            self._apply_append(index, batch)
 
-    def _apply_append(self, batch: DeltaBatch) -> None:
+    def _apply_append(self, index: int, batch: DeltaBatch) -> None:
         with self._lock:
             decomp: Optional[CommonGraphDecomposition] = None
             base = self.base_version
-            if self._poisoned is None:
+            current = self.decomposition
+            # Callbacks run after the store's append lock is released,
+            # so two appenders can deliver out of order: only the batch
+            # that makes the next version may extend.
+            if (self._poisoned is None
+                    and index == base + current.num_snapshots - 1):
                 try:
-                    current = self.decomposition
-                    tip = current.snapshot_edges(current.num_snapshots - 1)
-                    # strict=True: the store validated the batch against
-                    # its own tip, so a DeltaError here means *our* tip
-                    # is stale — fall through to the rebuild below
-                    # rather than silently extending the wrong graph.
-                    new_edges = batch.apply(tip, strict=True)
-                    decomp = current.extended(new_edges)
-                    n = decomp.num_snapshots
-                    if self.window is not None and n > self.window:
-                        excess = n - self.window
-                        decomp = decomp.restrict(excess, n - 1)
-                        base += excess
+                    drop = 0 if self.window is None else max(
+                        0, current.num_snapshots + 1 - self.window)
+                    # The store validated the batch against its own tip,
+                    # so a DeltaError here means *our* tip is stale —
+                    # fall through to the rebuild below rather than
+                    # silently extending the wrong graph.
+                    decomp = current.extended(batch, drop)
+                    base += drop
+                    departed = len(batch.deletions & current.common)
+                    obs.annotate(
+                        departed=departed, dropped=drop, batch_size=batch.size,
+                        rejoined=(len(decomp.common) - len(current.common)
+                                  + departed))
                 # lint: allow(error-taxonomy): recovered by the full rebuild below (counted in resyncs); a rebuild failure poisons the state and re-raises loudly
                 except Exception:
                     decomp = None

@@ -208,9 +208,8 @@ class TestConcurrentMemoUse:
 
     The query service publishes one decomposition to many evaluator
     threads while an ingest extends/restricts it; lazy memo inserts
-    (``interval_surplus``) must never race the memo iterations in
-    ``extended``/``restrict`` into a ``RuntimeError: dictionary changed
-    size during iteration``.
+    (``interval_surplus``) race each other, and ``extended``/``restrict``
+    read only what is never mutated, so nothing may raise.
     """
 
     def test_concurrent_queries_extension_and_restriction(self):
@@ -231,7 +230,9 @@ class TestConcurrentMemoUse:
                 num_vertices, [snapshot() for _ in range(10)]
             )
             n = decomp.num_snapshots
-            new_edges = snapshot()
+            new_edges, tip = snapshot(), decomp.snapshot_edges(n - 1)
+            batch = DeltaBatch(additions=new_edges - tip,
+                               deletions=tip - new_edges)
             errors = []
 
             def fill_memo():
@@ -245,7 +246,7 @@ class TestConcurrentMemoUse:
 
             def extend_loop():
                 for _ in range(3):
-                    decomp.extended(new_edges)
+                    decomp.extended(batch, drop=1)
 
             jobs = (fill_memo, fill_memo, restrict_loop, extend_loop)
             start = threading.Barrier(len(jobs))

@@ -19,6 +19,7 @@ from repro.core.engine import WorkSharingEvaluator, planned_schedule
 from repro.core.steiner import build_schedule, direct_hop_tree, greedy_steiner
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import SnapshotError
+from repro.evolving.delta import DeltaBatch
 from repro.evolving.generator import generate_evolving_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
@@ -240,18 +241,17 @@ class TestNoStalePlan:
         old = self.planned(CommonGraphDecomposition.from_evolving(small_evolving))
         tip = old.snapshot_edges(old.num_snapshots - 1)
         fresh = EdgeSet.from_pairs([(3, 200), (200, 201), (201, 7)]) - tip
-        new_edges = tip | fresh
-        if departs:
-            new_edges = new_edges - EdgeSet(old.common.codes[::7])
-        new = old.extended(new_edges)
+        gone = EdgeSet(old.common.codes[::7]) if departs else EdgeSet()
+        new = old.extended(DeltaBatch(additions=fresh, deletions=gone))
         assert (len(new.common) < len(old.common)) == departs
         self.assert_fresh_and_right(old, new)
 
     def test_after_the_window_slide(self, small_evolving):
         old = self.planned(CommonGraphDecomposition.from_evolving(small_evolving))
         tip = old.snapshot_edges(old.num_snapshots - 1)
-        extended = old.extended(tip | EdgeSet.from_pairs([(3, 200), (200, 9)]))
-        new = extended.restrict(1, extended.num_snapshots - 1)
+        fresh = EdgeSet.from_pairs([(3, 200), (200, 9)]) - tip
+        new = old.extended(DeltaBatch(additions=fresh), drop=1)
+        assert new.num_snapshots == old.num_snapshots
         self.assert_fresh_and_right(old, new)
 
 

@@ -224,6 +224,31 @@ class TestCompactionProtocol:
         assert depth == 4
         assert batch.size == 0
 
+    def test_a_churny_log_seals_to_the_set_difference(self):
+        """The seal reads only the logged edges; it must still be exactly
+        ``live − base`` / ``base − live``, before and after a rebase that
+        keeps part of the log."""
+        overlay = make_overlay()
+        for kind, u, v in (("insert", 5, 0), ("delete", 5, 0),   # cancels
+                           ("delete", 0, 6), ("insert", 0, 6),   # cancels
+                           ("insert", 6, 2), ("delete", 3, 4),   # net
+                           ("delete", 6, 2), ("insert", 6, 2)):  # net insert
+            overlay.apply_update(kind, u, v)
+        batch, depth, _ = overlay.seal()
+        live = overlay.live_edges()
+        assert depth == 8
+        assert batch.additions == live - TIP == EdgeSet.from_pairs([(6, 2)])
+        assert batch.deletions == TIP - live == EdgeSet.from_pairs([(3, 4)])
+        # A foreign tip that already has (6, 2): its first insert is
+        # satisfied, the other seven updates replay and stay logged.
+        foreign = TIP | EdgeSet.from_pairs([(6, 2), (2, 5)])
+        assert overlay.rebase_onto(foreign, tip_version=5) == 7
+        batch, depth, _ = overlay.seal()
+        live = overlay.live_edges()
+        assert depth == 7
+        assert batch.additions == live - foreign == EdgeSet()
+        assert batch.deletions == foreign - live == EdgeSet.from_pairs([(3, 4)])
+
     def test_collapse_requires_a_current_seal(self):
         overlay = make_overlay()
         overlay.apply_update("insert", 5, 0)

@@ -165,6 +165,27 @@ class TestMetricsFlow:
         }
         assert {"server.ingest", "store.append", "state.extend"} <= names
 
+    def test_extend_span_says_what_the_ingest_did(
+        self, obs_runtime, service_store, service_weights
+    ):
+        state = ServiceState(service_store, weight_fn=service_weights,
+                             window=3)
+        try:
+            before = state.decomposition
+            batch = valid_batch(service_store, n_add=3, n_del=2)
+            state.ingest(batch)
+            after = state.decomposition
+        finally:
+            state.close()
+        (span,) = [s for s in obs_runtime.tracer.recent()
+                   if s.name == "state.extend"]
+        departed = len(batch.deletions & before.common)
+        assert span.attributes["batch_size"] == 5
+        assert span.attributes["dropped"] == 1
+        assert span.attributes["departed"] == departed > 0
+        assert span.attributes["rejoined"] == len(
+            after.common - (before.common - batch.deletions)) > 0
+
     def test_status_payload_reports_the_runtime(self, client):
         status = client.status()
         description = status["observability"]

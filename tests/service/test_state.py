@@ -125,7 +125,7 @@ class TestResync:
         failing incremental extension must not leave the state silently
         behind the store — it rebuilds from the store instead."""
 
-        def boom(self, new_edges):
+        def boom(self, batch, drop):
             raise RuntimeError("injected extension failure")
 
         monkeypatch.setattr(CommonGraphDecomposition, "extended", boom)
@@ -146,6 +146,37 @@ class TestResync:
         )
         for got, want in zip(answer.values, offline.values):
             assert_values_equal(got, want, "post-resync answer")
+
+    def test_out_of_order_notification_resyncs_instead_of_extending(
+        self, service_store, service_weights
+    ):
+        """Store callbacks run outside the append lock, so two appenders
+        can deliver out of order.  A batch that is not the next
+        version's must not extend, even when it would apply cleanly."""
+        state = ServiceState(service_store, weight_fn=service_weights,
+                             window=3)
+        try:
+            batch = valid_batch(service_store)
+            next_index = state.latest_version
+            # Applies cleanly to the state's tip, but claims to be the
+            # batch after the next one.
+            assert state.decomposition.extended(batch, 1).num_snapshots == 3
+            state._on_append(next_index + 1, batch)
+            assert state.resyncs == 1
+            assert state.epoch == 1
+            n = service_store.num_snapshots
+            assert (state.base_version, state.latest_version) == (n - 3, n - 1)
+            rebuilt = CommonGraphDecomposition.from_evolving(
+                service_store.load()
+            ).restrict(n - 3, n - 1)
+            assert_decompositions_equal(state.decomposition, rebuilt,
+                                        "after the out-of-order batch")
+            # The right index still extends incrementally.
+            state.ingest(batch)
+            assert state.resyncs == 1
+            assert state.latest_version == n
+        finally:
+            state.close()
 
     def test_unresyncable_state_poisons_queries_until_recovery(
         self, service_state, monkeypatch
