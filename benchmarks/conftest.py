@@ -1,10 +1,8 @@
-"""Shared fixtures for the pytest-benchmark suite.
+"""Shared fixtures for ``bench_service.py`` (pytest-benchmark).
 
-The benchmarks use a reduced ("bench") scale so the whole suite runs in
-a couple of minutes; the full paper-scale regeneration is the job of
-``python -m repro.bench`` (see EXPERIMENTS.md).  Every bench file maps
-to one table or figure of the paper — the mapping is in each module
-docstring and in DESIGN.md's experiment index.
+A reduced scale, so the file runs in a couple of minutes.  The paper's
+tables and figures are ``python -m benchmarks.paper`` (see
+EXPERIMENTS.md); the regression benchmark is ``benchmarks/perf``.
 """
 
 from __future__ import annotations
@@ -17,13 +15,10 @@ from repro.graph.weights import HashWeights
 
 WF = HashWeights(max_weight=64, seed=0)
 
-#: Scale used by all benchmarks: LJ at 1/5 size, 10 snapshots.
+#: LJ at 1/5 size, 10 snapshots.
 BENCH_SPEC = WorkloadSpec(
     dataset="LJ", num_snapshots=10, batch_size=60, edge_scale=0.2, seed=3
 )
-
-#: A bigger variant for the scalability benches.
-BENCH_SPEC_LARGE = BENCH_SPEC.scaled(num_snapshots=20)
 
 
 @pytest.fixture(scope="session")
@@ -32,15 +27,5 @@ def workload():
 
 
 @pytest.fixture(scope="session")
-def workload_large():
-    return build_workload(BENCH_SPEC_LARGE, weight_fn=WF)
-
-
-@pytest.fixture(scope="session")
 def decomposition(workload):
     return CommonGraphDecomposition.from_evolving(workload.evolving)
-
-
-@pytest.fixture(scope="session")
-def decomposition_large(workload_large):
-    return CommonGraphDecomposition.from_evolving(workload_large.evolving)

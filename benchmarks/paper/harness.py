@@ -1,11 +1,11 @@
 """Command-line harness: regenerate the paper's evaluation end to end.
 
-Usage::
+Usage, from the repository root with ``PYTHONPATH=src``::
 
-    python -m repro.bench                     # all experiments, paper profile
-    python -m repro.bench --profile ci        # fast smoke profile
-    python -m repro.bench table4 figure8      # a subset
-    python -m repro.bench --out EXPERIMENTS_RUN.md
+    python -m benchmarks.paper                     # all experiments, paper profile
+    python -m benchmarks.paper --profile ci        # fast smoke profile
+    python -m benchmarks.paper table4 figure8      # a subset
+    python -m benchmarks.paper --out EXPERIMENTS_RUN.md
 
 Writes each experiment's table to stdout and, with ``--out``, a
 Markdown report suitable for diffing against EXPERIMENTS.md.
@@ -18,56 +18,41 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.experiments import EXPERIMENTS, ExperimentResult
-from repro.bench.workloads import PROFILES, WorkloadSpec
+from benchmarks.paper.experiments import EXPERIMENTS, ExperimentResult
+from repro.bench.workloads import PROFILES
 
 __all__ = ["main", "run_all", "profile_kwargs"]
 
+_CI_ALGORITHMS = ("BFS", "SSSP")
+
 
 def profile_kwargs(name: str, experiment: str) -> Dict[str, object]:
-    """Per-experiment keyword overrides implementing a profile."""
-    spec: WorkloadSpec = PROFILES[name]
-    if experiment == "figure1":
-        if name == "ci":
-            return {"edge_scale": spec.edge_scale, "repeats": 1,
-                    "batch_sizes": (40, 80), "algorithms": ("BFS", "SSSP")}
+    """Per-experiment keyword overrides implementing a profile.
+
+    The paper profile is every driver's defaults; ``ci`` shrinks the
+    workload and the sweeps so the whole evaluation runs in seconds.
+    """
+    if name != "ci":
         return {}
-    if experiment == "figure8":
-        if name == "ci":
-            return {"spec": spec, "snapshot_counts": (4, 8),
-                    "algorithms": ("BFS", "SSSP")}
-        return {}
-    if experiment == "figure9":
-        if name == "ci":
-            return {"spec": spec, "sweep": ((40, 8), (80, 4)),
-                    "algorithms": ("BFS", "SSSP")}
-        return {}
-    if experiment == "figure10":
-        if name == "ci":
-            return {"spec": spec, "ratios": ((60, 20), (20, 60)),
-                    "algorithms": ("BFS", "SSSP")}
-        return {}
-    if experiment in ("table4", "table5", "figure11"):
-        if name == "ci":
-            extra: Dict[str, object] = {"spec": spec}
-            if experiment != "figure11":
-                extra["datasets"] = ("LJ",)
-            extra["algorithms"] = ("BFS", "SSSP")
-            return extra
-        return {}
-    if experiment == "ablation_steiner":
-        return {}
-    if experiment in ("ablation_overlay", "ablation_scheduler"):
-        return {"spec": spec} if name == "ci" else {}
-    if experiment == "ablation_batch_scale":
-        if name == "ci":
-            return {"spec": spec, "dataset": "LJ", "batch_sizes": (20, 60)}
-        return {}
-    if experiment == "ablation_storage":
-        if name == "ci":
-            return {"spec": spec, "datasets": ("LJ",)}
-        return {}
-    return {}
+    spec = PROFILES["ci"]
+    sized = {"spec": spec, "algorithms": _CI_ALGORITHMS}
+    one_graph = {**sized, "datasets": ("LJ",)}
+    return {
+        "figure1": {"edge_scale": spec.edge_scale, "repeats": 1,
+                    "batch_sizes": (40, 80), "algorithms": _CI_ALGORITHMS},
+        "table4": one_graph,
+        "figure8": {**sized, "snapshot_counts": (4, 8)},
+        "figure9": {**sized, "sweep": ((40, 8), (80, 4))},
+        "figure10": {**sized, "ratios": ((60, 20), (20, 60))},
+        "table5": one_graph,
+        "figure11": sized,
+        "ablation_overlay": {"spec": spec},
+        "ablation_scheduler": {"spec": spec},
+        "ablation_batch_scale": {"spec": spec, "dataset": "LJ",
+                                 "batch_sizes": (20, 60)},
+        "ablation_storage": {"spec": spec, "datasets": ("LJ",)},
+        "range_query": {"spec": spec},
+    }.get(experiment, {})
 
 
 def run_all(
@@ -100,7 +85,7 @@ def write_markdown(results: Sequence[ExperimentResult], path: str, profile: str)
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
+        prog="python -m benchmarks.paper",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(

@@ -41,7 +41,6 @@ from repro.algorithms import (
     register_algorithm,
 )
 from repro.core import (
-    TaskOutcome,
     CommonGraphDecomposition,
     agglomerative_schedule,
     DirectHopEvaluator,
@@ -84,7 +83,7 @@ from repro.evolving import (
     generate_evolving_graph,
 )
 from repro.faults import FaultPlan, InjectedFault, corrupt_bytes
-from repro.resilience import Deadline, RetryPolicy, retry_call, with_retries
+from repro.resilience import Deadline, RetryPolicy, retry_call
 from repro.graph import (
     DATASETS,
     GraphStats,
@@ -194,7 +193,6 @@ __all__ = [
     "ParallelResult",
     "ParallelWorkSharing",
     "ParallelWorkSharingResult",
-    "TaskOutcome",
     "EvolvingQueryResult",
     # analysis
     "TrendTracker",
@@ -221,7 +219,6 @@ __all__ = [
     "RetryPolicy",
     "Deadline",
     "retry_call",
-    "with_retries",
     "FaultPlan",
     "InjectedFault",
     "corrupt_bytes",

@@ -1,20 +1,9 @@
-"""Benchmark harness: workloads, experiment drivers, reporting."""
+"""Seeded evolving-graph workloads and table/chart rendering.
 
-from repro.bench.experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    ablation_overlay,
-    ablation_scheduler,
-    ablation_steiner,
-    figure1,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    run_experiment,
-    table4,
-    table5,
-)
+The paper's evaluation itself lives outside the library, in
+``benchmarks/paper`` (``python -m benchmarks.paper``).
+"""
+
 from repro.bench.reporting import (
     format_seconds,
     format_speedup,
@@ -30,19 +19,6 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "ExperimentResult",
-    "EXPERIMENTS",
-    "run_experiment",
-    "figure1",
-    "table4",
-    "figure8",
-    "figure9",
-    "figure10",
-    "table5",
-    "figure11",
-    "ablation_steiner",
-    "ablation_overlay",
-    "ablation_scheduler",
     "WorkloadSpec",
     "Workload",
     "PROFILES",

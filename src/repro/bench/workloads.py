@@ -10,7 +10,8 @@ Two profiles control scale:
 
 * ``paper`` — the default: datasets at their DESIGN.md scale (~1/1000
   of the originals), 50 snapshots, 75-update batches; mirrors §5.
-* ``ci`` — a fast profile for the pytest-benchmark suite and tests.
+* ``ci`` — a fast profile for CI (``python -m benchmarks.paper --profile ci``)
+  and tests.
 """
 
 from __future__ import annotations

@@ -57,7 +57,8 @@ Subcommands
     non-baselined finding, so it gates CI.  See
     ``docs/static-analysis.md``.
 
-The benchmark harness has its own entry point, ``python -m repro.bench``.
+The paper's evaluation has its own entry point outside the package,
+``python -m benchmarks.paper`` (from the repository root).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.bench.reporting import render_table
 from repro.core.common import CommonGraphDecomposition
 from repro.core.results import encode_float_row
+from repro.core.steiner import STRATEGIES
 from repro.errors import ServiceError
 from repro.evolving.generator import generate_evolving_graph
 from repro.evolving.store import SnapshotStore
@@ -1382,7 +1384,7 @@ def build_parser() -> argparse.ArgumentParser:
     trend.add_argument("--first", type=int, default=0)
     trend.add_argument("--last", type=int, default=None)
     trend.add_argument("--strategy", default="work-sharing",
-                       choices=["direct-hop", "work-sharing"])
+                       choices=STRATEGIES)
     trend.add_argument("--chart", action="store_true", help="ASCII chart")
     trend.add_argument("--change-threshold", type=float, default=3.0)
     trend.add_argument("--max-weight", type=int, default=64)
@@ -1397,7 +1399,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--first", type=int, default=0, help="first version")
     ev.add_argument("--last", type=int, default=None, help="last version")
     ev.add_argument("--strategy", default="work-sharing",
-                    choices=["direct-hop", "work-sharing"])
+                    choices=STRATEGIES)
     ev.add_argument("--max-weight", type=int, default=64)
     ev.add_argument("--weight-seed", type=int, default=0)
     ev.add_argument("--out", default=None, help="save raw values (.npz)")

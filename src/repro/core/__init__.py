@@ -9,7 +9,6 @@ from repro.core.parallel import (
     ParallelResult,
     ParallelWorkSharing,
     ParallelWorkSharingResult,
-    TaskOutcome,
 )
 from repro.core.results import EvolvingQueryResult
 from repro.core.schedule import ScheduleTree
@@ -40,6 +39,5 @@ __all__ = [
     "ParallelResult",
     "ParallelWorkSharing",
     "ParallelWorkSharingResult",
-    "TaskOutcome",
     "EvolvingQueryResult",
 ]

@@ -237,6 +237,19 @@ class CommonGraphDecomposition:
         """The additions needed to hop from ``Gc`` to snapshot ``index``."""
         return self.surpluses[index]
 
+    def diff(self, a: int, b: int) -> "DeltaBatch":
+        """The delta batch transforming snapshot ``a`` into snapshot ``b``.
+
+        Computed on the small surplus sets; the common graph cancels.
+        """
+        from repro.evolving.delta import DeltaBatch  # cycle: see the top
+
+        n = self.num_snapshots
+        if not (0 <= a < n and 0 <= b < n):
+            raise SnapshotError(f"snapshot out of range: ({a}, {b}) of {n}")
+        sa, sb = self.surpluses[a], self.surpluses[b]
+        return DeltaBatch(additions=sb - sa, deletions=sa - sb)
+
     def total_direct_hop_additions(self) -> int:
         """Cost (in additions) of the Direct-Hop schedule."""
         return sum(len(s) for s in self.surpluses)

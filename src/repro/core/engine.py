@@ -60,9 +60,8 @@ Two seams, each with one production caller:
   fills its row and is not recomputed, and the walk reports hits and
   misses.
 * ``run_sweep`` — how the edges of one sweep are executed.
-  :mod:`repro.core.parallel` runs them one at a time, each under its
-  fault-hook + retry + degrade wrapper and its own stopwatch; by
-  default they run together.
+  :mod:`repro.core.parallel` runs them one at a time, each on its own
+  stopwatch; by default they run together.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ __all__ = [
     "exact_steiner",
     "build_schedule",
     "schedule_builder",
+    "STRATEGIES",
 ]
 
 
@@ -276,6 +277,9 @@ _BUILDERS: Dict[str, Callable[[TriangularGrid], ScheduleTree]] = {
     "agglomerative": agglomerative_schedule,
     "exact": exact_steiner,
 }
+
+#: Every strategy name, for callers that offer a choice (the CLI).
+STRATEGIES = tuple(_BUILDERS)
 
 
 def schedule_builder(strategy: str) -> Callable[[TriangularGrid], ScheduleTree]:

@@ -116,7 +116,7 @@ class EvolvingGraph:
         if factor == 1 or not self.batches:
             return EvolvingGraph(
                 self.num_vertices, self.snapshot_edges(0),
-                list(self.batches), name=self.name,
+                list(self.batches), name=self.name, strict=self.strict,
             )
         fused: List[DeltaBatch] = []
         for start in range(0, len(self.batches), factor):
@@ -126,7 +126,8 @@ class EvolvingGraph:
                 combined = combined.compose(batch)
             fused.append(combined)
         return EvolvingGraph(
-            self.num_vertices, self.snapshot_edges(0), fused, name=self.name
+            self.num_vertices, self.snapshot_edges(0), fused, name=self.name,
+            strict=self.strict,
         )
 
     # -- persistence -----------------------------------------------------------

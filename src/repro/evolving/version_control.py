@@ -16,9 +16,7 @@ and redistributed into the per-snapshot surplus sets.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.common import CommonGraphDecomposition
@@ -48,7 +46,6 @@ class VersionController:
         self.evolving = evolving
         self.weight_fn: WeightFn = weight_fn if weight_fn is not None else UnitWeights()
         self._decomposition = CommonGraphDecomposition.from_evolving(evolving)
-        self._common_csr: Optional[CSRGraph] = None
 
     # -- decomposition access ------------------------------------------------
     @property
@@ -60,10 +57,11 @@ class VersionController:
         return self.evolving.num_snapshots
 
     def common_csr(self) -> CSRGraph:
-        """The shared common-graph CSR (cached; never mutated)."""
-        if self._common_csr is None:
-            self._common_csr = self._decomposition.common_csr(self.weight_fn)
-        return self._common_csr
+        """The shared common-graph CSR: the plan's, so the evaluators and
+        every overlay read one copy (never mutated)."""
+        decomp = self._decomposition
+        return decomp.plan(("common", self.weight_fn),
+                           lambda: decomp.common_csr(self.weight_fn))
 
     # -- Table 1 primitives -----------------------------------------------------
     def get_version(self, number: int) -> OverlayGraph:
@@ -81,36 +79,23 @@ class VersionController:
 
         Computed on the small surplus sets; the common graph cancels.
         """
-        if not 0 <= a < self.num_versions or not 0 <= b < self.num_versions:
-            raise SnapshotError("version out of range")
-        sa = self._decomposition.direct_hop_batch(a)
-        sb = self._decomposition.direct_hop_batch(b)
-        return DeltaBatch(additions=sb - sa, deletions=sa - sb)
+        return self._decomposition.diff(a, b)
 
     def new_version(self, additions: EdgeSet, deletions: EdgeSet) -> int:
         """Create a new snapshot; returns its version number.
 
-        The touched edges are removed from the common graph and pushed
-        into the surplus sets (§4.1), so existing overlays remain valid
-        and the common CSR is rebuilt only when it actually shrank.
+        The deleted common edges leave the common graph for the surplus
+        sets (§4.1): :meth:`CommonGraphDecomposition.extended`, the one
+        append rule, so existing overlays remain valid.
         """
         batch = DeltaBatch(additions=additions, deletions=deletions)
         self.evolving.append_batch(batch)
-
-        decomp = self._decomposition
-        touched = (additions | deletions) & decomp.common
-        new_common = decomp.common - touched
-        surpluses = [s | touched for s in decomp.surpluses] if touched else list(
-            decomp.surpluses
-        )
-        # Surplus of the new snapshot relative to the shrunk common graph.
-        new_edges = self.evolving.snapshot_edges(self.num_versions - 1)
-        surpluses.append(new_edges - new_common)
-        self._decomposition = CommonGraphDecomposition(
-            self.evolving.num_vertices, new_common, surpluses
-        )
-        if touched:
-            self._common_csr = None  # the shared CSR shrank; rebuild lazily
+        if not self.evolving.strict:
+            # What the batch does to the old tip: a re-added or already
+            # absent edge moves nothing.
+            tip = self.evolving.snapshot_edges(-2)
+            batch = DeltaBatch(additions - tip, deletions & tip)
+        self._decomposition = self._decomposition.extended(batch)
         return self.num_versions - 1
 
     # -- query evaluation ---------------------------------------------------

@@ -3,8 +3,8 @@
 Crash-recovery and graceful-degradation code is only trustworthy when
 its failure modes can be produced on demand.  This module lets tests
 (and brave users) declare a :class:`FaultPlan` — *fail the Nth matching
-I/O operation*, *skip the Nth fsync*, *raise inside the Nth hop/edge
-task*, *corrupt bytes of a named file* — and activate it for a scope.
+I/O operation*, *skip the Nth fsync*, *raise inside the Nth service
+operation*, *corrupt bytes of a named file* — and activate it for a scope.
 Everything is counter-based and seeded, so a failing run replays
 exactly.
 
@@ -13,11 +13,12 @@ Instrumentation points live in the production code paths:
 * :mod:`repro.evolving.store` calls :func:`io_check` before every
   read / write / fsync / replace, labelled ``"<op>:<filename>"``
   (e.g. ``"write:batch_00003.npz"``, ``"fsync:manifest.json"``);
-* :mod:`repro.core.parallel` calls :func:`task_check` at the start of
-  every *primary* hop / schedule-edge execution, labelled
-  ``"hop:<index>"`` / ``"edge:<lo>-<hi>-><lo>-<hi>"``.  Degraded
-  (sequential-recovery) re-executions are deliberately un-instrumented:
-  they model the recovery path, which must not re-fail.
+* the query service, the fleet transport and the autopilot call
+  :func:`service_check` at the start of every *primary* operation,
+  labelled ``"query:<key>"`` / ``"ingest:<version>"`` /
+  ``"route:<replica>:<op>"`` / ``"autopilot:<step>"``.  Degraded
+  re-executions are deliberately un-instrumented: they model the
+  recovery path, which must not re-fail.
 
 With no plan active the hooks are a single ``None`` check — the
 production cost of the harness is negligible.
@@ -52,7 +53,6 @@ __all__ = [
     "has_active_plan",
     "io_check",
     "service_check",
-    "task_check",
 ]
 
 
@@ -69,7 +69,7 @@ class InjectedFault(OSError):
 class FaultRule:
     """One trigger: affect matching operations ``index .. index+times-1``.
 
-    ``kind`` is ``"io"``, ``"task"`` or ``"service"``; ``match`` is an
+    ``kind`` is ``"io"`` or ``"service"``; ``match`` is an
     :mod:`fnmatch` pattern over the operation label; ``index`` is the
     0-based ordinal *among operations this rule matches*; ``action`` is
     ``"fail"`` (raise :class:`InjectedFault`), ``"skip"`` (suppress the
@@ -103,7 +103,7 @@ class FaultPlan:
     """A seeded, replayable schedule of faults.
 
     Rules are added with :meth:`fail_io` / :meth:`skip_io` /
-    :meth:`fail_task`, then the plan is activated with :meth:`active`.
+    :meth:`fail_service`, then the plan is activated with :meth:`active`.
     Counters advance per rule as matching operations occur;
     :meth:`reset` rewinds them so the same plan replays identically.
     The plan records every checked operation label in :attr:`events`,
@@ -128,12 +128,6 @@ class FaultPlan:
                 times: int = 1) -> "FaultPlan":
         """Silently skip the matching I/O operation (e.g. a lost fsync)."""
         self.rules.append(FaultRule("io", index, match, times, "skip"))
-        return self
-
-    def fail_task(self, index: int = 0, match: str = "*",
-                  times: int = 1) -> "FaultPlan":
-        """Raise inside the ``index``-th matching hop/edge task."""
-        self.rules.append(FaultRule("task", index, match, times, "fail"))
         return self
 
     def fail_service(self, index: int = 0, match: str = "*",
@@ -291,20 +285,12 @@ def io_check(op: str, name: str) -> bool:
     return plan._check("io", f"{op}:{name}")
 
 
-def task_check(kind: str, label: object) -> None:
-    """Fault hook at the start of a parallel task (hop or edge)."""
-    plan = _active
-    if plan is None:
-        return
-    plan._check("task", f"{kind}:{label}")
-
-
 def service_check(op: str, label: object) -> None:
     """Fault hook at the start of a service operation (query or ingest).
 
     The query server calls this on its *primary* execution path only;
     the degraded fallback (a plain offline evaluation) is deliberately
-    un-instrumented, mirroring the parallel evaluators' recovery paths.
+    un-instrumented: the recovery path must not re-fail.
     """
     plan = _active
     if plan is None:

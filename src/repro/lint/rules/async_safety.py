@@ -52,7 +52,7 @@ BLOCKING_DOTTED = {
 
 #: Bare names that block (``retry_call`` is the sync retry helper —
 #: its event-loop twin is ``retry_call_async``).
-BLOCKING_NAMES = {"open", "input", "retry_call", "with_retries"}
+BLOCKING_NAMES = {"open", "input", "retry_call"}
 
 #: Blocking zero-argument methods regardless of receiver type.
 BLOCKING_METHODS = {

@@ -108,7 +108,7 @@ class ErrorTaxonomyRule(Rule):
             module, handler,
             "broad 'except Exception:' swallows the failure; re-raise, "
             "convert to a ReproError, or record an outcome "
-            "(TaskOutcome / report collector)",
+            "(a report collector)",
         )
 
     @staticmethod

@@ -23,7 +23,7 @@ runtime (registry + tracer + clock) process-globally;
 :func:`repro.testing.reset_observability` tears it down between tests.
 
 Instrumented layers: the work-sharing engine, the kickstarter kernels,
-the parallel evaluators, the memoizing planner, the snapshot store's
+the memoizing planner, the snapshot store's
 append path, and the asyncio service front end — every service query
 produces one trace whose spans nest server → planner → schedule edges
 → per-hop kernels.

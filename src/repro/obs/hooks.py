@@ -3,8 +3,8 @@
 Modeled on the :mod:`repro.faults` hook pattern: production code calls
 a module-level function at well-known points, and with nothing
 registered that call is a single emptiness check.  Where
-:func:`repro.faults.task_check` *injects* behaviour, a profiler
-callback only *observes* it — the engine, the parallel evaluators, the
+:func:`repro.faults.service_check` *injects* behaviour, a profiler
+callback only *observes* it — the engine, the
 planner, the store and the server all fire :class:`PhaseEvent` records
 at their phase boundaries, and registered profilers (a flame-graph
 builder, a slow-phase logger, a test assertion) consume them.

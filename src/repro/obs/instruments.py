@@ -81,7 +81,7 @@ INSTRUMENTS: Dict[str, InstrumentSpec] = {
     # -- execution outcomes -------------------------------------------------
     "repro_task_outcomes_total": InstrumentSpec(
         "counter",
-        "TaskOutcome records (ok/retried/degraded) by component.",
+        "Request outcomes (ok/retried/degraded) by component.",
         ("component", "status"),
     ),
     # -- caches (refreshed by the service-state collector) ------------------
@@ -260,9 +260,8 @@ def prime(registry: MetricsRegistry) -> None:
     publishes an explicit 0 from the first scrape.
     """
     outcomes = family(registry, "repro_task_outcomes_total")
-    for component in ("service", "direct-hop", "work-sharing"):
-        for status in ("ok", "retried", "degraded"):
-            outcomes.labels(component=component, status=status)
+    for status in ("ok", "retried", "degraded"):
+        outcomes.labels(component="service", status=status)
     for name in ("repro_requests_total",):
         requests = family(registry, name)
         for op in ("query", "temporal", "ingest", "update", "status"):

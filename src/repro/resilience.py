@@ -1,14 +1,14 @@
 """Retry, backoff and deadline primitives.
 
-Persistent storage and parallel execution both need a uniform answer to
+Persistent storage and the query service both need a uniform answer to
 "this operation failed, now what?".  This module provides it:
 
 * :class:`RetryPolicy` — how many attempts, which exceptions are
   retryable, and an exponential-backoff delay schedule;
 * :class:`Deadline` — a monotonic-clock budget that can be threaded
   through nested operations;
-* :func:`retry_call` / :func:`with_retries` — run a callable under a
-  policy, raising :class:`~repro.errors.RetryExhaustedError` (chaining
+* :func:`retry_call` / :func:`retry_call_async` — run a callable under
+  a policy, raising :class:`~repro.errors.RetryExhaustedError` (chaining
   the final underlying exception) once the attempts are spent;
 * :class:`CircuitBreaker` — a closed/open/half-open short-circuit
   around a repeatedly failing dependency, so callers stop burning
@@ -23,7 +23,6 @@ injected fault that fires once is healed by the first retry.
 from __future__ import annotations
 
 import asyncio
-import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -53,7 +52,6 @@ __all__ = [
     "Deadline",
     "retry_call",
     "retry_call_async",
-    "with_retries",
 ]
 
 T = TypeVar("T")
@@ -431,30 +429,3 @@ async def retry_call_async(
     raise RetryExhaustedError(
         f"{what} failed after {policy.max_attempts} attempts: {last!r}"
     ) from last
-
-
-def with_retries(
-    policy: Optional[RetryPolicy] = None,
-    *,
-    sleep: Callable[[float], None] = time.sleep,
-    deadline: Optional[Deadline] = None,
-) -> Callable[[Callable[..., T]], Callable[..., T]]:
-    """Decorator form of :func:`retry_call`.
-
-    Example::
-
-        @with_retries(RetryPolicy(max_attempts=5, base_delay=0.1))
-        def flaky_write(path, data): ...
-    """
-
-    def decorate(fn: Callable[..., T]) -> Callable[..., T]:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            return retry_call(
-                fn, *args, policy=policy, sleep=sleep, deadline=deadline,
-                label=getattr(fn, "__qualname__", None), **kwargs,
-            )
-
-        return wrapper
-
-    return decorate

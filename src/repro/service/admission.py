@@ -112,15 +112,15 @@ class _Gate:
         """
         if draining:
             raise self._shed("draining", what)
-        # The waiting room only fills when no slot is free: with a free
-        # slot the acquire below returns immediately, so even
-        # ``max_queue=0`` admits up to ``max_concurrent`` requests.
-        blocked = self._semaphore.locked()
+        # Count the gate's own books, not ``semaphore.locked()``: a
+        # request joins ``waiting`` before it takes its slot (on Python
+        # <= 3.11 ``wait_for`` defers the acquire to a task), so every
+        # arrival of one loop tick would see a free semaphore.  With
+        # ``max_queue=0`` this admits up to ``max_concurrent`` requests.
+        capacity = self.policy.max_concurrent + self.policy.max_queue
         with self._lock:
-            if blocked and self.waiting >= self.policy.max_queue:
-                queue_full = True
-            else:
-                queue_full = False
+            queue_full = self.waiting + self.active >= capacity
+            if not queue_full:
                 self.waiting += 1
                 self.max_depth = max(self.max_depth, self.waiting)
         if queue_full:

@@ -30,8 +30,8 @@ the router dispatch from that table; ``docs/service.md`` renders it.
 
 Responses are ``{"ok": true, ...payload}`` or ``{"ok": false,
 "error": "...", "error_type": "..."}``; query responses additionally
-carry ``outcome`` (``"ok"`` / ``"retried"`` / ``"degraded"``) following
-the :class:`~repro.core.parallel.TaskOutcome` vocabulary, and
+carry ``outcome`` (``"ok"`` / ``"retried"`` / ``"degraded"``: first
+attempt, a retry, or the offline fallback answered) and
 ``values``: the first snapshot's per-vertex row plus, per later snapshot,
 ``[indices, row]`` of only the cells that differ from the snapshot before
 (most vertices keep one value across a range).  Three snapshots::

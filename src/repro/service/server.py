@@ -39,8 +39,8 @@ Design points, mirroring the rest of the codebase:
   fast with a ``retry_after_ms`` hint until a half-open probe heals it.
 * **Graceful degradation** — when retries are spent (or the breaker is
   open) a read is answered by the plain offline evaluator, bypassing
-  planner and caches (``outcome: "degraded"``), consistent with the
-  parallel evaluators' :class:`~repro.core.parallel.TaskOutcome` model.
+  planner and caches (``outcome: "degraded"``; the three outcomes are
+  defined by :meth:`GraphService._run_gated`).
   Client errors (bad range, unknown algorithm, malformed batch) are
   never retried, never trip the breaker, and read the same on both lanes.
 * **Graceful drain** — :meth:`GraphService.drain` stops accepting new
@@ -300,8 +300,10 @@ class GraphService(LineServer):
     ) -> Tuple[T, str, int]:
         """Run ``primary`` the way the op's table row says (module docs).
 
-        Returns ``(result, outcome, attempts)`` with ``outcome`` in the
-        :class:`~repro.core.parallel.TaskOutcome` vocabulary.  A breaker
+        Returns ``(result, outcome, attempts)``; ``outcome`` is ``"ok"``
+        (the first attempt answered), ``"retried"`` (a later attempt did)
+        or ``"degraded"`` (the primary path was spent or its breaker open,
+        and ``fallback`` answered).  A breaker
         counts *requests* (one ``before_call`` each), not attempts: a
         retried-then-healed request records one success, an exhausted
         one records one failure, and anything that says nothing about

@@ -569,13 +569,8 @@ class ServiceState:
             return view.patch_tip(last, evaluate(view, first, last).values)
 
         def structural_diff(a: int, b: int) -> DeltaBatch:
-            # ``VersionController.diff`` semantics (surplus-set
-            # difference; the common graph cancels), computed against
-            # the captured window so a diff never races an ingest.
-            surplus_a = decomposition.direct_hop_batch(a - base)
-            surplus_b = decomposition.direct_hop_batch(b - base)
-            return DeltaBatch(additions=surplus_b - surplus_a,
-                              deletions=surplus_a - surplus_b)
+            # Against the captured window, so a diff never races an ingest.
+            return decomposition.diff(a - base, b - base)
 
         answer = TemporalEngine(
             algorithm=view.algorithm,

@@ -3,12 +3,12 @@
 These run every table/figure regenerator on a minute profile and check
 the structural properties the paper's shapes rely on (columns present,
 rows per combination, sane values).  The real shape checks at paper
-scale are recorded in EXPERIMENTS.md via ``python -m repro.bench``.
+scale are recorded in EXPERIMENTS.md via ``python -m benchmarks.paper``.
 """
 
 import pytest
 
-from repro.bench.experiments import (
+from benchmarks.paper.experiments import (
     EXPERIMENTS,
     ablation_batch_scale,
     ablation_overlay,
@@ -20,11 +20,12 @@ from repro.bench.experiments import (
     figure9,
     figure10,
     figure11,
+    range_query,
     run_experiment,
     table4,
     table5,
 )
-from repro.bench.harness import profile_kwargs, run_all
+from benchmarks.paper.harness import main, profile_kwargs, run_all
 from repro.bench.workloads import WorkloadSpec
 
 TINY = WorkloadSpec(dataset="LJ", num_snapshots=4, batch_size=20,
@@ -155,13 +156,21 @@ class TestAblations:
             assert record["ws_additions"] <= record["dh_additions"]
 
 
+class TestRangeQuery:
+    def test_window_root_streams_fewer_additions(self):
+        result = range_query(window=2, spec=TINY)
+        window, from_common = result.column("additions")
+        assert result.column("root") == ["window ICG(2, 3)", "global Gc"]
+        assert 0 < window <= from_common
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         assert set(EXPERIMENTS) == {
             "figure1", "table4", "figure8", "figure9", "figure10",
             "table5", "figure11", "ablation_steiner", "ablation_overlay",
             "ablation_scheduler", "ablation_batch_scale",
-            "ablation_storage",
+            "ablation_storage", "range_query",
         }
 
     def test_run_experiment_dispatch(self):
@@ -190,8 +199,6 @@ class TestHarness:
         assert "completed in" in out
 
     def test_cli_writes_markdown(self, tmp_path, capsys):
-        from repro.bench.harness import main
-
         out = tmp_path / "report.md"
         code = main(["ablation_steiner", "--profile", "ci", "--out", str(out)])
         assert code == 0
@@ -200,7 +207,5 @@ class TestHarness:
         assert "Ablation" in text
 
     def test_cli_rejects_unknown(self):
-        from repro.bench.harness import main
-
         with pytest.raises(SystemExit):
             main(["figure99"])

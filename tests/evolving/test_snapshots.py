@@ -132,6 +132,17 @@ class TestCoarsened:
         with pytest.raises(SnapshotError):
             simple_eg().coarsened(0)
 
+    def test_keeps_the_stream_non_strict(self):
+        # Both batches re-add an edge that is already there.
+        eg = EvolvingGraph(4, es((0, 1), (1, 2)), [
+            DeltaBatch(additions=es((0, 1), (2, 3))),
+            DeltaBatch(additions=es((2, 3)), deletions=es((1, 2))),
+        ], strict=False)
+        for factor in (1, 2):
+            coarse = eg.coarsened(factor)
+            assert coarse.strict is False
+            assert coarse.snapshot_edges(-1) == es((0, 1), (2, 3))
+
     @given(evolving_graphs(max_batches=6))
     def test_coarsened_snapshots_are_a_subsequence(self, eg):
         for factor in (2, 3):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.core.common import CommonGraphDecomposition
 from repro.errors import SnapshotError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.snapshots import EvolvingGraph
@@ -107,13 +108,37 @@ class TestNewVersion:
             )
 
     def test_matches_full_rebuild(self, controller):
-        from repro.core.common import CommonGraphDecomposition
-
         controller.new_version(additions=es((3, 2)), deletions=EdgeSet.empty())
         rebuilt = CommonGraphDecomposition.from_evolving(controller.evolving)
         assert rebuilt.common == controller.decomposition.common
         for a, b in zip(rebuilt.surpluses, controller.decomposition.surpluses):
             assert a == b
+
+    def test_non_strict_batch_moves_only_its_effect(self):
+        base = es((0, 1), (1, 2), (2, 3))
+        controller = VersionController(EvolvingGraph(4, base, strict=False))
+        # (0, 1) is re-added and (3, 0) is not there to delete: no-ops.
+        controller.new_version(additions=es((0, 1), (3, 1)),
+                               deletions=es((1, 2), (3, 0)))
+        decomp = controller.decomposition
+        assert decomp.common == es((0, 1), (2, 3))
+        assert decomp.surpluses == [es((1, 2)), es((3, 1))]
+        for i in range(controller.num_versions):
+            assert decomp.snapshot_edges(i) == controller.evolving.snapshot_edges(i)
+
+
+@settings(max_examples=60)
+@given(evolving_graphs(max_batches=5))
+def test_new_version_is_from_evolving(eg):
+    """Appending the stream batch by batch builds the decomposition
+    ``from_evolving`` builds from the whole stream: one append rule."""
+    vc = VersionController(EvolvingGraph(eg.num_vertices, eg.snapshot_edges(0)))
+    for batch in eg.batches:
+        vc.new_version(batch.additions, batch.deletions)
+    rebuilt = CommonGraphDecomposition.from_evolving(eg)
+    assert vc.decomposition.common == rebuilt.common
+    assert vc.decomposition.surpluses == rebuilt.surpluses
+    assert vc.get_version(vc.num_versions - 1).edge_set() == eg.snapshot_edges(-1)
 
 
 @settings(max_examples=30)

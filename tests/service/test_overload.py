@@ -154,6 +154,45 @@ class TestAdmissionController:
         assert sorted(order) == ["a", "b"]
         assert shed == 0
 
+    def test_burst_inside_one_loop_tick_is_bounded(self):
+        # Ten arrivals before any of them has run far enough to take its
+        # slot: the gate's own books must bound the room, because the
+        # semaphore still reads free for every one of them.
+        async def scenario():
+            admission = AdmissionController(
+                query=AdmissionPolicy(max_concurrent=2, max_queue=2,
+                                      queue_timeout=5.0),
+            )
+            gate = admission.gate("query")
+            release = asyncio.Event()
+
+            async def request():
+                try:
+                    async with admission.slot("query", Deadline.never()):
+                        await release.wait()
+                except ServiceOverloadedError:
+                    return "shed"
+                return "admitted"
+
+            burst = [asyncio.ensure_future(request()) for _ in range(10)]
+            for _ in range(100):  # loop ticks, not clock time
+                await asyncio.sleep(0)
+                if gate.snapshot()["active"] == 2:
+                    break
+            held = gate.snapshot()
+            release.set()
+            return held, await asyncio.gather(*burst), gate.snapshot()
+
+        held, outcomes, final = self.run(scenario())
+        assert held["active"] == 2
+        assert held["waiting"] == 2
+        assert held["shed"] == {"queue_full": 6, "timeout": 0, "draining": 0}
+        assert held["max_depth"] <= 4
+        assert outcomes.count("shed") == 6
+        assert final["admitted"] == 4
+        assert final["shed"] == held["shed"]
+        assert final["waiting"] == final["active"] == 0
+
 
 # -------------------------------------------------- server integration
 

@@ -67,17 +67,24 @@ class TestEvaluate:
 
     def test_strategies_agree_via_cli(self, store_dir, tmp_path):
         outs = []
-        for strategy in ("direct-hop", "work-sharing"):
+        # Every name core/steiner.py resolves is a CLI choice, not only
+        # the two evaluator names.
+        for strategy in ("direct-hop", "work-sharing", "greedy"):
             out_path = tmp_path / f"{strategy}.npz"
-            main([
+            assert main([
                 "evaluate", str(store_dir), "--algorithm", "SSWP",
                 "--strategy", strategy, "--out", str(out_path),
-            ])
+            ]) == 0
             with np.load(out_path) as data:
                 outs.append({k: data[k] for k in data.files})
-        assert outs[0].keys() == outs[1].keys()
-        for key in outs[0]:
-            assert np.array_equal(outs[0][key], outs[1][key])
+        for other in outs[1:]:
+            assert outs[0].keys() == other.keys()
+            for key in outs[0]:
+                assert np.array_equal(outs[0][key], other[key])
+
+    def test_unknown_strategy_is_refused(self, store_dir):
+        with pytest.raises(SystemExit):
+            main(["evaluate", str(store_dir), "--strategy", "steiner"])
 
 
 class TestInfoDetailed:
@@ -99,6 +106,13 @@ class TestTrend:
         out = capsys.readouterr().out
         assert "BFS trends" in out
         assert "reach" in out and "mean" in out
+
+    def test_greedy_schedule(self, store_dir, capsys):
+        assert main([
+            "trend", str(store_dir), "--metrics", "reach",
+            "--strategy", "greedy",
+        ]) == 0
+        assert "reach" in capsys.readouterr().out
 
     def test_vertex_metric_and_chart(self, store_dir, capsys):
         code = main([

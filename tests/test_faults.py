@@ -7,7 +7,7 @@ from repro.faults import (
     InjectedFault,
     corrupt_bytes,
     io_check,
-    task_check,
+    service_check,
 )
 
 pytestmark = pytest.mark.faults
@@ -17,8 +17,8 @@ class TestInactive:
     def test_io_check_is_noop(self):
         assert io_check("write", "anything") is True
 
-    def test_task_check_is_noop(self):
-        task_check("hop", 3)  # no raise
+    def test_service_check_is_noop(self):
+        service_check("query", 3)  # no raise
 
 
 class TestIOFaults:
@@ -58,15 +58,15 @@ class TestIOFaults:
         assert issubclass(InjectedFault, OSError)
 
 
-class TestTaskFaults:
-    def test_fail_specific_task(self):
-        plan = FaultPlan().fail_task(match="hop:2")
+class TestServiceFaults:
+    def test_fail_specific_operation(self):
+        plan = FaultPlan().fail_service(match="query:2").fail_io(match="query:*")
         with plan.active():
-            task_check("hop", 0)
-            task_check("hop", 1)
-            with pytest.raises(InjectedFault, match="hop:2"):
-                task_check("hop", 2)
-            task_check("hop", 2)  # only the first occurrence fires
+            service_check("query", 0)   # the io rule never sees a service label
+            service_check("query", 1)
+            with pytest.raises(InjectedFault, match="query:2"):
+                service_check("query", 2)
+            service_check("query", 2)  # only the first occurrence fires
 
 
 class TestReplay:

@@ -17,7 +17,6 @@ from repro.resilience import (
     RetryPolicy,
     retry_call,
     retry_call_async,
-    with_retries,
 )
 
 
@@ -328,20 +327,3 @@ class TestCircuitBreaker:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CircuitBreaker(**kwargs)
-
-
-class TestWithRetries:
-    def test_decorator_retries(self):
-        attempts = []
-
-        @with_retries(RetryPolicy(max_attempts=3, base_delay=0.0),
-                      sleep=lambda _: None)
-        def op(x):
-            attempts.append(x)
-            if len(attempts) < 2:
-                raise OSError("transient")
-            return x * 2
-
-        assert op(21) == 42
-        assert attempts == [21, 21]
-        assert op.__name__ == "op"
