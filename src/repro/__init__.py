@@ -114,10 +114,8 @@ from repro.kickstarter import (
     StreamingSession,
     VertexState,
     incremental_additions,
-    pull_until_stable,
     push_until_stable,
     static_compute,
-    static_compute_pull,
     trim_and_repair,
 )
 
@@ -168,9 +166,7 @@ __all__ = [
     "VersionController",
     # kickstarter substrate
     "static_compute",
-    "static_compute_pull",
     "push_until_stable",
-    "pull_until_stable",
     "incremental_additions",
     "trim_and_repair",
     "StreamingSession",

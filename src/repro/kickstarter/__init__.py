@@ -12,7 +12,6 @@ from repro.kickstarter.engine import (
     seed_edges,
     static_compute,
 )
-from repro.kickstarter.pull import pull_until_stable, static_compute_pull
 from repro.kickstarter.streaming import StreamingResult, StreamingSession
 
 __all__ = [
@@ -26,6 +25,4 @@ __all__ = [
     "StreamingSession",
     "StreamingResult",
     "ASYNC_THRESHOLD",
-    "pull_until_stable",
-    "static_compute_pull",
 ]

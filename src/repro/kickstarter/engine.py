@@ -2,15 +2,15 @@
 
 The engine maintains one value per vertex and propagates improvements
 along out-edges until a fixpoint.  Every vectorised step — a push
-round, a pull round (:mod:`repro.kickstarter.pull`), the seeding of a
-streamed batch (:func:`seed_edges`) — is :func:`relax`: *filter, then
-reduce*.  It keeps only the edges whose proposal is strictly better
-than the target's current value, scatter-reduces that subset, and reads
-the changed vertices off a boolean mask.  That is the same fixpoint,
-parents and counters as scattering every proposal — which vertices
-improve, and to what, is decided by the improving proposals alone — but
-in a converging query the subset is small, and a NaN proposal, never
-*better*, is never written.
+round, a dense round, the seeding of a streamed batch
+(:func:`seed_edges`) — is *filter, then reduce*: it keeps only the
+edges whose proposal is strictly better than the target's current
+value, scatter-reduces that subset, and reads the changed vertices off
+a boolean mask.  That is the same fixpoint, parents and counters as
+scattering every proposal — which vertices improve, and to what, is
+decided by the improving proposals alone — but in a converging query
+the subset is small, and a NaN proposal, never *better*, is never
+written.
 
 Two execution modes, matching the scheduler policy of §4.3 of the paper:
 
@@ -23,6 +23,22 @@ Two execution modes, matching the scheduler policy of §4.3 of the paper:
 ``mode="auto"`` switches between them at :data:`ASYNC_THRESHOLD` and is
 the default used by all evaluators.
 
+A sync round on a :class:`~repro.graph.csr.CSRGraph` whose frontier
+owns more than :data:`DENSE_SHARE` of the edges is a **dense round**
+(the direction switch of Ligra-style engines, done as a stream rather
+than a pull): every edge is relaxed in CSR order, with origin values
+from one ``repeat`` and no per-edge slot or origin array.  It is exact
+under the precondition every fixpoint here starts from — *no vertex
+outside the frontier has an improving out-edge* — because then every
+extra edge is filtered out and the improving edges are the ones the
+gathered round would have found, in the same order for a sorted
+frontier.  Values, parents, ``vertices_updated`` and ``iterations``
+are therefore those of the gathered round; only ``edges_relaxed``
+grows, since a dense round counts every edge — which is why a BFS can
+now report more relaxed edges than the graph has.  The root of a walk
+(the common graph) and any other convergence on a plain CSR take it;
+stacked sweeps, overlays and the mutable graph never do.
+
 Optionally the engine tracks, per vertex, the *parent* — the origin of
 the edge whose proposal produced the vertex's current value.  Parents
 form the dependence tree that KickStarter's deletion handling trims
@@ -33,13 +49,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Callable, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.errors import EngineError
+from repro.graph.csr import CSRGraph
 
 __all__ = [
     "GraphLike",
@@ -52,6 +69,7 @@ __all__ = [
     "seed_edges",
     "incremental_additions",
     "ASYNC_THRESHOLD",
+    "DENSE_SHARE",
 ]
 
 #: Frontier size below which ``mode="auto"`` uses the async worklist:
@@ -59,6 +77,15 @@ __all__ = [
 #: frontier, an async vertex visit ~7 µs (DL/50 and LJ/16 overlays), so
 #: the worklist wins for 1–3 vertices and loses from 4 on.
 ASYNC_THRESHOLD = 4
+
+#: Share of a :class:`CSRGraph`'s edges above which a sync round relaxes
+#: every edge in CSR order rather than gathering the frontier's: the
+#: measured crossover.  A gathered edge pays about eleven edge-length
+#: passes (slot expansion, origin repeat, two slot gathers, ...), a
+#: streamed one about five, so a round that gathers more than ~half the
+#: graph is cheaper streamed; static BFS/SSSP on the DL/50 and LJ/16
+#: common graphs time within noise anywhere from 0.2 to 0.6.
+DENSE_SHARE = 0.4
 
 _NO_VERTICES = np.empty(0, dtype=np.int64)
 _NO_VERTICES.setflags(write=False)
@@ -163,8 +190,47 @@ def relax(
     """
     if counters is not None:
         counters.edges_relaxed += int(origins.size)
+    proposals = alg.proposals(state.values[origins], weights)
+    return _reduce_improving(alg, state, targets, proposals, origins.take,
+                             counters, mask)
+
+
+def _dense_round(
+    graph: CSRGraph,
+    alg: MonotonicAlgorithm,
+    state: VertexState,
+    counters: Optional[EngineCounters],
+    mask: np.ndarray,
+) -> np.ndarray:
+    """:func:`relax` over every edge of ``graph``, in CSR order: origin
+    values stream out of one ``repeat``, targets and weights are the
+    stored arrays, and an origin is looked up only for a winning edge
+    whose parent is tracked."""
+    if counters is not None:
+        counters.edges_relaxed += graph.num_edges
+    indptr = graph.indptr
+    proposals = alg.proposals(np.repeat(state.values, np.diff(indptr)),
+                              graph.weights)
+    return _reduce_improving(
+        alg, state, graph.indices, proposals,
+        lambda slots: np.searchsorted(indptr, slots, "right") - 1,
+        counters, mask)
+
+
+def _reduce_improving(
+    alg: MonotonicAlgorithm,
+    state: VertexState,
+    targets: np.ndarray,
+    proposals: np.ndarray,
+    origin_of: Callable[[np.ndarray], np.ndarray],
+    counters: Optional[EngineCounters],
+    mask: np.ndarray,
+) -> np.ndarray:
+    """The tail of a relax step: keep the proposals strictly better than
+    their target's value, reduce those, record the winners' parents
+    (``origin_of`` maps edge positions to origin vertices) and return the
+    improved vertices, sorted and duplicate-free."""
     values = state.values
-    proposals = alg.proposals(values[origins], weights)
     improving = alg.better(proposals, values[targets]).nonzero()[0]
     if improving.size == 0:
         return _NO_VERTICES
@@ -176,7 +242,7 @@ def relax(
         # new value.  Ties are broken arbitrarily (later edges overwrite
         # earlier ones).
         winners = proposals == values[targets]
-        state.parents[targets[winners]] = origins[improving][winners]
+        state.parents[targets[winners]] = origin_of(improving[winners])
     changed = _distinct(targets, mask)
     if counters is not None:
         counters.vertices_updated += int(changed.size)
@@ -247,19 +313,37 @@ def stabilise(
     """:func:`push_until_stable` for a frontier that is already
     duplicate-free, in any order — what :func:`relax` and
     :func:`seed_edges` return (sorted), and what an async spill hands
-    back (unsorted).  No ``gather`` may depend on the order."""
+    back (unsorted).  No ``gather`` may depend on the order.
+
+    Precondition: no vertex outside ``frontier`` has an improving
+    out-edge (a proposal strictly better than its target's value).  A
+    sync round on a :class:`CSRGraph` whose frontier owns more than
+    :data:`DENSE_SHARE` of the edges relaxes every edge instead
+    (:func:`_dense_round`); the precondition is what makes that round
+    improve exactly the vertices a gathered round would.
+    """
     if mode not in ("sync", "async", "auto"):
         raise EngineError(f"unknown mode {mode!r}")
     mask = np.zeros(graph.num_vertices, dtype=bool)
+    csr = graph if isinstance(graph, CSRGraph) else None
     while frontier.size:
         use_async = mode == "async" or (mode == "auto" and frontier.size < async_threshold)
         if use_async:
             spill = np.inf if mode == "async" else 8 * async_threshold
             frontier = _async_drain(graph, alg, state, frontier, counters, spill)
+            continue
+        if counters is not None:
+            counters.iterations += 1
+        if csr is not None and _out_edges(csr, frontier) > DENSE_SHARE * csr.num_edges:
+            frontier = _dense_round(csr, alg, state, counters, mask)
         else:
-            if counters is not None:
-                counters.iterations += 1
             frontier = relax(alg, state, *graph.gather(frontier), counters, mask)
+
+
+def _out_edges(graph: CSRGraph, frontier: np.ndarray) -> int:
+    """How many out-edges the vertices of ``frontier`` own."""
+    indptr = graph.indptr
+    return int((indptr[1:][frontier] - indptr[frontier]).sum())
 
 
 def push_until_stable(
@@ -274,7 +358,9 @@ def push_until_stable(
     """Propagate improvements from ``frontier`` until a fixpoint.
 
     ``mode`` is ``"sync"``, ``"async"`` or ``"auto"`` (switch by
-    frontier size, per the paper's scheduler design).
+    frontier size, per the paper's scheduler design).  Precondition, as
+    for :func:`stabilise`: no vertex outside ``frontier`` has an
+    improving out-edge.
     """
     frontier = _distinct(np.asarray(frontier, dtype=np.int64),
                          np.zeros(graph.num_vertices, dtype=bool))

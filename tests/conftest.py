@@ -16,7 +16,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.graph.generators import rmat_edges
 from repro.graph.weights import HashWeights
-from repro.kickstarter.engine import static_compute
+from tests.helpers import reference_static_compute
 
 ALL_ALGORITHMS = ("BFS", "SSSP", "SSWP", "SSNP", "Viterbi")
 
@@ -121,14 +121,16 @@ def small_evolving(small_rmat):
 def oracle_values(snapshots, algorithm, source, first, last, weight_fn):
     """The naive oracle (ROADMAP aim 3) for snapshots ``first..last``.
 
-    Materialise each snapshot's edge set, build its CSR, run the static
-    algorithm — no decomposition walk, grid, schedule, overlay or cache,
-    so it stays independent of every evaluator it is compared with.
-    ``snapshots`` is anything with ``num_vertices`` and
-    ``snapshot_edges(i)`` (an evolving graph or a decomposition).
+    Materialise each snapshot's edge set, build its CSR, converge with
+    the verbatim sparse reference round
+    (:func:`tests.helpers.reference_static_compute`) — no decomposition
+    walk, grid, schedule, overlay, cache, relax step, dense round or
+    worklist, so it stays independent of every evaluator and kernel it
+    is compared with.  ``snapshots`` is anything with ``num_vertices``
+    and ``snapshot_edges(i)`` (an evolving graph or a decomposition).
     """
     return [
-        static_compute(
+        reference_static_compute(
             CSRGraph.from_edge_set(
                 snapshots.snapshot_edges(i), snapshots.num_vertices,
                 weight_fn=weight_fn,

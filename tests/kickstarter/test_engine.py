@@ -13,6 +13,7 @@ from repro.graph.mutable import MutableGraph
 from repro.graph.overlay import OverlayGraph
 from repro.graph.weights import HashWeights
 from repro.kickstarter.engine import (
+    DENSE_SHARE,
     EngineCounters,
     VertexState,
     push_until_stable,
@@ -21,7 +22,7 @@ from repro.kickstarter.engine import (
     static_compute,
 )
 from tests.conftest import ALL_ALGORITHMS, assert_values_equal
-from tests.helpers import reference_compute_edgeset
+from tests.helpers import reference_compute_edgeset, reference_sync_round
 from tests.strategies import edge_pairs, sources_for
 
 WF = HashWeights(max_weight=8, seed=7)
@@ -188,31 +189,10 @@ def test_static_matches_reference_random(name, ab, source):
 
 # -- the relax step against the rounds it replaced --------------------------------
 #
-# The two functions below are the bodies of ``_sync_round`` and
-# ``seed_edges`` as they stood before the shared relax step (scatter
-# every proposal, diff against a copy, ``np.unique``), kept verbatim as
-# the reference.
-
-def _reference_sync_round(graph, alg, state, frontier, counters):
-    src, dst, w = graph.gather(frontier)
-    if src.size == 0:
-        return np.empty(0, dtype=np.int64)
-    proposals = alg.proposals(state.values[src], w)
-    before = state.values[dst].copy()
-    alg.reduce_at(state.values, dst, proposals)
-    changed_mask = alg.better(state.values[dst], before)
-    if counters is not None:
-        counters.edges_relaxed += int(src.size)
-    if not changed_mask.any():
-        return np.empty(0, dtype=np.int64)
-    if state.parents is not None:
-        winners = changed_mask & (proposals == state.values[dst])
-        state.parents[dst[winners]] = src[winners]
-    next_frontier = np.unique(dst[changed_mask])
-    if counters is not None:
-        counters.vertices_updated += int(next_frontier.size)
-    return next_frontier
-
+# ``reference_sync_round`` (tests/helpers.py, shared with the oracle) and
+# the function below are the bodies of ``_sync_round`` and ``seed_edges``
+# as they stood before the shared relax step (scatter every proposal,
+# diff against a copy, ``np.unique``), kept verbatim as the reference.
 
 def _reference_seed_edges(alg, state, sources, targets, weights, counters=None):
     sources = np.asarray(sources, dtype=np.int64)
@@ -297,7 +277,7 @@ def test_round_matches_reference_round(name, kind, track_parents, case):
     ref = VertexState(values.copy(), parents.copy() if track_parents else None)
     new = ref.copy()
     ref_counters, new_counters = EngineCounters(), EngineCounters()
-    ref_out = _reference_sync_round(graph, alg, ref, frontier, ref_counters)
+    ref_out = reference_sync_round(graph, alg, ref, frontier, ref_counters)
     mask = np.zeros(n, dtype=bool)
     new_out = relax(alg, new, *graph.gather(frontier), new_counters, mask)
     _assert_same_step(new, ref, new_out, ref_out, new_counters, ref_counters)
@@ -351,21 +331,39 @@ class TestNanProposalNeverWritten:
 
 class TestFrontierMask:
     def test_consecutive_pushes_with_disjoint_frontiers(self, algorithm):
-        """Two components, pushed one after the other on one state: the
-        second push sees nothing of the first one's frontier."""
+        """Two components, pushed one after the other on one state, each
+        pinned just before its own push (so every push starts from the
+        engine's precondition): the second push sees nothing of the
+        first one's frontier.
+
+        Pushed together on the bare graph, the second round's frontier
+        {1, 4} owns 3 of the 7 edges and takes a dense round, so only
+        values and ``vertices_updated`` add up; with edges out of the
+        unreachable vertices 7-9 no frontier can own ``DENSE_SHARE`` of
+        the graph, and ``edges_relaxed`` adds up too."""
         pairs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (4, 3)]
-        g = CSRGraph.from_edge_set(EdgeSet.from_pairs(pairs), 7, weight_fn=WF)
-        state = VertexState.fresh(algorithm, 7, 0)
-        state.values[3] = algorithm.source_value
-        together = state.copy()
-        first, second, both = (EngineCounters() for _ in range(3))
-        push_until_stable(g, algorithm, state, [0], counters=first, mode="sync")
-        assert np.all(state.values[4:] == algorithm.worst)
-        push_until_stable(g, algorithm, state, [3], counters=second, mode="sync")
-        push_until_stable(g, algorithm, together, [0, 3], counters=both, mode="sync")
-        assert_values_equal(state.values, together.values, algorithm.name)
-        assert first.edges_relaxed + second.edges_relaxed == both.edges_relaxed
-        assert first.vertices_updated + second.vertices_updated == both.vertices_updated
+        padding = [(u, v) for u in (7, 8, 9) for v in range(7)]
+        for extra in ([], padding):
+            g = CSRGraph.from_edge_set(EdgeSet.from_pairs(pairs + extra), 10,
+                                       weight_fn=WF)
+            state = VertexState.fresh(algorithm, 10, 0)
+            together = state.copy()
+            together.values[3] = algorithm.source_value
+            first, second, both = (EngineCounters() for _ in range(3))
+            push_until_stable(g, algorithm, state, [0], counters=first, mode="sync")
+            assert np.all(state.values[3:] == algorithm.worst)
+            state.values[3] = algorithm.source_value
+            push_until_stable(g, algorithm, state, [3], counters=second, mode="sync")
+            push_until_stable(g, algorithm, together, [0, 3], counters=both,
+                              mode="sync")
+            assert_values_equal(state.values, together.values, algorithm.name)
+            assert (first.vertices_updated + second.vertices_updated
+                    == both.vertices_updated)
+            apart = first.edges_relaxed + second.edges_relaxed
+            if len(pairs) <= DENSE_SHARE * g.num_edges:
+                assert apart == both.edges_relaxed
+            else:
+                assert apart < both.edges_relaxed
 
     def test_frontier_is_normalised(self, diamond_csr):
         alg = get_algorithm("SSSP")

@@ -10,7 +10,6 @@ from repro.graph.overlay import OverlayGraph
 from repro.graph.weights import HashWeights
 from repro.kickstarter.deletion import trim_and_repair
 from repro.kickstarter.engine import incremental_additions, static_compute
-from repro.kickstarter.pull import static_compute_pull
 from tests.conftest import assert_values_equal, oracle_values
 
 WF = HashWeights(max_weight=8, seed=7)
@@ -29,14 +28,6 @@ def test_static_compute(small_evolving, algorithm, oracle, mode):
         got = static_compute(small_evolving.snapshot_csr(i, weight_fn=WF),
                              algorithm, SOURCE, mode=mode)
         assert_values_equal(got.values, want, f"{algorithm.name}/{mode} v{i}")
-
-
-@pytest.mark.parametrize("direction", ["pull", "auto"])
-def test_static_compute_pull(small_evolving, algorithm, oracle, direction):
-    for i, want in enumerate(oracle):
-        got = static_compute_pull(small_evolving.snapshot_csr(i, weight_fn=WF),
-                                  algorithm, SOURCE, direction=direction)
-        assert_values_equal(got.values, want, f"{algorithm.name}/{direction} v{i}")
 
 
 def test_incremental_additions(small_evolving, algorithm, oracle):
