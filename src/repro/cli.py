@@ -53,8 +53,9 @@ Subcommands
 ``lint``
     Run the project-invariant static analyzer (``repro.lint``) over
     the package — lock discipline, async-safety, frozen-graph
-    immutability, error taxonomy, determinism.  Exits non-zero on any
-    non-baselined finding, so it gates CI.  See
+    immutability, error taxonomy, determinism, instrument agreement,
+    lock order.  Exits non-zero on any finding not silenced by an
+    inline allow, so it gates CI.  See
     ``docs/static-analysis.md``.
 
 The paper's evaluation has its own entry point outside the package,
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -108,8 +109,38 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _call_service(name: str, connect: str, call, timeout: float = 30.0):
-    """Run ``call(client)`` against the service at ``connect`` (HOST:PORT).
+class _Address(NamedTuple):
+    """A parsed ``--connect HOST:PORT``; prints back as ``HOST:PORT``."""
+
+    host: str
+    port: int
+
+    def __str__(self) -> str:
+        return f"{self.host}:{self.port}"
+
+
+def _address(text: str) -> _Address:
+    """The ``type=`` of every ``--connect``: malformed input is a usage
+    error (exit 2), never a traceback.  An empty host is localhost."""
+    host, _, port = text.rpartition(":")
+    try:
+        number = int(port)
+    except ValueError:
+        number = 0
+    if not 0 < number < 65536:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return _Address(host or "127.0.0.1", number)
+
+
+def _add_connect(parser: argparse.ArgumentParser,
+                 default: Optional[str] = "127.0.0.1:7421",
+                 help: Optional[str] = None) -> None:
+    parser.add_argument("--connect", default=default, metavar="HOST:PORT",
+                        type=_address, help=help)
+
+
+def _call_service(name: str, connect: _Address, call, timeout: float = 30.0):
+    """Run ``call(client)`` against the service at ``connect``.
 
     The one place the client subcommands open a connection: a
     ``ServiceError``/``OSError`` is reported as ``<name>: <error>`` on
@@ -117,9 +148,8 @@ def _call_service(name: str, connect: str, call, timeout: float = 30.0):
     """
     from repro.service.client import ServiceClient
 
-    host, _, port = connect.rpartition(":")
     try:
-        with ServiceClient(host or "127.0.0.1", int(port),
+        with ServiceClient(connect.host, connect.port,
                            timeout=timeout) as client:
             return call(client)
     except (ServiceError, OSError) as exc:
@@ -189,7 +219,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_live_status(address: str, payload: dict) -> str:
+def _render_live_status(address: _Address, payload: dict) -> str:
     """Human rendering of a live status payload (service or fleet).
 
     Shows what an operator reaches for first: lifecycle, load counters,
@@ -566,9 +596,8 @@ def _cmd_obs_dump(args: argparse.Namespace) -> int:
     import urllib.error
     import urllib.request
 
-    host, _, port = args.connect.rpartition(":")
     path = "/metrics.json" if args.json else "/metrics"
-    url = f"http://{host or '127.0.0.1'}:{int(port)}{path}"
+    url = f"http://{args.connect}{path}"
     try:
         with urllib.request.urlopen(url, timeout=args.timeout) as response:
             body = response.read().decode("utf-8")
@@ -920,102 +949,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.errors import LintError
 
     root = Path(args.root) if args.root else lint.package_root()
-    rules = lint.default_rules()
-    if args.select:
-        wanted = [name.strip()
-                  for chunk in args.select for name in chunk.split(",")
-                  if name.strip()]
-        known = {rule.name for rule in rules}
-        unknown = sorted(set(wanted) - known)
-        if unknown:
-            print(
-                f"lint: --select names unknown rule(s) "
-                f"{', '.join(unknown)}; known: {', '.join(sorted(known))}",
-                file=sys.stderr,
-            )
-            return 2
-        rules = [rule for rule in rules if rule.name in set(wanted)]
-    engine = lint.LintEngine(root, rules=rules)
+    engine = lint.LintEngine(root)
     if args.list_rules:
         for rule in engine.rules:
             print(f"{rule.name}: {rule.title}")
         return 0
     paths = [Path(p) for p in args.paths] if args.paths else [root / "repro"]
-    restrict = None
-    if args.changed:
-        restrict = _changed_relpaths(root)
-        if restrict is None:
-            print(
-                "lint: --changed could not consult git; linting everything",
-                file=sys.stderr,
-            )
     try:
-        result = engine.run(paths, restrict=restrict)
+        result = engine.run(paths)
     except LintError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else _default_baseline_path(root)
-    )
-    entries: list = []
-    stale: list = []
-    baselined: list = []
-    try:
-        if args.update_baseline:
-            previous = (
-                lint.load_baseline(baseline_path)
-                if baseline_path.is_file() else []
-            )
-            entries = lint.write_baseline(
-                baseline_path, result.findings, previous
-            )
-            print(f"wrote {len(entries)} entr(ies) to {baseline_path}")
-            placeholders = sum(
-                1 for entry in entries
-                if entry.justification == lint.baseline.PLACEHOLDER_JUSTIFICATION
-            )
-            if placeholders:
-                print(
-                    f"{placeholders} new entr(ies) need a justification "
-                    "before the baseline will load",
-                    file=sys.stderr,
-                )
-            return 0
-        if not args.no_baseline and baseline_path.is_file():
-            entries = lint.load_baseline(baseline_path)
-    except LintError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    active, baselined, stale = lint.apply_baseline(result.findings, entries)
-    result.findings = active
-    if args.select or restrict is not None:
-        # A scoped run (--select / --changed) sees only a slice of the
-        # findings, so an unmatched baseline entry proves nothing.
-        stale = []
-    fmt = "json" if args.json else (args.format or "text")
-    if fmt == "json":
-        print(lint.render_json(result, baselined, stale))
-    elif fmt == "sarif":
+    if args.format == "json":
+        print(lint.render_json(result))
+    elif args.format == "sarif":
         print(lint.render_sarif(
-            result, baselined,
-            uri_prefix=_sarif_uri_prefix(root),
-            rules=engine.rules,
+            result, uri_prefix=_sarif_uri_prefix(root), rules=engine.rules,
         ))
     else:
-        print(lint.render_text(result, baselined, stale))
+        print(lint.render_text(result))
     return 0 if result.ok else 1
-
-
-def _default_baseline_path(root):
-    """``lint-baseline.json`` at the project root (beside pyproject.toml)."""
-    from pathlib import Path
-
-    for candidate in (root, *Path(root).resolve().parents):
-        if (Path(candidate) / "pyproject.toml").is_file():
-            return Path(candidate) / "lint-baseline.json"
-    return Path(root) / "lint-baseline.json"
 
 
 def _sarif_uri_prefix(root) -> str:
@@ -1034,50 +987,6 @@ def _sarif_uri_prefix(root) -> str:
             except ValueError:
                 return ""
     return ""
-
-
-def _changed_relpaths(root):
-    """Engine-relative paths of files touched per git, or ``None``.
-
-    Uncommitted changes (``git diff HEAD``) plus untracked files; a
-    missing git or a non-repo root fails open (``None`` → full run), so
-    ``--changed`` can never hide findings behind a broken invocation.
-    """
-    import subprocess
-    from pathlib import Path
-
-    resolved = Path(root).resolve()
-    try:
-        top = subprocess.run(
-            ["git", "-C", str(resolved), "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, timeout=30,
-        )
-        if top.returncode != 0:
-            return None
-        repo = Path(top.stdout.strip())
-        listed = []
-        for argv in (
-            ["git", "-C", str(repo), "diff", "--name-only", "HEAD", "--"],
-            ["git", "-C", str(repo), "ls-files", "--others",
-             "--exclude-standard"],
-        ):
-            proc = subprocess.run(argv, capture_output=True, text=True,
-                                  timeout=30)
-            if proc.returncode != 0:
-                return None
-            listed.extend(proc.stdout.splitlines())
-    except (OSError, subprocess.SubprocessError):
-        return None
-    restrict = set()
-    for name in listed:
-        if not name.endswith(".py"):
-            continue
-        try:
-            relpath = (repo / name).resolve().relative_to(resolved)
-        except ValueError:
-            continue
-        restrict.add(relpath.as_posix())
-    return restrict
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1111,9 +1020,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="include structural stats and degree histogram")
     info.add_argument("--json", action="store_true",
                       help="machine-readable summary (JSON)")
-    info.add_argument("--connect", default=None, metavar="HOST:PORT",
-                      help="fetch live status from a running serve or "
-                           "route instance (rendered; --json for raw)")
+    _add_connect(info, default=None,
+                 help="fetch live status from a running serve or route "
+                      "instance (rendered; --json for raw)")
     info.set_defaults(func=_cmd_info)
 
     serve = sub.add_parser("serve", help="run the live query service")
@@ -1246,13 +1155,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap_status = autopilot_sub.add_parser(
         "status", help="print a running fleet's autopilot status"
     )
-    ap_status.add_argument("--connect", default="127.0.0.1:7420",
-                           help="router address as host:port")
+    _add_connect(ap_status, "127.0.0.1:7420", help="the router's address")
     ap_status.set_defaults(func=_cmd_autopilot)
 
     query = sub.add_parser("query", help="query a running service")
-    query.add_argument("--connect", default="127.0.0.1:7421",
-                       metavar="HOST:PORT")
+    _add_connect(query)
     query.add_argument("--algorithm", default="SSSP",
                        help=f"one of {algorithm_names()}")
     query.add_argument("--source", type=int, default=0)
@@ -1264,24 +1171,21 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(func=_cmd_query)
 
     ping = sub.add_parser("ping", help="health-check a running service")
-    ping.add_argument("--connect", default="127.0.0.1:7421",
-                      metavar="HOST:PORT")
+    _add_connect(ping)
     ping.add_argument("--timeout", type=float, default=5.0)
     ping.set_defaults(func=_cmd_ping)
 
     shutdown = sub.add_parser(
         "shutdown", help="ask a running service to drain and exit"
     )
-    shutdown.add_argument("--connect", default="127.0.0.1:7421",
-                          metavar="HOST:PORT")
+    _add_connect(shutdown)
     shutdown.add_argument("--timeout", type=float, default=30.0)
     shutdown.set_defaults(func=_cmd_shutdown)
 
     ingest = sub.add_parser(
         "ingest", help="apply an edge batch to a running service"
     )
-    ingest.add_argument("--connect", default="127.0.0.1:7421",
-                        metavar="HOST:PORT")
+    _add_connect(ingest)
     ingest.add_argument("--add", action="append", metavar="U,V",
                         help="edge to add (repeatable)")
     ingest.add_argument("--delete", action="append", metavar="U,V",
@@ -1301,8 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "the pending update log into a batch")
     update.add_argument("--edge", default=None, metavar="U,V",
                         help="the edge (required for insert/delete)")
-    update.add_argument("--connect", default="127.0.0.1:7421",
-                        metavar="HOST:PORT")
+    _add_connect(update)
     update.add_argument("--timeout", type=float, default=30.0)
     update.add_argument("--json", action="store_true",
                         help="print the raw response as JSON")
@@ -1317,8 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _temporal_common(p: argparse.ArgumentParser,
                          ranged: bool = True) -> None:
-        p.add_argument("--connect", default="127.0.0.1:7421",
-                       metavar="HOST:PORT")
+        _add_connect(p)
         p.add_argument("--algorithm", default="SSSP",
                        help=f"one of {algorithm_names()}")
         p.add_argument("--source", type=int, default=0)
@@ -1416,35 +1318,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--root", default=None,
         help="source root anchoring relative paths (default: auto-detect)",
     )
-    lint_parser.add_argument("--json", action="store_true",
-                             help="machine-readable report "
-                                  "(alias for --format json)")
     lint_parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default=None,
-        help="report format (default: text; sarif for PR annotation)",
-    )
-    lint_parser.add_argument(
-        "--select", action="append", default=None, metavar="RULE[,RULE...]",
-        help="run only the named rules (repeatable, comma-separable)",
-    )
-    lint_parser.add_argument(
-        "--changed", action="store_true",
-        help="scope per-module rules to files changed per git; "
-             "project-wide rules still see the whole tree",
-    )
-    lint_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file (default: lint-baseline.json at the "
-             "project root)",
-    )
-    lint_parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline and report every finding",
-    )
-    lint_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings "
-             "(preserving existing justifications)",
+        "--format", choices=("text", "json", "sarif"), default="text",
+        help="report format (sarif for PR annotation)",
     )
     lint_parser.add_argument(
         "--list-rules", action="store_true",
@@ -1459,9 +1335,8 @@ def build_parser() -> argparse.ArgumentParser:
     od = obs_sub.add_parser(
         "dump", help="fetch metrics from a --metrics endpoint"
     )
-    od.add_argument("--connect", default="127.0.0.1:9421",
-                    metavar="HOST:PORT",
-                    help="the serve instance's --metrics address")
+    _add_connect(od, "127.0.0.1:9421",
+                 help="the serve instance's --metrics address")
     od.add_argument("--json", action="store_true",
                     help="fetch the JSON snapshot instead of the "
                          "Prometheus text format")

@@ -1,27 +1,25 @@
 """Project-invariant static analysis for the CommonGraph codebase.
 
-``repro.lint`` encodes the invariants the runtime never checks —
-lock discipline around shared caches, async-safety of the service
-front end, immutability of frozen graph objects, the error taxonomy,
-determinism of the algorithm paths, and (since v2) the *project-wide*
-contracts: wire-protocol agreement across server/client/router/CLI,
+``repro.lint`` encodes the invariants the runtime never checks and
+only static analysis can — lock discipline around shared caches,
+async-safety of the service front end, immutability of frozen graph
+objects, the error taxonomy, determinism of the algorithm paths,
 instrument-registry agreement at every emission site, and a global
 lock-acquisition order — as AST-level rules run over the package on
 every CI build (``python -m repro lint``).
 
 The analysis is two-phase: phase 1 parses every module and builds the
-whole-program index (:mod:`repro.lint.project` — symbol table, string
-literal vocabulary, call graph with lock summaries); phase 2 runs the
-per-module rules and then the project-scoped rules over that index.
+whole-program index (:mod:`repro.lint.project` — symbol table and call
+graph with lock summaries); phase 2 runs the per-module rules and then
+the project-scoped rules over that index.
 
 Layout::
 
     engine.py       module loading, annotation index, rule driving
     project.py      phase-1 whole-program index for project rules
     rules/          one module per rule + the pluggable registry
-    findings.py     Finding records and their baseline fingerprints
+    findings.py     Finding records and their SARIF fingerprints
     annotations.py  the guarded-by / holds-lock / allow pragma grammar
-    baseline.py     grandfathered findings (justification mandatory)
     report.py       text and JSON rendering
     sarif.py        SARIF 2.1.0 rendering for PR annotation
 
@@ -32,19 +30,11 @@ annotation grammar.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
 
 from repro.lint.annotations import (
     AllowPragma,
     ModuleAnnotations,
     extract_annotations,
-)
-from repro.lint.baseline import (
-    PLACEHOLDER_JUSTIFICATION,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
 )
 from repro.lint.engine import LintEngine, LintResult, ModuleUnit, ProjectIndex
 from repro.lint.findings import Finding
@@ -61,10 +51,8 @@ from repro.lint.sarif import render_sarif
 
 __all__ = [
     "AllowPragma",
-    "BaselineEntry",
     "Finding",
     "ModuleAnnotations",
-    "PLACEHOLDER_JUSTIFICATION",
     "extract_annotations",
     "LintEngine",
     "LintResult",
@@ -73,39 +61,17 @@ __all__ = [
     "ProjectIndex",
     "ProjectRule",
     "Rule",
-    "apply_baseline",
     "build_program_index",
     "default_rules",
-    "load_baseline",
     "package_root",
     "register_rule",
     "render_json",
     "render_sarif",
     "render_text",
     "rule_names",
-    "run_lint",
-    "write_baseline",
 ]
 
 
 def package_root() -> Path:
     """The source root the package was imported from (parent of ``repro``)."""
     return Path(__file__).resolve().parents[2]
-
-
-def run_lint(
-    paths: Optional[Iterable[Path]] = None,
-    root: Optional[Path] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> LintResult:
-    """Lint ``paths`` (default: the installed ``repro`` package).
-
-    Convenience wrapper used by the CLI and the self-lint test; for
-    baseline-aware runs compose :class:`LintEngine` with
-    :func:`load_baseline` / :func:`apply_baseline` directly.
-    """
-    base = Path(root) if root is not None else package_root()
-    engine = LintEngine(base, rules=rules)
-    if paths is None:
-        paths = [base / "repro"]
-    return engine.run(paths)

@@ -3,9 +3,8 @@
 One :class:`LintEngine` run parses every ``*.py`` under the given
 roots, builds the project-wide annotation index (``guarded-by`` /
 ``holds-lock`` declarations), runs every rule over every in-scope
-module, and applies inline ``lint: allow`` pragmas.  Baseline handling
-lives in :mod:`repro.lint.baseline`; rendering in
-:mod:`repro.lint.report`.
+module, and applies inline ``lint: allow`` pragmas — the one way to
+suppress a finding.  Rendering lives in :mod:`repro.lint.report`.
 """
 
 from __future__ import annotations
@@ -89,9 +88,9 @@ class ProjectIndex:
 
     v2: besides the pragma maps, the index now carries every parsed
     :class:`ModuleUnit` (``module_units``) and lazily builds the phase-1
-    :class:`~repro.lint.project.ProgramIndex` — symbol table, literal
-    vocabulary, call graph with lock summaries — the first time a
-    project-scoped rule asks for it via :attr:`program`.
+    :class:`~repro.lint.project.ProgramIndex` — symbol table and call
+    graph with lock summaries — the first time a project-scoped rule
+    asks for it via :attr:`program`.
     """
 
     #: ``(module relpath, class name) -> {attribute: (lock, ...)}``.
@@ -231,7 +230,7 @@ class LintEngine:
 
     ``root`` anchors package-relative paths: findings for
     ``<root>/repro/core/common.py`` report ``repro/core/common.py``,
-    which keeps baseline fingerprints stable across checkouts.
+    which keeps paths and fingerprints stable across checkouts.
     """
 
     def __init__(
@@ -266,19 +265,8 @@ class LintEngine:
             return path.name
 
     # -- execution -------------------------------------------------------
-    def run(
-        self,
-        paths: Optional[Iterable[Path]] = None,
-        *,
-        restrict: Optional[Iterable[str]] = None,
-    ) -> LintResult:
-        """Run phase 1 (parse + index) then phase 2 (rules).
-
-        ``restrict`` limits the *per-module* rule pass to the named
-        relpaths (``--changed`` uses this) while the whole tree is still
-        parsed, so project-scoped rules always see every module — a
-        contract broken by an unchanged file must still surface.
-        """
+    def run(self, paths: Optional[Iterable[Path]] = None) -> LintResult:
+        """Run phase 1 (parse + index) then phase 2 (rules)."""
         result = LintResult(rules_run=[rule.name for rule in self.rules])
         modules: List[ModuleUnit] = []
         for path in self.discover(paths):
@@ -312,7 +300,6 @@ class LintEngine:
                             f"{', '.join(sorted(known - {'all'}))}",
                         ))
 
-        restricted = set(restrict) if restrict is not None else None
         module_rules = [r for r in self.rules
                         if not isinstance(r, ProjectRule)]
         project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
@@ -326,8 +313,6 @@ class LintEngine:
                 result.findings.append(finding)
 
         for module in modules:
-            if restricted is not None and module.relpath not in restricted:
-                continue
             for rule in module_rules:
                 if not rule.applies_to(module.relpath):
                     continue

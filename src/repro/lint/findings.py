@@ -1,15 +1,15 @@
 """Finding records produced by the lint engine.
 
 A :class:`Finding` pins one rule violation to a file, line and column.
-Its *fingerprint* deliberately excludes the line/column — baselined
-findings must survive unrelated edits that shift code up or down — and,
-since v2, the path as well: moving a module (``repro/service/x.py`` →
-``repro/fleet/x.py``) does not invalidate a justified baseline entry.
+Its *fingerprint* (SARIF ``partialFingerprints``, which code hosts use
+to tell new findings from pre-existing ones) deliberately excludes the
+line/column — unrelated edits that shift code up or down must not make
+a finding look new — and, since v2, the path as well: moving a module
+(``repro/service/x.py`` → ``repro/fleet/x.py``) keeps its identity.
 The identity of a finding is ``(rule, context, message)`` where
 ``context`` is the enclosing ``Class.method`` qualname; messages are
-written to name their subject (op, instrument, lock), which keeps the
-triple unique in practice, and the baseline writer de-duplicates the
-rare collision.
+written to name their subject (instrument, lock), which keeps the
+triple unique in practice.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ class Finding:
     col: int
     message: str
     context: str = ""
-    #: Non-empty when the finding was suppressed, and how:
-    #: ``"baseline"`` or ``"inline-allow"``.
+    #: ``"inline-allow"`` when a pragma suppressed the finding.
     suppressed_by: str = field(default="", compare=False)
 
     @property
     def fingerprint(self) -> str:
-        """Location- and path-independent identity for baseline matching."""
+        """Location- and path-independent identity (SARIF dedup key)."""
         payload = "|".join((self.rule, self.context, self.message))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

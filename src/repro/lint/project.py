@@ -1,17 +1,12 @@
 """Phase 1 of the two-phase analyzer: the whole-program index.
 
 The per-module rules (lock-discipline, determinism, …) only ever see
-one AST at a time.  The contract rules added for the project-wide
-invariants — wire-protocol agreement, instrument agreement, global
-lock order — need to see *every* module at once.  This module builds
-that view:
+one AST at a time.  The global lock-order rule needs to see *every*
+module at once.  This module builds that view:
 
 * a **symbol table** — every class and function in the scanned tree,
   keyed by module-relative path and qualname, with per-module import
   maps so dotted references resolve across modules;
-* a **string-literal vocabulary index** — every string constant and
-  where it appears, which is how the contract rules connect an op or
-  instrument *name* to the call sites that speak it;
 * a **call graph with lock summaries** — per function: the calls it
   makes, the locks it acquires (``with <lock>:``, ``.acquire()``, and
   the ``# holds-lock:`` pragmas), and every ``await`` together with
@@ -19,8 +14,8 @@ that view:
 
 Resolution is deliberately best-effort and *under*-approximating:
 a call or lock the index cannot resolve contributes nothing, so the
-contract rules never hallucinate an edge — the cost is that exotic
-indirection (dynamic dispatch tables, getattr) is invisible to them.
+lock-order rule never hallucinates an edge — the cost is that exotic
+indirection (dynamic dispatch tables, getattr) is invisible to it.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "FunctionInfo",
-    "LiteralSite",
     "LockEdge",
     "LockKey",
     "ModuleInfo",
@@ -173,15 +167,6 @@ class ModuleInfo:
 
 
 @dataclass(frozen=True)
-class LiteralSite:
-    """One occurrence of a string constant."""
-
-    module: str
-    line: int
-    context: str
-
-
-@dataclass(frozen=True)
 class LockEdge:
     """Directed "acquired-while-holding" evidence between two locks."""
 
@@ -216,8 +201,6 @@ class ProgramIndex:
         self.by_dotted: Dict[str, str] = {}
         #: class name → every ClassInfo with that name (project-wide).
         self.classes_by_name: Dict[str, List[ClassInfo]] = {}
-        #: every string constant → where it appears.
-        self.literals: Dict[str, List[LiteralSite]] = {}
 
     # -- symbol lookups --------------------------------------------------
     def functions(self) -> List[FunctionInfo]:
@@ -497,9 +480,7 @@ def build_program_index(modules: Sequence["ModuleUnit"]) -> ProgramIndex:
     # any function body is summarised: `with self.planner._lock:` in one
     # module resolves through a class declared in another.
     for unit in modules:
-        builder = _ModuleBuilder(program, unit)
-        builder.collect_bodies()
-        builder.collect_literals()
+        _ModuleBuilder(program, unit).collect_bodies()
     return program
 
 
@@ -797,17 +778,6 @@ class _ModuleBuilder:
             return
         for child in ast.iter_child_nodes(node):
             self._walk(child, fn, held)
-
-    # -- literals --------------------------------------------------------
-    def collect_literals(self) -> None:
-        for node in ast.walk(self.unit.tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                self.program.literals.setdefault(node.value, []).append(
-                    LiteralSite(
-                        self.unit.relpath, node.lineno,
-                        self.unit.context_at(node.lineno),
-                    )
-                )
 
 
 def _annotation_text(node: ast.expr) -> Optional[str]:

@@ -4,65 +4,41 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List, Sequence
+from typing import Dict, List
 
-from repro.lint.baseline import BaselineEntry
 from repro.lint.engine import LintResult
 
 __all__ = ["render_json", "render_text"]
 
 
-def render_text(
-    result: LintResult,
-    baselined: Sequence[Any] = (),
-    stale_entries: Sequence[BaselineEntry] = (),
-) -> str:
+def render_text(result: LintResult) -> str:
     """The terminal report: findings, then a one-line summary."""
-    lines: List[str] = []
-    for finding in result.findings:
-        lines.append(finding.render())
-    for entry in stale_entries:
-        lines.append(
-            f"stale baseline entry: {entry.rule} in {entry.path} "
-            f"({entry.fingerprint}) no longer matches; delete it or run "
-            "--update-baseline"
-        )
+    lines: List[str] = [finding.render() for finding in result.findings]
     counts = Counter(finding.rule for finding in result.findings)
     by_rule = ", ".join(
         f"{rule}: {count}" for rule, count in sorted(counts.items())
     )
-    suppressed_total = len(result.suppressed) + len(baselined)
-    summary = (
+    lines.append(
         f"{len(result.findings)} finding(s)"
         + (f" ({by_rule})" if by_rule else "")
         + f" in {result.modules_scanned} module(s); "
-        f"{suppressed_total} suppressed "
-        f"({len(baselined)} baselined, {len(result.suppressed)} inline)"
+        f"{len(result.suppressed)} suppressed by inline allow"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
-def render_json(
-    result: LintResult,
-    baselined: Sequence[Any] = (),
-    stale_entries: Sequence[BaselineEntry] = (),
-) -> str:
+def render_json(result: LintResult) -> str:
     """Machine-readable report (stable schema, see docs/static-analysis.md)."""
     counts: Dict[str, int] = dict(
         Counter(finding.rule for finding in result.findings)
     )
     payload = {
-        "version": 1,
+        "version": 2,
         "ok": result.ok,
         "modules_scanned": result.modules_scanned,
         "rules_run": result.rules_run,
         "counts": counts,
         "findings": [finding.as_dict() for finding in result.findings],
-        "suppressed": [
-            finding.as_dict()
-            for finding in (*result.suppressed, *baselined)
-        ],
-        "stale_baseline": [entry.as_dict() for entry in stale_entries],
+        "suppressed": [finding.as_dict() for finding in result.suppressed],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

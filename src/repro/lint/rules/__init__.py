@@ -1,6 +1,6 @@
 """Pluggable rule registry.
 
-The default ruleset ships the five project invariants; downstream code
+The default ruleset ships the seven project invariants; downstream code
 (or tests) can :func:`register_rule` additional ones — registration is
 by *class*, instantiated fresh per engine run so rules stay stateless
 between runs.
@@ -13,7 +13,7 @@ from typing import Dict, List, Type
 from repro.errors import LintError
 from repro.lint.rules.async_safety import AsyncSafetyRule
 from repro.lint.rules.base import ProjectRule, Rule
-from repro.lint.rules.contracts import InstrumentContractRule, WireContractRule
+from repro.lint.rules.contracts import InstrumentContractRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.immutability import FrozenGraphRule
 from repro.lint.rules.lockorder import LockOrderRule
@@ -30,7 +30,6 @@ __all__ = [
     "InstrumentContractRule",
     "LockDisciplineRule",
     "LockOrderRule",
-    "WireContractRule",
     "default_rules",
     "register_rule",
     "rule_names",
@@ -57,7 +56,6 @@ for _cls in (
     FrozenGraphRule,
     ErrorTaxonomyRule,
     DeterminismRule,
-    WireContractRule,
     InstrumentContractRule,
     LockOrderRule,
 ):

@@ -59,7 +59,7 @@ def iter_statements(
 class Rule:
     """Base class for project-invariant lint rules."""
 
-    #: Stable identifier used in reports, pragmas and the baseline.
+    #: Stable identifier used in reports and pragmas.
     name: str = "rule"
     #: One-line human description for ``--list-rules`` and the docs.
     title: str = ""
@@ -97,7 +97,7 @@ class ProjectRule(Rule):
     The engine calls :meth:`check_project` exactly once per run, after
     every module is parsed, handing it the :class:`ProjectIndex` whose
     ``program`` attribute exposes the phase-1 whole-program summary
-    (symbol table, literal vocabulary, call graph with lock summaries).
+    (symbol table, call graph with lock summaries).
     ``check`` is inherited but never invoked for project rules.
     """
 

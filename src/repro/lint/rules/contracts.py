@@ -1,19 +1,4 @@
-"""Project-wide contract rules: wire protocol and instrument agreement.
-
-Both rules consume the phase-1 :class:`~repro.lint.project.ProgramIndex`
-and check a *shared vocabulary* invariant:
-
-``wire-contract``
-    The ``protocol.OPS`` table is the single declaration of the wire
-    vocabulary, and server and router dispatch from it *by name*.  So
-    for those two layers the contract is structural: every row needs a
-    ``_handle_<op>`` on the server and, on the router, the method of
-    its routing policy (``_local_<op>`` for ops the router answers
-    itself, ``_route_<policy>`` otherwise) — and neither may define a
-    handler the table has no row for.  The client API and the CLI still
-    *speak* ops (request payloads, subcommands), so there the rule
-    keeps checking that every op surfaces and that no undeclared
-    ("phantom") op is spoken.
+"""Project-wide contract rule: instrument agreement.
 
 ``instrument-contract``
     ``repro.obs.instruments.INSTRUMENTS`` is the single source of
@@ -23,7 +8,11 @@ and check a *shared vocabulary* invariant:
     ``docs/observability.md`` must list exactly the declared names
     with matching label sets.
 
-Both rules skip silently when the anchoring module is not part of the
+An emission *site* is only visible in the source — no import of the
+registry can find the call that names an undeclared metric — which is
+why this is a lint rule.
+
+The rule skips silently when the registry module is not part of the
 scanned tree, so fixture projects and partial checkouts lint clean.
 """
 
@@ -39,182 +28,7 @@ from repro.lint.rules.base import ProjectRule, dotted_name
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import ModuleUnit, ProjectIndex
 
-__all__ = ["InstrumentContractRule", "WireContractRule"]
-
-
-PROTOCOL_MODULE = "repro/service/protocol.py"
-SERVER_MODULE = "repro/service/server.py"
-ROUTER_MODULE = "repro/fleet/router.py"
-
-#: Layers that speak ops rather than dispatch on the table:
-#: (layer, relpath, human description of the expected surface).
-SPEAKING_LAYERS: Tuple[Tuple[str, str, str], ...] = (
-    ("client", "repro/service/client.py",
-     "a ServiceClient method or request payload"),
-    ("cli", "repro/cli.py", "a subcommand invoking the client method"),
-)
-
-
-def _spoken_ops(module: "ModuleUnit") -> List[Tuple[str, int]]:
-    """Every op-name string literal this module *speaks*, with its line.
-
-    An op is spoken by an ``"op"`` key in a dict literal with a constant
-    string value (request construction).  Attribute or method *names*
-    never count — they establish coverage, not vocabulary.
-    """
-    spoken: List[Tuple[str, int]] = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        for key, value in zip(node.keys, node.values):
-            if (isinstance(key, ast.Constant) and key.value == "op"
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)):
-                spoken.append((value.value, value.lineno))
-    return spoken
-
-
-def _surfaced_ops(module: "ModuleUnit") -> Set[str]:
-    """Op names this module covers by *naming* rather than comparing.
-
-    Methods named exactly after an op (client API) and attribute calls
-    named after an op (CLI invoking the client) count.
-    """
-    surfaced: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            surfaced.add(node.name)
-        elif isinstance(node, ast.Call) and isinstance(node.func,
-                                                       ast.Attribute):
-            surfaced.add(node.func.attr)
-    return surfaced
-
-
-def _methods(module: "ModuleUnit") -> Dict[str, int]:
-    """Every function/method name defined in the module, with its line."""
-    return {
-        node.name: node.lineno for node in ast.walk(module.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-class WireContractRule(ProjectRule):
-    """Every row of the op table is served, routed, and surfaced."""
-
-    name = "wire-contract"
-    title = ("every op in protocol.OPS has its server handler and router "
-             "routing method; the client API and the CLI surface it; no "
-             "layer handles an op the table does not declare")
-
-    def check_project(self, project: "ProjectIndex") -> Iterator[Finding]:
-        protocol = project.module_units.get(PROTOCOL_MODULE)
-        if protocol is None:
-            return
-        table = self._declared_ops(protocol)
-        if table is None:
-            yield self.project_finding(
-                project, PROTOCOL_MODULE, 1,
-                "could not parse the OPS table (a dict literal of string "
-                "keys to OpSpec(...) rows with literal routing); the wire "
-                "vocabulary must stay statically enumerable",
-            )
-            return
-        yield from self._check_dispatch(
-            project, "server", SERVER_MODULE,
-            {f"_handle_{op}": op for op in table}, ("_handle_",),
-        )
-        yield from self._check_dispatch(
-            project, "router", ROUTER_MODULE,
-            {(f"_local_{op}" if routing == "local"
-              else "_route_" + routing.replace("-", "_")): op
-             for op, routing in table.items()},
-            ("_local_", "_route_"),
-        )
-        for layer, relpath, expectation in SPEAKING_LAYERS:
-            module = project.module_units.get(relpath)
-            if module is None:
-                continue
-            spoken = _spoken_ops(module)
-            covered = {name for name, _ in spoken} | _surfaced_ops(module)
-            for op in table:
-                if op not in covered:
-                    yield self.project_finding(
-                        project, relpath, 1,
-                        f"op '{op}' declared in protocol.OPS has no "
-                        f"surface in the {layer} layer; expected "
-                        f"{expectation}",
-                    )
-            reported: Set[str] = set()
-            for op, line in spoken:
-                if op in table or op in reported:
-                    continue
-                reported.add(op)
-                yield self.project_finding(
-                    project, relpath, line,
-                    f"the {layer} layer speaks op '{op}' which "
-                    "protocol.OPS does not declare (phantom op: "
-                    "validate_request would reject it before dispatch)",
-                )
-
-    def _check_dispatch(
-        self, project: "ProjectIndex", layer: str, relpath: str,
-        required: Dict[str, str], prefixes: Tuple[str, ...],
-    ) -> Iterator[Finding]:
-        """A by-name dispatch layer: ``required`` maps method -> an op
-        that needs it; any other ``prefixes`` method is a phantom."""
-        module = project.module_units.get(relpath)
-        if module is None:
-            return
-        defined = _methods(module)
-        for method, op in sorted(required.items()):
-            if method not in defined:
-                yield self.project_finding(
-                    project, relpath, 1,
-                    f"op '{op}' declared in protocol.OPS has no "
-                    f"'{method}' in the {layer} layer; dispatch resolves "
-                    "it by that name",
-                )
-        for method, line in sorted(defined.items()):
-            if method.startswith(prefixes) and method not in required:
-                yield self.project_finding(
-                    project, relpath, line,
-                    f"the {layer} layer defines '{method}' but no row of "
-                    "protocol.OPS dispatches to it (phantom op: "
-                    "validate_request would reject it before dispatch)",
-                )
-
-    @staticmethod
-    def _declared_ops(protocol: "ModuleUnit") -> Optional[Dict[str, str]]:
-        """``op -> routing policy`` from the ``OPS`` dict literal."""
-        for stmt in protocol.tree.body:
-            targets: List[ast.expr] = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets = [stmt.target]
-            else:
-                continue
-            if not any(isinstance(t, ast.Name) and t.id == "OPS"
-                       for t in targets):
-                continue
-            if not isinstance(stmt.value, ast.Dict):
-                return None
-            table: Dict[str, str] = {}
-            for key, row in zip(stmt.value.keys, stmt.value.values):
-                if not (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                        and isinstance(row, ast.Call)):
-                    return None
-                routing = "local"
-                for kw in row.keywords:
-                    if kw.arg == "routing":
-                        if not (isinstance(kw.value, ast.Constant)
-                                and isinstance(kw.value.value, str)):
-                            return None
-                        routing = kw.value.value
-                table[key.value] = routing
-            return table
-        return None
+__all__ = ["InstrumentContractRule"]
 
 
 INSTRUMENTS_MODULE = "repro/obs/instruments.py"

@@ -7,13 +7,12 @@ shows up inline at its source line.
 
 Notes on the mapping:
 
-* ``partialFingerprints`` carries the same path-independent v2
-  fingerprint the baseline uses, so the host's "new vs. pre-existing"
-  dedup agrees with ours.
-* Suppressed findings (inline allows and baselined entries) are
-  included with a ``suppressions`` block rather than dropped — the
-  host then shows them as reviewed, matching the text report's
-  "suppressed" count.
+* ``partialFingerprints`` carries the path-independent v2
+  :attr:`~repro.lint.findings.Finding.fingerprint`, so the host's
+  "new vs. pre-existing" dedup survives line shifts and file moves.
+* Findings suppressed by an inline allow are included with an
+  ``inSource`` suppression rather than dropped — the host then shows
+  them as reviewed, matching the text report's "suppressed" count.
 * ``uri_prefix`` re-anchors module-relative paths (``repro/...``) to
   repository-relative ones (``src/repro/...``) so annotations land.
   Paths already anchored at the repository root — the ``docs/``
@@ -73,10 +72,8 @@ def _result(finding: Finding, rule_index: Dict[str, int],
             "fullyQualifiedName": finding.context,
         }]
     if finding.suppressed_by:
-        kind = ("inSource" if finding.suppressed_by == "inline-allow"
-                else "external")
         doc["suppressions"] = [{
-            "kind": kind,
+            "kind": "inSource",
             "justification": f"suppressed by {finding.suppressed_by}",
         }]
     return doc
@@ -84,7 +81,6 @@ def _result(finding: Finding, rule_index: Dict[str, int],
 
 def render_sarif(
     result: LintResult,
-    baselined: Sequence[Finding] = (),
     *,
     uri_prefix: str = "",
     rules: Sequence[Any] = (),
@@ -105,12 +101,8 @@ def render_sarif(
         })
     results = [
         _result(finding, rule_index, uri_prefix)
-        for finding in result.findings
+        for finding in (*result.findings, *result.suppressed)
     ]
-    results.extend(
-        _result(finding, rule_index, uri_prefix)
-        for finding in (*result.suppressed, *baselined)
-    )
     payload = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

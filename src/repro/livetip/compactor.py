@@ -2,7 +2,7 @@
 
 The overlay keeps per-update ingest sub-millisecond by *not* touching
 the TG; the :class:`Compactor` is the other half of the bargain — on a
-size (and optionally age) threshold it seals the pending log into one
+size threshold it seals the pending log into one
 **net** :class:`~repro.evolving.delta.DeltaBatch` (insert/delete churn
 on the same edge cancels) and appends it through the service's
 ordinary durable ingest lane.  That single append does everything a
@@ -24,10 +24,9 @@ re-seal against the rebased overlay, never a corrupt fold.
 
 Determinism: compaction must fire at the *same point in the update
 stream* on every replica of a fleet (receipts are compared per
-update), so the default policy is count-based only; the age threshold
-is opt-in, uses the injected ``time_fn``, and is meant for
-single-node deployments.  This module is in the lint determinism
-scope — no wall clock is read here.
+update), so the policy is count-based only — a clock-driven fold would
+land at a different update on each replica.  This module is in the
+lint determinism scope — no wall clock is read here.
 """
 
 from __future__ import annotations
@@ -48,19 +47,15 @@ __all__ = ["CompactionPolicy", "Compactor"]
 class CompactionPolicy:
     """When the update log is folded into the Triangular Grid.
 
-    ``max_updates`` is the deterministic trigger (compaction fires as
-    the log reaches this depth); ``max_age_seconds`` additionally
-    folds a shallow-but-old log when a clock is available.
+    ``max_updates`` is the deterministic trigger: compaction fires as
+    the log reaches this depth.
     """
 
     max_updates: int = 64
-    max_age_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_updates < 1:
             raise ServiceError("max_updates must be >= 1")
-        if self.max_age_seconds is not None and self.max_age_seconds <= 0:
-            raise ServiceError("max_age_seconds must be positive")
 
 
 class Compactor:
@@ -77,12 +72,10 @@ class Compactor:
         append: Callable[[DeltaBatch], Any],
         *,
         policy: Optional[CompactionPolicy] = None,
-        time_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         self._overlay = overlay
         self._append = append
         self.policy = policy if policy is not None else CompactionPolicy()
-        self._time_fn = time_fn
         # Serialises folds; never held while a caller's lock is taken.
         self._lock = threading.Lock()
         self.compactions = 0  # guarded-by: _lock
@@ -91,16 +84,8 @@ class Compactor:
 
     # -- policy ---------------------------------------------------------------
     def due(self) -> bool:
-        """Whether the pending log has hit a fold threshold."""
-        depth = self._overlay.depth
-        if depth == 0:
-            return False
-        if depth >= self.policy.max_updates:
-            return True
-        if self.policy.max_age_seconds is not None and self._time_fn is not None:
-            age = self._overlay.pending_age(self._time_fn())
-            return age is not None and age >= self.policy.max_age_seconds
-        return False
+        """Whether the pending log has hit the fold threshold."""
+        return self._overlay.depth >= self.policy.max_updates
 
     def maybe_compact(self) -> Optional[Dict[str, Any]]:
         """Fold if due; the per-update hook on the service's hot path."""
@@ -162,7 +147,6 @@ class Compactor:
                 "updates_folded": self.updates_folded,
                 "last_compaction_version": self.last_compaction_version,
                 "max_updates": self.policy.max_updates,
-                "max_age_seconds": self.policy.max_age_seconds,
             }
 
     def __repr__(self) -> str:

@@ -37,8 +37,7 @@ that must compose the overlay with other state (the service's
 decomposition capture) hold their own lock *first* and this one
 second; the overlay never calls back out while holding its lock, so
 the acquisition order is acyclic.  Determinism: the module is in the
-lint determinism scope — no wall clock here; age bookkeeping uses an
-injected ``time_fn`` and is disabled without one.
+lint determinism scope — no wall clock here.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -143,7 +142,6 @@ class LiveTipOverlay:
         *,
         weight_fn: Optional[WeightFn] = None,
         max_tracked: int = 8,
-        time_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         if max_tracked < 1:
             raise ServiceError("max_tracked must be >= 1")
@@ -151,7 +149,6 @@ class LiveTipOverlay:
         self.weight_fn: WeightFn = (
             weight_fn if weight_fn is not None else UnitWeights()
         )
-        self._time_fn = time_fn
         # Reentrant: status/snapshot helpers lock internally and must
         # stay callable from code that already holds the lock.
         self._lock = threading.RLock()
@@ -174,7 +171,6 @@ class LiveTipOverlay:
             OrderedDict()
         )  # guarded-by: _lock
         self._max_tracked = max_tracked
-        self._first_pending_at: Optional[float] = None  # guarded-by: _lock
         #: Lifetime update counts by kind (status payload).
         self.update_counts: Dict[str, int] = {  # guarded-by: _lock
             kind: 0 for kind in UPDATE_KINDS
@@ -191,13 +187,6 @@ class LiveTipOverlay:
     def tracked_states(self) -> int:
         with self._lock:
             return len(self._states)
-
-    def pending_age(self, now: float) -> Optional[float]:
-        """Seconds since the oldest pending update, or ``None`` if clean."""
-        with self._lock:
-            if self._first_pending_at is None:
-                return None
-            return max(0.0, now - self._first_pending_at)
 
     def live_edges(self) -> EdgeSet:
         """The current live edge set (immutable; safe to share)."""
@@ -247,8 +236,6 @@ class LiveTipOverlay:
             self._repair_locked(kind, edge)
             self.seq += 1
             self._log.append(TipUpdate(seq=self.seq, kind=kind, edge=(u, v)))
-            if self._first_pending_at is None and self._time_fn is not None:
-                self._first_pending_at = self._time_fn()
             self.update_counts[kind] += 1
             depth = len(self._log)
             receipt = {
@@ -380,7 +367,6 @@ class LiveTipOverlay:
                 return False
             self._base_edges = self._edges
             self._log.clear()
-            self._first_pending_at = None
         obs.gauge_set("repro_livetip_depth", 0.0)
         return True
 
@@ -423,8 +409,6 @@ class LiveTipOverlay:
             self._base_edges = tip_edges
             self._log = kept
             self.tip_version = tip_version
-            if not kept:
-                self._first_pending_at = None
             depth = len(kept)
         obs.gauge_set("repro_livetip_depth", float(depth))
         obs.gauge_set("repro_livetip_tracked_states",

@@ -1,6 +1,6 @@
-"""repro.obs — tracing, metrics and profiling hooks across the stack.
+"""repro.obs — tracing and metrics across the stack.
 
-Three pillars behind one facade:
+Two pillars behind one facade:
 
 * a **metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges
   and fixed-bucket histograms, exported as a JSON snapshot and as
@@ -10,10 +10,7 @@ Three pillars behind one facade:
   with one trace id per query, timed by an injected
   :class:`~repro.obs.clock.Clock` so instrumented algorithm code stays
   clean under the determinism lint rule, with a per-trace sampling knob
-  and a JSON-lines span exporter;
-* **profiling hooks** (:mod:`repro.obs.hooks`) — a callback registry
-  fired at every instrumented phase boundary, modeled on the
-  :mod:`repro.faults` hook pattern.
+  and a JSON-lines span exporter.
 
 Observability is **off by default**.  Production code calls the
 module-level helpers below unconditionally; with no runtime configured
@@ -49,17 +46,9 @@ from types import TracebackType
 from typing import Any, Callable, Dict, IO, Optional, Type, Union
 
 from repro.errors import ObservabilityError
-from repro.obs import hooks as hooks
 from repro.obs import instruments as instruments
 from repro.obs.clock import Clock, FakeClock, MonotonicClock
 from repro.obs.export import MetricsServer, read_spans, render_trace_trees
-from repro.obs.hooks import (
-    PhaseEvent,
-    ProfilerFn,
-    dropped_profilers,
-    register_profiler,
-    reset_profilers,
-)
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -83,19 +72,12 @@ __all__ = [
     # instrumentation helpers (the hot path)
     "span",
     "phase_span",
-    "phase",
     "annotate",
     "timer",
     "counter_inc",
     "gauge_set",
     "observe",
     "register_collector",
-    # hooks
-    "PhaseEvent",
-    "ProfilerFn",
-    "register_profiler",
-    "reset_profilers",
-    "dropped_profilers",
     # clocks
     "Clock",
     "MonotonicClock",
@@ -141,9 +123,6 @@ class ObsRuntime:
 
 _configure_lock = threading.Lock()
 _runtime: Optional[ObsRuntime] = None
-
-#: Clock used for phase timing when only profiler hooks are active.
-_FALLBACK_CLOCK = MonotonicClock()
 
 
 def configure(
@@ -259,16 +238,16 @@ _NULL_CONTEXT = _NullContext()
 
 
 class _PhaseSpan:
-    """Context manager uniting a span, a phase histogram and the hooks.
+    """Context manager uniting a span and a phase histogram.
 
-    Allocated only when a runtime or a profiler is active; the disabled
-    path returns the shared :data:`_NULL_CONTEXT` instead.
+    Allocated only when a runtime is active; the disabled path returns
+    the shared :data:`_NULL_CONTEXT` instead.
     """
 
     __slots__ = ("_runtime", "_layer", "_phase", "_label", "_attributes",
                  "_start", "_span_context", "span")
 
-    def __init__(self, runtime: Optional[ObsRuntime], layer: str, phase: str,
+    def __init__(self, runtime: ObsRuntime, layer: str, phase: str,
                  label: str, attributes: Dict[str, Any]) -> None:
         self._runtime = runtime
         self._layer = layer
@@ -281,16 +260,14 @@ class _PhaseSpan:
 
     def __enter__(self) -> SpanLike:
         runtime = self._runtime
-        clock = runtime.clock if runtime is not None else _FALLBACK_CLOCK
-        self._start = clock.now()
-        if runtime is not None:
-            attributes = self._attributes
-            if self._label:
-                attributes = {"label": self._label, **attributes}
-            self._span_context = runtime.tracer.span(
-                f"{self._layer}.{self._phase}", **attributes
-            )
-            self.span = self._span_context.__enter__()
+        self._start = runtime.clock.now()
+        attributes = self._attributes
+        if self._label:
+            attributes = {"label": self._label, **attributes}
+        self._span_context = runtime.tracer.span(
+            f"{self._layer}.{self._phase}", **attributes
+        )
+        self.span = self._span_context.__enter__()
         return self.span
 
     def __exit__(
@@ -300,14 +277,10 @@ class _PhaseSpan:
         tb: Optional[TracebackType],
     ) -> None:
         runtime = self._runtime
-        clock = runtime.clock if runtime is not None else _FALLBACK_CLOCK
-        seconds = clock.now() - self._start
-        if self._span_context is not None:
-            self._span_context.__exit__(exc_type, exc, tb)
-        if runtime is not None:
-            _observe_in(runtime.registry, "repro_phase_seconds", seconds,
-                        layer=self._layer, phase=self._phase)
-        hooks.fire(PhaseEvent(self._layer, self._phase, self._label, seconds))
+        seconds = runtime.clock.now() - self._start
+        self._span_context.__exit__(exc_type, exc, tb)
+        _observe_in(runtime.registry, "repro_phase_seconds", seconds,
+                    layer=self._layer, phase=self._phase)
         return None
 
 
@@ -365,28 +338,16 @@ def annotate(**attributes: Any) -> None:
 
 def phase_span(layer: str, phase: str, label: str = "",
                **attributes: Any) -> Any:
-    """The standard phase boundary: span + duration histogram + hooks.
+    """The standard phase boundary: span + duration histogram.
 
     Use as ``with obs.phase_span("planner", "edge", label=...) as sp:``;
     the yielded span accepts :meth:`~repro.obs.tracing.Span.annotate`
     even when disabled (it is then the shared null span).
     """
     runtime = _runtime
-    if runtime is None and not hooks.has_profilers():
+    if runtime is None:
         return _NULL_CONTEXT
     return _PhaseSpan(runtime, layer, phase, label, attributes)
-
-
-def phase(layer: str, phase_name: str, label: str = "",
-          seconds: Optional[float] = None) -> None:
-    """A point phase event: histogram (if timed) + profiler hooks."""
-    runtime = _runtime
-    if runtime is None and not hooks.has_profilers():
-        return
-    if runtime is not None and seconds is not None:
-        _observe_in(runtime.registry, "repro_phase_seconds", seconds,
-                    layer=layer, phase=phase_name)
-    hooks.fire(PhaseEvent(layer, phase_name, label, seconds))
 
 
 def counter_inc(name: str, amount: Union[int, float] = 1,
@@ -440,9 +401,3 @@ def register_collector(
     if runtime is None:
         return lambda: None
     return runtime.registry.register_collector(collector)
-
-
-def reset() -> None:
-    """Full teardown for tests: runtime gone, profilers cleared."""
-    disable()
-    reset_profilers()

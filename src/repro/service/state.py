@@ -153,7 +153,6 @@ class ServiceState:
         time_fn: Callable[[], float] = time.time,
         livetip: bool = True,
         livetip_max_updates: int = 64,
-        livetip_max_age: Optional[float] = None,
         livetip_max_tracked: int = 8,
     ) -> None:
         if window is not None and window < 1:
@@ -201,9 +200,7 @@ class ServiceState:
         #: ``livetip=False``, where updates are refused.
         self.livetip_enabled = livetip
         self._livetip_policy = CompactionPolicy(
-            max_updates=livetip_max_updates,
-            max_age_seconds=livetip_max_age,
-        )
+            max_updates=livetip_max_updates)
         self._livetip_max_tracked = livetip_max_tracked
         self._livetip: Optional[LiveTipOverlay] = None  # guarded-by: _lock
         self._compactor: Optional[Compactor] = None  # guarded-by: _lock
@@ -364,11 +361,10 @@ class ServiceState:
                 self.base_version + decomp.num_snapshots - 1,
                 weight_fn=self.weight_fn,
                 max_tracked=self._livetip_max_tracked,
-                time_fn=self._time_fn,
             )
             self._compactor = Compactor(
                 self._livetip, self.store.append,
-                policy=self._livetip_policy, time_fn=self._time_fn,
+                policy=self._livetip_policy,
             )
         return self._livetip, self._compactor
 

@@ -69,12 +69,12 @@ def reset_observability() -> None:
     """Tear the process-global observability runtime down (for tests).
 
     Disables the :mod:`repro.obs` runtime installed by
-    :func:`repro.obs.configure` and clears every registered profiler
-    hook, so one test's instrumentation cannot leak into the next.
+    :func:`repro.obs.configure`, so one test's instrumentation cannot
+    leak into the next.
     """
     from repro import obs
 
-    obs.reset()
+    obs.disable()
 
 
 def reference_compute(

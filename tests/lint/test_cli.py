@@ -1,16 +1,19 @@
-"""The ``repro lint`` command end to end, plus the self-lint gate.
+"""The ``repro lint`` command end to end, its reports, and the self-lint
+gate.
 
 The self-lint test is the repository's own acceptance criterion: the
-analyzer must exit 0 on the codebase it ships with, with every
-grandfathered finding justified in ``lint-baseline.json``.
+analyzer must exit 0 on the codebase it ships with, every suppression
+an inline allow with its justification next to the code.
 """
 
+import dataclasses
 import json
 import textwrap
 from pathlib import Path
 
 from repro import lint
 from repro.cli import main
+from repro.lint import Finding, LintResult, render_json, render_text
 
 CLEAN = "def identity(x):\n    return x\n"
 
@@ -62,7 +65,7 @@ def test_config_error_exits_two(tmp_path, capsys):
 
 def test_json_output_parses(tmp_path, capsys):
     root = project(tmp_path, {"repro/core/ops.py": VIOLATION})
-    assert lint_cmd(root, "--json") == 1
+    assert lint_cmd(root, "--format", "json") == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     assert payload["counts"] == {"determinism": 1}
@@ -72,54 +75,11 @@ def test_list_rules(tmp_path, capsys):
     root = project(tmp_path, {"repro/core/ops.py": CLEAN})
     assert lint_cmd(root, "--list-rules") == 0
     out = capsys.readouterr().out
-    for name in lint.rule_names():
-        assert name in out
-
-
-# ----------------------------------------------- baseline workflow (CLI)
-
-def test_update_baseline_workflow(tmp_path, capsys):
-    root = project(tmp_path, {"repro/core/ops.py": VIOLATION})
-    baseline = root / "lint-baseline.json"
-
-    # 1. Grandfather the finding: written with a FIXME placeholder...
-    assert lint_cmd(root, "--update-baseline") == 0
-    assert baseline.is_file()
-    assert "need a justification" in capsys.readouterr().err
-
-    # 2. ...which the next run refuses to load (exit 2, not a pass).
-    assert lint_cmd(root) == 2
-    capsys.readouterr()
-
-    # 3. Justify it; the finding is suppressed and the run passes.
-    payload = json.loads(baseline.read_text())
-    payload["entries"][0]["justification"] = "benign: display-only stamp"
-    baseline.write_text(json.dumps(payload))
-    assert lint_cmd(root) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # 4. Fix the code; the entry goes stale but the run still passes,
-    #    and --update-baseline prunes it.
-    (root / "repro/core/ops.py").write_text(CLEAN)
-    assert lint_cmd(root) == 0
-    assert "stale baseline entry" in capsys.readouterr().out
-    assert lint_cmd(root, "--update-baseline") == 0
-    assert json.loads(baseline.read_text())["entries"] == []
-
-
-def test_no_baseline_flag_bypasses_the_ledger(tmp_path, capsys):
-    root = project(tmp_path, {"repro/core/ops.py": VIOLATION})
-    baseline = root / "lint-baseline.json"
-    # Build a justified baseline covering the finding.
-    result = lint.LintEngine(root).run([root / "repro"])
-    lint.write_baseline(baseline, result.findings)
-    payload = json.loads(baseline.read_text())
-    payload["entries"][0]["justification"] = "benign"
-    baseline.write_text(json.dumps(payload))
-
-    assert lint_cmd(root) == 0
-    capsys.readouterr()
-    assert lint_cmd(root, "--no-baseline") == 1
+    listed = [line.partition(":")[0] for line in out.splitlines()]
+    assert listed == lint.rule_names() == [
+        "async-blocking", "determinism", "error-taxonomy", "frozen-graph",
+        "instrument-contract", "lock-discipline", "lock-order",
+    ]
 
 
 # -------------------------------------------------------------- self-lint
@@ -129,32 +89,19 @@ def repo_root():
 
 
 def test_self_lint_repository_is_clean(capsys):
-    # `python -m repro lint` on the shipped tree: exit 0, with every
-    # suppression accounted for in the justified baseline.
+    # `python -m repro lint` on the shipped tree: exit 0.
     assert main(["lint"]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
-def test_shipped_baseline_is_justified_and_not_stale():
-    baseline_path = repo_root() / "lint-baseline.json"
-    entries = lint.load_baseline(baseline_path)  # raises on FIXME/empty
-    result = lint.run_lint()
-    active, baselined, stale = lint.apply_baseline(result.findings, entries)
-    assert active == []
-    assert stale == [], "baseline entries no longer match any finding"
-    assert len(baselined) == len(entries)
-
-
 def test_self_lint_catches_a_seeded_regression(tmp_path):
     # Copy the real package, seed one violation, and make sure the
-    # analyzer (with the real baseline) fails — the property the CI
-    # lint job relies on.
+    # analyzer fails — the property the CI lint job relies on.
     import shutil
 
     src = repo_root() / "src" / "repro"
     root = tmp_path
     shutil.copytree(src, root / "repro")
-    shutil.copy(repo_root() / "lint-baseline.json", root / "lint-baseline.json")
     (root / "pyproject.toml").write_text("[project]\nname = 'copy'\n")
     target = root / "repro" / "core" / "common.py"
     target.write_text(
@@ -163,46 +110,7 @@ def test_self_lint_catches_a_seeded_regression(tmp_path):
     assert lint_cmd(root) == 1
 
 
-# ------------------------------------------------- select / changed / sarif
-
-def test_select_scopes_the_run_to_named_rules(tmp_path, capsys):
-    root = project(tmp_path, {"repro/core/ops.py": VIOLATION})
-    assert lint_cmd(root, "--select", "lock-discipline,frozen-graph") == 0
-    out = capsys.readouterr().out
-    assert "0 finding(s)" in out
-    assert lint_cmd(root, "--select", "determinism") == 1
-
-
-def test_select_rejects_unknown_rule_names(tmp_path, capsys):
-    root = project(tmp_path, {"repro/core/ops.py": CLEAN})
-    assert lint_cmd(root, "--select", "no-such-rule") == 2
-    assert "no-such-rule" in capsys.readouterr().err
-
-
-def test_select_run_does_not_report_baseline_staleness(tmp_path, capsys):
-    # A scoped run proves nothing about entries for rules that did not
-    # run; it must not nag about (or prune) them.
-    root = project(tmp_path, {"repro/core/ops.py": VIOLATION})
-    baseline = root / "lint-baseline.json"
-    result = lint.LintEngine(root).run([root / "repro"])
-    lint.write_baseline(baseline, result.findings)
-    payload = json.loads(baseline.read_text())
-    payload["entries"][0]["justification"] = "benign"
-    baseline.write_text(json.dumps(payload))
-
-    assert lint_cmd(root, "--select", "frozen-graph") == 0
-    assert "stale" not in capsys.readouterr().out
-
-
-def test_changed_falls_open_to_a_full_run_outside_git(tmp_path, capsys):
-    # No repository to diff against: fail open rather than silently
-    # linting nothing.
-    root = project(tmp_path, {"repro/core/ops.py": VIOLATION})
-    assert lint_cmd(root, "--changed") == 1
-    captured = capsys.readouterr()
-    assert "determinism" in captured.out
-    assert "could not consult git" in captured.err
-
+# ---------------------------------------------------------------- sarif
 
 def test_sarif_output_parses_and_carries_fingerprints(tmp_path, capsys):
     root = project(tmp_path, {"repro/core/ops.py": VIOLATION})
@@ -236,3 +144,75 @@ def test_sarif_marks_suppressed_findings(tmp_path, capsys):
     (res,) = doc["runs"][0]["results"]
     (suppression,) = res["suppressions"]
     assert suppression["kind"] == "inSource"
+
+
+# ---------------------------------------------------------- fingerprints
+
+def make_finding(**overrides):
+    base = dict(
+        rule="determinism",
+        path="repro/core/algo.py",
+        line=7,
+        col=4,
+        message="wall-clock read",
+        context="wall",
+    )
+    base.update(overrides)
+    return Finding(**base)
+
+
+def test_fingerprint_survives_line_shifts():
+    a = make_finding()
+    b = dataclasses.replace(a, line=99, col=0)
+    assert a.fingerprint == b.fingerprint
+
+
+def test_fingerprint_distinguishes_rule_context_message():
+    a = make_finding()
+    for field, value in [
+        ("rule", "frozen-graph"),
+        ("context", "stall"),
+        ("message", "different"),
+    ]:
+        assert make_finding(**{field: value}).fingerprint != a.fingerprint
+
+
+def test_fingerprint_survives_file_renames():
+    # v2 identity is path-independent: moving the module keeps the
+    # SARIF partialFingerprints, so the host does not call it new.
+    a = make_finding()
+    b = dataclasses.replace(a, path="repro/fleet/algo.py", line=3)
+    assert a.fingerprint == b.fingerprint
+
+
+# -------------------------------------------------------------- reports
+
+def test_render_json_schema_round_trip():
+    result = LintResult(
+        findings=[make_finding()],
+        suppressed=[make_finding(suppressed_by="inline-allow")],
+        modules_scanned=3,
+        rules_run=["determinism"],
+    )
+    payload = json.loads(render_json(result))
+    assert payload["version"] == 2
+    assert payload["ok"] is False
+    assert payload["modules_scanned"] == 3
+    assert payload["counts"] == {"determinism": 1}
+    (finding,) = payload["findings"]
+    assert finding["fingerprint"] == make_finding().fingerprint
+    assert payload["suppressed"][0]["suppressed_by"] == "inline-allow"
+    assert "stale_baseline" not in payload
+
+
+def test_render_text_summary():
+    result = LintResult(
+        findings=[make_finding()],
+        suppressed=[make_finding(suppressed_by="inline-allow")],
+        modules_scanned=2,
+        rules_run=["determinism"],
+    )
+    text = render_text(result)
+    assert "1 finding(s) (determinism: 1) in 2 module(s)" in text
+    assert "1 suppressed by inline allow" in text
+    assert "repro/core/algo.py:7:4: determinism:" in text

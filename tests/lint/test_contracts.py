@@ -1,92 +1,25 @@
-"""The project-wide contract rules, driven by synthetic fixture projects.
+"""The instrument-contract rule, driven by synthetic fixture projects.
 
-Each test seeds one specific drift — missing handler, missing routing
-method, phantom op, dead instrument, label mismatch, docs skew — and
-asserts it is caught by
-exactly the intended rule, at the intended layer.  The clean fixtures
-double as negative controls: a coherent project must produce zero
-contract findings.
+Each test seeds one specific drift — dead instrument, label mismatch,
+undeclared emission, docs skew — and asserts it is caught at the
+intended site.  The clean fixtures double as negative controls: a
+coherent project must produce zero contract findings.
+
+(The wire-op table is not a lint rule: ``TestOpTable`` in
+``tests/service/test_protocol.py`` imports ``protocol.OPS`` and the
+real server, router, client and CLI and checks them directly.)
 """
 
-import textwrap
-
-from repro.lint import LintEngine
-from repro.lint.rules.contracts import InstrumentContractRule, WireContractRule
+from repro.lint.rules.contracts import InstrumentContractRule
 
 from tests.lint.conftest import rule_findings
 
 
 def contract_rules():
-    return [WireContractRule(), InstrumentContractRule()]
+    return [InstrumentContractRule()]
 
 
 # ------------------------------------------------------------- fixtures
-
-ROUTER = """
-    class FleetRouter:
-        async def _dispatch(self, doc):
-            routing = OPS[doc["op"]].routing
-            if routing == "local":
-                return getattr(self, "_local_" + doc["op"])()
-            return await getattr(self, "_route_" + routing)(doc)
-
-        def _local_ping(self):
-            return {"ok": True, "op": "ping"}
-
-        async def _route_by_source(self, doc):
-            return {"ok": True}
-"""
-
-
-def wire_fixture(**overrides):
-    files = {
-        "repro/service/protocol.py": """
-            OPS = {
-                "ping": OpSpec(),
-                "query": OpSpec(fields=frozenset({"source"}),
-                                routing="by-source"),
-            }
-
-
-            def validate_request(doc):
-                if doc.get("op") not in OPS:
-                    raise ValueError("unknown op")
-        """,
-        "repro/service/server.py": """
-            class Server:
-                async def _dispatch(self, doc):
-                    return await getattr(self, "_handle_" + doc["op"])(doc)
-
-                async def _handle_ping(self, doc):
-                    return {"ok": True, "op": "ping"}
-
-                async def _handle_query(self, doc):
-                    return {"ok": True, "op": "query"}
-        """,
-        "repro/service/client.py": """
-            class ServiceClient:
-                def ping(self):
-                    return self.request({"op": "ping"})
-
-                def query(self, algorithm, source):
-                    return self.request({"op": "query", "source": source})
-
-                def request(self, doc):
-                    return doc
-        """,
-        "repro/fleet/router.py": ROUTER,
-        "repro/cli.py": """
-            def cmd_ping(client):
-                return client.ping()
-
-
-            def cmd_query(client):
-                return client.query("SSSP", 0)
-        """,
-    }
-    files.update(overrides)
-    return files
-
 
 def instrument_fixture(**overrides):
     files = {
@@ -114,165 +47,6 @@ def instrument_fixture(**overrides):
     }
     files.update(overrides)
     return files
-
-
-# ---------------------------------------------------------- wire: clean
-
-def test_coherent_wire_project_is_clean(lint_project):
-    result = lint_project(wire_fixture(), rules=contract_rules())
-    assert rule_findings(result, "wire-contract") == []
-
-
-def test_wire_rule_silent_without_protocol_module(lint_project):
-    files = wire_fixture()
-    del files["repro/service/protocol.py"]
-    result = lint_project(files, rules=contract_rules())
-    assert rule_findings(result, "wire-contract") == []
-
-
-def test_wire_rule_skips_absent_layers(lint_project):
-    files = wire_fixture()
-    del files["repro/cli.py"]
-    result = lint_project(files, rules=contract_rules())
-    assert rule_findings(result, "wire-contract") == []
-
-
-# ------------------------------------------------- wire: seeded drift
-
-def test_missing_server_handler_is_caught(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/service/server.py": """
-            class Server:
-                async def _dispatch(self, doc):
-                    return await getattr(self, "_handle_" + doc["op"])(doc)
-
-                async def _handle_query(self, doc):
-                    return {"ok": True, "op": "query"}
-        """,
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert len(findings) == 1
-    assert findings[0].path == "repro/service/server.py"
-    assert "op 'ping'" in findings[0].message
-    assert "'_handle_ping'" in findings[0].message
-    assert "server" in findings[0].message
-
-
-def test_missing_client_method_is_caught(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/service/client.py": """
-            class ServiceClient:
-                def query(self, algorithm, source):
-                    return self.request({"op": "query", "source": source})
-
-                def request(self, doc):
-                    return doc
-        """,
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert [f.path for f in findings] == ["repro/service/client.py"]
-    assert "op 'ping'" in findings[0].message
-
-
-def test_missing_router_routing_method_is_caught(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/fleet/router.py": ROUTER.replace("_route_by_source",
-                                                "_forward"),
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert [f.path for f in findings] == ["repro/fleet/router.py"]
-    assert "op 'query'" in findings[0].message
-    assert "'_route_by_source'" in findings[0].message
-
-
-def test_missing_router_local_answer_is_caught(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/fleet/router.py": ROUTER.replace("_local_ping", "_pong"),
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert [f.path for f in findings] == ["repro/fleet/router.py"]
-    assert "'_local_ping'" in findings[0].message
-
-
-def test_missing_cli_surface_is_caught(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/cli.py": """
-            def cmd_query(client):
-                return client.query("SSSP", 0)
-        """,
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert [f.path for f in findings] == ["repro/cli.py"]
-    assert "op 'ping'" in findings[0].message
-
-
-def test_phantom_handler_is_caught_at_the_dispatching_layer(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/fleet/router.py": ROUTER + """
-        def _local_snapshot(self):
-            return {"ok": True}
-""",
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert len(findings) == 1
-    assert findings[0].path == "repro/fleet/router.py"
-    assert "phantom" in findings[0].message
-    assert "'_local_snapshot'" in findings[0].message
-
-
-def test_phantom_op_in_request_payload_is_caught(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/service/client.py": """
-            class ServiceClient:
-                def ping(self):
-                    return self.request({"op": "ping"})
-
-                def query(self, algorithm, source):
-                    return self.request({"op": "query", "source": source})
-
-                def snapshot(self):
-                    return self.request({"op": "snapshot"})
-
-                def request(self, doc):
-                    return doc
-        """,
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert len(findings) == 1
-    assert "'snapshot'" in findings[0].message
-
-
-def test_inline_allow_suppresses_a_contract_finding(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/service/client.py": """
-            class ServiceClient:
-                def ping(self):
-                    return self.request({"op": "ping"})
-
-                def query(self, algorithm, source):
-                    return self.request({"op": "query", "source": source})
-
-                def snapshot(self):
-                    # lint: allow(wire-contract): staged ahead of the bump
-                    return self.request({"op": "snapshot"})
-
-                def request(self, doc):
-                    return doc
-        """,
-    }), rules=contract_rules())
-    assert rule_findings(result, "wire-contract") == []
-    assert [f.rule for f in result.suppressed] == ["wire-contract"]
-
-
-def test_unparseable_ops_table_is_itself_a_finding(lint_project):
-    result = lint_project(wire_fixture(**{
-        "repro/service/protocol.py": """
-            OPS = dict.fromkeys(["ping", "query"], OpSpec())
-        """,
-    }), rules=contract_rules())
-    findings = rule_findings(result, "wire-contract")
-    assert len(findings) == 1
-    assert "statically enumerable" in findings[0].message
 
 
 # ---------------------------------------------------- instruments: clean
@@ -350,6 +124,21 @@ def test_undeclared_emission_is_caught(lint_project):
     assert "'repro_ghost_total'" in findings[0].message
 
 
+def test_inline_allow_suppresses_a_contract_finding(lint_project):
+    result = lint_project(instrument_fixture(**{
+        "repro/service/state.py": """
+            from repro import obs
+
+
+            def emit():
+                # lint: allow(instrument-contract): staged ahead of the bump
+                obs.counter_inc("repro_ghost_total")
+        """,
+    }), rules=contract_rules())
+    assert rule_findings(result, "instrument-contract") == []
+    assert [f.rule for f in result.suppressed] == ["instrument-contract"]
+
+
 def test_opaque_label_forwarding_is_not_checked(lint_project):
     # `**labels` at the call site can't be verified statically; the
     # rule must stay silent rather than guess.
@@ -417,35 +206,3 @@ def test_docs_label_skew_is_caught(lint_project, tmp_path):
     assert len(findings) == 1
     assert findings[0].path == "docs/observability.md"
     assert "operation" in findings[0].message
-
-
-# ------------------------------------------------------ engine phasing
-
-def test_restrict_scopes_module_rules_but_not_project_rules(tmp_path):
-    # --changed hands the engine a restricted module set; per-module
-    # rules skip everything else, but contract rules must still see the
-    # whole tree — drift in an unchanged file is still drift.
-    files = wire_fixture(**{
-        "repro/core/clock.py": """
-            import time
-
-
-            def now():
-                return time.time()
-        """,
-        "repro/cli.py": """
-            def cmd_query(client):
-                return client.query("SSSP", 0)
-        """,
-    })
-    for relpath, source in files.items():
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    engine = LintEngine(tmp_path)
-    unrestricted = engine.run()
-    assert {f.rule for f in unrestricted.findings} == {
-        "determinism", "wire-contract"
-    }
-    restricted = engine.run(restrict={"repro/service/server.py"})
-    assert {f.rule for f in restricted.findings} == {"wire-contract"}

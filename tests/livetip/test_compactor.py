@@ -24,13 +24,12 @@ TIP = EdgeSet.from_pairs([(0, 1), (1, 2), (2, 3)])
 N = 5
 
 
-def make_pair(policy=None, time_fn=None, append=None):
-    overlay = LiveTipOverlay(TIP, N, tip_version=0, weight_fn=WF,
-                             time_fn=time_fn)
+def make_pair(policy=None, append=None):
+    overlay = LiveTipOverlay(TIP, N, tip_version=0, weight_fn=WF)
     appended: List[DeltaBatch] = []
     compactor = Compactor(
         overlay, append if append is not None else appended.append,
-        policy=policy, time_fn=time_fn,
+        policy=policy,
     )
     return overlay, compactor, appended
 
@@ -39,10 +38,6 @@ class TestPolicy:
     def test_max_updates_must_be_positive(self):
         with pytest.raises(ServiceError):
             CompactionPolicy(max_updates=0)
-
-    def test_max_age_must_be_positive(self):
-        with pytest.raises(ServiceError):
-            CompactionPolicy(max_age_seconds=0.0)
 
     def test_clean_overlay_is_never_due(self):
         _, compactor, _ = make_pair()
@@ -55,24 +50,6 @@ class TestPolicy:
         assert compactor.due() is False
         overlay.apply_update("insert", 3, 1)
         assert compactor.due() is True
-
-    def test_age_threshold_uses_the_injected_clock(self):
-        clock = [100.0]
-        overlay, compactor, _ = make_pair(
-            CompactionPolicy(max_updates=64, max_age_seconds=5.0),
-            time_fn=lambda: clock[0],
-        )
-        overlay.apply_update("insert", 3, 0)
-        assert compactor.due() is False
-        clock[0] = 106.0
-        assert compactor.due() is True
-
-    def test_age_threshold_inert_without_a_clock(self):
-        overlay, compactor, _ = make_pair(
-            CompactionPolicy(max_updates=64, max_age_seconds=5.0),
-        )
-        overlay.apply_update("insert", 3, 0)
-        assert compactor.due() is False
 
 
 class TestFolding:

@@ -1,8 +1,8 @@
 """Fixtures for the observability tests.
 
 The :mod:`repro.obs` runtime is process-global; ``clean_obs`` tears it
-down around every test in this package so no configuration or profiler
-hook leaks between tests.
+down around every test in this package so no configuration leaks
+between tests.
 """
 
 from __future__ import annotations

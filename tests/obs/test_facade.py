@@ -49,20 +49,12 @@ class TestLifecycle:
         assert 'repro_cache_hit_rate{cache="result"} 0' in text
         assert 'repro_requests_total{op="query"} 0' in text
 
-    def test_reset_tears_down_runtime_and_profilers(self):
-        obs.configure()
-        obs.register_profiler(lambda event: None)
-        obs.reset()
-        assert not obs.enabled()
-        assert not obs.hooks.has_profilers()
-
 
 class TestDisabledHelpers:
     def test_metric_helpers_are_noops(self):
         obs.counter_inc("repro_requests_total", op="query")
         obs.gauge_set("repro_epoch", 3)
         obs.observe("repro_query_seconds", 0.1)
-        obs.phase("parallel", "hop", seconds=0.1)
         obs.annotate(outcome="ok")
 
     def test_context_helpers_yield_the_null_span(self):
@@ -73,6 +65,9 @@ class TestDisabledHelpers:
             span.annotate(anything="accepted")
         with obs.timer("repro_query_seconds"):
             pass
+
+    def test_disabled_phase_span_is_the_null_context(self):
+        assert obs.phase_span("kernel", "x") is obs.phase_span("kernel", "y")
 
     def test_register_collector_returns_noop_unsubscribe(self):
         unsubscribe = obs.register_collector(lambda registry: None)

@@ -1,7 +1,9 @@
-"""Wire-protocol tests: framing, validation, value encoding."""
+"""Wire-protocol tests: framing, validation, value encoding, and the
+op table that every layer dispatches from."""
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import numpy as np
@@ -9,9 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cli import build_parser
 from repro.core.results import compact_range, encode_float_row, expand_range
 from repro.errors import ProtocolError
+from repro.fleet.router import FleetRouter
 from repro.service import ServiceClient, protocol
+from repro.service.lineserver import LineServer
+from repro.service.server import GraphService
 
 from tests.service.conftest import seeded_answer
 
@@ -333,8 +339,52 @@ class TestMalformedValues:
                                for row in decoded)
 
 
+def _own_methods(cls, *prefixes):
+    """``cls``'s methods with a dispatch prefix, less the line transport's
+    (``LineServer._handle_line`` is framing, not an op)."""
+    return {name for name in set(dir(cls)) - set(dir(LineServer))
+            if name.startswith(prefixes)}
+
+
+def _cli_options(parser):
+    """Every option string of ``parser`` and its nested subcommands."""
+    options = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                options |= _cli_options(child)
+    return options
+
+
 class TestOpTable:
-    """``protocol.OPS`` is the one declaration; the docs render it."""
+    """``protocol.OPS`` is the one declaration: the server, the router,
+    the client and the CLI all follow it, and the docs render it."""
+
+    def test_server_handles_exactly_the_declared_ops(self):
+        assert _own_methods(GraphService, "_handle_") == {
+            f"_handle_{op}" for op in protocol.OPS
+        }
+
+    def test_router_routes_exactly_the_declared_ops(self):
+        # The router dispatches by name: `_local_<op>` for the ops it
+        # answers itself, else the method of the op's routing policy.
+        assert _own_methods(FleetRouter, "_local_", "_route_") == {
+            f"_local_{op}" if spec.routing == "local"
+            else "_route_" + spec.routing.replace("-", "_")
+            for op, spec in protocol.OPS.items()
+        }
+
+    def test_every_op_is_a_client_method(self):
+        for op in protocol.OPS:
+            assert callable(getattr(ServiceClient, op, None)), op
+
+    def test_every_op_is_reachable_from_the_cli(self):
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        for op in protocol.OPS:
+            command = "info" if op == "status" else op  # info --connect
+            assert command in commands, op
+            assert "--connect" in _cli_options(commands[command]), op
 
     @staticmethod
     def documented_rows():

@@ -144,6 +144,21 @@ def test_requires_subcommand():
         main([])
 
 
+@pytest.mark.parametrize("command", [
+    ["ping"], ["info"], ["obs", "dump"], ["temporal", "point"],
+])
+@pytest.mark.parametrize("address", [
+    "127.0.0.1", "host:abc", "127.0.0.1:70000",
+])
+def test_malformed_connect_is_a_usage_error(command, address, capsys):
+    # Before any socket is opened: exit 2 with a usage message, not a
+    # ValueError traceback from int(port).
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--connect", address])
+    assert exited.value.code == 2
+    assert "expected HOST:PORT" in capsys.readouterr().err
+
+
 class TestInfoJson:
     def test_machine_readable_summary(self, store_dir, capsys):
         import json
