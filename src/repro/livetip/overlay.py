@@ -7,12 +7,17 @@ show that per-update analysis can be orders of magnitude cheaper when
 the update is absorbed by *localized incremental repair* of already
 converged query state.  :class:`LiveTipOverlay` is that hot path:
 
+* the live edge set is the anchored tip plus the update log: an update
+  decides membership against the anchor and the edges the log touched,
+  and allocates O(1) — the live set is materialised only by
+  :meth:`~LiveTipOverlay.seal`, :meth:`~LiveTipOverlay.rebase_onto`
+  and a from-scratch capture;
 * it owns a :class:`~repro.graph.mutable.MutableGraph` replica of the
-  tip snapshot (row-local mutation, out- and in-direction — exactly
+  live graph (row-local mutation, out- and in-direction — exactly
   what KickStarter-style repair needs);
 * every single-edge **insert** is pushed through the engine's
   monotonic repair (:func:`~repro.kickstarter.engine.incremental_additions`
-  — seed the new edge, push until stable);
+  — seed the new edge, push until stable) for each tracked state;
 * every single-edge **delete** runs the KickStarter trimming pass
   (:func:`~repro.kickstarter.deletion.trim_and_repair` — tag the
   approximation-tree subtree below the edge, trim it, re-push from
@@ -20,7 +25,12 @@ converged query state.  :class:`LiveTipOverlay` is that hot path:
 * repaired :class:`~repro.kickstarter.engine.VertexState`\\ s are kept
   per ``(algorithm, source)`` so repeated updates repair incrementally
   instead of recomputing, and tip queries read the repaired values
-  directly — sub-millisecond, no TG column rebuild.
+  directly — sub-millisecond, no TG column rebuild;
+* an *untracked* query starts from the TG's own converged tip column
+  (the paper's idea 1 applied to the tip): every net deletion of the
+  log must pass RisGraph's safe test (it supports no value), then only
+  the net additions are pushed.  An unsafe deletion falls back to one
+  from-scratch compute on the materialised live set.
 
 The overlay is an *overlay*: the Triangular Grid below it never sees
 individual updates.  The update log is periodically folded into one
@@ -32,12 +42,14 @@ batch recomputation throughout: repair is exact for the monotonic
 algorithm classes the engine serves, and the equivalence is
 hypothesis-tested across interleavings in ``tests/livetip/``.
 
-Thread model: one reentrant lock guards every mutable field.  Callers
-that must compose the overlay with other state (the service's
-decomposition capture) hold their own lock *first* and this one
-second; the overlay never calls back out while holding its lock, so
-the acquisition order is acyclic.  Determinism: the module is in the
-lint determinism scope — no wall clock here.
+Thread model: one reentrant lock guards every mutable field.  Updates
+and the repair of a TG tip column (bounded by the log's ≤ depth net
+additions) run under it; the from-scratch fallback runs lock-free on
+an immutable capture.  Callers that must compose the overlay with
+other state (the service's decomposition capture) hold their own lock
+*first* and this one second; the overlay never calls back out while
+holding its lock, so the acquisition order is acyclic.  Determinism:
+the module is in the lint determinism scope — no wall clock here.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ from repro.algorithms.base import MonotonicAlgorithm
 from repro.errors import ProtocolError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.graph.csr import CSRGraph
-from repro.graph.edgeset import EdgeSet
+from repro.graph.edgeset import EdgeSet, encode_edges
 from repro.graph.mutable import MutableGraph
 from repro.graph.weights import UnitWeights, WeightFn
 from repro.kickstarter.deletion import trim_and_repair
@@ -81,15 +93,41 @@ class TipUpdate:
     edge: Tuple[int, int]
 
 
+def _live(base: EdgeSet, net: DeltaBatch) -> EdgeSet:
+    """The live edge set: the anchored tip ``base`` with ``net`` applied."""
+    return base.union(net.additions).difference(net.deletions)
+
+
+def _supports_a_value(
+    alg: MonotonicAlgorithm,
+    values: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
+) -> bool:
+    """RisGraph's safe test for deletions, over converged ``values``.
+
+    An edge supports its target when its proposal *is* the target's
+    value.  Deleting only non-supporting edges leaves the fixpoint
+    unchanged: every value keeps a supporting in-edge, and none of the
+    five algorithms proposes a value better than its input, so no
+    support can be circular.
+    """
+    return bool(np.any(alg.proposals(values[sources], weights)
+                       == values[targets]))
+
+
 class TipCapture:
     """A consistent snapshot of tip values for one ``(algorithm, source)``.
 
-    Captured under the overlay lock (values copied, or the immutable
-    live edge set referenced); resolved lock-free afterwards, so a
-    query never runs a from-scratch compute while holding any lock.  A
-    resolved from-scratch state is adopted back into the overlay's
-    tracked set when no update landed in between, so the *next* update
-    repairs it incrementally instead of recomputing.
+    Captured under the overlay lock: a tracked state's values are
+    copied; an untracked one holds the immutable anchor edge set and the
+    log's small net batch.  Resolving an untracked capture repairs the
+    TG's converged tip column by the net batch under the overlay lock
+    when every net deletion is safe; otherwise it computes from scratch
+    on the materialised live set *outside* any lock and adopts that
+    state back into the overlay's tracked set when nothing moved in
+    between, so the *next* update repairs it incrementally.
     """
 
     def __init__(
@@ -101,7 +139,8 @@ class TipCapture:
         alg: MonotonicAlgorithm,
         source: int,
         values: Optional[np.ndarray] = None,
-        edges: Optional[EdgeSet] = None,
+        base: Optional[EdgeSet] = None,
+        net: Optional[DeltaBatch] = None,
         overlay: Optional["LiveTipOverlay"] = None,
     ) -> None:
         self.seq = seq
@@ -110,25 +149,46 @@ class TipCapture:
         self._alg = alg
         self._source = source
         self._values = values
-        self._edges = edges
+        self._base = base
+        self._net = net
         self._overlay = overlay
 
-    def resolve(self) -> np.ndarray:
-        """The tip values (a fresh copy; computes at most once)."""
+    def resolve(self, tip_values: Optional[np.ndarray] = None) -> np.ndarray:
+        """The tip values (a fresh copy; computes at most once).
+
+        ``tip_values`` is the anchored tip's converged column (the last
+        row of the TG walk the read already ran); an untracked capture
+        starts from it when it can.
+        """
         if self._values is None:
-            if self._edges is None or self._overlay is None:
-                raise ServiceError("tip capture has neither values nor edges")
-            overlay = self._overlay
-            graph = CSRGraph.from_edge_set(
-                self._edges, overlay.num_vertices,
-                weight_fn=overlay.weight_fn,
-            )
-            state = static_compute(
-                graph, self._alg, self._source, track_parents=True,
-            )
-            self._values = state.values
-            overlay._adopt(self._alg, self._source, state, self.seq)
+            self._values = self._compute(tip_values)
         return self._values.copy()
+
+    def _compute(self, tip_values: Optional[np.ndarray]) -> np.ndarray:
+        overlay, base, net = self._overlay, self._base, self._net
+        if overlay is None or base is None or net is None:
+            raise ServiceError("tip capture has neither values nor edges")
+        repaired = None
+        if tip_values is not None:
+            repaired = overlay._repair_tip(
+                self._alg, self._source, tip_values, net,
+                self.seq, self.tip_version,
+            )
+        obs.annotate(livetip_repair="fallback" if repaired is None else "tg",
+                     livetip_additions=len(net.additions),
+                     livetip_deletions=len(net.deletions))
+        if repaired is not None:
+            return repaired
+        graph = CSRGraph.from_edge_set(
+            _live(base, net), overlay.num_vertices,
+            weight_fn=overlay.weight_fn,
+        )
+        state = static_compute(
+            graph, self._alg, self._source, track_parents=True,
+        )
+        overlay._adopt(self._alg, self._source, state, self.seq,
+                       self.tip_version)
+        return state.values
 
 
 class LiveTipOverlay:
@@ -156,8 +216,12 @@ class LiveTipOverlay:
         self.tip_version = tip_version  # guarded-by: _lock
         #: The anchored tip's edges (what compaction diffs against).
         self._base_edges = tip_edges  # guarded-by: _lock
-        #: The live edge set: tip edges plus every pending update.
-        self._edges = tip_edges  # guarded-by: _lock
+        #: Live membership of every edge the log touched; the live edge
+        #: set is the anchor with these overriding it.
+        self._touched: Dict[Tuple[int, int], bool] = {}  # guarded-by: _lock
+        #: The log's net batch against the anchor (memo, reset by every
+        #: change to the anchor or the touched edges).
+        self._net: Optional[DeltaBatch] = None  # guarded-by: _lock
         #: Row-local mutable replica of the live graph (lazy: built on
         #: the first update, dropped whenever the live edges change
         #: under a rebase).
@@ -189,16 +253,40 @@ class LiveTipOverlay:
             return len(self._states)
 
     def live_edges(self) -> EdgeSet:
-        """The current live edge set (immutable; safe to share)."""
+        """The current live edge set (materialised; immutable)."""
         with self._lock:
-            return self._edges
+            return _live(self._base_edges, self._net_locked())
+
+    def _net_locked(self) -> DeltaBatch:  # holds-lock: _lock
+        """The log as one net batch against the anchor.
+
+        Insert/delete churn on the same edge cancels; the live set and
+        the anchor differ only on touched edges, so those are all it
+        reads.
+        """
+        if self._net is None:
+            net = DeltaBatch()
+            if self._touched:
+                pairs = np.asarray(list(self._touched), dtype=np.int64)
+                codes = encode_edges(pairs[:, 0], pairs[:, 1])
+                live = np.fromiter(self._touched.values(), dtype=bool,
+                                   count=len(self._touched))
+                based = self._base_edges.contains_codes(codes)
+                net = DeltaBatch(additions=EdgeSet(codes[live & ~based]),
+                                 deletions=EdgeSet(codes[based & ~live]))
+            self._net = net
+        return self._net
 
     # -- updates --------------------------------------------------------------
     def _graph_locked(self) -> MutableGraph:  # holds-lock: _lock
         if self._graph is None:
-            self._graph = MutableGraph.from_edge_set(
-                self._edges, self.num_vertices, weight_fn=self.weight_fn,
+            net = self._net_locked()
+            graph = MutableGraph.from_edge_set(
+                self._base_edges, self.num_vertices, weight_fn=self.weight_fn,
             )
+            graph.add_batch(net.additions)
+            graph.delete_batch(net.deletions)
+            self._graph = graph
         return self._graph
 
     def apply_update(self, kind: str, u: int, v: int) -> Dict[str, Any]:
@@ -221,7 +309,9 @@ class LiveTipOverlay:
             )
         edge = EdgeSet.from_pairs([(u, v)])
         with self._lock:
-            present = (u, v) in self._edges
+            present = self._touched.get((u, v))
+            if present is None:
+                present = (u, v) in self._base_edges
             if kind == "insert" and present:
                 raise ProtocolError(f"edge ({u}, {v}) already present at tip")
             if kind == "delete" and not present:
@@ -229,10 +319,10 @@ class LiveTipOverlay:
             graph = self._graph_locked()
             if kind == "insert":
                 graph.add_batch(edge)
-                self._edges = self._edges.union(edge)
             else:
                 graph.delete_batch(edge)
-                self._edges = self._edges.difference(edge)
+            self._touched[(u, v)] = kind == "insert"
+            self._net = None
             self._repair_locked(kind, edge)
             self.seq += 1
             self._log.append(TipUpdate(seq=self.seq, kind=kind, edge=(u, v)))
@@ -292,8 +382,8 @@ class LiveTipOverlay:
         overlay's anchor (the caller captured a decomposition the
         overlay no longer sits on; the TG answer is the consistent
         one).  Tracked states resolve to a values copy immediately;
-        untracked ones capture the immutable live edge set and compute
-        lazily outside any lock.
+        untracked ones capture the anchor and the net batch and resolve
+        lazily (see :class:`TipCapture`).
         """
         with self._lock:
             if not self._log:
@@ -312,8 +402,45 @@ class LiveTipOverlay:
             return TipCapture(
                 seq=self.seq, tip_version=self.tip_version,
                 depth=len(self._log), alg=alg, source=source,
-                edges=self._edges, overlay=self,
+                base=self._base_edges, net=self._net_locked(), overlay=self,
             )
+
+    def _repair_tip(
+        self,
+        alg: MonotonicAlgorithm,
+        source: int,
+        tip_values: np.ndarray,
+        net: DeltaBatch,
+        seq: int,
+        tip_version: int,
+    ) -> Optional[np.ndarray]:
+        """The anchored tip's converged ``tip_values`` repaired to the
+        live tip, or ``None`` when that is not exact.
+
+        The paper's idea 1 on the tip: with every net deletion safe
+        (:func:`_supports_a_value`), the anchor's fixpoint is the
+        fixpoint without them, and pushing the net additions on the
+        live graph converges exactly.  ``None`` when a deletion is
+        unsafe or the overlay moved since the capture (the live
+        replica no longer matches ``net``).
+        """
+        if net.deletions:
+            sources, targets = net.deletions.arrays()
+            if _supports_a_value(alg, tip_values, sources, targets,
+                                 self.weight_fn(sources, targets)):
+                return None
+        state = VertexState(values=tip_values.copy(), source=source)
+        sources, targets = net.additions.arrays()
+        weights = self.weight_fn(sources, targets)
+        with self._lock:
+            if (seq, tip_version) != (self.seq, self.tip_version):
+                return None
+            if sources.size:
+                incremental_additions(
+                    self._graph_locked(), alg, state, sources, targets,
+                    weights, mode="auto",
+                )
+        return state.values
 
     def _adopt(
         self,
@@ -321,15 +448,16 @@ class LiveTipOverlay:
         source: int,
         state: VertexState,
         seq: int,
+        tip_version: int,
     ) -> None:
         """Adopt a freshly computed state if no update landed since.
 
         Called by :meth:`TipCapture.resolve` after a lock-free static
-        compute; a stale compute (``seq`` moved on) is simply not
-        adopted — correctness never depends on adoption.
+        compute; a stale compute (``seq`` or the anchor moved on) is
+        simply not adopted — correctness never depends on adoption.
         """
         with self._lock:
-            if seq != self.seq:
+            if (seq, tip_version) != (self.seq, self.tip_version):
                 return
             key = (alg.name, source)
             if key in self._states:
@@ -347,14 +475,9 @@ class LiveTipOverlay:
         The net batch is the *edge-set* difference between the live
         graph and the anchored tip — insert/delete churn on the same
         edge cancels, so folding never replays intermediate states.
-        The two differ only on logged edges, so those are all it reads.
         """
         with self._lock:
-            touched = EdgeSet.from_pairs({u.edge for u in self._log})
-            live = touched & self._edges
-            base = touched & self._base_edges
-            batch = DeltaBatch(additions=live - base, deletions=base - live)
-            return batch, len(self._log), self.seq
+            return self._net_locked(), len(self._log), self.seq
 
     def collapse(self, seq: int) -> bool:
         """Clear a net-zero log sealed at ``seq`` (churn cancelled out).
@@ -365,8 +488,9 @@ class LiveTipOverlay:
         with self._lock:
             if seq != self.seq:
                 return False
-            self._base_edges = self._edges
             self._log.clear()
+            self._touched.clear()
+            self._net = None
         obs.gauge_set("repro_livetip_depth", 0.0)
         return True
 
@@ -383,30 +507,32 @@ class LiveTipOverlay:
         are dropped and lazily recomputed.
         """
         with self._lock:
-            edges = tip_edges
+            old_live = _live(self._base_edges, self._net_locked())
+            touched: Dict[Tuple[int, int], bool] = {}
             kept: List[TipUpdate] = []
             for update in self._log:
-                single = EdgeSet.from_pairs([update.edge])
-                present = update.edge in edges
-                if update.kind == "insert" and not present:
-                    edges = edges.union(single)
+                present = touched.get(update.edge)
+                if present is None:
+                    present = update.edge in tip_edges
+                # Still applies: an insert of an absent edge, or a
+                # delete of a present one.
+                if (update.kind == "insert") != present:
+                    touched[update.edge] = not present
                     kept.append(update)
-                elif update.kind == "delete" and present:
-                    edges = edges.difference(single)
-                    kept.append(update)
-            if edges == tip_edges:
+            self._base_edges = tip_edges
+            self._touched = touched
+            self._net = None
+            net = self._net_locked()
+            if not net.size:
                 # The kept updates compose to a no-op (delete/reinsert
                 # churn that the net fold cancelled): weights are
                 # deterministic per edge, so the tip already *is* the
                 # live graph — nothing stays pending.
                 kept = []
-            if edges != self._edges:
+                touched.clear()
+            if _live(tip_edges, net) != old_live:
                 self._states.clear()
                 self._graph = None
-            # Equal or not, hold the new object: with nothing kept it is
-            # the anchor itself, one tip-sized array instead of two.
-            self._edges = edges
-            self._base_edges = tip_edges
             self._log = kept
             self.tip_version = tip_version
             depth = len(kept)
@@ -419,13 +545,15 @@ class LiveTipOverlay:
     def snapshot(self) -> Dict[str, Any]:
         """The status-payload block (cheap; all counters, no arrays)."""
         with self._lock:
+            net = self._net_locked()
             return {
                 "tip_version": self.tip_version,
                 "overlay_depth": len(self._log),
                 "updates_total": self.seq,
                 "update_counts": dict(self.update_counts),
                 "tracked_states": len(self._states),
-                "live_edges": len(self._edges),
+                "live_edges": (len(self._base_edges) + len(net.additions)
+                               - len(net.deletions)),
             }
 
     def __repr__(self) -> str:

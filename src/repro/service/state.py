@@ -129,10 +129,14 @@ class _ReadView:
 
     def patch_tip(self, last: int,
                   values: List[np.ndarray]) -> List[np.ndarray]:
-        """``values`` with the tip column taken from the overlay."""
+        """``values`` with the tip column taken from the overlay.
+
+        The overlay starts from ``values[-1]``, the anchored tip's
+        converged column, and repairs it by the logged edges.
+        """
         if self.patch is None or last != self.latest:
             return values
-        return [*values[:-1], self.patch.resolve()]
+        return [*values[:-1], self.patch.resolve(values[-1])]
 
 
 #: A range evaluator, ``(view, first, last) -> QueryAnswer`` on a validated

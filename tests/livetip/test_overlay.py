@@ -298,16 +298,90 @@ class TestCompactionProtocol:
         assert overlay.live_edges() == TIP
 
 
-@settings(max_examples=25, deadline=None)
-@given(spec=edge_pairs(max_vertices=8, max_edges=20),
-       data=st.data())
-@pytest.mark.parametrize("name", ["BFS", "SSSP"])
-def test_interleaved_updates_equal_scratch(name, spec, data):
-    """Any valid insert/delete/query interleaving stays bit-identical.
+class TestTipColumnRepair:
+    """Untracked captures resolved from the anchor's converged column.
+
+    On ``TIP`` plus ``(6, 4)`` and ``(5, 1)``, BFS from 0 reaches 4 via
+    ``(6, 4)``, so ``(3, 4)`` and ``(5, 1)`` support no value (safe to
+    delete) while ``(0, 6)`` is the only support of 6 (unsafe).
+    """
+
+    ANCHOR = TIP | EdgeSet.from_pairs([(6, 4), (5, 1)])
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import repro.livetip.overlay as module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return static_compute(*args, **kwargs)
+
+        monkeypatch.setattr(module, "static_compute", counting)
+        return calls
+
+    def run(self, updates, name="BFS"):
+        overlay = LiveTipOverlay(self.ANCHOR, N, tip_version=4, weight_fn=WF)
+        for kind, u, v in updates:
+            overlay.apply_update(kind, u, v)
+        return overlay, overlay.capture(get_algorithm(name), 0)
+
+    @pytest.mark.parametrize("name", ALL_ALGORITHMS)
+    def test_tg_column_repair_equals_scratch(self, name):
+        overlay, capture = self.run(
+            [("delete", 5, 1), ("insert", 5, 0)], name)
+        live = overlay.live_edges()
+        values = capture.resolve(oracle(self.ANCHOR, name))
+        assert_values_equal(values, oracle(live, name), f"{name} tg repair")
+
+    def test_safe_deletes_call_no_static_compute(self, counted):
+        overlay, capture = self.run(
+            [("delete", 5, 1), ("delete", 3, 4), ("insert", 2, 5)])
+        values = capture.resolve(oracle(self.ANCHOR, "BFS"))
+        assert counted == []
+        assert overlay.tracked_states == 0  # no parents: not adopted
+        assert_values_equal(values, oracle(overlay.live_edges(), "BFS"),
+                            "safe repair")
+
+    def test_unsafe_delete_falls_back_and_adopts(self, counted):
+        # (0, 6) is 6's parent edge in the source's tree.
+        overlay, capture = self.run([("delete", 5, 1), ("delete", 0, 6)])
+        values = capture.resolve(oracle(self.ANCHOR, "BFS"))
+        assert len(counted) == 1
+        assert overlay.tracked_states == 1
+        assert_values_equal(values, oracle(overlay.live_edges(), "BFS"),
+                            "unsafe fallback")
+
+    def test_update_between_capture_and_resolve_falls_back(self, counted):
+        overlay, capture = self.run([("delete", 5, 1)])
+        at_capture = overlay.live_edges()
+        overlay.apply_update("insert", 5, 0)  # seq moves past the capture
+        values = capture.resolve(oracle(self.ANCHOR, "BFS"))
+        assert len(counted) == 1
+        assert overlay.tracked_states == 0  # stale: not adopted
+        assert_values_equal(values, oracle(at_capture, "BFS"),
+                            "capture instant")
+
+    def test_rebase_between_capture_and_resolve_falls_back(self, counted):
+        overlay, capture = self.run([("insert", 5, 0)])
+        at_capture = overlay.live_edges()
+        overlay.rebase_onto(self.ANCHOR | EdgeSet.from_pairs([(2, 6)]),
+                            tip_version=5)
+        values = capture.resolve(oracle(self.ANCHOR, "BFS"))
+        assert len(counted) == 1
+        assert_values_equal(values, oracle(at_capture, "BFS"),
+                            "capture instant")
+
+
+def check_interleaving(name, arm, spec, data):
+    """Drive a random insert/delete/query interleaving against scratch.
 
     Queries are drawn *mid-stream* so later updates repair adopted
     states incrementally — the path under test — rather than falling
-    back to a final from-scratch resolve.
+    back to a final from-scratch resolve.  The ``tg`` arm hands every
+    resolve the anchor's converged column (what the TG walk computes),
+    so untracked captures take the safe-delete repair when they can.
     """
     n, pairs = spec
     tip = EdgeSet.from_pairs(pairs)
@@ -315,6 +389,19 @@ def test_interleaved_updates_equal_scratch(name, spec, data):
     alg = get_algorithm(name)
     live = set(pairs)
     possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+
+    def scratch(edges, source):
+        return static_compute(
+            CSRGraph.from_edge_set(EdgeSet.from_pairs(sorted(edges)), n,
+                                   weight_fn=WF),
+            alg, source, track_parents=True,
+        ).values
+
+    def resolve_at(source):
+        capture = overlay.capture(alg, source)
+        return capture.resolve(scratch(pairs, source) if arm == "tg"
+                               else None)
+
     steps = data.draw(st.integers(min_value=1, max_value=12), label="steps")
     for _ in range(steps):
         op = data.draw(st.sampled_from(["insert", "delete", "query"]),
@@ -323,13 +410,7 @@ def test_interleaved_updates_equal_scratch(name, spec, data):
             if not overlay.depth:
                 continue
             source = data.draw(st.integers(0, n - 1), label="source")
-            capture = overlay.capture(alg, source)
-            expected = static_compute(
-                CSRGraph.from_edge_set(
-                    EdgeSet.from_pairs(sorted(live)), n, weight_fn=WF),
-                alg, source, track_parents=True,
-            ).values
-            assert_values_equal(capture.resolve(), expected,
+            assert_values_equal(resolve_at(source), scratch(live, source),
                                 f"{name} mid-stream query")
             continue
         candidates = (sorted(set(possible) - live) if op == "insert"
@@ -343,10 +424,24 @@ def test_interleaved_updates_equal_scratch(name, spec, data):
     assert overlay.live_edges() == EdgeSet.from_pairs(sorted(live))
     if overlay.depth:
         for source in range(min(n, 3)):
-            expected = static_compute(
-                CSRGraph.from_edge_set(
-                    EdgeSet.from_pairs(sorted(live)), n, weight_fn=WF),
-                alg, source, track_parents=True,
-            ).values
-            assert_values_equal(resolve(overlay, name, source), expected,
+            assert_values_equal(resolve_at(source), scratch(live, source),
                                 f"{name} final source {source}")
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=edge_pairs(max_vertices=8, max_edges=20),
+       data=st.data())
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_interleaved_updates_equal_scratch(name, spec, data):
+    """Any valid insert/delete/query interleaving stays bit-identical."""
+    check_interleaving(name, "scratch", spec, data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=edge_pairs(max_vertices=8, max_edges=20),
+       data=st.data())
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_interleaved_updates_with_anchor_column_equal_scratch(name, spec,
+                                                              data):
+    """Same, with every resolve handed the anchor's converged column."""
+    check_interleaving(name, "tg", spec, data)

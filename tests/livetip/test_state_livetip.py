@@ -9,6 +9,7 @@ into the Triangular Grid for real.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_algorithm
@@ -22,6 +23,7 @@ from repro.temporal.plan import parse_specs
 from tests.conftest import assert_values_equal, oracle_values
 from tests.livetip.conftest import (
     absent_pairs,
+    live_edge_set,
     present_pairs,
     reference_tip_values,
 )
@@ -191,6 +193,61 @@ class TestAcceptanceBitIdentity:
         assert after.livetip_seq is None
         assert_values_equal(after.values[0], expected[-1],
                             f"{name} post-compaction tip")
+
+
+class TestTipColumnRepair:
+    """An untracked patched query starts from the walk's own tip column:
+    safe net deletions cost no static compute, an unsafe one costs one."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import repro.livetip.overlay as module
+
+        calls = []
+        original = module.static_compute
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "static_compute", counting)
+        return calls
+
+    @staticmethod
+    def deletions_by_safety(state):
+        """Present tip edges split into (safe, unsafe) for BFS from 0."""
+        alg = get_algorithm("BFS")
+        values = reference_tip_values(state, "BFS", 0)
+        safe, unsafe = [], []
+        for u, v in present_pairs(state, len(live_edge_set(state))):
+            weight = state.weight_fn(np.asarray([u]), np.asarray([v]))
+            proposal = alg.proposals(values[[u]], weight)[0]
+            (unsafe if proposal == values[v] else safe).append((u, v))
+        return safe, unsafe
+
+    def test_safe_deletions_compute_nothing(self, livetip_state, counted):
+        safe, _ = self.deletions_by_safety(livetip_state)
+        assert len(safe) >= 2
+        for u, v in safe[:2]:
+            livetip_state.update("delete", u, v)
+        (u, v) = absent_pairs(livetip_state, 1)[0]
+        livetip_state.update("insert", u, v)
+        answer = livetip_state.query("BFS", 0)
+        assert answer.livetip_seq == 3
+        assert counted == []
+        assert_values_equal(answer.values[-1],
+                            reference_tip_values(livetip_state, "BFS", 0),
+                            "tg repair")
+
+    def test_one_unsafe_deletion_computes_once(self, livetip_state, counted):
+        safe, unsafe = self.deletions_by_safety(livetip_state)
+        livetip_state.update("delete", *safe[0])
+        livetip_state.update("delete", *unsafe[0])
+        answer = livetip_state.query("BFS", 0)
+        assert len(counted) == 1
+        assert_values_equal(answer.values[-1],
+                            reference_tip_values(livetip_state, "BFS", 0),
+                            "fallback")
 
 
 class TestCompactionThroughTheState:
