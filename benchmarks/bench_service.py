@@ -17,7 +17,7 @@ can track the trajectory:
   reported as a percentage against the obs-off throughput;
 * **live-tip updates** — absorbing a stream of single-edge updates
   through the :mod:`repro.livetip` overlay (ops/second and per-update
-  p99, with a converged state under push repair) vs pushing each edge
+  p99) vs pushing each edge
   through a one-edge batch ingest — the recorded speedup is the point
   of the overlay and must be >= 5x;
 * **overload behaviour** — a seeded burst of near-simultaneous clients
@@ -247,10 +247,9 @@ def _fresh_pairs(state, count):
 def test_livetip_update_stream(benchmark, tmp_path_factory, workload):
     """Per-update absorb latency at the live tip.
 
-    A stream of insert/delete updates against a state holding one
-    converged SSSP answer, so every update pays the real cost: strict
-    validation, the overlay's graph mutation, and a KickStarter push
-    repair of the tracked state.  Folds are pushed out of the window
+    A stream of insert/delete updates; an update costs strict
+    validation plus the overlay's graph mutation (reads repair the tip
+    column, updates repair nothing).  Folds are pushed out of the window
     (``livetip_max_updates`` effectively infinite) — compaction cost
     is the ingest benches' story, not this one's.
     """
@@ -259,14 +258,7 @@ def test_livetip_update_stream(benchmark, tmp_path_factory, workload):
     state = ServiceState(store, weight_fn=WF, livetip_max_updates=10**6)
     latencies: list = []
     try:
-        pool = iter(_fresh_pairs(state, 1 + ROUNDS * LIVETIP_UPDATES))
-        # Prime a tracked state: one pending update makes the next
-        # query capture-and-adopt its converged SSSP values, which the
-        # benchmarked stream then push-repairs on every update.
-        first = next(pool)
-        state.update("insert", *first)
-        assert state.query("SSSP", workload.source).livetip_seq == 1
-        state.update("delete", *first)
+        pool = iter(_fresh_pairs(state, ROUNDS * LIVETIP_UPDATES))
 
         def run():
             for _ in range(LIVETIP_UPDATES):
@@ -281,7 +273,7 @@ def test_livetip_update_stream(benchmark, tmp_path_factory, workload):
         benchmark.pedantic(run, rounds=ROUNDS, iterations=1,
                            warmup_rounds=0)
         # Every update was absorbed, none folded.
-        assert state._livetip.seq == 2 * (1 + ROUNDS * LIVETIP_UPDATES)
+        assert state._livetip.seq == 2 * ROUNDS * LIVETIP_UPDATES
     finally:
         state.close()
 

@@ -248,9 +248,9 @@ def _render_live_status(address: _Address, payload: dict) -> str:
     if livetip and livetip.get("enabled"):
         rows = [
             [key, livetip[key]]
-            for key in ("tip_version", "overlay_depth", "pending_updates",
-                        "updates_total", "tracked_states", "compactions",
-                        "updates_folded", "last_compaction_version")
+            for key in ("tip_version", "overlay_depth", "updates_total",
+                        "compactions", "updates_folded",
+                        "last_compaction_version")
             if key in livetip
         ]
         sections.append(render_table(
@@ -425,7 +425,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         node_cache_entries=args.node_cache,
         livetip=not args.no_livetip,
         livetip_max_updates=args.livetip_max_updates,
-        livetip_max_tracked=args.livetip_max_tracked,
     )
     state.register_metrics()
     config = ServiceConfig(
@@ -1064,9 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--livetip-max-updates", type=int, default=64,
                        help="pending updates that trigger a live-tip "
                             "compaction into a durable batch")
-    serve.add_argument("--livetip-max-tracked", type=int, default=8,
-                       help="(algorithm, source) states the overlay "
-                            "keeps repaired at the tip")
     serve.add_argument("--max-weight", type=int, default=64)
     serve.add_argument("--weight-seed", type=int, default=0)
     serve.add_argument("--metrics", type=int, default=None, metavar="PORT",

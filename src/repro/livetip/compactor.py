@@ -32,7 +32,6 @@ lint determinism scope — no wall clock is read here.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro import obs
@@ -40,22 +39,7 @@ from repro.errors import DeltaError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.livetip.overlay import LiveTipOverlay
 
-__all__ = ["CompactionPolicy", "Compactor"]
-
-
-@dataclass(frozen=True)
-class CompactionPolicy:
-    """When the update log is folded into the Triangular Grid.
-
-    ``max_updates`` is the deterministic trigger: compaction fires as
-    the log reaches this depth.
-    """
-
-    max_updates: int = 64
-
-    def __post_init__(self) -> None:
-        if self.max_updates < 1:
-            raise ServiceError("max_updates must be >= 1")
+__all__ = ["Compactor"]
 
 
 class Compactor:
@@ -63,7 +47,9 @@ class Compactor:
 
     ``append`` is the durable lane — the service passes its store's
     ``append`` bound method, so a fold and a client batch are
-    literally the same code path from the store down.
+    literally the same code path from the store down.  ``max_updates``
+    is the deterministic trigger: compaction fires as the log reaches
+    this depth.
     """
 
     def __init__(
@@ -71,11 +57,13 @@ class Compactor:
         overlay: LiveTipOverlay,
         append: Callable[[DeltaBatch], Any],
         *,
-        policy: Optional[CompactionPolicy] = None,
+        max_updates: int = 64,
     ) -> None:
+        if max_updates < 1:
+            raise ServiceError("max_updates must be >= 1")
         self._overlay = overlay
         self._append = append
-        self.policy = policy if policy is not None else CompactionPolicy()
+        self.max_updates = max_updates
         # Serialises folds; never held while a caller's lock is taken.
         self._lock = threading.Lock()
         self.compactions = 0  # guarded-by: _lock
@@ -85,7 +73,7 @@ class Compactor:
     # -- policy ---------------------------------------------------------------
     def due(self) -> bool:
         """Whether the pending log has hit the fold threshold."""
-        return self._overlay.depth >= self.policy.max_updates
+        return self._overlay.depth >= self.max_updates
 
     def maybe_compact(self) -> Optional[Dict[str, Any]]:
         """Fold if due; the per-update hook on the service's hot path."""
@@ -146,7 +134,7 @@ class Compactor:
                 "compactions": self.compactions,
                 "updates_folded": self.updates_folded,
                 "last_compaction_version": self.last_compaction_version,
-                "max_updates": self.policy.max_updates,
+                "max_updates": self.max_updates,
             }
 
     def __repr__(self) -> str:
@@ -154,5 +142,5 @@ class Compactor:
             return (
                 f"Compactor(compactions={self.compactions}, "
                 f"folded={self.updates_folded}, "
-                f"policy=max_updates:{self.policy.max_updates})"
+                f"max_updates={self.max_updates})"
             )

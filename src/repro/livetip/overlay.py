@@ -2,10 +2,9 @@
 
 The Triangular Grid makes *batch*-granular evolving analytics cheap,
 but a single-edge change still costs a whole TG column (a durable
-store append plus an incremental extension).  RisGraph-style systems
-show that per-update analysis can be orders of magnitude cheaper when
-the update is absorbed by *localized incremental repair* of already
-converged query state.  :class:`LiveTipOverlay` is that hot path:
+store append plus an incremental extension).  :class:`LiveTipOverlay`
+absorbs single-edge updates without touching the grid, and a read at
+the tip patches the grid's answer by them:
 
 * the live edge set is the anchored tip plus the update log: an update
   decides membership against the anchor and the edges the log touched,
@@ -13,24 +12,13 @@ converged query state.  :class:`LiveTipOverlay` is that hot path:
   :meth:`~LiveTipOverlay.seal`, :meth:`~LiveTipOverlay.rebase_onto`
   and a from-scratch capture;
 * it owns a :class:`~repro.graph.mutable.MutableGraph` replica of the
-  live graph (row-local mutation, out- and in-direction — exactly
-  what KickStarter-style repair needs);
-* every single-edge **insert** is pushed through the engine's
-  monotonic repair (:func:`~repro.kickstarter.engine.incremental_additions`
-  — seed the new edge, push until stable) for each tracked state;
-* every single-edge **delete** runs the KickStarter trimming pass
-  (:func:`~repro.kickstarter.deletion.trim_and_repair` — tag the
-  approximation-tree subtree below the edge, trim it, re-push from
-  untagged in-neighbours);
-* repaired :class:`~repro.kickstarter.engine.VertexState`\\ s are kept
-  per ``(algorithm, source)`` so repeated updates repair incrementally
-  instead of recomputing, and tip queries read the repaired values
-  directly — sub-millisecond, no TG column rebuild;
-* an *untracked* query starts from the TG's own converged tip column
-  (the paper's idea 1 applied to the tip): every net deletion of the
-  log must pass RisGraph's safe test (it supports no value), then only
-  the net additions are pushed.  An unsafe deletion falls back to one
-  from-scratch compute on the materialised live set.
+  live graph (row-local mutation): an update validates, mutates the
+  replica and logs — it repairs no query state;
+* a patched read starts from the TG's own converged tip column (the
+  paper's idea 1 applied to the tip): every net deletion of the log
+  must pass RisGraph's safe test (it supports no value), then only the
+  net additions are pushed on the replica.  An unsafe deletion falls
+  back to one from-scratch compute on the materialised live set.
 
 The overlay is an *overlay*: the Triangular Grid below it never sees
 individual updates.  The update log is periodically folded into one
@@ -38,7 +26,7 @@ real batch by the :class:`~repro.livetip.compactor.Compactor`, after
 which :meth:`rebase_onto` re-anchors the overlay on the new tip —
 pending updates whose effect the new tip already contains are dropped
 as satisfied, the rest are replayed.  Values are **bit-identical** to
-batch recomputation throughout: repair is exact for the monotonic
+batch recomputation throughout: the repair is exact for the monotonic
 algorithm classes the engine serves, and the equivalence is
 hypothesis-tested across interleavings in ``tests/livetip/``.
 
@@ -55,7 +43,6 @@ the module is in the lint determinism scope — no wall clock here.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -63,15 +50,13 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ProtocolError
 from repro.evolving.delta import DeltaBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet, encode_edges
 from repro.graph.mutable import MutableGraph
 from repro.graph.weights import UnitWeights, WeightFn
-from repro.kickstarter.deletion import trim_and_repair
 from repro.kickstarter.engine import (
-    EngineCounters,
     VertexState,
     incremental_additions,
     static_compute,
@@ -118,16 +103,13 @@ def _supports_a_value(
 
 
 class TipCapture:
-    """A consistent snapshot of tip values for one ``(algorithm, source)``.
+    """A consistent snapshot of the live tip for one ``(algorithm, source)``.
 
-    Captured under the overlay lock: a tracked state's values are
-    copied; an untracked one holds the immutable anchor edge set and the
-    log's small net batch.  Resolving an untracked capture repairs the
-    TG's converged tip column by the net batch under the overlay lock
-    when every net deletion is safe; otherwise it computes from scratch
-    on the materialised live set *outside* any lock and adopts that
-    state back into the overlay's tracked set when nothing moved in
-    between, so the *next* update repairs it incrementally.
+    Captured under the overlay lock: it holds the immutable anchor edge
+    set and the log's small net batch.  Resolving repairs the TG's
+    converged tip column by the net batch under the overlay lock when
+    every net deletion is safe; otherwise it computes from scratch on
+    the materialised live set *outside* any lock.
     """
 
     def __init__(
@@ -138,36 +120,33 @@ class TipCapture:
         depth: int,
         alg: MonotonicAlgorithm,
         source: int,
-        values: Optional[np.ndarray] = None,
-        base: Optional[EdgeSet] = None,
-        net: Optional[DeltaBatch] = None,
-        overlay: Optional["LiveTipOverlay"] = None,
+        base: EdgeSet,
+        net: DeltaBatch,
+        overlay: "LiveTipOverlay",
     ) -> None:
         self.seq = seq
         self.tip_version = tip_version
         self.depth = depth
         self._alg = alg
         self._source = source
-        self._values = values
         self._base = base
         self._net = net
         self._overlay = overlay
+        self._values: Optional[np.ndarray] = None
 
     def resolve(self, tip_values: Optional[np.ndarray] = None) -> np.ndarray:
         """The tip values (a fresh copy; computes at most once).
 
         ``tip_values`` is the anchored tip's converged column (the last
-        row of the TG walk the read already ran); an untracked capture
-        starts from it when it can.
+        row of the TG walk the read already ran); the capture starts
+        from it when it can.
         """
         if self._values is None:
             self._values = self._compute(tip_values)
         return self._values.copy()
 
     def _compute(self, tip_values: Optional[np.ndarray]) -> np.ndarray:
-        overlay, base, net = self._overlay, self._base, self._net
-        if overlay is None or base is None or net is None:
-            raise ServiceError("tip capture has neither values nor edges")
+        overlay, net = self._overlay, self._net
         repaired = None
         if tip_values is not None:
             repaired = overlay._repair_tip(
@@ -180,19 +159,14 @@ class TipCapture:
         if repaired is not None:
             return repaired
         graph = CSRGraph.from_edge_set(
-            _live(base, net), overlay.num_vertices,
+            _live(self._base, net), overlay.num_vertices,
             weight_fn=overlay.weight_fn,
         )
-        state = static_compute(
-            graph, self._alg, self._source, track_parents=True,
-        )
-        overlay._adopt(self._alg, self._source, state, self.seq,
-                       self.tip_version)
-        return state.values
+        return static_compute(graph, self._alg, self._source).values
 
 
 class LiveTipOverlay:
-    """Absorb single-edge updates against the tip with exact repair."""
+    """Absorb single-edge updates against the tip; patch tip reads exactly."""
 
     def __init__(
         self,
@@ -201,10 +175,7 @@ class LiveTipOverlay:
         tip_version: int,
         *,
         weight_fn: Optional[WeightFn] = None,
-        max_tracked: int = 8,
     ) -> None:
-        if max_tracked < 1:
-            raise ServiceError("max_tracked must be >= 1")
         self.num_vertices = num_vertices
         self.weight_fn: WeightFn = (
             weight_fn if weight_fn is not None else UnitWeights()
@@ -222,19 +193,14 @@ class LiveTipOverlay:
         #: The log's net batch against the anchor (memo, reset by every
         #: change to the anchor or the touched edges).
         self._net: Optional[DeltaBatch] = None  # guarded-by: _lock
-        #: Row-local mutable replica of the live graph (lazy: built on
-        #: the first update, dropped whenever the live edges change
-        #: under a rebase).
+        #: Row-local mutable replica of the live graph, which the
+        #: net-addition push runs on (lazy: built on the first update,
+        #: dropped whenever the live edges change under a rebase).
         self._graph: Optional[MutableGraph] = None  # guarded-by: _lock
         #: Pending updates, oldest first (the compaction log).
         self._log: List[TipUpdate] = []  # guarded-by: _lock
         #: Total updates ever absorbed (monotonic across compactions).
         self.seq = 0  # guarded-by: _lock
-        #: Repaired per-(algorithm, source) states, LRU-bounded.
-        self._states: "OrderedDict[Tuple[str, int], Tuple[MonotonicAlgorithm, VertexState]]" = (
-            OrderedDict()
-        )  # guarded-by: _lock
-        self._max_tracked = max_tracked
         #: Lifetime update counts by kind (status payload).
         self.update_counts: Dict[str, int] = {  # guarded-by: _lock
             kind: 0 for kind in UPDATE_KINDS
@@ -246,11 +212,6 @@ class LiveTipOverlay:
         """Pending (not yet compacted) updates."""
         with self._lock:
             return len(self._log)
-
-    @property
-    def tracked_states(self) -> int:
-        with self._lock:
-            return len(self._states)
 
     def live_edges(self) -> EdgeSet:
         """The current live edge set (materialised; immutable)."""
@@ -323,7 +284,6 @@ class LiveTipOverlay:
                 graph.delete_batch(edge)
             self._touched[(u, v)] = kind == "insert"
             self._net = None
-            self._repair_locked(kind, edge)
             self.seq += 1
             self._log.append(TipUpdate(seq=self.seq, kind=kind, edge=(u, v)))
             self.update_counts[kind] += 1
@@ -336,36 +296,6 @@ class LiveTipOverlay:
         obs.counter_inc("repro_livetip_updates_total", kind=kind)
         obs.gauge_set("repro_livetip_depth", float(depth))
         return receipt
-
-    def _repair_locked(self, kind: str, edge: EdgeSet) -> None:
-        # holds-lock: _lock
-        """Repair every tracked state for one applied edge.
-
-        ``self._graph`` already reflects the update (both repair
-        algorithms require the *post*-update graph).
-        """
-        if not self._states:
-            return
-        graph = self._graph_locked()
-        sources, targets = edge.arrays()
-        weights = self.weight_fn(sources, targets)
-        for (alg_name, source), (alg, state) in self._states.items():
-            counters = EngineCounters()
-            with obs.phase_span("livetip", "repair",
-                                label=f"{alg_name}:{source}", kind=kind):
-                if kind == "insert":
-                    incremental_additions(
-                        graph, alg, state, sources, targets, weights,
-                        counters=counters, mode="auto",
-                    )
-                else:
-                    trim_and_repair(
-                        graph, alg, state, edge,
-                        counters=counters, mode="auto", tagging="hybrid",
-                        deleted_weights=weights,
-                    )
-            frontier = counters.vertices_updated + counters.vertices_trimmed
-            obs.observe("repro_livetip_repair_frontier", float(frontier))
 
     # -- tip reads ------------------------------------------------------------
     def capture(
@@ -381,24 +311,14 @@ class LiveTipOverlay:
         *is* the answer) or when ``tip_version`` disagrees with the
         overlay's anchor (the caller captured a decomposition the
         overlay no longer sits on; the TG answer is the consistent
-        one).  Tracked states resolve to a values copy immediately;
-        untracked ones capture the anchor and the net batch and resolve
-        lazily (see :class:`TipCapture`).
+        one).  The capture holds the anchor and the net batch and
+        resolves lazily (see :class:`TipCapture`).
         """
         with self._lock:
             if not self._log:
                 return None
             if tip_version is not None and tip_version != self.tip_version:
                 return None
-            key = (alg.name, source)
-            entry = self._states.get(key)
-            if entry is not None:
-                self._states.move_to_end(key)
-                return TipCapture(
-                    seq=self.seq, tip_version=self.tip_version,
-                    depth=len(self._log), alg=alg, source=source,
-                    values=entry[1].values.copy(),
-                )
             return TipCapture(
                 seq=self.seq, tip_version=self.tip_version,
                 depth=len(self._log), alg=alg, source=source,
@@ -442,32 +362,6 @@ class LiveTipOverlay:
                 )
         return state.values
 
-    def _adopt(
-        self,
-        alg: MonotonicAlgorithm,
-        source: int,
-        state: VertexState,
-        seq: int,
-        tip_version: int,
-    ) -> None:
-        """Adopt a freshly computed state if no update landed since.
-
-        Called by :meth:`TipCapture.resolve` after a lock-free static
-        compute; a stale compute (``seq`` or the anchor moved on) is
-        simply not adopted — correctness never depends on adoption.
-        """
-        with self._lock:
-            if (seq, tip_version) != (self.seq, self.tip_version):
-                return
-            key = (alg.name, source)
-            if key in self._states:
-                return
-            self._states[key] = (alg, state)
-            while len(self._states) > self._max_tracked:
-                self._states.popitem(last=False)
-            tracked = len(self._states)
-        obs.gauge_set("repro_livetip_tracked_states", float(tracked))
-
     # -- compaction protocol ---------------------------------------------------
     def seal(self) -> Tuple[DeltaBatch, int, int]:
         """The pending log as one net batch: ``(batch, depth, seq)``.
@@ -502,9 +396,9 @@ class LiveTipOverlay:
         store handle appended) pending updates are replayed: one whose
         effect the new tip already has is dropped as satisfied, the
         rest stay pending — acknowledged updates are never silently
-        lost.  Tracked states survive only when the live edge set is
-        unchanged by the rebase (the compaction case); otherwise they
-        are dropped and lazily recomputed.
+        lost.  The graph replica survives only when the live edge set
+        is unchanged by the rebase (the compaction case); otherwise it
+        is dropped and rebuilt by the next update.
         """
         with self._lock:
             old_live = _live(self._base_edges, self._net_locked())
@@ -531,14 +425,11 @@ class LiveTipOverlay:
                 kept = []
                 touched.clear()
             if _live(tip_edges, net) != old_live:
-                self._states.clear()
                 self._graph = None
             self._log = kept
             self.tip_version = tip_version
             depth = len(kept)
         obs.gauge_set("repro_livetip_depth", float(depth))
-        obs.gauge_set("repro_livetip_tracked_states",
-                      float(self.tracked_states))
         return depth
 
     # -- status ---------------------------------------------------------------
@@ -551,7 +442,6 @@ class LiveTipOverlay:
                 "overlay_depth": len(self._log),
                 "updates_total": self.seq,
                 "update_counts": dict(self.update_counts),
-                "tracked_states": len(self._states),
                 "live_edges": (len(self._base_edges) + len(net.additions)
                                - len(net.deletions)),
             }
@@ -560,6 +450,5 @@ class LiveTipOverlay:
         with self._lock:
             return (
                 f"LiveTipOverlay(tip={self.tip_version}, "
-                f"depth={len(self._log)}, seq={self.seq}, "
-                f"tracked={len(self._states)})"
+                f"depth={len(self._log)}, seq={self.seq})"
             )

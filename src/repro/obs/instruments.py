@@ -141,19 +141,8 @@ INSTRUMENTS: Dict[str, InstrumentSpec] = {
     "repro_livetip_update_seconds": InstrumentSpec(
         "histogram", "End-to-end service update latency in seconds.",
     ),
-    "repro_livetip_repair_frontier": InstrumentSpec(
-        "histogram",
-        "Vertices touched (updated + trimmed) repairing one tracked "
-        "state for one update.",
-        buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                 256.0, 1024.0),
-    ),
     "repro_livetip_depth": InstrumentSpec(
         "gauge", "Pending (not yet compacted) updates in the overlay log.",
-    ),
-    "repro_livetip_tracked_states": InstrumentSpec(
-        "gauge", "Converged per-(algorithm, source) states the overlay "
-                 "keeps repaired.",
     ),
     "repro_livetip_compactions_total": InstrumentSpec(
         "counter", "Update-log folds into the Triangular Grid.",
@@ -269,9 +258,7 @@ def prime(registry: MetricsRegistry) -> None:
     updates = family(registry, "repro_livetip_updates_total")
     for kind in ("insert", "delete"):
         updates.labels(kind=kind)
-    for name in ("repro_livetip_update_seconds",
-                 "repro_livetip_repair_frontier",
-                 "repro_livetip_depth", "repro_livetip_tracked_states",
+    for name in ("repro_livetip_update_seconds", "repro_livetip_depth",
                  "repro_livetip_compactions_total"):
         family(registry, name).labels()
     temporal_queries = family(registry, "repro_temporal_queries_total")

@@ -121,7 +121,7 @@ class ServiceConfig:
             max_concurrent=1, max_queue=32, queue_timeout=10.0,
         ))
     #: The ``update`` lane: one slot (the overlay lock serialises
-    #: repairs anyway) with a deep, short-fused waiting room — see
+    #: updates anyway) with a deep, short-fused waiting room — see
     #: :class:`~repro.service.admission.AdmissionController`.
     live_admission: AdmissionPolicy = field(
         default_factory=lambda: AdmissionPolicy(

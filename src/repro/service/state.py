@@ -57,7 +57,7 @@ from repro.errors import ProtocolError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.store import SnapshotStore
 from repro.graph.weights import UnitWeights, WeightFn
-from repro.livetip import CompactionPolicy, Compactor, LiveTipOverlay
+from repro.livetip import Compactor, LiveTipOverlay
 from repro.livetip.overlay import TipCapture
 from repro.service.cache import LRUCache
 from repro.service.planner import MemoizingPlanner, node_state_cache
@@ -108,8 +108,8 @@ class _ReadView:
     base: int
     latest: int
     version_times: Dict[int, float]
-    #: The live-tip overlay's repaired state for this (algorithm,
-    #: source), or ``None`` when the overlay is clean or absent.
+    #: The live-tip overlay's capture for this (algorithm, source), or
+    #: ``None`` when the overlay is clean or absent.
     patch: Optional[TipCapture]
 
     def resolve_range(self, first: Optional[int],
@@ -157,10 +157,12 @@ class ServiceState:
         time_fn: Callable[[], float] = time.time,
         livetip: bool = True,
         livetip_max_updates: int = 64,
-        livetip_max_tracked: int = 8,
     ) -> None:
         if window is not None and window < 1:
             raise ServiceError("window must be >= 1 snapshot")
+        if livetip_max_updates < 1:
+            # The compactor is built on the first update; refuse now.
+            raise ServiceError("max_updates must be >= 1")
         self.store = store
         self.weight_fn: WeightFn = (
             weight_fn if weight_fn is not None else UnitWeights()
@@ -203,9 +205,7 @@ class ServiceState:
         #: nothing; ``None`` also after construction with
         #: ``livetip=False``, where updates are refused.
         self.livetip_enabled = livetip
-        self._livetip_policy = CompactionPolicy(
-            max_updates=livetip_max_updates)
-        self._livetip_max_tracked = livetip_max_tracked
+        self._livetip_max_updates = livetip_max_updates
         self._livetip: Optional[LiveTipOverlay] = None  # guarded-by: _lock
         self._compactor: Optional[Compactor] = None  # guarded-by: _lock
         # Appends made through the store handle (by us or any other
@@ -364,11 +364,10 @@ class ServiceState:
                 tip, decomp.num_vertices,
                 self.base_version + decomp.num_snapshots - 1,
                 weight_fn=self.weight_fn,
-                max_tracked=self._livetip_max_tracked,
             )
             self._compactor = Compactor(
                 self._livetip, self.store.append,
-                policy=self._livetip_policy,
+                max_updates=self._livetip_max_updates,
             )
         return self._livetip, self._compactor
 
@@ -377,8 +376,8 @@ class ServiceState:
     ) -> Dict[str, Any]:
         """Absorb one single-edge update (or force a fold); returns a receipt.
 
-        ``insert``/``delete`` go through the overlay's exact repair and
-        return sub-millisecond; ``compact`` folds the pending log into
+        ``insert``/``delete`` are validated and logged by the overlay
+        and return sub-millisecond; ``compact`` folds the pending log into
         a real batch now.  A threshold-due fold runs inline after the
         triggering update — deterministically at the same point of the
         update stream on every replica, which is what keeps fleet
@@ -395,7 +394,7 @@ class ServiceState:
             overlay, compactor = self._ensure_livetip_locked()
         # The overlay lock serialises the mutation; the state lock is
         # deliberately *not* held here so queries capture freely while
-        # the repair pushes.
+        # the overlay mutates.
         receipt = overlay.apply_update(kind, int(u), int(v))
         fold = compactor.maybe_compact()
         result = {
@@ -536,8 +535,8 @@ class ServiceState:
         """Answer a range query, memoizing whole results and node states.
 
         When the live-tip overlay holds pending updates and the range
-        ends at the tip, the tip snapshot's values are *patched* from
-        the overlay's repaired state.  Patched values never enter the
+        ends at the tip, the tip snapshot's values are *patched* by the
+        overlay's logged edges.  Patched values never enter the
         result cache (the cache stays pure-TG and epoch-keyed; the
         overlay moves without epoch bumps).
         """
@@ -626,9 +625,7 @@ class ServiceState:
         livetip: Dict[str, Any] = {
             "enabled": self.livetip_enabled,
             "overlay_depth": 0,
-            "pending_updates": 0,
             "updates_total": 0,
-            "tracked_states": 0,
             "compactions": 0,
             "updates_folded": 0,
             "last_compaction_version": None,
@@ -638,10 +635,8 @@ class ServiceState:
             livetip.update({
                 "tip_version": snap["tip_version"],
                 "overlay_depth": snap["overlay_depth"],
-                "pending_updates": snap["overlay_depth"],
                 "updates_total": snap["updates_total"],
                 "update_counts": snap["update_counts"],
-                "tracked_states": snap["tracked_states"],
             })
         if compactor is not None:
             livetip.update(compactor.snapshot())
@@ -700,7 +695,6 @@ class ServiceState:
         gauge("repro_poisoned", 1 if poisoned else 0)
         if overlay is not None:
             gauge("repro_livetip_depth", overlay.depth)
-            gauge("repro_livetip_tracked_states", overlay.tracked_states)
         for label, cache in (("result", self.result_cache),
                              ("node", self.node_cache)):
             stats = cache.stats

@@ -15,7 +15,7 @@ from repro.errors import DeltaError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.graph.edgeset import EdgeSet
 from repro.graph.weights import HashWeights
-from repro.livetip import CompactionPolicy, Compactor, LiveTipOverlay
+from repro.livetip import Compactor, LiveTipOverlay
 
 pytestmark = pytest.mark.livetip
 
@@ -24,12 +24,12 @@ TIP = EdgeSet.from_pairs([(0, 1), (1, 2), (2, 3)])
 N = 5
 
 
-def make_pair(policy=None, append=None):
+def make_pair(max_updates=64, append=None):
     overlay = LiveTipOverlay(TIP, N, tip_version=0, weight_fn=WF)
     appended: List[DeltaBatch] = []
     compactor = Compactor(
         overlay, append if append is not None else appended.append,
-        policy=policy,
+        max_updates=max_updates,
     )
     return overlay, compactor, appended
 
@@ -37,7 +37,7 @@ def make_pair(policy=None, append=None):
 class TestPolicy:
     def test_max_updates_must_be_positive(self):
         with pytest.raises(ServiceError):
-            CompactionPolicy(max_updates=0)
+            make_pair(max_updates=0)
 
     def test_clean_overlay_is_never_due(self):
         _, compactor, _ = make_pair()
@@ -45,7 +45,7 @@ class TestPolicy:
         assert compactor.maybe_compact() is None
 
     def test_due_at_the_count_threshold(self):
-        overlay, compactor, _ = make_pair(CompactionPolicy(max_updates=2))
+        overlay, compactor, _ = make_pair(max_updates=2)
         overlay.apply_update("insert", 3, 0)
         assert compactor.due() is False
         overlay.apply_update("insert", 3, 1)

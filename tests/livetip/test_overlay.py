@@ -4,8 +4,8 @@ oracle.
 
 The load-bearing invariant: values a capture resolves to are
 **bit-identical** to ``static_compute`` on the materialized live edge
-set, whether they came from an incremental repair of a tracked state
-or a lazy from-scratch resolve — for every algorithm, after any valid
+set, whether they came from a repair of the anchor's converged column
+or a from-scratch resolve — for every algorithm, after any valid
 interleaving of inserts, deletes and queries.
 """
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.registry import get_algorithm
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ProtocolError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.graph.weights import HashWeights
@@ -89,10 +89,6 @@ class TestValidation:
         assert overlay.depth == 0
         assert overlay.live_edges() == TIP
 
-    def test_max_tracked_must_be_positive(self):
-        with pytest.raises(ServiceError):
-            make_overlay(max_tracked=0)
-
 
 class TestReceipts:
     def test_receipts_are_sequential(self):
@@ -126,6 +122,8 @@ class TestReceipts:
 
 
 class TestRepairExactness:
+    """A resolve after a further update equals scratch."""
+
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
     def test_untracked_resolve_equals_scratch(self, name):
         overlay = make_overlay()
@@ -138,8 +136,7 @@ class TestRepairExactness:
     def test_insert_repairs_tracked_state(self, name):
         overlay = make_overlay()
         overlay.apply_update("insert", 6, 5)
-        resolve(overlay, name)  # adopt: next update repairs in place
-        assert overlay.tracked_states == 1
+        resolve(overlay, name)
         overlay.apply_update("insert", 6, 4)
         live = TIP.union(EdgeSet.from_pairs([(6, 5), (6, 4)]))
         assert_values_equal(resolve(overlay, name), oracle(live, name),
@@ -175,33 +172,17 @@ class TestRepairExactness:
 
 
 class TestAdoption:
-    def test_resolve_adopts_fresh_state(self):
-        overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
-        capture = overlay.capture(get_algorithm("BFS"), 0)
-        assert overlay.tracked_states == 0
-        capture.resolve()
-        assert overlay.tracked_states == 1
-
     def test_stale_resolve_is_not_adopted(self):
         overlay = make_overlay()
         overlay.apply_update("insert", 5, 0)
         capture = overlay.capture(get_algorithm("BFS"), 0)
         overlay.apply_update("insert", 5, 1)  # moves seq past the capture
         values = capture.resolve()
-        assert overlay.tracked_states == 0
         # The capture still answers for *its* instant, not the new one.
         assert_values_equal(
             values, oracle(TIP.union(EdgeSet.from_pairs([(5, 0)])), "BFS"),
             "stale capture",
         )
-
-    def test_tracked_states_are_lru_bounded(self):
-        overlay = make_overlay(max_tracked=2)
-        overlay.apply_update("insert", 5, 0)
-        for source in (0, 1, 2):
-            resolve(overlay, "BFS", source)
-        assert overlay.tracked_states == 2
 
 
 class TestCompactionProtocol:
@@ -269,7 +250,6 @@ class TestCompactionProtocol:
         assert overlay.tip_version == 5
         assert overlay.depth == 0
         assert overlay.live_edges() == live
-        # Tracked states survive: the live set did not change.
         resolve_before = overlay.capture(get_algorithm("BFS"), 0)
         assert resolve_before is None  # clean overlay: the tip answers
 
@@ -299,7 +279,7 @@ class TestCompactionProtocol:
 
 
 class TestTipColumnRepair:
-    """Untracked captures resolved from the anchor's converged column.
+    """Captures resolved from the anchor's converged column.
 
     On ``TIP`` plus ``(6, 4)`` and ``(5, 1)``, BFS from 0 reaches 4 via
     ``(6, 4)``, so ``(3, 4)`` and ``(5, 1)`` support no value (safe to
@@ -308,18 +288,28 @@ class TestTipColumnRepair:
 
     ANCHOR = TIP | EdgeSet.from_pairs([(6, 4), (5, 1)])
 
-    @pytest.fixture
-    def counted(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Count the overlay module's calls to its kernel ``name``."""
         import repro.livetip.overlay as module
 
         calls = []
+        original = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return static_compute(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "static_compute", counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        return self.count_calls(monkeypatch, "static_compute")
+
+    @pytest.fixture
+    def pushes(self, monkeypatch):
+        return self.count_calls(monkeypatch, "incremental_additions")
 
     def run(self, updates, name="BFS"):
         overlay = LiveTipOverlay(self.ANCHOR, N, tip_version=4, weight_fn=WF)
@@ -340,7 +330,6 @@ class TestTipColumnRepair:
             [("delete", 5, 1), ("delete", 3, 4), ("insert", 2, 5)])
         values = capture.resolve(oracle(self.ANCHOR, "BFS"))
         assert counted == []
-        assert overlay.tracked_states == 0  # no parents: not adopted
         assert_values_equal(values, oracle(overlay.live_edges(), "BFS"),
                             "safe repair")
 
@@ -349,9 +338,29 @@ class TestTipColumnRepair:
         overlay, capture = self.run([("delete", 5, 1), ("delete", 0, 6)])
         values = capture.resolve(oracle(self.ANCHOR, "BFS"))
         assert len(counted) == 1
-        assert overlay.tracked_states == 1
         assert_values_equal(values, oracle(overlay.live_edges(), "BFS"),
                             "unsafe fallback")
+
+    def test_unsafe_delete_computes_once_per_read(self, counted):
+        # No read leaves state behind for the next: each computes.
+        overlay, _ = self.run([("delete", 0, 6)])
+        want = oracle(overlay.live_edges(), "BFS")
+        for _ in range(2):
+            capture = overlay.capture(get_algorithm("BFS"), 0)
+            assert_values_equal(capture.resolve(oracle(self.ANCHOR, "BFS")),
+                                want, "unsafe read")
+        assert len(counted) == 2
+
+    def test_updates_after_reads_push_nothing(self, pushes):
+        overlay, _ = self.run([("insert", 5, 0)])
+        for name, source in (("BFS", 0), ("SSSP", 0), ("BFS", 1)):
+            resolve(overlay, name, source)
+        live = overlay.live_edges()
+        absent = [(u, v) for u in range(N) for v in range(N)
+                  if u != v and (u, v) not in live]
+        for u, v in absent[:10]:
+            overlay.apply_update("insert", u, v)
+        assert pushes == []
 
     def test_update_between_capture_and_resolve_falls_back(self, counted):
         overlay, capture = self.run([("delete", 5, 1)])
@@ -359,7 +368,6 @@ class TestTipColumnRepair:
         overlay.apply_update("insert", 5, 0)  # seq moves past the capture
         values = capture.resolve(oracle(self.ANCHOR, "BFS"))
         assert len(counted) == 1
-        assert overlay.tracked_states == 0  # stale: not adopted
         assert_values_equal(values, oracle(at_capture, "BFS"),
                             "capture instant")
 
@@ -377,11 +385,12 @@ class TestTipColumnRepair:
 def check_interleaving(name, arm, spec, data):
     """Drive a random insert/delete/query interleaving against scratch.
 
-    Queries are drawn *mid-stream* so later updates repair adopted
-    states incrementally — the path under test — rather than falling
-    back to a final from-scratch resolve.  The ``tg`` arm hands every
-    resolve the anchor's converged column (what the TG walk computes),
-    so untracked captures take the safe-delete repair when they can.
+    Queries are drawn *mid-stream*, so every resolve sees a log of a
+    different depth rather than only the final one.  The ``tg`` arm
+    hands every resolve the anchor's converged column (what the TG walk
+    computes), so captures take the safe-delete repair when they can;
+    the ``scratch`` arm hands none, so every resolve computes from
+    scratch.
     """
     n, pairs = spec
     tip = EdgeSet.from_pairs(pairs)

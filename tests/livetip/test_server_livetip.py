@@ -207,5 +207,4 @@ class TestCli:
                      f"127.0.0.1:{runner.port}"]) == 0
         out = capsys.readouterr().out
         assert "live tip" in out
-        assert "pending_updates" in out
         assert "overlay_depth" in out

@@ -196,7 +196,7 @@ class TestAcceptanceBitIdentity:
 
 
 class TestTipColumnRepair:
-    """An untracked patched query starts from the walk's own tip column:
+    """A patched query starts from the walk's own tip column:
     safe net deletions cost no static compute, an unsafe one costs one."""
 
     @pytest.fixture
@@ -334,7 +334,6 @@ class TestStatusBlock:
         block = livetip_state.status()["livetip"]
         assert block["tip_version"] == 5
         assert block["overlay_depth"] == 1
-        assert block["pending_updates"] == 1
         assert block["updates_total"] == 2
         assert block["update_counts"] == {"insert": 2, "delete": 0}
         assert block["compactions"] == 1
