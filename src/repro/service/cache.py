@@ -9,12 +9,13 @@ Two caches share this machinery:
   ``(algorithm, source, epoch, (i, j))`` — this is what lets a query
   over an overlapping range resume from another query's interior work.
 
-Neither holds dense vectors per entry: through the ``copy_in`` /
-``copy_out`` hooks a result is stored as *first snapshot + sparse Δ per
-later snapshot* (:func:`repro.core.results.compact_range`) and a node
-state as *its walk's base + sparse Δ*
-(:func:`repro.service.planner.node_state_cache`), so what a hit returns
-is rebuilt fresh and never aliases an entry.
+Neither holds dense vectors per entry: through the ``copy_in`` hook a
+result is stored as a :class:`~repro.service.state.CachedRange` (*first
+snapshot + sparse Δ per later snapshot*, which no reader writes, so a
+hit returns the entry itself), and through ``copy_in`` / ``copy_out`` a
+node state as *its walk's base + sparse Δ*
+(:func:`repro.service.planner.node_state_cache`), rebuilt fresh on every
+hit so it never aliases an entry.
 
 Both keys embed the decomposition *epoch*: every ingest or window
 slide bumps it, so entries from a superseded decomposition can never be

@@ -22,6 +22,10 @@ Design points, mirroring the rest of the codebase:
 * **Coalescing** — concurrent identical queries (same algorithm,
   source, range) share one execution; followers await the leader's
   future, each on its own deadline, and receive the same payload.
+* **Stored replies** — an answer served unpatched from the result
+  cache ships the encoded ``values`` its cache entry stored on its
+  first reuse (``wire="cached"`` on the ``server.query`` span); every
+  other answer is encoded for its own reply (``wire="encoded"``).
 * **Admission control** — queries, ingests and updates each pass a
   bounded :class:`~repro.service.admission.AdmissionController` lane
   before touching an executor thread; a full waiting room or an expired
@@ -80,7 +84,7 @@ from repro.resilience import (
 from repro.service import protocol
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.lineserver import LineServer, LoopThreadRunner
-from repro.service.state import ServiceState
+from repro.service.state import QueryAnswer, ServiceState
 
 __all__ = ["GraphService", "ServiceConfig", "ServiceRunner"]
 
@@ -95,6 +99,46 @@ BREAKER_STATE_VALUES = {
     CircuitBreaker.HALF_OPEN: 1,
     CircuitBreaker.OPEN: 2,
 }
+
+
+def _query_payload(answer: QueryAnswer, outcome: str) -> Dict[str, Any]:
+    """A ``query`` response.
+
+    An answer served unpatched from the result cache ships its entry's
+    stored ``values``, encoded on the entry's first reuse.  A miss, a
+    live-tip-patched and a degraded answer are encoded for this reply
+    alone; a miss stores nothing, since most entries are never reused.
+    """
+    entry = answer.entry
+    values: Any
+    if entry is None:
+        values = protocol.encode_values(answer.values)
+    else:
+        if entry.wire is None:
+            entry.wire = protocol.Encoded.of(
+                protocol.encode_values(answer.values))
+        values = entry.wire
+    obs.annotate(wire="encoded" if entry is None else "cached")
+    response = {
+        "ok": True,
+        "op": "query",
+        "algorithm": answer.algorithm,
+        "source": answer.source,
+        "first": answer.first,
+        "last": answer.last,
+        "epoch": answer.epoch,
+        "from_cache": answer.from_cache,
+        "node_hits": answer.node_hits,
+        "node_misses": answer.node_misses,
+        "outcome": outcome,
+        "values": values,
+    }
+    if answer.livetip_seq is not None:
+        # The tip column was patched by the live-tip overlay: expose
+        # which update stream position the answer reflects, so a client
+        # (or a chaos test) can pin expectations to it.
+        response["livetip_seq"] = answer.livetip_seq
+    return response
 
 
 @dataclass
@@ -373,13 +417,16 @@ class GraphService(LineServer):
     async def _run_read(
         self, doc: Dict[str, Any], label: str,
         primary: Callable[[], T], fallback: Callable[[], T],
+        respond: Callable[[T, str], Dict[str, Any]],
         **attributes: Any,
-    ) -> Tuple[T, str, Optional[str]]:
-        """A gated read under one root span; ``(answer, outcome, trace id)``.
+    ) -> Dict[str, Any]:
+        """A gated read under one root span, answered by ``respond``.
 
         Shared by ``query`` and ``temporal`` — a temporal batch is just
         a bigger read: same lane, same breaker, same retry/degrade
-        ladder, same outcome accounting.
+        ladder, same outcome accounting.  ``respond(answer, outcome)``
+        builds the response inside the span, so its encoding is part of
+        the read's trace; the span's ``trace_id`` is added to it.
         """
         op = doc["op"]
         what = f"{op} {label}"
@@ -396,11 +443,14 @@ class GraphService(LineServer):
                     op, what, deadline, hooked, fallback,
                 )
                 root_span.annotate(outcome=outcome, attempts=attempts)
+                response = respond(answer, outcome)
         if outcome == "retried":
             self.counters["retried"] += 1
         obs.counter_inc("repro_task_outcomes_total",
                         component="service", status=outcome)
-        return answer, outcome, root_span.trace_id
+        if root_span.trace_id is not None:
+            response["trace_id"] = root_span.trace_id
+        return response
 
     # -- op handlers: parse, the primary closure, response encoding -----------
     async def _handle_ping(self, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -496,35 +546,14 @@ class GraphService(LineServer):
         self._inflight[key] = future
         try:
             self.counters["queries"] += 1
-            answer, outcome, trace_id = await self._run_read(
+            response = await self._run_read(
                 doc, label,
                 lambda: self.state.query(algorithm, source, first, last),
                 lambda: self.state.offline_answer(algorithm, source,
                                                   first, last),
+                _query_payload,
                 algorithm=algorithm, source=source,
             )
-            response = {
-                "ok": True,
-                "op": "query",
-                "algorithm": answer.algorithm,
-                "source": answer.source,
-                "first": answer.first,
-                "last": answer.last,
-                "epoch": answer.epoch,
-                "from_cache": answer.from_cache,
-                "node_hits": answer.node_hits,
-                "node_misses": answer.node_misses,
-                "outcome": outcome,
-                "values": protocol.encode_values(answer.values),
-            }
-            if answer.livetip_seq is not None:
-                # The tip column was patched by the live-tip overlay:
-                # expose which update stream position the answer
-                # reflects, so a client (or a chaos test) can pin
-                # expectations to it.
-                response["livetip_seq"] = answer.livetip_seq
-            if trace_id is not None:
-                response["trace_id"] = trace_id
         except BaseException as exc:
             # Resolve followers with an error payload, then re-raise for
             # this request's own error path.  The payload builder does
@@ -551,29 +580,30 @@ class GraphService(LineServer):
 
         algorithm, source = doc["algorithm"], doc["source"]
         specs = parse_specs(doc["queries"])
+
+        def respond(answer: Any, outcome: str) -> Dict[str, Any]:
+            return {
+                "ok": True,
+                "op": "temporal",
+                "algorithm": answer.algorithm,
+                "source": answer.source,
+                "window_first": answer.window_first,
+                "window_last": answer.window_last,
+                "epoch": answer.epoch,
+                "outcome": outcome,
+                "ranges_evaluated": answer.ranges_evaluated,
+                "snapshots_scanned": answer.snapshots_scanned,
+                "results": encode_results(answer.results),
+            }
+
         self.counters["temporals"] += 1
-        answer, outcome, trace_id = await self._run_read(
+        return await self._run_read(
             doc, f"{algorithm}:{source}:{len(specs)} specs",
             lambda: self.state.temporal(algorithm, source, specs),
             lambda: self.state.temporal_offline(algorithm, source, specs),
+            respond,
             algorithm=algorithm, source=source, specs=len(specs),
         )
-        response = {
-            "ok": True,
-            "op": "temporal",
-            "algorithm": answer.algorithm,
-            "source": answer.source,
-            "window_first": answer.window_first,
-            "window_last": answer.window_last,
-            "epoch": answer.epoch,
-            "outcome": outcome,
-            "ranges_evaluated": answer.ranges_evaluated,
-            "snapshots_scanned": answer.snapshots_scanned,
-            "results": encode_results(answer.results),
-        }
-        if trace_id is not None:
-            response["trace_id"] = trace_id
-        return response
 
 
 class ServiceRunner(LoopThreadRunner):

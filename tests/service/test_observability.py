@@ -98,9 +98,14 @@ class TestQueryTraces:
         second = client.query("BFS", source=0)
         assert second["from_cache"] is True
         assert second["trace_id"] != first["trace_id"]
+        (root,) = [span for span in trace_spans(obs_runtime,
+                                                first["trace_id"])
+                   if span.parent_id is None]
+        assert root.attributes["wire"] == "encoded"
         spans = trace_spans(obs_runtime, second["trace_id"])
         assert [span.name for span in spans] == ["server.query"]
         assert spans[0].attributes["result_cache"] == "hit"
+        assert spans[0].attributes["wire"] == "cached"
 
     def test_distinct_queries_get_distinct_traces(self, client, obs_runtime):
         first = client.query("BFS", source=0)

@@ -256,10 +256,12 @@ class TestQueries:
         # is held in under an eighth of its 16 x 4096 x 8 dense bytes.
         answer = seeded_answer()
         service_state.result_cache.put("key", answer)
-        base, changes = service_state.result_cache._entries["key"]
+        entry = service_state.result_cache.get("key")
+        base, changes = entry.compact
         held = base.nbytes + sum(i.nbytes + v.nbytes for i, v in changes)
         assert held * 8 <= 16 * 4096 * 8
-        for got, want in zip(service_state.result_cache.get("key"), answer):
+        assert entry.wire is None  # the server fills it on a reuse
+        for got, want in zip(entry.rows(), answer):
             assert_values_equal(got, want, "expanded entry")
 
     def test_overlapping_query_reuses_node_states(self, service_state):
