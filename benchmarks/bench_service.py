@@ -66,7 +66,7 @@ MIXED_PLAN = (
     ("BFS", 0, None, None),
     ("SSSP", 0, None, None),
     ("BFS", 0, None, None),      # repeat -> result-cache hit
-    ("SSSP", 0, 2, 8),           # overlap -> node-cache reuse
+    ("SSSP", 0, 2, 8),           # nested -> held snapshots, no walk
     ("BFS", 1, None, None),
     ("SSSP", 0, None, None),     # repeat -> result-cache hit
 )
@@ -514,9 +514,10 @@ FLEET_REPLICAS = 3
 FLEET_SOURCES = 6
 
 #: Per-source plan with nested overlapping windows: after the full
-#: range, every narrower window re-walks interior schedule nodes the
-#: owner replica already converged — node-cache hits *if* every query
-#: for the source lands on the same replica.
+#: range, every narrower window is nested in an answer the owner
+#: replica already holds, so its snapshots are node-cache hits and it
+#: runs no walk — *if* every query for the source lands on the same
+#: replica.
 FLEET_PLAN = (
     ("BFS", None, None),
     ("SSSP", None, None),

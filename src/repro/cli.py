@@ -1034,7 +1034,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--result-cache", type=int, default=256,
                        help="max memoised query results")
     serve.add_argument("--node-cache", type=int, default=1024,
-                       help="max memoised interior-ICG states")
+                       help="max memoised snapshot states (references "
+                            "into cached answers)")
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        help="per-request deadline in seconds")
     serve.add_argument("--retries", type=int, default=2,

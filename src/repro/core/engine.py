@@ -20,15 +20,19 @@ parallelism — NumPy's parallel hardware is the vector lane;
 Row ``r`` of a level is ``ICG(node_r)``: the common CSR plus the Δ
 edges present throughout the node's snapshots.  That depends on the
 node alone — never on the path that reached it — so a monotonic
-fixpoint on it is unique whatever order computed it, and a walk may
-resume below any node whose state a store already holds.  The common
-graph is never mutated, and a batch shared by several snapshots (an
-edge into an interior ICG node) is processed exactly once.
+fixpoint on it is unique whatever order computed it: a snapshot's
+values are the same whichever walk reached its leaf, which is what lets
+the service cache them per snapshot.  The common graph is never
+mutated, and a batch shared by several snapshots (an edge into an
+interior ICG node) is processed exactly once.
 
 A snapshot range ``first..last`` is the same walk on the sub-grid rooted
 at node ``(first, last)``, in the decomposition's own coordinates: the
 root's graph is ``ICG(first, last)`` by the rule above, and no
-restricted decomposition is built.
+restricted decomposition is built.  The root is reached as every other
+node is, from the common graph: a static convergence on the common CSR
+(dense rounds included), then one hop adding the Δ edges present
+throughout the range.
 
 **Plan once, evaluate many.**  Nothing above depends on the query, so an
 evaluator builds none of it: it reads the decomposition's plan memo
@@ -53,22 +57,16 @@ range, a tree and as many seeds as the tree costs, and it dies with the
 decomposition, which every ingest replaces.  A caller-supplied schedule
 is levelled when the evaluator is built and memoised nowhere.
 
-Two seams, each with one production caller:
-
-* ``store`` — a node-state store (``get(node)`` / ``put(node, state)``).
-  The planner passes its epoch-keyed cache view; a node found there
-  fills its row and is not recomputed, and the walk reports hits and
-  misses.
-* ``run_sweep`` — how the edges of one sweep are executed.
-  :mod:`repro.core.parallel` runs them one at a time, each on its own
-  stopwatch; by default they run together.
+One seam, with one production caller: ``run_sweep`` — how the edges
+of one sweep are executed.  :mod:`repro.core.parallel` runs them one at
+a time, each on its own stopwatch; by default they run together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,15 +84,13 @@ from repro.graph.stacked import IntervalDelta, StackedGraph
 from repro.graph.weights import UnitWeights, WeightFn
 from repro.kickstarter.engine import (
     EngineCounters,
-    GraphLike,
     VertexState,
     incremental_additions,
     static_compute,
 )
 from repro.utils import expand_ranges
 
-__all__ = ["NodeStore", "SweepRunner", "WorkSharingEvaluator",
-           "planned_schedule"]
+__all__ = ["SweepRunner", "WorkSharingEvaluator", "planned_schedule"]
 
 Edge = Tuple[Interval, Interval]
 
@@ -103,14 +99,6 @@ Edge = Tuple[Interval, Interval]
 #: from their parents' states afresh on every call; each edge must be
 #: covered by a call that returned.
 SweepRunner = Callable[[Sequence[Edge], Callable[..., None]], None]
-
-
-class NodeStore(Protocol):
-    """Converged states by schedule node, kept across walks."""
-
-    def get(self, node: Interval) -> Optional[VertexState]: ...
-
-    def put(self, node: Interval, state: VertexState) -> None: ...
 
 
 def _run_together(edges: Sequence[Edge], compute: Callable[..., None]) -> None:
@@ -274,58 +262,48 @@ class WorkSharingEvaluator:
 
         return self.decomposition.plan(("delta", self.weight_fn), build)
 
-    def _root_graph(self) -> GraphLike:
-        """``ICG(root)``: the common CSR itself when no Δ edge spans the
-        whole range (always so for the full range)."""
-        root = self.schedule.root
-        if not self.delta.within(slice(None), *root).any():
-            return self.base_csr
-        return StackedGraph(self.base_csr, self.delta, [root])
-
     def base_state(self, counters: Optional[EngineCounters] = None) -> VertexState:
-        """Converge the query on the range's common graph (the schedule's root)."""
-        return static_compute(
-            self._root_graph(), self.algorithm, self.source,
-            counters=counters, mode="sync",
-        )
+        """Converge the query on ``ICG(first, last)``, the schedule's root.
+
+        The static convergence always runs on the window's common CSR,
+        where a sync round may stream every edge at once; a range whose
+        ICG holds more — the Δ edges present throughout it — then takes
+        them in as one batch of additions, the paper's hop from ``Gc``.
+        The fixpoint is the same either way, and converging the range's
+        one-row stack from scratch, with sparse rounds only, cost about
+        twice as much on LJ/16.
+        """
+        state = static_compute(self.base_csr, self.algorithm, self.source,
+                               counters=counters, mode="sync")
+        spanning = np.flatnonzero(self.delta.within(slice(None), *self.schedule.root))
+        if spanning.size:
+            sources, targets, weights = self.delta.csr.edge_arrays()
+            incremental_additions(
+                StackedGraph(self.base_csr, self.delta, [self.schedule.root]),
+                self.algorithm, state, sources[spanning], targets[spanning],
+                weights[spanning], counters=counters, mode=self.mode)
+        return state
 
     def run(
         self,
         keep_values: bool = True,
         *,
-        store: Optional[NodeStore] = None,
         run_sweep: SweepRunner = _run_together,
         layer: str = "engine",
     ) -> EvolvingQueryResult:
         """Execute the schedule; one incremental computation per sweep.
 
-        The walk is level by level from the common graph.  Each node's
-        state comes from ``store`` or, on a miss, is computed — the root
-        by a static evaluation, the missing nodes of a level by
-        ``run_sweep`` from their parents' rows — and stored; only
-        computed edges count as stabilisations.  ``layer`` names the
-        ``<layer>.root`` / ``<layer>.sweep`` spans.
+        The walk is level by level from the common graph: the root by a
+        static evaluation, then each level's nodes by ``run_sweep`` from
+        their parents' rows.  ``layer`` names the ``<layer>.root`` /
+        ``<layer>.sweep`` spans.
         """
         result = EvolvingQueryResult(strategy=self.strategy)
         width = self.decomposition.num_vertices
-
-        def held(node: Interval) -> Optional[VertexState]:
-            state = None if store is None else store.get(node)
-            if state is None:
-                result.node_misses += 1
-            else:
-                result.node_hits += 1
-            return state
-
         root = self.schedule.root
         with result.timer.phase("initial_compute"), \
-                obs.phase_span(layer, "root") as span:
-            root_state = held(root)
-            span.annotate(cache="miss" if root_state is None else "hit")
-            if root_state is None:
-                root_state = self.base_state(result.counters)
-                if store is not None:
-                    store.put(root, root_state)
+                obs.phase_span(layer, "root"):
+            root_state = self.base_state(result.counters)
 
         values: Dict[int, np.ndarray] = {}
         if root[0] == root[1]:
@@ -340,27 +318,10 @@ class WorkSharingEvaluator:
         filled = 0
         for level in self._levels:
             with result.timer.phase("incremental_add"), \
-                    obs.phase_span(layer, "sweep",
-                                   edges=len(level.edges)) as span:
+                    obs.phase_span(layer, "sweep", edges=len(level.edges)):
                 matrix = arena[filled:filled + len(level.edges)]
                 filled += len(level.edges)
-                missing = []
-                for row, (_, child) in enumerate(level.edges):
-                    state = held(child)
-                    if state is None:
-                        missing.append(row)
-                    else:
-                        matrix[row] = state.values
-                span.annotate(hits=len(level.edges) - len(missing),
-                              misses=len(missing))
-                if missing:
-                    self._sweep(level, above, matrix,
-                                np.array(missing, dtype=np.int64),
-                                run_sweep, result)
-                    if store is not None:
-                        for row in missing:
-                            store.put(level.edges[row][1], VertexState(
-                                values=matrix[row], source=self.source))
+                self._sweep(level, above, matrix, run_sweep, result)
             if keep_values:
                 for snapshot, row in level.leaves:
                     values[snapshot] = matrix[row]
@@ -376,14 +337,14 @@ class WorkSharingEvaluator:
 
     def _sweep(
         self, level: _Level, above: np.ndarray, matrix: np.ndarray,
-        missing: np.ndarray, run_sweep: SweepRunner,
-        result: EvolvingQueryResult,
+        run_sweep: SweepRunner, result: EvolvingQueryResult,
     ) -> None:
-        """Converge rows ``missing`` of ``matrix`` from their parents' rows."""
+        """Converge every row of ``matrix`` from its parent's row."""
         state = VertexState(values=matrix.reshape(-1), source=self.source)
+        every = np.arange(len(matrix))
 
         def compute(picked: object) -> None:
-            rows = missing[picked]
+            rows = every[picked]
             if rows.size == len(matrix):
                 # "clip" only because take() then writes straight into
                 # ``out``; the default mode goes through a buffer.
@@ -395,7 +356,6 @@ class WorkSharingEvaluator:
                 counters=result.counters, mode=self.mode,
             )
 
-        run_sweep([level.edges[row] for row in missing], compute)
-        result.stabilisations += missing.size
-        result.additions_processed += int(
-            (level.offsets[missing + 1] - level.offsets[missing]).sum())
+        run_sweep(level.edges, compute)
+        result.stabilisations += len(level.edges)
+        result.additions_processed += int(level.offsets[-1])

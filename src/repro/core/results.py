@@ -83,9 +83,6 @@ class EvolvingQueryResult:
     additions_processed: int = 0
     #: Number of incremental stabilisations executed (tree edges).
     stabilisations: int = 0
-    #: Schedule nodes found in / absent from the walk's node-state store.
-    node_hits: int = 0
-    node_misses: int = 0
 
     @property
     def total_seconds(self) -> float:

@@ -5,10 +5,10 @@ A long-lived serving layer over a :class:`~repro.evolving.store.SnapshotStore`:
 * :mod:`repro.service.state` — :class:`ServiceState`: ingestion with
   *incremental* CommonGraph/Triangular-Grid maintenance, a sliding
   window over the last W snapshots, and epoch bookkeeping;
-* :mod:`repro.service.cache` — bounded LRU caches for full query
-  results and per-ICG-node converged states;
+* :mod:`repro.service.cache` — bounded LRU caches and the answer entry
+  (:class:`~repro.service.cache.CachedRange`) they point at;
 * :mod:`repro.service.planner` — the memoizing work-sharing planner
-  that shares interior-ICG states across queries;
+  that shares answered snapshots across queries;
 * :mod:`repro.service.admission` — bounded admission lanes that shed
   load explicitly instead of queueing without limit;
 * :mod:`repro.service.server` — the asyncio JSON-lines front end

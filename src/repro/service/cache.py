@@ -1,21 +1,21 @@
-"""Bounded, thread-safe LRU caches for the query service.
+"""Bounded, thread-safe LRU caches for the query service, and the entry
+both of them point at.
 
-Two caches share this machinery:
+Two caches share this machinery, and neither copies what it holds:
 
-* the **result cache** memoises full query answers keyed by
-  ``(algorithm, source, first, last, epoch)``;
-* the **node-state cache** memoises converged :class:`VertexState`
-  objects at Triangular-Grid nodes, keyed by
-  ``(algorithm, source, epoch, (i, j))`` — this is what lets a query
-  over an overlapping range resume from another query's interior work.
+* the **result cache** (owned by the service state) memoises full query
+  answers keyed by ``(algorithm, source, first, last, epoch)``; an
+  entry is a :class:`CachedRange`, the answer as *first snapshot +
+  sparse Δ per later snapshot*;
+* the **node cache** (owned by the planner) indexes answered snapshots,
+  keyed by ``(algorithm, source, epoch, snapshot)``: the value is
+  ``(CachedRange, offset)``, a reference into the entry that holds the
+  snapshot — so a snapshot is stored once however many ranges hold it,
+  and a query whose snapshots are all indexed needs no walk
+  (:class:`repro.service.planner.MemoizingPlanner`).
 
-Neither holds dense vectors per entry: through the ``copy_in`` hook a
-result is stored as a :class:`~repro.service.state.CachedRange` (*first
-snapshot + sparse Δ per later snapshot*, which no reader writes, so a
-hit returns the entry itself), and through ``copy_in`` / ``copy_out`` a
-node state as *its walk's base + sparse Δ*
-(:func:`repro.service.planner.node_state_cache`), rebuilt fresh on every
-hit so it never aliases an entry.
+No reader writes a :class:`CachedRange`, so a hit returns the entry
+itself and :meth:`CachedRange.rows` expands fresh arrays.
 
 Both keys embed the decomposition *epoch*: every ingest or window
 slide bumps it, so entries from a superseded decomposition can never be
@@ -29,9 +29,38 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-__all__ = ["CacheStats", "LRUCache"]
+import numpy as np
+
+from repro.core.results import compact_range, expand_range
+
+__all__ = ["CacheStats", "CachedRange", "LRUCache"]
+
+
+class CachedRange:
+    """One answered range held as base + sparse changes.
+
+    ``compact`` (:func:`~repro.core.results.compact_range`) is never
+    written after construction, so a hit hands out the entry itself.
+    ``wire`` is the slot for the encoded ``values`` of the entry's reply,
+    filled by the server on the entry's first reuse: an answer for fixed
+    versions of one epoch never changes, so neither do its bytes.  The
+    slot lives and dies with the entry (LRU eviction, epoch purge).
+    :meth:`rows` are fresh arrays, but an answer holding the entry ships
+    the stored bytes whatever its rows say: rows read from a hit must not
+    be changed in place.
+    """
+
+    __slots__ = ("compact", "wire")
+
+    def __init__(self, values: Sequence[np.ndarray]) -> None:
+        self.compact = compact_range(values)
+        self.wire: Optional[bytes] = None
+
+    def rows(self) -> List[np.ndarray]:
+        """Fresh dense rows, one per snapshot."""
+        return expand_range(self.compact)
 
 
 @dataclass
@@ -63,24 +92,13 @@ class CacheStats:
 
 
 class LRUCache:
-    """A small thread-safe LRU map with observable statistics.
+    """A small thread-safe LRU map with observable statistics; values are
+    held as given."""
 
-    ``copy_in`` / ``copy_out`` (optional) encode values on insert and
-    rebuild them on hit — the planner mutates states in place, so cached
-    arrays must never alias live ones.
-    """
-
-    def __init__(
-        self,
-        max_entries: int,
-        copy_in: Optional[Callable[[Any], Any]] = None,
-        copy_out: Optional[Callable[[Any], Any]] = None,
-    ) -> None:
+    def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._copy_in = copy_in
-        self._copy_out = copy_out
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()  # guarded-by: _lock
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -99,11 +117,9 @@ class LRUCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-        return self._copy_out(value) if self._copy_out else value
+            return value
 
     def put(self, key: Hashable, value: Any) -> None:
-        if self._copy_in:
-            value = self._copy_in(value)
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)

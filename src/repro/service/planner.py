@@ -1,41 +1,42 @@
 """The memoizing query planner: work-sharing with cross-query reuse.
 
 The offline :class:`~repro.core.engine.WorkSharingEvaluator` shares
-interior-ICG states *within* one query.  The planner extends that
-sharing *across* queries: it runs the same schedule walk with a
-node-state store, so the converged :class:`VertexState` at every
-Triangular-Grid node a schedule visits is cached, keyed by
-``(algorithm, source, epoch, node)`` in window coordinates, and a later
-query whose schedule passes through a cached node resumes from it —
-no static recompute at the window root, no re-streaming of the path
-above the node.  The walk consults the store per row of each sweep: a
-held node fills its row and contributes no seeds, every computed row is
-``put``.  A range is walked on the window decomposition itself (the
-sub-grid rooted at the range's node), so the walk's nodes *are* window
-nodes, and the schedule, its sweeps and the two graphs every query
-needs come from the decomposition's plan, built once per epoch.
+interior-ICG states *within* one query.  The planner shares answered
+*snapshots* across queries.  For one (algorithm, source) a snapshot's
+converged values depend on that snapshot alone — the monotonic fixpoint
+on ``ICG(i, i)`` is unique, whichever walk reached it — so the planner
+keeps a node cache indexing every snapshot it has answered, keyed by
+``(algorithm, source, epoch, snapshot)`` in window coordinates, whose
+value is ``(CachedRange, offset)``: a reference into the answer that
+holds it.  A range query
 
-The cache does not hold a dense vector per node.  Most vertices keep
-one value across a snapshot range, so the states one walk stores are
-kept as that walk's *base* — one dense copy of the first state it
-stores, its root on a cold walk — plus, per node, the few cells that
-differ (:func:`node_state_cache`); a hit rebuilds a fresh dense state.
+* whose snapshots are all held is assembled with no walk;
+* with some missing runs one walk over the smallest sub-range covering
+  every missing one, ``[first missing, last missing]``; the snapshots
+  outside it come from the cache;
+* with none held runs the walk over the whole range.
 
-Correctness rests on the same fixpoint property as the paper's
-evaluators: for a monotonic algorithm, the converged state on
-``ICG(i, j)`` from a given source is *unique*, regardless of which
-ancestor state the incremental computation started from.  A resumed
-walk therefore produces values bit-identical to a cold one (the
-service's end-to-end test asserts exactly this against the naive
-oracle), and the walk's graph rule — a row is the common CSR plus the
-Δ edges present throughout its node's snapshots — depends on the node
-alone, never on the path that reached it.
+Each evaluation builds its answer's
+:class:`~repro.service.cache.CachedRange` once — the entry the service
+state puts into its result cache — and indexes every snapshot of it, so
+a snapshot is held once, by reference, and no interior walk node is
+cached.  Each distinct entry a query reads is expanded once into fresh
+rows, so a caller that writes to its answer cannot reach the cache.  A
+referenced entry outlives its result-cache eviction; the node cache's
+``max_entries`` bounds the snapshot references.
+
+A range is walked on the window decomposition itself (the sub-grid
+rooted at the range's node), so the schedule, its sweeps and the two
+graphs every query needs come from the decomposition's plan, built on
+the first walk of each range in an epoch.  Values assembled from the
+cache are bit-identical to a cold walk's (the service's end-to-end test
+asserts exactly this against the naive oracle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,103 +44,66 @@ from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.common import CommonGraphDecomposition
 from repro.core.engine import WorkSharingEvaluator
-from repro.core.results import changed_cells
-from repro.core.triangular_grid import Interval
 from repro.graph.weights import WeightFn
 # ``static_compute`` is not called here (the walk calls it): the perf
 # harness's self-test, frozen under benchmarks/perf, reads
 # ``planner.static_compute`` to check that importers of a traced kernel
 # are patched too.
-from repro.kickstarter.engine import VertexState, static_compute  # noqa: F401
-from repro.service.cache import LRUCache
+from repro.kickstarter.engine import static_compute  # noqa: F401
+from repro.service.cache import CachedRange, LRUCache
 
-__all__ = ["MemoizingPlanner", "PlannedAnswer", "node_state_cache"]
+__all__ = ["MemoizingPlanner", "PlannedAnswer"]
 
-#: Cache key of a converged state at a TG node, in window coordinates.
-NodeKey = Tuple[str, int, int, Interval]
+#: A held snapshot: the entry that stores it and its offset there.
+SnapshotRef = Tuple[CachedRange, int]
 
 
 @dataclass
 class PlannedAnswer:
-    """One planned evaluation: per-snapshot values plus reuse accounting."""
+    """One planned evaluation: per-snapshot values, the result-cache entry
+    holding them, and reuse accounting."""
 
-    values: List[np.ndarray] = field(default_factory=list)
+    values: List[np.ndarray]
+    entry: CachedRange
     additions_processed: int = 0
     stabilisations: int = 0
+    #: Snapshots served from the node cache / computed by the walk.
     node_hits: int = 0
     node_misses: int = 0
 
 
-def _compact_state(anchored: Tuple[np.ndarray, VertexState]) -> Any:
-    """``(base, state)`` → ``(base, indices, cells, source)``: ``base`` by
-    reference, the differing cells copied.  Parents keep a state dense."""
-    base, state = anchored
-    if state.parents is not None:
-        return state.copy()
-    return (base, *changed_cells(base, state.values), state.source)
-
-
-def _expand_state(entry: Any) -> VertexState:
-    """A fresh dense state from a cache entry; aliases nothing."""
-    if isinstance(entry, VertexState):
-        return entry.copy()
-    base, indices, cells, source = entry
-    values = base.copy()
-    values[indices] = cells
-    return VertexState(values=values, source=source)
-
-
-def node_state_cache(max_entries: int) -> LRUCache:
-    """The node-state cache: ``put`` takes ``(base, state)``, ``get``
-    returns a fresh :class:`VertexState`; an entry is *base + sparse Δ*.
-
-    The entries of one walk share one dense ``base`` by reference (so
-    evicting any of them cannot orphan another) and each holds only the
-    cells that differ; ``base`` is never written after the first ``put``.
-    """
-    return LRUCache(max_entries, copy_in=_compact_state,
-                    copy_out=_expand_state)
-
-
-@dataclass
-class _EpochView:
-    """The node cache as one walk's store: window nodes in,
-    ``(algorithm, source, epoch, window node)`` keys out.  The first
-    state the walk stores — its root, on a cold walk — is copied once as
-    the ``base`` every entry of this walk is a sparse Δ against."""
-
-    cache: LRUCache
-    algorithm: str
-    source: int
-    epoch: int
-    base: Optional[np.ndarray] = None
-
-    def key(self, node: Interval) -> NodeKey:
-        return (self.algorithm, self.source, self.epoch, node)
-
-    def get(self, node: Interval) -> Optional[VertexState]:
-        return self.cache.get(self.key(node))
-
-    def put(self, node: Interval, state: VertexState) -> None:
-        if self.base is None:
-            self.base = state.values.copy()
-        self.cache.put(self.key(node), (self.base, state))
+def _held_rows(held: List[Optional[SnapshotRef]],
+               skip: range) -> List[Optional[np.ndarray]]:
+    """Fresh rows of the held snapshots outside ``skip`` (``None``
+    elsewhere), expanding each distinct entry once."""
+    expanded: Dict[int, List[np.ndarray]] = {}
+    rows: List[Optional[np.ndarray]] = []
+    for offset, ref in enumerate(held):
+        if ref is None or offset in skip:
+            rows.append(None)
+            continue
+        entry, at = ref
+        if id(entry) not in expanded:
+            expanded[id(entry)] = entry.rows()
+        rows.append(expanded[id(entry)][at])
+    return rows
 
 
 class MemoizingPlanner:
-    """Plans and executes range queries against a node-state cache.
+    """Plans and executes range queries against a node cache of answered
+    snapshots.
 
-    The planner itself is stateless between calls apart from the shared
-    ``node_cache`` (a :func:`node_state_cache`); the caller (the service state) owns epochs and the
-    full-result cache.
+    The planner owns the node cache (``node_cache_entries`` snapshot
+    references); the caller (the service state) owns epochs and the
+    result cache, into which it puts each answer's ``entry``.
     """
 
     def __init__(
         self,
-        node_cache: LRUCache,
+        node_cache_entries: int = 1024,
         weight_fn: Optional[WeightFn] = None,
     ) -> None:
-        self.node_cache = node_cache
+        self.node_cache = LRUCache(node_cache_entries)
         self.weight_fn = weight_fn
 
     def evaluate(
@@ -160,20 +124,32 @@ class MemoizingPlanner:
         with obs.phase_span("planner", "evaluate",
                             label=f"{algorithm.name}:{source}",
                             first=first, last=last, epoch=epoch) as plan_span:
-            walk = WorkSharingEvaluator(
-                decomposition, algorithm, source,
-                weight_fn=self.weight_fn, first=first, last=last,
-            ).run(
-                store=_EpochView(self.node_cache, algorithm.name, source,
-                                 epoch),
-                layer="planner",
-            )
-            plan_span.annotate(node_hits=walk.node_hits,
-                               node_misses=walk.node_misses)
+            keys = [(algorithm.name, source, epoch, snapshot)
+                    for snapshot in range(first, last + 1)]
+            held = [self.node_cache.get(key) for key in keys]
+            missing = [offset for offset, ref in enumerate(held) if ref is None]
+            walked = range(missing[0], missing[-1] + 1) if missing else range(0)
+            rows = _held_rows(held, walked)
+            stabilisations = additions = 0
+            if missing:
+                walk = WorkSharingEvaluator(
+                    decomposition, algorithm, source, weight_fn=self.weight_fn,
+                    first=first + walked.start, last=first + walked.stop - 1,
+                ).run(layer="planner")
+                rows[walked.start:walked.stop] = [
+                    values.copy() for values in walk.snapshot_values]
+                stabilisations = walk.stabilisations
+                additions = walk.additions_processed
+            entry = CachedRange(rows)
+            for offset, key in enumerate(keys):
+                self.node_cache.put(key, (entry, offset))
+            hits = len(keys) - len(walked)
+            plan_span.annotate(node_hits=hits, node_misses=len(walked))
         return PlannedAnswer(
-            values=[values.copy() for values in walk.snapshot_values],
-            additions_processed=walk.additions_processed,
-            stabilisations=walk.stabilisations,
-            node_hits=walk.node_hits,
-            node_misses=walk.node_misses,
+            values=rows,
+            entry=entry,
+            additions_processed=additions,
+            stabilisations=stabilisations,
+            node_hits=hits,
+            node_misses=len(walked),
         )

@@ -13,9 +13,10 @@ It owns:
 * the **epoch** counter: bumped on every ingest/slide, embedded in
   every cache key, so no cache entry can outlive the decomposition
   that produced it;
-* the result cache (full answers) and node-state cache (interior-ICG
-  states shared across queries) plus the
-  :class:`~repro.service.planner.MemoizingPlanner` that uses them.
+* the result cache (full answers, each a
+  :class:`~repro.service.cache.CachedRange`) and the
+  :class:`~repro.service.planner.MemoizingPlanner`, whose node cache
+  indexes the answered snapshots inside those entries.
 
 Versions are *absolute*: snapshot numbers keep counting up as batches
 arrive, even after old snapshots slide out of the window.  A query for
@@ -52,46 +53,20 @@ from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.core.common import CommonGraphDecomposition
-from repro.core.results import compact_range, expand_range
 from repro.errors import ProtocolError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.store import SnapshotStore
 from repro.graph.weights import UnitWeights, WeightFn
 from repro.livetip import Compactor, LiveTipOverlay
 from repro.livetip.overlay import TipCapture
-from repro.service.cache import LRUCache
-from repro.service.planner import MemoizingPlanner, node_state_cache
+from repro.service.cache import CachedRange, LRUCache
+from repro.service.planner import MemoizingPlanner
 from repro.service.status import store_summary
 from repro.temporal.engine import TemporalEngine
 from repro.temporal.plan import TemporalSpec
 from repro.temporal.timeline import TemporalAnswer
 
-__all__ = ["CachedRange", "QueryAnswer", "ServiceState"]
-
-
-class CachedRange:
-    """One result-cache entry: a range answer held as base + sparse changes.
-
-    ``compact`` (:func:`~repro.core.results.compact_range`) is never
-    written after the put, so a hit hands out the entry itself.  ``wire``
-    is the slot for the encoded ``values`` of the entry's reply, filled
-    by the server on the entry's first reuse: an answer for fixed
-    versions of one epoch never changes, so neither do its bytes.  The
-    slot lives and dies with the entry (LRU eviction, epoch purge).
-    :meth:`rows` are fresh arrays, but an answer holding the entry ships
-    the stored bytes whatever its rows say: rows read from a hit must not
-    be changed in place.
-    """
-
-    __slots__ = ("compact", "wire")
-
-    def __init__(self, values: Sequence[np.ndarray]) -> None:
-        self.compact = compact_range(values)
-        self.wire: Optional[bytes] = None
-
-    def rows(self) -> List[np.ndarray]:
-        """Fresh dense rows, one per snapshot."""
-        return expand_range(self.compact)
+__all__ = ["QueryAnswer", "ServiceState"]
 
 
 @dataclass
@@ -232,10 +207,11 @@ class ServiceState:
         # Reentrant: the version properties lock internally and must
         # stay callable from code that already holds the lock.
         self._lock = threading.RLock()
-        # Entries are base + sparse Δ, never k dense vectors or aliases.
-        self.result_cache = LRUCache(result_cache_entries, copy_in=CachedRange)
-        self.node_cache = node_state_cache(node_cache_entries)
-        self.planner = MemoizingPlanner(self.node_cache, self.weight_fn)
+        # Entries are base + sparse Δ, never k dense vectors or aliases;
+        # the planner builds them and indexes their snapshots.
+        self.result_cache = LRUCache(result_cache_entries)
+        self.planner = MemoizingPlanner(node_cache_entries, self.weight_fn)
+        self.node_cache = self.planner.node_cache
         decomposition, base = self._state_from_store()
         #: Absolute version number of the window's first snapshot.
         self.base_version = base  # guarded-by: _lock
@@ -523,6 +499,8 @@ class ServiceState:
         the *same* view, so a batch shares the result cache and the
         memoizing planner's node cache with plain queries — and an
         ingest landing mid-batch can never mix epochs within one answer.
+        A miss stores the planner's entry, whose snapshots the node
+        cache already indexes.
         """
         answer = QueryAnswer(
             algorithm=view.algorithm.name, source=view.source,
@@ -543,7 +521,7 @@ class ServiceState:
         answer.node_hits = planned.node_hits
         answer.node_misses = planned.node_misses
         answer.additions_processed = planned.additions_processed
-        self.result_cache.put(answer.key(), answer.values)
+        self.result_cache.put(answer.key(), planned.entry)
         return answer
 
     def _evaluate_offline(self, view: _ReadView, first: int,
@@ -551,7 +529,7 @@ class ServiceState:
         """One validated range by the stock offline evaluator.
 
         No planner, no caches: the recovery lane — the same schedule
-        walk without a node store.  Values are identical to
+        walk, always over the whole range.  Values are identical to
         :meth:`_evaluate_cached`'s; only the reuse accounting is absent.
         """
         from repro.core.engine import WorkSharingEvaluator
@@ -585,7 +563,7 @@ class ServiceState:
         first: Optional[int] = None,
         last: Optional[int] = None,
     ) -> QueryAnswer:
-        """Answer a range query, memoizing whole results and node states.
+        """Answer a range query, memoizing whole results and snapshots.
 
         When the live-tip overlay holds pending updates and the range
         ends at the tip, the tip snapshot's values are *patched* by the

@@ -11,7 +11,7 @@ exactly that:
    each *merged* range once through the injected ``evaluate_range``
    callable (the service routes this through its result cache and the
    :class:`~repro.service.planner.MemoizingPlanner`, so repeated
-   temporal queries reuse epoch-keyed node states like any other
+   temporal queries reuse epoch-keyed snapshots like any other
    query); ranges separated by a gap stay separate — the engine never
    scans a snapshot no spec asked for;
 3. **aggregate** — slice the per-version value vectors into each

@@ -31,7 +31,6 @@ class TestDirectHop:
         result = DirectHopEvaluator(decomp, get_algorithm("BFS"), 3, weight_fn=WF).run()
         n = small_evolving.num_snapshots
         assert result.stabilisations == n
-        assert result.node_misses == n + 1 and result.node_hits == 0
         assert result.additions_processed == decomp.total_direct_hop_additions()
         # The star is one level: every hop seeded by the one sweep.
         assert result.counters.edges_relaxed >= result.additions_processed

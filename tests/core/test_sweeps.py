@@ -1,7 +1,7 @@
 """The one walk, level by level: a sweep of sibling hops on a stacked
 graph answers exactly what the naive oracle answers — for every
-schedule shape, algorithm, sub-range and node-store content — and what
-the same walk answers one edge at a time."""
+schedule shape, algorithm and sub-range — and what the same walk
+answers one edge at a time."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,32 +12,12 @@ from repro.core.common import CommonGraphDecomposition
 from repro.core.engine import WorkSharingEvaluator, planned_schedule
 from repro.core.steiner import build_schedule
 from repro.core.triangular_grid import TriangularGrid
-from repro.graph.csr import CSRGraph
 from repro.graph.weights import HashWeights
-from repro.kickstarter.engine import VertexState, static_compute
 from tests.conftest import ALL_ALGORITHMS, assert_values_equal, oracle_values
 from tests.strategies import evolving_graphs
 
 WF = HashWeights(max_weight=8, seed=7)
 STRATEGIES = ("direct-hop", "work-sharing", "greedy", "agglomerative")
-
-
-class DictStore:
-    """A node store that counts what the walk asks of it."""
-
-    def __init__(self, held):
-        self.held = dict(held)
-        self.lookups = []
-        self.puts = []
-
-    def get(self, node):
-        self.lookups.append(node)
-        state = self.held.get(node)
-        return None if state is None else state.copy()
-
-    def put(self, node, state):
-        self.puts.append(node)
-        self.held[node] = state.copy()
 
 
 def one_edge_at_a_time(edges, compute):
@@ -56,7 +36,6 @@ def test_stacked_walk_is_the_oracle(eg, strategy, name, data):
     last = data.draw(st.integers(first, n - 1), label="last")
     source = data.draw(st.integers(0, V - 1), label="source")
     tree = planned_schedule(decomp, strategy, first, last)
-    nodes = tree.nodes
 
     def evaluator():
         # The default schedule reads its sweeps from the plan; any other
@@ -67,44 +46,18 @@ def test_stacked_walk_is_the_oracle(eg, strategy, name, data):
 
     want = oracle_values(decomp, alg, source, first, last, WF)
     cold = evaluator().run()
-    assert cold.node_misses == len(nodes) and cold.node_hits == 0
     assert cold.stabilisations == len(tree.parent)
     assert cold.additions_processed == tree.cost(
         TriangularGrid(decomp).subgrid(first, last))
 
-    # A store already holding any subset of the tree's nodes — the root,
-    # a parent whose children are missing, children whose parent is not.
-    held = data.draw(st.sets(st.sampled_from(nodes)), label="held")
-    states = {
-        node: VertexState(static_compute(
-            CSRGraph.from_edge_set(decomp.interval_edges(*node), V,
-                                   weight_fn=WF), alg, source).values,
-            source=source)
-        for node in held
-    }
-    store = DictStore(states)
-    warm = evaluator().run(store=store)
-    stepwise = evaluator().run(store=DictStore(states),
-                               run_sweep=one_edge_at_a_time)
+    stepwise = evaluator().run(run_sweep=one_edge_at_a_time)
 
-    for result in (cold, warm, stepwise):
+    for result in (cold, stepwise):
         assert len(result.snapshot_values) == len(want)
         for got, expected in zip(result.snapshot_values, want):
             assert got.tobytes() == expected.tobytes()
-    computed = [node for node in nodes if node not in held]
-    for result in (warm, stepwise):
-        assert result.node_hits == len(held)
-        assert result.node_hits + result.node_misses == len(nodes)
-        assert result.stabilisations == len(
-            [node for node in computed if node != tree.root])
-    assert sorted(store.lookups) == nodes  # each node asked for once
-    assert sorted(store.puts) == computed  # each computed row put
-    for node in computed:
-        assert_values_equal(
-            store.held[node].values,
-            static_compute(CSRGraph.from_edge_set(
-                decomp.interval_edges(*node), V, weight_fn=WF),
-                alg, source).values, f"stored {node}")
+    assert stepwise.stabilisations == cold.stabilisations
+    assert stepwise.additions_processed == cold.additions_processed
 
 
 @pytest.mark.parametrize("mode", ["sync", "async", "auto"])

@@ -16,7 +16,7 @@ from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.graph.weights import HashWeights
 from repro.kickstarter.engine import static_compute
-from tests.conftest import assert_values_equal, oracle_values
+from tests.conftest import assert_values_equal
 from tests.strategies import evolving_graphs
 
 WF = HashWeights(max_weight=8, seed=7)
@@ -84,52 +84,6 @@ class TestWorkSharing:
         ).run()
         assert len(result.snapshot_values) == 1
         assert result.snapshot_values[0].tolist()[:3] == [0.0, 1.0, 2.0]
-
-
-class DictStore:
-    """The walk's node-state seam over a plain dict (no copies, no LRU)."""
-
-    def __init__(self, states):
-        self.states = dict(states)
-
-    def get(self, node):
-        return self.states.get(node)
-
-    def put(self, node, state):
-        self.states[node] = state
-
-
-def test_walk_resumes_below_a_stored_node(small_evolving, algorithm):
-    """A store pre-filled at one interior node: every snapshot still
-    equals the oracle, and only edges into missing nodes are run."""
-    decomp = CommonGraphDecomposition.from_evolving(small_evolving)
-    evaluator = WorkSharingEvaluator(decomp, algorithm, 3, weight_fn=WF)
-    schedule, grid = evaluator.schedule, evaluator.grid
-    children = schedule.children_map()
-    interior = next(
-        node for node in schedule.nodes
-        if node != schedule.root and children[node]
-    )
-    stored = static_compute(
-        CSRGraph.from_edge_set(
-            decomp.interval_edges(*interior), decomp.num_vertices, weight_fn=WF
-        ),
-        algorithm, 3,
-    )
-    store = DictStore({interior: stored})
-
-    result = evaluator.run(store=store)
-
-    last = small_evolving.num_snapshots - 1
-    want = oracle_values(small_evolving, algorithm, 3, 0, last, WF)
-    for i, (got, expected) in enumerate(zip(result.snapshot_values, want)):
-        assert_values_equal(got, expected, f"{algorithm.name}@{i}")
-    assert (result.node_hits, result.node_misses) == (1, len(schedule.nodes) - 1)
-    assert result.stabilisations == schedule.num_stabilisations() - 1
-    skipped = grid.weight(schedule.parent[interior], interior)
-    assert result.additions_processed == schedule.cost(grid) - skipped
-    # Every node the walk computed was handed to the store.
-    assert set(store.states) == set(schedule.nodes)
 
 
 @settings(max_examples=20, deadline=None)

@@ -189,6 +189,24 @@ def test_dense_rounds_fire_on_the_dl50_root(dl50, name, dense_rounds):
     assert counters.edges_relaxed > reference_counters.edges_relaxed
 
 
+@pytest.mark.parametrize("first, last", [(0, 48), (1, 49), (20, 20)])
+def test_a_range_root_converges_densely_on_the_common_csr(dl50, first, last,
+                                                         dense_rounds):
+    """A sub-range's root is the common CSR's dense convergence plus one
+    hop of the Δ edges spanning the range: the fixpoint on
+    ``ICG(first, last)``."""
+    alg = get_algorithm("SSSP")
+    evaluator = WorkSharingEvaluator(dl50, alg, 0, weight_fn=DL_WF,
+                                     first=first, last=last)
+    root = evaluator.base_state()
+    assert dense_rounds
+    assert all(graph is evaluator.base_csr for graph in dense_rounds)
+    want = reference_static_compute(
+        CSRGraph.from_edge_set(dl50.interval_edges(first, last),
+                               dl50.num_vertices, weight_fn=DL_WF), alg, 0)
+    assert np.array_equal(_bits(root.values), _bits(want.values))
+
+
 def test_dl50_answers_are_pinned(dl50):
     digest = hashlib.sha256()
     for name in ("BFS", "SSSP"):

@@ -16,7 +16,10 @@ other 85 entries, like every field outside ``values``, stayed
 byte-identical.  And once more when the default schedule became range
 halving walked in sweeps (a different tree visits different nodes): 3
 entries changed, in ``node_hits`` / ``node_misses`` only — the script
-prints the fields a regeneration moves.
+prints the fields a regeneration moves.  And once more when the node
+cache began holding answered snapshots instead of walk nodes (the two
+fields now count snapshots served from the cache and computed): 21
+entries changed, in ``node_hits`` / ``node_misses`` only.
 
 Determinism: server, replicas, router and the driving client all share
 *one* event loop, so arrival order is the order the scenario awaits

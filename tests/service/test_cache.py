@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.service import CacheStats, LRUCache
@@ -77,19 +76,6 @@ class TestLRUCache:
         cache.put("b", 2)
         assert cache.clear() == 2
         assert len(cache) == 0
-
-    def test_copy_in_protects_cache_from_caller_mutation(self):
-        cache = LRUCache(4, copy_in=np.copy, copy_out=np.copy)
-        values = np.array([1.0, 2.0])
-        cache.put("v", values)
-        values[0] = 99.0
-        assert cache.get("v")[0] == 1.0
-
-    def test_copy_out_protects_cache_from_reader_mutation(self):
-        cache = LRUCache(4, copy_in=np.copy, copy_out=np.copy)
-        cache.put("v", np.array([1.0, 2.0]))
-        cache.get("v")[0] = 99.0
-        assert cache.get("v")[0] == 1.0
 
 
 class TestConcurrency:

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.algorithms.registry import get_algorithm
+from repro.core import results
 from repro.core.common import CommonGraphDecomposition
 from repro.errors import AlgorithmError, ServiceError
+from repro.evolving.generator import generate_evolving_graph
 from repro.evolving.store import SnapshotStore
+from repro.graph.csr import CSRGraph
+from repro.graph.edgeset import EdgeSet, decode_edges
+from repro.graph.generators import rmat_edges
 from repro.service import ServiceState
+from repro.service.cache import CachedRange
 
 from tests.conftest import assert_values_equal
+from tests.helpers import reference_static_compute
 from tests.service.conftest import seeded_answer, valid_batch
 
 
@@ -255,7 +264,7 @@ class TestQueries:
         # A full-window-sized answer with 100 cells moving per snapshot
         # is held in under an eighth of its 16 x 4096 x 8 dense bytes.
         answer = seeded_answer()
-        service_state.result_cache.put("key", answer)
+        service_state.result_cache.put("key", CachedRange(answer))
         entry = service_state.result_cache.get("key")
         base, changes = entry.compact
         held = base.nbytes + sum(i.nbytes + v.nbytes for i, v in changes)
@@ -293,6 +302,100 @@ class TestQueries:
             service_state.query("BFS", 0, first=3, last=1)
         with pytest.raises(ServiceError, match="outside the window"):
             service_state.query("BFS", 0, first=0, last=99)
+
+
+@pytest.mark.service
+class TestSnapshotCache:
+    """A miss stores its answer once; the node cache points into it."""
+
+    def test_a_cold_miss_compacts_once_and_indexes_its_entry(
+        self, tmp_path, service_weights, monkeypatch
+    ):
+        evolving = generate_evolving_graph(
+            num_vertices=64, base=rmat_edges(scale=6, num_edges=240, seed=5),
+            num_snapshots=16, batch_size=8, readd_fraction=0.5, seed=11,
+            name="w16")
+        state = ServiceState(SnapshotStore.create(tmp_path / "w16", evolving),
+                             weight_fn=service_weights)
+        calls = []
+        original = results.changed_cells
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(results, "changed_cells", counted)
+        try:
+            answer = state.query("SSSP", 0)
+        finally:
+            state.close()
+        assert len(calls) == 15
+        entry = state.result_cache.get(answer.key())
+        refs = [state.node_cache.get(("SSSP", 0, 0, snapshot))
+                for snapshot in range(16)]
+        assert len(state.node_cache) == 16
+        assert all(held is entry for held, _ in refs)
+        assert [offset for _, offset in refs] == list(range(16))
+
+    def test_an_ingest_drops_every_snapshot_reference(self, service_state):
+        service_state.query("BFS", 0)
+        service_state.query("SSSP", 1, first=1, last=2)
+        assert len(service_state.node_cache) == 7
+        service_state.ingest(valid_batch(service_state.store))
+        assert len(service_state.node_cache) == 0
+        assert service_state.node_cache.stats.invalidations == 7
+        answer = service_state.query("BFS", 0, first=0, last=1)
+        assert (answer.node_hits, answer.node_misses) == (0, 2)
+
+    def test_an_evicted_entry_stays_readable_through_its_snapshots(
+        self, service_store, service_weights
+    ):
+        state = ServiceState(service_store, weight_fn=service_weights,
+                             result_cache_entries=1)
+        try:
+            state.query("BFS", 0)
+            state.query("BFS", 1)  # evicts BFS:0 from the result cache
+            assert state.result_cache.stats.evictions == 1
+            nested = state.query("BFS", 0, first=1, last=3)
+            offline = state.offline_answer("BFS", 0, first=1, last=3)
+        finally:
+            state.close()
+        assert (nested.from_cache, nested.node_hits,
+                nested.node_misses) == (False, 3, 0)
+        for got, want in zip(nested.values, offline.values):
+            assert_values_equal(got, want, "snapshot of an evicted entry")
+
+    def test_a_held_tip_range_is_patched_and_caches_no_patch(
+        self, service_state
+    ):
+        full = service_state.query("SSSP", 0)
+        unpatched = [row.copy() for row in full.values]
+        tip = service_state.latest_version
+        tip_edges = service_state.decomposition.snapshot_edges(tip)
+        present = set(zip(*(a.tolist() for a in decode_edges(tip_edges.codes))))
+        # The vertex farthest from the source that it has no edge to: an
+        # insert of (0, v) moves v, so the patch is visible.
+        v = max((x for x in range(1, 64) if (0, x) not in present),
+                key=lambda x: unpatched[-1][x])
+        assert unpatched[-1][v] > 8  # above every HashWeights(8) edge
+        service_state.update("insert", 0, v)
+
+        answer = service_state.query("SSSP", 0, first=2, last=tip)
+        assert (answer.from_cache, answer.node_hits,
+                answer.node_misses) == (False, 3, 0)
+        assert answer.livetip_seq == 1
+        live = tip_edges.union(EdgeSet.from_pairs([(0, v)]))
+        want = reference_static_compute(
+            CSRGraph.from_edge_set(live, 64, weight_fn=service_state.weight_fn),
+            get_algorithm("SSSP"), 0).values
+        assert_values_equal(answer.values[-1], want, "patched tip")
+        assert not np.array_equal(answer.values[-1], unpatched[-1])
+        for got, held in zip(answer.values[:-1], unpatched[2:-1]):
+            assert_values_equal(got, held, "history")
+        # Neither cache holds the patched column.
+        entry = service_state.result_cache.get(answer.key())
+        assert_values_equal(entry.rows()[-1], unpatched[-1], "result cache")
+        held, offset = service_state.node_cache.get(("SSSP", 0, 0, tip))
+        assert_values_equal(held.rows()[offset], unpatched[-1], "node cache")
 
 
 class TestStatus:

@@ -1,7 +1,7 @@
 """A result-cache entry ships its reply bytes: encoded once, on first reuse.
 
 An answer served unpatched from the result cache carries its
-:class:`~repro.service.state.CachedRange`; the server splices the
+:class:`~repro.service.cache.CachedRange`; the server splices the
 entry's stored ``values`` bytes into the frame, filling the slot on the
 entry's first reuse.  Every other answer — a miss, a live-tip-patched
 one, a degraded one — is encoded for its own reply.  Either way the
@@ -22,6 +22,7 @@ from repro import faults
 from repro.algorithms.registry import algorithm_names
 from repro.resilience import RetryPolicy
 from repro.service import ServiceConfig, ServiceRunner, ServiceState, protocol
+from repro.service import cache as cache_module
 from repro.service import state as state_module
 
 from tests.conftest import assert_values_equal
@@ -96,7 +97,7 @@ class TestStoredBytes:
                np.array([-0.0, 0.0, -np.inf, np.nan, np.inf, 1e308] * 11)]
         key = ("SSSP", 0, 0, service_state.latest_version,
                service_state.epoch)
-        service_state.result_cache.put(key, odd)
+        service_state.result_cache.put(key, cache_module.CachedRange(odd))
         frames = [raw.frame(algorithm="SSSP", source=0) for _ in range(2)]
         for frame in frames:
             assert frame == dict_form(frame, odd)
@@ -117,8 +118,8 @@ class TestStoredBytes:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        for module, name in ((state_module, "expand_range"),
-                             (state_module, "compact_range"),
+        for module, name in ((cache_module, "expand_range"),
+                             (cache_module, "compact_range"),
                              (protocol, "compact_range"),
                              (protocol, "encode_float_row")):
             count(module, name)
@@ -145,7 +146,7 @@ class TestQueryAnswer:
         assert answer.values is rows and answer.entry is None
         with pytest.raises(TypeError):
             state_module.QueryAnswer("BFS", 0, 0, 1, 0,
-                                     entry=state_module.CachedRange(rows))
+                                     entry=cache_module.CachedRange(rows))
 
 
 class TestAnswersThatEncodeFresh:
