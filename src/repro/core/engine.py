@@ -44,7 +44,9 @@ use and shared by every later evaluator of that decomposition,
   :class:`~repro.graph.stacked.IntervalDelta`: every edge outside the
   common graph once, with the snapshots it spans.  Every node's Δ and
   every edge's batch is a filter on it, so the plan holds no per-node
-  graph and asks the decomposition for no interval surplus;
+  graph and asks the decomposition for no interval surplus.  These two
+  are read through :func:`planned_graphs`, as the version controller
+  and the live tip's repair read them too;
 * ``("schedule", strategy, first, last)`` — the schedule tree
   (:func:`planned_schedule`);
 * ``("levels", strategy, first, last, weight_fn)`` — that tree's
@@ -90,7 +92,8 @@ from repro.kickstarter.engine import (
 )
 from repro.utils import expand_ranges
 
-__all__ = ["SweepRunner", "WorkSharingEvaluator", "planned_schedule"]
+__all__ = ["SweepRunner", "WorkSharingEvaluator", "planned_graphs",
+           "planned_schedule"]
 
 Edge = Tuple[Interval, Interval]
 
@@ -198,6 +201,25 @@ def planned_schedule(
     return _planned_tree(_subgrid(decomposition, first, last), strategy)
 
 
+def planned_graphs(
+    decomposition: CommonGraphDecomposition, weight_fn: WeightFn,
+) -> Tuple[CSRGraph, IntervalDelta]:
+    """The plan's two graphs: the common CSR and the
+    :class:`~repro.graph.stacked.IntervalDelta`, each built once per
+    decomposition and weight function and shared by every caller
+    (never mutated)."""
+    def build_delta() -> IntervalDelta:
+        surpluses = decomposition.surpluses
+        edges = EdgeSet(np.concatenate(
+            [surplus.codes for surplus in surpluses]))
+        return IntervalDelta(decomposition.delta_csr(edges, weight_fn),
+                             edges, surpluses)
+
+    common = decomposition.plan(("common", weight_fn),
+                                lambda: decomposition.common_csr(weight_fn))
+    return common, decomposition.plan(("delta", weight_fn), build_delta)
+
+
 class WorkSharingEvaluator:
     """Evaluates one query on snapshots ``first..last`` following a schedule tree.
 
@@ -244,23 +266,12 @@ class WorkSharingEvaluator:
     @cached_property
     def base_csr(self) -> CSRGraph:
         """The common graph in CSR form, shared by every row of every sweep."""
-        return self.decomposition.plan(
-            ("common", self.weight_fn),
-            lambda: self.decomposition.common_csr(self.weight_fn),
-        )
+        return planned_graphs(self.decomposition, self.weight_fn)[0]
 
     @cached_property
     def delta(self) -> IntervalDelta:
         """Every edge outside the common graph, with the snapshots it spans."""
-        def build() -> IntervalDelta:
-            surpluses = self.decomposition.surpluses
-            edges = EdgeSet(np.concatenate(
-                [surplus.codes for surplus in surpluses]))
-            return IntervalDelta(
-                self.decomposition.delta_csr(edges, self.weight_fn),
-                edges, surpluses)
-
-        return self.decomposition.plan(("delta", self.weight_fn), build)
+        return planned_graphs(self.decomposition, self.weight_fn)[1]
 
     def base_state(self, counters: Optional[EngineCounters] = None) -> VertexState:
         """Converge the query on ``ICG(first, last)``, the schedule's root.

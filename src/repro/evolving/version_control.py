@@ -59,9 +59,9 @@ class VersionController:
     def common_csr(self) -> CSRGraph:
         """The shared common-graph CSR: the plan's, so the evaluators and
         every overlay read one copy (never mutated)."""
-        decomp = self._decomposition
-        return decomp.plan(("common", self.weight_fn),
-                           lambda: decomp.common_csr(self.weight_fn))
+        from repro.core.engine import planned_graphs
+
+        return planned_graphs(self._decomposition, self.weight_fn)[0]
 
     # -- Table 1 primitives -----------------------------------------------------
     def get_version(self, number: int) -> OverlayGraph:

@@ -39,6 +39,11 @@ class OverlayGraph:
 
     Implements the same ``gather`` protocol as :class:`CSRGraph`, so the
     push engines are agnostic to which representation they traverse.
+    The engine protocol (``gather``, ``neighbors``) asks only that of
+    the base: the live tip's repair passes the tip's one-row
+    :class:`~repro.graph.stacked.StackedGraph` there, which the
+    materialising helpers (``edge_set``, ``degrees``, ``flatten``) do
+    not serve.
     """
 
     __slots__ = ("base", "deltas")

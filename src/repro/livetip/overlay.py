@@ -6,19 +6,20 @@ store append plus an incremental extension).  :class:`LiveTipOverlay`
 absorbs single-edge updates without touching the grid, and a read at
 the tip patches the grid's answer by them:
 
-* the live edge set is the anchored tip plus the update log: an update
-  decides membership against the anchor and the edges the log touched,
-  and allocates O(1) — the live set is materialised only by
-  :meth:`~LiveTipOverlay.seal`, :meth:`~LiveTipOverlay.rebase_onto`
-  and a from-scratch capture;
-* it owns a :class:`~repro.graph.mutable.MutableGraph` replica of the
-  live graph (row-local mutation): an update validates, mutates the
-  replica and logs — it repairs no query state;
+* the overlay anchors on the decomposition whose tip it overlays, and
+  the live edge set is that tip plus the update log: an update decides
+  membership against the anchor and the edges the log touched, and
+  allocates O(1) — it validates and logs, builds no graph and repairs
+  no query state; the live set is materialised only by
+  :meth:`~LiveTipOverlay.live_edges` and a from-scratch capture;
 * a patched read starts from the TG's own converged tip column (the
-  paper's idea 1 applied to the tip): every net deletion of the log
-  must pass RisGraph's safe test (it supports no value), then only the
-  net additions are pushed on the replica.  An unsafe deletion falls
-  back to one from-scratch compute on the materialised live set.
+  paper's idea 1 applied to the tip) and pushes the log's net additions
+  on the TG's own graph for the tip — the plan's common CSR and
+  :class:`~repro.graph.stacked.IntervalDelta` as a one-row
+  :class:`~repro.graph.stacked.StackedGraph`, beside a CSR of only the
+  additions — then every net deletion must pass RisGraph's safe test
+  (it supports no repaired value).  An unsafe deletion falls back to
+  one from-scratch compute on the materialised live set.
 
 The overlay is an *overlay*: the Triangular Grid below it never sees
 individual updates.  The update log is periodically folded into one
@@ -30,14 +31,16 @@ batch recomputation throughout: the repair is exact for the monotonic
 algorithm classes the engine serves, and the equivalence is
 hypothesis-tested across interleavings in ``tests/livetip/``.
 
-Thread model: one reentrant lock guards every mutable field.  Updates
-and the repair of a TG tip column (bounded by the log's ≤ depth net
-additions) run under it; the from-scratch fallback runs lock-free on
-an immutable capture.  Callers that must compose the overlay with
-other state (the service's decomposition capture) hold their own lock
-*first* and this one second; the overlay never calls back out while
-holding its lock, so the acquisition order is acyclic.  Determinism:
-the module is in the lint determinism scope — no wall clock here.
+Thread model: one reentrant lock guards every mutable field; updates,
+captures and the compaction protocol run under it.  A capture holds
+only immutable inputs — the anchor decomposition, its tip edge set and
+the log's net batch — so its resolve, repair and fallback alike, runs
+outside any lock, and no later update or rebase can change what it
+answers.  Callers that must compose the overlay with other state (the
+service's decomposition capture) hold their own lock *first* and this
+one second; the overlay never calls back out while holding its lock,
+so the acquisition order is acyclic.  Determinism: the module is in
+the lint determinism scope — no wall clock here.
 """
 
 from __future__ import annotations
@@ -50,11 +53,14 @@ import numpy as np
 
 from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
+from repro.core.common import CommonGraphDecomposition
+from repro.core.engine import planned_graphs
 from repro.errors import ProtocolError
 from repro.evolving.delta import DeltaBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet, encode_edges
-from repro.graph.mutable import MutableGraph
+from repro.graph.overlay import OverlayGraph
+from repro.graph.stacked import StackedGraph
 from repro.graph.weights import UnitWeights, WeightFn
 from repro.kickstarter.engine import (
     VertexState,
@@ -83,6 +89,10 @@ def _live(base: EdgeSet, net: DeltaBatch) -> EdgeSet:
     return base.union(net.additions).difference(net.deletions)
 
 
+def _tip_edges(decomposition: CommonGraphDecomposition) -> EdgeSet:
+    return decomposition.snapshot_edges(decomposition.num_snapshots - 1)
+
+
 def _supports_a_value(
     alg: MonotonicAlgorithm,
     values: np.ndarray,
@@ -105,11 +115,11 @@ def _supports_a_value(
 class TipCapture:
     """A consistent snapshot of the live tip for one ``(algorithm, source)``.
 
-    Captured under the overlay lock: it holds the immutable anchor edge
-    set and the log's small net batch.  Resolving repairs the TG's
-    converged tip column by the net batch under the overlay lock when
-    every net deletion is safe; otherwise it computes from scratch on
-    the materialised live set *outside* any lock.
+    Captured under the overlay lock, it holds the anchor decomposition,
+    its tip edge set and the log's small net batch — all immutable — so
+    resolving takes no lock: it repairs the TG's converged tip column
+    by the net batch when that is exact, else computes from scratch on
+    the materialised live set.
     """
 
     def __init__(
@@ -120,18 +130,20 @@ class TipCapture:
         depth: int,
         alg: MonotonicAlgorithm,
         source: int,
+        anchor: CommonGraphDecomposition,
         base: EdgeSet,
         net: DeltaBatch,
-        overlay: "LiveTipOverlay",
+        weight_fn: WeightFn,
     ) -> None:
         self.seq = seq
         self.tip_version = tip_version
         self.depth = depth
         self._alg = alg
         self._source = source
+        self._anchor = anchor
         self._base = base
         self._net = net
-        self._overlay = overlay
+        self._weight_fn = weight_fn
         self._values: Optional[np.ndarray] = None
 
     def resolve(self, tip_values: Optional[np.ndarray] = None) -> np.ndarray:
@@ -146,23 +158,50 @@ class TipCapture:
         return self._values.copy()
 
     def _compute(self, tip_values: Optional[np.ndarray]) -> np.ndarray:
-        overlay, net = self._overlay, self._net
-        repaired = None
-        if tip_values is not None:
-            repaired = overlay._repair_tip(
-                self._alg, self._source, tip_values, net,
-                self.seq, self.tip_version,
-            )
+        net = self._net
+        repaired = None if tip_values is None else self._repair(tip_values)
         obs.annotate(livetip_repair="fallback" if repaired is None else "tg",
                      livetip_additions=len(net.additions),
                      livetip_deletions=len(net.deletions))
         if repaired is not None:
             return repaired
         graph = CSRGraph.from_edge_set(
-            _live(self._base, net), overlay.num_vertices,
-            weight_fn=overlay.weight_fn,
+            _live(self._base, net), self._anchor.num_vertices,
+            weight_fn=self._weight_fn,
         )
         return static_compute(graph, self._alg, self._source).values
+
+    def _repair(self, tip_values: np.ndarray) -> Optional[np.ndarray]:
+        """The anchored tip's converged ``tip_values`` repaired to the
+        live tip, or ``None`` when that is not exact.
+
+        The paper's idea 1 on the tip: pushing the net additions from
+        the tip's fixpoint, on the tip graph with them, converges to
+        the fixpoint of the tip plus the additions (additions only, as
+        in every hop of the walk).  When then no net deletion supports
+        a value (:func:`_supports_a_value`), that is also the fixpoint
+        without them: the live graph's.
+        """
+        alg, anchor, weight_fn = self._alg, self._anchor, self._weight_fn
+        state = VertexState(values=tip_values.copy(), source=self._source)
+        sources, targets = self._net.additions.arrays()
+        if sources.size:
+            weights = weight_fn(sources, targets)
+            common, delta = planned_graphs(anchor, weight_fn)
+            tip = anchor.num_snapshots - 1
+            graph = OverlayGraph(
+                StackedGraph(common, delta, [(tip, tip)]),
+                (CSRGraph.from_edges(sources, targets, anchor.num_vertices,
+                                     weights=weights),),
+            )
+            incremental_additions(graph, alg, state, sources, targets,
+                                  weights, mode="auto")
+        if self._net.deletions:
+            sources, targets = self._net.deletions.arrays()
+            if _supports_a_value(alg, state.values, sources, targets,
+                                 weight_fn(sources, targets)):
+                return None
+        return state.values
 
 
 class LiveTipOverlay:
@@ -170,13 +209,12 @@ class LiveTipOverlay:
 
     def __init__(
         self,
-        tip_edges: EdgeSet,
-        num_vertices: int,
+        decomposition: CommonGraphDecomposition,
         tip_version: int,
         *,
         weight_fn: Optional[WeightFn] = None,
     ) -> None:
-        self.num_vertices = num_vertices
+        self.num_vertices = decomposition.num_vertices
         self.weight_fn: WeightFn = (
             weight_fn if weight_fn is not None else UnitWeights()
         )
@@ -185,18 +223,17 @@ class LiveTipOverlay:
         self._lock = threading.RLock()
         #: Absolute version of the TG tip this overlay is anchored on.
         self.tip_version = tip_version  # guarded-by: _lock
+        #: The decomposition whose tip this overlay is anchored on (the
+        #: graph a capture repairs on).
+        self._anchor = decomposition  # guarded-by: _lock
         #: The anchored tip's edges (what compaction diffs against).
-        self._base_edges = tip_edges  # guarded-by: _lock
+        self._base_edges = _tip_edges(decomposition)  # guarded-by: _lock
         #: Live membership of every edge the log touched; the live edge
         #: set is the anchor with these overriding it.
         self._touched: Dict[Tuple[int, int], bool] = {}  # guarded-by: _lock
         #: The log's net batch against the anchor (memo, reset by every
         #: change to the anchor or the touched edges).
         self._net: Optional[DeltaBatch] = None  # guarded-by: _lock
-        #: Row-local mutable replica of the live graph, which the
-        #: net-addition push runs on (lazy: built on the first update,
-        #: dropped whenever the live edges change under a rebase).
-        self._graph: Optional[MutableGraph] = None  # guarded-by: _lock
         #: Pending updates, oldest first (the compaction log).
         self._log: List[TipUpdate] = []  # guarded-by: _lock
         #: Total updates ever absorbed (monotonic across compactions).
@@ -239,17 +276,6 @@ class LiveTipOverlay:
         return self._net
 
     # -- updates --------------------------------------------------------------
-    def _graph_locked(self) -> MutableGraph:  # holds-lock: _lock
-        if self._graph is None:
-            net = self._net_locked()
-            graph = MutableGraph.from_edge_set(
-                self._base_edges, self.num_vertices, weight_fn=self.weight_fn,
-            )
-            graph.add_batch(net.additions)
-            graph.delete_batch(net.deletions)
-            self._graph = graph
-        return self._graph
-
     def apply_update(self, kind: str, u: int, v: int) -> Dict[str, Any]:
         """Absorb one single-edge update; returns the update receipt.
 
@@ -268,7 +294,6 @@ class LiveTipOverlay:
                 f"edge ({u}, {v}) endpoint out of range "
                 f"[0, {self.num_vertices})"
             )
-        edge = EdgeSet.from_pairs([(u, v)])
         with self._lock:
             present = self._touched.get((u, v))
             if present is None:
@@ -277,11 +302,6 @@ class LiveTipOverlay:
                 raise ProtocolError(f"edge ({u}, {v}) already present at tip")
             if kind == "delete" and not present:
                 raise ProtocolError(f"edge ({u}, {v}) not present at tip")
-            graph = self._graph_locked()
-            if kind == "insert":
-                graph.add_batch(edge)
-            else:
-                graph.delete_batch(edge)
             self._touched[(u, v)] = kind == "insert"
             self._net = None
             self.seq += 1
@@ -322,45 +342,9 @@ class LiveTipOverlay:
             return TipCapture(
                 seq=self.seq, tip_version=self.tip_version,
                 depth=len(self._log), alg=alg, source=source,
-                base=self._base_edges, net=self._net_locked(), overlay=self,
+                anchor=self._anchor, base=self._base_edges,
+                net=self._net_locked(), weight_fn=self.weight_fn,
             )
-
-    def _repair_tip(
-        self,
-        alg: MonotonicAlgorithm,
-        source: int,
-        tip_values: np.ndarray,
-        net: DeltaBatch,
-        seq: int,
-        tip_version: int,
-    ) -> Optional[np.ndarray]:
-        """The anchored tip's converged ``tip_values`` repaired to the
-        live tip, or ``None`` when that is not exact.
-
-        The paper's idea 1 on the tip: with every net deletion safe
-        (:func:`_supports_a_value`), the anchor's fixpoint is the
-        fixpoint without them, and pushing the net additions on the
-        live graph converges exactly.  ``None`` when a deletion is
-        unsafe or the overlay moved since the capture (the live
-        replica no longer matches ``net``).
-        """
-        if net.deletions:
-            sources, targets = net.deletions.arrays()
-            if _supports_a_value(alg, tip_values, sources, targets,
-                                 self.weight_fn(sources, targets)):
-                return None
-        state = VertexState(values=tip_values.copy(), source=source)
-        sources, targets = net.additions.arrays()
-        weights = self.weight_fn(sources, targets)
-        with self._lock:
-            if (seq, tip_version) != (self.seq, self.tip_version):
-                return None
-            if sources.size:
-                incremental_additions(
-                    self._graph_locked(), alg, state, sources, targets,
-                    weights, mode="auto",
-                )
-        return state.values
 
     # -- compaction protocol ---------------------------------------------------
     def seal(self) -> Tuple[DeltaBatch, int, int]:
@@ -388,20 +372,19 @@ class LiveTipOverlay:
         obs.gauge_set("repro_livetip_depth", 0.0)
         return True
 
-    def rebase_onto(self, tip_edges: EdgeSet, tip_version: int) -> int:
-        """Re-anchor on a new TG tip; returns pending updates kept.
+    def rebase_onto(self, decomposition: CommonGraphDecomposition,
+                    tip_version: int) -> int:
+        """Re-anchor on ``decomposition``'s tip; returns pending updates kept.
 
         After our own compaction the new tip contains every pending
         effect and the log empties.  After a *foreign* batch (another
         store handle appended) pending updates are replayed: one whose
         effect the new tip already has is dropped as satisfied, the
         rest stay pending — acknowledged updates are never silently
-        lost.  The graph replica survives only when the live edge set
-        is unchanged by the rebase (the compaction case); otherwise it
-        is dropped and rebuilt by the next update.
+        lost.
         """
+        tip_edges = _tip_edges(decomposition)
         with self._lock:
-            old_live = _live(self._base_edges, self._net_locked())
             touched: Dict[Tuple[int, int], bool] = {}
             kept: List[TipUpdate] = []
             for update in self._log:
@@ -413,6 +396,7 @@ class LiveTipOverlay:
                 if (update.kind == "insert") != present:
                     touched[update.edge] = not present
                     kept.append(update)
+            self._anchor = decomposition
             self._base_edges = tip_edges
             self._touched = touched
             self._net = None
@@ -424,8 +408,6 @@ class LiveTipOverlay:
                 # live graph — nothing stays pending.
                 kept = []
                 touched.clear()
-            if _live(tip_edges, net) != old_live:
-                self._graph = None
             self._log = kept
             self.tip_version = tip_version
             depth = len(kept)

@@ -360,9 +360,8 @@ class ServiceState:
                 # append it replays pending updates (dropping ones the
                 # new tip already satisfies) so acknowledged updates
                 # are never lost.
-                tip = decomp.snapshot_edges(decomp.num_snapshots - 1)
                 self._livetip.rebase_onto(
-                    tip, base + decomp.num_snapshots - 1
+                    decomp, base + decomp.num_snapshots - 1
                 )
             now = self._time_fn()
             for version in range(base, base + decomp.num_snapshots):
@@ -388,10 +387,8 @@ class ServiceState:
             )
         if self._livetip is None or self._compactor is None:
             decomp = self.decomposition
-            tip = decomp.snapshot_edges(decomp.num_snapshots - 1)
             self._livetip = LiveTipOverlay(
-                tip, decomp.num_vertices,
-                self.base_version + decomp.num_snapshots - 1,
+                decomp, self.base_version + decomp.num_snapshots - 1,
                 weight_fn=self.weight_fn,
             )
             self._compactor = Compactor(

@@ -11,6 +11,7 @@ from typing import List
 
 import pytest
 
+from repro.core.common import CommonGraphDecomposition
 from repro.errors import DeltaError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.graph.edgeset import EdgeSet
@@ -25,7 +26,8 @@ N = 5
 
 
 def make_pair(max_updates=64, append=None):
-    overlay = LiveTipOverlay(TIP, N, tip_version=0, weight_fn=WF)
+    overlay = LiveTipOverlay(CommonGraphDecomposition.from_snapshots(N, [TIP]),
+                             tip_version=0, weight_fn=WF)
     appended: List[DeltaBatch] = []
     compactor = Compactor(
         overlay, append if append is not None else appended.append,

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.registry import get_algorithm
+from repro.core.common import CommonGraphDecomposition
 from repro.errors import ProtocolError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
@@ -39,9 +40,14 @@ TIP = EdgeSet.from_pairs(
 N = 7
 
 
+def anchor(edges: EdgeSet, n: int = N) -> CommonGraphDecomposition:
+    """A one-snapshot decomposition whose tip is ``edges``."""
+    return CommonGraphDecomposition.from_snapshots(n, [edges])
+
+
 def make_overlay(**kwargs):
     kwargs.setdefault("weight_fn", WF)
-    return LiveTipOverlay(TIP, N, tip_version=4, **kwargs)
+    return LiveTipOverlay(anchor(TIP), tip_version=4, **kwargs)
 
 
 def oracle(edges: EdgeSet, algorithm: str, source: int = 0) -> np.ndarray:
@@ -223,7 +229,7 @@ class TestCompactionProtocol:
         # A foreign tip that already has (6, 2): its first insert is
         # satisfied, the other seven updates replay and stay logged.
         foreign = TIP | EdgeSet.from_pairs([(6, 2), (2, 5)])
-        assert overlay.rebase_onto(foreign, tip_version=5) == 7
+        assert overlay.rebase_onto(anchor(foreign), tip_version=5) == 7
         batch, depth, _ = overlay.seal()
         live = overlay.live_edges()
         assert depth == 7
@@ -246,7 +252,7 @@ class TestCompactionProtocol:
         overlay = make_overlay()
         overlay.apply_update("insert", 5, 0)
         live = overlay.live_edges()
-        assert overlay.rebase_onto(live, tip_version=5) == 0
+        assert overlay.rebase_onto(anchor(live), tip_version=5) == 0
         assert overlay.tip_version == 5
         assert overlay.depth == 0
         assert overlay.live_edges() == live
@@ -260,7 +266,7 @@ class TestCompactionProtocol:
         # A foreign batch lands that already contains the insert but
         # not the delete: the insert is satisfied, the delete stays.
         foreign_tip = TIP.union(EdgeSet.from_pairs([(5, 0), (6, 3)]))
-        kept = overlay.rebase_onto(foreign_tip, tip_version=5)
+        kept = overlay.rebase_onto(anchor(foreign_tip), tip_version=5)
         assert kept == 1
         assert overlay.depth == 1
         expected = foreign_tip.difference(EdgeSet.from_pairs([(0, 6)]))
@@ -273,7 +279,7 @@ class TestCompactionProtocol:
         overlay = make_overlay()
         overlay.apply_update("delete", 0, 6)
         overlay.apply_update("insert", 0, 6)
-        kept = overlay.rebase_onto(TIP, tip_version=5)
+        kept = overlay.rebase_onto(anchor(TIP), tip_version=5)
         assert kept == 0
         assert overlay.live_edges() == TIP
 
@@ -312,7 +318,8 @@ class TestTipColumnRepair:
         return self.count_calls(monkeypatch, "incremental_additions")
 
     def run(self, updates, name="BFS"):
-        overlay = LiveTipOverlay(self.ANCHOR, N, tip_version=4, weight_fn=WF)
+        overlay = LiveTipOverlay(anchor(self.ANCHOR), tip_version=4,
+                                 weight_fn=WF)
         for kind, u, v in updates:
             overlay.apply_update(kind, u, v)
         return overlay, overlay.capture(get_algorithm(name), 0)
@@ -362,24 +369,55 @@ class TestTipColumnRepair:
             overlay.apply_update("insert", u, v)
         assert pushes == []
 
-    def test_update_between_capture_and_resolve_falls_back(self, counted):
+    # A capture's repair reads only what it captured, so an update or a
+    # rebase landing between the capture and its resolve cannot make the
+    # repair inexact.
+    def test_late_update_answers_the_capture_instant(self):
         overlay, capture = self.run([("delete", 5, 1)])
         at_capture = overlay.live_edges()
         overlay.apply_update("insert", 5, 0)  # seq moves past the capture
         values = capture.resolve(oracle(self.ANCHOR, "BFS"))
-        assert len(counted) == 1
         assert_values_equal(values, oracle(at_capture, "BFS"),
                             "capture instant")
 
-    def test_rebase_between_capture_and_resolve_falls_back(self, counted):
+    def test_late_rebase_answers_the_capture_instant(self):
         overlay, capture = self.run([("insert", 5, 0)])
         at_capture = overlay.live_edges()
-        overlay.rebase_onto(self.ANCHOR | EdgeSet.from_pairs([(2, 6)]),
+        overlay.rebase_onto(anchor(self.ANCHOR | EdgeSet.from_pairs([(2, 6)])),
                             tip_version=5)
         values = capture.resolve(oracle(self.ANCHOR, "BFS"))
-        assert len(counted) == 1
         assert_values_equal(values, oracle(at_capture, "BFS"),
                             "capture instant")
+
+    # The safe test runs on the values *after* the additions' push: on
+    # the anchor, BFS reaches 5 only over (4, 5) (distance 3), and
+    # (3, 4) supports nothing (4 is at 2 via (6, 4)).
+    def test_deletion_unsupporting_after_the_push_is_repaired(self, counted):
+        # (0, 5) lifts 5 to distance 1, so (4, 5) no longer supports it.
+        overlay, capture = self.run([("delete", 4, 5), ("insert", 0, 5)])
+        values = capture.resolve(oracle(self.ANCHOR, "BFS"))
+        assert counted == []
+        assert_values_equal(values, oracle(overlay.live_edges(), "BFS"),
+                            "repaired after the push")
+
+    def test_deletion_supporting_after_the_push_falls_back(self, counted):
+        # (0, 3) lifts 3 to distance 1, so (3, 4) now ties 4's value.
+        overlay, capture = self.run([("delete", 3, 4), ("insert", 0, 3)])
+        values = capture.resolve(oracle(self.ANCHOR, "BFS"))
+        assert len(counted) == 1
+        assert_values_equal(values, oracle(overlay.live_edges(), "BFS"),
+                            "fallback after the push")
+
+    @pytest.mark.parametrize("updates", [
+        [("delete", 4, 5), ("insert", 0, 5)],
+        [("delete", 3, 4), ("insert", 0, 3)],
+    ], ids=["supported-at-anchor", "supported-after-push"])
+    @pytest.mark.parametrize("name", ALL_ALGORITHMS)
+    def test_push_then_safe_test_equals_scratch(self, name, updates):
+        overlay, capture = self.run(updates, name)
+        values = capture.resolve(oracle(self.ANCHOR, name))
+        assert_values_equal(values, oracle(overlay.live_edges(), name),
+                            f"{name} push, then safe test")
 
 
 def check_interleaving(name, arm, spec, data):
@@ -394,7 +432,7 @@ def check_interleaving(name, arm, spec, data):
     """
     n, pairs = spec
     tip = EdgeSet.from_pairs(pairs)
-    overlay = LiveTipOverlay(tip, n, tip_version=0, weight_fn=WF)
+    overlay = LiveTipOverlay(anchor(tip, n), tip_version=0, weight_fn=WF)
     alg = get_algorithm(name)
     live = set(pairs)
     possible = [(u, v) for u in range(n) for v in range(n) if u != v]

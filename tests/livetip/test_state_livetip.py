@@ -16,6 +16,7 @@ from repro.algorithms.registry import get_algorithm
 from repro.errors import ProtocolError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.snapshots import EvolvingGraph
+from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.service import ServiceState
 from repro.temporal.plan import parse_specs
@@ -301,6 +302,36 @@ class TestCompactionThroughTheState:
         tip = livetip_state.store.load().snapshot_edges(-1)
         for edge in ((u, v), (x, y), (a, b)):
             assert edge in tip
+
+    def test_updates_build_no_graph_across_an_ingest_and_a_fold(
+            self, livetip_store, livetip_weights, monkeypatch):
+        # An update only validates and logs: neither the first update
+        # after a client ingest nor one that triggers a fold (nor the
+        # first after it) builds a CSR.
+        state = ServiceState(livetip_store, weight_fn=livetip_weights,
+                             livetip_max_updates=3)
+        try:
+            state.update("insert", *absent_pairs(state, 1)[0])
+            state.ingest(DeltaBatch(
+                additions=EdgeSet.from_pairs(absent_pairs(state, 1)),
+                deletions=EdgeSet.empty(),
+            ))
+            builds = []
+            for name in ("from_edge_set", "from_edges"):
+                def counting(cls, *args, _name=name,
+                             _build=getattr(CSRGraph, name).__func__,
+                             **kwargs):
+                    builds.append(_name)
+                    return _build(cls, *args, **kwargs)
+
+                monkeypatch.setattr(CSRGraph, name, classmethod(counting))
+            receipts = [state.update("insert", u, v)
+                        for u, v in absent_pairs(state, 4)]
+            assert [r["compacted"] for r in receipts] == [
+                False, False, True, False]
+            assert builds == []
+        finally:
+            state.close()
 
     def test_receipt_versions_stay_consecutive(self, livetip_store,
                                                livetip_weights):
