@@ -13,10 +13,14 @@ from repro.kickstarter.engine import EngineCounters
 from repro.utils import PhaseTimer
 
 __all__ = ["CompactRange", "EvolvingQueryResult", "changed_cells", "compact_range",
-           "decode_float_row", "encode_float_row", "expand_range"]
+           "decode_float_row", "encode_float_row", "expand_range", "narrowed"]
 
 #: Base row + per later snapshot ``(indices, values)`` of the changed cells.
 CompactRange = Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]
+
+#: Dtypes :func:`narrowed` tries for a base row, narrowest first: BFS
+#: levels and integer-weight distances fit float16.
+_NARROW_DTYPES = (np.float16, np.float32)
 
 
 def changed_cells(previous: np.ndarray, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -35,9 +39,25 @@ def compact_range(values: Sequence[np.ndarray]) -> CompactRange:
                             for previous, row in zip(rows, rows[1:])]
 
 
+def narrowed(compact: CompactRange) -> CompactRange:
+    """``compact`` with its base row in the narrowest float dtype that
+    widens back to every cell's bit pattern.  The casts cost ~15 copies
+    of the row (float16 is converted in software), so this pays only for
+    a form built rarely and held long."""
+    base, changes = compact
+    bits = base.view(np.int64)
+    with np.errstate(all="ignore"):
+        for dtype in _NARROW_DTYPES:
+            narrow = base.astype(dtype)
+            if np.array_equal(narrow.astype(np.float64).view(np.int64), bits):
+                return narrow, changes
+    return compact
+
+
 def expand_range(compact: CompactRange) -> List[np.ndarray]:
-    """Inverse of :func:`compact_range`: fresh, independent float64 rows."""
-    rows = [compact[0].copy()]
+    """Inverse of :func:`compact_range` (and of :func:`narrowed`): fresh,
+    independent float64 rows."""
+    rows = [compact[0].astype(np.float64)]
     for indices, cells in compact[1]:
         rows.append(rows[-1].copy())
         rows[-1][indices] = cells

@@ -97,15 +97,12 @@ class FleetError(ServiceError):
 
 
 class ResyncStalledError(FleetError):
-    """A resync could not catch the fleet tip within its budget.
+    """A resync could not replay the missing history within its deadline.
 
-    Continuous ingest advances the fleet tip while a lagging replica
-    replays history, so an unbounded catch-up loop could chase that tip
-    forever.  The supervisor bounds the chase with a round cap and a
-    deadline and raises this error when either is spent.  ``progress``
-    is the partial-progress report — the replica, the rounds completed,
-    the tip it reached, and the batches replayed — so the caller can
-    surface how far the resync got and resume it later.
+    ``progress`` is the partial-progress report — the replica, the donor,
+    the tip it reached, and the batches replayed and still missing — so
+    the caller can surface how far the resync got and resume it later
+    (replayed batches are durable).
     """
 
     def __init__(self, message: str, *,

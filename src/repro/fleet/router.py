@@ -56,7 +56,7 @@ import asyncio
 import random
 from collections import Counter as TallyCounter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.errors import (
@@ -330,14 +330,19 @@ class FleetRouter(LineServer):
         """Rolling-restart step 1: route nothing new to this replica."""
         self._leave_rotation(name, "draining", "draining")
 
-    async def restore(self, name: str,
-                      version: Optional[int] = None) -> None:
+    async def restore(self, name: str, version: Optional[int] = None,
+                      catch_up: Optional[Callable[[], int]] = None
+                      ) -> Optional[int]:
         """Bring a replica back into rotation (after probe or resync).
 
         Holds the ingest lock: the tip comparison is only meaningful
         once no fan-out is in flight — otherwise a replica could rejoin
         while a batch it never saw is mid-air, and the *next* batch
-        would quarantine it straight back out.
+        would quarantine it straight back out.  ``catch_up`` (blocking;
+        run on an executor thread) replays what the replica still
+        misses and returns its new tip; it runs inside the same lock
+        hold, after the fold below, so no write can move the fleet tip
+        between the catch-up and the check.  Returns the replica's tip.
         """
         replica = self._replica(name)
         assert self._ingest_lock is not None
@@ -347,8 +352,8 @@ class FleetRouter(LineServer):
                 # replicas' overlays — no durable store a resync could
                 # have copied them from.  Fold them fleet-wide first, so
                 # the returning replica only has to match the durable
-                # tip.  The flush advances the fleet tip; the caller's
-                # resync/restore loop chases it.
+                # tip.  The fold advances the fleet tip by one batch,
+                # which ``catch_up`` then replays.
                 deadline = Deadline.after(self.config.connect_timeout * 2)
                 await self._fan_out(
                     "update",
@@ -357,6 +362,9 @@ class FleetRouter(LineServer):
                     ),
                     deadline,
                 )
+            if catch_up is not None:
+                version = await asyncio.get_running_loop().run_in_executor(
+                    None, catch_up)
             if version is not None:
                 replica.version = version
             if (self.fleet_version is not None
@@ -373,6 +381,7 @@ class FleetRouter(LineServer):
                 self.ring.add(name)
                 self.counters["rebalances"] += 1
                 obs.counter_inc("repro_fleet_rebalance_total")
+            return replica.version
 
     async def set_address(self, name: str, host: str, port: int) -> None:
         self._replica(name).set_address(host, port)
@@ -785,8 +794,11 @@ class FleetRunner(LoopThreadRunner):
     def mark_draining(self, name: str) -> None:
         self.call(lambda: self.router.mark_draining(name))
 
-    def restore(self, name: str, version: Optional[int] = None) -> None:
-        self.call(lambda: self.router.restore(name, version=version))
+    def restore(self, name: str, version: Optional[int] = None,
+                catch_up: Optional[Callable[[], int]] = None
+                ) -> Optional[int]:
+        return self.call(lambda: self.router.restore(
+            name, version=version, catch_up=catch_up))
 
     def set_address(self, name: str, host: str, port: int) -> None:
         self.call(lambda: self.router.set_address(name, host, port))

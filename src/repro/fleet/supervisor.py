@@ -86,21 +86,17 @@ class FleetSupervisor:
         service_config: Optional[Callable[[str], ServiceConfig]] = None,
         router_config: Optional[RouterConfig] = None,
         host: str = "127.0.0.1",
-        resync_max_rounds: int = 16,
         resync_deadline_s: Optional[float] = 30.0,
     ) -> None:
         if replicas < 1:
             raise FleetError("a fleet needs at least one replica")
-        if resync_max_rounds < 1:
-            raise FleetError("resync_max_rounds must be >= 1")
         self.base_store = Path(base_store)
         self.root = Path(root)
         self.host = host
         self.weight_fn = weight_fn
         self.window = window
-        #: Tip-chase budget: a resync may replay batches for at most
-        #: this many rounds / seconds before :class:`ResyncStalledError`.
-        self.resync_max_rounds = resync_max_rounds
+        #: Resync budget: a resync may replay batches for at most this
+        #: many seconds before :class:`ResyncStalledError`.
         self.resync_deadline_s = resync_deadline_s
         #: Per-replica config factory (replicas may want distinct admission
         #: bounds in tests); defaults to a fresh default config each.
@@ -279,54 +275,31 @@ class FleetSupervisor:
         return self.tip(name)
 
     def _resync_and_restore(self, name: str, *,
-                            max_rounds: Optional[int] = None,
                             deadline: Optional[Deadline] = None) -> int:
-        """Resync until the replica holds the fleet tip, then restore.
+        """Resync the replica to the fleet tip, then restore it.
 
-        Under live ingest load the fleet tip can advance between our
-        resync and the restore call; the router then (correctly)
-        refuses the restore, and we catch up again.  Each round is much
-        faster than one fan-out, so the chase normally converges in a
-        round or two — but ingest *can* outrun it indefinitely, so the
-        chase is bounded by ``max_rounds`` and ``deadline`` (supervisor
-        defaults) and surfaces :class:`ResyncStalledError` with the
-        partial progress when either budget is spent.
+        The bulk of the replay runs first, while writes keep flowing.
+        The router's :meth:`~repro.fleet.router.FleetRouter.restore`
+        then replays what landed meanwhile — including the batch its own
+        fold of pending live-tip updates makes — inside the ingest-lock
+        hold that checks the tip, so no write can outrun the catch-up
+        and one round always converges.  The whole resync runs under
+        ``deadline`` (supervisor default); when it expires mid-replay,
+        :class:`ResyncStalledError` carries the partial progress.
         """
-        rounds = max_rounds if max_rounds is not None else self.resync_max_rounds
         if deadline is None:
             deadline = (Deadline.after(self.resync_deadline_s)
                         if self.resync_deadline_s is not None
                         else Deadline.never())
-        last_refusal: Optional[FleetError] = None
-        tip: Optional[int] = None
-        completed = 0
-        for _ in range(rounds):
-            if deadline.expired():
-                break
-            tip = self.resync(name, deadline=deadline)
-            completed += 1
-            if self.router_runner is None:
-                return tip
-            try:
-                self.router_runner.restore(name, version=tip)
-                return tip
-            except FleetError as exc:
-                last_refusal = exc
-                continue
-        raise ResyncStalledError(
-            f"replica {name!r} could not catch the fleet tip within "
-            f"{completed} resync rounds (cap {rounds}, "
-            f"{deadline!r}): {last_refusal}",
-            progress={
-                "replica": name,
-                "rounds_completed": completed,
-                "rounds_cap": rounds,
-                "tip": tip,
-                "deadline_expired": deadline.expired(),
-                "last_refusal": (None if last_refusal is None
-                                 else str(last_refusal)),
-            },
-        )
+        donor = self._donor(name)
+        tip = self.resync(name, donor, deadline=deadline)
+        if self.router_runner is None:
+            return tip
+        restored = self.router_runner.restore(
+            name, catch_up=lambda: self.resync(name, donor,
+                                               deadline=deadline))
+        assert restored is not None
+        return restored
 
     def rebuild_replica(self, name: str) -> int:
         """Replace a diverged replica's store with a donor copy."""

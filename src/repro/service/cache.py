@@ -47,16 +47,19 @@ class CachedRange:
     filled by the server on the entry's first reuse: an answer for fixed
     versions of one epoch never changes, so neither do its bytes.  The
     slot lives and dies with the entry (LRU eviction, epoch purge).
+    ``tag`` is filled the same way, on the entry's first conditional
+    reuse: :func:`~repro.service.protocol.values_tag` of ``compact``.
     :meth:`rows` are fresh arrays, but an answer holding the entry ships
     the stored bytes whatever its rows say: rows read from a hit must not
     be changed in place.
     """
 
-    __slots__ = ("compact", "wire")
+    __slots__ = ("compact", "wire", "tag")
 
     def __init__(self, values: Sequence[np.ndarray]) -> None:
         self.compact = compact_range(values)
         self.wire: Optional[bytes] = None
+        self.tag: Optional[str] = None
 
     def rows(self) -> List[np.ndarray]:
         """Fresh dense rows, one per snapshot."""

@@ -25,6 +25,13 @@ client speaks (queries re-answer, a duplicate ingest is rejected by
 batch validation rather than applied twice).  A response *timeout* is
 deliberately not retried: the request may still be executing, and only
 the caller knows whether resending is safe.
+
+Conditional queries: ``query`` keeps the compact form of the last
+:data:`HELD_ANSWERS` tagged answers it received, one per query key, and
+sends the held ``values_tag`` as ``if_none_match`` (``""`` when it holds
+none).  A reply whose tag matches carries no ``values``; the client
+expands fresh rows from what it holds.  A tag is a content hash, so a
+reply from any replica or epoch that matches it is the same answer.
 """
 
 from __future__ import annotations
@@ -32,18 +39,29 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Any, Dict, List, Optional
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.results import CompactRange, compact_range, expand_range, narrowed
 from repro.errors import (
+    ProtocolError,
     ServiceError,
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
 from repro.service import protocol
 
-__all__ = ["ServiceClient"]
+__all__ = ["HELD_ANSWERS", "ServiceClient"]
+
+#: Tagged answers one client holds (least recently used dropped first).
+#: A full LJ/16 window is 9–11 KB in narrowed compact form (35 KB for
+#: Viterbi's float64 cells), so at most ~0.7 MB (2.2 MB) per client.
+HELD_ANSWERS = 64
+
+#: A held answer's key: algorithm (lower case), source, first, last as sent.
+HeldKey = Tuple[str, int, Optional[int], Optional[int]]
 
 
 class ServiceClient:
@@ -74,6 +92,9 @@ class ServiceClient:
         self._rng = random.Random(seed)
         self._sock: Optional[socket.socket] = None
         self._file = None
+        #: ``(values_tag, compact)`` per query key, most recent last.
+        self._held: "OrderedDict[HeldKey, Tuple[str, CompactRange]]" = (
+            OrderedDict())
 
     # -- connection -----------------------------------------------------------
     def connect(self) -> "ServiceClient":
@@ -217,7 +238,9 @@ class ServiceClient:
 
         ``timeout_ms`` ships the client's end-to-end budget to the
         server, which charges admission queueing, retries and execution
-        against it as one deadline.
+        against it as one deadline.  The query is conditional (module
+        docstring): a reply without ``values`` is answered from the
+        held answer whose tag it carries.
         """
         doc: Dict[str, Any] = {
             "op": "query", "algorithm": algorithm, "source": source,
@@ -228,12 +251,33 @@ class ServiceClient:
             doc["last"] = last
         if timeout_ms is not None:
             doc["timeout_ms"] = timeout_ms
+        key: HeldKey = (algorithm.lower(), source, first, last)
+        held = self._held.get(key)
+        doc["if_none_match"] = "" if held is None else held[0]
         # Face-invalid ranges (negative, reversed) die here with a
         # ProtocolError, before a socket is even opened.
         protocol.validate_request(doc)
         response = self._request_retrying_overload(doc)
-        response["values"] = self.decode_values(response.get("values"))
+        tag = response.get("values_tag")
+        if "values" in response:
+            rows = self.decode_values(response["values"])
+            if tag is not None:
+                self._hold(key, tag, narrowed(compact_range(rows)))
+            response["values"] = rows
+        elif held is not None and tag == held[0]:
+            self._held.move_to_end(key)
+            response["values"] = expand_range(held[1])
+        else:
+            raise ProtocolError(
+                f"query reply omits values for tag {tag!r}, which this "
+                "client does not hold")
         return response
+
+    def _hold(self, key: HeldKey, tag: str, compact: CompactRange) -> None:
+        self._held[key] = (tag, compact)
+        self._held.move_to_end(key)
+        while len(self._held) > HELD_ANSWERS:
+            self._held.popitem(last=False)
 
     def temporal(
         self,

@@ -12,6 +12,7 @@ Operations::
     {"op": "status"}
     {"op": "query", "algorithm": "SSSP", "source": 3,
      "first": 2, "last": 5}            # first/last optional => window
+    {"op": "query", ..., "if_none_match": "<tag>"}   # or "": holds none
     {"op": "temporal", "algorithm": "SSSP", "source": 3,
      "queries": [{"mode": "timeline", "vertex": 7}, ...]}
     {"op": "ingest", "additions": [[u, v], ...],
@@ -42,11 +43,19 @@ attempt, a retry, or the offline fallback answered) and
 JSON has no non-finite numbers: those cells are the strings ``"inf"`` /
 ``"-inf"`` / ``"nan"``.  ``status`` reports :data:`WIRE_VERSION`; a version-1
 payload (one dense row per snapshot) is a :class:`ProtocolError`, never wrong numbers.
+
+A query carrying ``if_none_match`` is *conditional*: a result-cache hit
+answering it carries ``values_tag`` (:func:`values_tag` of the answer)
+and omits ``values`` when that equals the request's tag — the client
+already holds them.  Any other answer carries no tag and ships its
+values; a request without the field gets the reply it always got.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -61,7 +70,13 @@ from typing import (
 
 import numpy as np
 
-from repro.core.results import compact_range, decode_float_row, encode_float_row, expand_range
+from repro.core.results import (
+    CompactRange,
+    compact_range,
+    decode_float_row,
+    encode_float_row,
+    expand_range,
+)
 from repro.errors import ProtocolError
 from repro.evolving.delta import DeltaBatch
 from repro.graph.edgeset import EdgeSet
@@ -81,6 +96,7 @@ __all__ = [
     "parse_ingest_batch",
     "parse_update",
     "validate_request",
+    "values_tag",
 ]
 
 #: Hard cap on one protocol line; a longer line is a malformed request.
@@ -88,6 +104,9 @@ MAX_LINE_BYTES = 64 * 1024 * 1024
 
 #: Reported by ``status``; 2 = query ``values`` are base + sparse changes, not dense rows.
 WIRE_VERSION = 2
+
+#: A ``values_tag``: the hex blake2b-128 digest :func:`values_tag` spells.
+_TAG = re.compile(r"[0-9a-f]{32}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +144,8 @@ OPS: Mapping[str, OpSpec] = {
     "ping": OpSpec(),
     "status": OpSpec(),
     "query": OpSpec(
-        fields=_fields("algorithm", "source", "first", "last"),
+        fields=_fields("algorithm", "source", "first", "last",
+                       "if_none_match"),
         timeout=True, lane="query", breaker="planner", retried=True,
         fallback=True, routing="by-source",
     ),
@@ -249,6 +269,13 @@ def validate_request(doc: Dict[str, Any]) -> Dict[str, Any]:
                 f"version range [{first}, {last}] is reversed "
                 "(first > last)"
             )
+    if "if_none_match" in spec.fields and "if_none_match" in doc:
+        tag = doc["if_none_match"]
+        if not (isinstance(tag, str) and (tag == "" or _TAG.fullmatch(tag))):
+            raise ProtocolError(
+                "field 'if_none_match' must be \"\" or a values_tag "
+                "(32 lowercase hex digits)"
+            )
     if "queries" in spec.fields:
         from repro.temporal.plan import parse_specs
 
@@ -339,6 +366,24 @@ def encode_values(values: Sequence[np.ndarray]) -> Dict[str, Any]:
     return {"base": encode_float_row(base),
             "changes": [[indices.tolist(), encode_float_row(cells)]
                         for indices, cells in changes]}
+
+
+def values_tag(compact: CompactRange) -> str:
+    """The content tag of a range answer: hex blake2b-128 of its compact
+    form's bits (every segment length-prefixed).  Equal tags mean
+    bit-identical rows, whichever replica or epoch computed them."""
+    base, changes = compact
+    digest = hashlib.blake2b(digest_size=16)
+
+    def feed(array: np.ndarray, dtype: str) -> None:
+        digest.update(len(array).to_bytes(8, "little"))
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+
+    feed(base, "<f8")
+    for indices, cells in changes:
+        feed(indices, "<i8")
+        feed(cells, "<f8")
+    return digest.hexdigest()
 
 
 def decode_values(encoded: Any) -> List[np.ndarray]:

@@ -25,7 +25,11 @@ Design points, mirroring the rest of the codebase:
 * **Stored replies** — an answer served unpatched from the result
   cache ships the encoded ``values`` its cache entry stored on its
   first reuse (``wire="cached"`` on the ``server.query`` span); every
-  other answer is encoded for its own reply (``wire="encoded"``).
+  other answer is encoded for its own reply (``wire="encoded"``).  A
+  conditional query (``if_none_match``) answered from the cache also
+  gets the entry's content tag, ``values_tag``, and no ``values`` at
+  all when it already holds that tag (``wire="held"``); the coalescing
+  key includes the request's tag.
 * **Admission control** — queries, ingests and updates each pass a
   bounded :class:`~repro.service.admission.AdmissionController` lane
   before touching an executor thread; a full waiting room or an expired
@@ -90,8 +94,10 @@ __all__ = ["GraphService", "ServiceConfig", "ServiceRunner"]
 
 T = TypeVar("T")
 
-#: Coalescing key of a query: algorithm, source, first, last (as sent).
-QueryKey = Tuple[str, int, Optional[int], Optional[int]]
+#: Coalescing key of a query: algorithm, source, first, last and
+#: ``if_none_match`` (as sent) — a values-less reply is only for the
+#: requests holding its tag.
+QueryKey = Tuple[str, int, Optional[int], Optional[int], Optional[str]]
 
 #: Breaker states as gauge values (``repro_breaker_state``).
 BREAKER_STATE_VALUES = {
@@ -101,24 +107,37 @@ BREAKER_STATE_VALUES = {
 }
 
 
-def _query_payload(answer: QueryAnswer, outcome: str) -> Dict[str, Any]:
+def _query_payload(answer: QueryAnswer, outcome: str,
+                   if_none_match: Optional[str] = None) -> Dict[str, Any]:
     """A ``query`` response.
 
     An answer served unpatched from the result cache ships its entry's
-    stored ``values``, encoded on the entry's first reuse.  A miss, a
-    live-tip-patched and a degraded answer are encoded for this reply
-    alone; a miss stores nothing, since most entries are never reused.
+    stored ``values``, encoded on the entry's first reuse.  Asked
+    conditionally (``if_none_match`` set), it also carries the entry's
+    ``values_tag``, hashed on the entry's first conditional reuse, and
+    ships no ``values`` when the request already holds that tag.  A
+    miss, a live-tip-patched and a degraded answer carry no tag and are
+    encoded for this reply alone; a miss stores nothing, since most
+    entries are never reused.
     """
     entry = answer.entry
-    values: Any
-    if entry is None:
+    tag: Optional[str] = None
+    if entry is not None and if_none_match is not None:
+        if entry.tag is None:
+            entry.tag = protocol.values_tag(entry.compact)
+        tag = entry.tag
+    values: Any = None
+    if tag is not None and tag == if_none_match:
+        obs.annotate(wire="held")
+    elif entry is None:
         values = protocol.encode_values(answer.values)
+        obs.annotate(wire="encoded")
     else:
         if entry.wire is None:
             entry.wire = protocol.Encoded.of(
                 protocol.encode_values(answer.values))
         values = entry.wire
-    obs.annotate(wire="encoded" if entry is None else "cached")
+        obs.annotate(wire="cached")
     response = {
         "ok": True,
         "op": "query",
@@ -131,8 +150,11 @@ def _query_payload(answer: QueryAnswer, outcome: str) -> Dict[str, Any]:
         "node_hits": answer.node_hits,
         "node_misses": answer.node_misses,
         "outcome": outcome,
-        "values": values,
     }
+    if tag is not None:
+        response["values_tag"] = tag
+    if values is not None:
+        response["values"] = values
     if answer.livetip_seq is not None:
         # The tip column was patched by the live-tip overlay: expose
         # which update stream position the answer reflects, so a client
@@ -521,7 +543,8 @@ class GraphService(LineServer):
         algorithm, source = doc["algorithm"], doc["source"]
         first, last = doc.get("first"), doc.get("last")
         label = f"{algorithm}:{source}:{first}:{last}"
-        key: QueryKey = (algorithm.lower(), source, first, last)
+        tag = doc.get("if_none_match")
+        key: QueryKey = (algorithm.lower(), source, first, last, tag)
         inflight = self._inflight.get(key)
         if inflight is not None:
             # Identical query already running: share its outcome — but
@@ -551,7 +574,7 @@ class GraphService(LineServer):
                 lambda: self.state.query(algorithm, source, first, last),
                 lambda: self.state.offline_answer(algorithm, source,
                                                   first, last),
-                _query_payload,
+                lambda answer, outcome: _query_payload(answer, outcome, tag),
                 algorithm=algorithm, source=source,
             )
         except BaseException as exc:

@@ -7,11 +7,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import get_algorithm
 from repro.errors import FleetError
 from repro.evolving.store import SnapshotStore
 from repro.fleet import ConsistentHashRing
 from repro.graph.edgeset import decode_edges
 
+from tests.conftest import oracle_values
 from tests.fleet.conftest import fleet_batch, pairs
 from tests.service.conftest import valid_batch
 
@@ -120,6 +122,33 @@ class TestFailover:
         assert owner not in info["rotation"]
         assert status["server"]["failovers"] >= 1
         assert status["server"]["ejections"] >= 1
+
+    def test_a_held_answer_survives_a_failover(self, fleet, fleet_weights):
+        # The client holds the owner's tag; after the owner dies another
+        # replica answers, in full (its miss) and then values-less: a tag
+        # is a content hash, so every replica spells the answer the same.
+        source = 0
+        want = oracle_values(
+            SnapshotStore(fleet.replicas["replica-0"].store_dir).load(),
+            get_algorithm("SSSP"), source, 0, 4, fleet_weights)
+        with fleet.client() as client:
+            replies = [client.query("SSSP", source) for _ in range(2)]
+            owner = replies[-1]["replica"]
+            held = replies[-1]["values_tag"]
+            fleet.kill_replica(owner)
+            for _ in range(3):
+                replies.append(client.query("SSSP", source))
+        assert "values_tag" not in replies[0]
+        assert replies[1]["from_cache"] and "values_tag" in replies[1]
+        after = replies[2:]
+        assert all(reply["replica"] != owner for reply in after)
+        assert [("values_tag" in reply) for reply in after] == [
+            False, True, True]
+        assert after[1]["values_tag"] == after[2]["values_tag"] == held
+        for reply in replies:
+            assert (reply["first"], reply["last"]) == (0, 4)
+            for got, expected in zip(reply["values"], want):
+                np.testing.assert_array_equal(got, expected)
 
     def test_probe_restores_an_ejected_healthy_replica(self, fleet):
         fleet.router_runner.eject("replica-1", "operator")

@@ -12,6 +12,7 @@ from repro.errors import ServiceOverloadedError
 from repro.evolving.store import SnapshotStore
 
 from tests.fleet.conftest import fleet_batch
+from tests.fleet.test_fleet_livetip import fresh_edges
 
 pytestmark = [pytest.mark.service, pytest.mark.fleet]
 
@@ -227,32 +228,32 @@ class TestBoundedResync:
                 "replica-0", "replica-1", "replica-2",
             ]
 
-    def test_tip_chase_is_bounded_by_max_rounds(self, fleet, monkeypatch):
-        from repro.errors import FleetError, ResyncStalledError
-
+    def test_restore_catches_up_its_own_fold_in_one_round(self, fleet,
+                                                          monkeypatch):
+        # A pending live-tip update makes the restore fold the fleet,
+        # which moves the tip one batch past the resynced replica; the
+        # catch-up runs inside the same lock hold, so the first restore
+        # already lands.
         name = self.lag_replica(fleet, batches=1)
-        # The fleet tip "advances" forever: every restore is refused.
-        monkeypatch.setattr(
-            fleet.router_runner, "restore",
-            lambda *args, **kwargs: (_ for _ in ()).throw(
-                FleetError("version mismatch: the tip moved")),
-        )
-        with pytest.raises(ResyncStalledError) as excinfo:
-            fleet._resync_and_restore(name, max_rounds=3)
-        progress = excinfo.value.progress
-        assert progress["rounds_completed"] == 3
-        assert progress["rounds_cap"] == 3
-        assert progress["tip"] == 5
-        assert progress["deadline_expired"] is False
-        assert "the tip moved" in progress["last_refusal"]
+        with fleet.client() as client:
+            client.update("insert", *fresh_edges(fleet, 1, set())[0])
+            assert client.status()["fleet"]["fleet_overlay_depth"] == 1
+        restores = []
+        restore = fleet.router_runner.restore
 
-    def test_resync_bounds_are_validated(self, tmp_path, base_store):
-        from repro.errors import FleetError
-        from repro.fleet import FleetSupervisor
+        def counted(*args, **kwargs):
+            restores.append(args)
+            return restore(*args, **kwargs)
 
-        with pytest.raises(FleetError):
-            FleetSupervisor(base_store.directory, tmp_path / "bad",
-                            replicas=1, resync_max_rounds=0)
+        monkeypatch.setattr(fleet.router_runner, "restore", counted)
+        tip = fleet._resync_and_restore(name)
+        assert len(restores) == 1
+        assert tip == fleet.tip(name) == fleet.tip("replica-0") == 6
+        with fleet.client() as client:
+            status = client.status()["fleet"]
+        assert status["fleet_overlay_depth"] == 0
+        assert status["fleet_version"] == 6
+        assert status["rotation"] == ["replica-0", "replica-1", "replica-2"]
 
 
 class TestElasticity:

@@ -13,7 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cli import build_parser
-from repro.core.results import compact_range, encode_float_row, expand_range
+from repro.core.results import (
+    compact_range,
+    encode_float_row,
+    expand_range,
+    narrowed,
+)
 from repro.errors import ProtocolError
 from repro.fleet.router import FleetRouter
 from repro.service import ServiceClient, protocol
@@ -248,6 +253,8 @@ class TestValueEncoding:
         # wire canonicalises them to the one "nan".
         vectors = [row.view(np.float64) for row in patterns]
         assert_bit_identical(expand_range(compact_range(vectors)), vectors)
+        assert_bit_identical(expand_range(narrowed(compact_range(vectors))),
+                             vectors)
 
     def test_compact_answer_is_a_fraction_of_the_dense_one(self):
         answer = seeded_answer()
