@@ -250,6 +250,22 @@ class LiveTipOverlay:
         with self._lock:
             return len(self._log)
 
+    def clean_nowait(self) -> bool:
+        """Whether the log is empty, without waiting for the lock.
+
+        ``False`` while the lock is held elsewhere: only a provably
+        clean overlay reads as clean.
+        """
+        if not self._lock.acquire(blocking=False):
+            return False
+        try:
+            return self._clean_locked()
+        finally:
+            self._lock.release()
+
+    def _clean_locked(self) -> bool:  # holds-lock: _lock
+        return not self._log
+
     def live_edges(self) -> EdgeSet:
         """The current live edge set (materialised; immutable)."""
         with self._lock:

@@ -113,26 +113,37 @@ class _Gate:
         if draining:
             raise self._shed("draining", what)
         # Count the gate's own books, not ``semaphore.locked()``: a
-        # request joins ``waiting`` before it takes its slot (on Python
-        # <= 3.11 ``wait_for`` defers the acquire to a task), so every
-        # arrival of one loop tick would see a free semaphore.  With
-        # ``max_queue=0`` this admits up to ``max_concurrent`` requests.
+        # request joins ``waiting`` before it takes its slot, and a
+        # queued request's acquire runs later (on Python <= 3.11
+        # ``wait_for`` defers it to a task), so every arrival of one
+        # loop tick would see a free semaphore.  With ``max_queue=0``
+        # this admits up to ``max_concurrent`` requests.
         capacity = self.policy.max_concurrent + self.policy.max_queue
         with self._lock:
             queue_full = self.waiting + self.active >= capacity
             if not queue_full:
                 self.waiting += 1
                 self.max_depth = max(self.max_depth, self.waiting)
+                # Nobody queued ahead and a slot free by the books: the
+                # semaphore has a permit and no live waiter, so its
+                # acquire returns at once — no task, no loop turn.  An
+                # arrival behind any waiter, even one woken but not yet
+                # resumed, queues under its budget instead.
+                free = (self.waiting == 1
+                        and self.active < self.policy.max_concurrent)
         if queue_full:
             raise self._shed("queue_full", what)
         try:
-            budget: Optional[float] = self.policy.queue_timeout
-            remaining = deadline.remaining()
-            if remaining is not None:
-                budget = min(budget, remaining)
             try:
-                await asyncio.wait_for(self._semaphore.acquire(),
-                                       timeout=budget)
+                if free:
+                    await self._semaphore.acquire()
+                else:
+                    budget: Optional[float] = self.policy.queue_timeout
+                    remaining = deadline.remaining()
+                    if remaining is not None:
+                        budget = min(budget, remaining)
+                    await asyncio.wait_for(self._semaphore.acquire(),
+                                           timeout=budget)
             except asyncio.TimeoutError:
                 if deadline.expired():
                     raise DeadlineExceededError(
@@ -181,8 +192,10 @@ class AdmissionController:
     per-update stream is high-rate and each item is sub-millisecond,
     so depth is cheap and staleness is not.
 
-    The controller itself never blocks the event loop: queue waits are
-    ``asyncio.Semaphore`` acquisitions under ``asyncio.wait_for``.
+    The controller itself never blocks the event loop: a free slot is
+    taken at once (no task, no loop turn) when nobody is queued for it,
+    and only a real queue wait is an ``asyncio.Semaphore`` acquisition
+    under ``asyncio.wait_for``.  Waiters are admitted in arrival order.
     """
 
     def __init__(self, *, query: Optional[AdmissionPolicy] = None,

@@ -113,14 +113,31 @@ class LRUCache:
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value (most-recently-used afterwards), or ``None``."""
         with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
+            value = self._hit_locked(key)
+            if value is None:
                 self.stats.misses += 1
-                return None
+            return value
+
+    def get_nowait(self, key: Hashable) -> Optional[Any]:
+        """:meth:`get` that never waits and counts only a hit.
+
+        A miss and a lock held elsewhere both read as ``None`` and are
+        not counted: the caller falls back to :meth:`get`, which counts
+        the lookup.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            return self._hit_locked(key)
+        finally:
+            self._lock.release()
+
+    def _hit_locked(self, key: Hashable) -> Optional[Any]:  # holds-lock: _lock
+        value = self._entries.get(key)
+        if value is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return value
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
         with self._lock:

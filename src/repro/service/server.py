@@ -9,9 +9,12 @@ Request lifecycle — one path, steered by the op's row in
                     onto an identical in-flight one
         gated run ──> admission slot of the op's lane
                     ──> the op's circuit breaker
-                    ──> the one executor hop, under the request deadline,
-                        retried if the op is (an ingest holds the ingest
-                        lock across its retries)
+                    ──> a query that is an unpatched result-cache hit is
+                        answered right here, on the event loop, within
+                        one loop turn (never while a fault plan is active)
+                    ──> anything else takes one executor hop, under the
+                        request deadline, retried if the op is (an ingest
+                        holds the ingest lock across its retries)
                     ──> the op's offline fallback, if it has one and the
                         primary is exhausted or the breaker is open
         handler ──> encode the response
@@ -30,6 +33,11 @@ Design points, mirroring the rest of the codebase:
   gets the entry's content tag, ``values_tag``, and no ``values`` at
   all when it already holds that tag (``wire="held"``); the coalescing
   key includes the request's tag.
+* **Loop-answered hits** — a query whose answer is an unpatched
+  result-cache hit (:meth:`ServiceState.cached_answer`: a non-blocking
+  probe that never plans, computes or patches) costs no executor hop;
+  a miss, a live-tip-patched answer and a probe that finds a lock taken
+  fall through to the executor, where the lookup is counted once.
 * **Admission control** — queries, ingests and updates each pass a
   bounded :class:`~repro.service.admission.AdmissionController` lane
   before touching an executor thread; a full waiting room or an expired
@@ -363,13 +371,18 @@ class GraphService(LineServer):
         self, op: str, what: str, deadline: Deadline,
         primary: Callable[[], T],
         fallback: Optional[Callable[[], T]] = None,
+        cached: Optional[Callable[[], Optional[T]]] = None,
     ) -> Tuple[T, str, int]:
         """Run ``primary`` the way the op's table row says (module docs).
 
         Returns ``(result, outcome, attempts)``; ``outcome`` is ``"ok"``
         (the first attempt answered), ``"retried"`` (a later attempt did)
         or ``"degraded"`` (the primary path was spent or its breaker open,
-        and ``fallback`` answered).  A breaker
+        and ``fallback`` answered).  An attempt first asks ``cached``,
+        which answers on the event loop or returns ``None``; only
+        ``None`` takes the executor hop to ``primary``.  While a fault
+        plan is active ``cached`` is skipped, so the primary's fault
+        hook (and any delay it injects) always runs off the loop.  A breaker
         counts *requests* (one ``before_call`` each), not attempts: a
         retried-then-healed request records one success, an exhausted
         one records one failure, and anything that says nothing about
@@ -386,6 +399,12 @@ class GraphService(LineServer):
             return primary()
 
         async def attempt() -> T:
+            nonlocal attempts
+            if cached is not None and not faults.has_active_plan():
+                answer = cached()
+                if answer is not None:
+                    attempts += 1
+                    return answer
             return await self._in_executor(counted, deadline, what)
 
         async def degrade() -> Tuple[T, str, int]:
@@ -440,6 +459,7 @@ class GraphService(LineServer):
         self, doc: Dict[str, Any], label: str,
         primary: Callable[[], T], fallback: Callable[[], T],
         respond: Callable[[T, str], Dict[str, Any]],
+        cached: Optional[Callable[[], Optional[T]]] = None,
         **attributes: Any,
     ) -> Dict[str, Any]:
         """A gated read under one root span, answered by ``respond``.
@@ -462,7 +482,7 @@ class GraphService(LineServer):
             with obs.phase_span("server", op, label=label,
                                 **attributes) as root_span:
                 answer, outcome, attempts = await self._run_gated(
-                    op, what, deadline, hooked, fallback,
+                    op, what, deadline, hooked, fallback, cached,
                 )
                 root_span.annotate(outcome=outcome, attempts=attempts)
                 response = respond(answer, outcome)
@@ -575,6 +595,8 @@ class GraphService(LineServer):
                 lambda: self.state.offline_answer(algorithm, source,
                                                   first, last),
                 lambda answer, outcome: _query_payload(answer, outcome, tag),
+                lambda: self.state.cached_answer(algorithm, source,
+                                                 first, last),
                 algorithm=algorithm, source=source,
             )
         except BaseException as exc:

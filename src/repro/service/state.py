@@ -53,7 +53,7 @@ from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.core.common import CommonGraphDecomposition
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.store import SnapshotStore
 from repro.graph.weights import UnitWeights, WeightFn
@@ -166,6 +166,14 @@ class _ReadView:
         if self.patch is None or last != self.latest:
             return values
         return [*values[:-1], self.patch.resolve(values[-1])]
+
+
+def _hit(answer: QueryAnswer, entry: CachedRange) -> QueryAnswer:
+    """``answer`` served by the result-cache ``entry``."""
+    answer.entry = entry
+    answer.from_cache = True
+    obs.annotate(result_cache="hit")
+    return answer
 
 
 #: A range evaluator, ``(view, first, last) -> QueryAnswer`` on a validated
@@ -460,13 +468,14 @@ class ServiceState:
     # the range against it, evaluate (cached or offline), patch the tip.
     def _read_view(self, algorithm: str, source: int,
                    last: Optional[int] = None,
-                   with_times: bool = False) -> _ReadView:
+                   with_times: bool = False,
+                   capture: bool = True) -> _ReadView:
         """Capture everything a read needs under one lock hold.
 
         The live-tip patch is captured together with the decomposition,
         so an answer is exactly "TG at history, overlay at tip" for one
         consistent instant.  It is skipped when the caller's range
-        (``last``) provably ends before the tip.
+        (``last``) provably ends before the tip, or without ``capture``.
         """
         alg = get_algorithm(algorithm)  # raises AlgorithmError if unknown
         with self._lock:
@@ -480,7 +489,8 @@ class ServiceState:
             base = self.base_version
             latest = base + decomposition.num_snapshots - 1
             patch: Optional[TipCapture] = None
-            if self._livetip is not None and last in (None, latest):
+            if (capture and self._livetip is not None
+                    and last in (None, latest)):
                 patch = self._livetip.capture(alg, source,
                                               tip_version=latest)
             return _ReadView(
@@ -505,10 +515,7 @@ class ServiceState:
         )
         entry = self.result_cache.get(answer.key())
         if entry is not None:
-            answer.entry = entry
-            answer.from_cache = True
-            obs.annotate(result_cache="hit")
-            return answer
+            return _hit(answer, entry)
         obs.annotate(result_cache="miss")
         planned = self.planner.evaluate(
             view.decomposition, view.algorithm, view.source,
@@ -570,6 +577,53 @@ class ServiceState:
         """
         return self._answer(self._evaluate_cached, algorithm, source,
                             first, last)
+
+    def cached_answer(
+        self,
+        algorithm: str,
+        source: int,
+        first: Optional[int] = None,
+        last: Optional[int] = None,
+    ) -> Optional[QueryAnswer]:
+        """:meth:`query`'s answer when it is an unpatched result-cache
+        hit, else ``None`` — safe to call on the event loop.
+
+        It never waits (a lock held elsewhere reads as ``None``) and
+        never plans, computes or patches: a range ending at the tip is
+        answered only while the live-tip log is empty, which is decided
+        before any capture is built.  It counts only a hit; on ``None``
+        the caller runs :meth:`query`, which counts the lookup once and
+        raises whatever refusal applies.
+        """
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            answer = self._unpatched_read_locked(algorithm, source,
+                                                 first, last)
+        except ReproError:
+            return None
+        finally:
+            self._lock.release()
+        if answer is None:
+            return None
+        entry = self.result_cache.get_nowait(answer.key())
+        return None if entry is None else _hit(answer, entry)
+
+    def _unpatched_read_locked(
+        self, algorithm: str, source: int, first: Optional[int],
+        last: Optional[int],
+    ) -> Optional[QueryAnswer]:  # holds-lock: _lock
+        """The (still empty) answer of a read no live-tip patch applies
+        to, or ``None``; raises what :meth:`query` would refuse with."""
+        view = self._read_view(algorithm, source, last, capture=False)
+        first, last = view.resolve_range(first, last)
+        if (last == view.latest and self._livetip is not None
+                and not self._livetip.clean_nowait()):
+            return None
+        return QueryAnswer(
+            algorithm=view.algorithm.name, source=source,
+            first=first, last=last, epoch=view.epoch,
+        )
 
     def offline_answer(
         self,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import time
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,25 @@ def valid_batch(store, n_add: int = 2, n_del: int = 1) -> DeltaBatch:
         additions=EdgeSet.from_pairs(additions),
         deletions=EdgeSet.from_pairs(deletions),
     )
+
+
+@contextlib.contextmanager
+def state_lock_held(state, until=lambda: True, timeout=30.0):
+    """Hold ``state``'s lock from this thread until ``until()`` holds.
+
+    A query arriving meanwhile cannot be answered on the event loop (its
+    cache lookup finds the lock taken), so it takes the executor hop and
+    waits there for the lock: identical queries coalesce behind it.  On
+    exit, wait (at most ``timeout`` s) for ``until()``, then release.
+    """
+    state._lock.acquire()
+    try:
+        yield
+        stop = time.monotonic() + timeout
+        while not until() and time.monotonic() < stop:
+            time.sleep(0.005)
+    finally:
+        state._lock.release()
 
 
 def seeded_answer(snapshots=16, vertices=4096, changed=100, seed=3):

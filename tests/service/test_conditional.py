@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,11 @@ from repro.service import (
 from repro.service import client as client_module
 
 from tests.conftest import assert_values_equal, oracle_values
-from tests.service.conftest import seeded_answer, valid_batch
+from tests.service.conftest import (
+    seeded_answer,
+    state_lock_held,
+    valid_batch,
+)
 from tests.service.test_wire_cache import RawClient
 
 pytestmark = pytest.mark.service
@@ -249,7 +252,7 @@ class TestReplies:
 
 class TestCoalescing:
     def test_identical_queries_coalesce_per_tag(self, service_state,
-                                                runner, monkeypatch):
+                                                runner):
         """Two requests each holding the current tag, a stale tag (from
         before an ingest) and no field, all in flight at once: one
         execution per tag, and only the current tag's pair gets the
@@ -262,13 +265,6 @@ class TestCoalescing:
             current = client.query("SSSP", 0)
         assert current["values_tag"] != stale
         held = current["values"]
-        original = service_state.query
-
-        def slow_query(*args, **kwargs):
-            time.sleep(0.4)  # hold each leader so its follower piles up
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(service_state, "query", slow_query)
         before = runner.service.counters["coalesced"]
         tags = [current["values_tag"], stale, None] * 2
         replies = [None] * len(tags)
@@ -285,8 +281,13 @@ class TestCoalescing:
 
         threads = [threading.Thread(target=issue, args=(index,))
                    for index in range(len(tags))]
-        for thread in threads:
-            thread.start()
+        # Each leader is a hit, answered in one loop turn unless the
+        # state lock is taken: hold it so the leaders wait in the
+        # executor until their followers have piled up.
+        with state_lock_held(service_state, lambda: (
+                runner.service.counters["coalesced"] - before >= 3)):
+            for thread in threads:
+                thread.start()
         for thread in threads:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)

@@ -155,9 +155,9 @@ class TestAdmissionController:
         assert shed == 0
 
     def test_burst_inside_one_loop_tick_is_bounded(self):
-        # Ten arrivals before any of them has run far enough to take its
-        # slot: the gate's own books must bound the room, because the
-        # semaphore still reads free for every one of them.
+        # Ten arrivals in one loop tick: the first two take the free
+        # slots at once, the next two queue (their acquires run a turn
+        # later), and the gate's own books shed exactly the other six.
         async def scenario():
             admission = AdmissionController(
                 query=AdmissionPolicy(max_concurrent=2, max_queue=2,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from repro.service import cache as cache_module
 from repro.service import state as state_module
 
 from tests.conftest import assert_values_equal
-from tests.service.conftest import valid_batch
+from tests.service.conftest import state_lock_held, valid_batch
 
 pytestmark = pytest.mark.service
 
@@ -261,14 +260,7 @@ class TestEntryLifetime:
 
 
 class TestCoalescing:
-    def test_a_follower_gets_the_leaders_frame(self, service_state,
-                                               monkeypatch):
-        original = service_state.query
-
-        def slow_query(*args, **kwargs):
-            time.sleep(0.4)  # hold the leader so followers pile up
-            return original(*args, **kwargs)
-
+    def test_a_follower_gets_the_leaders_frame(self, service_state):
         with ServiceRunner(service_state) as runner:
             warm = RawClient(runner.port)
             try:
@@ -276,7 +268,6 @@ class TestCoalescing:
                 warm.frame(algorithm="SSSP", source=0)  # slot filled
             finally:
                 warm.close()
-            monkeypatch.setattr(service_state, "query", slow_query)
             frames = []
 
             def issue():
@@ -287,8 +278,13 @@ class TestCoalescing:
                     client.close()
 
             threads = [threading.Thread(target=issue) for _ in range(4)]
-            for thread in threads:
-                thread.start()
+            # The leader is a hit: hold the state lock so it waits in the
+            # executor, not answered in one loop turn, while followers
+            # pile up.
+            with state_lock_held(service_state, lambda: (
+                    runner.service.counters["coalesced"] >= 3)):
+                for thread in threads:
+                    thread.start()
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
