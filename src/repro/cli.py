@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -130,6 +130,34 @@ def _address(text: str) -> _Address:
     if not 0 < number < 65536:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
     return _Address(host or "127.0.0.1", number)
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """The ``type=`` of a count flag: anything below ``minimum`` is a
+    usage error (exit 2), never a traceback or a service that cannot
+    answer."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+def _seconds(text: str) -> float:
+    """The ``type=`` of ``--request-timeout``: a budget must be > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0:  # NaN too
+        raise argparse.ArgumentTypeError(
+            f"expected seconds > 0, got {text!r}")
+    return value
 
 
 def _add_connect(parser: argparse.ArgumentParser,
@@ -422,7 +450,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         weight_fn=weight_fn,
         window=args.window,
         result_cache_entries=args.result_cache,
-        node_cache_entries=args.node_cache,
         livetip=not args.no_livetip,
         livetip_max_updates=args.livetip_max_updates,
     )
@@ -1029,26 +1056,23 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7421,
                        help="TCP port (0 picks an ephemeral port)")
-    serve.add_argument("--window", type=int, default=None,
+    serve.add_argument("--window", type=_at_least(1), default=None,
                        help="serve only the last W snapshots")
-    serve.add_argument("--result-cache", type=int, default=256,
+    serve.add_argument("--result-cache", type=_at_least(1), default=256,
                        help="max memoised query results")
-    serve.add_argument("--node-cache", type=int, default=1024,
-                       help="max memoised snapshot states (references "
-                            "into cached answers)")
-    serve.add_argument("--request-timeout", type=float, default=30.0,
+    serve.add_argument("--request-timeout", type=_seconds, default=30.0,
                        help="per-request deadline in seconds")
-    serve.add_argument("--retries", type=int, default=2,
+    serve.add_argument("--retries", type=_at_least(0), default=2,
                        help="primary-path retries before degrading")
-    serve.add_argument("--max-concurrent", type=int, default=8,
+    serve.add_argument("--max-concurrent", type=_at_least(1), default=8,
                        help="query execution slots before requests queue")
-    serve.add_argument("--queue-limit", type=int, default=64,
+    serve.add_argument("--queue-limit", type=_at_least(0), default=64,
                        help="queued queries beyond which requests are "
                             "shed with an overloaded response")
     serve.add_argument("--queue-timeout", type=float, default=5.0,
                        help="seconds a query may wait for a slot before "
                             "being shed")
-    serve.add_argument("--breaker-threshold", type=int, default=5,
+    serve.add_argument("--breaker-threshold", type=_at_least(1), default=5,
                        help="consecutive failures before a circuit "
                             "breaker opens")
     serve.add_argument("--breaker-reset", type=float, default=5.0,
@@ -1061,7 +1085,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reject single-edge `update` requests "
                             "instead of absorbing them in the live-tip "
                             "overlay")
-    serve.add_argument("--livetip-max-updates", type=int, default=64,
+    serve.add_argument("--livetip-max-updates", type=_at_least(1), default=64,
                        help="pending updates that trigger a live-tip "
                             "compaction into a durable batch")
     serve.add_argument("--max-weight", type=int, default=64)
@@ -1088,12 +1112,12 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--root", default=None, metavar="DIR",
                        help="directory for per-replica store copies "
                             "(default: a fresh temp directory)")
-    route.add_argument("--window", type=int, default=None,
+    route.add_argument("--window", type=_at_least(1), default=None,
                        help="serve only the last W snapshots")
-    route.add_argument("--request-timeout", type=float, default=30.0,
+    route.add_argument("--request-timeout", type=_seconds, default=30.0,
                        help="per-request deadline in seconds, covering "
                             "failover retries")
-    route.add_argument("--breaker-threshold", type=int, default=3,
+    route.add_argument("--breaker-threshold", type=_at_least(1), default=3,
                        help="consecutive forward failures before a "
                             "replica's breaker opens")
     route.add_argument("--breaker-reset", type=float, default=1.0,

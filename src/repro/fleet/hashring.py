@@ -2,8 +2,8 @@
 
 The fleet router spreads queries across replicas *by source vertex*:
 the same source always lands on the same replica, so that replica's
-memoizing planner keeps the converged node states for that source warm
-(`node_cache` affinity).  A plain ``source % n`` mapping would reshuffle
+result cache keeps the answered snapshots for that source warm
+(`node_cache` hit affinity).  A plain ``source % n`` mapping would reshuffle
 almost every source whenever a replica joins or leaves; consistent
 hashing moves only the ejected replica's share.
 

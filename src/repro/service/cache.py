@@ -1,24 +1,19 @@
-"""Bounded, thread-safe LRU caches for the query service, and the entry
-both of them point at.
+"""The service's bounded, thread-safe LRU cache of answered ranges, and
+the entry it holds.
 
-Two caches share this machinery, and neither copies what it holds:
-
-* the **result cache** (owned by the service state) memoises full query
-  answers keyed by ``(algorithm, source, first, last, epoch)``; an
-  entry is a :class:`CachedRange`, the answer as *first snapshot +
-  sparse Δ per later snapshot*;
-* the **node cache** (owned by the planner) indexes answered snapshots,
-  keyed by ``(algorithm, source, epoch, snapshot)``: the value is
-  ``(CachedRange, offset)``, a reference into the entry that holds the
-  snapshot — so a snapshot is stored once however many ranges hold it,
-  and a query whose snapshots are all indexed needs no walk
-  (:class:`repro.service.planner.MemoizingPlanner`).
+The **result cache** (owned by the service state) memoises full query
+answers keyed by ``(algorithm, source, first, last, epoch)``; an entry
+is a :class:`CachedRange`, the answer as *first snapshot + sparse Δ per
+later snapshot*.  It is the only store of answers: a miss reads the
+snapshots it can reuse from the live entries of the same
+``(algorithm, source, epoch)`` (:meth:`LRUCache.items`), so an evicted
+entry is gone for every reader.
 
 No reader writes a :class:`CachedRange`, so a hit returns the entry
 itself and :meth:`CachedRange.rows` expands fresh arrays.
 
-Both keys embed the decomposition *epoch*: every ingest or window
-slide bumps it, so entries from a superseded decomposition can never be
+The key embeds the decomposition *epoch*: every ingest or window slide
+bumps it, so entries from a superseded decomposition can never be
 returned.  Stale-epoch entries are also purged eagerly
 (:meth:`LRUCache.purge`) to free memory immediately rather than waiting
 for LRU pressure.
@@ -156,12 +151,11 @@ class LRUCache:
             self.stats.invalidations += len(stale)
         return len(stale)
 
-    def clear(self) -> int:
-        return self.purge(lambda _key: True)
-
-    def keys(self) -> Tuple[Hashable, ...]:
+    def items(self) -> List[Tuple[Hashable, Any]]:
+        """A snapshot of the ``(key, value)`` pairs, least recently used
+        first; it counts in no statistic and leaves the LRU order as is."""
         with self._lock:
-            return tuple(self._entries)
+            return list(self._entries.items())
 
     def __repr__(self) -> str:
         return (f"LRUCache({len(self)}/{self.max_entries} entries, "

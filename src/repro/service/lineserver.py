@@ -16,8 +16,10 @@ supervisor embed a replica or a router in.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
-from typing import Any, Callable, Coroutine, Dict, Optional, Set, TypeVar
+import weakref
+from typing import Any, Callable, Coroutine, Dict, Optional, Set, Tuple, TypeVar
 
 from repro import obs
 from repro.errors import (
@@ -33,6 +35,37 @@ __all__ = ["LineServer", "LoopThreadRunner"]
 T = TypeVar("T")
 
 
+class _Listener(socket.socket):
+    """A listening socket that remembers every connection it accepted.
+
+    asyncio accepts a connection in the listener's callback and wraps it
+    in a transport in a later loop turn, in a task of its own.  A
+    connection accepted in a server's last turns can miss the wrap: the
+    loop's teardown cancels the task unstarted (or the wrap fails on the
+    closed listener), and the socket stays open in a reference cycle
+    until a garbage collection, while its peer waits out its whole
+    request budget.  :meth:`end_accepted` ends every one of them.
+    """
+
+    def __init__(self, family: int) -> None:
+        super().__init__(family, socket.SOCK_STREAM)
+        self._accepted: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+    def accept(self) -> Tuple[socket.socket, Any]:
+        conn, address = super().accept()
+        self._accepted.add(conn)
+        return conn, address
+
+    def end_accepted(self) -> None:
+        """Shut down every accepted connection: the peer reads EOF, a
+        transport over the socket sees it too and closes itself."""
+        for conn in list(self._accepted):
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # closed already, or the peer went first
+
+
 class LineServer:
     """Listener + connection loop + one-line request handling."""
 
@@ -45,6 +78,7 @@ class LineServer:
         self.port: Optional[int] = None
         self.counters: Dict[str, int] = {"connections": 0, "requests": 0}
         self._server: Optional[asyncio.AbstractServer] = None
+        self._listener: Optional[_Listener] = None
         self._stop: Optional[asyncio.Event] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         # All event-loop-confined.
@@ -75,8 +109,19 @@ class LineServer:
         self._stop = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
+        family, _, _, _, address = (await asyncio.get_running_loop().getaddrinfo(
+            self.config.host or None, self.config.port,
+            type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE))[0]
+        self._listener = _Listener(family)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET,
+                                      socket.SO_REUSEADDR, 1)
+            self._listener.bind(address)
+        except OSError:
+            self._listener.close()
+            raise
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
+            self._accept, sock=self._listener,
             limit=self.config.max_line_bytes,
         )
         self.port = self._server.sockets[0].getsockname()[1]
@@ -90,8 +135,10 @@ class LineServer:
     async def wait_closed(self) -> None:
         """Block until :meth:`request_stop`, then tear the listener down."""
         assert self._stop is not None and self._server is not None
+        assert self._listener is not None
         await self._stop.wait()
         self._server.close()
+        self._listener.end_accepted()
         for writer in list(self._writers):
             writer.close()
         await self._server.wait_closed()
@@ -113,11 +160,24 @@ class LineServer:
         return self._inflight_requests
 
     # -- connection handling -------------------------------------------------
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Coroutine[Any, Any, None]:
+        """Register a transport the moment it is made.
+
+        asyncio runs the returned handler as a task, which a stop may
+        cancel unstarted, so its ``finally`` never runs; a writer known
+        from here is still closed by :meth:`wait_closed` (on 3.12+,
+        whose ``Server.wait_closed`` waits for every transport, the
+        stop would otherwise never finish).
+        """
+        self._writers.add(writer)
+        return self._handle_connection(reader, writer)
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.counters["connections"] += 1
-        self._writers.add(writer)
         try:
             while True:
                 try:

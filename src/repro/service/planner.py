@@ -1,42 +1,40 @@
 """The memoizing query planner: work-sharing with cross-query reuse.
 
 The offline :class:`~repro.core.engine.WorkSharingEvaluator` shares
-interior-ICG states *within* one query.  The planner shares answered
+interior-ICG states *within* one query.  The planner reuses answered
 *snapshots* across queries.  For one (algorithm, source) a snapshot's
 converged values depend on that snapshot alone — the monotonic fixpoint
-on ``ICG(i, i)`` is unique, whichever walk reached it — so the planner
-keeps a node cache indexing every snapshot it has answered, keyed by
-``(algorithm, source, epoch, snapshot)`` in window coordinates, whose
-value is ``(CachedRange, offset)``: a reference into the answer that
-holds it.  A range query
+on ``ICG(i, i)`` is unique, whichever walk reached it — so a snapshot an
+earlier answer holds is never computed again.  The caller (the service
+state) finds those snapshots among its result-cache entries and passes
+them in as ``held``: per snapshot of the range, ``(CachedRange, offset)``
+— a reference into the answer that holds it — or ``None``.  A range
+query
 
 * whose snapshots are all held is assembled with no walk;
 * with some missing runs one walk over the smallest sub-range covering
   every missing one, ``[first missing, last missing]``; the snapshots
-  outside it come from the cache;
+  outside it come from the held entries;
 * with none held runs the walk over the whole range.
 
 Each evaluation builds its answer's
 :class:`~repro.service.cache.CachedRange` once — the entry the service
-state puts into its result cache — and indexes every snapshot of it, so
-a snapshot is held once, by reference, and no interior walk node is
-cached.  Each distinct entry a query reads is expanded once into fresh
-rows, so a caller that writes to its answer cannot reach the cache.  A
-referenced entry outlives its result-cache eviction; the node cache's
-``max_entries`` bounds the snapshot references.
+state puts into its result cache.  The planner keeps nothing between
+queries.  Each distinct entry a query reads is expanded once into fresh
+rows, so a caller that writes to its answer cannot reach the cache.
 
 A range is walked on the window decomposition itself (the sub-grid
 rooted at the range's node), so the schedule, its sweeps and the two
 graphs every query needs come from the decomposition's plan, built on
-the first walk of each range in an epoch.  Values assembled from the
-cache are bit-identical to a cold walk's (the service's end-to-end test
-asserts exactly this against the naive oracle).
+the first walk of each range in an epoch.  Values assembled from held
+snapshots are bit-identical to a cold walk's (the service's end-to-end
+test asserts exactly this against the naive oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +48,7 @@ from repro.graph.weights import WeightFn
 # ``planner.static_compute`` to check that importers of a traced kernel
 # are patched too.
 from repro.kickstarter.engine import static_compute  # noqa: F401
-from repro.service.cache import CachedRange, LRUCache
+from repro.service.cache import CachedRange
 
 __all__ = ["MemoizingPlanner", "PlannedAnswer"]
 
@@ -67,12 +65,12 @@ class PlannedAnswer:
     entry: CachedRange
     additions_processed: int = 0
     stabilisations: int = 0
-    #: Snapshots served from the node cache / computed by the walk.
+    #: Snapshots read from held entries / computed by the walk.
     node_hits: int = 0
     node_misses: int = 0
 
 
-def _held_rows(held: List[Optional[SnapshotRef]],
+def _held_rows(held: Sequence[Optional[SnapshotRef]],
                skip: range) -> List[Optional[np.ndarray]]:
     """Fresh rows of the held snapshots outside ``skip`` (``None``
     elsewhere), expanding each distinct entry once."""
@@ -90,20 +88,15 @@ def _held_rows(held: List[Optional[SnapshotRef]],
 
 
 class MemoizingPlanner:
-    """Plans and executes range queries against a node cache of answered
-    snapshots.
+    """Plans and executes range queries, reusing the snapshots the
+    caller holds.
 
-    The planner owns the node cache (``node_cache_entries`` snapshot
-    references); the caller (the service state) owns epochs and the
-    result cache, into which it puts each answer's ``entry``.
+    The planner owns no cache: the caller (the service state) owns
+    epochs and the result cache, passes in the snapshots its entries
+    hold and puts each answer's ``entry`` back.
     """
 
-    def __init__(
-        self,
-        node_cache_entries: int = 1024,
-        weight_fn: Optional[WeightFn] = None,
-    ) -> None:
-        self.node_cache = LRUCache(node_cache_entries)
+    def __init__(self, weight_fn: Optional[WeightFn] = None) -> None:
         self.weight_fn = weight_fn
 
     def evaluate(
@@ -114,19 +107,20 @@ class MemoizingPlanner:
         first: int,
         last: int,
         epoch: int,
+        held: Optional[Sequence[Optional[SnapshotRef]]] = None,
     ) -> PlannedAnswer:
         """Answer ``algorithm`` from ``source`` on snapshots ``first..last``.
 
         ``first``/``last`` are indices into ``decomposition`` (the
-        service window); cache keys carry the same coordinates plus the
-        epoch, so entries die with the decomposition that produced them.
+        service window), ``epoch`` labels the trace.  ``held`` has one
+        item per snapshot of the range (``None``: not held); without it
+        the whole range is walked.
         """
         with obs.phase_span("planner", "evaluate",
                             label=f"{algorithm.name}:{source}",
                             first=first, last=last, epoch=epoch) as plan_span:
-            keys = [(algorithm.name, source, epoch, snapshot)
-                    for snapshot in range(first, last + 1)]
-            held = [self.node_cache.get(key) for key in keys]
+            if held is None:
+                held = [None] * (last - first + 1)
             missing = [offset for offset, ref in enumerate(held) if ref is None]
             walked = range(missing[0], missing[-1] + 1) if missing else range(0)
             rows = _held_rows(held, walked)
@@ -141,9 +135,7 @@ class MemoizingPlanner:
                 stabilisations = walk.stabilisations
                 additions = walk.additions_processed
             entry = CachedRange(rows)
-            for offset, key in enumerate(keys):
-                self.node_cache.put(key, (entry, offset))
-            hits = len(keys) - len(walked)
+            hits = len(held) - len(walked)
             plan_span.annotate(node_hits=hits, node_misses=len(walked))
         return PlannedAnswer(
             values=rows,

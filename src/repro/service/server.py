@@ -213,6 +213,10 @@ class ServiceConfig:
     #: Injected time source for the breakers (tests pass ``FakeClock``).
     clock: Optional[Clock] = None
 
+    def __post_init__(self) -> None:
+        if self.request_timeout is not None and not self.request_timeout > 0:
+            raise ValueError("request_timeout must be None or > 0")
+
 
 class GraphService(LineServer):
     """One serving instance: a :class:`ServiceState` behind a TCP listener."""

@@ -1,4 +1,4 @@
-"""Service state: a store, its live decomposition, and the caches.
+"""Service state: a store, its live decomposition, and the result cache.
 
 :class:`ServiceState` is the single mutable object behind the server.
 It owns:
@@ -14,9 +14,13 @@ It owns:
   every cache key, so no cache entry can outlive the decomposition
   that produced it;
 * the result cache (full answers, each a
-  :class:`~repro.service.cache.CachedRange`) and the
-  :class:`~repro.service.planner.MemoizingPlanner`, whose node cache
-  indexes the answered snapshots inside those entries.
+  :class:`~repro.service.cache.CachedRange`), the only store of
+  answers and the one bound on what the service keeps.  A miss reuses
+  the snapshots that live entries of the same ``(algorithm, source,
+  epoch)`` already answer (:meth:`ServiceState._held_snapshots`, counted
+  as ``status()["node_cache"]``) and hands them to the
+  :class:`~repro.service.planner.MemoizingPlanner`, which walks only
+  the rest.
 
 Versions are *absolute*: snapshot numbers keep counting up as batches
 arrive, even after old snapshots slide out of the window.  A query for
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,8 +63,8 @@ from repro.evolving.store import SnapshotStore
 from repro.graph.weights import UnitWeights, WeightFn
 from repro.livetip import Compactor, LiveTipOverlay
 from repro.livetip.overlay import TipCapture
-from repro.service.cache import CachedRange, LRUCache
-from repro.service.planner import MemoizingPlanner
+from repro.service.cache import CacheStats, CachedRange, LRUCache
+from repro.service.planner import MemoizingPlanner, SnapshotRef
 from repro.service.status import store_summary
 from repro.temporal.engine import TemporalEngine
 from repro.temporal.plan import TemporalSpec
@@ -190,7 +194,6 @@ class ServiceState:
         weight_fn: Optional[WeightFn] = None,
         window: Optional[int] = None,
         result_cache_entries: int = 256,
-        node_cache_entries: int = 1024,
         time_fn: Callable[[], float] = time.time,
         livetip: bool = True,
         livetip_max_updates: int = 64,
@@ -216,10 +219,12 @@ class ServiceState:
         # stay callable from code that already holds the lock.
         self._lock = threading.RLock()
         # Entries are base + sparse Δ, never k dense vectors or aliases;
-        # the planner builds them and indexes their snapshots.
+        # the planner builds them, reading the snapshots they hold.
         self.result_cache = LRUCache(result_cache_entries)
-        self.planner = MemoizingPlanner(node_cache_entries, self.weight_fn)
-        self.node_cache = self.planner.node_cache
+        #: Snapshot lookups of result-cache misses: a hit is a snapshot
+        #: a live entry already holds.
+        self.snapshot_stats = CacheStats()  # guarded-by: _lock
+        self.planner = MemoizingPlanner(self.weight_fn)
         decomposition, base = self._state_from_store()
         #: Absolute version number of the window's first snapshot.
         self.base_version = base  # guarded-by: _lock
@@ -381,7 +386,6 @@ class ServiceState:
             epoch = self.epoch
         # Entries keyed with older epochs can never hit again; free them.
         self.result_cache.purge(lambda key: key[-1] != epoch)
-        self.node_cache.purge(lambda key: key[2] != epoch)
 
     # -- live-tip updates ----------------------------------------------------
     def _ensure_livetip_locked(
@@ -503,11 +507,11 @@ class ServiceState:
         """One validated range through the result cache and the planner.
 
         Every evaluation of a temporal batch runs through here against
-        the *same* view, so a batch shares the result cache and the
-        memoizing planner's node cache with plain queries — and an
-        ingest landing mid-batch can never mix epochs within one answer.
-        A miss stores the planner's entry, whose snapshots the node
-        cache already indexes.
+        the *same* view, so a batch shares the result cache and its
+        held snapshots with plain queries — and an ingest landing
+        mid-batch can never mix epochs within one answer.  A miss walks
+        only the snapshots no live entry holds and stores the planner's
+        entry.
         """
         answer = QueryAnswer(
             algorithm=view.algorithm.name, source=view.source,
@@ -520,6 +524,7 @@ class ServiceState:
         planned = self.planner.evaluate(
             view.decomposition, view.algorithm, view.source,
             first - view.base, last - view.base, view.epoch,
+            held=self._held_snapshots(answer),
         )
         answer.values = planned.values
         answer.node_hits = planned.node_hits
@@ -527,6 +532,31 @@ class ServiceState:
         answer.additions_processed = planned.additions_processed
         self.result_cache.put(answer.key(), planned.entry)
         return answer
+
+    def _held_snapshots(
+            self, answer: QueryAnswer) -> List[Optional[SnapshotRef]]:
+        """Per version of ``answer``'s range, a live result-cache entry of
+        its ``(algorithm, source, epoch)`` that holds the version, with
+        the offset there, or ``None``.
+
+        A version's values depend on its snapshot alone, so any entry
+        covering it holds them; an evicted entry is gone for this lookup
+        too.  Counts one snapshot hit or miss per version.
+        """
+        held: List[Optional[SnapshotRef]] = [None] * (answer.last
+                                                      - answer.first + 1)
+        wanted = (answer.algorithm, answer.source, answer.epoch)
+        for (name, source, first, last, epoch), entry in \
+                self.result_cache.items():
+            if (name, source, epoch) == wanted:
+                for version in range(max(first, answer.first),
+                                     min(last, answer.last) + 1):
+                    held[version - answer.first] = (entry, version - first)
+        hits = sum(ref is not None for ref in held)
+        with self._lock:
+            self.snapshot_stats.hits += hits
+            self.snapshot_stats.misses += len(held) - hits
+        return held
 
     def _evaluate_offline(self, view: _ReadView, first: int,
                           last: int) -> QueryAnswer:
@@ -704,6 +734,7 @@ class ServiceState:
             poisoned = self._poisoned is not None
             overlay = self._livetip
             compactor = self._compactor
+            snapshots = self.snapshot_stats.as_dict()
         livetip: Dict[str, Any] = {
             "enabled": self.livetip_enabled,
             "overlay_depth": 0,
@@ -738,11 +769,7 @@ class ServiceState:
                 "max_entries": self.result_cache.max_entries,
                 **self.result_cache.stats.as_dict(),
             },
-            "node_cache": {
-                "entries": len(self.node_cache),
-                "max_entries": self.node_cache.max_entries,
-                **self.node_cache.stats.as_dict(),
-            },
+            "node_cache": snapshots,
             "livetip": livetip,
             "observability": obs.describe(),
         })
@@ -767,6 +794,7 @@ class ServiceState:
             resyncs = self.resyncs
             poisoned = self._poisoned is not None
             overlay = self._livetip
+            snapshots = replace(self.snapshot_stats)
 
         def gauge(name: str, value: float, **labels: str) -> None:
             obs.instruments.family(registry, name).labels(**labels).set(value)
@@ -777,13 +805,14 @@ class ServiceState:
         gauge("repro_poisoned", 1 if poisoned else 0)
         if overlay is not None:
             gauge("repro_livetip_depth", overlay.depth)
-        for label, cache in (("result", self.result_cache),
-                             ("node", self.node_cache)):
-            stats = cache.stats
+        for label, stats in (("result", self.result_cache.stats),
+                             ("node", snapshots)):
             gauge("repro_cache_hit_rate", stats.hit_rate, cache=label)
             gauge("repro_cache_hits", stats.hits, cache=label)
             gauge("repro_cache_misses", stats.misses, cache=label)
-            gauge("repro_cache_evictions", stats.evictions, cache=label)
-            gauge("repro_cache_invalidations", stats.invalidations,
-                  cache=label)
-            gauge("repro_cache_entries", len(cache), cache=label)
+        # Only the result cache evicts, is invalidated or holds entries.
+        stats = self.result_cache.stats
+        gauge("repro_cache_evictions", stats.evictions, cache="result")
+        gauge("repro_cache_invalidations", stats.invalidations,
+              cache="result")
+        gauge("repro_cache_entries", len(self.result_cache), cache="result")

@@ -9,7 +9,8 @@ exactly that:
    timestamp → version), collect the snapshot ranges it needs;
 2. **evaluate** — coalesce overlapping or adjacent ranges and evaluate
    each *merged* range once through the injected ``evaluate_range``
-   callable (the service routes this through its result cache and the
+   callable (the service routes this through its result cache, whose
+   live entries lend their snapshots to the
    :class:`~repro.service.planner.MemoizingPlanner`, so repeated
    temporal queries reuse epoch-keyed snapshots like any other
    query); ranges separated by a gap stay separate — the engine never

@@ -68,14 +68,16 @@ class TestLRUCache:
         assert dropped == 2
         assert len(cache) == 1
         assert cache.stats.invalidations == 2
-        assert all(key[1] == 1 for key in cache.keys())
+        assert all(key[1] == 1 for key, _ in cache.items())
 
-    def test_clear(self):
-        cache = LRUCache(4)
+    def test_items_count_nothing_and_keep_the_order(self):
+        cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.clear() == 2
-        assert len(cache) == 0
+        assert cache.items() == [("a", 1), ("b", 2)]
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        cache.put("c", 3)  # "a" is still the least recently used
+        assert cache.items() == [("b", 2), ("c", 3)]
 
 
 class TestConcurrency:
@@ -126,7 +128,7 @@ class TestConcurrency:
         assert rounds == len(cache) + stats.evictions + stats.invalidations
         # The last purge strictly follows the last epoch-0 put (the
         # barrier orders them), so no epoch-0 key survives.
-        assert all(key[1] == 1 for key in cache.keys())
+        assert all(key[1] == 1 for key, _ in cache.items())
 
     def test_concurrent_purges_split_the_invalidations(self):
         cache = LRUCache(256)
@@ -150,4 +152,4 @@ class TestConcurrency:
         assert sum(dropped) == 50
         assert cache.stats.invalidations == 50
         assert len(cache) == 50
-        assert all(key[1] % 2 == 1 for key in cache.keys())
+        assert all(key[1] % 2 == 1 for key, _ in cache.items())

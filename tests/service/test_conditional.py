@@ -195,9 +195,8 @@ class TestReplies:
             for _ in range(5):
                 client.query("BFS", 2)
         assert len(calls) == 1
-        (key,) = service_state.result_cache.keys()
-        assert service_state.result_cache._entries[key].tag == original(
-            service_state.result_cache._entries[key].compact)
+        ((_, entry),) = service_state.result_cache.items()
+        assert entry.tag == original(entry.compact)
 
     def test_a_patched_tip_is_untagged_even_for_the_held_tag(
         self, service_state, runner

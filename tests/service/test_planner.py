@@ -1,4 +1,11 @@
-"""The memoizing planner must match the naive oracle bit-for-bit."""
+"""The memoizing planner must match the naive oracle bit-for-bit.
+
+The planner owns no cache: reuse is what the caller hands it as
+``held``.  Planner-level tests hand it references into earlier answers,
+as the service state does with its result-cache entries; the isolation
+checks (epochs, sources, algorithms never share) run through the state,
+where the snapshot-reuse decision lives.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +25,7 @@ from repro.service import planner as planner_module
 from repro.service.cache import CachedRange
 
 from tests.conftest import assert_values_equal, oracle_values
+from tests.service.conftest import valid_batch
 
 
 @pytest.fixture
@@ -27,7 +35,21 @@ def decomposition(service_evolving):
 
 @pytest.fixture
 def planner(weight_fn):
-    return MemoizingPlanner(256, weight_fn)
+    return MemoizingPlanner(weight_fn)
+
+
+def evaluate(planner, decomposition, algorithm, source, first, last,
+             earlier=()):
+    """``planner.evaluate`` handed the snapshots the ``earlier`` answers
+    — ``(first, PlannedAnswer)`` pairs — hold, the later one winning, as
+    the service state hands it those of its result-cache entries."""
+    held = [None] * (last - first + 1)
+    for start, answer in earlier:
+        for offset in range(len(answer.values)):
+            if first <= start + offset <= last:
+                held[start + offset - first] = (answer.entry, offset)
+    return planner.evaluate(decomposition, algorithm, source, first, last,
+                            epoch=0, held=held)
 
 
 @pytest.fixture
@@ -92,8 +114,9 @@ class TestCrossQueryReuse:
     def test_repeat_query_hits_every_node(self, decomposition, planner,
                                               algorithm):
         last = decomposition.num_snapshots - 1
-        cold = planner.evaluate(decomposition, algorithm, 0, 0, last, epoch=0)
-        warm = planner.evaluate(decomposition, algorithm, 0, 0, last, epoch=0)
+        cold = evaluate(planner, decomposition, algorithm, 0, 0, last)
+        warm = evaluate(planner, decomposition, algorithm, 0, 0, last,
+                        [(0, cold)])
         assert warm.node_misses == 0
         assert warm.node_hits == cold.node_misses
         assert warm.additions_processed == 0
@@ -105,52 +128,52 @@ class TestCrossQueryReuse:
     ):
         """A second query over an overlapping range reuses snapshots yet
         returns exactly the oracle's values."""
-        planner.evaluate(decomposition, algorithm, 0, 0, 3, epoch=0)
-        warm = planner.evaluate(decomposition, algorithm, 0, 1, 3, epoch=0)
+        earlier = evaluate(planner, decomposition, algorithm, 0, 0, 3)
+        warm = evaluate(planner, decomposition, algorithm, 0, 1, 3,
+                        [(0, earlier)])
+        assert (warm.node_hits, warm.node_misses) == (3, 0)
         expected = oracle_values(decomposition, algorithm, 0, 1, 3,
                                  weight_fn)
         for got, want in zip(warm.values, expected):
             assert_values_equal(got, want, f"{algorithm.name} overlap")
 
-    def test_epochs_never_share_states(self, decomposition, planner,
-                                       algorithm):
-        last = decomposition.num_snapshots - 1
-        planner.evaluate(decomposition, algorithm, 0, 0, last, epoch=0)
-        other = planner.evaluate(decomposition, algorithm, 0, 0, last,
-                                 epoch=1)
-        assert other.node_hits == 0
-
-    def test_sources_never_share_states(self, decomposition, planner,
-                                        algorithm):
-        last = decomposition.num_snapshots - 1
-        planner.evaluate(decomposition, algorithm, 0, 0, last, epoch=0)
-        other = planner.evaluate(decomposition, algorithm, 1, 0, last,
-                                 epoch=0)
-        assert other.node_hits == 0
-
-    def test_algorithms_never_share_states(self, decomposition, planner,
-                                           weight_fn):
-        last = decomposition.num_snapshots - 1
-        planner.evaluate(decomposition, get_algorithm("BFS"), 0, 0, last,
-                         epoch=0)
-        other = planner.evaluate(decomposition, get_algorithm("SSSP"), 0, 0,
-                                 last, epoch=0)
-        assert other.node_hits == 0
+    def test_epochs_never_share_states(self, service_state, algorithm,
+                                       weight_fn):
+        service_state.query(algorithm.name, 0)
+        service_state.ingest(valid_batch(service_state.store))
+        other = service_state.query(algorithm.name, 0, first=1, last=3)
+        assert (other.epoch, other.node_hits, other.node_misses) == (1, 0, 3)
         assert_bit_identical(
             other.values,
-            oracle_values(decomposition, get_algorithm("SSSP"), 0, 0, last,
-                          weight_fn), "SSSP after BFS")
+            oracle_values(service_state.store.load(), algorithm, 0, 1, 3,
+                          weight_fn), "after an ingest")
+
+    def test_sources_never_share_states(self, service_state, algorithm):
+        service_state.query(algorithm.name, 0)
+        other = service_state.query(algorithm.name, 1, first=1, last=3)
+        assert (other.node_hits, other.node_misses) == (0, 3)
+        same = service_state.query(algorithm.name, 0, first=1, last=3)
+        assert (same.node_hits, same.node_misses) == (3, 0)
+
+    def test_algorithms_never_share_states(self, service_state, weight_fn):
+        service_state.query("BFS", 0)
+        other = service_state.query("SSSP", 0, first=1, last=3)
+        assert (other.node_hits, other.node_misses) == (0, 3)
+        assert_bit_identical(
+            other.values,
+            oracle_values(service_state.decomposition, get_algorithm("SSSP"),
+                          0, 1, 3, weight_fn), "SSSP after BFS")
 
     def test_cached_states_are_isolated_copies(self, decomposition, planner,
                                                algorithm):
-        """Mutating a returned answer must not poison the node cache."""
+        """Mutating a returned answer must not poison what it holds."""
         last = decomposition.num_snapshots - 1
-        first = planner.evaluate(decomposition, algorithm, 0, 0, last,
-                                 epoch=0)
+        first = evaluate(planner, decomposition, algorithm, 0, 0, last)
         for values in first.values:
             values[:] = -123.0
-        again = planner.evaluate(decomposition, algorithm, 0, 0, last,
-                                 epoch=0)
+        again = evaluate(planner, decomposition, algorithm, 0, 0, last,
+                         [(0, first)])
+        assert again.node_misses == 0
         assert not any((values == -123.0).all() for values in again.values)
 
 
@@ -162,15 +185,9 @@ def _entry_arrays(entry):
     return [base, *(part for change in changes for part in change)]
 
 
-def _held_bytes(cache):
-    """Bytes of the distinct arrays the cache's references reach."""
-    arrays = {id(part): part for entry, _ in cache._entries.values()
-              for part in _entry_arrays(entry)}
-    return sum(array.nbytes for array in arrays.values())
-
-
 class TestNodeStateCache:
-    """An entry is a reference into an answer held as base + sparse Δ."""
+    """A held snapshot is a reference into an answer held as base +
+    sparse Δ."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_BITS, _BITS, st.booleans()), min_size=1, max_size=24))
@@ -181,25 +198,24 @@ class TestNodeStateCache:
                 np.array([b if same else v for b, v, same in cells],
                          dtype=np.int64)]
         entry = CachedRange([row.view(np.float64) for row in rows])
-        planner = MemoizingPlanner(4)
-        for offset in range(2):
-            planner.node_cache.put(("BFS", 5, 0, offset), (entry, offset))
         # Every snapshot is held, so no walk reads the decomposition.
-        answer = planner.evaluate(None, get_algorithm("BFS"), 5, 0, 1,
-                                  epoch=0)
+        answer = MemoizingPlanner().evaluate(
+            None, get_algorithm("BFS"), 5, 0, 1, epoch=0,
+            held=[(entry, 0), (entry, 1)])
         assert answer.node_misses == 0
         for got, want in zip(answer.values, rows):
             assert np.array_equal(got.view(np.int64), want)
 
     def test_a_hit_aliases_nothing(self, decomposition, planner, weight_fn):
         alg = get_algorithm("SSSP")
-        planner.evaluate(decomposition, alg, 0, 0, 4, epoch=0)
-        first, second = (planner.evaluate(decomposition, alg, 0, 1, 3, epoch=0)
-                         for _ in range(2))
+        full = evaluate(planner, decomposition, alg, 0, 0, 4)
+        first, second = (evaluate(planner, decomposition, alg, 0, 1, 3,
+                                  [(0, full)]) for _ in range(2))
+        assert second.node_misses == 0
         for row in first.values:
             row[:] = -2.0  # the caller keeps writing to what it got
-        held = {id(part): part for entry, _ in planner.node_cache._entries.values()
-                for part in _entry_arrays(entry)}
+        held = {id(part): part for answer in (full, first, second)
+                for part in _entry_arrays(answer.entry)}
         assert not any(np.shares_memory(row, part) for row in second.values
                        for part in held.values())
         assert_bit_identical(
@@ -207,35 +223,35 @@ class TestNodeStateCache:
             "second hit")
 
     def test_a_full_window_walk_is_held_sparsely(self):
-        """LJ, 16 snapshots, one cold full-window walk: 16 snapshot
-        references into one entry held in at most a quarter of 16 dense
-        vectors."""
+        """LJ, 16 snapshots, one cold full-window walk: its entry holds
+        the 16 snapshots in at most a quarter of 16 dense vectors."""
         weights = HashWeights(max_weight=64, seed=0)
         evolving = build_workload(
             WorkloadSpec(dataset="LJ", num_snapshots=16, batch_size=75,
                          edge_scale=1.0, seed=11), weight_fn=weights).evolving
-        planner = MemoizingPlanner(1024, weights)
+        planner = MemoizingPlanner(weights)
         answer = planner.evaluate(
             CommonGraphDecomposition.from_evolving(evolving),
             get_algorithm("SSSP"), int(evolving.snapshot_edges(0).arrays()[0][0]),
             0, 15, epoch=0)
-        cache = planner.node_cache
-        assert (answer.node_misses, len(cache)) == (16, 16)
-        assert _held_bytes(cache) <= 16 * answer.values[0].nbytes / 4
+        held = {id(part): part for part in _entry_arrays(answer.entry)}
+        assert answer.node_misses == 16
+        assert (sum(part.nbytes for part in held.values())
+                <= 16 * answer.values[0].nbytes / 4)
 
 
 @pytest.mark.service
 class TestSnapshotCache:
-    """The node cache indexes answered snapshots, not walk nodes."""
+    """Answered snapshots are reused, not walk nodes."""
 
     def test_a_nested_range_needs_no_walk(self, decomposition, planner,
                                           algorithm, weight_fn, kernel_calls):
         last = decomposition.num_snapshots - 1
-        planner.evaluate(decomposition, algorithm, 0, 0, last, epoch=0)
+        full = evaluate(planner, decomposition, algorithm, 0, 0, last)
         assert kernel_calls["static_compute"] == 1
         kernel_calls.update(dict.fromkeys(kernel_calls, 0))
-        nested = planner.evaluate(decomposition, algorithm, 0, 1, last - 1,
-                                  epoch=0)
+        nested = evaluate(planner, decomposition, algorithm, 0, 1, last - 1,
+                          [(0, full)])
         assert kernel_calls == {"static_compute": 0,
                                 "incremental_additions": 0}
         assert (nested.node_hits, nested.node_misses) == (last - 1, 0)
@@ -255,10 +271,10 @@ class TestSnapshotCache:
         self, decomposition, planner, weight_fn, walks, held, walked
     ):
         alg = get_algorithm("SSSP")
-        for first, last in held:
-            planner.evaluate(decomposition, alg, 0, first, last, epoch=0)
+        earlier = [(first, evaluate(planner, decomposition, alg, 0, first,
+                                    last)) for first, last in held]
         walks.clear()
-        answer = planner.evaluate(decomposition, alg, 0, 0, 4, epoch=0)
+        answer = evaluate(planner, decomposition, alg, 0, 0, 4, earlier)
         assert walks == [walked]
         computed = walked[1] - walked[0] + 1
         assert (answer.node_hits, answer.node_misses) == (5 - computed,
@@ -270,20 +286,23 @@ class TestSnapshotCache:
 
     def test_every_snapshot_points_into_the_answer_entry(self, decomposition,
                                                          planner):
-        answer = planner.evaluate(decomposition, get_algorithm("BFS"), 3,
-                                  0, 4, epoch=0)
-        refs = [planner.node_cache.get(("BFS", 3, 0, snapshot))
-                for snapshot in range(5)]
-        assert all(entry is answer.entry for entry, _ in refs)
-        assert [offset for _, offset in refs] == list(range(5))
+        """The entry holds each snapshot at its offset, so a later range
+        reads any of them from it."""
+        answer = evaluate(planner, decomposition, get_algorithm("BFS"), 3,
+                          0, 4)
+        assert_bit_identical(answer.entry.rows(), answer.values, "entry")
+        nested = evaluate(planner, decomposition, get_algorithm("BFS"), 3,
+                          1, 3, [(0, answer)])
+        assert nested.node_misses == 0
+        assert_bit_identical(nested.values, answer.values[1:4], "nested")
 
     def test_a_scribbled_assembled_answer_does_not_poison(
         self, decomposition, planner, weight_fn
     ):
         alg = get_algorithm("SSWP")
-        planner.evaluate(decomposition, alg, 1, 0, 4, epoch=0)
+        earlier = [(0, evaluate(planner, decomposition, alg, 1, 0, 4))]
         for _ in range(2):
-            nested = planner.evaluate(decomposition, alg, 1, 1, 3, epoch=0)
+            nested = evaluate(planner, decomposition, alg, 1, 1, 3, earlier)
             assert nested.node_misses == 0
             assert_bit_identical(
                 nested.values,
@@ -305,9 +324,11 @@ class TestSnapshotCache:
             service_evolving)
         alg = get_algorithm(name)
         want = oracle_values(decomposition, alg, source, 0, 4, weight_fn)
-        planner = MemoizingPlanner(256, weight_fn)
+        planner = MemoizingPlanner(weight_fn)
+        earlier = []
         for first, last in ranges:
-            answer = planner.evaluate(decomposition, alg, source, first,
-                                      last, epoch=0)
+            answer = evaluate(planner, decomposition, alg, source, first,
+                              last, earlier)
+            earlier.append((first, answer))
             assert_bit_identical(answer.values, want[first:last + 1],
                                  f"{name}:{source} ({first}, {last})")

@@ -19,6 +19,7 @@ from repro import faults
 from repro.algorithms.registry import get_algorithm
 from repro.cli import main
 from repro.core.results import decode_float_row
+from repro.fleet import RouterConfig
 from repro.resilience import RetryPolicy
 from repro.service import ServiceClient, ServiceConfig, ServiceRunner, protocol
 
@@ -85,6 +86,15 @@ class TestBasicOps:
         assert not runner._thread.is_alive()
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", runner.port), timeout=1)
+
+
+@pytest.mark.parametrize("config", [ServiceConfig, RouterConfig])
+@pytest.mark.parametrize("timeout", [0, -1.0])
+def test_a_request_timeout_is_positive_or_none(config, timeout):
+    # A zero budget would expire every miss, ingest and update unserved.
+    with pytest.raises(ValueError, match="request_timeout"):
+        config(request_timeout=timeout)
+    assert config(request_timeout=None).request_timeout is None
 
 
 class TestErrors:

@@ -15,6 +15,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet, decode_edges
 from repro.graph.generators import rmat_edges
 from repro.service import ServiceState
+from repro.service.state import QueryAnswer
 from repro.service.cache import CachedRange
 
 from tests.conftest import assert_values_equal
@@ -285,9 +286,11 @@ class TestQueries:
         answer = service_state.query("SSSP", 0, first=0, last=2)
         assert not answer.from_cache
         assert answer.epoch == 1
-        # The old-epoch entries were purged eagerly, not just shadowed.
-        assert all(key[-1] == 1 for key in service_state.result_cache.keys())
-        assert all(key[2] == 1 for key in service_state.node_cache.keys())
+        # The old-epoch entries were purged eagerly, not just shadowed,
+        # so none lends the new epoch a snapshot.
+        assert all(key[-1] == 1
+                   for key, _ in service_state.result_cache.items())
+        assert (answer.node_hits, answer.node_misses) == (0, 3)
 
     def test_unknown_algorithm(self, service_state):
         with pytest.raises(AlgorithmError):
@@ -306,7 +309,8 @@ class TestQueries:
 
 @pytest.mark.service
 class TestSnapshotCache:
-    """A miss stores its answer once; the node cache points into it."""
+    """A miss stores its answer once; later misses read its snapshots
+    while the result cache holds it."""
 
     def test_a_cold_miss_compacts_once_and_indexes_its_entry(
         self, tmp_path, service_weights, monkeypatch
@@ -326,29 +330,37 @@ class TestSnapshotCache:
         monkeypatch.setattr(results, "changed_cells", counted)
         try:
             answer = state.query("SSSP", 0)
+            assert len(calls) == 15
+            ((key, entry),) = state.result_cache.items()
+            assert key == answer.key()
+            # A nested range reads its snapshots from that one entry.
+            held = state._held_snapshots(QueryAnswer("SSSP", 0, 3, 12, 0))
+            nested = state.query("SSSP", 0, first=3, last=12)
         finally:
             state.close()
-        assert len(calls) == 15
-        entry = state.result_cache.get(answer.key())
-        refs = [state.node_cache.get(("SSSP", 0, 0, snapshot))
-                for snapshot in range(16)]
-        assert len(state.node_cache) == 16
-        assert all(held is entry for held, _ in refs)
-        assert [offset for _, offset in refs] == list(range(16))
+        assert all(ref is entry for ref, _ in held)
+        assert [offset for _, offset in held] == list(range(3, 13))
+        assert (nested.node_hits, nested.node_misses) == (10, 0)
+        assert {key: state.status()["node_cache"][key]
+                for key in ("hits", "misses")} == {"hits": 20, "misses": 16}
 
     def test_an_ingest_drops_every_snapshot_reference(self, service_state):
         service_state.query("BFS", 0)
         service_state.query("SSSP", 1, first=1, last=2)
-        assert len(service_state.node_cache) == 7
+        assert len(service_state.result_cache) == 2
         service_state.ingest(valid_batch(service_state.store))
-        assert len(service_state.node_cache) == 0
-        assert service_state.node_cache.stats.invalidations == 7
+        assert len(service_state.result_cache) == 0
+        assert service_state.result_cache.stats.invalidations == 2
         answer = service_state.query("BFS", 0, first=0, last=1)
         assert (answer.node_hits, answer.node_misses) == (0, 2)
+        assert {key: service_state.status()["node_cache"][key]
+                for key in ("hits", "misses")} == {"hits": 0, "misses": 9}
 
-    def test_an_evicted_entry_stays_readable_through_its_snapshots(
+    def test_an_evicted_entry_is_gone_for_its_snapshots(
         self, service_store, service_weights
     ):
+        """The result cache's one bound limits every answer kept: an
+        evicted entry lends no snapshot to a later miss."""
         state = ServiceState(service_store, weight_fn=service_weights,
                              result_cache_entries=1)
         try:
@@ -360,9 +372,9 @@ class TestSnapshotCache:
         finally:
             state.close()
         assert (nested.from_cache, nested.node_hits,
-                nested.node_misses) == (False, 3, 0)
+                nested.node_misses) == (False, 0, 3)
         for got, want in zip(nested.values, offline.values):
-            assert_values_equal(got, want, "snapshot of an evicted entry")
+            assert_values_equal(got, want, "walk after an eviction")
 
     def test_a_held_tip_range_is_patched_and_caches_no_patch(
         self, service_state
@@ -391,11 +403,10 @@ class TestSnapshotCache:
         assert not np.array_equal(answer.values[-1], unpatched[-1])
         for got, held in zip(answer.values[:-1], unpatched[2:-1]):
             assert_values_equal(got, held, "history")
-        # Neither cache holds the patched column.
-        entry = service_state.result_cache.get(answer.key())
-        assert_values_equal(entry.rows()[-1], unpatched[-1], "result cache")
-        held, offset = service_state.node_cache.get(("SSSP", 0, 0, tip))
-        assert_values_equal(held.rows()[offset], unpatched[-1], "node cache")
+        # No entry holds the patched column.
+        for _, entry in service_state.result_cache.items():
+            assert_values_equal(entry.rows()[-1], unpatched[-1],
+                                "result cache")
 
 
 class TestStatus:
@@ -410,7 +421,9 @@ class TestStatus:
         assert payload["num_snapshots"] == 5
         assert payload["result_cache"]["hits"] == 1
         assert payload["result_cache"]["entries"] == 1
-        assert payload["node_cache"]["entries"] > 0
+        # The cold miss looked up its 5 snapshots; none was held.
+        assert payload["node_cache"]["misses"] == 5
+        assert payload["node_cache"]["hits"] == 0
         assert 0.0 <= payload["result_cache"]["hit_rate"] <= 1.0
 
     def test_versions(self, service_state):

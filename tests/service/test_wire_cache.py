@@ -70,10 +70,10 @@ def dict_form(frame, rows):
 
 def entry_of(state, algorithm, source):
     """The result-cache entry of a full-window query."""
-    (key,) = [key for key in state.result_cache.keys()
-              if key[:4] == (algorithm, source, state.base_version,
-                             state.latest_version)]
-    return state.result_cache._entries[key]
+    (entry,) = [entry for key, entry in state.result_cache.items()
+                if key[:4] == (algorithm, source, state.base_version,
+                               state.latest_version)]
+    return entry
 
 
 class TestStoredBytes:

@@ -159,6 +159,32 @@ def test_malformed_connect_is_a_usage_error(command, address, capsys):
     assert "expected HOST:PORT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("serve", "--result-cache", "0"),
+    ("serve", "--max-concurrent", "0"),
+    ("serve", "--queue-limit", "-1"),
+    ("serve", "--retries", "-1"),
+    ("serve", "--breaker-threshold", "0"),
+    ("serve", "--window", "0"),
+    ("serve", "--livetip-max-updates", "0"),
+    ("serve", "--request-timeout", "0"),
+    ("serve", "--request-timeout", "-1"),
+    ("serve", "--request-timeout", "nan"),
+    ("route", "--window", "0"),
+    ("route", "--breaker-threshold", "0"),
+    ("route", "--request-timeout", "0"),
+])
+def test_out_of_range_service_flags_are_usage_errors(tmp_path, command,
+                                                      flag, value, capsys):
+    # Refused while parsing: no store is opened, no service starts.
+    with pytest.raises(SystemExit) as exited:
+        main([command, str(tmp_path / "missing"), flag, value])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected" in err
+    assert "Traceback" not in err
+
+
 class TestInfoJson:
     def test_machine_readable_summary(self, store_dir, capsys):
         import json
