@@ -46,6 +46,14 @@ class MonotonicAlgorithm(ABC):
     source_value: float = 0.0
     #: Whether edge weights influence proposals (BFS ignores them).
     uses_weights: bool = True
+    #: Whether a converged state is cheaper to repair after deletions by
+    #: value-support tagging (``trim_and_repair(tagging="support")``)
+    #: than to recompute.  False where the edge function hands a value on
+    #: unchanged (``min``/``max`` of value and weight): its plateaus of
+    #: equal values match along whole regions, which support tagging then
+    #: trims — a median of 3 260 of LJ/16's 4 096 vertices one append
+    #: after the root, against 19 (BFS), 8 (SSSP) and 11 (Viterbi).
+    trims_by_support: bool = True
 
     @abstractmethod
     def proposals(self, src_values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -55,6 +55,7 @@ class SSWP(MonotonicAlgorithm):
     direction = "max"
     worst = 0.0
     source_value = np.inf
+    trims_by_support = False
 
     def proposals(self, src_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return np.minimum(src_values, weights)
@@ -67,6 +68,7 @@ class SSNP(MonotonicAlgorithm):
     direction = "min"
     worst = np.inf
     source_value = 0.0
+    trims_by_support = False
 
     def proposals(self, src_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return np.maximum(src_values, weights)

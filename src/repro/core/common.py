@@ -67,6 +67,10 @@ class CommonGraphDecomposition:
         self.num_vertices = int(num_vertices)
         self.common = common
         self.surpluses: List[EdgeSet] = list(surpluses)
+        #: ``(departed, rejoined)``: the common edges lost and gained
+        #: against the decomposition this one was :meth:`extended` from
+        #: (``None`` when built any other way).
+        self.moved: Optional[Tuple[EdgeSet, EdgeSet]] = None
         self._interval_cache: Dict[Tuple[int, int], EdgeSet] = {}  # guarded-by: _cache_lock
         self._plan: Dict[Hashable, Any] = {}  # guarded-by: _cache_lock
         # Guards the two memos only: lazy inserts from concurrent
@@ -124,7 +128,8 @@ class CommonGraphDecomposition:
 
         The batch must fit the tip exactly (``DeltaError`` otherwise),
         checked by membership: additions against the common graph here,
-        the rest by applying the batch to the tip's surplus.
+        the rest by applying the batch to the tip's surplus.  The result's
+        :attr:`moved` holds the departed and rejoined edges.
         """
         if batch.additions.max_vertex() >= self.num_vertices:
             raise SnapshotError("batch references vertex out of range")
@@ -142,7 +147,9 @@ class CommonGraphDecomposition:
         if rejoined:
             common = common | rejoined
             surpluses = [s - rejoined for s in surpluses]
-        return CommonGraphDecomposition(self.num_vertices, common, surpluses)
+        result = CommonGraphDecomposition(self.num_vertices, common, surpluses)
+        result.moved = (departed, rejoined)
+        return result
 
     # -- shape ------------------------------------------------------------
     @property

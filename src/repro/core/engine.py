@@ -32,7 +32,11 @@ root's graph is ``ICG(first, last)`` by the rule above, and no
 restricted decomposition is built.  The root is reached as every other
 node is, from the common graph: a static convergence on the common CSR
 (dense rounds included), then one hop adding the Δ edges present
-throughout the range.
+throughout the range.  A caller that already holds the query's values
+on the common graph hands them in as ``run(root=...)`` and the static
+convergence is skipped; every walk reports the common-graph values it
+started from as its result's ``root`` (the service keeps them, and
+derives the next window's from them after an ingest).
 
 **Plan once, evaluate many.**  Nothing above depends on the query, so an
 evaluator builds none of it: it reads the decomposition's plan memo
@@ -284,40 +288,53 @@ class WorkSharingEvaluator:
         one-row stack from scratch, with sparse rounds only, cost about
         twice as much on LJ/16.
         """
-        state = static_compute(self.base_csr, self.algorithm, self.source,
-                               counters=counters, mode="sync")
+        return self._converge(counters, None)[1]
+
+    def _converge(self, counters: Optional[EngineCounters],
+                  root: Optional[np.ndarray]) -> Tuple[np.ndarray, VertexState]:
+        """``(common-graph values, state on ICG(first, last))``: the
+        first is ``root`` when given (read, never written), else the
+        static convergence."""
+        if root is None:
+            root = static_compute(self.base_csr, self.algorithm, self.source,
+                                  counters=counters, mode="sync").values
         spanning = np.flatnonzero(self.delta.within(slice(None), *self.schedule.root))
+        state = VertexState(values=root.copy() if spanning.size else root,
+                            source=self.source)
         if spanning.size:
             sources, targets, weights = self.delta.csr.edge_arrays()
             incremental_additions(
                 StackedGraph(self.base_csr, self.delta, [self.schedule.root]),
                 self.algorithm, state, sources[spanning], targets[spanning],
                 weights[spanning], counters=counters, mode=self.mode)
-        return state
+        return root, state
 
     def run(
         self,
         keep_values: bool = True,
         *,
+        root: Optional[np.ndarray] = None,
         run_sweep: SweepRunner = _run_together,
         layer: str = "engine",
     ) -> EvolvingQueryResult:
         """Execute the schedule; one incremental computation per sweep.
 
-        The walk is level by level from the common graph: the root by a
-        static evaluation, then each level's nodes by ``run_sweep`` from
-        their parents' rows.  ``layer`` names the ``<layer>.root`` /
-        ``<layer>.sweep`` spans.
+        The walk is level by level from the common graph: the root as
+        :meth:`base_state` reaches it (from ``root``, the query's
+        common-graph values, when given), then each level's nodes by
+        ``run_sweep`` from their parents' rows.  The result's ``root`` is the
+        common-graph values the walk started from; nothing writes them.
+        ``layer`` names the ``<layer>.root`` / ``<layer>.sweep`` spans.
         """
         result = EvolvingQueryResult(strategy=self.strategy)
         width = self.decomposition.num_vertices
-        root = self.schedule.root
+        top = self.schedule.root
         with result.timer.phase("initial_compute"), \
                 obs.phase_span(layer, "root"):
-            root_state = self.base_state(result.counters)
+            result.root, root_state = self._converge(result.counters, root)
 
         values: Dict[int, np.ndarray] = {}
-        if root[0] == root[1]:
+        if top[0] == top[1]:
             values[0] = root_state.values
         above = root_state.values.reshape(1, width)
         # One allocation holds every node's row, level after level: a
@@ -339,8 +356,8 @@ class WorkSharingEvaluator:
             above = matrix
 
         if keep_values:
-            snapshots = range(root[1] - root[0] + 1)
-            absent = [root[0] + i for i in snapshots if i not in values]
+            snapshots = range(top[1] - top[0] + 1)
+            absent = [top[0] + i for i in snapshots if i not in values]
             if absent:
                 raise ScheduleError(f"schedule produced no values for {absent}")
             result.snapshot_values = [values[i] for i in snapshots]

@@ -4,7 +4,7 @@ for held or shipped results: a range answer as *base + sparse Δ*, the JSON floa
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +103,9 @@ class EvolvingQueryResult:
     additions_processed: int = 0
     #: Number of incremental stabilisations executed (tree edges).
     stabilisations: int = 0
+    #: The query's values on the common graph, where the walk started
+    #: (``None`` until a walk ran).
+    root: Optional[np.ndarray] = None
 
     @property
     def total_seconds(self) -> float:

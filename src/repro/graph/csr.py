@@ -191,6 +191,21 @@ class CSRGraph:
         degrees = self.indptr[vertices + 1] - starts
         return expand_ranges(starts, degrees), degrees
 
+    def gather_in(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat in-edges of the frontier: ``(origins, targets, weights)``,
+        in CSR order.
+
+        A scan, not a transpose: one vertex mask picks the slots of
+        ``indices`` that land in the frontier, and ``searchsorted`` on
+        ``indptr`` names their origins (a transpose costs a full sort of
+        the edges; a kept origin array, ``E`` more integers).
+        """
+        mask = np.zeros(self.num_vertices, dtype=bool)
+        mask[np.asarray(frontier, dtype=np.int64)] = True
+        slots = np.flatnonzero(mask[self.indices])
+        origins = np.searchsorted(self.indptr, slots, "right") - 1
+        return origins, self.indices[slots], self.weights[slots]
+
     # -- derived graphs ---------------------------------------------------
     def transpose(self) -> "CSRGraph":
         """Reverse every edge (weights preserved)."""

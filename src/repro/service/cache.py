@@ -7,14 +7,16 @@ is a :class:`CachedRange`, the answer as *first snapshot + sparse Δ per
 later snapshot*.  It is the only store of answers: a miss reads the
 snapshots it can reuse from the live entries of the same
 ``(algorithm, source, epoch)`` (:meth:`LRUCache.items`), so an evicted
-entry is gone for every reader.
+entry is gone for every reader.  The state keeps its queries' roots in
+it too, under keys of their own, so one bound covers both; a root is
+read with :meth:`LRUCache.peek`, which counts in no statistic.
 
 No reader writes a :class:`CachedRange`, so a hit returns the entry
 itself and :meth:`CachedRange.rows` expands fresh arrays.
 
-The key embeds the decomposition *epoch*: every ingest or window slide
-bumps it, so entries from a superseded decomposition can never be
-returned.  Stale-epoch entries are also purged eagerly
+An answer key embeds the decomposition *epoch*: every ingest or window
+slide bumps it, so answers from a superseded decomposition can never be
+returned.  Stale-epoch answers are also purged eagerly
 (:meth:`LRUCache.purge`) to free memory immediately rather than waiting
 for LRU pressure.
 """
@@ -126,6 +128,12 @@ class LRUCache:
             return self._hit_locked(key)
         finally:
             self._lock.release()
+
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached value or ``None``, counted in no statistic and left
+        where it is in the LRU order."""
+        with self._lock:
+            return self._entries.get(key)
 
     def _hit_locked(self, key: Hashable) -> Optional[Any]:  # holds-lock: _lock
         value = self._entries.get(key)

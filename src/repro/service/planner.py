@@ -26,9 +26,13 @@ rows, so a caller that writes to its answer cannot reach the cache.
 A range is walked on the window decomposition itself (the sub-grid
 rooted at the range's node), so the schedule, its sweeps and the two
 graphs every query needs come from the decomposition's plan, built on
-the first walk of each range in an epoch.  Values assembled from held
-snapshots are bit-identical to a cold walk's (the service's end-to-end
-test asserts exactly this against the naive oracle).
+the first walk of each range in an epoch.  A caller that holds the
+query's values on the decomposition's common graph (the service's kept
+root) passes them as ``root`` and the walk skips its static
+convergence; every walk hands back the root it started from.  Values
+assembled from held snapshots are bit-identical to a cold walk's (the
+service's end-to-end test asserts exactly this against the naive
+oracle).
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ class PlannedAnswer:
     #: Snapshots read from held entries / computed by the walk.
     node_hits: int = 0
     node_misses: int = 0
+    #: The query's values on the common graph the walk started from
+    #: (``None``: no walk ran).
+    root: Optional[np.ndarray] = None
 
 
 def _held_rows(held: Sequence[Optional[SnapshotRef]],
@@ -108,13 +115,16 @@ class MemoizingPlanner:
         last: int,
         epoch: int,
         held: Optional[Sequence[Optional[SnapshotRef]]] = None,
+        root: Optional[np.ndarray] = None,
     ) -> PlannedAnswer:
         """Answer ``algorithm`` from ``source`` on snapshots ``first..last``.
 
         ``first``/``last`` are indices into ``decomposition`` (the
         service window), ``epoch`` labels the trace.  ``held`` has one
         item per snapshot of the range (``None``: not held); without it
-        the whole range is walked.
+        the whole range is walked.  ``root``, the query's values on
+        ``decomposition``'s common graph when the caller holds them,
+        spares a walk its static convergence.
         """
         with obs.phase_span("planner", "evaluate",
                             label=f"{algorithm.name}:{source}",
@@ -125,15 +135,17 @@ class MemoizingPlanner:
             walked = range(missing[0], missing[-1] + 1) if missing else range(0)
             rows = _held_rows(held, walked)
             stabilisations = additions = 0
+            converged = None
             if missing:
                 walk = WorkSharingEvaluator(
                     decomposition, algorithm, source, weight_fn=self.weight_fn,
                     first=first + walked.start, last=first + walked.stop - 1,
-                ).run(layer="planner")
+                ).run(root=root, layer="planner")
                 rows[walked.start:walked.stop] = [
                     values.copy() for values in walk.snapshot_values]
                 stabilisations = walk.stabilisations
                 additions = walk.additions_processed
+                converged = walk.root
             entry = CachedRange(rows)
             hits = len(held) - len(walked)
             plan_span.annotate(node_hits=hits, node_misses=len(walked))
@@ -144,4 +156,5 @@ class MemoizingPlanner:
             stabilisations=stabilisations,
             node_hits=hits,
             node_misses=len(walked),
+            root=converged,
         )

@@ -11,8 +11,8 @@ It owns:
   and, on a full window, drops the oldest — in O(batch), never by
   recomputing from the snapshots;
 * the **epoch** counter: bumped on every ingest/slide, embedded in
-  every cache key, so no cache entry can outlive the decomposition
-  that produced it;
+  every answer key, so no answer can outlive the decomposition that
+  produced it;
 * the result cache (full answers, each a
   :class:`~repro.service.cache.CachedRange`), the only store of
   answers and the one bound on what the service keeps.  A miss reuses
@@ -20,7 +20,13 @@ It owns:
   epoch)`` already answer (:meth:`ServiceState._held_snapshots`, counted
   as ``status()["node_cache"]``) and hands them to the
   :class:`~repro.service.planner.MemoizingPlanner`, which walks only
-  the rest.
+  the rest;
+* per ``(algorithm, source)``, in the same cache, the query's **root**
+  — its values on the window's common graph, where every walk starts —
+  tagged with its epoch, and the common graph's moves of the last
+  :data:`ROOT_MAX_AGE` appends: a miss after an ingest derives its root
+  from the kept one along those moves (:meth:`ServiceState._root`)
+  instead of converging it afresh.
 
 Versions are *absolute*: snapshot numbers keep counting up as batches
 arrive, even after old snapshots slide out of the window.  A query for
@@ -49,7 +55,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import InitVar, dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -57,10 +65,14 @@ from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.core.common import CommonGraphDecomposition
+from repro.core.engine import planned_graphs
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.store import SnapshotStore
+from repro.graph.edgeset import EdgeSet, decode_edges
 from repro.graph.weights import UnitWeights, WeightFn
+from repro.kickstarter.deletion import trim_and_repair
+from repro.kickstarter.engine import VertexState, incremental_additions
 from repro.livetip import Compactor, LiveTipOverlay
 from repro.livetip.overlay import TipCapture
 from repro.service.cache import CacheStats, CachedRange, LRUCache
@@ -180,6 +192,62 @@ def _hit(answer: QueryAnswer, entry: CachedRange) -> QueryAnswer:
     return answer
 
 
+class _RootKey(NamedTuple):
+    """The result-cache key of a query's root, never equal to an answer's
+    five-field :meth:`QueryAnswer.key`."""
+
+    algorithm: str
+    source: int
+
+
+@dataclass(frozen=True)
+class _Root:
+    """A query's values on the common graph of one epoch's window."""
+
+    epoch: int
+    values: np.ndarray
+
+
+#: Appends a root may lag its view by and still be derived (older ones
+#: are converged afresh); the moves of as many appends are kept.  On
+#: LJ/16 with 40 + 35-edge batches (30 sources, 2-vCPU box) a derivation
+#: against a static convergence costs, for BFS and SSSP together, 1.87 /
+#: 4.82 ms two appends back, 3.22 / 4.52 ms eight back and 5.03 / 4.71
+#: ms sixteen back, as the net departures and the region they trim
+#: grow: the mix breaks even at about 14.  The cap stops short of it
+#: because BFS alone breaks even at about 5, and from 12 appends on one
+#: departed edge near the source could flood Viterbi's trim (3 180 of
+#: 4 096 vertices, 12.4 ms against 5.5 ms).
+ROOT_MAX_AGE = 8
+
+#: One append's moves of the common graph: ``(departed, rejoined)``.
+_Moves = Tuple[EdgeSet, EdgeSet]
+
+
+def _net_moves(steps: Sequence[_Moves]) -> _Moves:
+    """Consecutive appends' moves as one: the edges the common graph lost
+    and gained between the first's parent and the last.
+
+    An edge's moves alternate — only a common edge departs, only another
+    one rejoins — so it changed sides iff it moved an odd number of
+    times, in the direction of its first move.  One sort of all moves;
+    folding the steps pairwise by set algebra cost 0.77 ms at eight
+    appends, this 0.11 ms.
+    """
+    if len(steps) == 1:
+        return steps[0]
+    codes = np.concatenate([moved.codes for step in steps for moved in step])
+    rejoins = np.concatenate([np.full(len(moved), side, dtype=bool)
+                              for step in steps
+                              for side, moved in enumerate(step)])
+    edges, first, count = np.unique(codes, return_index=True,
+                                    return_counts=True)
+    changed = count % 2 == 1
+    back = rejoins[first]
+    return (EdgeSet(edges[changed & ~back], _trusted=True),
+            EdgeSet(edges[changed & back], _trusted=True))
+
+
 #: A range evaluator, ``(view, first, last) -> QueryAnswer`` on a validated
 #: range: :meth:`ServiceState._evaluate_cached` or ``_evaluate_offline``.
 _RangeEvaluator = Callable[[_ReadView, int, int], QueryAnswer]
@@ -224,6 +292,9 @@ class ServiceState:
         #: Snapshot lookups of result-cache misses: a hit is a snapshot
         #: a live entry already holds.
         self.snapshot_stats = CacheStats()  # guarded-by: _lock
+        #: Epoch -> the moves of the append that made it, for the last
+        #: :data:`ROOT_MAX_AGE` appends; a root is derived across them.
+        self._moves: Dict[int, _Moves] = {}  # guarded-by: _lock
         self.planner = MemoizingPlanner(self.weight_fn)
         decomposition, base = self._state_from_store()
         #: Absolute version number of the window's first snapshot.
@@ -348,11 +419,10 @@ class ServiceState:
                     # silently extending the wrong graph.
                     decomp = current.extended(batch, drop)
                     base += drop
-                    departed = len(batch.deletions & current.common)
+                    departed, rejoined = decomp.moved
                     obs.annotate(
-                        departed=departed, dropped=drop, batch_size=batch.size,
-                        rejoined=(len(decomp.common) - len(current.common)
-                                  + departed))
+                        departed=len(departed), dropped=drop,
+                        batch_size=batch.size, rejoined=len(rejoined))
                 # lint: allow(error-taxonomy): recovered by the full rebuild below (counted in resyncs); a rebuild failure poisons the state and re-raises loudly
                 except Exception:
                     decomp = None
@@ -364,6 +434,9 @@ class ServiceState:
                     raise
                 self.resyncs += 1
                 obs.annotate(resync=True)
+                # A rebuilt window's versions may name other snapshots:
+                # no root is derived across it.
+                self._moves.clear()
             self._poisoned = None
             self.decomposition = decomp
             self.base_version = base
@@ -384,8 +457,16 @@ class ServiceState:
             self.epoch += 1
             self.ingests += 1
             epoch = self.epoch
-        # Entries keyed with older epochs can never hit again; free them.
-        self.result_cache.purge(lambda key: key[-1] != epoch)
+            rebuilt = decomp.moved is None
+            if not rebuilt:
+                self._moves[epoch] = decomp.moved
+                self._moves.pop(epoch - ROOT_MAX_AGE, None)
+        # Answers keyed with older epochs can never hit again; free them.
+        # Roots outlive the epoch (a later miss derives from them) unless
+        # the window was rebuilt.
+        self.result_cache.purge(
+            lambda key: rebuilt if isinstance(key, _RootKey)
+            else key[-1] != epoch)
 
     # -- live-tip updates ----------------------------------------------------
     def _ensure_livetip_locked(
@@ -521,17 +602,66 @@ class ServiceState:
         if entry is not None:
             return _hit(answer, entry)
         obs.annotate(result_cache="miss")
+        held = self._held_snapshots(answer)
+        root_key = _RootKey(answer.algorithm, answer.source)
         planned = self.planner.evaluate(
             view.decomposition, view.algorithm, view.source,
-            first - view.base, last - view.base, view.epoch,
-            held=self._held_snapshots(answer),
+            first - view.base, last - view.base, view.epoch, held=held,
+            root=(self._root(view, self.result_cache.peek(root_key))
+                  if None in held else None),
         )
         answer.values = planned.values
         answer.node_hits = planned.node_hits
         answer.node_misses = planned.node_misses
         answer.additions_processed = planned.additions_processed
+        if planned.root is not None:
+            self.result_cache.put(root_key, _Root(view.epoch, planned.root))
         self.result_cache.put(answer.key(), planned.entry)
         return answer
+
+    def _root(self, view: _ReadView,
+              kept: Optional[_Root]) -> Optional[np.ndarray]:
+        """The query's values on ``view``'s common graph, read or derived
+        from its ``kept`` root, or ``None`` (the walk converges them).
+
+        A root of the view's epoch is those values.  An older one, at most
+        :data:`ROOT_MAX_AGE` appends behind with no rebuild since, is
+        moved along the net moves of the appends between: the departed
+        edges trimmed by value-support tagging, then the rejoined ones
+        added, both on the window's common CSR — the paper's deletion
+        against recompute trade-off, taken where the trim is small
+        (:attr:`~repro.algorithms.base.MonotonicAlgorithm.trims_by_support`).
+        The fixpoint is unique, so the values are the static ones.
+        """
+        if kept is None or kept.epoch > view.epoch:
+            return None
+        if kept.epoch == view.epoch:
+            return kept.values
+        if not view.algorithm.trims_by_support:
+            return None
+        with self._lock:
+            steps = [self._moves.get(epoch)
+                     for epoch in range(kept.epoch + 1, view.epoch + 1)]
+        if None in steps:
+            return None
+        departed, rejoined = _net_moves(steps)
+        common, _ = planned_graphs(view.decomposition, self.weight_fn)
+        state = VertexState(values=kept.values.copy(), source=view.source)
+        # One weight call for both sets: a call costs ~20 µs, whatever
+        # the few dozen edges.
+        sources, targets = decode_edges(
+            np.concatenate([departed.codes, rejoined.codes]))
+        weights = self.weight_fn(sources, targets)
+        cut = len(departed)
+        with obs.phase_span("state", "root", age=len(steps),
+                            departed=cut, rejoined=len(rejoined)):
+            trim_and_repair(common, view.algorithm, state, departed,
+                            tagging="support", deleted_weights=weights[:cut])
+            if rejoined:
+                incremental_additions(common, view.algorithm, state,
+                                      sources[cut:], targets[cut:],
+                                      weights[cut:])
+        return state.values
 
     def _held_snapshots(
             self, answer: QueryAnswer) -> List[Optional[SnapshotRef]]:
@@ -546,8 +676,10 @@ class ServiceState:
         held: List[Optional[SnapshotRef]] = [None] * (answer.last
                                                       - answer.first + 1)
         wanted = (answer.algorithm, answer.source, answer.epoch)
-        for (name, source, first, last, epoch), entry in \
-                self.result_cache.items():
+        for key, entry in self.result_cache.items():
+            if isinstance(key, _RootKey):
+                continue
+            name, source, first, last, epoch = key
             if (name, source, epoch) == wanted:
                 for version in range(max(first, answer.first),
                                      min(last, answer.last) + 1):

@@ -16,6 +16,7 @@ from repro.graph.edgeset import decode_edges
 from tests.conftest import oracle_values
 from tests.fleet.conftest import fleet_batch, pairs
 from tests.service.conftest import valid_batch
+from tests.service.golden import Gate
 
 pytestmark = [pytest.mark.service, pytest.mark.fleet]
 
@@ -248,11 +249,17 @@ class TestDeadline:
             runner, replica.runner = replica.runner, None
             runner.stop()
             runner.state.close()
-        with fleet.client() as client:
-            response = client.request({
-                "op": "query", "algorithm": "SSSP", "source": 0,
-                "timeout_ms": 1,
-            })
+        # The survivor's query is held until the router has answered, so
+        # a fast evaluation cannot beat the 1 ms budget and answer ok.
+        gate = Gate(fleet.replicas["replica-2"].runner.state)
+        try:
+            with fleet.client() as client:
+                response = client.request({
+                    "op": "query", "algorithm": "SSSP", "source": 0,
+                    "timeout_ms": 1,
+                })
+        finally:
+            gate.release()
         # The budget died somewhere along the failover chain — at the
         # router, at the surviving replica's admission gate, or in its
         # executor — but it *answered*, promptly, instead of burning

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -121,6 +122,28 @@ class TestGather:
         g = build(pairs, n)
         src, dst, _ = g.gather(np.arange(n))
         assert sorted(zip(src.tolist(), dst.tolist())) == sorted(pairs)
+
+    @given(edge_pairs(max_edges=30), st.data())
+    def test_gather_in_is_the_transposed_gather(self, ab, data):
+        n, pairs = ab
+        g = build(pairs, n, weight_fn=HashWeights(9, 4))
+        frontier = np.array(data.draw(st.lists(
+            st.integers(0, n - 1), unique=True, max_size=n)), dtype=np.int64)
+        origins, targets, weights = g.gather_in(frontier)
+        t_targets, t_origins, t_weights = g.transpose().gather(frontier)
+        assert (sorted(zip(origins.tolist(), targets.tolist(),
+                           weights.tolist()))
+                == sorted(zip(t_origins.tolist(), t_targets.tolist(),
+                              t_weights.tolist())))
+
+    def test_gather_in_edges_with_their_weights(self):
+        g = build([(0, 2), (1, 2), (2, 0), (3, 1)], 4,
+                  weights=np.array([5.0, 6.0, 7.0, 8.0]))
+        origins, targets, weights = g.gather_in(np.array([2, 1]))
+        assert origins.tolist() == [0, 1, 3]
+        assert targets.tolist() == [2, 2, 1]
+        assert weights.tolist() == [5.0, 6.0, 8.0]
+        assert all(a.size == 0 for a in g.gather_in(np.array([3])))
 
 
 class TestDerived:

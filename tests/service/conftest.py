@@ -15,6 +15,7 @@ from repro.graph.edgeset import EdgeSet, decode_edges
 from repro.graph.generators import rmat_edges
 from repro.graph.weights import HashWeights
 from repro.service import ServiceState
+from repro.service.cache import CachedRange
 
 
 def valid_batch(store, n_add: int = 2, n_del: int = 1) -> DeltaBatch:
@@ -42,6 +43,13 @@ def valid_batch(store, n_add: int = 2, n_del: int = 1) -> DeltaBatch:
         additions=EdgeSet.from_pairs(additions),
         deletions=EdgeSet.from_pairs(deletions),
     )
+
+
+def answer_entries(cache):
+    """The ``(key, entry)`` pairs of the answers ``cache`` holds, least
+    recently used first; a result cache holds the queries' roots too."""
+    return [(key, entry) for key, entry in cache.items()
+            if isinstance(entry, CachedRange)]
 
 
 @contextlib.contextmanager

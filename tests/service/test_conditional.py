@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import faults
-from repro.algorithms.registry import get_algorithm
+from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.core.results import compact_range, expand_range, narrowed
 from repro.errors import ProtocolError
 from repro.evolving.store import SnapshotStore
@@ -39,6 +39,7 @@ from repro.service import client as client_module
 
 from tests.conftest import assert_values_equal, oracle_values
 from tests.service.conftest import (
+    answer_entries,
     seeded_answer,
     state_lock_held,
     valid_batch,
@@ -195,7 +196,7 @@ class TestReplies:
             for _ in range(5):
                 client.query("BFS", 2)
         assert len(calls) == 1
-        ((_, entry),) = service_state.result_cache.items()
+        ((_, entry),) = answer_entries(service_state.result_cache)
         assert entry.tag == original(entry.compact)
 
     def test_a_patched_tip_is_untagged_even_for_the_held_tag(
@@ -384,7 +385,7 @@ class TestClient:
 
 OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("query"), st.sampled_from(["BFS", "SSSP"]),
+        st.tuples(st.just("query"), st.sampled_from(algorithm_names()),
                   st.integers(0, 1), st.sampled_from(["window", "tip",
                                                       "first"]),
                   st.integers(1, 3)),
@@ -392,6 +393,7 @@ OPS = st.lists(
                   st.integers(0, 10_000)),
         st.tuples(st.just("compact")),
         st.tuples(st.just("ingest"), st.integers(0, 10_000)),
+        st.tuples(st.just("slide"), st.integers(0, 10_000)),
     ),
     min_size=4, max_size=24,
 )
@@ -403,6 +405,10 @@ OPS = st.lists(
 @example(ops=[("query", "SSSP", 1, "tip", 2), ("update", "insert", 5),
               ("query", "SSSP", 1, "tip", 2), ("compact",),
               ("query", "SSSP", 1, "first", 3)])
+@example(ops=[("query", "Viterbi", 0, "window", 1), ("ingest", 3),
+              ("slide", 0), ("ingest", 9), ("slide", 1),
+              ("query", "Viterbi", 0, "window", 1),
+              ("query", "SSWP", 0, "first", 1)])
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
@@ -410,8 +416,11 @@ OPS = st.lists(
 def test_any_interleaving_reads_the_oracle(service_evolving, service_weights,
                                            ops):
     """Repeated queries beside updates, folds, ingests and window slides
-    (window 3): every answer the tag-holding client returns — values-less
-    or not — is bit-identical to the oracle."""
+    (window 3; a ``slide`` ingest re-adds edges deleted earlier, which
+    rejoin the common graph as the window moves on): every answer the
+    tag-holding client returns — values-less or not, its walk started
+    from a derived, kept or fresh root — is bit-identical to the
+    oracle."""
     with tempfile.TemporaryDirectory() as tmp:
         store = SnapshotStore.create(Path(tmp) / "store", service_evolving)
         state = ServiceState(store, weight_fn=service_weights, window=3,
@@ -420,6 +429,7 @@ def test_any_interleaving_reads_the_oracle(service_evolving, service_weights,
         everything = {(u, v) for u in range(model.num_vertices)
                       for v in range(model.num_vertices) if u != v}
         touched = set()
+        deleted = []  # edges an ingest deleted, in order
         try:
             with ServiceRunner(state) as runner, \
                     ServiceClient(port=runner.port) as client:
@@ -460,9 +470,15 @@ def test_any_interleaving_reads_the_oracle(service_evolving, service_weights,
                             touched.clear()
                         absent = sorted(everything - model.live)
                         present = sorted(model.live)
-                        adds = {absent[(op[1] + 7 * i) % len(absent)]
-                                for i in range(2)}
-                        dels = {present[op[1] % len(present)]}
+                        back = [edge for edge in deleted
+                                if edge not in model.live]
+                        if op[0] == "slide" and back:
+                            adds, dels = {back[op[1] % len(back)]}, set()
+                        else:
+                            adds = {absent[(op[1] + 7 * i) % len(absent)]
+                                    for i in range(2)}
+                            dels = {present[op[1] % len(present)]}
+                            deleted.extend(dels)
                         receipt = client.ingest(
                             additions=[list(p) for p in sorted(adds)],
                             deletions=[list(p) for p in sorted(dels)])

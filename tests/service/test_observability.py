@@ -146,7 +146,8 @@ class TestMetricsFlow:
         assert float(lines['repro_cache_hit_rate{cache="result"}']) == 0.5
         assert float(lines['repro_cache_hits{cache="result"}']) == 1.0
         assert float(lines['repro_cache_misses{cache="result"}']) == 1.0
-        assert float(lines['repro_cache_entries{cache="result"}']) == 1.0
+        # Entries count every slot: the answer and the query's root.
+        assert float(lines['repro_cache_entries{cache="result"}']) == 2.0
         assert "repro_query_seconds_bucket" in text
 
     def test_ingest_updates_store_and_state_metrics(

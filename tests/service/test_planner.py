@@ -284,6 +284,32 @@ class TestSnapshotCache:
             oracle_values(decomposition, alg, 0, 0, 4, weight_fn),
             f"held {held}")
 
+    @pytest.mark.parametrize("first, last", [(0, 4), (1, 3), (2, 2)])
+    def test_a_held_root_spares_the_static_convergence(
+        self, decomposition, planner, algorithm, weight_fn, kernel_calls,
+        first, last
+    ):
+        """A walk reports the common-graph values it started from; handed
+        back, they replace its static convergence, read and never
+        written, and the answer is the same bit for bit."""
+        cold = planner.evaluate(decomposition, algorithm, 1, first, last,
+                                epoch=0)
+        assert_bit_identical(
+            [cold.root], [engine.static_compute(
+                decomposition.common_csr(weight_fn), algorithm, 1).values],
+            "root")
+        kept = cold.root.copy()
+        kernel_calls.update(dict.fromkeys(kernel_calls, 0))
+        warm = planner.evaluate(decomposition, algorithm, 1, first, last,
+                                epoch=0, root=kept)
+        assert kernel_calls["static_compute"] == 0
+        assert warm.root is kept
+        assert_bit_identical([kept], [cold.root], "the held root")
+        assert_bit_identical(warm.values, cold.values, f"{first}..{last}")
+        held = evaluate(planner, decomposition, algorithm, 1, first, last,
+                        [(first, cold)])
+        assert held.root is None  # no walk ran
+
     def test_every_snapshot_points_into_the_answer_entry(self, decomposition,
                                                          planner):
         """The entry holds each snapshot at its offset, so a later range

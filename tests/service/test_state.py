@@ -20,7 +20,7 @@ from repro.service.cache import CachedRange
 
 from tests.conftest import assert_values_equal
 from tests.helpers import reference_static_compute
-from tests.service.conftest import seeded_answer, valid_batch
+from tests.service.conftest import answer_entries, seeded_answer, valid_batch
 
 
 def assert_decompositions_equal(a, b, context=""):
@@ -288,8 +288,8 @@ class TestQueries:
         assert answer.epoch == 1
         # The old-epoch entries were purged eagerly, not just shadowed,
         # so none lends the new epoch a snapshot.
-        assert all(key[-1] == 1
-                   for key, _ in service_state.result_cache.items())
+        assert all(key[-1] == 1 for key, _ in
+                   answer_entries(service_state.result_cache))
         assert (answer.node_hits, answer.node_misses) == (0, 3)
 
     def test_unknown_algorithm(self, service_state):
@@ -331,7 +331,7 @@ class TestSnapshotCache:
         try:
             answer = state.query("SSSP", 0)
             assert len(calls) == 15
-            ((key, entry),) = state.result_cache.items()
+            ((key, entry),) = answer_entries(state.result_cache)
             assert key == answer.key()
             # A nested range reads its snapshots from that one entry.
             held = state._held_snapshots(QueryAnswer("SSSP", 0, 3, 12, 0))
@@ -347,9 +347,9 @@ class TestSnapshotCache:
     def test_an_ingest_drops_every_snapshot_reference(self, service_state):
         service_state.query("BFS", 0)
         service_state.query("SSSP", 1, first=1, last=2)
-        assert len(service_state.result_cache) == 2
+        assert len(answer_entries(service_state.result_cache)) == 2
         service_state.ingest(valid_batch(service_state.store))
-        assert len(service_state.result_cache) == 0
+        assert answer_entries(service_state.result_cache) == []
         assert service_state.result_cache.stats.invalidations == 2
         answer = service_state.query("BFS", 0, first=0, last=1)
         assert (answer.node_hits, answer.node_misses) == (0, 2)
@@ -365,8 +365,11 @@ class TestSnapshotCache:
                              result_cache_entries=1)
         try:
             state.query("BFS", 0)
-            state.query("BFS", 1)  # evicts BFS:0 from the result cache
-            assert state.result_cache.stats.evictions == 1
+            kept = state.query("BFS", 1)  # evicts BFS:0 from the result cache
+            # With one slot, each answer also evicts its query's root.
+            assert state.result_cache.stats.evictions == 3
+            assert [key for key, _ in answer_entries(state.result_cache)] \
+                == [kept.key()]
             nested = state.query("BFS", 0, first=1, last=3)
             offline = state.offline_answer("BFS", 0, first=1, last=3)
         finally:
@@ -404,7 +407,7 @@ class TestSnapshotCache:
         for got, held in zip(answer.values[:-1], unpatched[2:-1]):
             assert_values_equal(got, held, "history")
         # No entry holds the patched column.
-        for _, entry in service_state.result_cache.items():
+        for _, entry in answer_entries(service_state.result_cache):
             assert_values_equal(entry.rows()[-1], unpatched[-1],
                                 "result cache")
 
@@ -420,7 +423,8 @@ class TestStatus:
         assert payload["window_last"] == 4
         assert payload["num_snapshots"] == 5
         assert payload["result_cache"]["hits"] == 1
-        assert payload["result_cache"]["entries"] == 1
+        # Entries count every slot: the answer and the query's root.
+        assert payload["result_cache"]["entries"] == 2
         # The cold miss looked up its 5 snapshots; none was held.
         assert payload["node_cache"]["misses"] == 5
         assert payload["node_cache"]["hits"] == 0
