@@ -574,133 +574,3 @@ def test_fleet_query_throughput(benchmark, fleet_running, workload):
     # node-cache baseline (~0.10).
     assert hit_rate > 0.10
 
-
-AUTOSCALE_WAVES = 6        # minimum waves (the measured storm)
-AUTOSCALE_MAX_WAVES = 10   # keep storming until a wave recovers
-AUTOSCALE_WAVE_GAP = 0.7   # idle seconds between waves: grow headroom
-AUTOSCALE_RECOVERED = 0.10  # a wave shedding under this has recovered
-
-
-def _autoscale_wave(port, base, latencies, sheds):
-    """One burst wave through the router: same shape as ``_storm``.
-
-    Unlike ``_storm`` this does not arm its own fault plan — the
-    caller injects the latency fault once for the whole storm (the
-    chaos-suite convention): a *transient* slowdown at burst start,
-    so the recovery clock measures the autopilot catching up after
-    the fault passes, not a condition that re-arms forever.
-    """
-    offsets = faults.burst_offsets(BURST_CLIENTS, spread=0.02, seed=11)
-
-    def one(index, offset):
-        time.sleep(offset)
-        start = time.perf_counter()
-        try:
-            with ServiceClient(port=port, overload_retries=0) as client:
-                client.query("BFS", base + index)
-            latencies.append(time.perf_counter() - start)
-        except ServiceOverloadedError:
-            sheds.append(index)
-
-    threads = [
-        threading.Thread(target=one, args=(i, off))
-        for i, off in enumerate(offsets)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert not any(t.is_alive() for t in threads)
-
-
-@pytest.mark.benchmark(group="service-autoscale")
-def test_autoscale_burst(benchmark, service_store, tmp_path_factory):
-    """The static burst again, but the fleet is allowed to react.
-
-    ``test_burst_overload`` pins what a fixed deployment sheds under
-    the seeded storm (~75%).  Here the identical per-lane admission
-    (2 slots, 4 seats, 250ms) faces the same per-wave burst, but behind
-    an autopiloted min-2/max-5 fleet: the loop observes the shedding,
-    grows between waves, and the headline ``autoscale_shed_rate`` must
-    come in at no more than half the static ``burst_shed_rate`` while
-    changing membership at most 3 times (the hysteresis bound — and
-    structurally all the room between min and max).
-    """
-    from repro.autopilot import (
-        AutopilotConfig,
-        AutopilotRunner,
-        FleetAutopilot,
-    )
-
-    root = tmp_path_factory.mktemp("bench-autoscale")
-    supervisor = FleetSupervisor(
-        service_store.directory, root, replicas=2, weight_fn=WF,
-        service_config=lambda name: ServiceConfig(
-            query_admission=AdmissionPolicy(max_concurrent=2, max_queue=4,
-                                            queue_timeout=0.25),
-        ),
-    )
-    config = AutopilotConfig(
-        min_replicas=2, max_replicas=5,
-        ewma_alpha=1.0, scale_up_pressure=0.15, scale_down_pressure=0.01,
-        queue_pressure_depth=2, calm_cycles=10_000,
-        grow_cooldown_s=0.3, shrink_cooldown_s=600.0, heal_cooldown_s=0.1,
-        interval_s=0.05, jitter=0.2, jitter_seed=11,
-    )
-    latencies: list = []
-    waves: list = []
-
-    with supervisor as fleet:
-        autopilot = FleetAutopilot(fleet, config)
-        with autopilot, AutopilotRunner(autopilot):
-
-            def storm():
-                # One transient latency fault at burst start — the
-                # chaos-suite convention — so the storm's tail shows
-                # what the grown fleet sheds on its own.
-                plan = faults.FaultPlan(seed=11)
-                plan.delay_service(0.05, match="query:*", times=6)
-                start = time.perf_counter()
-                with plan.active():
-                    for wave in range(AUTOSCALE_MAX_WAVES):
-                        wave_start = time.perf_counter() - start
-                        replicas_at_start = len(fleet.replicas)
-                        sheds: list = []
-                        _autoscale_wave(fleet.router_port,
-                                        wave * BURST_CLIENTS,
-                                        latencies, sheds)
-                        waves.append({"start_s": round(wave_start, 3),
-                                      "shed": len(sheds),
-                                      "replicas": replicas_at_start})
-                        recovered = (len(sheds) / BURST_CLIENTS
-                                     < AUTOSCALE_RECOVERED)
-                        if wave + 1 >= AUTOSCALE_WAVES and recovered:
-                            break
-                        time.sleep(AUTOSCALE_WAVE_GAP)
-
-            benchmark.pedantic(storm, rounds=1, iterations=1,
-                               warmup_rounds=0)
-        changes = autopilot.counters["membership_changes"]
-        grows = autopilot.counters["grows"]
-
-    total = len(waves) * BURST_CLIENTS
-    shed_total = sum(w["shed"] for w in waves)
-    assert len(latencies) + shed_total == total
-    shed_rate = shed_total / total
-    # Recovery: burst start -> the first wave back under 10% shed.
-    recovery = None
-    for wave in waves:
-        if wave["shed"] / BURST_CLIENTS < 0.10:
-            recovery = wave["start_s"]
-            break
-    benchmark.extra_info["shed_rate"] = round(shed_rate, 4)
-    benchmark.extra_info["membership_changes"] = changes
-    RESULTS["autoscale_shed_rate"] = round(shed_rate, 4)
-    RESULTS["autoscale_recovery_s"] = recovery
-    RESULTS["autoscale_membership_changes"] = changes
-    RESULTS["autoscale_waves"] = waves
-    assert grows >= 1
-    assert changes <= 3
-    # The acceptance bar: half the static fleet's shed rate (0.75).
-    baseline = RESULTS.get("burst_shed_rate", 0.75)
-    assert shed_rate <= 0.5 * baseline

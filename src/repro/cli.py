@@ -20,12 +20,6 @@ Subcommands
     store) behind a consistent-hashing router that fans ingests to all
     of them.  Clients speak the same protocol as ``serve``, so
     ``query`` and ``info --connect`` work against the router port.
-``autopilot``
-    Run a fleet under the closed-loop controller (``run``), execute a
-    single observe → diagnose → act cycle (``once``, with ``--dry-run``
-    printing the decision record without touching the fleet), or print
-    a running router's published autopilot status (``status``).  See
-    ``docs/autopilot.md``.
 ``update``
     Apply one single-edge insert/delete to a running service's
     live-tip overlay (sub-batch latency, no Triangular-Grid rebuild),
@@ -148,16 +142,27 @@ def _at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-def _seconds(text: str) -> float:
-    """The ``type=`` of ``--request-timeout``: a budget must be > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not value > 0:  # NaN too
-        raise argparse.ArgumentTypeError(
-            f"expected seconds > 0, got {text!r}")
-    return value
+def _timing(zero_ok: bool) -> Callable[[str], float]:
+    """The ``type=`` of a timing flag: seconds > 0 (a budget or an
+    interval), or >= 0 with ``zero_ok`` (a wait that may be nil).  NaN
+    or a non-number is a usage error (exit 2), never a traceback after
+    the store is opened."""
+    bound = ">= 0" if zero_ok else "> 0"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = -1.0
+        if not (value >= 0 if zero_ok else value > 0):  # NaN too
+            raise argparse.ArgumentTypeError(
+                f"expected seconds {bound}, got {text!r}")
+        return value
+    return parse
+
+
+_seconds = _timing(zero_ok=False)
+_wait = _timing(zero_ok=True)
 
 
 def _add_connect(parser: argparse.ArgumentParser,
@@ -547,74 +552,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             threading.Event().wait()  # serve until interrupted
     except KeyboardInterrupt:
         print("shutting down fleet")
-    return 0
-
-
-def _cmd_autopilot(args: argparse.Namespace) -> int:
-    import json
-
-    if args.autopilot_cmd == "status":
-        status = _call_service("autopilot status", args.connect,
-                               lambda client: client.status())
-        if status is None:
-            return 2
-        payload = status.get("autopilot")
-        if payload is None:
-            print("no autopilot is publishing to this router",
-                  file=sys.stderr)
-            return 2
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    import tempfile
-    import threading
-
-    from repro.autopilot import (
-        AutopilotConfig,
-        AutopilotRunner,
-        FleetAutopilot,
-    )
-    from repro.fleet import FleetSupervisor, RouterConfig
-
-    weight_fn = HashWeights(max_weight=args.max_weight,
-                            seed=args.weight_seed)
-    root = args.root or tempfile.mkdtemp(prefix="repro-fleet-")
-    supervisor = FleetSupervisor(
-        args.store, root,
-        replicas=args.replicas,
-        weight_fn=weight_fn,
-        window=args.window,
-        router_config=RouterConfig(
-            host=args.host, port=args.port,
-            probe_interval_s=args.probe_interval,
-        ),
-        host=args.host,
-    )
-    config = AutopilotConfig(
-        min_replicas=args.min_replicas,
-        max_replicas=args.max_replicas,
-        scale_up_pressure=args.scale_up,
-        scale_down_pressure=args.scale_down,
-        grow_cooldown_s=args.grow_cooldown,
-        shrink_cooldown_s=args.shrink_cooldown,
-        heal_cooldown_s=args.heal_cooldown,
-        interval_s=args.interval,
-    )
-    try:
-        with supervisor, FleetAutopilot(supervisor, config) as autopilot:
-            if args.autopilot_cmd == "once":
-                decision = autopilot.once(dry_run=args.dry_run)
-                print(json.dumps(decision.to_dict(), indent=2,
-                                 sort_keys=True, default=str))
-                return 0
-            print(f"fleet router on {args.host}:{supervisor.router_port} "
-                  f"(autopilot driving {args.replicas} replicas within "
-                  f"[{args.min_replicas}, {args.max_replicas}], "
-                  f"stores under {root})")
-            with AutopilotRunner(autopilot):
-                threading.Event().wait()  # serve until interrupted
-    except KeyboardInterrupt:
-        print("shutting down autopiloted fleet")
     return 0
 
 
@@ -1069,16 +1006,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=_at_least(0), default=64,
                        help="queued queries beyond which requests are "
                             "shed with an overloaded response")
-    serve.add_argument("--queue-timeout", type=float, default=5.0,
+    serve.add_argument("--queue-timeout", type=_wait, default=5.0,
                        help="seconds a query may wait for a slot before "
                             "being shed")
     serve.add_argument("--breaker-threshold", type=_at_least(1), default=5,
                        help="consecutive failures before a circuit "
                             "breaker opens")
-    serve.add_argument("--breaker-reset", type=float, default=5.0,
+    serve.add_argument("--breaker-reset", type=_wait, default=5.0,
                        help="seconds an open breaker waits before "
                             "admitting a probe")
-    serve.add_argument("--drain-timeout", type=float, default=10.0,
+    serve.add_argument("--drain-timeout", type=_wait, default=10.0,
                        help="seconds SIGTERM-triggered drain waits for "
                             "in-flight requests")
     serve.add_argument("--no-livetip", action="store_true",
@@ -1120,64 +1057,16 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--breaker-threshold", type=_at_least(1), default=3,
                        help="consecutive forward failures before a "
                             "replica's breaker opens")
-    route.add_argument("--breaker-reset", type=float, default=1.0,
+    route.add_argument("--breaker-reset", type=_wait, default=1.0,
                        help="seconds an open replica breaker waits "
                             "before admitting a probe")
-    route.add_argument("--probe-interval", type=float, default=2.0,
+    route.add_argument("--probe-interval", type=_seconds, default=2.0,
                        help="seconds between background health probes; "
                             "each cycle adds seeded jitter so several "
                             "routers do not synchronize probe storms")
     route.add_argument("--max-weight", type=int, default=64)
     route.add_argument("--weight-seed", type=int, default=0)
     route.set_defaults(func=_cmd_route)
-
-    autopilot = sub.add_parser(
-        "autopilot",
-        help="run a fleet under closed-loop autoscaling and self-healing",
-    )
-    autopilot_sub = autopilot.add_subparsers(dest="autopilot_cmd",
-                                             required=True)
-    for cmd, help_text in (
-        ("run", "run the fleet with the control loop driving it"),
-        ("once", "one observe → diagnose → act cycle, then exit"),
-    ):
-        p = autopilot_sub.add_parser(cmd, help=help_text)
-        p.add_argument("store", help="base store each replica copies")
-        p.add_argument("--replicas", type=int, default=3,
-                       help="initial fleet size")
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int, default=7420,
-                       help="router TCP port (0 picks an ephemeral port)")
-        p.add_argument("--root", default=None, metavar="DIR",
-                       help="directory for per-replica store copies "
-                            "(default: a fresh temp directory)")
-        p.add_argument("--window", type=int, default=None,
-                       help="serve only the last W snapshots")
-        p.add_argument("--probe-interval", type=float, default=2.0,
-                       help="router health-probe interval in seconds")
-        p.add_argument("--min-replicas", type=int, default=2)
-        p.add_argument("--max-replicas", type=int, default=5)
-        p.add_argument("--interval", type=float, default=0.5,
-                       help="seconds between control cycles")
-        p.add_argument("--scale-up", type=float, default=0.25,
-                       help="smoothed pressure that triggers a grow")
-        p.add_argument("--scale-down", type=float, default=0.05,
-                       help="smoothed pressure calm enough to shrink")
-        p.add_argument("--grow-cooldown", type=float, default=2.0)
-        p.add_argument("--shrink-cooldown", type=float, default=10.0)
-        p.add_argument("--heal-cooldown", type=float, default=1.0)
-        p.add_argument("--max-weight", type=int, default=64)
-        p.add_argument("--weight-seed", type=int, default=0)
-        if cmd == "once":
-            p.add_argument("--dry-run", action="store_true",
-                           help="observe and diagnose but execute "
-                                "nothing; print the decision record")
-        p.set_defaults(func=_cmd_autopilot)
-    ap_status = autopilot_sub.add_parser(
-        "status", help="print a running fleet's autopilot status"
-    )
-    _add_connect(ap_status, "127.0.0.1:7420", help="the router's address")
-    ap_status.set_defaults(func=_cmd_autopilot)
 
     query = sub.add_parser("query", help="query a running service")
     _add_connect(query)

@@ -13,10 +13,10 @@ Instrumentation points live in the production code paths:
 * :mod:`repro.evolving.store` calls :func:`io_check` before every
   read / write / fsync / replace, labelled ``"<op>:<filename>"``
   (e.g. ``"write:batch_00003.npz"``, ``"fsync:manifest.json"``);
-* the query service, the fleet transport and the autopilot call
+* the query service and the fleet transport call
   :func:`service_check` at the start of every *primary* operation,
   labelled ``"query:<key>"`` / ``"ingest:<version>"`` /
-  ``"route:<replica>:<op>"`` / ``"autopilot:<step>"``.  Degraded
+  ``"route:<replica>:<op>"``.  Degraded
   re-executions are deliberately un-instrumented: they model the
   recovery path, which must not re-fail.
 
@@ -160,31 +160,6 @@ class FaultPlan:
         """
         self.rules.append(
             FaultRule("service", index, match, times, "delay", seconds)
-        )
-        return self
-
-    def fail_autopilot(self, index: int = 0, match: str = "*",
-                       times: int = 1) -> "FaultPlan":
-        """Raise inside the ``index``-th matching autopilot operation.
-
-        Labels are ``"autopilot:scrape:<target>"`` (signal collection)
-        and ``"autopilot:action:<verb>:<target>"`` (grow/shrink/heal
-        execution), so a plan can fail exactly one scrape or exactly one
-        membership action and the loop's neutral-failure handling
-        (retry after cooldown, never half-configured membership) can be
-        asserted deterministically.
-        """
-        self.rules.append(
-            FaultRule("service", index, f"autopilot:{match}", times, "fail")
-        )
-        return self
-
-    def delay_autopilot(self, seconds: float, index: int = 0,
-                        match: str = "*", times: int = 1) -> "FaultPlan":
-        """Stall the ``index``-th matching autopilot operation."""
-        self.rules.append(
-            FaultRule("service", index, f"autopilot:{match}", times,
-                      "delay", seconds)
         )
         return self
 

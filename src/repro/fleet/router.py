@@ -111,7 +111,7 @@ class RouterConfig:
     probe_interval_s: Optional[float] = None
     #: Per-cycle jitter as a fraction of the interval: each probe sleeps
     #: ``interval * (1 + jitter * u)`` with ``u`` uniform in [0, 1), so N
-    #: routers/autopilots started together drift apart instead of
+    #: routers started together drift apart instead of
     #: synchronizing probe storms against the same replicas.
     probe_jitter: float = 0.2
     #: Seed for the jitter stream (``None`` = derive from the router's
@@ -125,6 +125,11 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.request_timeout is not None and not self.request_timeout > 0:
             raise ValueError("request_timeout must be None or > 0")
+        if not self.breaker_reset_timeout >= 0:  # NaN too
+            raise ValueError("breaker_reset_timeout must be >= 0")
+        # A zero interval would re-probe every replica back to back.
+        if self.probe_interval_s is not None and not self.probe_interval_s > 0:
+            raise ValueError("probe_interval_s must be None or > 0")
 
 
 class Replica:
@@ -181,7 +186,12 @@ class FleetRouter(LineServer):
         if len(set(names)) != len(names):
             raise FleetError(f"duplicate replica names in {names}")
         self.replicas: Dict[str, Replica] = {
-            name: self._new_replica(name, host, port)
+            name: Replica(
+                name, host, port,
+                connect_timeout=self.config.connect_timeout,
+                max_line_bytes=self.config.max_line_bytes,
+                breaker=self._make_breaker(f"replica:{name}"),
+            )
             for name, host, port in replicas
         }
         self.ring = ConsistentHashRing(names, vnodes=self.config.vnodes)
@@ -196,20 +206,9 @@ class FleetRouter(LineServer):
             "ejections": 0, "rebalances": 0, "receipt_divergences": 0,
             "probes": 0,
         })
-        #: Last autopilot status payload published via
-        #: :meth:`set_autopilot`; surfaced verbatim in ``status``.
-        self.autopilot: Optional[Dict[str, Any]] = None
         self._ingest_lock: Optional[asyncio.Lock] = None
         self._health_task: Optional["asyncio.Task[None]"] = None
         self._unregister_collector = lambda: None
-
-    def _new_replica(self, name: str, host: str, port: int) -> Replica:
-        return Replica(
-            name, host, port,
-            connect_timeout=self.config.connect_timeout,
-            max_line_bytes=self.config.max_line_bytes,
-            breaker=self._make_breaker(f"replica:{name}"),
-        )
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
@@ -390,42 +389,6 @@ class FleetRouter(LineServer):
     async def set_address(self, name: str, host: str, port: int) -> None:
         self._replica(name).set_address(host, port)
 
-    async def add_replica(self, name: str, host: str, port: int) -> None:
-        """Grow-path step 1: make the router aware of a new replica.
-
-        The replica joins *quarantined*, not in rotation — it was just
-        cloned from a donor and has to prove (resync + :meth:`restore`)
-        that it holds the fleet tip before any work routes to it.  That
-        keeps membership changes single-phased: either the replica
-        completes the whole provision workflow and enters rotation, or
-        it stays invisible to request routing.
-        """
-        if name in self.replicas:
-            raise FleetError(f"replica {name!r} already exists")
-        replica = self._new_replica(name, host, port)
-        replica.state = "quarantined"
-        replica.reason = "provisioning"
-        self.replicas[name] = replica
-
-    async def remove_replica(self, name: str) -> None:
-        """Forget a replica entirely (retire, or grow rollback).
-
-        Holds the ingest lock so a fan-out in flight settles its
-        receipts against the membership it started with.
-        """
-        replica = self._replica(name)
-        assert self._ingest_lock is not None
-        async with self._ingest_lock:
-            if replica.in_rotation:
-                self.ring.remove(name)
-                self.counters["rebalances"] += 1
-                obs.counter_inc("repro_fleet_rebalance_total")
-            del self.replicas[name]
-
-    async def set_autopilot(self, payload: Optional[Dict[str, Any]]) -> None:
-        """Publish the autopilot's status into the router status doc."""
-        self.autopilot = payload
-
     async def probe(self) -> Dict[str, str]:
         """One health sweep: try to bring ``unhealthy`` replicas back.
 
@@ -525,7 +488,6 @@ class FleetRouter(LineServer):
                 "fleet_overlay_depth": self.fleet_overlay_depth,
                 "vnodes": self.config.vnodes,
             },
-            "autopilot": self.autopilot,
             "server": dict(self.counters),
             "lifecycle": self._lifecycle_payload(),
             "observability": obs.describe(),
@@ -806,15 +768,6 @@ class FleetRunner(LoopThreadRunner):
 
     def set_address(self, name: str, host: str, port: int) -> None:
         self.call(lambda: self.router.set_address(name, host, port))
-
-    def add_replica(self, name: str, host: str, port: int) -> None:
-        self.call(lambda: self.router.add_replica(name, host, port))
-
-    def remove_replica(self, name: str) -> None:
-        self.call(lambda: self.router.remove_replica(name))
-
-    def set_autopilot(self, payload: Optional[Dict[str, Any]]) -> None:
-        self.call(lambda: self.router.set_autopilot(payload))
 
     def probe(self) -> Dict[str, str]:
         return self.call(self.router.probe)

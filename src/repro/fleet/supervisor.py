@@ -109,10 +109,6 @@ class FleetSupervisor:
             store_dir.parent.mkdir(parents=True, exist_ok=True)
             shutil.copytree(self.base_store, store_dir)
             self.replicas[name] = ManagedReplica(name, store_dir)
-        #: Next suffix for a provisioned replica's name (never reused, so
-        #: a retired replica's metrics/receipts cannot be confused with a
-        #: later one's).
-        self._next_index = replicas
         self.router_runner: Optional[FleetRunner] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -274,8 +270,7 @@ class FleetSupervisor:
                 replayed += 1
         return self.tip(name)
 
-    def _resync_and_restore(self, name: str, *,
-                            deadline: Optional[Deadline] = None) -> int:
+    def _resync_and_restore(self, name: str) -> int:
         """Resync the replica to the fleet tip, then restore it.
 
         The bulk of the replay runs first, while writes keep flowing.
@@ -283,14 +278,13 @@ class FleetSupervisor:
         then replays what landed meanwhile — including the batch its own
         fold of pending live-tip updates makes — inside the ingest-lock
         hold that checks the tip, so no write can outrun the catch-up
-        and one round always converges.  The whole resync runs under
-        ``deadline`` (supervisor default); when it expires mid-replay,
+        and one round always converges.  The whole resync runs under the
+        supervisor's ``resync_deadline_s``; when it expires mid-replay,
         :class:`ResyncStalledError` carries the partial progress.
         """
-        if deadline is None:
-            deadline = (Deadline.after(self.resync_deadline_s)
-                        if self.resync_deadline_s is not None
-                        else Deadline.never())
+        deadline = (Deadline.after(self.resync_deadline_s)
+                    if self.resync_deadline_s is not None
+                    else Deadline.never())
         donor = self._donor(name)
         tip = self.resync(name, donor, deadline=deadline)
         if self.router_runner is None:
@@ -365,128 +359,6 @@ class FleetSupervisor:
         self._start_replica(replica)
         self._retarget(name)
         return {"replica": name, "tip": self._resync_and_restore(name)}
-
-    # -- elasticity ----------------------------------------------------------
-    @staticmethod
-    def _clone_store(donor_dir: Path, store_dir: Path) -> None:
-        """Copy a donor's SnapshotStore that may be ingesting *right now*.
-
-        The manifest is copied FIRST: batch files are immutable once the
-        manifest references them, so every file the copied manifest
-        names already exists with final contents — batches the donor
-        appends after this point are simply absent from the clone, which
-        is a consistent (merely older) store.  A plain ``copytree``
-        would read the directory listing first and could pair a *newer*
-        manifest with a listing that predates its newest batch file.
-        """
-        store_dir.mkdir(parents=True, exist_ok=True)
-        for relative in ("manifest.json", "manifest.json.bak"):
-            source = donor_dir / relative
-            if source.exists():
-                shutil.copy2(source, store_dir / relative)
-        for source in sorted(donor_dir.iterdir()):
-            if source.name.startswith("manifest.json"):
-                continue
-            if source.is_file():
-                shutil.copy2(source, store_dir / source.name)
-
-    def provision_replica(self, donor: Optional[str] = None, *,
-                          deadline: Optional[Deadline] = None
-                          ) -> Dict[str, Any]:
-        """Grow the fleet by one replica: clone, start, resync, restore.
-
-        The paper's mutation-free sharing is what makes this cheap — a
-        new replica is a donor-store copy plus a receipt-ordered replay
-        of whatever landed since the copy, not a recomputation.  On any
-        failure the half-built replica is fully rolled back (router
-        membership, process, store directory) so the fleet is never left
-        half-configured.
-        """
-        donor_name = donor if donor is not None else self._donor(exclude="")
-        name = f"replica-{self._next_index}"
-        self._next_index += 1
-        store_dir = self.root / name / "store"
-        self._clone_store(self.replicas[donor_name].store_dir, store_dir)
-        replica = ManagedReplica(name, store_dir)
-        self.replicas[name] = replica
-        routed = False
-        try:
-            self._start_replica(replica)
-            if self.router_runner is not None:
-                if replica.port is None:
-                    raise FleetError(
-                        f"replica {name!r} failed to bind a port")
-                self.router_runner.add_replica(name, self.host, replica.port)
-                routed = True
-            tip = self._resync_and_restore(name, deadline=deadline)
-        except BaseException:
-            if routed and self.router_runner is not None:
-                try:
-                    self.router_runner.remove_replica(name)
-                except FleetError:
-                    pass
-            self._stop_replica(replica)
-            del self.replicas[name]
-            shutil.rmtree(self.root / name, ignore_errors=True)
-            raise
-        return {"replica": name, "donor": donor_name, "tip": tip}
-
-    def retire_replica(self, name: Optional[str] = None) -> Dict[str, Any]:
-        """Shrink the fleet by one replica: drain, retire, delete.
-
-        With no ``name``, retires the youngest (highest-numbered)
-        running replica — the natural inverse of :meth:`provision_replica`.
-        The replica is marked draining at the router first so no new
-        work routes to it, its in-flight requests finish via the
-        graceful drain, and only then do the process and store go away.
-        """
-        if name is None:
-            candidates = [candidate for candidate, replica
-                          in self.replicas.items() if replica.running]
-            if not candidates:
-                raise FleetError("no running replica to retire")
-            name = max(candidates,
-                       key=lambda value: int(value.rsplit("-", 1)[-1]))
-        replica = self._replica(name)
-        if len(self.replicas) <= 1:
-            raise FleetError("refusing to retire the last replica")
-        report: Dict[str, Any] = {"replica": name}
-        if self.router_runner is not None and replica.running:
-            self.router_runner.mark_draining(name)
-        if replica.runner is not None:
-            runner = replica.runner
-            replica.runner = None
-            try:
-                report["drain"] = runner.drain()
-            finally:
-                runner.state.close()
-        if self.router_runner is not None:
-            self.router_runner.remove_replica(name)
-        del self.replicas[name]
-        shutil.rmtree(self.root / name, ignore_errors=True)
-        return report
-
-    def heal_replica(self, name: str) -> Dict[str, Any]:
-        """Bring one unhealthy replica back by the cheapest working path.
-
-        Stopped → :meth:`recover_replica`; lagging → resync + restore;
-        diverged (resync refuses) → :meth:`rebuild_replica`.  A stalled
-        resync propagates — the caller retries after its cooldown with
-        the durable partial progress already banked.
-        """
-        replica = self._replica(name)
-        if not replica.running:
-            report = self.recover_replica(name)
-            report["healed"] = "recover"
-            return report
-        try:
-            tip = self._resync_and_restore(name)
-            return {"replica": name, "tip": tip, "healed": "resync"}
-        except ResyncStalledError:
-            raise
-        except FleetError:
-            tip = self.rebuild_replica(name)
-            return {"replica": name, "tip": tip, "healed": "rebuild"}
 
     def fleet_status(self) -> Dict[str, Any]:
         """The router's status document (one network round trip)."""

@@ -73,7 +73,6 @@ class AsyncSafetyRule(Rule):
         return (relpath.startswith("repro/service/")
                 or relpath.startswith("repro/fleet/")
                 or relpath.startswith("repro/livetip/")
-                or relpath.startswith("repro/autopilot/")
                 or relpath == "repro/resilience.py")
 
     def check(self, module, project) -> Iterator[Finding]:

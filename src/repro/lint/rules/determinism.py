@@ -111,8 +111,8 @@ class DeterminismRule(Rule):
 
     def applies_to(self, relpath: str) -> bool:
         return relpath.startswith(
-            ("repro/autopilot/", "repro/core/", "repro/kickstarter/",
-             "repro/livetip/", "repro/temporal/")
+            ("repro/core/", "repro/kickstarter/", "repro/livetip/",
+             "repro/temporal/")
         )
 
     def check(self, module, project) -> Iterator[Finding]:

@@ -38,8 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["LockOrderRule"]
 
 #: Prefixes of the async planes where await-under-lock is enforced.
-ASYNC_PLANES: Tuple[str, ...] = ("repro/service/", "repro/fleet/",
-                                 "repro/autopilot/")
+ASYNC_PLANES: Tuple[str, ...] = ("repro/service/", "repro/fleet/")
 
 
 class LockOrderRule(ProjectRule):

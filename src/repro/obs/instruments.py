@@ -176,34 +176,6 @@ INSTRUMENTS: Dict[str, InstrumentSpec] = {
         "histogram",
         "Spread between the fastest and slowest ingest fan-out leg.",
     ),
-    # -- autopilot (closed-loop fleet control) ------------------------------
-    "repro_autopilot_cycles_total": InstrumentSpec(
-        "counter", "Observe-diagnose-act cycles the autopilot completed.",
-    ),
-    "repro_autopilot_decisions_total": InstrumentSpec(
-        "counter", "Autopilot decisions, by diagnosed fleet condition.",
-        ("condition",),
-    ),
-    "repro_autopilot_actions_total": InstrumentSpec(
-        "counter", "Autopilot actions attempted, by verb and outcome.",
-        ("verb", "outcome"),
-    ),
-    "repro_autopilot_holds_total": InstrumentSpec(
-        "counter",
-        "Decisions where an indicated action was held back, by reason "
-        "(cooldown, bounds, action-in-flight, scrape failure).",
-        ("reason",),
-    ),
-    "repro_autopilot_membership_changes_total": InstrumentSpec(
-        "counter", "Successful grow/shrink actions (fleet size changes).",
-    ),
-    "repro_autopilot_pressure": InstrumentSpec(
-        "gauge", "EWMA-smoothed overload pressure the autopilot acts on.",
-    ),
-    "repro_autopilot_replicas": InstrumentSpec(
-        "gauge", "Replicas the autopilot observes, by state.",
-        ("state",),
-    ),
     # -- phases (engine, planner, store, kernels) ---------------------------
     "repro_phase_seconds": InstrumentSpec(
         "histogram", "Duration of one instrumented phase, by layer.",
@@ -297,23 +269,3 @@ def prime(registry: MetricsRegistry) -> None:
         for to in ("open", "half_open", "closed"):
             transitions.labels(breaker=breaker, to=to)
     family(registry, "repro_drain_seconds").labels()
-    decisions = family(registry, "repro_autopilot_decisions_total")
-    for condition in ("steady", "underprovisioned", "overprovisioned",
-                      "unhealthy-replica", "diverged", "unknown"):
-        decisions.labels(condition=condition)
-    actions = family(registry, "repro_autopilot_actions_total")
-    for verb in ("grow", "shrink", "heal"):
-        for outcome in ("ok", "failed", "dry_run"):
-            actions.labels(verb=verb, outcome=outcome)
-    holds = family(registry, "repro_autopilot_holds_total")
-    for reason in ("cooldown", "at-max-replicas", "at-min-replicas",
-                   "action-in-flight", "scrape-failed"):
-        holds.labels(reason=reason)
-    replicas = family(registry, "repro_autopilot_replicas")
-    for state in ("ready", "unhealthy", "quarantined", "draining",
-                  "stopped"):
-        replicas.labels(state=state)
-    for name in ("repro_autopilot_cycles_total",
-                 "repro_autopilot_membership_changes_total",
-                 "repro_autopilot_pressure"):
-        family(registry, name).labels()

@@ -182,7 +182,7 @@ class CircuitBreaker:
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if reset_timeout < 0:
+        if not reset_timeout >= 0:  # NaN too
             raise ValueError("reset_timeout must be >= 0")
         if half_open_max_probes < 1:
             raise ValueError("half_open_max_probes must be >= 1")

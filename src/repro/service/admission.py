@@ -60,7 +60,7 @@ class AdmissionPolicy:
             raise ValueError("max_concurrent must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if self.queue_timeout < 0:
+        if not self.queue_timeout >= 0:  # NaN too
             raise ValueError("queue_timeout must be >= 0")
 
     def retry_after_ms(self) -> int:
@@ -243,8 +243,8 @@ class AdmissionController:
             kind: gate.snapshot() for kind, gate in self._gates.items()
         }
         payload["draining"] = self._draining
-        # Cross-lane aggregate for control loops (the autopilot scrapes
-        # one pressure number per replica, not one per lane).
+        # Cross-lane aggregate (the benchmark worker reads one shed count
+        # and one queue high-water per replica, not one per lane).
         gates = [payload[kind] for kind in self._gates]
         shed_by_reason: Dict[str, int] = {}
         for gate in gates:

@@ -216,6 +216,10 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.request_timeout is not None and not self.request_timeout > 0:
             raise ValueError("request_timeout must be None or > 0")
+        if not self.breaker_reset_timeout >= 0:  # NaN too
+            raise ValueError("breaker_reset_timeout must be >= 0")
+        if not self.drain_timeout >= 0:
+            raise ValueError("drain_timeout must be >= 0")
 
 
 class GraphService(LineServer):

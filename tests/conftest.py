@@ -32,7 +32,7 @@ if os.environ.get("CI"):
 # REPRO_ARTIFACT_DIR is set (CI exports it), a failing chaos/fleet test
 # leaves behind its Prometheus metrics dump and the tracer's recent-span
 # ring buffer so the post-mortem starts from data, not guesses.
-_ARTIFACT_MARKERS = ("chaos", "fleet", "livetip", "autopilot")
+_ARTIFACT_MARKERS = ("chaos", "fleet", "livetip")
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -59,14 +59,6 @@ def pytest_runtest_makereport(item, call):
                                f"{stem}.trace.jsonl"), "w") as fh:
             for span in runtime.tracer.recent():
                 fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        if item.get_closest_marker("autopilot"):
-            from repro.autopilot import decision_log
-
-            decisions = decision_log()
-            if decisions:
-                with open(os.path.join(artifact_dir,
-                                       f"{stem}.decisions.json"), "w") as fh:
-                    json.dump(decisions, fh, indent=2, sort_keys=True)
     except OSError:
         pass  # artifact capture must never mask the real failure
 

@@ -317,33 +317,3 @@ class TestProbeInterval:
                 time.sleep(0.05)
         assert probes >= 2
 
-
-class TestMembership:
-    def test_added_replica_joins_quarantined_until_restored(self, fleet):
-        replica = fleet.replicas["replica-0"]
-        fleet.router_runner.add_replica("replica-9", "127.0.0.1",
-                                        replica.port)
-        with fleet.client() as client:
-            info = client.status()["fleet"]
-        doc = info["replicas"]["replica-9"]
-        assert doc["state"] == "quarantined"
-        assert doc["reason"] == "provisioning"
-        # Not on the ring: no traffic routes to it until a resync
-        # proves it holds the fleet tip and restore() admits it.
-        assert "replica-9" not in info["rotation"]
-        fleet.router_runner.remove_replica("replica-9")
-
-    def test_duplicate_add_raises(self, fleet):
-        with pytest.raises(FleetError):
-            fleet.router_runner.add_replica(
-                "replica-0", "127.0.0.1", 1,
-            )
-
-    def test_remove_replica_drops_it_from_rotation(self, fleet):
-        fleet.router_runner.remove_replica("replica-2")
-        with fleet.client() as client:
-            info = client.status()["fleet"]
-        assert "replica-2" not in info["replicas"]
-        assert info["rotation"] == ["replica-0", "replica-1"]
-        with pytest.raises(FleetError):
-            fleet.router_runner.remove_replica("replica-2")

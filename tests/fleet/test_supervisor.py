@@ -255,85 +255,3 @@ class TestBoundedResync:
         assert status["fleet_version"] == 6
         assert status["rotation"] == ["replica-0", "replica-1", "replica-2"]
 
-
-class TestElasticity:
-    def test_provision_clones_resyncs_and_joins_rotation(self, fleet):
-        report = fleet.provision_replica()
-        assert report["replica"] == "replica-3"
-        assert report["tip"] == 4
-        with fleet.client() as client:
-            status = client.status()
-        assert status["fleet"]["rotation"] == [
-            "replica-0", "replica-1", "replica-2", "replica-3",
-        ]
-        # The clone answers bit-identically to its donor.
-        with fleet.replica_client("replica-3") as grown:
-            values = grown.query("SSSP", 0)["values"]
-        with fleet.replica_client(report["donor"]) as donor:
-            expected = donor.query("SSSP", 0)["values"]
-        for got, want in zip(values, expected):
-            assert np.array_equal(got, want)
-
-    def test_provision_failure_rolls_back_completely(self, fleet,
-                                                     monkeypatch):
-        from repro.errors import FleetError
-
-        def boom(name, **kwargs):
-            raise FleetError("injected: resync never converged")
-
-        monkeypatch.setattr(fleet, "_resync_and_restore", boom)
-        with pytest.raises(FleetError):
-            fleet.provision_replica()
-        # No half-configured membership anywhere: supervisor, router,
-        # or disk.
-        assert sorted(fleet.replicas) == [
-            "replica-0", "replica-1", "replica-2",
-        ]
-        with fleet.client() as client:
-            status = client.status()
-        assert sorted(status["fleet"]["replicas"]) == [
-            "replica-0", "replica-1", "replica-2",
-        ]
-        assert not (fleet.root / "replica-3").exists()
-        # The burnt name is never reused: the next grow is replica-4.
-        monkeypatch.undo()
-        report = fleet.provision_replica()
-        assert report["replica"] == "replica-4"
-
-    def test_retire_defaults_to_the_youngest_and_refuses_the_last(
-        self, fleet
-    ):
-        from repro.errors import FleetError
-
-        report = fleet.retire_replica()
-        assert report["replica"] == "replica-2"
-        assert report["drain"]["drained"] is True
-        assert sorted(fleet.replicas) == ["replica-0", "replica-1"]
-        with fleet.client() as client:
-            assert client.status()["fleet"]["rotation"] == [
-                "replica-0", "replica-1",
-            ]
-        fleet.retire_replica()
-        with pytest.raises(FleetError):
-            fleet.retire_replica()
-
-    def test_heal_rebuilds_a_diverged_replica(self, fleet):
-        # Ingest directly into replica-1, bypassing the router: its
-        # history is now ahead of the fleet's — divergence, not lag.
-        additions, deletions = fleet_batch(fleet, donor="replica-1")
-        with fleet.replica_client("replica-1") as direct:
-            direct.ingest(additions=additions, deletions=deletions)
-        report = fleet.heal_replica("replica-1")
-        assert report["healed"] == "rebuild"
-        assert report["tip"] == 4
-        with fleet.client() as client:
-            assert client.status()["fleet"]["rotation"] == [
-                "replica-0", "replica-1", "replica-2",
-            ]
-
-    def test_heal_recovers_a_stopped_replica(self, fleet):
-        fleet.kill_replica("replica-0")
-        report = fleet.heal_replica("replica-0")
-        assert report["healed"] == "recover"
-        assert report["tip"] == 4
-        assert fleet.replicas["replica-0"].running

@@ -209,13 +209,6 @@ def test_await_under_thread_lock_in_fleet_plane_is_caught(lint_project):
     assert len(rule_findings(result, "lock-order")) == 1
 
 
-def test_await_under_thread_lock_in_autopilot_plane_is_caught(lint_project):
-    result = lint_project(
-        {"repro/autopilot/loop2.py": AWAIT_UNDER_LOCK}, rules=lock_rules()
-    )
-    assert len(rule_findings(result, "lock-order")) == 1
-
-
 def test_await_under_lock_outside_async_planes_is_exempt(lint_project):
     # Core algorithm code is synchronous by charter; the async-plane
     # check must not leak into it.

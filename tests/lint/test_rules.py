@@ -204,15 +204,6 @@ def test_async_blocking_covers_livetip_package(lint_project):
     assert findings[0].context == "bad_handler"
 
 
-def test_async_blocking_covers_autopilot_package(lint_project):
-    # The autopilot acts on the fleet's event loop through FleetRunner;
-    # any async code it grows must obey the same no-blocking law.
-    result = lint_project({"repro/autopilot/loop2.py": ASYNC_HANDLERS})
-    findings = rule_findings(result, "async-blocking")
-    assert len(findings) == 1
-    assert findings[0].context == "bad_handler"
-
-
 def test_async_blocking_covers_resilience_module(lint_project):
     # The retry/breaker helpers run on the event loop too: the same
     # time.sleep that is flagged under repro/service/ is flagged in
@@ -464,17 +455,6 @@ def test_determinism_covers_livetip_package(lint_project):
     # wall clock or an unseeded RNG — age-based compaction works off
     # an *injected* time_fn only.
     result = lint_project({"repro/livetip/overlay2.py": IMPURE})
-    findings = rule_findings(result, "determinism")
-    contexts = sorted(f.context for f in findings)
-    assert contexts == ["draw", "stall", "unseeded", "wall"]
-
-
-def test_determinism_covers_autopilot_package(lint_project):
-    # Autopilot decisions must be replayable: the policy works off an
-    # injected clock and a seeded jitter RNG, never the wall clock or
-    # the global RNG — the same fixture is flagged under
-    # repro/autopilot/ exactly as under repro/core/.
-    result = lint_project({"repro/autopilot/policy2.py": IMPURE})
     findings = rule_findings(result, "determinism")
     contexts = sorted(f.context for f in findings)
     assert contexts == ["draw", "stall", "unseeded", "wall"]

@@ -117,7 +117,7 @@ def _status_digest(response: Dict[str, Any]) -> Dict[str, Any]:
         key: response[key]
         for key in ("ok", "op", "epoch", "ingests", "resyncs", "serving",
                     "poisoned", "window_first", "window_last", "lifecycle",
-                    "server", "autopilot")
+                    "server")
         if key in response
     }
     if "breakers" in response:

@@ -20,8 +20,9 @@ from repro.algorithms.registry import get_algorithm
 from repro.cli import main
 from repro.core.results import decode_float_row
 from repro.fleet import RouterConfig
-from repro.resilience import RetryPolicy
+from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.service import ServiceClient, ServiceConfig, ServiceRunner, protocol
+from repro.service.admission import AdmissionPolicy
 
 from tests.conftest import assert_values_equal, oracle_values
 from tests.service.conftest import valid_batch
@@ -95,6 +96,29 @@ def test_a_request_timeout_is_positive_or_none(config, timeout):
     with pytest.raises(ValueError, match="request_timeout"):
         config(request_timeout=timeout)
     assert config(request_timeout=None).request_timeout is None
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("owner, field, value", [
+    (CircuitBreaker, "reset_timeout", NAN),
+    (AdmissionPolicy, "queue_timeout", NAN),
+    (ServiceConfig, "drain_timeout", -1.0),
+    (ServiceConfig, "drain_timeout", NAN),
+    (ServiceConfig, "breaker_reset_timeout", -1.0),
+    (ServiceConfig, "breaker_reset_timeout", NAN),
+    (RouterConfig, "breaker_reset_timeout", -1.0),
+    (RouterConfig, "breaker_reset_timeout", NAN),
+    (RouterConfig, "probe_interval_s", 0.0),
+    (RouterConfig, "probe_interval_s", -1.0),
+    (RouterConfig, "probe_interval_s", NAN),
+])
+def test_a_timing_setting_refuses_nan_and_out_of_range(owner, field, value):
+    # NaN compares false both ways, so only `not x >= 0` refuses it; a
+    # zero probe interval would re-probe every replica back to back.
+    with pytest.raises(ValueError, match=field):
+        owner(**{field: value})
 
 
 class TestErrors:

@@ -173,6 +173,17 @@ def test_malformed_connect_is_a_usage_error(command, address, capsys):
     ("route", "--window", "0"),
     ("route", "--breaker-threshold", "0"),
     ("route", "--request-timeout", "0"),
+    ("serve", "--queue-timeout", "-1"),
+    ("serve", "--queue-timeout", "nan"),
+    ("serve", "--breaker-reset", "-1"),
+    ("serve", "--breaker-reset", "nan"),
+    ("serve", "--drain-timeout", "-1"),
+    ("serve", "--drain-timeout", "nan"),
+    ("route", "--breaker-reset", "-1"),
+    ("route", "--breaker-reset", "nan"),
+    ("route", "--probe-interval", "0"),
+    ("route", "--probe-interval", "-1"),
+    ("route", "--probe-interval", "nan"),
 ])
 def test_out_of_range_service_flags_are_usage_errors(tmp_path, command,
                                                       flag, value, capsys):
