@@ -59,6 +59,7 @@ The paper's evaluation has its own entry point outside the package,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -143,10 +144,10 @@ def _at_least(minimum: int) -> Callable[[str], int]:
 
 
 def _timing(zero_ok: bool) -> Callable[[str], float]:
-    """The ``type=`` of a timing flag: seconds > 0 (a budget or an
-    interval), or >= 0 with ``zero_ok`` (a wait that may be nil).  NaN
-    or a non-number is a usage error (exit 2), never a traceback after
-    the store is opened."""
+    """The ``type=`` of a timing flag: finite seconds > 0 (a budget or
+    an interval), or >= 0 with ``zero_ok`` (a wait that may be nil).
+    NaN, infinity or a non-number is a usage error (exit 2), never a
+    traceback after the store is opened."""
     bound = ">= 0" if zero_ok else "> 0"
 
     def parse(text: str) -> float:
@@ -154,7 +155,8 @@ def _timing(zero_ok: bool) -> Callable[[str], float]:
             value = float(text)
         except ValueError:
             value = -1.0
-        if not (value >= 0 if zero_ok else value > 0):  # NaN too
+        if not math.isfinite(value) or not (
+                value >= 0 if zero_ok else value > 0):
             raise argparse.ArgumentTypeError(
                 f"expected seconds {bound}, got {text!r}")
         return value
@@ -256,7 +258,7 @@ def _render_live_status(address: _Address, payload: dict) -> str:
     """Human rendering of a live status payload (service or fleet).
 
     Shows what an operator reaches for first: lifecycle, load counters,
-    per-path circuit breakers (state and when an open one re-probes),
+    circuit breakers (state and when an open one re-probes),
     admission pressure, and — when the target is a fleet router — the
     per-replica rotation view.
     """
@@ -733,8 +735,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"{response['algorithm']} from {response['source']} on versions "
             f"{response['first']}..{response['last']} "
             f"(epoch {response['epoch']}, "
-            f"{'cache hit' if response['from_cache'] else 'computed'}, "
-            f"outcome {response['outcome']})"
+            f"{'cache hit' if response['from_cache'] else 'computed'})"
         ),
     ))
     return 0
@@ -856,7 +857,7 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
         return 0
     print(f"{response['algorithm']} from {response['source']}, window "
           f"{response['window_first']}..{response['window_last']} "
-          f"(epoch {response['epoch']}, outcome {response['outcome']}, "
+          f"(epoch {response['epoch']}, "
           f"{response['ranges_evaluated']} range(s), "
           f"{response['snapshots_scanned']} snapshot(s) scanned)")
     for result in response["results"]:
@@ -1000,7 +1001,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--request-timeout", type=_seconds, default=30.0,
                        help="per-request deadline in seconds")
     serve.add_argument("--retries", type=_at_least(0), default=2,
-                       help="primary-path retries before degrading")
+                       help="store-append retries of an ingest before "
+                            "it fails")
     serve.add_argument("--max-concurrent", type=_at_least(1), default=8,
                        help="query execution slots before requests queue")
     serve.add_argument("--queue-limit", type=_at_least(0), default=64,
@@ -1042,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         "route", help="run a replicated fleet behind one router"
     )
     route.add_argument("store", help="base store each replica copies")
-    route.add_argument("--replicas", type=int, default=3)
+    route.add_argument("--replicas", type=_at_least(1), default=3)
     route.add_argument("--host", default="127.0.0.1")
     route.add_argument("--port", type=int, default=7420,
                        help="router TCP port (0 picks an ephemeral port)")
@@ -1075,21 +1077,21 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--source", type=int, default=0)
     query.add_argument("--first", type=int, default=None)
     query.add_argument("--last", type=int, default=None)
-    query.add_argument("--timeout", type=float, default=30.0)
+    query.add_argument("--timeout", type=_seconds, default=30.0)
     query.add_argument("--json", action="store_true",
                        help="print the raw response as JSON")
     query.set_defaults(func=_cmd_query)
 
     ping = sub.add_parser("ping", help="health-check a running service")
     _add_connect(ping)
-    ping.add_argument("--timeout", type=float, default=5.0)
+    ping.add_argument("--timeout", type=_seconds, default=5.0)
     ping.set_defaults(func=_cmd_ping)
 
     shutdown = sub.add_parser(
         "shutdown", help="ask a running service to drain and exit"
     )
     _add_connect(shutdown)
-    shutdown.add_argument("--timeout", type=float, default=30.0)
+    shutdown.add_argument("--timeout", type=_seconds, default=30.0)
     shutdown.set_defaults(func=_cmd_shutdown)
 
     ingest = sub.add_parser(
@@ -1100,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="edge to add (repeatable)")
     ingest.add_argument("--delete", action="append", metavar="U,V",
                         help="edge to delete (repeatable)")
-    ingest.add_argument("--timeout", type=float, default=30.0)
+    ingest.add_argument("--timeout", type=_seconds, default=30.0)
     ingest.add_argument("--json", action="store_true",
                         help="print the raw response as JSON")
     ingest.set_defaults(func=_cmd_ingest)
@@ -1116,7 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--edge", default=None, metavar="U,V",
                         help="the edge (required for insert/delete)")
     _add_connect(update)
-    update.add_argument("--timeout", type=float, default=30.0)
+    update.add_argument("--timeout", type=_seconds, default=30.0)
     update.add_argument("--json", action="store_true",
                         help="print the raw response as JSON")
     update.set_defaults(func=_cmd_update)
@@ -1134,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithm", default="SSSP",
                        help=f"one of {algorithm_names()}")
         p.add_argument("--source", type=int, default=0)
-        p.add_argument("--timeout", type=float, default=30.0)
+        p.add_argument("--timeout", type=_seconds, default=30.0)
         p.add_argument("--json", action="store_true",
                        help="print the raw response as JSON")
         if ranged:
@@ -1250,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
     od.add_argument("--json", action="store_true",
                     help="fetch the JSON snapshot instead of the "
                          "Prometheus text format")
-    od.add_argument("--timeout", type=float, default=10.0)
+    od.add_argument("--timeout", type=_seconds, default=10.0)
     od.set_defaults(func=_cmd_obs_dump)
     ot = obs_sub.add_parser(
         "tail", help="render a span file (--obs-spans) as trace trees"

@@ -1,6 +1,6 @@
 """Deterministic fault injection.
 
-Crash-recovery and graceful-degradation code is only trustworthy when
+Crash-recovery and retry code is only trustworthy when
 its failure modes can be produced on demand.  This module lets tests
 (and brave users) declare a :class:`FaultPlan` — *fail the Nth matching
 I/O operation*, *skip the Nth fsync*, *raise inside the Nth service
@@ -14,11 +14,11 @@ Instrumentation points live in the production code paths:
   read / write / fsync / replace, labelled ``"<op>:<filename>"``
   (e.g. ``"write:batch_00003.npz"``, ``"fsync:manifest.json"``);
 * the query service and the fleet transport call
-  :func:`service_check` at the start of every *primary* operation,
-  labelled ``"query:<key>"`` / ``"ingest:<version>"`` /
-  ``"route:<replica>:<op>"``.  Degraded
-  re-executions are deliberately un-instrumented: they model the
-  recovery path, which must not re-fail.
+  :func:`service_check` at the start of every service operation,
+  labelled ``"query:<key>"`` / ``"temporal:<key>"`` /
+  ``"ingest:<version>"`` / ``"update:<version>"`` /
+  ``"route:<replica>:<op>"``.  A failed read answers its error; a
+  failed ingest is retried under the server's retry policy.
 
 With no plan active the hooks are a single ``None`` check — the
 production cost of the harness is negligible.
@@ -134,9 +134,8 @@ class FaultPlan:
                      times: int = 1) -> "FaultPlan":
         """Raise inside the ``index``-th matching service operation.
 
-        Labels are ``"query:<key>"`` / ``"ingest:<version>"`` — the
-        query service's primary execution paths (see
-        :func:`service_check`).
+        Labels are ``"query:<key>"`` / ``"ingest:<version>"`` / … — the
+        query service's operations (see :func:`service_check`).
         """
         self.rules.append(FaultRule("service", index, match, times, "fail"))
         return self
@@ -261,11 +260,11 @@ def io_check(op: str, name: str) -> bool:
 
 
 def service_check(op: str, label: object) -> None:
-    """Fault hook at the start of a service operation (query or ingest).
+    """Fault hook at the start of a service operation.
 
-    The query server calls this on its *primary* execution path only;
-    the degraded fallback (a plain offline evaluation) is deliberately
-    un-instrumented: the recovery path must not re-fail.
+    The query server calls this once per read, update and ingest
+    attempt, on the executor thread; the fleet transport once per
+    forwarded request.
     """
     plan = _active
     if plan is None:

@@ -72,7 +72,7 @@ from repro.errors import (
 from repro.fleet.hashring import ConsistentHashRing
 from repro.fleet.transport import ReplicaTransport
 from repro.obs.clock import Clock
-from repro.resilience import CircuitBreaker, Deadline
+from repro.resilience import CircuitBreaker, Deadline, check_seconds
 from repro.service import protocol
 from repro.service.lineserver import LineServer, LoopThreadRunner
 
@@ -123,13 +123,14 @@ class RouterConfig:
     clock: Optional[Clock] = None
 
     def __post_init__(self) -> None:
-        if self.request_timeout is not None and not self.request_timeout > 0:
-            raise ValueError("request_timeout must be None or > 0")
-        if not self.breaker_reset_timeout >= 0:  # NaN too
-            raise ValueError("breaker_reset_timeout must be >= 0")
+        check_seconds("request_timeout", self.request_timeout,
+                      zero_ok=False, unbounded_ok=True)
+        check_seconds("connect_timeout", self.connect_timeout, zero_ok=False)
+        check_seconds("breaker_reset_timeout", self.breaker_reset_timeout,
+                      zero_ok=True)
         # A zero interval would re-probe every replica back to back.
-        if self.probe_interval_s is not None and not self.probe_interval_s > 0:
-            raise ValueError("probe_interval_s must be None or > 0")
+        check_seconds("probe_interval_s", self.probe_interval_s,
+                      zero_ok=False, unbounded_ok=True)
 
 
 class Replica:

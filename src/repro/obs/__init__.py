@@ -117,6 +117,7 @@ class ObsRuntime:
             "sample_rate": self.sample_rate,
             "spans_started": self.tracer.started,
             "spans_exported": self.tracer.exported,
+            "spans_dropped": self.tracer.dropped,
             "metric_families": len(self.registry.families()),
         }
 

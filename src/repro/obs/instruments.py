@@ -78,12 +78,6 @@ INSTRUMENTS: Dict[str, InstrumentSpec] = {
     "repro_drain_seconds": InstrumentSpec(
         "histogram", "Time spent waiting for in-flight work during drain.",
     ),
-    # -- execution outcomes -------------------------------------------------
-    "repro_task_outcomes_total": InstrumentSpec(
-        "counter",
-        "Request outcomes (ok/retried/degraded) by component.",
-        ("component", "status"),
-    ),
     # -- caches (refreshed by the service-state collector) ------------------
     "repro_cache_hit_rate": InstrumentSpec(
         "gauge", "Lifetime hit rate of a service cache.", ("cache",),
@@ -220,9 +214,6 @@ def prime(registry: MetricsRegistry) -> None:
     queries blind to the first event; priming the known label sets
     publishes an explicit 0 from the first scrape.
     """
-    outcomes = family(registry, "repro_task_outcomes_total")
-    for status in ("ok", "retried", "degraded"):
-        outcomes.labels(component="service", status=status)
     for name in ("repro_requests_total",):
         requests = family(registry, name)
         for op in ("query", "temporal", "ingest", "update", "status"):
@@ -264,8 +255,7 @@ def prime(registry: MetricsRegistry) -> None:
             fam.labels(kind=kind)
     breaker_state = family(registry, "repro_breaker_state")
     transitions = family(registry, "repro_breaker_transitions_total")
-    for breaker in ("planner", "store"):
-        breaker_state.labels(breaker=breaker)
-        for to in ("open", "half_open", "closed"):
-            transitions.labels(breaker=breaker, to=to)
+    breaker_state.labels(breaker="store")
+    for to in ("open", "half_open", "closed"):
+        transitions.labels(breaker="store", to=to)
     family(registry, "repro_drain_seconds").labels()

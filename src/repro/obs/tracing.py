@@ -153,6 +153,9 @@ class Tracer:
             self._sink_file = sink
         self.started = 0  # guarded-by: _lock
         self.exported = 0  # guarded-by: _lock
+        #: Span lines the sink refused (an ``OSError`` opening, writing
+        #: or flushing it): dropped, never raised into the traced code.
+        self.dropped = 0  # guarded-by: _lock
         self._on_finish = on_finish
 
     # -- span lifecycle -----------------------------------------------------
@@ -225,10 +228,14 @@ class Tracer:
             self._recent.append(span)
             self.exported += 1
             if line is not None:
-                sink = self._open_sink_locked()
-                if sink is not None:
-                    sink.write(line + "\n")
-                    sink.flush()
+                try:
+                    sink = self._open_sink_locked()
+                    if sink is not None:
+                        sink.write(line + "\n")
+                        sink.flush()
+                except OSError:
+                    # Telemetry never fails the request it describes.
+                    self.dropped += 1
         if self._on_finish is not None:
             self._on_finish(span)
 

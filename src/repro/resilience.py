@@ -23,6 +23,7 @@ injected fault that fires once is healed by the first retry.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -50,11 +51,28 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "Deadline",
+    "check_seconds",
     "retry_call",
     "retry_call_async",
 ]
 
 T = TypeVar("T")
+
+
+def check_seconds(name: str, value: Optional[float], *, zero_ok: bool,
+                  unbounded_ok: bool = False) -> None:
+    """Refuse a timing setting that is not finite seconds > 0 (>= 0 with
+    ``zero_ok``).  ``None`` passes with ``unbounded_ok``: it is the one
+    spelling of "no bound", so NaN and infinity are refused (a hint
+    derived from them would not convert to whole milliseconds)."""
+    if value is None and unbounded_ok:
+        return
+    if value is None or not math.isfinite(value) or not (
+            value >= 0 if zero_ok else value > 0):
+        bound = ">= 0" if zero_ok else "> 0"
+        unbounded = "None or " if unbounded_ok else ""
+        raise ValueError(
+            f"{name} must be {unbounded}finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +200,7 @@ class CircuitBreaker:
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if not reset_timeout >= 0:  # NaN too
-            raise ValueError("reset_timeout must be >= 0")
+        check_seconds("reset_timeout", reset_timeout, zero_ok=True)
         if half_open_max_probes < 1:
             raise ValueError("half_open_max_probes must be >= 1")
         self.name = name

@@ -12,8 +12,8 @@ A long-lived serving layer over a :class:`~repro.evolving.store.SnapshotStore`:
 * :mod:`repro.service.admission` — bounded admission lanes that shed
   load explicitly instead of queueing without limit;
 * :mod:`repro.service.server` — the asyncio JSON-lines front end
-  (request coalescing, deadlines, circuit breakers, graceful
-  degradation and drain);
+  (request coalescing, deadlines, the ingest retry and store circuit
+  breaker, graceful drain);
 * :mod:`repro.service.client` — a small blocking client;
 * :mod:`repro.service.status` — the machine-readable store/service
   summary shared with ``python -m repro info --json``.

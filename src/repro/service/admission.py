@@ -33,7 +33,7 @@ from typing import Any, Dict, Optional
 
 from repro import obs
 from repro.errors import DeadlineExceededError, ServiceOverloadedError
-from repro.resilience import Deadline
+from repro.resilience import Deadline, check_seconds
 
 __all__ = ["AdmissionController", "AdmissionPolicy", "SHED_REASONS"]
 
@@ -60,8 +60,7 @@ class AdmissionPolicy:
             raise ValueError("max_concurrent must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if not self.queue_timeout >= 0:  # NaN too
-            raise ValueError("queue_timeout must be >= 0")
+        check_seconds("queue_timeout", self.queue_timeout, zero_ok=True)
 
     def retry_after_ms(self) -> int:
         """The hint shipped with a shed response: half the queue budget.

@@ -237,8 +237,8 @@ class ServiceClient:
         """Run a range query; ``values`` is decoded to float64 arrays.
 
         ``timeout_ms`` ships the client's end-to-end budget to the
-        server, which charges admission queueing, retries and execution
-        against it as one deadline.  The query is conditional (module
+        server, which charges admission queueing and execution against
+        it as one deadline.  The query is conditional (module
         docstring): a reply without ``values`` is answered from the
         held answer whose tag it carries.
         """

@@ -24,16 +24,13 @@ Operations::
 Every op is declared once, as a row of :data:`OPS`: which fields it may
 carry, whether it takes ``timeout_ms`` (the client's end-to-end budget,
 capped server-side by the configured ``request_timeout`` — query,
-temporal, ingest and update all do), which admission lane and circuit
-breaker guard it, whether its primary path is retried and has an
-offline fallback, and how the fleet router routes it.  The server and
-the router dispatch from that table; ``docs/service.md`` renders it.
+temporal, ingest and update all do), which admission lane guards it,
+and how the fleet router routes it.  The server and the router
+dispatch from that table; ``docs/service.md`` renders it.
 
 Responses are ``{"ok": true, ...payload}`` or ``{"ok": false,
 "error": "...", "error_type": "..."}``; query responses additionally
-carry ``outcome`` (``"ok"`` / ``"retried"`` / ``"degraded"``: first
-attempt, a retry, or the offline fallback answered) and
-``values``: the first snapshot's per-vertex row plus, per later snapshot,
+carry ``values``: the first snapshot's per-vertex row plus, per later snapshot,
 ``[indices, row]`` of only the cells that differ from the snapshot before
 (most vertices keep one value across a range).  Three snapshots::
 
@@ -120,15 +117,6 @@ class OpSpec:
     timeout: bool = False
     #: Admission lane on a replica: ``"query"`` / ``"ingest"`` / ``"live"``.
     lane: Optional[str] = None
-    #: Circuit breaker around the primary path: ``"planner"`` / ``"store"``.
-    breaker: Optional[str] = None
-    #: The primary path runs under the server's retry policy.  ``update``
-    #: must not: a retried insert whose first attempt landed would bounce
-    #: off the overlay's already-present validation.
-    retried: bool = False
-    #: Exhausted retries / an open breaker degrade to the offline
-    #: evaluator instead of failing.
-    fallback: bool = False
     #: Fleet routing: ``"local"`` (the router answers), ``"by-source"``
     #: (consistent-hash owner, with failover), ``"fan-out"`` (every
     #: replica in rotation, receipts must agree).
@@ -146,18 +134,15 @@ OPS: Mapping[str, OpSpec] = {
     "query": OpSpec(
         fields=_fields("algorithm", "source", "first", "last",
                        "if_none_match"),
-        timeout=True, lane="query", breaker="planner", retried=True,
-        fallback=True, routing="by-source",
+        timeout=True, lane="query", routing="by-source",
     ),
     "temporal": OpSpec(
         fields=_fields("algorithm", "source", "queries"),
-        timeout=True, lane="query", breaker="planner", retried=True,
-        fallback=True, routing="by-source",
+        timeout=True, lane="query", routing="by-source",
     ),
     "ingest": OpSpec(
         fields=_fields("additions", "deletions"),
-        timeout=True, lane="ingest", breaker="store", retried=True,
-        routing="fan-out",
+        timeout=True, lane="ingest", routing="fan-out",
     ),
     "update": OpSpec(
         fields=_fields("kind", "edge"),
@@ -291,7 +276,8 @@ def _require_timeout(doc: Dict[str, Any]) -> Optional[int]:
     """``timeout_ms`` — the client's end-to-end budget, if any.
 
     The server caps it with its own ``request_timeout``; the budget then
-    covers admission queueing, retries and execution as one deadline.
+    covers admission queueing, (ingest) retries and execution as one
+    deadline.
     """
     timeout_ms = _require_int(doc, "timeout_ms", optional=True)
     if timeout_ms is not None and timeout_ms <= 0:

@@ -8,20 +8,22 @@ Request lifecycle — one path, steered by the op's row in
                     one ``ServiceState`` call); a query first coalesces
                     onto an identical in-flight one
         gated run ──> admission slot of the op's lane
-                    ──> the op's circuit breaker
                     ──> a query that is an unpatched result-cache hit is
                         answered right here, on the event loop, within
                         one loop turn (never while a fault plan is active)
                     ──> anything else takes one executor hop, under the
-                        request deadline, retried if the op is (an ingest
-                        holds the ingest lock across its retries)
-                    ──> the op's offline fallback, if it has one and the
-                        primary is exhausted or the breaker is open
+                        request deadline
         handler ──> encode the response
-    ping / status / shutdown answer without a gated run.
+    ping / status / shutdown answer without a gated run; an ingest
+    wraps its hop in the ingest lock, the store breaker and the retry
+    policy (:meth:`GraphService._handle_ingest`).
 
 Design points, mirroring the rest of the codebase:
 
+* **Reads are pure** — a ``query`` or ``temporal`` evaluates on one
+  captured, immutable view of the state; running it again cannot heal
+  anything, so a read is never retried and has no fallback: a failure
+  is the error reply.
 * **Coalescing** — concurrent identical queries (same algorithm,
   source, range) share one execution; followers await the leader's
   future, each on its own deadline, and receive the same payload.
@@ -43,22 +45,18 @@ Design points, mirroring the rest of the codebase:
   before touching an executor thread; a full waiting room or an expired
   queue budget sheds the request with an explicit ``overloaded``
   response (``retry_after_ms`` hint) instead of buffering without limit.
-* **Deadlines / retries** — the client-supplied ``timeout_ms`` (capped
-  by the server's ``request_timeout``) becomes one shared
+* **Deadlines** — the client-supplied ``timeout_ms`` (capped by the
+  server's ``request_timeout``) becomes one shared
   :class:`~repro.resilience.Deadline` that flows through admission
-  wait → retry policy → executor hop, so a request never queues,
+  wait → (ingest retries →) executor hop, so a request never queues,
   retries or sleeps past its own budget.
-* **Circuit breakers** — the planner path and the store append path
-  each sit behind a :class:`~repro.resilience.CircuitBreaker`; repeated
-  exhausted-retry failures trip it open, after which reads short-circuit
-  straight to the degraded fallback (no retry burn) and ingests fail
-  fast with a ``retry_after_ms`` hint until a half-open probe heals it.
-* **Graceful degradation** — when retries are spent (or the breaker is
-  open) a read is answered by the plain offline evaluator, bypassing
-  planner and caches (``outcome: "degraded"``; the three outcomes are
-  defined by :meth:`GraphService._run_gated`).
-  Client errors (bad range, unknown algorithm, malformed batch) are
-  never retried, never trip the breaker, and read the same on both lanes.
+* **Ingest retry and circuit breaker** — an append's store I/O can
+  fail transiently, so an ingest is retried under the server's retry
+  policy behind the ``store`` :class:`~repro.resilience.CircuitBreaker`;
+  repeated exhausted-retry failures trip it open, after which ingests
+  fail fast with a ``retry_after_ms`` hint until a half-open probe
+  heals it.  Client errors (malformed batch, stale tip) are never
+  retried and never trip it.
 * **Graceful drain** — :meth:`GraphService.drain` stops accepting new
   work (admission sheds with reason ``"draining"``), lets in-flight
   requests finish within a drain deadline, flushes the store
@@ -67,13 +65,12 @@ Design points, mirroring the rest of the codebase:
   rollouts.
 * **Fault hooks** — every primary closure calls
   :func:`repro.faults.service_check`, so tests inject failures and
-  latency deterministically; the degraded path is un-instrumented.
+  latency deterministically.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import contextvars
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
@@ -91,6 +88,7 @@ from repro.resilience import (
     CircuitBreaker,
     Deadline,
     RetryPolicy,
+    check_seconds,
     retry_call_async,
 )
 from repro.service import protocol
@@ -115,7 +113,7 @@ BREAKER_STATE_VALUES = {
 }
 
 
-def _query_payload(answer: QueryAnswer, outcome: str,
+def _query_payload(answer: QueryAnswer,
                    if_none_match: Optional[str] = None) -> Dict[str, Any]:
     """A ``query`` response.
 
@@ -124,8 +122,8 @@ def _query_payload(answer: QueryAnswer, outcome: str,
     conditionally (``if_none_match`` set), it also carries the entry's
     ``values_tag``, hashed on the entry's first conditional reuse, and
     ships no ``values`` when the request already holds that tag.  A
-    miss, a live-tip-patched and a degraded answer carry no tag and are
-    encoded for this reply alone; a miss stores nothing, since most
+    miss and a live-tip-patched answer carry no tag and are encoded for
+    this reply alone; a miss stores nothing, since most
     entries are never reused.
     """
     entry = answer.entry
@@ -157,7 +155,6 @@ def _query_payload(answer: QueryAnswer, outcome: str,
         "from_cache": answer.from_cache,
         "node_hits": answer.node_hits,
         "node_misses": answer.node_misses,
-        "outcome": outcome,
     }
     if tag is not None:
         response["values_tag"] = tag
@@ -180,7 +177,7 @@ class ServiceConfig:
     #: Per-request wall-clock budget in seconds (``None`` = unbounded).
     #: A client-supplied ``timeout_ms`` can only shrink it, never grow.
     request_timeout: Optional[float] = 30.0
-    #: Retry policy for the primary query/ingest paths.
+    #: Retry policy of an ingest's store append.
     retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(
         max_attempts=3, base_delay=0.005, multiplier=2.0, max_delay=0.1,
         retry_on=(OSError,),
@@ -214,12 +211,11 @@ class ServiceConfig:
     clock: Optional[Clock] = None
 
     def __post_init__(self) -> None:
-        if self.request_timeout is not None and not self.request_timeout > 0:
-            raise ValueError("request_timeout must be None or > 0")
-        if not self.breaker_reset_timeout >= 0:  # NaN too
-            raise ValueError("breaker_reset_timeout must be >= 0")
-        if not self.drain_timeout >= 0:
-            raise ValueError("drain_timeout must be >= 0")
+        check_seconds("request_timeout", self.request_timeout,
+                      zero_ok=False, unbounded_ok=True)
+        check_seconds("breaker_reset_timeout", self.breaker_reset_timeout,
+                      zero_ok=True)
+        check_seconds("drain_timeout", self.drain_timeout, zero_ok=True)
 
 
 class GraphService(LineServer):
@@ -228,19 +224,22 @@ class GraphService(LineServer):
     def __init__(self, state: ServiceState, config: Optional[ServiceConfig] = None) -> None:
         super().__init__(config or ServiceConfig())
         self.state = state
+        # "retried" counts ingests a retry answered; "degraded" stays 0
+        # (no read degrades) for readers of the status shape.
         self.counters.update({
             "queries": 0, "coalesced": 0, "temporals": 0, "ingests": 0,
             "updates": 0, "retried": 0, "degraded": 0, "errors": 0,
-            "shed": 0, "breaker_fastfail": 0,
+            "shed": 0,
         })
         self.admission = AdmissionController(
             query=self.config.query_admission,
             ingest=self.config.ingest_admission,
             live=self.config.live_admission,
         )
-        #: Circuit breakers by the name the op table refers to them by.
+        #: The store append's circuit breaker, by name (``status`` reports
+        #: each breaker under its name).
         self.breakers: Dict[str, CircuitBreaker] = {
-            name: self._make_breaker(name) for name in ("planner", "store")
+            "store": self._make_breaker("store"),
         }
         self._inflight: Dict[QueryKey, "asyncio.Future[Dict[str, Any]]"] = {}
         self._ingest_lock: Optional[asyncio.Lock] = None
@@ -378,109 +377,39 @@ class GraphService(LineServer):
     async def _run_gated(
         self, op: str, what: str, deadline: Deadline,
         primary: Callable[[], T],
-        fallback: Optional[Callable[[], T]] = None,
         cached: Optional[Callable[[], Optional[T]]] = None,
-    ) -> Tuple[T, str, int]:
-        """Run ``primary`` the way the op's table row says (module docs).
+    ) -> T:
+        """Run ``primary`` in an admission slot of the op's lane.
 
-        Returns ``(result, outcome, attempts)``; ``outcome`` is ``"ok"``
-        (the first attempt answered), ``"retried"`` (a later attempt did)
-        or ``"degraded"`` (the primary path was spent or its breaker open,
-        and ``fallback`` answered).  An attempt first asks ``cached``,
-        which answers on the event loop or returns ``None``; only
-        ``None`` takes the executor hop to ``primary``.  While a fault
-        plan is active ``cached`` is skipped, so the primary's fault
-        hook (and any delay it injects) always runs off the loop.  A breaker
-        counts *requests* (one ``before_call`` each), not attempts: a
-        retried-then-healed request records one success, an exhausted
-        one records one failure, and anything that says nothing about
-        the guarded path's health (client errors, expired budgets)
-        records neutrally so a half-open probe is always returned.
+        ``cached`` is asked first and answers on the event loop or
+        returns ``None``; only ``None`` takes the executor hop to
+        ``primary``.  While a fault plan is active ``cached`` is
+        skipped, so the primary's fault hook (and any delay it injects)
+        always runs off the loop.
         """
-        spec = protocol.OPS[op]
-        breaker = self.breakers[spec.breaker] if spec.breaker else None
-        attempts = 0
-
-        def counted() -> T:
-            nonlocal attempts
-            attempts += 1
-            return primary()
-
-        async def attempt() -> T:
-            nonlocal attempts
+        async with self.admission.slot(protocol.OPS[op].lane, deadline,
+                                       what=what):
             if cached is not None and not faults.has_active_plan():
                 answer = cached()
                 if answer is not None:
-                    attempts += 1
                     return answer
-            return await self._in_executor(counted, deadline, what)
-
-        async def degrade() -> Tuple[T, str, int]:
-            # The recovery path: no planner, no caches, no fault hooks.
-            assert fallback is not None
-            self.counters["degraded"] += 1
-            with obs.phase_span("server", "degraded", label=what):
-                answer = await self._in_executor(fallback, deadline,
-                                                 f"degraded {op}")
-            return answer, "degraded", attempts
-
-        async with self.admission.slot(spec.lane, deadline, what=what):
-            if breaker is None:
-                return await attempt(), "ok", attempts
-            try:
-                # An open breaker means no retry burn against a path that
-                # keeps failing: degrade at once, or fail fast with a
-                # retry_after_ms hint when there is nothing to degrade to.
-                breaker.before_call(what)
-            except CircuitOpenError:
-                if not spec.fallback:
-                    raise
-                self.counters["breaker_fastfail"] += 1
-                obs.annotate(breaker="open")
-                return await degrade()
-            try:
-                async with contextlib.AsyncExitStack() as stack:
-                    if spec.lane == "ingest":
-                        # One total order of appends, whatever the lane's
-                        # configured concurrency.
-                        assert self._ingest_lock is not None
-                        await stack.enter_async_context(self._ingest_lock)
-                    if spec.retried:
-                        result = await retry_call_async(
-                            attempt, policy=self.config.retry,
-                            deadline=deadline, label=what,
-                        )
-                    else:
-                        result = await attempt()
-            except RetryExhaustedError:
-                breaker.record_failure()
-                if not spec.fallback:
-                    raise
-                return await degrade()
-            except BaseException:
-                breaker.record_neutral()
-                raise
-            breaker.record_success()
-            return result, "retried" if attempts > 1 else "ok", attempts
+            return await self._in_executor(primary, deadline, what)
 
     async def _run_read(
         self, doc: Dict[str, Any], label: str,
-        primary: Callable[[], T], fallback: Callable[[], T],
-        respond: Callable[[T, str], Dict[str, Any]],
+        primary: Callable[[], T],
+        respond: Callable[[T], Dict[str, Any]],
         cached: Optional[Callable[[], Optional[T]]] = None,
         **attributes: Any,
     ) -> Dict[str, Any]:
         """A gated read under one root span, answered by ``respond``.
 
         Shared by ``query`` and ``temporal`` — a temporal batch is just
-        a bigger read: same lane, same breaker, same retry/degrade
-        ladder, same outcome accounting.  ``respond(answer, outcome)``
-        builds the response inside the span, so its encoding is part of
-        the read's trace; the span's ``trace_id`` is added to it.
+        a bigger read on the same lane.  ``respond(answer)`` builds the
+        response inside the span, so its encoding is part of the read's
+        trace; the span's ``trace_id`` is added to it.
         """
         op = doc["op"]
-        what = f"{op} {label}"
-        deadline = self._request_deadline(doc)
 
         def hooked() -> T:
             faults.service_check(op, label)
@@ -489,15 +418,11 @@ class GraphService(LineServer):
         with obs.timer("repro_query_seconds"):
             with obs.phase_span("server", op, label=label,
                                 **attributes) as root_span:
-                answer, outcome, attempts = await self._run_gated(
-                    op, what, deadline, hooked, fallback, cached,
+                answer = await self._run_gated(
+                    op, f"{op} {label}", self._request_deadline(doc),
+                    hooked, cached,
                 )
-                root_span.annotate(outcome=outcome, attempts=attempts)
-                response = respond(answer, outcome)
-        if outcome == "retried":
-            self.counters["retried"] += 1
-        obs.counter_inc("repro_task_outcomes_total",
-                        component="service", status=outcome)
+                response = respond(answer)
         if root_span.trace_id is not None:
             response["trace_id"] = root_span.trace_id
         return response
@@ -529,18 +454,52 @@ class GraphService(LineServer):
         return payload
 
     async def _handle_ingest(self, doc: Dict[str, Any]) -> Dict[str, Any]:
+        """One batch append: slot → store breaker → ingest lock → retry.
+
+        The breaker counts *requests* (one ``before_call`` each), not
+        attempts: a retried-then-healed ingest records one success, an
+        exhausted one one failure, and anything that says nothing about
+        the store's health (client errors, expired budgets) records
+        neutrally so a half-open probe is always returned.  The lock
+        keeps one total order of appends, whatever the lane's
+        configured concurrency.
+        """
         batch = protocol.parse_ingest_batch(doc)
+        deadline = self._request_deadline(doc)
+        breaker = self.breakers["store"]
+        attempts = 0
 
         def primary() -> Dict[str, Any]:
+            nonlocal attempts
+            attempts += 1
             faults.service_check("ingest", self.state.num_versions)
             return self.state.ingest(batch)
 
+        async def attempt() -> Dict[str, Any]:
+            return await self._in_executor(primary, deadline, "ingest")
+
         with obs.timer("repro_ingest_seconds"):
             with obs.phase_span("server", "ingest", batch_size=batch.size):
-                receipt, _, _ = await self._run_gated(
-                    "ingest", "ingest", self._request_deadline(doc), primary,
-                )
+                async with self.admission.slot("ingest", deadline,
+                                               what="ingest"):
+                    breaker.before_call("ingest")
+                    assert self._ingest_lock is not None
+                    try:
+                        async with self._ingest_lock:
+                            receipt = await retry_call_async(
+                                attempt, policy=self.config.retry,
+                                deadline=deadline, label="ingest",
+                            )
+                    except RetryExhaustedError:
+                        breaker.record_failure()
+                        raise
+                    except BaseException:
+                        breaker.record_neutral()
+                        raise
+                    breaker.record_success()
         self.counters["ingests"] += 1
+        if attempts > 1:
+            self.counters["retried"] += 1
         receipt.update({"ok": True, "op": "ingest",
                         "batch_size": batch.size})
         return receipt
@@ -548,9 +507,10 @@ class GraphService(LineServer):
     async def _handle_update(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """One single-edge update (or explicit fold) through the live lane.
 
-        Never retried (see :class:`~repro.service.protocol.OpSpec`):
-        each update either applies exactly once (receipt carries its
-        overlay ``seq``) or fails with the state untouched.
+        Never retried: a retried insert whose first attempt landed would
+        bounce off the overlay's already-present validation.  Each update
+        either applies exactly once (receipt carries its overlay ``seq``)
+        or fails with the state untouched.
         """
         kind, u, v = protocol.parse_update(doc)
 
@@ -559,7 +519,7 @@ class GraphService(LineServer):
             return self.state.update(kind, u, v)
 
         with obs.timer("repro_livetip_update_seconds"):
-            receipt, _, _ = await self._run_gated(
+            receipt = await self._run_gated(
                 "update", f"update:{kind}", self._request_deadline(doc),
                 primary,
             )
@@ -600,9 +560,7 @@ class GraphService(LineServer):
             response = await self._run_read(
                 doc, label,
                 lambda: self.state.query(algorithm, source, first, last),
-                lambda: self.state.offline_answer(algorithm, source,
-                                                  first, last),
-                lambda answer, outcome: _query_payload(answer, outcome, tag),
+                lambda answer: _query_payload(answer, tag),
                 lambda: self.state.cached_answer(algorithm, source,
                                                  first, last),
                 algorithm=algorithm, source=source,
@@ -621,20 +579,14 @@ class GraphService(LineServer):
             del self._inflight[key]
 
     async def _handle_temporal(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        """One temporal batch through the query lane.
-
-        The degraded fallback is the cache-free
-        :meth:`ServiceState.temporal_offline`, which still coalesces
-        ranges, so even a degraded answer costs one offline evaluation
-        per merged range.
-        """
+        """One temporal batch through the query lane."""
         from repro.temporal.plan import parse_specs
         from repro.temporal.timeline import encode_results
 
         algorithm, source = doc["algorithm"], doc["source"]
         specs = parse_specs(doc["queries"])
 
-        def respond(answer: Any, outcome: str) -> Dict[str, Any]:
+        def respond(answer: Any) -> Dict[str, Any]:
             return {
                 "ok": True,
                 "op": "temporal",
@@ -643,7 +595,6 @@ class GraphService(LineServer):
                 "window_first": answer.window_first,
                 "window_last": answer.window_last,
                 "epoch": answer.epoch,
-                "outcome": outcome,
                 "ranges_evaluated": answer.ranges_evaluated,
                 "snapshots_scanned": answer.snapshots_scanned,
                 "results": encode_results(answer.results),
@@ -653,7 +604,6 @@ class GraphService(LineServer):
         return await self._run_read(
             doc, f"{algorithm}:{source}:{len(specs)} specs",
             lambda: self.state.temporal(algorithm, source, specs),
-            lambda: self.state.temporal_offline(algorithm, source, specs),
             respond,
             algorithm=algorithm, source=source, specs=len(specs),
         )

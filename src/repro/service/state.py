@@ -40,6 +40,9 @@ lands mid-query swaps in a *new* decomposition object, it never mutates
 the one an in-flight query holds.  (The decomposition's lazy memos are
 internally locked and an extension reads neither, so sharing one
 decomposition between in-flight queries and an extension is safe.)
+A read is thus a pure function of its view — the answer is the unique
+fixpoint on those snapshots — so there is one read path: running it
+again could not heal a failure, and the server never retries one.
 
 Failure model: the store notifies *after* an append is durable, so the
 state must never silently fall behind it.  If the incremental extension
@@ -246,11 +249,6 @@ def _net_moves(steps: Sequence[_Moves]) -> _Moves:
     back = rejoins[first]
     return (EdgeSet(edges[changed & ~back], _trusted=True),
             EdgeSet(edges[changed & back], _trusted=True))
-
-
-#: A range evaluator, ``(view, first, last) -> QueryAnswer`` on a validated
-#: range: :meth:`ServiceState._evaluate_cached` or ``_evaluate_offline``.
-_RangeEvaluator = Callable[[_ReadView, int, int], QueryAnswer]
 
 
 class ServiceState:
@@ -550,7 +548,7 @@ class ServiceState:
 
     # -- reads --------------------------------------------------------------
     # Every read is the same walk: capture one consistent view, validate
-    # the range against it, evaluate (cached or offline), patch the tip.
+    # the range against it, evaluate through the cache, patch the tip.
     def _read_view(self, algorithm: str, source: int,
                    last: Optional[int] = None,
                    with_times: bool = False,
@@ -690,38 +688,6 @@ class ServiceState:
             self.snapshot_stats.misses += len(held) - hits
         return held
 
-    def _evaluate_offline(self, view: _ReadView, first: int,
-                          last: int) -> QueryAnswer:
-        """One validated range by the stock offline evaluator.
-
-        No planner, no caches: the recovery lane — the same schedule
-        walk, always over the whole range.  Values are identical to
-        :meth:`_evaluate_cached`'s; only the reuse accounting is absent.
-        """
-        from repro.core.engine import WorkSharingEvaluator
-
-        result = WorkSharingEvaluator(
-            view.decomposition, view.algorithm, view.source,
-            weight_fn=self.weight_fn,
-            first=first - view.base, last=last - view.base,
-        ).run()
-        return QueryAnswer(
-            algorithm=view.algorithm.name, source=view.source,
-            first=first, last=last, epoch=view.epoch,
-            values=list(result.snapshot_values),
-        )
-
-    def _answer(self, evaluate: _RangeEvaluator, algorithm: str,
-                source: int, first: Optional[int],
-                last: Optional[int]) -> QueryAnswer:
-        view = self._read_view(algorithm, source, last)
-        first, last = view.resolve_range(first, last)
-        answer = evaluate(view, first, last)
-        if view.patch is not None and last == view.latest:
-            answer.values = view.patch_tip(last, answer.values)
-            answer.livetip_seq = view.patch.seq
-        return answer
-
     def query(
         self,
         algorithm: str,
@@ -737,8 +703,13 @@ class ServiceState:
         result cache (the cache stays pure-TG and epoch-keyed; the
         overlay moves without epoch bumps).
         """
-        return self._answer(self._evaluate_cached, algorithm, source,
-                            first, last)
+        view = self._read_view(algorithm, source, last)
+        first, last = view.resolve_range(first, last)
+        answer = self._evaluate_cached(view, first, last)
+        if view.patch is not None and last == view.latest:
+            answer.values = view.patch_tip(last, answer.values)
+            answer.livetip_seq = view.patch.seq
+        return answer
 
     def cached_answer(
         self,
@@ -787,29 +758,23 @@ class ServiceState:
             first=first, last=last, epoch=view.epoch,
         )
 
-    def offline_answer(
-        self,
-        algorithm: str,
-        source: int,
-        first: Optional[int] = None,
-        last: Optional[int] = None,
-    ) -> QueryAnswer:
-        """:meth:`query` on the cache-free lane (the server's degraded path).
+    def temporal(
+        self, algorithm: str, source: int, specs: Sequence[TemporalSpec],
+    ) -> TemporalAnswer:
+        """Answer a temporal batch through the cached evaluation path.
 
-        Same defaults, same refusals, same values; a plain offline
-        work-sharing evaluation on the restricted window.
+        Every coalesced range the engine descends goes through the
+        result cache and the memoizing planner against one captured
+        view, so a batch costs one TG descent per merged range at most,
+        fewer when caches hit.  Every range that ends at the captured
+        tip gets its last snapshot patched from the live-tip overlay.
         """
-        return self._answer(self._evaluate_offline, algorithm, source,
-                            first, last)
-
-    def _temporal(self, evaluate: _RangeEvaluator, algorithm: str,
-                  source: int,
-                  specs: Sequence[TemporalSpec]) -> TemporalAnswer:
         view = self._read_view(algorithm, source, with_times=True)
         decomposition, base = view.decomposition, view.base
 
         def evaluate_range(first: int, last: int) -> List[np.ndarray]:
-            return view.patch_tip(last, evaluate(view, first, last).values)
+            return view.patch_tip(
+                last, self._evaluate_cached(view, first, last).values)
 
         def structural_diff(a: int, b: int) -> DeltaBatch:
             # Against the captured window, so a diff never races an ingest.
@@ -827,32 +792,6 @@ class ServiceState:
         ).run(specs)
         answer.epoch = view.epoch
         return answer
-
-    def temporal(
-        self, algorithm: str, source: int, specs: Sequence[TemporalSpec],
-    ) -> TemporalAnswer:
-        """Answer a temporal batch through the cached evaluation path.
-
-        Every coalesced range the engine descends goes through the
-        result cache and the memoizing planner against one captured
-        view, so a batch costs one TG descent per merged range at most,
-        fewer when caches hit.  Every range that ends at the captured
-        tip gets its last snapshot patched from the live-tip overlay.
-        """
-        return self._temporal(self._evaluate_cached, algorithm, source,
-                              specs)
-
-    def temporal_offline(
-        self, algorithm: str, source: int, specs: Sequence[TemporalSpec],
-    ) -> TemporalAnswer:
-        """:meth:`temporal` on the cache-free lane (the degraded path).
-
-        Ranges are still coalesced — each merged range is one plain
-        offline work-sharing evaluation — but no planner or cache is
-        touched, mirroring :meth:`offline_answer`.
-        """
-        return self._temporal(self._evaluate_offline, algorithm, source,
-                              specs)
 
     # -- status ------------------------------------------------------------
     def status(self) -> Dict[str, Any]:

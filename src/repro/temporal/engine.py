@@ -27,9 +27,9 @@ the bench assert the coalescing win on.
 The engine itself owns no graph state — callers inject
 ``evaluate_range`` (and optionally ``structural_diff`` for edge-churn
 counts and ``version_times`` for timestamp resolution), which is what
-lets the service's cached path, its cache-free degraded path, and the
-offline :class:`~repro.evolving.version_control.VersionController`
-all drive the same planner/aggregate code.
+lets the service's cached path and the offline
+:class:`~repro.evolving.version_control.VersionController` drive the
+same planner/aggregate code.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from hypothesis import settings
 
 from repro.algorithms.registry import get_algorithm
 from repro.evolving.generator import generate_evolving_graph
+from repro.evolving.snapshots import EvolvingGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.graph.generators import rmat_edges
@@ -131,6 +132,27 @@ def oracle_values(snapshots, algorithm, source, first, last, weight_fn):
         ).values
         for i in range(first, last + 1)
     ]
+
+
+def state_oracle(state, algorithm, source, first=None, last=None):
+    """:func:`oracle_values` of what ``state`` (a ``ServiceState``) must
+    answer for absolute versions ``first..last`` (default: its window).
+
+    History comes from the state's store; the tip, while the live-tip
+    overlay is non-empty, is the overlay's live edge set.
+    """
+    first = state.base_version if first is None else first
+    last = state.latest_version if last is None else last
+    alg = get_algorithm(algorithm)
+    evolving = state.store.load()
+    overlay = state._livetip
+    if last != state.latest_version or overlay is None or not overlay.depth:
+        return oracle_values(evolving, alg, source, first, last,
+                             state.weight_fn)
+    tip = EvolvingGraph(evolving.num_vertices, overlay.live_edges(), [])
+    return (oracle_values(evolving, alg, source, first, last - 1,
+                          state.weight_fn)
+            + oracle_values(tip, alg, source, 0, 0, state.weight_fn))
 
 
 def assert_values_equal(a: np.ndarray, b: np.ndarray, context: str = "") -> None:

@@ -20,8 +20,8 @@ class TestInfoConnect:
         assert f"status {address}" in out
         assert "live, ready" in out
         assert "circuit breakers" in out
-        # Each per-path breaker row shows its re-probe countdown.
-        assert "planner" in out and "retry after" in out
+        # The store breaker's row shows its re-probe countdown.
+        assert "store" in out and "retry after" in out
         assert "admission" in out
         assert "in rotation" not in out  # a lone replica is not a fleet
 

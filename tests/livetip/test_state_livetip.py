@@ -21,7 +21,7 @@ from repro.graph.edgeset import EdgeSet
 from repro.service import ServiceState
 from repro.temporal.plan import parse_specs
 
-from tests.conftest import assert_values_equal, oracle_values
+from tests.conftest import assert_values_equal, oracle_values, state_oracle
 from tests.livetip.conftest import (
     absent_pairs,
     live_edge_set,
@@ -132,15 +132,15 @@ class TestQueryPatching:
             "re-patched cache hit",
         )
 
-    def test_offline_answer_is_patched_too(self, livetip_state):
+    def test_a_cold_full_walk_is_patched_too(self, livetip_state):
         (u, v) = absent_pairs(livetip_state, 1)[0]
         livetip_state.update("insert", u, v)
-        answer = livetip_state.offline_answer("SSSP", 0, 0, 4)
-        assert answer.livetip_seq == 1
-        assert_values_equal(
-            answer.values[-1], reference_tip_values(livetip_state, "SSSP", 0),
-            "patched offline tip",
-        )
+        answer = livetip_state.query("SSSP", 0, 0, 4)  # a miss: one walk
+        assert answer.livetip_seq == 1 and not answer.from_cache
+        want = state_oracle(livetip_state, "SSSP", 0, 0, 4)
+        assert len(answer.values) == len(want)
+        for version, (got, expected) in enumerate(zip(answer.values, want)):
+            assert_values_equal(got, expected, f"walked v{version}")
 
     def test_temporal_point_at_tip_sees_the_overlay(self, livetip_state):
         (u, v) = present_pairs(livetip_state, 1)[0]

@@ -45,7 +45,9 @@ class TestLifecycle:
     def test_configure_primes_key_series(self):
         obs.configure()
         text = obs.registry().render_prometheus()
-        assert 'repro_task_outcomes_total{component="service",status="ok"} 0' in text
+        assert 'repro_breaker_transitions_total{breaker="store",to="open"} 0' in text
+        assert 'breaker="planner"' not in text
+        assert "repro_task_outcomes" not in text
         assert 'repro_cache_hit_rate{cache="result"} 0' in text
         assert 'repro_requests_total{op="query"} 0' in text
 

@@ -4,10 +4,10 @@ A ``query`` may carry ``if_none_match`` (the ``values_tag`` the client
 holds for that query key, or ``""``).  A result-cache hit answering it
 carries its entry's ``values_tag`` — a content hash of the entry's
 compact form — and omits ``values`` when the request holds that tag.  A
-miss, a live-tip-patched and a degraded answer carry no tag and ship
-values.  ``ServiceClient.query`` sends the tag it holds and answers a
-values-less reply from its held compact form; every answer here is
-compared with the naive oracle.
+miss and a live-tip-patched answer carry no tag and ship values.
+``ServiceClient.query`` sends the tag it holds and answers a values-less
+reply from its held compact form; every answer here is compared with the
+naive oracle.
 """
 
 from __future__ import annotations
@@ -21,23 +21,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import faults
 from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.core.results import compact_range, expand_range, narrowed
 from repro.errors import ProtocolError
 from repro.evolving.store import SnapshotStore
 from repro.graph.edgeset import EdgeSet, decode_edges
-from repro.resilience import RetryPolicy
 from repro.service import (
     ServiceClient,
-    ServiceConfig,
     ServiceRunner,
     ServiceState,
     protocol,
 )
 from repro.service import client as client_module
 
-from tests.conftest import assert_values_equal, oracle_values
+from tests.conftest import assert_values_equal, oracle_values, state_oracle
 from tests.service.conftest import (
     answer_entries,
     seeded_answer,
@@ -176,7 +173,7 @@ class TestReplies:
         assert hit["from_cache"] is True and "values" in hit
         assert held["values_tag"] == stale["values_tag"] == hit["values_tag"]
         assert "values" not in held and "values" in stale
-        want = service_state.offline_answer("SSSP", 1).values
+        want = state_oracle(service_state, "SSSP", 1)
         for reply in (miss, hit, stale):
             for got, expected in zip(protocol.decode_values(reply["values"]),
                                      want):
@@ -223,31 +220,6 @@ class TestReplies:
         assert_oracle(reply, model.expected(reply, "BFS", 0,
                                             service_state.weight_fn),
                       "patched tip")
-
-    def test_a_degraded_answer_is_untagged_even_for_the_held_tag(
-        self, service_state
-    ):
-        with ServiceRunner(service_state) as runner:
-            with ServiceClient(port=runner.port) as client:
-                client.query("SSSP", 3)
-                tag = client.query("SSSP", 3)["values_tag"]
-        config = ServiceConfig(retry=RetryPolicy(
-            max_attempts=2, base_delay=0.001, multiplier=2.0,
-            max_delay=0.01, retry_on=(OSError,),
-        ))
-        plan = faults.FaultPlan().fail_service(match="query:*", times=100)
-        with plan.active(), ServiceRunner(service_state, config) as runner:
-            raw = RawClient(runner.port)
-            try:
-                reply = raw_query(raw, algorithm="SSSP", source=3,
-                                  if_none_match=tag)
-            finally:
-                raw.close()
-        assert reply["outcome"] == "degraded"
-        assert "values_tag" not in reply
-        reply["values"] = protocol.decode_values(reply["values"])
-        assert_oracle(reply, Versions(service_state.store).expected(
-            reply, "SSSP", 3, service_state.weight_fn), "degraded")
 
 
 class TestCoalescing:

@@ -33,7 +33,8 @@ def test_the_transcript_covers_every_op_and_outcome():
             request = entry.get("request", {})
             response = entry.get("response", {})
             seen_ops.add(request.get("op"))
-            outcomes.add(response.get("outcome"))
+            if response.get("ok"):
+                outcomes.add("ok")
             outcomes.add(response.get("error_type"))
             if response.get("coalesced"):
                 outcomes.add("coalesced")
@@ -41,7 +42,7 @@ def test_the_transcript_covers_every_op_and_outcome():
                 outcomes.add("draining")
     assert {"ping", "status", "query", "temporal", "ingest", "update",
             "shutdown"} <= seen_ops
-    assert {"ok", "retried", "degraded", "coalesced", "draining",
+    assert {"ok", "coalesced", "draining", "InjectedFault",
             "ProtocolError", "AlgorithmError", "ServiceOverloadedError",
             "CircuitOpenError", "DeadlineExceededError",
             "RetryExhaustedError", "FleetError"} <= outcomes
@@ -75,7 +76,10 @@ def test_every_values_payload_is_the_wire_v2_capture():
     range halving walked in sweeps; only ``node_hits`` / ``node_misses``
     may have moved.  The digest is that of every ``values`` payload
     (``base`` + ``changes``, temporal ones included) of the transcript as
-    it stood before that regeneration: byte-equal answers."""
+    it stood before that regeneration: byte-equal answers.  When reads
+    lost their retry and degraded lane, the 14 payloads of the replaced
+    read-fault exchanges left the transcript; the 30 that remain are,
+    in order, byte-equal to 30 of the 44 before."""
     digest = hashlib.sha256()
     count = 0
     for scenario in sorted(GOLDEN):
@@ -83,6 +87,6 @@ def test_every_values_payload_is_the_wire_v2_capture():
             digest.update(json.dumps(payload, sort_keys=True,
                                      separators=(",", ":")).encode())
             count += 1
-    assert count == 44
+    assert count == 30
     assert digest.hexdigest() == (
-        "f80d307224fa7e8aebe12741cc50e405839b8ce37485942289091372a372c535")
+        "4212ebbc3afdb8f1028c2c00a6b7bda5c082e4e8162e19d31e059da534f44221")

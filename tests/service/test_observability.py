@@ -2,12 +2,15 @@
 
 The tentpole acceptance scenario: with ``repro.obs`` configured, every
 service query produces exactly one trace whose spans nest server →
-planner → schedule edges → per-hop kernels, task outcomes and cache
+planner → schedule edges → per-hop kernels, request counts and cache
 statistics surface in the Prometheus export, and the ``status`` payload
-reports the runtime's health.
+reports the runtime's health.  Telemetry never fails the request it
+describes.
 """
 
 from __future__ import annotations
+
+import errno
 
 import pytest
 
@@ -81,7 +84,7 @@ class TestQueryTraces:
         by_id = {span.span_id: span for span in spans}
         (root,) = [span for span in spans if span.parent_id is None]
         assert root.name == "server.query"
-        assert root.attributes["outcome"] == "ok"
+        assert "outcome" not in root.attributes
         for span in spans:
             if span is not root:
                 assert span.parent_id in by_id  # fully connected tree
@@ -119,12 +122,6 @@ class TestQueryTraces:
 
 
 class TestMetricsFlow:
-    def test_task_outcomes_reach_the_counter(self, client, obs_runtime):
-        client.query("BFS", source=0)
-        outcomes = obs_runtime.registry.get("repro_task_outcomes_total")
-        ok = outcomes.labels(component="service", status="ok")
-        assert ok.value >= 1.0
-
     def test_prometheus_export_covers_the_acceptance_surface(
         self, client, obs_runtime
     ):
@@ -136,10 +133,6 @@ class TestMetricsFlow:
             for line in text.splitlines()
             if line and not line.startswith("#")
         )
-        outcome_key = (
-            'repro_task_outcomes_total{component="service",status="ok"}'
-        )
-        assert float(lines[outcome_key]) >= 2.0
         assert float(lines['repro_requests_total{op="query"}']) == 2.0
         # The scrape-time collector refreshed the cache gauges: one hit,
         # one miss on the result cache.
@@ -221,3 +214,34 @@ class TestDisabledService:
         finally:
             unsubscribe()
             state.close()
+
+
+class FullSink:
+    """A span sink on a full disk: every write raises ``ENOSPC``."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+class TestFailingSink:
+    def test_a_failing_span_sink_drops_the_line_not_the_request(
+        self, service_state
+    ):
+        obs.configure(sample_rate=1.0, span_sink=FullSink())
+        try:
+            with ServiceRunner(service_state) as runner:
+                with ServiceClient(port=runner.port) as client:
+                    reply = client.request({"op": "query",
+                                            "algorithm": "BFS",
+                                            "source": 0})
+                    status = client.status()
+        finally:
+            reset_observability()
+        assert reply["ok"] is True and "values" in reply
+        assert status["server"]["errors"] == 0
+        described = status["observability"]
+        assert described["spans_dropped"] >= 1
+        assert described["spans_dropped"] == described["spans_exported"]

@@ -24,9 +24,7 @@ from repro.resilience import Deadline, RetryPolicy
 from repro.service import ServiceClient, ServiceConfig, ServiceRunner
 from repro.service.admission import AdmissionController, AdmissionPolicy
 
-from tests.conftest import assert_values_equal
 from tests.service.conftest import valid_batch
-from tests.service.test_server import offline_values
 
 pytestmark = pytest.mark.service
 
@@ -212,6 +210,10 @@ def small_capacity_config(**overrides):
     return ServiceConfig(**defaults)
 
 
+def wire_pairs(edges):
+    return [list(pair) for pair in edges]
+
+
 def query_in_thread(port, source, results, **kwargs):
     def work():
         with ServiceClient(port=port, overload_retries=0) as client:
@@ -323,56 +325,35 @@ class TestOverloadShedding:
 
 
 class TestCircuitBreakers:
-    def test_open_planner_breaker_fast_fails_to_degraded(
-        self, service_store, service_state, service_weights
-    ):
-        config = small_capacity_config()
-        plan = faults.FaultPlan(seed=5)
-        plan.fail_service(match="query:*", times=999)
-        with ServiceRunner(service_state, config) as runner:
-            with plan.active():
-                with ServiceClient(port=runner.port) as client:
-                    # Two exhausted requests trip the threshold-2
-                    # breaker; both still answer from the fallback.
-                    for source in (0, 1):
-                        response = client.query("SSSP", source)
-                        assert response["outcome"] == "degraded"
-                    checks_before = len(plan.events)
-                    # Breaker now open: the primary path (and its fault
-                    # hook) is never touched, no retries are burned.
-                    response = client.query("SSSP", 2)
-                    assert response["outcome"] == "degraded"
-                    assert len(plan.events) == checks_before
-                    status = client.status()
-            assert status["server"]["breaker_fastfail"] == 1
-            planner = status["breakers"]["planner"]
-            assert planner["state"] == "open"
-            assert planner["transitions"] == ["closed->open"]
-            # The degraded answers are still bit-identical to offline.
-            expected = offline_values(service_store, service_weights,
-                                      "SSSP", 2, 0, 4)
-            assert_values_equal(response["values"], expected)
-
-    def test_planner_breaker_recovers_after_reset_timeout(
+    def test_store_breaker_recovers_after_reset_timeout(
         self, service_state
     ):
         config = small_capacity_config()
         plan = faults.FaultPlan(seed=5)
-        plan.fail_service(match="query:*", times=999)
+        plan.fail_service(match="ingest:*", times=999)
         with ServiceRunner(service_state, config) as runner:
             with ServiceClient(port=runner.port) as client:
                 with plan.active():
-                    for source in (0, 1):
-                        client.query("SSSP", source)
-                # Fault gone, probe window reached: the next request is
+                    for _ in range(2):  # two exhausted ingests trip it
+                        response = client.request({
+                            "op": "ingest",
+                            "additions": wire_pairs(valid_batch(
+                                service_state.store).additions),
+                            "deletions": [],
+                        })
+                        assert response["error_type"] == "RetryExhaustedError"
+                # Fault gone, probe window reached: the next ingest is
                 # the half-open probe; its success closes the breaker.
                 time.sleep(config.breaker_reset_timeout + 0.05)
-                response = client.query("SSSP", 2)
-                assert response["outcome"] == "ok"
+                batch = valid_batch(service_state.store)
+                receipt = client.ingest(
+                    additions=wire_pairs(batch.additions),
+                    deletions=wire_pairs(batch.deletions))
                 status = client.status()
-        planner = status["breakers"]["planner"]
-        assert planner["state"] == "closed"
-        assert planner["transitions"] == [
+        assert receipt["ok"] and status["ingests"] == 1
+        store = status["breakers"]["store"]
+        assert store["state"] == "closed"
+        assert store["transitions"] == [
             "closed->open", "open->half_open", "half_open->closed",
         ]
 
@@ -423,7 +404,7 @@ class TestLifecycle:
         }
         assert status["admission"]["query"]["max_concurrent"] == 8
         assert status["admission"]["draining"] is False
-        assert set(status["breakers"]) == {"planner", "store"}
+        assert set(status["breakers"]) == {"store"}
         for breaker in status["breakers"].values():
             assert breaker["state"] == "closed"
             assert breaker["consecutive_failures"] == 0

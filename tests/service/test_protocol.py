@@ -429,7 +429,7 @@ class TestOpTable:
         rows = {}
         for line in text.splitlines():
             cells = [cell.strip() for cell in line.strip("|").split("|")]
-            if len(cells) == 8 and re.fullmatch(r"`\w+`", cells[0]):
+            if len(cells) == 5 and re.fullmatch(r"`\w+`", cells[0]):
                 rows[cells[0].strip("`")] = cells[1:]
         return rows
 
@@ -437,8 +437,7 @@ class TestOpTable:
         rows = self.documented_rows()
         assert list(rows) == list(protocol.OPS)
         for op, spec in protocol.OPS.items():
-            fields, timeout, lane, breaker, retried, fallback, routing = \
-                rows[op]
+            fields, timeout, lane, routing = rows[op]
             documented = set() if fields == "—" else {
                 name.strip(" `") for name in fields.split(",")
             }
@@ -446,9 +445,6 @@ class TestOpTable:
             yes_no = {True: "yes", False: "no"}
             assert timeout == yes_no[spec.timeout], op
             assert lane == (spec.lane or "—"), op
-            assert breaker == (spec.breaker or "—"), op
-            assert retried == yes_no[spec.retried], op
-            assert fallback == yes_no[spec.fallback], op
             assert routing == spec.routing, op
 
     def test_unknown_and_unhashable_ops_are_refused(self):
@@ -459,11 +455,3 @@ class TestOpTable:
     def test_ops_without_fields_ignore_extras(self):
         doc = {"op": "ping", "note": "hello"}
         assert protocol.validate_request(doc) is doc
-
-    def test_only_safe_ops_are_retried(self):
-        # An update must never be retried server-side: a retried insert
-        # whose first attempt landed would bounce off the overlay's
-        # already-present validation.
-        assert not protocol.OPS["update"].retried
-        assert all(spec.retried for spec in protocol.OPS.values()
-                   if spec.fallback)

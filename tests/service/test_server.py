@@ -20,11 +20,11 @@ from repro.algorithms.registry import get_algorithm
 from repro.cli import main
 from repro.core.results import decode_float_row
 from repro.fleet import RouterConfig
-from repro.resilience import CircuitBreaker, RetryPolicy
+from repro.resilience import CircuitBreaker
 from repro.service import ServiceClient, ServiceConfig, ServiceRunner, protocol
 from repro.service.admission import AdmissionPolicy
 
-from tests.conftest import assert_values_equal, oracle_values
+from tests.conftest import assert_values_equal, oracle_values, state_oracle
 from tests.service.conftest import valid_batch
 
 pytestmark = pytest.mark.service
@@ -99,11 +99,22 @@ def test_a_request_timeout_is_positive_or_none(config, timeout):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("owner, field, value", [
     (CircuitBreaker, "reset_timeout", NAN),
+    (CircuitBreaker, "reset_timeout", INF),
     (AdmissionPolicy, "queue_timeout", NAN),
+    (AdmissionPolicy, "queue_timeout", INF),
+    (ServiceConfig, "request_timeout", INF),
+    (ServiceConfig, "drain_timeout", INF),
+    (ServiceConfig, "breaker_reset_timeout", INF),
+    (RouterConfig, "request_timeout", INF),
+    (RouterConfig, "connect_timeout", 0.0),
+    (RouterConfig, "connect_timeout", INF),
+    (RouterConfig, "breaker_reset_timeout", INF),
+    (RouterConfig, "probe_interval_s", INF),
     (ServiceConfig, "drain_timeout", -1.0),
     (ServiceConfig, "drain_timeout", NAN),
     (ServiceConfig, "breaker_reset_timeout", -1.0),
@@ -117,6 +128,8 @@ NAN = float("nan")
 def test_a_timing_setting_refuses_nan_and_out_of_range(owner, field, value):
     # NaN compares false both ways, so only `not x >= 0` refuses it; a
     # zero probe interval would re-probe every replica back to back.
+    # Infinity is refused too (None says "unbounded"): a hint derived
+    # from it, int(inf * 1000), raises OverflowError.
     with pytest.raises(ValueError, match=field):
         owner(**{field: value})
 
@@ -219,7 +232,7 @@ class TestEndToEnd:
         for (algorithm, source, first, last), response in zip(queries,
                                                               responses):
             assert response is not None
-            assert response["ok"] and response["outcome"] == "ok"
+            assert response["ok"]
             expected = offline_values(service_store, service_weights,
                                       algorithm, source, first, last)
             assert len(response["values"]) == last - first + 1
@@ -304,35 +317,52 @@ class TestCoalescing:
 
 
 class TestResilience:
-    def test_transient_fault_is_retried(self, service_state):
-        plan = faults.FaultPlan().fail_service(match="query:*", times=1)
-        with plan.active(), ServiceRunner(service_state) as runner:
+    def test_a_faulted_read_answers_its_error_and_changes_nothing(
+        self, service_state
+    ):
+        """A read is a pure function of its captured view: an injected
+        fault fails that one request with the fault's error reply (no
+        retry, no fallback), moves no epoch or overlay seq, and the next
+        identical read answers the naive oracle bit for bit."""
+        (u, v), = zip(*valid_batch(service_state.store, n_add=1,
+                                   n_del=0).additions.arrays())
+        service_state.update("insert", int(u), int(v))  # a patched tip
+        tip = service_state.latest_version
+        query = {"op": "query", "algorithm": "SSSP", "source": 2}
+        specs = [{"mode": "point", "as_of": tip},
+                 {"mode": "point", "as_of": 1}]
+        temporal = {"op": "temporal", "algorithm": "BFS", "source": 1,
+                    "queries": specs}
+        with ServiceRunner(service_state) as runner:
             with ServiceClient(port=runner.port) as client:
-                response = client.query("BFS", 0)
+                before = client.status()
+                faulted, checks = [], []
+                for request in (query, temporal):
+                    plan = faults.FaultPlan().fail_service(
+                        match=f"{request['op']}:*", times=1)
+                    with plan.active():
+                        faulted.append(client.request(request))
+                    checks.append(len(plan.events))
+                after = client.status()
+                again = client.query("SSSP", 2)
+                points = client.temporal("BFS", 1, specs)["results"]
             counters = dict(runner.service.counters)
-        assert response["ok"] and response["outcome"] == "retried"
-        assert counters["retried"] == 1
-        assert counters["degraded"] == 0
-        offline = service_state.offline_answer("BFS", 0, 0, 4)
-        for got, want in zip(response["values"], offline.values):
-            assert_values_equal(got, want, "retried BFS")
-
-    def test_persistent_fault_degrades_to_offline_answer(self,
-                                                         service_state):
-        config = ServiceConfig(retry=RetryPolicy(
-            max_attempts=2, base_delay=0.001, multiplier=2.0,
-            max_delay=0.01, retry_on=(OSError,),
-        ))
-        plan = faults.FaultPlan().fail_service(match="query:*", times=100)
-        with plan.active(), ServiceRunner(service_state, config) as runner:
-            with ServiceClient(port=runner.port) as client:
-                response = client.query("SSSP", 0)
-            counters = dict(runner.service.counters)
-        assert response["ok"] and response["outcome"] == "degraded"
-        assert counters["degraded"] == 1
-        offline = service_state.offline_answer("SSSP", 0, 0, 4)
-        for got, want in zip(response["values"], offline.values):
-            assert_values_equal(got, want, "degraded SSSP")
+        for reply in faulted:
+            assert reply["ok"] is False
+            assert reply["error_type"] == "InjectedFault"
+        assert checks == [1, 1]  # one attempt each
+        assert (counters["retried"], counters["degraded"]) == (0, 0)
+        assert (after["epoch"], after["ingests"]) == (before["epoch"],
+                                                     before["ingests"])
+        assert after["livetip"]["updates_total"] == 1
+        assert service_state._livetip.seq == 1
+        want = state_oracle(service_state, "SSSP", 2)
+        assert len(again["values"]) == len(want)
+        for got, expected in zip(again["values"], want):
+            assert_values_equal(got, expected, "query after its fault")
+        bfs = state_oracle(service_state, "BFS", 1)
+        assert_values_equal(points[0]["values"], bfs[tip], "tip point")
+        assert_values_equal(points[1]["values"], bfs[1], "history point")
 
     def test_deadline_expiry_is_not_retried(self, service_state,
                                             monkeypatch):

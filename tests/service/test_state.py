@@ -18,7 +18,7 @@ from repro.service import ServiceState
 from repro.service.state import QueryAnswer
 from repro.service.cache import CachedRange
 
-from tests.conftest import assert_values_equal
+from tests.conftest import assert_values_equal, state_oracle
 from tests.helpers import reference_static_compute
 from tests.service.conftest import answer_entries, seeded_answer, valid_batch
 
@@ -151,11 +151,11 @@ class TestResync:
             service_state.decomposition, rebuilt, "after resync"
         )
         answer = service_state.query("BFS", 0)
-        offline = service_state.offline_answer(
-            "BFS", 0, answer.first, answer.last
-        )
-        for got, want in zip(answer.values, offline.values):
-            assert_values_equal(got, want, "post-resync answer")
+        want = state_oracle(service_state, "BFS", 0, answer.first,
+                            answer.last)
+        assert len(answer.values) == len(want)
+        for got, expected in zip(answer.values, want):
+            assert_values_equal(got, expected, "post-resync answer")
 
     def test_out_of_order_notification_resyncs_instead_of_extending(
         self, service_store, service_weights
@@ -205,7 +205,7 @@ class TestResync:
         with pytest.raises(ServiceError, match="out of sync"):
             service_state.query("BFS", 0)
         with pytest.raises(ServiceError, match="out of sync"):
-            service_state.offline_answer("BFS", 0, 0, 1)
+            service_state.temporal("BFS", 0, [])
         monkeypatch.undo()
         payload = service_state.status()
         assert payload["poisoned"] is True
@@ -221,22 +221,22 @@ class TestResync:
             service_state.decomposition, rebuilt, "after recovery"
         )
         answer = service_state.query("BFS", 0)
-        offline = service_state.offline_answer(
-            "BFS", 0, answer.first, answer.last
-        )
-        for got, want in zip(answer.values, offline.values):
-            assert_values_equal(got, want, "post-recovery answer")
+        want = state_oracle(service_state, "BFS", 0, answer.first,
+                            answer.last)
+        assert len(answer.values) == len(want)
+        for got, expected in zip(answer.values, want):
+            assert_values_equal(got, expected, "post-recovery answer")
 
 
 class TestQueries:
     def test_values_match_offline_answer(self, service_state, algorithm):
+        """The offline answer is the naive oracle on the store."""
         answer = service_state.query(algorithm.name, 0)
-        offline = service_state.offline_answer(
-            algorithm.name, 0, answer.first, answer.last
-        )
-        assert len(answer.values) == len(offline.values)
+        offline = state_oracle(service_state, algorithm.name, 0,
+                               answer.first, answer.last)
+        assert len(answer.values) == len(offline)
         for version, (got, want) in enumerate(
-            zip(answer.values, offline.values)
+            zip(answer.values, offline)
         ):
             assert_values_equal(got, want, f"{algorithm.name} v{version}")
 
@@ -371,12 +371,13 @@ class TestSnapshotCache:
             assert [key for key, _ in answer_entries(state.result_cache)] \
                 == [kept.key()]
             nested = state.query("BFS", 0, first=1, last=3)
-            offline = state.offline_answer("BFS", 0, first=1, last=3)
+            offline = state_oracle(state, "BFS", 0, first=1, last=3)
         finally:
             state.close()
         assert (nested.from_cache, nested.node_hits,
                 nested.node_misses) == (False, 0, 3)
-        for got, want in zip(nested.values, offline.values):
+        assert len(nested.values) == len(offline)
+        for got, want in zip(nested.values, offline):
             assert_values_equal(got, want, "walk after an eviction")
 
     def test_a_held_tip_range_is_patched_and_caches_no_patch(

@@ -3,8 +3,8 @@
 An answer served unpatched from the result cache carries its
 :class:`~repro.service.cache.CachedRange`; the server splices the
 entry's stored ``values`` bytes into the frame, filling the slot on the
-entry's first reuse.  Every other answer — a miss, a live-tip-patched
-one, a degraded one — is encoded for its own reply.  Either way the
+entry's first reuse.  Every other answer — a miss or a live-tip-patched
+one — is encoded for its own reply.  Either way the
 frame is byte-identical to encoding the dict form.
 """
 
@@ -17,14 +17,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro import faults
 from repro.algorithms.registry import algorithm_names
-from repro.resilience import RetryPolicy
-from repro.service import ServiceConfig, ServiceRunner, ServiceState, protocol
+from repro.service import ServiceRunner, ServiceState, protocol
 from repro.service import cache as cache_module
 from repro.service import state as state_module
 
-from tests.conftest import assert_values_equal
+from tests.conftest import assert_values_equal, state_oracle
 from tests.service.conftest import answer_entries, state_lock_held, valid_batch
 
 pytestmark = pytest.mark.service
@@ -80,7 +78,7 @@ class TestStoredBytes:
     @pytest.mark.parametrize("algorithm", algorithm_names())
     def test_hit_frames_equal_the_dict_form(self, service_state, raw,
                                             algorithm):
-        want = service_state.offline_answer(algorithm, 1).values
+        want = state_oracle(service_state, algorithm, 1)
         miss, first_reuse, later = (raw.frame(algorithm=algorithm, source=1)
                                     for _ in range(3))
         for frame in (miss, first_reuse, later):
@@ -130,8 +128,7 @@ class TestStoredBytes:
         calls.update(dict.fromkeys(calls, 0))
         frame = raw.frame(algorithm="BFS", source=0)
         assert calls == dict.fromkeys(calls, 0)
-        assert frame == dict_form(
-            frame, service_state.offline_answer("BFS", 0).values)
+        assert frame == dict_form(frame, state_oracle(service_state, "BFS", 0))
 
     def test_a_miss_stores_no_bytes(self, service_state, raw):
         raw.frame(algorithm="SSSP", source=2)
@@ -161,22 +158,21 @@ class TestAnswersThatEncodeFresh:
                                    n_del=0).additions.arrays())
         service_state.update("insert", int(u), int(v))
         for algorithm in ("SSSP", "BFS"):
-            patched = service_state.offline_answer(algorithm, 0)
-            assert patched.livetip_seq == 1
+            patched = state_oracle(service_state, algorithm, 0)
             for _ in range(2):
                 frame = raw.frame(algorithm=algorithm, source=0)
                 message = protocol.decode_line(frame)
                 assert message["from_cache"] is True
                 assert message["livetip_seq"] == 1
-                assert frame == dict_form(frame, patched.values)
+                assert frame == dict_form(frame, patched)
         assert empty.wire is None
         assert filled.wire is stored
         # The fold is a new epoch: its TG tip is the patched one, and its
         # entry's first reuse stores the new epoch's bytes.
         folded = service_state.update("compact")
         assert folded["compacted"] and folded["epoch"] == 1
-        want = service_state.offline_answer("BFS", 0).values
-        assert_values_equal(want[-1], patched.values[-1], "folded tip")
+        want = state_oracle(service_state, "BFS", 0)
+        assert_values_equal(want[-1], patched[-1], "folded tip")
         frames = [raw.frame(algorithm="BFS", source=0) for _ in range(3)]
         assert [protocol.decode_line(f)["from_cache"] for f in frames] == [
             False, True, True]
@@ -184,39 +180,6 @@ class TestAnswersThatEncodeFresh:
             assert frame == dict_form(frame, want)
             assert "livetip_seq" not in protocol.decode_line(frame)
         assert entry_of(service_state, "BFS", 0).wire is not stored
-
-    def test_degraded_answer_encodes_fresh(self, service_state, monkeypatch):
-        encoded = []
-        original = protocol.encode_values
-
-        def counted(values):
-            encoded.append(len(values))
-            return original(values)
-
-        config = ServiceConfig(retry=RetryPolicy(
-            max_attempts=2, base_delay=0.001, multiplier=2.0,
-            max_delay=0.01, retry_on=(OSError,),
-        ))
-        with ServiceRunner(service_state, config) as runner:
-            client = RawClient(runner.port)
-            try:
-                client.frame(algorithm="SSSP", source=0)
-                client.frame(algorithm="SSSP", source=0)  # slot filled
-                stored = entry_of(service_state, "SSSP", 0).wire
-                monkeypatch.setattr(protocol, "encode_values", counted)
-                plan = faults.FaultPlan().fail_service(match="query:*",
-                                                       times=100)
-                with plan.active():
-                    frame = client.frame(algorithm="SSSP", source=0)
-            finally:
-                client.close()
-        message = protocol.decode_line(frame)
-        assert message["outcome"] == "degraded"
-        assert message["from_cache"] is False
-        assert encoded == [5]
-        assert frame == dict_form(
-            frame, service_state.offline_answer("SSSP", 0).values)
-        assert entry_of(service_state, "SSSP", 0).wire is stored
 
 
 class TestEntryLifetime:

@@ -184,12 +184,33 @@ def test_malformed_connect_is_a_usage_error(command, address, capsys):
     ("route", "--probe-interval", "0"),
     ("route", "--probe-interval", "-1"),
     ("route", "--probe-interval", "nan"),
+    ("serve", "--queue-timeout", "inf"),
+    ("serve", "--breaker-reset", "inf"),
+    ("serve", "--drain-timeout", "inf"),
+    ("serve", "--request-timeout", "inf"),
+    ("route", "--request-timeout", "inf"),
+    ("route", "--breaker-reset", "inf"),
+    ("route", "--probe-interval", "inf"),
+    ("route", "--replicas", "0"),
+    ("ping", "--timeout", "nan"),
+    ("ping", "--timeout", "-1"),
+    ("ping", "--timeout", "inf"),
+    ("query", "--timeout", "0"),
+    ("ingest", "--timeout", "nan"),
+    ("update", "--timeout", "-1"),
+    ("shutdown", "--timeout", "nan"),
+    ("temporal point", "--timeout", "nan"),
+    ("temporal timeline", "--timeout", "-1"),
+    ("obs dump", "--timeout", "nan"),
 ])
 def test_out_of_range_service_flags_are_usage_errors(tmp_path, command,
                                                       flag, value, capsys):
-    # Refused while parsing: no store is opened, no service starts.
+    # Refused while parsing: no store is opened, no service starts, no
+    # socket is given a timeout it refuses.
+    argv = ([command, str(tmp_path / "missing")]
+            if command in ("serve", "route") else command.split())
     with pytest.raises(SystemExit) as exited:
-        main([command, str(tmp_path / "missing"), flag, value])
+        main([*argv, flag, value])
     assert exited.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expected" in err
