@@ -232,7 +232,7 @@ def _fresh_pairs(state, count):
     """``count`` edges absent from the durable tip, deterministically."""
     tip = state.store.load().snapshot_edges(-1)
     present = set(tip)
-    n = state.decomposition.num_vertices
+    n = state.published.decomposition.num_vertices
     picked = []
     for u in range(n):
         for v in range(n):
@@ -273,7 +273,7 @@ def test_livetip_update_stream(benchmark, tmp_path_factory, workload):
         benchmark.pedantic(run, rounds=ROUNDS, iterations=1,
                            warmup_rounds=0)
         # Every update was absorbed, none folded.
-        assert state._livetip.seq == 2 * ROUNDS * LIVETIP_UPDATES
+        assert state.published.livetip.seq == 2 * ROUNDS * LIVETIP_UPDATES
     finally:
         state.close()
 

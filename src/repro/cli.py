@@ -498,7 +498,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 break
         print(f"serving {store.name or args.store} on "
               f"{config.host}:{service.port} "
-              f"(window={args.window or 'all'}, epoch={state.epoch})")
+              f"(window={args.window or 'all'}, epoch={state.published.epoch})")
         if metrics_server is not None:
             print(f"metrics on {metrics_server.url}/metrics")
         if args.obs_spans is not None:

@@ -8,7 +8,7 @@ the call graph and checks two global properties the per-function
 * **lock-order cycles** — if lock A is ever acquired while B is held
   and (possibly through a chain of calls) B while A is held, two
   threads interleaving those paths can deadlock.  Locks are identified
-  per *class attribute* (all instances of ``ServiceState._lock`` are
+  per *class attribute* (all instances of ``LRUCache._lock`` are
   one node), which is the granularity at which the deadlock argument
   holds.  Re-entry of the same lock is ``lock-discipline``'s concern
   and is ignored here.

@@ -15,12 +15,17 @@ column materialises exactly the live edge set the overlay was already
 answering from.
 
 Concurrency: one compactor lock serialises folds (two concurrent
-folds would race the store's strict batch validation).  Updates keep
-landing while a fold is in flight — an update sealed out of the net
-batch simply stays pending and rides the next fold.  A foreign append
-sneaking between seal and append makes the store reject our stale net
-batch (:class:`~repro.errors.DeltaError`); the rejection triggers a
-re-seal against the rebased overlay, never a corrupt fold.
+folds would race the store's strict batch validation).  The compactor
+keeps no overlay: it reads the one published now, and a net-zero log
+is cleared through the publisher's ``collapse``, which refuses when an
+update landed after the seal.  Updates keep landing while a fold is in
+flight — an update sealed out of the net batch simply stays pending and
+rides the next fold.  A foreign append sneaking between seal and
+append makes the store reject our stale net batch
+(:class:`~repro.errors.DeltaError`); the rejection triggers a re-seal
+against the rebased overlay, never a corrupt fold.  The fold counters
+are one value, replaced whole at the end of a fold, so
+:meth:`Compactor.snapshot` never waits for a fold in flight.
 
 Determinism: compaction must fire at the *same point in the update
 stream* on every replica of a fleet (receipts are compared per
@@ -32,7 +37,7 @@ lint determinism scope — no wall clock is read here.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.errors import DeltaError, ServiceError
@@ -43,19 +48,24 @@ __all__ = ["Compactor"]
 
 
 class Compactor:
-    """Background folding of one overlay's log through an ingest lane.
+    """Background folding of the published overlay's log through an
+    ingest lane.
 
-    ``append`` is the durable lane — the service passes its store's
-    ``append`` bound method, so a fold and a client batch are
-    literally the same code path from the store down.  ``max_updates``
-    is the deterministic trigger: compaction fires as the log reaches
-    this depth.
+    ``overlay`` returns the overlay published now.  ``append`` is the
+    durable lane — the service passes its store append, so a fold and a
+    client batch are literally the same code path from the store down.
+    ``collapse(seq)`` clears a log sealed at ``seq`` whose updates
+    cancel out, or returns ``None`` when an update landed after the
+    seal.  What either returns (the publisher's new value) is the
+    receipt's ``published``.  ``max_updates`` is the deterministic
+    trigger: compaction fires as the log reaches this depth.
     """
 
     def __init__(
         self,
-        overlay: LiveTipOverlay,
+        overlay: Callable[[], LiveTipOverlay],
         append: Callable[[DeltaBatch], Any],
+        collapse: Callable[[int], Any],
         *,
         max_updates: int = 64,
     ) -> None:
@@ -63,17 +73,18 @@ class Compactor:
             raise ServiceError("max_updates must be >= 1")
         self._overlay = overlay
         self._append = append
+        self._collapse = collapse
         self.max_updates = max_updates
         # Serialises folds; never held while a caller's lock is taken.
         self._lock = threading.Lock()
-        self.compactions = 0  # guarded-by: _lock
-        self.updates_folded = 0  # guarded-by: _lock
-        self.last_compaction_version: Optional[int] = None  # guarded-by: _lock
+        #: Lifetime (compactions, updates folded, last compaction
+        #: version), replaced whole by each fold.
+        self._totals: Tuple[int, int, Optional[int]] = (0, 0, None)
 
     # -- policy ---------------------------------------------------------------
     def due(self) -> bool:
         """Whether the pending log has hit the fold threshold."""
-        return self._overlay.depth >= self.max_updates
+        return self._overlay().depth >= self.max_updates
 
     def maybe_compact(self) -> Optional[Dict[str, Any]]:
         """Fold if due; the per-update hook on the service's hot path."""
@@ -91,21 +102,23 @@ class Compactor:
         """
         with self._lock:
             for attempt in range(3):
-                batch, depth, seal_seq = self._overlay.seal()
+                batch, depth, seal_seq = self._overlay().seal()
                 if depth == 0:
                     return {
                         "compacted": False,
                         "updates_folded": 0,
-                        "tip_version": self._overlay.tip_version,
+                        "tip_version": self._overlay().tip_version,
+                        "published": None,
                     }
                 with obs.phase_span("livetip", "compact", updates=depth,
                                     net=batch.size):
                     if batch.size == 0:
-                        if not self._overlay.collapse(seal_seq):
+                        published = self._collapse(seal_seq)
+                        if published is None:
                             continue  # an update landed mid-seal; re-seal
                     else:
                         try:
-                            self._append(batch)
+                            published = self._append(batch)
                         except DeltaError:
                             # A foreign append moved the tip between the
                             # seal and our append; the store notification
@@ -114,13 +127,14 @@ class Compactor:
                                 raise
                             continue
                 obs.counter_inc("repro_livetip_compactions_total")
-                self.compactions += 1
-                self.updates_folded += depth
-                self.last_compaction_version = self._overlay.tip_version
+                tip_version = self._overlay().tip_version
+                compactions, folded, _ = self._totals
+                self._totals = (compactions + 1, folded + depth, tip_version)
                 return {
                     "compacted": True,
                     "updates_folded": depth,
-                    "tip_version": self._overlay.tip_version,
+                    "tip_version": tip_version,
+                    "published": published,
                 }
             raise ServiceError(
                 "live-tip compaction could not seal a stable update log "
@@ -129,18 +143,15 @@ class Compactor:
 
     # -- status ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "compactions": self.compactions,
-                "updates_folded": self.updates_folded,
-                "last_compaction_version": self.last_compaction_version,
-                "max_updates": self.max_updates,
-            }
+        compactions, folded, version = self._totals
+        return {
+            "compactions": compactions,
+            "updates_folded": folded,
+            "last_compaction_version": version,
+            "max_updates": self.max_updates,
+        }
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"Compactor(compactions={self.compactions}, "
-                f"folded={self.updates_folded}, "
-                f"max_updates={self.max_updates})"
-            )
+        compactions, folded, _ = self._totals
+        return (f"Compactor(compactions={compactions}, folded={folded}, "
+                f"max_updates={self.max_updates})")

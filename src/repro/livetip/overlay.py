@@ -9,8 +9,9 @@ the tip patches the grid's answer by them:
 * the overlay anchors on the decomposition whose tip it overlays, and
   the live edge set is that tip plus the update log: an update decides
   membership against the anchor and the edges the log touched, and
-  allocates O(1) — it validates and logs, builds no graph and repairs
-  no query state; the live set is materialised only by
+  copies only the log and its touched edges (at most the fold
+  threshold) — it validates and logs, builds no graph and repairs no
+  query state; the live set is materialised only by
   :meth:`~LiveTipOverlay.live_edges` and a from-scratch capture;
 * a patched read starts from the TG's own converged tip column (the
   paper's idea 1 applied to the tip) and pushes the log's net additions
@@ -31,23 +32,22 @@ batch recomputation throughout: the repair is exact for the monotonic
 algorithm classes the engine serves, and the equivalence is
 hypothesis-tested across interleavings in ``tests/livetip/``.
 
-Thread model: one reentrant lock guards every mutable field; updates,
-captures and the compaction protocol run under it.  A capture holds
-only immutable inputs — the anchor decomposition, its tip edge set and
-the log's net batch — so its resolve, repair and fallback alike, runs
-outside any lock, and no later update or rebase can change what it
-answers.  Callers that must compose the overlay with other state (the
-service's decomposition capture) hold their own lock *first* and this
-one second; the overlay never calls back out while holding its lock,
-so the acquisition order is acyclic.  Determinism: the module is in
-the lint determinism scope — no wall clock here.
+Thread model: an overlay is a value.  :meth:`~LiveTipOverlay.apply_update`
+and :meth:`~LiveTipOverlay.rebase_onto` return the successor and leave
+the overlay they were called on as it was, so the overlay holds no lock
+and a reader needs none: whoever publishes overlays (the service state,
+beside the decomposition each one is anchored on) serialises the
+writers.  A capture holds only immutable inputs — the anchor
+decomposition, its tip edge set and the log's net batch — so its
+resolve, repair and fallback alike, answers for the overlay it was
+taken from whatever is published after it.  Determinism: the module is
+in the lint determinism scope — no wall clock here.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -115,11 +115,10 @@ def _supports_a_value(
 class TipCapture:
     """A consistent snapshot of the live tip for one ``(algorithm, source)``.
 
-    Captured under the overlay lock, it holds the anchor decomposition,
-    its tip edge set and the log's small net batch — all immutable — so
-    resolving takes no lock: it repairs the TG's converged tip column
-    by the net batch when that is exact, else computes from scratch on
-    the materialised live set.
+    It holds the anchor decomposition, its tip edge set and the log's
+    small net batch — all immutable — so resolving takes no lock: it
+    repairs the TG's converged tip column by the net batch when that is
+    exact, else computes from scratch on the materialised live set.
     """
 
     def __init__(
@@ -205,7 +204,11 @@ class TipCapture:
 
 
 class LiveTipOverlay:
-    """Absorb single-edge updates against the tip; patch tip reads exactly."""
+    """Absorb single-edge updates against the tip; patch tip reads exactly.
+
+    A value: :meth:`apply_update` and :meth:`rebase_onto` return the
+    successor overlay and leave this one as it was.
+    """
 
     def __init__(
         self,
@@ -218,60 +221,45 @@ class LiveTipOverlay:
         self.weight_fn: WeightFn = (
             weight_fn if weight_fn is not None else UnitWeights()
         )
-        # Reentrant: status/snapshot helpers lock internally and must
-        # stay callable from code that already holds the lock.
-        self._lock = threading.RLock()
         #: Absolute version of the TG tip this overlay is anchored on.
-        self.tip_version = tip_version  # guarded-by: _lock
+        self.tip_version = tip_version
         #: The decomposition whose tip this overlay is anchored on (the
         #: graph a capture repairs on).
-        self._anchor = decomposition  # guarded-by: _lock
+        self._anchor = decomposition
         #: The anchored tip's edges (what compaction diffs against).
-        self._base_edges = _tip_edges(decomposition)  # guarded-by: _lock
+        self._base_edges = _tip_edges(decomposition)
         #: Live membership of every edge the log touched; the live edge
         #: set is the anchor with these overriding it.
-        self._touched: Dict[Tuple[int, int], bool] = {}  # guarded-by: _lock
-        #: The log's net batch against the anchor (memo, reset by every
-        #: change to the anchor or the touched edges).
-        self._net: Optional[DeltaBatch] = None  # guarded-by: _lock
+        self._touched: Mapping[Tuple[int, int], bool] = {}
         #: Pending updates, oldest first (the compaction log).
-        self._log: List[TipUpdate] = []  # guarded-by: _lock
+        self._log: Tuple[TipUpdate, ...] = ()
         #: Total updates ever absorbed (monotonic across compactions).
-        self.seq = 0  # guarded-by: _lock
+        self.seq = 0
         #: Lifetime update counts by kind (status payload).
-        self.update_counts: Dict[str, int] = {  # guarded-by: _lock
+        self.update_counts: Mapping[str, int] = {
             kind: 0 for kind in UPDATE_KINDS
         }
+        #: Memo of :meth:`_net_batch`.  Two threads may both fill it;
+        #: they store equal batches.
+        self._net: Optional[DeltaBatch] = None
+
+    def _with(self, **fields: Any) -> "LiveTipOverlay":
+        """A successor: this overlay with ``fields`` replaced."""
+        successor = object.__new__(LiveTipOverlay)
+        successor.__dict__.update(self.__dict__, _net=None, **fields)
+        return successor
 
     # -- shape ----------------------------------------------------------------
     @property
     def depth(self) -> int:
         """Pending (not yet compacted) updates."""
-        with self._lock:
-            return len(self._log)
-
-    def clean_nowait(self) -> bool:
-        """Whether the log is empty, without waiting for the lock.
-
-        ``False`` while the lock is held elsewhere: only a provably
-        clean overlay reads as clean.
-        """
-        if not self._lock.acquire(blocking=False):
-            return False
-        try:
-            return self._clean_locked()
-        finally:
-            self._lock.release()
-
-    def _clean_locked(self) -> bool:  # holds-lock: _lock
-        return not self._log
+        return len(self._log)
 
     def live_edges(self) -> EdgeSet:
-        """The current live edge set (materialised; immutable)."""
-        with self._lock:
-            return _live(self._base_edges, self._net_locked())
+        """The live edge set (materialised; immutable)."""
+        return _live(self._base_edges, self._net_batch())
 
-    def _net_locked(self) -> DeltaBatch:  # holds-lock: _lock
+    def _net_batch(self) -> DeltaBatch:
         """The log as one net batch against the anchor.
 
         Insert/delete churn on the same edge cancels; the live set and
@@ -292,8 +280,8 @@ class LiveTipOverlay:
         return self._net
 
     # -- updates --------------------------------------------------------------
-    def apply_update(self, kind: str, u: int, v: int) -> Dict[str, Any]:
-        """Absorb one single-edge update; returns the update receipt.
+    def apply_update(self, kind: str, u: int, v: int) -> "LiveTipOverlay":
+        """The overlay with one single-edge update absorbed.
 
         Validation is strict and deterministic — inserting a present
         edge or deleting an absent one is a client mistake
@@ -310,57 +298,40 @@ class LiveTipOverlay:
                 f"edge ({u}, {v}) endpoint out of range "
                 f"[0, {self.num_vertices})"
             )
-        with self._lock:
-            present = self._touched.get((u, v))
-            if present is None:
-                present = (u, v) in self._base_edges
-            if kind == "insert" and present:
-                raise ProtocolError(f"edge ({u}, {v}) already present at tip")
-            if kind == "delete" and not present:
-                raise ProtocolError(f"edge ({u}, {v}) not present at tip")
-            self._touched[(u, v)] = kind == "insert"
-            self._net = None
-            self.seq += 1
-            self._log.append(TipUpdate(seq=self.seq, kind=kind, edge=(u, v)))
-            self.update_counts[kind] += 1
-            depth = len(self._log)
-            receipt = {
-                "seq": self.seq,
-                "tip_version": self.tip_version,
-                "overlay_depth": depth,
-            }
-        obs.counter_inc("repro_livetip_updates_total", kind=kind)
-        obs.gauge_set("repro_livetip_depth", float(depth))
-        return receipt
+        present = self._touched.get((u, v))
+        if present is None:
+            present = (u, v) in self._base_edges
+        if kind == "insert" and present:
+            raise ProtocolError(f"edge ({u}, {v}) already present at tip")
+        if kind == "delete" and not present:
+            raise ProtocolError(f"edge ({u}, {v}) not present at tip")
+        seq = self.seq + 1
+        return self._with(
+            _touched={**self._touched, (u, v): kind == "insert"},
+            _log=(*self._log, TipUpdate(seq=seq, kind=kind, edge=(u, v))),
+            seq=seq,
+            update_counts={**self.update_counts,
+                           kind: self.update_counts[kind] + 1},
+        )
 
     # -- tip reads ------------------------------------------------------------
     def capture(
-        self,
-        alg: MonotonicAlgorithm,
-        source: int,
-        *,
-        tip_version: Optional[int] = None,
+        self, alg: MonotonicAlgorithm, source: int,
     ) -> Optional[TipCapture]:
         """Capture tip values for a query, or ``None`` when not needed.
 
         Returns ``None`` when the overlay is clean (the TG tip already
-        *is* the answer) or when ``tip_version`` disagrees with the
-        overlay's anchor (the caller captured a decomposition the
-        overlay no longer sits on; the TG answer is the consistent
-        one).  The capture holds the anchor and the net batch and
-        resolves lazily (see :class:`TipCapture`).
+        *is* the answer).  The capture holds the anchor and the net
+        batch and resolves lazily (see :class:`TipCapture`).
         """
-        with self._lock:
-            if not self._log:
-                return None
-            if tip_version is not None and tip_version != self.tip_version:
-                return None
-            return TipCapture(
-                seq=self.seq, tip_version=self.tip_version,
-                depth=len(self._log), alg=alg, source=source,
-                anchor=self._anchor, base=self._base_edges,
-                net=self._net_locked(), weight_fn=self.weight_fn,
-            )
+        if not self._log:
+            return None
+        return TipCapture(
+            seq=self.seq, tip_version=self.tip_version,
+            depth=len(self._log), alg=alg, source=source,
+            anchor=self._anchor, base=self._base_edges,
+            net=self._net_batch(), weight_fn=self.weight_fn,
+        )
 
     # -- compaction protocol ---------------------------------------------------
     def seal(self) -> Tuple[DeltaBatch, int, int]:
@@ -370,83 +341,59 @@ class LiveTipOverlay:
         graph and the anchored tip — insert/delete churn on the same
         edge cancels, so folding never replays intermediate states.
         """
-        with self._lock:
-            return self._net_locked(), len(self._log), self.seq
-
-    def collapse(self, seq: int) -> bool:
-        """Clear a net-zero log sealed at ``seq`` (churn cancelled out).
-
-        Returns ``False`` when an update landed after the seal — the
-        caller re-seals and tries again.
-        """
-        with self._lock:
-            if seq != self.seq:
-                return False
-            self._log.clear()
-            self._touched.clear()
-            self._net = None
-        obs.gauge_set("repro_livetip_depth", 0.0)
-        return True
+        return self._net_batch(), len(self._log), self.seq
 
     def rebase_onto(self, decomposition: CommonGraphDecomposition,
-                    tip_version: int) -> int:
-        """Re-anchor on ``decomposition``'s tip; returns pending updates kept.
+                    tip_version: int) -> "LiveTipOverlay":
+        """The overlay re-anchored on ``decomposition``'s tip.
 
         After our own compaction the new tip contains every pending
         effect and the log empties.  After a *foreign* batch (another
         store handle appended) pending updates are replayed: one whose
         effect the new tip already has is dropped as satisfied, the
         rest stay pending — acknowledged updates are never silently
-        lost.
+        lost.  Re-anchoring on the same decomposition clears a log
+        whose updates cancel out.
         """
-        tip_edges = _tip_edges(decomposition)
-        with self._lock:
-            touched: Dict[Tuple[int, int], bool] = {}
-            kept: List[TipUpdate] = []
-            for update in self._log:
-                present = touched.get(update.edge)
-                if present is None:
-                    present = update.edge in tip_edges
-                # Still applies: an insert of an absent edge, or a
-                # delete of a present one.
-                if (update.kind == "insert") != present:
-                    touched[update.edge] = not present
-                    kept.append(update)
-            self._anchor = decomposition
-            self._base_edges = tip_edges
-            self._touched = touched
-            self._net = None
-            net = self._net_locked()
-            if not net.size:
-                # The kept updates compose to a no-op (delete/reinsert
-                # churn that the net fold cancelled): weights are
-                # deterministic per edge, so the tip already *is* the
-                # live graph — nothing stays pending.
-                kept = []
-                touched.clear()
-            self._log = kept
-            self.tip_version = tip_version
-            depth = len(kept)
-        obs.gauge_set("repro_livetip_depth", float(depth))
-        return depth
+        tip_edges = (self._base_edges if decomposition is self._anchor
+                     else _tip_edges(decomposition))
+        touched: Dict[Tuple[int, int], bool] = {}
+        kept: List[TipUpdate] = []
+        for update in self._log:
+            present = touched.get(update.edge)
+            if present is None:
+                present = update.edge in tip_edges
+            # Still applies: an insert of an absent edge, or a
+            # delete of a present one.
+            if (update.kind == "insert") != present:
+                touched[update.edge] = not present
+                kept.append(update)
+        successor = self._with(_anchor=decomposition, _base_edges=tip_edges,
+                               _touched=touched, _log=tuple(kept),
+                               tip_version=tip_version)
+        if not successor._net_batch().size:
+            # The kept updates compose to a no-op (delete/reinsert
+            # churn that the net fold cancelled): weights are
+            # deterministic per edge, so the tip already *is* the live
+            # graph — nothing stays pending.
+            successor = successor._with(_touched={}, _log=())
+        return successor
 
     # -- status ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """The status-payload block (cheap; all counters, no arrays)."""
-        with self._lock:
-            net = self._net_locked()
-            return {
-                "tip_version": self.tip_version,
-                "overlay_depth": len(self._log),
-                "updates_total": self.seq,
-                "update_counts": dict(self.update_counts),
-                "live_edges": (len(self._base_edges) + len(net.additions)
-                               - len(net.deletions)),
-            }
+        net = self._net_batch()
+        return {
+            "tip_version": self.tip_version,
+            "overlay_depth": len(self._log),
+            "updates_total": self.seq,
+            "update_counts": dict(self.update_counts),
+            "live_edges": (len(self._base_edges) + len(net.additions)
+                           - len(net.deletions)),
+        }
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"LiveTipOverlay(tip={self.tip_version}, "
-                f"depth={len(self._log)}, seq={self.seq})"
-            )
+        return (
+            f"LiveTipOverlay(tip={self.tip_version}, "
+            f"depth={len(self._log)}, seq={self.seq})"
+        )

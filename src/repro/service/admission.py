@@ -185,8 +185,8 @@ class AdmissionController:
             ...  # holds one query execution slot
 
     The ``live`` lane serves single-edge ``update`` requests: one
-    execution slot (updates are serialised through the overlay lock
-    anyway, so extra slots would only hide queueing in lock
+    execution slot (updates are serialised through the state's writer
+    lock anyway, so extra slots would only hide queueing in lock
     contention) but a deep waiting room with a short timeout — a
     per-update stream is high-rate and each item is sub-millisecond,
     so depth is cheap and staleness is not.

@@ -36,10 +36,11 @@ Design points, mirroring the rest of the codebase:
   all when it already holds that tag (``wire="held"``); the coalescing
   key includes the request's tag.
 * **Loop-answered hits** — a query whose answer is an unpatched
-  result-cache hit (:meth:`ServiceState.cached_answer`: a non-blocking
-  probe that never plans, computes or patches) costs no executor hop;
-  a miss, a live-tip-patched answer and a probe that finds a lock taken
-  fall through to the executor, where the lookup is counted once.
+  result-cache hit (:meth:`ServiceState.cached_answer`: one load of the
+  state's published value, no state or overlay lock, never plans,
+  computes or patches) costs no executor hop, also while an ingest or a
+  fold is in flight; a miss and a live-tip-patched answer fall through
+  to the executor, where the lookup is counted once.
 * **Admission control** — queries, ingests and updates each pass a
   bounded :class:`~repro.service.admission.AdmissionController` lane
   before touching an executor thread; a full waiting room or an expired
@@ -191,9 +192,9 @@ class ServiceConfig:
         default_factory=lambda: AdmissionPolicy(
             max_concurrent=1, max_queue=32, queue_timeout=10.0,
         ))
-    #: The ``update`` lane: one slot (the overlay lock serialises
-    #: updates anyway) with a deep, short-fused waiting room — see
-    #: :class:`~repro.service.admission.AdmissionController`.
+    #: The ``update`` lane: one slot (the state's writer lock
+    #: serialises updates anyway) with a deep, short-fused waiting room
+    #: — see :class:`~repro.service.admission.AdmissionController`.
     live_admission: AdmissionPolicy = field(
         default_factory=lambda: AdmissionPolicy(
             max_concurrent=1, max_queue=256, queue_timeout=2.0,

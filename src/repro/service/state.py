@@ -33,11 +33,13 @@ arrive, even after old snapshots slide out of the window.  A query for
 a version outside the window is refused with a clear error rather than
 silently answered from the wrong graph.
 
-Thread model: ``ingest`` mutates under a lock; queries capture
-``(decomposition, epoch, base_version)`` atomically at entry and then
-run lock-free on that immutable snapshot of the state — an ingest that
-lands mid-query swaps in a *new* decomposition object, it never mutates
-the one an in-flight query holds.  (The decomposition's lazy memos are
+Thread model: everything a read needs is one immutable value,
+``ServiceState.published``, the live-tip overlay anchored on its own
+decomposition.  A writer (an append's notification, an update, a fold's
+collapse) builds the next value under one plain writer lock and
+publishes it with one attribute store; a read loads the value once and
+takes no state or overlay lock, so it never waits for an ingest or a
+fold in flight.  (The decomposition's lazy memos are
 internally locked and an extension reads neither, so sharing one
 decomposition between in-flight queries and an extension is safe.)
 A read is thus a pure function of its view — the answer is the unique
@@ -57,9 +59,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
@@ -80,7 +83,7 @@ from repro.livetip import Compactor, LiveTipOverlay
 from repro.livetip.overlay import TipCapture
 from repro.service.cache import CacheStats, CachedRange, LRUCache
 from repro.service.planner import MemoizingPlanner, SnapshotRef
-from repro.service.status import store_summary
+from repro.service.status import Sizes, history_sizes, store_summary
 from repro.temporal.engine import TemporalEngine
 from repro.temporal.plan import TemporalSpec
 from repro.temporal.timeline import TemporalAnswer
@@ -138,53 +141,6 @@ class QueryAnswer:
 # default of the ``values`` constructor argument.
 QueryAnswer.values = property(  # type: ignore[assignment]
     QueryAnswer._get_values, QueryAnswer._set_values)
-
-
-@dataclass(frozen=True)
-class _ReadView:
-    """Everything one read needs, captured atomically and then immutable.
-
-    An ingest that lands mid-read swaps in a *new* decomposition; it
-    never mutates the one a view holds.
-    """
-
-    algorithm: MonotonicAlgorithm
-    source: int
-    decomposition: CommonGraphDecomposition
-    epoch: int
-    #: Absolute versions of the window's first and last snapshot.
-    base: int
-    latest: int
-    version_times: Dict[int, float]
-    #: The live-tip overlay's capture for this (algorithm, source), or
-    #: ``None`` when the overlay is clean or absent.
-    patch: Optional[TipCapture]
-
-    def resolve_range(self, first: Optional[int],
-                      last: Optional[int]) -> Tuple[int, int]:
-        """Default ``first``/``last`` to the window and validate them."""
-        first = self.base if first is None else first
-        last = self.latest if last is None else last
-        if not self.base <= first <= last <= self.latest:
-            # ProtocolError (a ServiceError subclass): the request named
-            # versions this window cannot answer — a client mistake, not
-            # a server fault, so the client sees a clean payload.
-            raise ProtocolError(
-                f"version range [{first}, {last}] outside the window "
-                f"[{self.base}, {self.latest}]"
-            )
-        return first, last
-
-    def patch_tip(self, last: int,
-                  values: List[np.ndarray]) -> List[np.ndarray]:
-        """``values`` with the tip column taken from the overlay.
-
-        The overlay starts from ``values[-1]``, the anchored tip's
-        converged column, and repairs it by the logged edges.
-        """
-        if self.patch is None or last != self.latest:
-            return values
-        return [*values[:-1], self.patch.resolve(values[-1])]
 
 
 def _hit(answer: QueryAnswer, entry: CachedRange) -> QueryAnswer:
@@ -251,6 +207,99 @@ def _net_moves(steps: Sequence[_Moves]) -> _Moves:
             EdgeSet(edges[changed & back], _trusted=True))
 
 
+@dataclass(frozen=True)
+class _Published:
+    """Everything a read needs, as one value that is never changed: a
+    read that loads it once sees one instant, its overlay anchored on
+    its own decomposition, whatever a writer publishes meanwhile."""
+
+    decomposition: CommonGraphDecomposition
+    #: Absolute version number of the window's first snapshot.
+    base: int
+    #: The store's base and batch sizes, for the status summary.
+    sizes: Sizes
+    #: Ingest timestamps *as observed by this service instance*:
+    #: versions already in the store at startup are stamped at init,
+    #: later versions as their batch lands.  The temporal
+    #: ``as_of_timestamp`` queries resolve against this map; the store
+    #: itself records no timestamps, so the semantics are deliberately
+    #: instance-local (documented in docs/temporal.md).
+    version_times: Mapping[int, float]
+    #: Bumped on every ingest/slide; embedded in every answer key.
+    epoch: int = 0
+    #: Epoch -> the moves of the append that made it, for the last
+    #: :data:`ROOT_MAX_AGE` appends; a root is derived across them.
+    moves: Mapping[int, _Moves] = field(default_factory=dict)
+    #: Recoveries from a failed incremental extension (full rebuilds).
+    resyncs: int = 0
+    #: Set when the state could not be resynchronised with the store;
+    #: reads fail loudly rather than serve a stale graph.
+    poisoned: Optional[BaseException] = None
+    #: The live-tip overlay, anchored on ``decomposition``; ``None``
+    #: until the first update.
+    livetip: Optional[LiveTipOverlay] = None
+
+    def _with(self, **fields: Any) -> "_Published":
+        """This value with ``fields`` replaced.  Every update makes one,
+        and ``dataclasses.replace`` costs about seven times as much."""
+        value = object.__new__(_Published)
+        value.__dict__.update(self.__dict__, **fields)
+        return value
+
+    @property
+    def latest(self) -> int:
+        """Absolute version number of the window's last snapshot."""
+        return self.base + self.decomposition.num_snapshots - 1
+
+    def serviceable(self) -> "_Published":
+        """This value, or a loud refusal if the state left the store."""
+        if self.poisoned is not None:
+            raise ServiceError(
+                "service state out of sync with the store "
+                f"(last resync failed: {self.poisoned!r}); "
+                "refusing to answer from a stale graph"
+            )
+        return self
+
+    def resolve_range(self, first: Optional[int],
+                      last: Optional[int]) -> Tuple[int, int]:
+        """Default ``first``/``last`` to the window and validate them."""
+        first = self.base if first is None else first
+        last = self.latest if last is None else last
+        if not self.base <= first <= last <= self.latest:
+            # ProtocolError (a ServiceError subclass): the request named
+            # versions this window cannot answer — a client mistake, not
+            # a server fault, so the client sees a clean payload.
+            raise ProtocolError(
+                f"version range [{first}, {last}] outside the window "
+                f"[{self.base}, {self.latest}]"
+            )
+        return first, last
+
+
+@dataclass(frozen=True)
+class _ReadView:
+    """One read: what it asks and the published value it answers from."""
+
+    algorithm: MonotonicAlgorithm
+    source: int
+    published: _Published
+    #: The live-tip overlay's capture for this (algorithm, source), or
+    #: ``None`` when the overlay is clean or absent.
+    patch: Optional[TipCapture]
+
+    def patch_tip(self, last: int,
+                  values: List[np.ndarray]) -> List[np.ndarray]:
+        """``values`` with the tip column taken from the overlay.
+
+        The overlay starts from ``values[-1]``, the anchored tip's
+        converged column, and repairs it by the logged edges.
+        """
+        if self.patch is None or last != self.published.latest:
+            return values
+        return [*values[:-1], self.patch.resolve(values[-1])]
+
+
 class ServiceState:
     """Mutable service core: ingestion, window, epochs, caches, queries."""
 
@@ -274,57 +323,46 @@ class ServiceState:
             weight_fn if weight_fn is not None else UnitWeights()
         )
         self.window = window
-        self.epoch = 0  # guarded-by: _lock
-        self.ingests = 0  # guarded-by: _lock
-        #: Recoveries from a failed incremental extension (full rebuilds).
-        self.resyncs = 0  # guarded-by: _lock
-        #: Set when the state could not be resynchronised with the
-        #: store; queries fail loudly rather than serve a stale graph.
-        self._poisoned: Optional[BaseException] = None  # guarded-by: _lock
-        # Reentrant: the version properties lock internally and must
-        # stay callable from code that already holds the lock.
-        self._lock = threading.RLock()
+        # Serialises the writers (an append's notification, an update,
+        # a fold's collapse); held only to build and store the next
+        # published value, never across a store append.  Reads take no
+        # lock: they load ``published`` once.
+        self._writer = threading.Lock()
+        #: Per thread, while it appends through :meth:`_append`: the
+        #: value each notification published, by batch index.
+        self._local = threading.local()
         # Entries are base + sparse Δ, never k dense vectors or aliases;
         # the planner builds them, reading the snapshots they hold.
         self.result_cache = LRUCache(result_cache_entries)
         #: Snapshot lookups of result-cache misses: a hit is a snapshot
-        #: a live entry already holds.
-        self.snapshot_stats = CacheStats()  # guarded-by: _lock
-        #: Epoch -> the moves of the append that made it, for the last
-        #: :data:`ROOT_MAX_AGE` appends; a root is derived across them.
-        self._moves: Dict[int, _Moves] = {}  # guarded-by: _lock
+        #: a live entry already holds.  Counted under ``_stats_lock``,
+        #: sampled without it (like the cache's own stats).
+        self.snapshot_stats = CacheStats()
+        self._stats_lock = threading.Lock()
         self.planner = MemoizingPlanner(self.weight_fn)
-        decomposition, base = self._state_from_store()
-        #: Absolute version number of the window's first snapshot.
-        self.base_version = base  # guarded-by: _lock
-        self.decomposition = decomposition  # guarded-by: _lock
-        #: Ingest timestamps *as observed by this service instance*:
-        #: versions already in the store at startup are stamped at
-        #: init, later versions as their batch lands.  The temporal
-        #: ``as_of_timestamp`` queries resolve against this map; the
-        #: store itself records no timestamps, so the semantics are
-        #: deliberately instance-local (documented in docs/temporal.md).
         self._time_fn = time_fn
+        decomposition, base, sizes = self._state_from_store()
         now = time_fn()
-        self.version_times: Dict[int, float] = {  # guarded-by: _lock
-            version: now
-            for version in range(base, base + decomposition.num_snapshots)
-        }
-        #: Live-tip overlay (PR 9): sub-batch single-edge updates against
-        #: the tip, compacted into real batches on a threshold.  Created
-        #: lazily on the first update so batch-only deployments pay
-        #: nothing; ``None`` also after construction with
-        #: ``livetip=False``, where updates are refused.
+        self.published = _Published(
+            decomposition, base, sizes,
+            dict.fromkeys(range(base, base + decomposition.num_snapshots),
+                          now),
+        )
+        #: Live-tip overlay: sub-batch single-edge updates against
+        #: the tip, compacted into real batches on a threshold.  The
+        #: overlay and its compactor are created lazily on the first
+        #: update so batch-only deployments pay nothing; with
+        #: ``livetip=False`` updates are refused.
         self.livetip_enabled = livetip
         self._livetip_max_updates = livetip_max_updates
-        self._livetip: Optional[LiveTipOverlay] = None  # guarded-by: _lock
-        self._compactor: Optional[Compactor] = None  # guarded-by: _lock
+        self._compactor: Optional[Compactor] = None
         # Appends made through the store handle (by us or any other
         # same-process caller) keep the decomposition in sync.
         self._unsubscribe = store.subscribe(self._on_append)
 
-    def _state_from_store(self) -> Tuple[CommonGraphDecomposition, int]:
-        """Rebuild ``(decomposition, base_version)`` from the store."""
+    def _state_from_store(
+            self) -> Tuple[CommonGraphDecomposition, int, Sizes]:
+        """Rebuild ``(decomposition, base_version, sizes)`` from the store."""
         evolving = self.store.load()
         decomposition = CommonGraphDecomposition.from_evolving(evolving)
         base = 0
@@ -332,30 +370,33 @@ class ServiceState:
         if self.window is not None and n > self.window:
             base = n - self.window
             decomposition = decomposition.restrict(base, n - 1)
-        return decomposition, base
-
-    def _check_serviceable(self) -> None:  # holds-lock: _lock
-        """Raise loudly if the state has diverged from the store."""
-        if self._poisoned is not None:
-            raise ServiceError(
-                "service state out of sync with the store "
-                f"(last resync failed: {self._poisoned!r}); "
-                "refusing to answer from a stale graph"
-            )
+        return decomposition, base, history_sizes(evolving)
 
     # -- shape ----------------------------------------------------------------
     @property
     def num_versions(self) -> int:
         """Total versions ever ingested (window start + window length)."""
-        with self._lock:
-            return self.base_version + self.decomposition.num_snapshots
+        return self.published.latest + 1
 
     @property
     def latest_version(self) -> int:
-        return self.num_versions - 1
+        return self.published.latest
 
     def close(self) -> None:
         self._unsubscribe()
+
+    # -- writers --------------------------------------------------------------
+    def _append(self, batch: DeltaBatch) -> _Published:
+        """Append ``batch`` through the store; returns the value its own
+        notification published (an ingest or a fold on another thread
+        may publish a later one before the append returns)."""
+        outer = getattr(self._local, "made", None)
+        self._local.made = made = {}
+        try:
+            index = self.store.append(batch)  # -> _on_append
+        finally:
+            self._local.made = outer
+        return made.get(index, self.published)
 
     # -- ingestion ------------------------------------------------------------
     def ingest(self, batch: DeltaBatch) -> Dict[str, Any]:
@@ -366,23 +407,18 @@ class ServiceState:
         against the true tip and receipts stay strictly consecutive —
         a batch never silently swallows or reorders acknowledged
         single-edge updates.  Returns a small receipt (new version,
-        epoch, window bounds) for the service response.
+        epoch, window bounds) for the service response, read from the
+        value this batch's own append published.
         """
-        with self._lock:
-            compactor = self._compactor
-        # compact() outside the state lock: the fold appends through the
-        # store, whose notification re-enters _apply_append -> _lock.
-        if compactor is not None:
-            compactor.compact()
-        self.store.append(batch)  # -> _on_append under the hood
-        with self._lock:
-            latest = self.base_version + self.decomposition.num_snapshots - 1
-            return {
-                "version": latest,
-                "epoch": self.epoch,
-                "window_first": self.base_version,
-                "window_last": latest,
-            }
+        if self._compactor is not None:
+            self._compactor.compact()
+        published = self._append(batch)
+        return {
+            "version": published.latest,
+            "epoch": published.epoch,
+            "window_first": published.base,
+            "window_last": published.latest,
+        }
 
     def _on_append(self, index: int, batch: DeltaBatch) -> None:
         """Store-change notification: extend incrementally, slide, re-epoch.
@@ -399,15 +435,15 @@ class ServiceState:
             self._apply_append(index, batch)
 
     def _apply_append(self, index: int, batch: DeltaBatch) -> None:
-        with self._lock:
+        with self._writer:
+            published = self.published
+            current = published.decomposition
             decomp: Optional[CommonGraphDecomposition] = None
-            base = self.base_version
-            current = self.decomposition
+            base = published.base
             # Callbacks run after the store's append lock is released,
             # so two appenders can deliver out of order: only the batch
             # that makes the next version may extend.
-            if (self._poisoned is None
-                    and index == base + current.num_snapshots - 1):
+            if published.poisoned is None and index == published.latest:
                 try:
                     drop = 0 if self.window is None else max(
                         0, current.num_snapshots + 1 - self.window)
@@ -424,41 +460,47 @@ class ServiceState:
                 # lint: allow(error-taxonomy): recovered by the full rebuild below (counted in resyncs); a rebuild failure poisons the state and re-raises loudly
                 except Exception:
                     decomp = None
+            epoch = published.epoch + 1
+            resyncs = published.resyncs
             if decomp is None:
                 try:
-                    decomp, base = self._state_from_store()
+                    decomp, base, sizes = self._state_from_store()
                 except Exception as exc:
-                    self._poisoned = exc
+                    self.published = published._with(poisoned=exc)
                     raise
-                self.resyncs += 1
+                resyncs += 1
                 obs.annotate(resync=True)
                 # A rebuilt window's versions may name other snapshots:
                 # no root is derived across it.
-                self._moves.clear()
-            self._poisoned = None
-            self.decomposition = decomp
-            self.base_version = base
-            if self._livetip is not None:
+                moves: Dict[int, _Moves] = {}
+            else:
+                base_edges, batches = published.sizes
+                sizes = (base_edges, (*batches, batch.size))
+                moves = {at: step for at, step in published.moves.items()
+                         if at > epoch - ROOT_MAX_AGE}
+            rebuilt = decomp.moved is None
+            if not rebuilt:
+                moves[epoch] = decomp.moved
+            latest = base + decomp.num_snapshots - 1
+            livetip = published.livetip
+            if livetip is not None:
                 # Re-anchor the overlay on the new tip.  After our own
                 # compaction this empties the log; after a foreign
                 # append it replays pending updates (dropping ones the
                 # new tip already satisfies) so acknowledged updates
                 # are never lost.
-                self._livetip.rebase_onto(
-                    decomp, base + decomp.num_snapshots - 1
-                )
+                livetip = livetip.rebase_onto(decomp, latest)
             now = self._time_fn()
-            for version in range(base, base + decomp.num_snapshots):
-                self.version_times.setdefault(version, now)
-            for version in [v for v in self.version_times if v < base]:
-                del self.version_times[version]  # slid out of the window
-            self.epoch += 1
-            self.ingests += 1
-            epoch = self.epoch
-            rebuilt = decomp.moved is None
-            if not rebuilt:
-                self._moves[epoch] = decomp.moved
-                self._moves.pop(epoch - ROOT_MAX_AGE, None)
+            times = published.version_times
+            self.published = _Published(
+                decomp, base, sizes,
+                version_times={version: times.get(version, now)
+                               for version in range(base, latest + 1)},
+                epoch=epoch, moves=moves, resyncs=resyncs, livetip=livetip,
+            )
+            made = getattr(self._local, "made", None)
+            if made is not None:
+                made[index] = self.published
         # Answers keyed with older epochs can never hit again; free them.
         # Roots outlive the epoch (a later miss derives from them) unless
         # the window was rebuilt.
@@ -467,26 +509,40 @@ class ServiceState:
             else key[-1] != epoch)
 
     # -- live-tip updates ----------------------------------------------------
-    def _ensure_livetip_locked(
-        self,
-    ) -> Tuple[LiveTipOverlay, Compactor]:  # holds-lock: _lock
-        """Create the overlay/compactor pair on first use."""
+    def _with_livetip(self) -> _Published:  # holds-lock: _writer
+        """The published value, refusing a poisoned or livetip-less
+        state; creates the overlay and its compactor on first use."""
+        published = self.published.serviceable()
         if not self.livetip_enabled:
             raise ServiceError(
                 "live-tip updates are disabled on this service "
                 "(constructed with livetip=False)"
             )
-        if self._livetip is None or self._compactor is None:
-            decomp = self.decomposition
-            self._livetip = LiveTipOverlay(
-                decomp, self.base_version + decomp.num_snapshots - 1,
+        if published.livetip is None:
+            published = published._with(livetip=LiveTipOverlay(
+                published.decomposition, published.latest,
                 weight_fn=self.weight_fn,
-            )
+            ))
+            self.published = published
             self._compactor = Compactor(
-                self._livetip, self.store.append,
-                max_updates=self._livetip_max_updates,
+                lambda: self.published.livetip, self._append,
+                self._collapse, max_updates=self._livetip_max_updates,
             )
-        return self._livetip, self._compactor
+        return published
+
+    def _collapse(self, seq: int) -> Optional[_Published]:
+        """Clear a live-tip log sealed at ``seq`` whose updates cancel
+        out and return the value published; ``None`` when the log
+        changed since (re-seal)."""
+        with self._writer:
+            published = self.published
+            # Re-anchored where it stands, a net-zero log empties.
+            overlay = published.livetip.rebase_onto(
+                published.decomposition, published.latest)
+            if published.livetip.seq != seq or overlay.depth:
+                return None
+            self.published = published._with(livetip=overlay)
+            return self.published
 
     def update(
         self, kind: str, u: Optional[int] = None, v: Optional[int] = None,
@@ -506,80 +562,69 @@ class ServiceState:
             return self.compact_tip()
         if u is None or v is None:
             raise ProtocolError(f"a {kind!r} update requires an edge")
-        with self._lock:
-            self._check_serviceable()
-            overlay, compactor = self._ensure_livetip_locked()
-        # The overlay lock serialises the mutation; the state lock is
-        # deliberately *not* held here so queries capture freely while
-        # the overlay mutates.
-        receipt = overlay.apply_update(kind, int(u), int(v))
-        fold = compactor.maybe_compact()
-        result = {
+        with self._writer:
+            published = self._with_livetip()
+            overlay = published.livetip.apply_update(kind, int(u), int(v))
+            published = self.published = published._with(livetip=overlay)
+        obs.counter_inc("repro_livetip_updates_total", kind=kind)
+        fold = self._compactor.maybe_compact()
+        if fold is not None and fold["compacted"]:
+            published = fold["published"]  # what the fold after it made
+        return {
             "kind": kind,
             "edge": [int(u), int(v)],
-            "seq": receipt["seq"],
+            "seq": overlay.seq,
             "compacted": bool(fold is not None and fold["compacted"]),
             "updates_folded": 0 if fold is None else fold["updates_folded"],
+            "tip_version": published.livetip.tip_version,
+            "overlay_depth": published.livetip.depth,
+            "epoch": published.epoch,
         }
-        with self._lock:
-            result.update({
-                "tip_version": overlay.tip_version,
-                "overlay_depth": overlay.depth,
-                "epoch": self.epoch,
-            })
-        return result
 
     def compact_tip(self) -> Dict[str, Any]:
         """Fold pending live-tip updates into the TG now (receipt)."""
-        with self._lock:
-            self._check_serviceable()
-            overlay, compactor = self._ensure_livetip_locked()
-        fold = compactor.compact()
-        with self._lock:
-            return {
-                "kind": "compact",
-                "seq": overlay.seq,
-                "compacted": fold["compacted"],
-                "updates_folded": fold["updates_folded"],
-                "tip_version": overlay.tip_version,
-                "overlay_depth": overlay.depth,
-                "epoch": self.epoch,
-            }
+        with self._writer:
+            published = self._with_livetip()
+        fold = self._compactor.compact()
+        if fold["compacted"]:
+            published = fold["published"]
+        return {
+            "kind": "compact",
+            "seq": published.livetip.seq,
+            "compacted": fold["compacted"],
+            "updates_folded": fold["updates_folded"],
+            "tip_version": published.livetip.tip_version,
+            "overlay_depth": published.livetip.depth,
+            "epoch": published.epoch,
+        }
 
     # -- reads --------------------------------------------------------------
-    # Every read is the same walk: capture one consistent view, validate
-    # the range against it, evaluate through the cache, patch the tip.
+    # Every read is the same walk: load the published value once,
+    # validate the range against it, evaluate through the cache, patch
+    # the tip.  No read takes a state or overlay lock.
     def _read_view(self, algorithm: str, source: int,
                    last: Optional[int] = None,
-                   with_times: bool = False,
                    capture: bool = True) -> _ReadView:
-        """Capture everything a read needs under one lock hold.
+        """The view of one read, on the value published now.
 
-        The live-tip patch is captured together with the decomposition,
-        so an answer is exactly "TG at history, overlay at tip" for one
-        consistent instant.  It is skipped when the caller's range
-        (``last``) provably ends before the tip, or without ``capture``.
+        The live-tip patch is captured from that value's overlay, which
+        is anchored on its decomposition, so an answer is exactly "TG
+        at history, overlay at tip" for one instant.  It is skipped
+        when the caller's range (``last``) provably ends before the
+        tip, or without ``capture``.
         """
         alg = get_algorithm(algorithm)  # raises AlgorithmError if unknown
-        with self._lock:
-            self._check_serviceable()
-            decomposition = self.decomposition
-            if not 0 <= source < decomposition.num_vertices:
-                raise ServiceError(
-                    f"source {source} out of range "
-                    f"[0, {decomposition.num_vertices})"
-                )
-            base = self.base_version
-            latest = base + decomposition.num_snapshots - 1
-            patch: Optional[TipCapture] = None
-            if (capture and self._livetip is not None
-                    and last in (None, latest)):
-                patch = self._livetip.capture(alg, source,
-                                              tip_version=latest)
-            return _ReadView(
-                alg, source, decomposition, self.epoch, base, latest,
-                dict(self.version_times) if with_times else {}, patch,
+        published = self.published.serviceable()
+        num_vertices = published.decomposition.num_vertices
+        if not 0 <= source < num_vertices:
+            raise ServiceError(
+                f"source {source} out of range [0, {num_vertices})"
             )
+        patch: Optional[TipCapture] = None
+        if (capture and published.livetip is not None
+                and last in (None, published.latest)):
+            patch = published.livetip.capture(alg, source)
+        return _ReadView(alg, source, published, patch)
 
     def _evaluate_cached(self, view: _ReadView, first: int,
                          last: int) -> QueryAnswer:
@@ -592,9 +637,10 @@ class ServiceState:
         only the snapshots no live entry holds and stores the planner's
         entry.
         """
+        published = view.published
         answer = QueryAnswer(
             algorithm=view.algorithm.name, source=view.source,
-            first=first, last=last, epoch=view.epoch,
+            first=first, last=last, epoch=published.epoch,
         )
         entry = self.result_cache.get(answer.key())
         if entry is not None:
@@ -603,8 +649,9 @@ class ServiceState:
         held = self._held_snapshots(answer)
         root_key = _RootKey(answer.algorithm, answer.source)
         planned = self.planner.evaluate(
-            view.decomposition, view.algorithm, view.source,
-            first - view.base, last - view.base, view.epoch, held=held,
+            published.decomposition, view.algorithm, view.source,
+            first - published.base, last - published.base, published.epoch,
+            held=held,
             root=(self._root(view, self.result_cache.peek(root_key))
                   if None in held else None),
         )
@@ -613,7 +660,8 @@ class ServiceState:
         answer.node_misses = planned.node_misses
         answer.additions_processed = planned.additions_processed
         if planned.root is not None:
-            self.result_cache.put(root_key, _Root(view.epoch, planned.root))
+            self.result_cache.put(root_key,
+                                  _Root(published.epoch, planned.root))
         self.result_cache.put(answer.key(), planned.entry)
         return answer
 
@@ -631,19 +679,19 @@ class ServiceState:
         (:attr:`~repro.algorithms.base.MonotonicAlgorithm.trims_by_support`).
         The fixpoint is unique, so the values are the static ones.
         """
-        if kept is None or kept.epoch > view.epoch:
+        published = view.published
+        if kept is None or kept.epoch > published.epoch:
             return None
-        if kept.epoch == view.epoch:
+        if kept.epoch == published.epoch:
             return kept.values
         if not view.algorithm.trims_by_support:
             return None
-        with self._lock:
-            steps = [self._moves.get(epoch)
-                     for epoch in range(kept.epoch + 1, view.epoch + 1)]
+        steps = [published.moves.get(epoch)
+                 for epoch in range(kept.epoch + 1, published.epoch + 1)]
         if None in steps:
             return None
         departed, rejoined = _net_moves(steps)
-        common, _ = planned_graphs(view.decomposition, self.weight_fn)
+        common, _ = planned_graphs(published.decomposition, self.weight_fn)
         state = VertexState(values=kept.values.copy(), source=view.source)
         # One weight call for both sets: a call costs ~20 µs, whatever
         # the few dozen edges.
@@ -683,7 +731,7 @@ class ServiceState:
                                      min(last, answer.last) + 1):
                     held[version - answer.first] = (entry, version - first)
         hits = sum(ref is not None for ref in held)
-        with self._lock:
+        with self._stats_lock:
             self.snapshot_stats.hits += hits
             self.snapshot_stats.misses += len(held) - hits
         return held
@@ -704,9 +752,9 @@ class ServiceState:
         overlay moves without epoch bumps).
         """
         view = self._read_view(algorithm, source, last)
-        first, last = view.resolve_range(first, last)
+        first, last = view.published.resolve_range(first, last)
         answer = self._evaluate_cached(view, first, last)
-        if view.patch is not None and last == view.latest:
+        if view.patch is not None and last == view.published.latest:
             answer.values = view.patch_tip(last, answer.values)
             answer.livetip_seq = view.patch.seq
         return answer
@@ -721,42 +769,29 @@ class ServiceState:
         """:meth:`query`'s answer when it is an unpatched result-cache
         hit, else ``None`` — safe to call on the event loop.
 
-        It never waits (a lock held elsewhere reads as ``None``) and
-        never plans, computes or patches: a range ending at the tip is
-        answered only while the live-tip log is empty, which is decided
-        before any capture is built.  It counts only a hit; on ``None``
-        the caller runs :meth:`query`, which counts the lookup once and
-        raises whatever refusal applies.
+        It loads the published value once and takes no state or overlay
+        lock, so an ingest or a fold in flight does not change its
+        verdict; it never plans, computes or patches: a range ending at
+        the tip is answered only while the live-tip log is empty.  It
+        counts only a hit; on ``None`` the caller runs :meth:`query`,
+        which counts the lookup once and raises whatever refusal
+        applies.
         """
-        if not self._lock.acquire(blocking=False):
-            return None
         try:
-            answer = self._unpatched_read_locked(algorithm, source,
-                                                 first, last)
+            view = self._read_view(algorithm, source, last, capture=False)
+            first, last = view.published.resolve_range(first, last)
         except ReproError:
             return None
-        finally:
-            self._lock.release()
-        if answer is None:
+        published = view.published
+        if (last == published.latest and published.livetip is not None
+                and published.livetip.depth):
             return None
+        answer = QueryAnswer(
+            algorithm=view.algorithm.name, source=source,
+            first=first, last=last, epoch=published.epoch,
+        )
         entry = self.result_cache.get_nowait(answer.key())
         return None if entry is None else _hit(answer, entry)
-
-    def _unpatched_read_locked(
-        self, algorithm: str, source: int, first: Optional[int],
-        last: Optional[int],
-    ) -> Optional[QueryAnswer]:  # holds-lock: _lock
-        """The (still empty) answer of a read no live-tip patch applies
-        to, or ``None``; raises what :meth:`query` would refuse with."""
-        view = self._read_view(algorithm, source, last, capture=False)
-        first, last = view.resolve_range(first, last)
-        if (last == view.latest and self._livetip is not None
-                and not self._livetip.clean_nowait()):
-            return None
-        return QueryAnswer(
-            algorithm=view.algorithm.name, source=source,
-            first=first, last=last, epoch=view.epoch,
-        )
 
     def temporal(
         self, algorithm: str, source: int, specs: Sequence[TemporalSpec],
@@ -769,8 +804,9 @@ class ServiceState:
         fewer when caches hit.  Every range that ends at the captured
         tip gets its last snapshot patched from the live-tip overlay.
         """
-        view = self._read_view(algorithm, source, with_times=True)
-        decomposition, base = view.decomposition, view.base
+        view = self._read_view(algorithm, source)
+        published = view.published
+        decomposition, base = published.decomposition, published.base
 
         def evaluate_range(first: int, last: int) -> List[np.ndarray]:
             return view.patch_tip(
@@ -785,27 +821,22 @@ class ServiceState:
             source=source,
             num_vertices=decomposition.num_vertices,
             window_first=base,
-            window_last=view.latest,
+            window_last=published.latest,
             evaluate_range=evaluate_range,
             structural_diff=structural_diff,
-            version_times=view.version_times,
+            version_times=published.version_times,
         ).run(specs)
-        answer.epoch = view.epoch
+        answer.epoch = published.epoch
         return answer
 
     # -- status ------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        """The health/status payload (superset of ``repro info --json``)."""
-        with self._lock:
-            decomposition = self.decomposition
-            epoch = self.epoch
-            base = self.base_version
-            ingests = self.ingests
-            resyncs = self.resyncs
-            poisoned = self._poisoned is not None
-            overlay = self._livetip
-            compactor = self._compactor
-            snapshots = self.snapshot_stats.as_dict()
+        """The health/status payload (superset of ``repro info --json``).
+
+        Reads the published value once and no file of the store.
+        """
+        published = self.published
+        decomposition = published.decomposition
         livetip: Dict[str, Any] = {
             "enabled": self.livetip_enabled,
             "overlay_depth": 0,
@@ -814,33 +845,36 @@ class ServiceState:
             "updates_folded": 0,
             "last_compaction_version": None,
         }
-        if overlay is not None:
-            snap = overlay.snapshot()
+        if published.livetip is not None:
+            snap = published.livetip.snapshot()
             livetip.update({
                 "tip_version": snap["tip_version"],
                 "overlay_depth": snap["overlay_depth"],
                 "updates_total": snap["updates_total"],
                 "update_counts": snap["update_counts"],
             })
-        if compactor is not None:
-            livetip.update(compactor.snapshot())
-        payload = store_summary(self.store, decomposition=decomposition)
+        if self._compactor is not None:
+            livetip.update(self._compactor.snapshot())
+        payload = store_summary(self.store, decomposition=decomposition,
+                                sizes=published.sizes)
+        poisoned = published.poisoned is not None
         payload.update({
             "serving": not poisoned,
             "poisoned": poisoned,
-            "epoch": epoch,
-            "ingests": ingests,
-            "resyncs": resyncs,
+            "epoch": published.epoch,
+            # Every append bumps the epoch once.
+            "ingests": published.epoch,
+            "resyncs": published.resyncs,
             "window": self.window,
-            "window_first": base,
-            "window_last": base + decomposition.num_snapshots - 1,
+            "window_first": published.base,
+            "window_last": published.latest,
             "window_common_edges": len(decomposition.common),
             "result_cache": {
                 "entries": len(self.result_cache),
                 "max_entries": self.result_cache.max_entries,
                 **self.result_cache.stats.as_dict(),
             },
-            "node_cache": snapshots,
+            "node_cache": self.snapshot_stats.as_dict(),
             "livetip": livetip,
             "observability": obs.describe(),
         })
@@ -859,25 +893,19 @@ class ServiceState:
 
     def _collect_metrics(self, registry: "obs.MetricsRegistry") -> None:
         """Scrape-time bridge: CacheStats and state counters → gauges."""
-        with self._lock:
-            epoch = self.epoch
-            ingests = self.ingests
-            resyncs = self.resyncs
-            poisoned = self._poisoned is not None
-            overlay = self._livetip
-            snapshots = replace(self.snapshot_stats)
+        published = self.published
 
         def gauge(name: str, value: float, **labels: str) -> None:
             obs.instruments.family(registry, name).labels(**labels).set(value)
 
-        gauge("repro_epoch", epoch)
-        gauge("repro_ingests", ingests)
-        gauge("repro_resyncs", resyncs)
-        gauge("repro_poisoned", 1 if poisoned else 0)
-        if overlay is not None:
-            gauge("repro_livetip_depth", overlay.depth)
+        gauge("repro_epoch", published.epoch)
+        gauge("repro_ingests", published.epoch)
+        gauge("repro_resyncs", published.resyncs)
+        gauge("repro_poisoned", 1 if published.poisoned is not None else 0)
+        if published.livetip is not None:
+            gauge("repro_livetip_depth", published.livetip.depth)
         for label, stats in (("result", self.result_cache.stats),
-                             ("node", snapshots)):
+                             ("node", self.snapshot_stats)):
             gauge("repro_cache_hit_rate", stats.hit_rate, cache=label)
             gauge("repro_cache_hits", stats.hits, cache=label)
             gauge("repro_cache_misses", stats.misses, cache=label)

@@ -8,32 +8,42 @@ health check and an offline audit read the same fields.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.common import CommonGraphDecomposition
 from repro.evolving.snapshots import EvolvingGraph
 from repro.evolving.store import SnapshotStore
 
-__all__ = ["store_summary"]
+__all__ = ["history_sizes", "store_summary"]
+
+#: A store's base edge count and its batch sizes, oldest first.
+Sizes = Tuple[int, Sequence[int]]
+
+
+def history_sizes(evolving: EvolvingGraph) -> Sizes:
+    """The :data:`Sizes` of ``evolving``."""
+    return (len(evolving.snapshot_edges(0)),
+            tuple(batch.size for batch in evolving.batches))
 
 
 def store_summary(
     store: SnapshotStore,
     evolving: Optional[EvolvingGraph] = None,
     decomposition: Optional[CommonGraphDecomposition] = None,
+    sizes: Optional[Sizes] = None,
 ) -> Dict[str, Any]:
     """Summarise a store (and optionally its decomposition) as a dict.
 
-    Callers that already hold the evolving graph or the decomposition
-    pass them in to avoid a re-load; otherwise both are materialised
-    from the store.
+    Callers that already hold the evolving graph, the decomposition or
+    the history's :func:`history_sizes` pass them in to avoid a re-load;
+    given ``decomposition`` and ``sizes`` it reads no file of the store.
     """
-    if evolving is None:
-        evolving = store.load()
-    if decomposition is None:
-        decomposition = CommonGraphDecomposition.from_evolving(evolving)
-    base_size = len(evolving.snapshot_edges(0))
-    batch_sizes = [batch.size for batch in evolving.batches]
+    if sizes is None or decomposition is None:
+        if evolving is None:
+            evolving = store.load()
+        if decomposition is None:
+            decomposition = CommonGraphDecomposition.from_evolving(evolving)
+    base_size, batch_sizes = sizes or history_sizes(evolving)
     common_size = len(decomposition.common)
     return {
         "name": store.name,

@@ -141,12 +141,13 @@ def state_oracle(state, algorithm, source, first=None, last=None):
     History comes from the state's store; the tip, while the live-tip
     overlay is non-empty, is the overlay's live edge set.
     """
-    first = state.base_version if first is None else first
-    last = state.latest_version if last is None else last
+    published = state.published
+    first = published.base if first is None else first
+    last = published.latest if last is None else last
     alg = get_algorithm(algorithm)
     evolving = state.store.load()
-    overlay = state._livetip
-    if last != state.latest_version or overlay is None or not overlay.depth:
+    overlay = published.livetip
+    if last != published.latest or overlay is None or not overlay.depth:
         return oracle_values(evolving, alg, source, first, last,
                              state.weight_fn)
     tip = EvolvingGraph(evolving.num_vertices, overlay.live_edges(), [])

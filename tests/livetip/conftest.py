@@ -33,17 +33,17 @@ def edge_pairs_of(edges: EdgeSet) -> Set[Tuple[int, int]]:
 def live_edge_set(state: ServiceState) -> EdgeSet:
     """The edge set tip queries answer from: overlay live edges when
     the overlay exists, the decomposition tip otherwise."""
-    with state._lock:
-        if state._livetip is not None:
-            return state._livetip.live_edges()
-        decomp = state.decomposition
-        return decomp.snapshot_edges(decomp.num_snapshots - 1)
+    published = state.published
+    if published.livetip is not None:
+        return published.livetip.live_edges()
+    decomp = published.decomposition
+    return decomp.snapshot_edges(decomp.num_snapshots - 1)
 
 
 def absent_pairs(state: ServiceState, k: int) -> List[Tuple[int, int]]:
     """``k`` deterministic edges valid for ``insert`` right now."""
     present = edge_pairs_of(live_edge_set(state))
-    n = state.decomposition.num_vertices
+    n = state.published.decomposition.num_vertices
     picked: List[Tuple[int, int]] = []
     for u in range(n):
         for v in range(n):
@@ -67,7 +67,8 @@ def reference_tip_values(
     """From-scratch values on the materialized live tip (the oracle)."""
     edges = live_edge_set(state)
     graph = CSRGraph.from_edge_set(
-        edges, state.decomposition.num_vertices, weight_fn=state.weight_fn,
+        edges, state.published.decomposition.num_vertices,
+        weight_fn=state.weight_fn,
     )
     return static_compute(
         graph, get_algorithm(algorithm), source, track_parents=True,

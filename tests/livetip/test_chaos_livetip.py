@@ -13,23 +13,31 @@ the update script alone, independent of fold/query timing, and every
 answer's tip vector must be bit-identical to the from-scratch values
 of *some* prefix of the script.  An answer matching no prefix means a
 query observed a torn tip (TG column and overlay patch from different
-instants) — exactly the bug the single-lock-hold capture prevents.
+instants) — exactly what one published value, the overlay anchored on
+its own decomposition, rules out.
+
+A second storm races the two writer lanes against each other: updates
+(with threshold folds) on one thread, client ingests on another.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_algorithm
+from repro.core.common import CommonGraphDecomposition
+from repro.evolving.delta import DeltaBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.kickstarter.engine import static_compute
 from repro.service import ServiceState
 
-from tests.livetip.conftest import edge_pairs_of, live_edge_set
+from tests.conftest import assert_values_equal, state_oracle
+from tests.livetip.conftest import absent_pairs, edge_pairs_of, live_edge_set
 
 pytestmark = [pytest.mark.livetip, pytest.mark.chaos]
 
@@ -48,7 +56,7 @@ def build_script(state):
     would race the very state it checks).
     """
     live = edge_pairs_of(live_edge_set(state))
-    n = state.decomposition.num_vertices
+    n = state.published.decomposition.num_vertices
     alg = get_algorithm(ALGORITHM)
 
     def tip_values(pairs):
@@ -127,5 +135,84 @@ def test_compaction_racing_live_queries(livetip_store, livetip_weights):
         answer = state.query(ALGORITHM, SOURCE)
         assert answer.livetip_seq is None
         assert answer.values[-1].tobytes() in expected
+    finally:
+        state.close()
+
+
+def test_ingests_racing_updates_and_folds(livetip_store, livetip_weights):
+    """An update thread churns a few edges while an ingest thread folds
+    the log and appends batches, and readers query, switching every
+    10 µs: no update or batch is lost, every ingest receipt names its
+    own batch, and the state ends equal to the store."""
+    state = ServiceState(livetip_store, weight_fn=livetip_weights)
+    try:
+        pairs = absent_pairs(state, 12)
+        pool, batches = pairs[:4], pairs[4:]
+        tip = edge_pairs_of(live_edge_set(state))
+        churned, seqs, ingested, errors = set(), [], [], []
+        done = threading.Event()
+
+        def guarded(work):
+            def run():
+                try:
+                    work()
+                except BaseException as exc:  # reported by the assertion
+                    errors.append(exc)
+                finally:
+                    done.set()  # a failed writer stops the storm
+            return threading.Thread(target=run)
+
+        def update():
+            while not done.is_set() and len(seqs) < 5000:
+                edge = pool[len(seqs) % len(pool)]
+                kind = "delete" if edge in churned else "insert"
+                seqs.append(state.update(kind, *edge)["seq"])
+                churned.symmetric_difference_update({edge})
+
+        def ingest():
+            for edge in batches:
+                ingested.append(state.ingest(DeltaBatch(
+                    additions=EdgeSet.from_pairs([edge]))))
+
+        def read():
+            while not done.is_set():
+                state.query(ALGORITHM, SOURCE)
+                state.status()
+
+        threads = [guarded(update), guarded(ingest)]
+        threads += [guarded(read) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        # A lost publish would leave the state behind the store, healed
+        # only by a resync from it.
+        assert state.published.resyncs == 0
+        assert seqs == list(range(1, len(seqs) + 1))
+        evolving = state.store.load()
+        assert len(ingested) == len(batches)
+        for edge, receipt in zip(batches, ingested):
+            version = receipt["version"]
+            assert edge in evolving.snapshot_edges(version)
+            assert edge not in evolving.snapshot_edges(version - 1)
+        assert live_edge_set(state) == EdgeSet.from_pairs(
+            sorted(tip | set(batches) | churned))
+        decomposition = state.published.decomposition
+        rebuilt = CommonGraphDecomposition.from_evolving(evolving)
+        for version in range(evolving.num_snapshots):
+            assert (decomposition.snapshot_edges(version)
+                    == rebuilt.snapshot_edges(version))
+        answer = state.query(ALGORITHM, SOURCE)
+        for got, want in zip(answer.values,
+                             state_oracle(state, ALGORITHM, SOURCE)):
+            assert_values_equal(got, want, "after the storm")
     finally:
         state.close()

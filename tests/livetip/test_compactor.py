@@ -1,7 +1,8 @@
 """Compactor unit tests: policy triggers, net-zero collapse, retry.
 
 The compactor is exercised here against a plain callable append lane
-(the retry loop needs injectable failures); the real store-backed fold
+(the retry loop needs injectable failures) and a :class:`Published`
+stand-in for the service state's publisher; the real store-backed fold
 path is covered end-to-end in ``test_state_livetip.py``.
 """
 
@@ -25,15 +26,37 @@ TIP = EdgeSet.from_pairs([(0, 1), (1, 2), (2, 3)])
 N = 5
 
 
+class Published:
+    """The overlay published now, replaced whole by each update and a
+    net-zero collapse — what the service state does for the compactor."""
+
+    def __init__(self) -> None:
+        self.overlay = LiveTipOverlay(
+            CommonGraphDecomposition.from_snapshots(N, [TIP]),
+            tip_version=0, weight_fn=WF)
+
+    def apply_update(self, kind, u, v):
+        self.overlay = self.overlay.apply_update(kind, u, v)
+
+    def collapse(self, seq):
+        if self.overlay.seq != seq:
+            return None
+        self.overlay = self.overlay.rebase_onto(self.overlay._anchor, 0)
+        return self.overlay
+
+    def compactor(self, append, **kwargs):
+        return Compactor(lambda: self.overlay, append, self.collapse,
+                         **kwargs)
+
+
 def make_pair(max_updates=64, append=None):
-    overlay = LiveTipOverlay(CommonGraphDecomposition.from_snapshots(N, [TIP]),
-                             tip_version=0, weight_fn=WF)
+    published = Published()
     appended: List[DeltaBatch] = []
-    compactor = Compactor(
-        overlay, append if append is not None else appended.append,
+    compactor = published.compactor(
+        append if append is not None else appended.append,
         max_updates=max_updates,
     )
-    return overlay, compactor, appended
+    return published, compactor, appended
 
 
 class TestPolicy:
@@ -47,10 +70,10 @@ class TestPolicy:
         assert compactor.maybe_compact() is None
 
     def test_due_at_the_count_threshold(self):
-        overlay, compactor, _ = make_pair(max_updates=2)
-        overlay.apply_update("insert", 3, 0)
+        published, compactor, _ = make_pair(max_updates=2)
+        published.apply_update("insert", 3, 0)
         assert compactor.due() is False
-        overlay.apply_update("insert", 3, 1)
+        published.apply_update("insert", 3, 1)
         assert compactor.due() is True
 
 
@@ -63,31 +86,50 @@ class TestFolding:
         assert appended == []
 
     def test_fold_appends_the_net_batch(self):
-        overlay, compactor, appended = make_pair()
-        overlay.apply_update("insert", 3, 0)
-        overlay.apply_update("delete", 2, 3)
+        published, compactor, appended = make_pair()
+        published.apply_update("insert", 3, 0)
+        published.apply_update("delete", 2, 3)
         receipt = compactor.compact()
         assert receipt["compacted"] is True
         assert receipt["updates_folded"] == 2
         assert len(appended) == 1
         assert sorted(appended[0].additions) == [(3, 0)]
         assert sorted(appended[0].deletions) == [(2, 3)]
-        assert compactor.compactions == 1
-        assert compactor.updates_folded == 2
+        totals = compactor.snapshot()
+        assert (totals["compactions"], totals["updates_folded"]) == (1, 2)
+        assert totals["last_compaction_version"] == 0
 
     def test_net_zero_log_collapses_without_an_append(self):
-        overlay, compactor, appended = make_pair()
-        overlay.apply_update("insert", 3, 0)
-        overlay.apply_update("delete", 3, 0)
+        published, compactor, appended = make_pair()
+        published.apply_update("insert", 3, 0)
+        published.apply_update("delete", 3, 0)
         receipt = compactor.compact()
         assert receipt["compacted"] is True
         assert receipt["updates_folded"] == 2
         assert appended == []  # pure churn: no version, no epoch bump
-        assert overlay.depth == 0
+        assert published.overlay.depth == 0
+        assert published.overlay.seq == 2
+
+    def test_an_update_after_the_seal_makes_the_collapse_reseal(self):
+        published, _, appended = make_pair()
+        published.apply_update("insert", 3, 0)
+        published.apply_update("delete", 3, 0)
+        collapse = published.collapse
+
+        def racing(seq):
+            if published.overlay.seq == 2:
+                published.apply_update("insert", 3, 1)  # lands mid-fold
+            return collapse(seq)
+
+        published.collapse = racing
+        receipt = published.compactor(appended.append).compact()
+        assert receipt == {"compacted": True, "updates_folded": 3,
+                           "tip_version": 0, "published": None}
+        assert [sorted(batch.additions) for batch in appended] == [[(3, 1)]]
 
     def test_delta_error_triggers_a_reseal(self):
-        overlay, _, _ = make_pair()
-        overlay.apply_update("insert", 3, 0)
+        published, _, _ = make_pair()
+        published.apply_update("insert", 3, 0)
         failures = [DeltaError("tip moved"), DeltaError("tip moved")]
         appended: List[DeltaBatch] = []
 
@@ -96,21 +138,21 @@ class TestFolding:
                 raise failures.pop()
             appended.append(batch)
 
-        compactor = Compactor(overlay, flaky_append)
+        compactor = published.compactor(flaky_append)
         receipt = compactor.compact()
         assert receipt["compacted"] is True
         assert len(appended) == 1
 
     def test_persistent_delta_error_raises_after_three_attempts(self):
-        overlay, _, _ = make_pair()
-        overlay.apply_update("insert", 3, 0)
+        published, _, _ = make_pair()
+        published.apply_update("insert", 3, 0)
         attempts = []
 
         def broken_append(batch: DeltaBatch) -> None:
             attempts.append(batch)
             raise DeltaError("tip keeps moving")
 
-        compactor = Compactor(overlay, broken_append)
+        compactor = published.compactor(broken_append)
         with pytest.raises(DeltaError):
             compactor.compact()
         assert len(attempts) == 3

@@ -26,6 +26,7 @@ from repro.kickstarter.engine import static_compute
 from repro.livetip import LiveTipOverlay
 
 from tests.conftest import ALL_ALGORITHMS, assert_values_equal
+from tests.livetip.conftest import absent_pairs
 from tests.strategies import edge_pairs
 
 pytestmark = pytest.mark.livetip
@@ -100,14 +101,22 @@ class TestReceipts:
     def test_receipts_are_sequential(self):
         overlay = make_overlay()
         first = overlay.apply_update("insert", 5, 0)
-        second = overlay.apply_update("delete", 4, 5)
-        assert first == {"seq": 1, "tip_version": 4, "overlay_depth": 1}
-        assert second == {"seq": 2, "tip_version": 4, "overlay_depth": 2}
+        second = first.apply_update("delete", 4, 5)
+        assert (first.seq, first.tip_version, first.depth) == (1, 4, 1)
+        assert (second.seq, second.tip_version, second.depth) == (2, 4, 2)
+
+    def test_an_update_leaves_its_predecessor_as_it_was(self):
+        overlay = make_overlay()
+        successor = overlay.apply_update("insert", 5, 0)
+        assert (overlay.seq, overlay.depth) == (0, 0)
+        assert overlay.live_edges() == TIP
+        assert overlay.capture(get_algorithm("BFS"), 0) is None
+        assert successor.live_edges() == TIP | EdgeSet.from_pairs([(5, 0)])
 
     def test_snapshot_counts(self):
         overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
-        overlay.apply_update("delete", 5, 0)
+        overlay = overlay.apply_update("insert", 5, 0)
+        overlay = overlay.apply_update("delete", 5, 0)
         snap = overlay.snapshot()
         assert snap["overlay_depth"] == 2
         assert snap["updates_total"] == 2
@@ -118,14 +127,6 @@ class TestReceipts:
         overlay = make_overlay()
         assert overlay.capture(get_algorithm("BFS"), 0) is None
 
-    def test_capture_refused_on_version_mismatch(self):
-        overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
-        assert overlay.capture(get_algorithm("BFS"), 0,
-                               tip_version=3) is None
-        assert overlay.capture(get_algorithm("BFS"), 0,
-                               tip_version=4) is not None
-
 
 class TestRepairExactness:
     """A resolve after a further update equals scratch."""
@@ -133,7 +134,7 @@ class TestRepairExactness:
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
     def test_untracked_resolve_equals_scratch(self, name):
         overlay = make_overlay()
-        overlay.apply_update("insert", 6, 5)
+        overlay = overlay.apply_update("insert", 6, 5)
         live = TIP.union(EdgeSet.from_pairs([(6, 5)]))
         assert_values_equal(resolve(overlay, name), oracle(live, name),
                             f"{name} lazy resolve")
@@ -141,9 +142,9 @@ class TestRepairExactness:
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
     def test_insert_repairs_tracked_state(self, name):
         overlay = make_overlay()
-        overlay.apply_update("insert", 6, 5)
+        overlay = overlay.apply_update("insert", 6, 5)
         resolve(overlay, name)
-        overlay.apply_update("insert", 6, 4)
+        overlay = overlay.apply_update("insert", 6, 4)
         live = TIP.union(EdgeSet.from_pairs([(6, 5), (6, 4)]))
         assert_values_equal(resolve(overlay, name), oracle(live, name),
                             f"{name} insert repair")
@@ -151,11 +152,11 @@ class TestRepairExactness:
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
     def test_delete_repairs_tracked_state(self, name):
         overlay = make_overlay()
-        overlay.apply_update("insert", 6, 5)
+        overlay = overlay.apply_update("insert", 6, 5)
         resolve(overlay, name)
         # (1, 3) severs the shorter branch of the diamond; repair must
         # reroute 3's value through (2, 3).
-        overlay.apply_update("delete", 1, 3)
+        overlay = overlay.apply_update("delete", 1, 3)
         live = TIP.union(EdgeSet.from_pairs([(6, 5)])).difference(
             EdgeSet.from_pairs([(1, 3)])
         )
@@ -167,9 +168,9 @@ class TestRepairExactness:
         # (3, 4) is the sole in-edge of 4, which feeds 5: the repaired
         # state must push unreachability down the tail.
         overlay = make_overlay()
-        overlay.apply_update("insert", 5, 6)
+        overlay = overlay.apply_update("insert", 5, 6)
         resolve(overlay, name)
-        overlay.apply_update("delete", 3, 4)
+        overlay = overlay.apply_update("delete", 3, 4)
         live = TIP.union(EdgeSet.from_pairs([(5, 6)])).difference(
             EdgeSet.from_pairs([(3, 4)])
         )
@@ -180,9 +181,10 @@ class TestRepairExactness:
 class TestAdoption:
     def test_stale_resolve_is_not_adopted(self):
         overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
+        overlay = overlay.apply_update("insert", 5, 0)
         capture = overlay.capture(get_algorithm("BFS"), 0)
-        overlay.apply_update("insert", 5, 1)  # moves seq past the capture
+        # Moves seq past the capture.
+        overlay = overlay.apply_update("insert", 5, 1)
         values = capture.resolve()
         # The capture still answers for *its* instant, not the new one.
         assert_values_equal(
@@ -194,8 +196,8 @@ class TestAdoption:
 class TestCompactionProtocol:
     def test_seal_is_the_net_diff(self):
         overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
-        overlay.apply_update("delete", 4, 5)
+        overlay = overlay.apply_update("insert", 5, 0)
+        overlay = overlay.apply_update("delete", 4, 5)
         batch, depth, seq = overlay.seal()
         assert (depth, seq) == (2, 2)
         assert sorted(batch.additions) == [(5, 0)]
@@ -203,10 +205,10 @@ class TestCompactionProtocol:
 
     def test_churn_cancels_in_the_seal(self):
         overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
-        overlay.apply_update("delete", 5, 0)
-        overlay.apply_update("delete", 0, 6)
-        overlay.apply_update("insert", 0, 6)
+        overlay = overlay.apply_update("insert", 5, 0)
+        overlay = overlay.apply_update("delete", 5, 0)
+        overlay = overlay.apply_update("delete", 0, 6)
+        overlay = overlay.apply_update("insert", 0, 6)
         batch, depth, _ = overlay.seal()
         assert depth == 4
         assert batch.size == 0
@@ -220,7 +222,7 @@ class TestCompactionProtocol:
                            ("delete", 0, 6), ("insert", 0, 6),   # cancels
                            ("insert", 6, 2), ("delete", 3, 4),   # net
                            ("delete", 6, 2), ("insert", 6, 2)):  # net insert
-            overlay.apply_update(kind, u, v)
+            overlay = overlay.apply_update(kind, u, v)
         batch, depth, _ = overlay.seal()
         live = overlay.live_edges()
         assert depth == 8
@@ -229,30 +231,37 @@ class TestCompactionProtocol:
         # A foreign tip that already has (6, 2): its first insert is
         # satisfied, the other seven updates replay and stay logged.
         foreign = TIP | EdgeSet.from_pairs([(6, 2), (2, 5)])
-        assert overlay.rebase_onto(anchor(foreign), tip_version=5) == 7
+        overlay = overlay.rebase_onto(anchor(foreign), tip_version=5)
+        assert overlay.depth == 7
         batch, depth, _ = overlay.seal()
         live = overlay.live_edges()
         assert depth == 7
         assert batch.additions == live - foreign == EdgeSet()
         assert batch.deletions == foreign - live == EdgeSet.from_pairs([(3, 4)])
 
-    def test_collapse_requires_a_current_seal(self):
-        overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
-        overlay.apply_update("delete", 5, 0)
-        _, _, seq = overlay.seal()
-        overlay.apply_update("insert", 5, 1)  # lands after the seal
-        assert overlay.collapse(seq) is False
-        _, _, seq = overlay.seal()
-        assert overlay.collapse(seq) is True
-        assert overlay.depth == 0
-        assert overlay.seq == 3  # lifetime counter survives the collapse
+    def test_collapse_requires_a_current_seal(self, livetip_state):
+        """A net-zero log clears through the state's writer, and only
+        while no update landed after its seal."""
+        state = livetip_state
+        (u, v), (x, y) = absent_pairs(state, 2)
+        state.update("insert", u, v)
+        state.update("delete", u, v)
+        _, _, seq = state.published.livetip.seal()
+        state.update("insert", x, y)  # lands after the seal
+        assert state._collapse(seq) is None
+        state.update("delete", x, y)
+        batch, depth, seq = state.published.livetip.seal()
+        assert (batch.size, depth) == (0, 4)
+        assert state._collapse(seq) is state.published
+        assert state.published.livetip.depth == 0
+        assert state.published.livetip.seq == 4  # lifetime counter survives
+        assert state.published.epoch == 0  # no append
 
     def test_rebase_after_own_compaction_empties_the_log(self):
         overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
+        overlay = overlay.apply_update("insert", 5, 0)
         live = overlay.live_edges()
-        assert overlay.rebase_onto(anchor(live), tip_version=5) == 0
+        overlay = overlay.rebase_onto(anchor(live), tip_version=5)
         assert overlay.tip_version == 5
         assert overlay.depth == 0
         assert overlay.live_edges() == live
@@ -261,13 +270,12 @@ class TestCompactionProtocol:
 
     def test_rebase_after_foreign_append_keeps_unsatisfied_updates(self):
         overlay = make_overlay()
-        overlay.apply_update("insert", 5, 0)
-        overlay.apply_update("delete", 0, 6)
+        overlay = overlay.apply_update("insert", 5, 0)
+        overlay = overlay.apply_update("delete", 0, 6)
         # A foreign batch lands that already contains the insert but
         # not the delete: the insert is satisfied, the delete stays.
         foreign_tip = TIP.union(EdgeSet.from_pairs([(5, 0), (6, 3)]))
-        kept = overlay.rebase_onto(anchor(foreign_tip), tip_version=5)
-        assert kept == 1
+        overlay = overlay.rebase_onto(anchor(foreign_tip), tip_version=5)
         assert overlay.depth == 1
         expected = foreign_tip.difference(EdgeSet.from_pairs([(0, 6)]))
         assert overlay.live_edges() == expected
@@ -277,10 +285,10 @@ class TestCompactionProtocol:
         # deterministic per edge, so once the tip already shows the
         # edge nothing stays pending.
         overlay = make_overlay()
-        overlay.apply_update("delete", 0, 6)
-        overlay.apply_update("insert", 0, 6)
-        kept = overlay.rebase_onto(anchor(TIP), tip_version=5)
-        assert kept == 0
+        overlay = overlay.apply_update("delete", 0, 6)
+        overlay = overlay.apply_update("insert", 0, 6)
+        overlay = overlay.rebase_onto(anchor(TIP), tip_version=5)
+        assert overlay.depth == 0
         assert overlay.live_edges() == TIP
 
 
@@ -321,7 +329,7 @@ class TestTipColumnRepair:
         overlay = LiveTipOverlay(anchor(self.ANCHOR), tip_version=4,
                                  weight_fn=WF)
         for kind, u, v in updates:
-            overlay.apply_update(kind, u, v)
+            overlay = overlay.apply_update(kind, u, v)
         return overlay, overlay.capture(get_algorithm(name), 0)
 
     @pytest.mark.parametrize("name", ALL_ALGORITHMS)
@@ -366,7 +374,7 @@ class TestTipColumnRepair:
         absent = [(u, v) for u in range(N) for v in range(N)
                   if u != v and (u, v) not in live]
         for u, v in absent[:10]:
-            overlay.apply_update("insert", u, v)
+            overlay = overlay.apply_update("insert", u, v)
         assert pushes == []
 
     # A capture's repair reads only what it captured, so an update or a
@@ -375,7 +383,8 @@ class TestTipColumnRepair:
     def test_late_update_answers_the_capture_instant(self):
         overlay, capture = self.run([("delete", 5, 1)])
         at_capture = overlay.live_edges()
-        overlay.apply_update("insert", 5, 0)  # seq moves past the capture
+        # Seq moves past the capture.
+        overlay = overlay.apply_update("insert", 5, 0)
         values = capture.resolve(oracle(self.ANCHOR, "BFS"))
         assert_values_equal(values, oracle(at_capture, "BFS"),
                             "capture instant")
@@ -383,8 +392,8 @@ class TestTipColumnRepair:
     def test_late_rebase_answers_the_capture_instant(self):
         overlay, capture = self.run([("insert", 5, 0)])
         at_capture = overlay.live_edges()
-        overlay.rebase_onto(anchor(self.ANCHOR | EdgeSet.from_pairs([(2, 6)])),
-                            tip_version=5)
+        overlay = overlay.rebase_onto(
+            anchor(self.ANCHOR | EdgeSet.from_pairs([(2, 6)])), tip_version=5)
         values = capture.resolve(oracle(self.ANCHOR, "BFS"))
         assert_values_equal(values, oracle(at_capture, "BFS"),
                             "capture instant")
@@ -466,7 +475,7 @@ def check_interleaving(name, arm, spec, data):
             continue
         index = data.draw(st.integers(0, len(candidates) - 1), label="edge")
         u, v = candidates[index]
-        overlay.apply_update(op, u, v)
+        overlay = overlay.apply_update(op, u, v)
         live = live | {(u, v)} if op == "insert" else live - {(u, v)}
     assert overlay.live_edges() == EdgeSet.from_pairs(sorted(live))
     if overlay.depth:

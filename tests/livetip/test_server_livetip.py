@@ -163,7 +163,7 @@ class TestLiveLane:
         applied = [o for o in outcomes if isinstance(o, dict)]
         assert len(sheds) == 1 and len(applied) == 1
         # A shed update was *not* absorbed: only one edge is pending.
-        assert livetip_state._livetip.depth == 1
+        assert livetip_state.published.livetip.depth == 1
 
 
 class TestCli:

@@ -9,6 +9,8 @@ into the Triangular Grid for real.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,9 @@ def materialized_evaluator_values(state, algorithm, source):
     real final snapshot — the materialization the live tip must match."""
     evolving = state.store.load()
     batches = list(evolving.batches)
-    if state._livetip is not None and state._livetip.depth:
-        net, _, _ = state._livetip.seal()
+    overlay = state.published.livetip
+    if overlay is not None and overlay.depth:
+        net, _, _ = overlay.seal()
         if net.size:
             batches.append(net)
     materialized = EvolvingGraph(
@@ -62,12 +65,34 @@ class TestUpdateReceipts:
         assert receipt["overlay_depth"] == 1
         assert receipt["compacted"] is False
 
+    def test_a_receipt_reads_its_own_update(self, livetip_state,
+                                            monkeypatch):
+        """An ingest on another lane folds the log and lands between the
+        update and its receipt: the receipt still shows the update."""
+        state = livetip_state
+        (u, v), (x, y), (a, b) = absent_pairs(state, 3)
+        state.update("insert", u, v)
+
+        def raced():
+            worker = threading.Thread(target=state.ingest, args=(
+                DeltaBatch(additions=EdgeSet.from_pairs([(a, b)])),))
+            worker.start()
+            worker.join(timeout=30)
+
+        monkeypatch.setattr(state._compactor, "maybe_compact", raced)
+        receipt = state.update("insert", x, y)
+        assert (receipt["seq"], receipt["tip_version"],
+                receipt["overlay_depth"], receipt["epoch"]) == (2, 4, 2, 0)
+        # The ingest folded both updates as version 5, then landed as 6.
+        assert state.latest_version == 6 and state.published.epoch == 2
+        assert state.published.livetip.depth == 0
+
     def test_updates_do_not_bump_the_epoch(self, livetip_state):
-        epoch = livetip_state.epoch
+        epoch = livetip_state.published.epoch
         (u, v) = absent_pairs(livetip_state, 1)[0]
         receipt = livetip_state.update("insert", u, v)
         assert receipt["epoch"] == epoch
-        assert livetip_state.epoch == epoch
+        assert livetip_state.published.epoch == epoch
         assert livetip_state.num_versions == 5  # no new snapshot either
 
     def test_edge_required_for_insert(self, livetip_state):
@@ -265,7 +290,7 @@ class TestCompactionThroughTheState:
             assert final["tip_version"] == 5  # one new TG column
             assert final["overlay_depth"] == 0
             assert state.num_versions == 6
-            assert state.epoch == 1
+            assert state.published.epoch == 1
         finally:
             state.close()
 
@@ -278,7 +303,7 @@ class TestCompactionThroughTheState:
         assert receipt["updates_folded"] == 2
         assert receipt["tip_version"] == 4  # no append
         assert livetip_state.num_versions == 5
-        assert livetip_state.epoch == 0
+        assert livetip_state.published.epoch == 0
 
     def test_clean_compact_is_a_noop(self, livetip_state):
         receipt = livetip_state.compact_tip()
@@ -297,8 +322,8 @@ class TestCompactionThroughTheState:
         ))
         # Strictly consecutive: flush folded to version 5, batch is 6.
         assert receipt["version"] == 6
-        assert livetip_state._livetip.depth == 0
-        assert livetip_state._livetip.tip_version == 6
+        assert livetip_state.published.livetip.depth == 0
+        assert livetip_state.published.livetip.tip_version == 6
         tip = livetip_state.store.load().snapshot_edges(-1)
         for edge in ((u, v), (x, y), (a, b)):
             assert edge in tip

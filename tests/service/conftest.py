@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import time
 
 import numpy as np
@@ -52,23 +51,12 @@ def answer_entries(cache):
             if isinstance(entry, CachedRange)]
 
 
-@contextlib.contextmanager
-def state_lock_held(state, until=lambda: True, timeout=30.0):
-    """Hold ``state``'s lock from this thread until ``until()`` holds.
-
-    A query arriving meanwhile cannot be answered on the event loop (its
-    cache lookup finds the lock taken), so it takes the executor hop and
-    waits there for the lock: identical queries coalesce behind it.  On
-    exit, wait (at most ``timeout`` s) for ``until()``, then release.
-    """
-    state._lock.acquire()
-    try:
-        yield
-        stop = time.monotonic() + timeout
-        while not until() and time.monotonic() < stop:
-            time.sleep(0.005)
-    finally:
-        state._lock.release()
+def wait_until(condition, timeout=30.0):
+    """Poll ``condition()`` from a test thread until it holds."""
+    stop = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < stop, "condition never became true"
+        time.sleep(0.005)
 
 
 def seeded_answer(snapshots=16, vertices=4096, changed=100, seed=3):

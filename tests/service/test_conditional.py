@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.algorithms.registry import algorithm_names, get_algorithm
 from repro.core.results import compact_range, expand_range, narrowed
 from repro.errors import ProtocolError
@@ -38,8 +39,8 @@ from tests.conftest import assert_values_equal, oracle_values, state_oracle
 from tests.service.conftest import (
     answer_entries,
     seeded_answer,
-    state_lock_held,
     valid_batch,
+    wait_until,
 )
 from tests.service.test_wire_cache import RawClient
 
@@ -224,7 +225,7 @@ class TestReplies:
 
 class TestCoalescing:
     def test_identical_queries_coalesce_per_tag(self, service_state,
-                                                runner):
+                                                runner, monkeypatch):
         """Two requests each holding the current tag, a stale tag (from
         before an ingest) and no field, all in flight at once: one
         execution per tag, and only the current tag's pair gets the
@@ -253,15 +254,27 @@ class TestCoalescing:
 
         threads = [threading.Thread(target=issue, args=(index,))
                    for index in range(len(tags))]
-        # Each leader is a hit, answered in one loop turn unless the
-        # state lock is taken: hold it so the leaders wait in the
-        # executor until their followers have piled up.
-        with state_lock_held(service_state, lambda: (
-                runner.service.counters["coalesced"] - before >= 3)):
+        # Each leader is a hit, answered in one loop turn unless a fault
+        # plan is active: with one, the leaders take the executor hop
+        # and wait there until their followers have piled up.
+        release = threading.Event()
+        query = service_state.query
+
+        def parked(*args, **kwargs):
+            assert release.wait(timeout=30)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(service_state, "query", parked)
+        with faults.FaultPlan().active():
             for thread in threads:
                 thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+            try:
+                wait_until(lambda: (
+                    runner.service.counters["coalesced"] - before >= 3))
+            finally:
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert runner.service.counters["coalesced"] - before == 3
         assert sum(bool(reply.get("coalesced")) for reply in replies) == 3

@@ -69,10 +69,10 @@ def test_one_ingest_runs_no_tip_sized_set_operation(tmp_path,
         receipt = state.ingest(batch)
     finally:
         state.close()
-    assert state.resyncs == 0
+    assert state.published.resyncs == 0
     assert receipt["version"] == WINDOW + 1  # the fold, then the batch
     assert receipt["window_first"] == 2
-    assert len(state.decomposition.snapshot_edges(WINDOW - 1)) > 60_000
+    assert len(state.published.decomposition.snapshot_edges(WINDOW - 1)) > 60_000
     churn = sum(store.read_batch(index).size
                 for index in range(store.num_batches - WINDOW,
                                    store.num_batches))

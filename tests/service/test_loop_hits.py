@@ -1,10 +1,10 @@
 """An unpatched result-cache hit is answered on the event loop.
 
 Such a hit costs no executor hop: :meth:`ServiceState.cached_answer`
-probes the state, overlay and cache locks without waiting, and the
-server answers from it within one loop turn.  A miss, a
-live-tip-patched answer, a probe that finds a lock taken and every
-query under an active fault plan take the hop as before.  The admission
+loads the state's published value once, takes no state or overlay lock,
+and the server answers from it within one loop turn — also while an
+ingest or a fold is in flight.  A miss, a live-tip-patched answer and
+every query under an active fault plan take the hop as before.  The admission
 gate takes a free slot without a task or a loop turn, and still admits
 waiters in arrival order.  Every answer here is compared with the naive
 oracle.
@@ -22,13 +22,15 @@ import traceback
 import pytest
 
 from repro import faults
+from repro.core.common import CommonGraphDecomposition
 from repro.errors import ServiceOverloadedError
 from repro.resilience import Deadline
 from repro.service import ServiceClient, ServiceRunner
 from repro.service.admission import AdmissionController, AdmissionPolicy
 from repro.service.server import GraphService
 
-from tests.service.conftest import state_lock_held, valid_batch
+from tests.conftest import state_oracle
+from tests.service.conftest import valid_batch
 from tests.service.test_conditional import Versions, assert_oracle
 
 pytestmark = pytest.mark.service
@@ -81,37 +83,44 @@ class TestLoopHits:
         # Each query counted once: a hit on the loop, a miss off it.
         assert (stats.hits, stats.misses) == (4, 2)
 
-    def test_a_contended_lock_falls_through_and_never_blocks_the_loop(
-        self, service_state, runner, hops
+    def test_a_hit_is_answered_on_the_loop_while_an_ingest_is_in_flight(
+        self, service_state, runner, hops, monkeypatch
     ):
         with ServiceClient(port=runner.port) as client:
             client.query("BFS", 5)
+        want = state_oracle(service_state, "BFS", 5)
         stats = service_state.result_cache.stats
         before = (stats.hits, stats.misses)
-        replies = []
+        # Park an ingest inside the state's writer, after its batch is
+        # durable and before the next value is published.
+        parked, release = threading.Event(), threading.Event()
+        extended = CommonGraphDecomposition.extended
 
-        def issue():
-            with ServiceClient(port=runner.port) as client:
-                replies.append(client.query("BFS", 5))
+        def parked_extended(self, *args):
+            parked.set()
+            assert release.wait(timeout=30)
+            return extended(self, *args)
 
-        thread = threading.Thread(target=issue)
-        with state_lock_held(service_state):
-            thread.start()
-            stop = time.monotonic() + 30
-            while len(hops) < 2 and time.monotonic() < stop:
-                time.sleep(0.005)
-            assert len(hops) == 2  # the hit took the hop, waits there
-            with ServiceClient(port=runner.port) as other:
-                assert other.ping() is True  # the loop is free
-            assert not replies
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        (reply,) = replies
+        monkeypatch.setattr(CommonGraphDecomposition, "extended",
+                            parked_extended)
+        ingest = threading.Thread(target=service_state.ingest,
+                                  args=(valid_batch(service_state.store),))
+        ingest.start()
+        try:
+            assert parked.wait(timeout=30)
+            with ServiceClient(port=runner.port, timeout=5,
+                               reconnect_attempts=0) as client:
+                reply = client.query("BFS", 5)
+        finally:
+            release.set()
+            ingest.join(timeout=30)
+        assert not ingest.is_alive()
+        assert hops == ["query BFS:5:None:None"]  # the miss; no hit hopped
         assert reply["from_cache"] is True
-        assert_oracle(reply, expected(service_state, reply, "BFS", 5),
-                      "hit through the executor")
-        assert len(hops) == 2
+        assert reply["epoch"] == 0
+        assert_oracle(reply, want, "loop hit beside a parked ingest")
         assert (stats.hits, stats.misses) == (before[0] + 1, before[1])
+        assert service_state.published.epoch == 1
 
     def test_each_query_counts_once_under_contention(self, service_state,
                                                      runner):
@@ -123,7 +132,7 @@ class TestLoopHits:
         # shared recursion counter (SystemError "AST constructor
         # recursion depth mismatch").
         model = Versions(service_state.store)
-        window = (service_state.base_version, service_state.latest_version)
+        window = (service_state.published.base, service_state.latest_version)
         want = {
             (source, first, last): model.expected(
                 {"first": window[0] if first is None else first,
@@ -134,7 +143,7 @@ class TestLoopHits:
         failures = []
         stop = threading.Event()
 
-        def contend():  # takes the state lock over and over
+        def contend():  # reads the state and the cache over and over
             while not stop.is_set():
                 service_state.status()
 

@@ -173,10 +173,10 @@ class TestMetricsFlow:
         state = ServiceState(service_store, weight_fn=service_weights,
                              window=3)
         try:
-            before = state.decomposition
+            before = state.published.decomposition
             batch = valid_batch(service_store, n_add=3, n_del=2)
             state.ingest(batch)
-            after = state.decomposition
+            after = state.published.decomposition
         finally:
             state.close()
         (span,) = [s for s in obs_runtime.tracer.recent()

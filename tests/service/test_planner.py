@@ -161,7 +161,7 @@ class TestCrossQueryReuse:
         assert (other.node_hits, other.node_misses) == (0, 3)
         assert_bit_identical(
             other.values,
-            oracle_values(service_state.decomposition, get_algorithm("SSSP"),
+            oracle_values(service_state.published.decomposition, get_algorithm("SSSP"),
                           0, 1, 3, weight_fn), "SSSP after BFS")
 
     def test_cached_states_are_isolated_copies(self, decomposition, planner,

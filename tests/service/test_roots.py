@@ -94,23 +94,24 @@ def test_a_derived_root_is_the_static_one(service_evolving, service_weights,
         store = SnapshotStore.create(Path(tmp) / "store", service_evolving)
         state = ServiceState(store, weight_fn=service_weights, window=3)
         try:
-            windows = {state.epoch: state.decomposition}
+            windows = {0: state.published.decomposition}
             removed = []
             for kind, pick in steps:
-                state.ingest(step_batch(state.decomposition, kind, pick,
-                                        removed))
-                windows[state.epoch] = state.decomposition
+                state.ingest(step_batch(state.published.decomposition, kind,
+                                        pick, removed))
+                published = state.published
+                windows[published.epoch] = published.decomposition
             age = data.draw(st.integers(1, len(steps)), label="age")
-            then, now = windows[state.epoch - age], state.decomposition
+            then, now = windows[published.epoch - age], published.decomposition
             kept = state_module._Root(
-                state.epoch - age,
+                published.epoch - age,
                 common_root(then, alg, source, service_weights))
             view = state._read_view(algorithm, source, capture=False)
             derived = state._root(view, kept)
             if age <= state_module.ROOT_MAX_AGE:
                 departed, rejoined = state_module._net_moves(
-                    [state._moves[epoch] for epoch in
-                     range(kept.epoch + 1, state.epoch + 1)])
+                    [published.moves[epoch] for epoch in
+                     range(kept.epoch + 1, published.epoch + 1)])
                 assert departed == then.common - now.common
                 assert rejoined == now.common - then.common
             if alg.trims_by_support and age <= state_module.ROOT_MAX_AGE:
@@ -143,7 +144,7 @@ class TestRootLifetime:
                    for algorithm in ("BFS", "SSWP")}
         # BFS derived its root across both appends; SSWP converged afresh.
         assert statics == ["BFS", "SSWP", "SSWP"]
-        decomposition = service_state.decomposition
+        decomposition = service_state.published.decomposition
         for algorithm, answer in answers.items():
             want = oracle_values(decomposition, get_algorithm(algorithm), 0,
                                  0, decomposition.num_snapshots - 1,
@@ -152,7 +153,7 @@ class TestRootLifetime:
                 assert_values_equal(got, expected, algorithm)
             root = roots_in(service_state)[
                 state_module._RootKey(algorithm, 0)]
-            assert root.epoch == service_state.epoch == 2
+            assert root.epoch == service_state.published.epoch == 2
             assert_values_equal(root.values, common_root(
                 decomposition, get_algorithm(algorithm), 0, service_weights),
                 f"{algorithm} root")
@@ -181,7 +182,7 @@ class TestRootLifetime:
         service_state.query("BFS", 0)
         service_state.ingest(valid_batch(service_state.store))
         service_state.query("BFS", 0)
-        assert service_state._moves and roots_in(service_state)
+        assert service_state.published.moves and roots_in(service_state)
 
         def boom(self, batch, drop):
             raise RuntimeError("injected extension failure")
@@ -189,11 +190,11 @@ class TestRootLifetime:
         monkeypatch.setattr(CommonGraphDecomposition, "extended", boom)
         service_state.ingest(valid_batch(service_state.store))
         monkeypatch.undo()
-        assert service_state.resyncs == 1
-        assert service_state._moves == {}
+        assert service_state.published.resyncs == 1
+        assert service_state.published.moves == {}
         assert roots_in(service_state) == {}
         answer = service_state.query("BFS", 0)
-        decomposition = service_state.decomposition
+        decomposition = service_state.published.decomposition
         want = oracle_values(decomposition, get_algorithm("BFS"), 0, 0,
                              decomposition.num_snapshots - 1, service_weights)
         for got, expected in zip(answer.values, want):
@@ -202,8 +203,8 @@ class TestRootLifetime:
     def test_only_the_last_appends_moves_are_kept(self, service_state):
         for _ in range(state_module.ROOT_MAX_AGE + 2):
             service_state.ingest(valid_batch(service_state.store))
-        epoch = service_state.epoch
-        assert sorted(service_state._moves) == list(
+        epoch = service_state.published.epoch
+        assert sorted(service_state.published.moves) == list(
             range(epoch - state_module.ROOT_MAX_AGE + 1, epoch + 1))
 
 
@@ -212,7 +213,7 @@ def test_roots_under_concurrent_queries_and_ingests(service_state,
     """Four query threads against one ingesting thread, switching every
     10 µs: each answer equals the oracle on the window of its epoch,
     whichever root — kept, derived or fresh — its walk started from."""
-    windows = {0: service_state.decomposition}
+    windows = {0: service_state.published.decomposition}
     answers, errors = [], []
 
     def ingest():
@@ -220,7 +221,8 @@ def test_roots_under_concurrent_queries_and_ingests(service_state,
             for _ in range(6):
                 service_state.ingest(valid_batch(service_state.store,
                                                  n_del=2))
-                windows[service_state.epoch] = service_state.decomposition
+                published = service_state.published
+                windows[published.epoch] = published.decomposition
         except BaseException as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -247,7 +249,7 @@ def test_roots_under_concurrent_queries_and_ingests(service_state,
     assert not any(worker.is_alive() for worker in workers)
     assert errors == []
     assert len(answers) == 4 * 24
-    assert service_state.base_version == 0  # no window: index = version
+    assert service_state.published.base == 0  # no window: index = version
     for answer in answers:
         want = oracle_values(windows[answer.epoch],
                              get_algorithm(answer.algorithm), answer.source,

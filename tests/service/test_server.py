@@ -355,7 +355,7 @@ class TestResilience:
         assert (after["epoch"], after["ingests"]) == (before["epoch"],
                                                      before["ingests"])
         assert after["livetip"]["updates_total"] == 1
-        assert service_state._livetip.seq == 1
+        assert service_state.published.livetip.seq == 1
         want = state_oracle(service_state, "SSSP", 2)
         assert len(again["values"]) == len(want)
         for got, expected in zip(again["values"], want):
@@ -404,7 +404,7 @@ class TestResilience:
                                for u, v in zip(*batch.deletions.arrays())],
                 )
         assert receipt["ok"] and receipt["version"] == 5
-        assert service_state.epoch == 1
+        assert service_state.published.epoch == 1
 
 
 class TestCLIAgainstLiveServer:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.algorithms.registry import get_algorithm
 from repro.core import results
 from repro.core.common import CommonGraphDecomposition
 from repro.errors import AlgorithmError, ServiceError
+from repro.evolving.delta import DeltaBatch
 from repro.evolving.generator import generate_evolving_graph
 from repro.evolving.store import SnapshotStore
 from repro.graph.csr import CSRGraph
@@ -17,6 +20,7 @@ from repro.graph.generators import rmat_edges
 from repro.service import ServiceState
 from repro.service.state import QueryAnswer
 from repro.service.cache import CachedRange
+from repro.service.status import store_summary
 
 from tests.conftest import assert_values_equal, state_oracle
 from tests.helpers import reference_static_compute
@@ -50,7 +54,7 @@ class TestIncrementalIngestion:
                 service_state.store.load()
             )
             assert_decompositions_equal(
-                service_state.decomposition, rebuilt,
+                service_state.published.decomposition, rebuilt,
                 f"after ingest {round_no}",
             )
 
@@ -61,20 +65,57 @@ class TestIncrementalIngestion:
         assert receipt["epoch"] == 1
         assert receipt["window_last"] == before + 1
 
+    @pytest.mark.parametrize("thread", ["same", "other"])
+    def test_a_receipt_names_its_own_batch(self, service_state, thread):
+        """A fold landing between the batch's append and the receipt (a
+        store subscriber folds one update on the batch's notification,
+        on this thread or on another) does not move the receipt."""
+        state = service_state
+        tip = state.store.load().snapshot_edges(-1)
+        (a, b), (u, v) = [
+            (x, y) for x in range(4) for y in range(64)
+            if x != y and (x, y) not in tip][:2]
+
+        def fold():
+            state.update("insert", u, v)
+            state.compact_tip()
+
+        def on_append(index, batch):
+            if index != 4:
+                return
+            if thread == "same":
+                fold()
+            else:
+                worker = threading.Thread(target=fold)
+                worker.start()
+                worker.join(timeout=30)
+
+        unsubscribe = state.store.subscribe(on_append)
+        try:
+            receipt = state.ingest(DeltaBatch(
+                additions=EdgeSet.from_pairs([(a, b)])))
+        finally:
+            unsubscribe()
+        assert receipt == {"version": 5, "epoch": 1, "window_first": 0,
+                           "window_last": 5}
+        assert state.latest_version == 6  # the fold landed after it
+        assert state.published.epoch == 2
+
     def test_epoch_bumps_per_ingest(self, service_state):
-        assert service_state.epoch == 0
+        assert service_state.published.epoch == 0
         service_state.ingest(valid_batch(service_state.store))
         service_state.ingest(valid_batch(service_state.store))
-        assert service_state.epoch == 2
-        assert service_state.ingests == 2
+        assert service_state.published.epoch == 2
+        assert service_state.status()["ingests"] == 2
 
     def test_external_append_through_store_is_observed(self, service_state):
         """Any append on the store handle (not just ``ingest``) updates
         the decomposition, via the subscription."""
-        before = service_state.decomposition.num_snapshots
+        before = service_state.published.decomposition.num_snapshots
         service_state.store.append(valid_batch(service_state.store))
-        assert service_state.decomposition.num_snapshots == before + 1
-        assert service_state.epoch == 1
+        published = service_state.published
+        assert published.decomposition.num_snapshots == before + 1
+        assert service_state.published.epoch == 1
 
 
 class TestWindow:
@@ -83,13 +124,14 @@ class TestWindow:
         state = ServiceState(service_store, weight_fn=service_weights,
                              window=3)
         try:
-            assert state.decomposition.num_snapshots == 3
-            assert state.base_version == 2
+            assert state.published.decomposition.num_snapshots == 3
+            assert state.published.base == 2
             assert state.latest_version == 4
             rebuilt = CommonGraphDecomposition.from_evolving(
                 service_store.load()
             ).restrict(2, 4)
-            assert_decompositions_equal(state.decomposition, rebuilt)
+            assert_decompositions_equal(state.published.decomposition,
+                                        rebuilt)
         finally:
             state.close()
 
@@ -98,13 +140,14 @@ class TestWindow:
                              window=3)
         try:
             state.ingest(valid_batch(service_store))
-            assert state.decomposition.num_snapshots == 3
-            assert state.base_version == 3
+            assert state.published.decomposition.num_snapshots == 3
+            assert state.published.base == 3
             assert state.latest_version == 5
             rebuilt = CommonGraphDecomposition.from_evolving(
                 service_store.load()
             ).restrict(3, 5)
-            assert_decompositions_equal(state.decomposition, rebuilt,
+            assert_decompositions_equal(state.published.decomposition,
+                                        rebuilt,
                                         "slid window")
         finally:
             state.close()
@@ -141,14 +184,14 @@ class TestResync:
         monkeypatch.setattr(CommonGraphDecomposition, "extended", boom)
         receipt = service_state.ingest(valid_batch(service_state.store))
         monkeypatch.undo()
-        assert service_state.resyncs == 1
+        assert service_state.published.resyncs == 1
         assert receipt["epoch"] == 1
         assert receipt["version"] == 5
         rebuilt = CommonGraphDecomposition.from_evolving(
             service_state.store.load()
         )
         assert_decompositions_equal(
-            service_state.decomposition, rebuilt, "after resync"
+            service_state.published.decomposition, rebuilt, "after resync"
         )
         answer = service_state.query("BFS", 0)
         want = state_oracle(service_state, "BFS", 0, answer.first,
@@ -170,20 +213,23 @@ class TestResync:
             next_index = state.latest_version
             # Applies cleanly to the state's tip, but claims to be the
             # batch after the next one.
-            assert state.decomposition.extended(batch, 1).num_snapshots == 3
+            window = state.published.decomposition
+            assert window.extended(batch, 1).num_snapshots == 3
             state._on_append(next_index + 1, batch)
-            assert state.resyncs == 1
-            assert state.epoch == 1
+            assert state.published.resyncs == 1
+            assert state.published.epoch == 1
             n = service_store.num_snapshots
-            assert (state.base_version, state.latest_version) == (n - 3, n - 1)
+            assert (state.published.base,
+                    state.latest_version) == (n - 3, n - 1)
             rebuilt = CommonGraphDecomposition.from_evolving(
                 service_store.load()
             ).restrict(n - 3, n - 1)
-            assert_decompositions_equal(state.decomposition, rebuilt,
+            assert_decompositions_equal(state.published.decomposition,
+                                        rebuilt,
                                         "after the out-of-order batch")
             # The right index still extends incrementally.
             state.ingest(batch)
-            assert state.resyncs == 1
+            assert state.published.resyncs == 1
             assert state.latest_version == n
         finally:
             state.close()
@@ -212,13 +258,13 @@ class TestResync:
         assert payload["serving"] is False
         # The next successful notification resynchronises and recovers.
         service_state.ingest(valid_batch(service_state.store))
-        assert service_state.resyncs == 1
+        assert service_state.published.resyncs == 1
         assert service_state.status()["poisoned"] is False
         rebuilt = CommonGraphDecomposition.from_evolving(
             service_state.store.load()
         )
         assert_decompositions_equal(
-            service_state.decomposition, rebuilt, "after recovery"
+            service_state.published.decomposition, rebuilt, "after recovery"
         )
         answer = service_state.query("BFS", 0)
         want = state_oracle(service_state, "BFS", 0, answer.first,
@@ -386,7 +432,7 @@ class TestSnapshotCache:
         full = service_state.query("SSSP", 0)
         unpatched = [row.copy() for row in full.values]
         tip = service_state.latest_version
-        tip_edges = service_state.decomposition.snapshot_edges(tip)
+        tip_edges = service_state.published.decomposition.snapshot_edges(tip)
         present = set(zip(*(a.tolist() for a in decode_edges(tip_edges.codes))))
         # The vertex farthest from the source that it has no edge to: an
         # insert of (0, v) moves v, so the patch is visible.
@@ -430,6 +476,39 @@ class TestStatus:
         assert payload["node_cache"]["misses"] == 5
         assert payload["node_cache"]["hits"] == 0
         assert 0.0 <= payload["result_cache"]["hit_rate"] <= 1.0
+
+    def test_status_reads_no_batch_file(self, service_store,
+                                        service_weights, monkeypatch):
+        """After ingests, a fold and window slides, ``status`` reads no
+        file of the store, and reports what a summary built from the
+        store reports."""
+        state = ServiceState(service_store, weight_fn=service_weights,
+                             window=3)
+        try:
+            state.ingest(valid_batch(service_store, n_add=3, n_del=2))
+            (u, v), = zip(*valid_batch(service_store, n_add=1,
+                                       n_del=0).additions.arrays())
+            state.update("insert", int(u), int(v))
+            state.compact_tip()
+            state.ingest(valid_batch(service_store, n_add=1, n_del=4))
+            reads = []
+            for name in ("read_batch", "load", "base_edges"):
+                def counted(*args, name=name, read=getattr(SnapshotStore,
+                                                           name)):
+                    reads.append(name)
+                    return read(*args)
+
+                monkeypatch.setattr(SnapshotStore, name, counted)
+            payload = state.status()
+            monkeypatch.undo()
+            assert reads == []
+            assert (payload["window_first"], payload["window_last"]) == (5, 7)
+            want = store_summary(
+                service_store, decomposition=state.published.decomposition)
+            assert {key: payload[key] for key in want} == want
+            assert payload["updates_total"] > 0
+        finally:
+            state.close()
 
     def test_versions(self, service_state):
         assert service_state.num_versions == 5

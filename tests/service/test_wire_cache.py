@@ -17,13 +17,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.algorithms.registry import algorithm_names
 from repro.service import ServiceRunner, ServiceState, protocol
 from repro.service import cache as cache_module
 from repro.service import state as state_module
 
 from tests.conftest import assert_values_equal, state_oracle
-from tests.service.conftest import answer_entries, state_lock_held, valid_batch
+from tests.service.conftest import answer_entries, valid_batch, wait_until
+from tests.service.golden import Gate
 
 pytestmark = pytest.mark.service
 
@@ -69,7 +71,7 @@ def dict_form(frame, rows):
 def entry_of(state, algorithm, source):
     """The result-cache entry of a full-window query."""
     (entry,) = [entry for key, entry in state.result_cache.items()
-                if key[:4] == (algorithm, source, state.base_version,
+                if key[:4] == (algorithm, source, state.published.base,
                                state.latest_version)]
     return entry
 
@@ -93,7 +95,7 @@ class TestStoredBytes:
         odd = [np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324] * 11),
                np.array([-0.0, 0.0, -np.inf, np.nan, np.inf, 1e308] * 11)]
         key = ("SSSP", 0, 0, service_state.latest_version,
-               service_state.epoch)
+               service_state.published.epoch)
         service_state.result_cache.put(key, cache_module.CachedRange(odd))
         frames = [raw.frame(algorithm="SSSP", source=0) for _ in range(2)]
         for frame in frames:
@@ -242,15 +244,21 @@ class TestCoalescing:
                     client.close()
 
             threads = [threading.Thread(target=issue) for _ in range(4)]
-            # The leader is a hit: hold the state lock so it waits in the
-            # executor, not answered in one loop turn, while followers
-            # pile up.
-            with state_lock_held(service_state, lambda: (
-                    runner.service.counters["coalesced"] >= 3)):
+            # The leader is a hit, answered in one loop turn unless a
+            # fault plan is active: with one, it takes the executor hop,
+            # where the gate holds it while followers pile up.
+            gate = Gate(service_state)
+            with faults.FaultPlan().active():
                 for thread in threads:
                     thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+                try:
+                    assert gate.entered.wait(timeout=30)
+                    wait_until(
+                        lambda: runner.service.counters["coalesced"] >= 3)
+                finally:
+                    gate.release()
+                    for thread in threads:
+                        thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             coalesced = runner.service.counters["coalesced"]
         assert len(frames) == 4 and coalesced == 3
