@@ -484,8 +484,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await service.start()
         loop = asyncio.get_running_loop()
         # SIGTERM/SIGINT trigger a graceful drain: stop admitting, let
-        # in-flight requests land within --drain-timeout, flush the
-        # store subscription, then stop the loop.  Signal handlers are
+        # in-flight requests land within --drain-timeout, then stop
+        # the loop.  Signal handlers are
         # a main-thread-only, Unix-only facility — fall back to the
         # KeyboardInterrupt path when they are unavailable.
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -511,7 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("shutting down")
     finally:
-        state.close()
         if metrics_server is not None:
             metrics_server.stop()
         if obs_enabled:

@@ -272,8 +272,14 @@ class CommonGraphDecomposition:
         return len(self.common) + sum(len(s) for s in self.surpluses)
 
     def snapshot_storage_edges(self) -> int:
-        """Edges stored if every snapshot kept its own full CSR."""
-        return sum(len(self.snapshot_edges(i)) for i in range(self.num_snapshots))
+        """Edges stored if every snapshot kept its own full CSR.
+
+        Every surplus is disjoint from the common graph (checked at
+        construction), so snapshot ``i`` holds ``|Gc| + |surplus_i|``
+        edges: counted without materialising one.
+        """
+        return self.num_snapshots * len(self.common) + sum(
+            len(s) for s in self.surpluses)
 
     def __repr__(self) -> str:
         return (

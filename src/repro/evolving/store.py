@@ -55,7 +55,7 @@ import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 try:  # advisory append locking (POSIX only; a no-op elsewhere)
     import fcntl
@@ -242,11 +242,6 @@ class SnapshotStore:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        # Survives re-initialisation (recover / stale refresh re-run
-        # __init__ on the live instance).
-        self._listeners: List[Callable[[int, DeltaBatch], None]] = getattr(
-            self, "_listeners", []
-        )
         if not (self.directory / _MANIFEST).is_file():
             raise SnapshotError(f"{self.directory} is not a snapshot store")
         payload = _parse_manifest(
@@ -429,29 +424,6 @@ class SnapshotStore:
             name=self.name,
         )
 
-    # -- change notifications ---------------------------------------------------
-    def subscribe(
-        self, callback: Callable[[int, DeltaBatch], None]
-    ) -> Callable[[], None]:
-        """Call ``callback(index, batch)`` after every successful append.
-
-        Notifications fire only for appends made *through this handle*
-        (the lock serialises cross-process appends, but cannot push
-        events into another process).  Returns an unsubscribe callable.
-        Listener exceptions propagate to the appender: the store is
-        already durable at that point, so a failing listener reports a
-        subscriber problem, not a lost append.
-        """
-        self._listeners.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                self._listeners.remove(callback)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
     # -- appending ------------------------------------------------------------
     @contextmanager
     def _append_lock(self) -> Iterator[None]:
@@ -546,16 +518,13 @@ class SnapshotStore:
         Appends are serialised across processes by an advisory file
         lock, and the handle resynchronises with the on-disk manifest
         before writing, so two handles on the same directory cannot
-        interleave appends or clobber each other's batches.  Subscribed
-        listeners are notified once the append is durable.
+        interleave appends or clobber each other's batches.
         """
         with obs.phase_span("store", "append") as span:
             with self._append_lock():
                 index = self._append_locked(batch)
             span.annotate(index=index, batch_size=batch.size)
             obs.counter_inc("repro_store_appends_total")
-        for callback in list(self._listeners):
-            callback(index, batch)
         return index
 
     def _append_locked(self, batch: DeltaBatch) -> int:

@@ -140,14 +140,6 @@ class FaultPlan:
         self.rules.append(FaultRule("service", index, match, times, "fail"))
         return self
 
-    def delay_io(self, seconds: float, index: int = 0, match: str = "*",
-                 times: int = 1) -> "FaultPlan":
-        """Stall the ``index``-th matching I/O operation for ``seconds``."""
-        self.rules.append(
-            FaultRule("io", index, match, times, "delay", seconds)
-        )
-        return self
-
     def delay_service(self, seconds: float, index: int = 0, match: str = "*",
                       times: int = 1) -> "FaultPlan":
         """Stall the ``index``-th matching service operation.

@@ -178,10 +178,7 @@ class FleetSupervisor:
             return
         runner = replica.runner
         replica.runner = None
-        try:
-            runner.stop()
-        finally:
-            runner.state.close()
+        runner.stop()
 
     def kill_replica(self, name: str) -> None:
         """Non-graceful stop (the chaos 'crash'): in-flight work dies.
@@ -335,13 +332,10 @@ class FleetSupervisor:
         if replica.runner is not None:
             runner = replica.runner
             replica.runner = None
-            try:
-                if graceful:
-                    report["drain"] = runner.drain()
-                else:
-                    runner.stop()
-            finally:
-                runner.state.close()
+            if graceful:
+                report["drain"] = runner.drain()
+            else:
+                runner.stop()
         self._start_replica(replica)
         self._retarget(name)
         report["tip"] = self._resync_and_restore(name)

@@ -120,15 +120,6 @@ class EngineCounters:
         self.vertices_trimmed = 0
         self.trim_rounds = 0
 
-    def merged_with(self, other: "EngineCounters") -> "EngineCounters":
-        return EngineCounters(
-            edges_relaxed=self.edges_relaxed + other.edges_relaxed,
-            vertices_updated=self.vertices_updated + other.vertices_updated,
-            iterations=self.iterations + other.iterations,
-            vertices_trimmed=self.vertices_trimmed + other.vertices_trimmed,
-            trim_rounds=self.trim_rounds + other.trim_rounds,
-        )
-
 
 @dataclass
 class VertexState:

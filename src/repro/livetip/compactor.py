@@ -8,24 +8,21 @@ on the same edge cancels) and appends it through the service's
 ordinary durable ingest lane.  That single append does everything a
 client batch does: the store fsyncs it, the decomposition extends by
 one column, the epoch bumps, receipts stay strictly consecutive — and
-the store notification re-anchors the overlay
+the extension re-anchors the overlay
 (:meth:`~repro.livetip.overlay.LiveTipOverlay.rebase_onto`), emptying
 the log.  Answers are bit-identical before and after: the folded tip
 column materialises exactly the live edge set the overlay was already
 answering from.
 
-Concurrency: one compactor lock serialises folds (two concurrent
-folds would race the store's strict batch validation).  The compactor
-keeps no overlay: it reads the one published now, and a net-zero log
-is cleared through the publisher's ``collapse``, which refuses when an
-update landed after the seal.  Updates keep landing while a fold is in
-flight — an update sealed out of the net batch simply stays pending and
-rides the next fold.  A foreign append sneaking between seal and
-append makes the store reject our stale net batch
-(:class:`~repro.errors.DeltaError`); the rejection triggers a re-seal
-against the rebased overlay, never a corrupt fold.  The fold counters
-are one value, replaced whole at the end of a fold, so
-:meth:`Compactor.snapshot` never waits for a fold in flight.
+Concurrency: the caller runs :meth:`Compactor.compact` under its append
+lock, so no other in-process append moves the tip between a fold's seal
+and its append, and two folds never overlap.  The compactor keeps no
+overlay: it reads the one published now, and a net-zero log is cleared
+through the publisher's ``collapse``.  Updates keep landing while a
+fold is in flight — an update sealed out of the net batch simply stays
+pending and rides the next fold.  The fold counters are one value,
+replaced whole at the end of a fold, so :meth:`Compactor.snapshot`
+never waits for a fold in flight.
 
 Determinism: compaction must fire at the *same point in the update
 stream* on every replica of a fleet (receipts are compared per
@@ -36,11 +33,10 @@ lint determinism scope — no wall clock is read here.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
-from repro.errors import DeltaError, ServiceError
+from repro.errors import ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.livetip.overlay import LiveTipOverlay
 
@@ -54,18 +50,19 @@ class Compactor:
     ``overlay`` returns the overlay published now.  ``append`` is the
     durable lane — the service passes its store append, so a fold and a
     client batch are literally the same code path from the store down.
-    ``collapse(seq)`` clears a log sealed at ``seq`` whose updates
-    cancel out, or returns ``None`` when an update landed after the
-    seal.  What either returns (the publisher's new value) is the
-    receipt's ``published``.  ``max_updates`` is the deterministic
-    trigger: compaction fires as the log reaches this depth.
+    ``collapse()`` clears a sealed log whose updates cancel out.  What
+    either returns (the publisher's new value) is the receipt's
+    ``published``.  The caller orders ``compact`` with its other
+    appends; an append it rejects raises, with the log left pending.
+    ``max_updates`` is the deterministic trigger: compaction fires as
+    the log reaches this depth.
     """
 
     def __init__(
         self,
         overlay: Callable[[], LiveTipOverlay],
         append: Callable[[DeltaBatch], Any],
-        collapse: Callable[[int], Any],
+        collapse: Callable[[], Any],
         *,
         max_updates: int = 64,
     ) -> None:
@@ -75,8 +72,6 @@ class Compactor:
         self._append = append
         self._collapse = collapse
         self.max_updates = max_updates
-        # Serialises folds; never held while a caller's lock is taken.
-        self._lock = threading.Lock()
         #: Lifetime (compactions, updates folded, last compaction
         #: version), replaced whole by each fold.
         self._totals: Tuple[int, int, Optional[int]] = (0, 0, None)
@@ -100,46 +95,30 @@ class Compactor:
         net-zero log (pure churn) collapses without an append — no new
         version, no epoch bump, nothing to replay.
         """
-        with self._lock:
-            for attempt in range(3):
-                batch, depth, seal_seq = self._overlay().seal()
-                if depth == 0:
-                    return {
-                        "compacted": False,
-                        "updates_folded": 0,
-                        "tip_version": self._overlay().tip_version,
-                        "published": None,
-                    }
-                with obs.phase_span("livetip", "compact", updates=depth,
-                                    net=batch.size):
-                    if batch.size == 0:
-                        published = self._collapse(seal_seq)
-                        if published is None:
-                            continue  # an update landed mid-seal; re-seal
-                    else:
-                        try:
-                            published = self._append(batch)
-                        except DeltaError:
-                            # A foreign append moved the tip between the
-                            # seal and our append; the store notification
-                            # already rebased the overlay — re-seal.
-                            if attempt == 2:
-                                raise
-                            continue
-                obs.counter_inc("repro_livetip_compactions_total")
-                tip_version = self._overlay().tip_version
-                compactions, folded, _ = self._totals
-                self._totals = (compactions + 1, folded + depth, tip_version)
-                return {
-                    "compacted": True,
-                    "updates_folded": depth,
-                    "tip_version": tip_version,
-                    "published": published,
-                }
-            raise ServiceError(
-                "live-tip compaction could not seal a stable update log "
-                "after 3 attempts (appends kept racing the seal)"
-            )
+        batch, depth, _ = self._overlay().seal()
+        if depth == 0:
+            return {
+                "compacted": False,
+                "updates_folded": 0,
+                "tip_version": self._overlay().tip_version,
+                "published": None,
+            }
+        with obs.phase_span("livetip", "compact", updates=depth,
+                            net=batch.size):
+            if batch.size == 0:
+                published = self._collapse()
+            else:
+                published = self._append(batch)
+        obs.counter_inc("repro_livetip_compactions_total")
+        tip_version = self._overlay().tip_version
+        compactions, folded, _ = self._totals
+        self._totals = (compactions + 1, folded + depth, tip_version)
+        return {
+            "compacted": True,
+            "updates_folded": depth,
+            "tip_version": tip_version,
+            "published": published,
+        }
 
     # -- status ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -347,37 +347,35 @@ class LiveTipOverlay:
                     tip_version: int) -> "LiveTipOverlay":
         """The overlay re-anchored on ``decomposition``'s tip.
 
-        After our own compaction the new tip contains every pending
-        effect and the log empties.  After a *foreign* batch (another
-        store handle appended) pending updates are replayed: one whose
-        effect the new tip already has is dropped as satisfied, the
-        rest stay pending — acknowledged updates are never silently
-        lost.  Re-anchoring on the same decomposition clears a log
-        whose updates cancel out.
+        Pending updates are replayed on the new tip: one whose effect
+        the tip already has is dropped as satisfied, and so are the
+        updates of an edge that ends live as the tip has it (churn that
+        cancels out; weights are deterministic per edge, so the tip
+        already *is* the live edge).  The rest stay pending —
+        acknowledged updates are never silently lost.  So after a fold
+        the log keeps only the updates that landed after its seal, and
+        after a client batch the updates it did not satisfy.
         """
         tip_edges = (self._base_edges if decomposition is self._anchor
                      else _tip_edges(decomposition))
+        anchored: Dict[Tuple[int, int], bool] = {}
         touched: Dict[Tuple[int, int], bool] = {}
         kept: List[TipUpdate] = []
         for update in self._log:
             present = touched.get(update.edge)
             if present is None:
-                present = update.edge in tip_edges
+                present = anchored[update.edge] = update.edge in tip_edges
             # Still applies: an insert of an absent edge, or a
             # delete of a present one.
             if (update.kind == "insert") != present:
                 touched[update.edge] = not present
                 kept.append(update)
-        successor = self._with(_anchor=decomposition, _base_edges=tip_edges,
-                               _touched=touched, _log=tuple(kept),
-                               tip_version=tip_version)
-        if not successor._net_batch().size:
-            # The kept updates compose to a no-op (delete/reinsert
-            # churn that the net fold cancelled): weights are
-            # deterministic per edge, so the tip already *is* the live
-            # graph — nothing stays pending.
-            successor = successor._with(_touched={}, _log=())
-        return successor
+        touched = {edge: live for edge, live in touched.items()
+                   if live != anchored[edge]}
+        return self._with(
+            _anchor=decomposition, _base_edges=tip_edges, _touched=touched,
+            _log=tuple(update for update in kept if update.edge in touched),
+            tip_version=tip_version)
 
     # -- status ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

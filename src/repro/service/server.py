@@ -15,8 +15,8 @@ Request lifecycle — one path, steered by the op's row in
                         request deadline
         handler ──> encode the response
     ping / status / shutdown answer without a gated run; an ingest
-    wraps its hop in the ingest lock, the store breaker and the retry
-    policy (:meth:`GraphService._handle_ingest`).
+    wraps its hop in the store breaker and the retry policy
+    (:meth:`GraphService._handle_ingest`).
 
 Design points, mirroring the rest of the codebase:
 
@@ -60,8 +60,8 @@ Design points, mirroring the rest of the codebase:
   retried and never trip it.
 * **Graceful drain** — :meth:`GraphService.drain` stops accepting new
   work (admission sheds with reason ``"draining"``), lets in-flight
-  requests finish within a drain deadline, flushes the store
-  subscription and only then stops the loop; ``status`` exposes
+  requests finish within a drain deadline, and only then stops the
+  loop; ``status`` exposes
   ``live`` / ``ready`` / ``draining`` so orchestrators can sequence
   rollouts.
 * **Fault hooks** — every primary closure calls
@@ -243,7 +243,6 @@ class GraphService(LineServer):
             "store": self._make_breaker("store"),
         }
         self._inflight: Dict[QueryKey, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._ingest_lock: Optional[asyncio.Lock] = None
         # Lifecycle (event-loop-confined).
         self._draining = False
         self._drain_report: Optional[Dict[str, Any]] = None
@@ -251,7 +250,6 @@ class GraphService(LineServer):
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
-        self._ingest_lock = asyncio.Lock()
         await self._listen()
         self._unregister_collector = obs.register_collector(
             self._collect_metrics
@@ -267,8 +265,8 @@ class GraphService(LineServer):
         Sequence: flag the service as draining (admission sheds every
         not-yet-admitted query/ingest with reason ``"draining"``), close
         the listener so no new connections arrive, wait up to the drain
-        deadline for in-flight requests to land, flush the store
-        subscription, then stop the serve loop.  Idempotent: a second
+        deadline for in-flight requests to land, then stop the serve
+        loop.  Idempotent: a second
         call returns the first call's report.
         """
         if self._draining:
@@ -281,7 +279,6 @@ class GraphService(LineServer):
             self._server.close()
         with obs.timer("repro_drain_seconds"):
             abandoned = await self._wait_idle(deadline.remaining())
-        self.state.close()  # flush the store subscription
         report = {
             "drained": abandoned == 0,
             "abandoned_requests": abandoned,
@@ -455,15 +452,15 @@ class GraphService(LineServer):
         return payload
 
     async def _handle_ingest(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        """One batch append: slot → store breaker → ingest lock → retry.
+        """One batch append: slot → store breaker → retry.
 
         The breaker counts *requests* (one ``before_call`` each), not
         attempts: a retried-then-healed ingest records one success, an
         exhausted one one failure, and anything that says nothing about
         the store's health (client errors, expired budgets) records
-        neutrally so a half-open probe is always returned.  The lock
-        keeps one total order of appends, whatever the lane's
-        configured concurrency.
+        neutrally so a half-open probe is always returned.  The state's
+        append lock keeps one total order of appends, whatever the
+        lane's configured concurrency.
         """
         batch = protocol.parse_ingest_batch(doc)
         deadline = self._request_deadline(doc)
@@ -484,13 +481,11 @@ class GraphService(LineServer):
                 async with self.admission.slot("ingest", deadline,
                                                what="ingest"):
                     breaker.before_call("ingest")
-                    assert self._ingest_lock is not None
                     try:
-                        async with self._ingest_lock:
-                            receipt = await retry_call_async(
-                                attempt, policy=self.config.retry,
-                                deadline=deadline, label="ingest",
-                            )
+                        receipt = await retry_call_async(
+                            attempt, policy=self.config.retry,
+                            deadline=deadline, label="ingest",
+                        )
                     except RetryExhaustedError:
                         breaker.record_failure()
                         raise

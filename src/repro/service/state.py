@@ -35,24 +35,30 @@ silently answered from the wrong graph.
 
 Thread model: everything a read needs is one immutable value,
 ``ServiceState.published``, the live-tip overlay anchored on its own
-decomposition.  A writer (an append's notification, an update, a fold's
+decomposition.  A writer (an append's extension, an update, a fold's
 collapse) builds the next value under one plain writer lock and
 publishes it with one attribute store; a read loads the value once and
 takes no state or overlay lock, so it never waits for an ingest or a
-fold in flight.  (The decomposition's lazy memos are
+fold in flight.  Appends have one more lock, taken first: an ingest
+appends its batch and extends the window by it, and a fold seals the
+live-tip log and appends or collapses it, each in one step under the
+append lock, so in-process appends reach the store and the window in
+one order.  (The decomposition's lazy memos are
 internally locked and an extension reads neither, so sharing one
 decomposition between in-flight queries and an extension is safe.)
 A read is thus a pure function of its view — the answer is the unique
 fixpoint on those snapshots — so there is one read path: running it
 again could not heal a failure, and the server never retries one.
 
-Failure model: the store notifies *after* an append is durable, so the
-state must never silently fall behind it.  If the incremental extension
-fails, ``_on_append`` resynchronises with a full rebuild from the store
-(counted in ``resyncs``); if even that fails, the state is *poisoned* —
-queries raise :class:`~repro.errors.ServiceError` loudly until a later
-notification rebuilds successfully — rather than answering from a graph
-that no longer matches the store.
+Failure model: the window is extended *after* an append is durable, so
+the state must never silently fall behind the store.  If the
+incremental extension fails, or another process appended since the
+state's last append, ``_apply_append`` resynchronises with a full
+rebuild from the store (counted in ``resyncs``); if even that fails,
+the state is *poisoned* — queries raise
+:class:`~repro.errors.ServiceError` loudly until a later append
+rebuilds successfully — rather than answering from a graph that no
+longer matches the store.
 """
 
 from __future__ import annotations
@@ -323,14 +329,16 @@ class ServiceState:
             weight_fn if weight_fn is not None else UnitWeights()
         )
         self.window = window
-        # Serialises the writers (an append's notification, an update,
-        # a fold's collapse); held only to build and store the next
+        # Serialises the appenders (an ingest, a fold): held across a
+        # store append and the extension that publishes it, and across a
+        # fold's seal and its append or collapse.  Taken before
+        # ``_writer``, never after it.
+        self._appending = threading.Lock()
+        # Serialises the writers (an append's extension, an update, a
+        # fold's collapse); held only to build and store the next
         # published value, never across a store append.  Reads take no
         # lock: they load ``published`` once.
         self._writer = threading.Lock()
-        #: Per thread, while it appends through :meth:`_append`: the
-        #: value each notification published, by batch index.
-        self._local = threading.local()
         # Entries are base + sparse Δ, never k dense vectors or aliases;
         # the planner builds them, reading the snapshots they hold.
         self.result_cache = LRUCache(result_cache_entries)
@@ -356,9 +364,6 @@ class ServiceState:
         self.livetip_enabled = livetip
         self._livetip_max_updates = livetip_max_updates
         self._compactor: Optional[Compactor] = None
-        # Appends made through the store handle (by us or any other
-        # same-process caller) keep the decomposition in sync.
-        self._unsubscribe = store.subscribe(self._on_append)
 
     def _state_from_store(
             self) -> Tuple[CommonGraphDecomposition, int, Sizes]:
@@ -383,24 +388,20 @@ class ServiceState:
         return self.published.latest
 
     def close(self) -> None:
-        self._unsubscribe()
+        """Nothing to release; kept for callers that close a state when
+        done with it (the perf harness's ``worker.py``)."""
 
     # -- writers --------------------------------------------------------------
-    def _append(self, batch: DeltaBatch) -> _Published:
-        """Append ``batch`` through the store; returns the value its own
-        notification published (an ingest or a fold on another thread
-        may publish a later one before the append returns)."""
-        outer = getattr(self._local, "made", None)
-        self._local.made = made = {}
-        try:
-            index = self.store.append(batch)  # -> _on_append
-        finally:
-            self._local.made = outer
-        return made.get(index, self.published)
+    def _append(self, batch: DeltaBatch) -> _Published:  # holds-lock: _appending
+        """Append ``batch`` through the store and extend the window by
+        it; returns the value published."""
+        index = self.store.append(batch)
+        with obs.phase_span("state", "extend", label=f"batch:{index}"):
+            return self._apply_append(index, batch)
 
     # -- ingestion ------------------------------------------------------------
     def ingest(self, batch: DeltaBatch) -> Dict[str, Any]:
-        """Append one batch; the store notification updates the state.
+        """Append one batch and extend the window by it.
 
         Pending live-tip updates are folded *first* (their own version,
         then the client batch lands on top), so the batch is validated
@@ -408,11 +409,12 @@ class ServiceState:
         a batch never silently swallows or reorders acknowledged
         single-edge updates.  Returns a small receipt (new version,
         epoch, window bounds) for the service response, read from the
-        value this batch's own append published.
+        value this batch's append published.
         """
-        if self._compactor is not None:
-            self._compactor.compact()
-        published = self._append(batch)
+        with self._appending:
+            if self._compactor is not None:
+                self._compactor.compact()
+            published = self._append(batch)
         return {
             "version": published.latest,
             "epoch": published.epoch,
@@ -420,29 +422,25 @@ class ServiceState:
             "window_last": published.latest,
         }
 
-    def _on_append(self, index: int, batch: DeltaBatch) -> None:
-        """Store-change notification: extend incrementally, slide, re-epoch.
+    def _apply_append(self, index: int,  # holds-lock: _appending
+                      batch: DeltaBatch) -> _Published:
+        """Extend the window by the batch the store just made durable at
+        ``index``, slide it and re-epoch; returns the value published.
 
-        The store notifies *after* the append is durable, so this must
-        not leave the state behind the store.  If the incremental path
-        fails (or ``index`` is not the next version's batch, or the
-        state was already poisoned), resynchronise with a full rebuild
-        from the store; if even that fails, poison the state so queries
-        fail loudly instead of answering from a stale graph, and
-        re-raise to the appender.
+        The state must not stay behind the store.  If the incremental
+        path fails (or ``index`` is not the next version's batch because
+        another process appended, or the state was already poisoned),
+        resynchronise with a full rebuild from the store; if even that
+        fails, poison the state so queries fail loudly instead of
+        answering from a stale graph, and re-raise to the appender.
         """
-        with obs.phase_span("state", "extend", label=f"batch:{index}"):
-            self._apply_append(index, batch)
-
-    def _apply_append(self, index: int, batch: DeltaBatch) -> None:
         with self._writer:
             published = self.published
             current = published.decomposition
             decomp: Optional[CommonGraphDecomposition] = None
             base = published.base
-            # Callbacks run after the store's append lock is released,
-            # so two appenders can deliver out of order: only the batch
-            # that makes the next version may extend.
+            # Only the batch that makes the next version may extend; a
+            # gap means another process appended in between.
             if published.poisoned is None and index == published.latest:
                 try:
                     drop = 0 if self.window is None else max(
@@ -484,29 +482,27 @@ class ServiceState:
             latest = base + decomp.num_snapshots - 1
             livetip = published.livetip
             if livetip is not None:
-                # Re-anchor the overlay on the new tip.  After our own
-                # compaction this empties the log; after a foreign
-                # append it replays pending updates (dropping ones the
-                # new tip already satisfies) so acknowledged updates
-                # are never lost.
+                # Re-anchor the overlay on the new tip.  After a fold
+                # this keeps only the updates that landed after its
+                # seal; after a client batch it replays pending updates
+                # (dropping ones the new tip already satisfies) so
+                # acknowledged updates are never lost.
                 livetip = livetip.rebase_onto(decomp, latest)
             now = self._time_fn()
             times = published.version_times
-            self.published = _Published(
+            self.published = made = _Published(
                 decomp, base, sizes,
                 version_times={version: times.get(version, now)
                                for version in range(base, latest + 1)},
                 epoch=epoch, moves=moves, resyncs=resyncs, livetip=livetip,
             )
-            made = getattr(self._local, "made", None)
-            if made is not None:
-                made[index] = self.published
         # Answers keyed with older epochs can never hit again; free them.
         # Roots outlive the epoch (a later miss derives from them) unless
         # the window was rebuilt.
         self.result_cache.purge(
             lambda key: rebuilt if isinstance(key, _RootKey)
             else key[-1] != epoch)
+        return made
 
     # -- live-tip updates ----------------------------------------------------
     def _with_livetip(self) -> _Published:  # holds-lock: _writer
@@ -530,18 +526,16 @@ class ServiceState:
             )
         return published
 
-    def _collapse(self, seq: int) -> Optional[_Published]:
-        """Clear a live-tip log sealed at ``seq`` whose updates cancel
-        out and return the value published; ``None`` when the log
-        changed since (re-seal)."""
+    def _collapse(self) -> _Published:  # holds-lock: _appending
+        """Clear a sealed live-tip log whose updates cancel out; returns
+        the value published.  Re-anchored where it stands, the overlay
+        drops the updates that cancel and keeps one that landed after
+        the seal pending."""
         with self._writer:
             published = self.published
-            # Re-anchored where it stands, a net-zero log empties.
-            overlay = published.livetip.rebase_onto(
-                published.decomposition, published.latest)
-            if published.livetip.seq != seq or overlay.depth:
-                return None
-            self.published = published._with(livetip=overlay)
+            self.published = published._with(
+                livetip=published.livetip.rebase_onto(
+                    published.decomposition, published.latest))
             return self.published
 
     def update(
@@ -567,7 +561,10 @@ class ServiceState:
             overlay = published.livetip.apply_update(kind, int(u), int(v))
             published = self.published = published._with(livetip=overlay)
         obs.counter_inc("repro_livetip_updates_total", kind=kind)
-        fold = self._compactor.maybe_compact()
+        fold = None
+        if self._compactor.due():  # an update not due waits for no append
+            with self._appending:
+                fold = self._compactor.maybe_compact()
         if fold is not None and fold["compacted"]:
             published = fold["published"]  # what the fold after it made
         return {
@@ -585,7 +582,8 @@ class ServiceState:
         """Fold pending live-tip updates into the TG now (receipt)."""
         with self._writer:
             published = self._with_livetip()
-        fold = self._compactor.compact()
+        with self._appending:
+            fold = self._compactor.compact()
         if fold["compacted"]:
             published = fold["published"]
         return {

@@ -103,6 +103,19 @@ class TestCosts:
         for i in range(eg.num_snapshots):
             assert decomp.direct_hop_batch(i) == decomp.surpluses[i]
 
+    def test_snapshot_storage_is_the_materialised_sum(self, eg):
+        """Counted from the sizes, the one-CSR-per-snapshot storage equals
+        the snapshots' edge counts for a built, an extended (sliding, so
+        the common graph moves) and a restricted decomposition."""
+        built = CommonGraphDecomposition.from_evolving(eg)
+        slid = built.extended(
+            DeltaBatch(additions=es((1, 3)), deletions=es((3, 0))), 1)
+        assert slid.common != built.common
+        for decomp in (built, slid, built.restrict(1, 2)):
+            assert decomp.snapshot_storage_edges() == sum(
+                len(decomp.snapshot_edges(i))
+                for i in range(decomp.num_snapshots))
+
     def test_materialisation(self, eg):
         decomp = CommonGraphDecomposition.from_evolving(eg)
         csr = decomp.common_csr()

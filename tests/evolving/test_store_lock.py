@@ -87,35 +87,3 @@ class TestTwoHandles:
         second.append(fresh_batch(second, 1))
         assert second.num_batches == 4
         assert second.read_batch(2).additions == batch.additions
-
-
-class TestSubscriptions:
-    def test_listener_sees_each_append(self, store_path):
-        store = SnapshotStore(store_path)
-        seen = []
-        unsubscribe = store.subscribe(
-            lambda index, batch: seen.append((index, batch.size))
-        )
-        batch = fresh_batch(store, 0)
-        store.append(batch)
-        assert seen == [(2, batch.size)]
-        unsubscribe()
-        store.append(fresh_batch(store, 1))
-        assert len(seen) == 1, "unsubscribed listener must not fire"
-
-    def test_unsubscribe_is_idempotent(self, store_path):
-        store = SnapshotStore(store_path)
-        unsubscribe = store.subscribe(lambda index, batch: None)
-        unsubscribe()
-        unsubscribe()
-
-    def test_failed_append_does_not_notify(self, store_path):
-        store = SnapshotStore(store_path)
-        seen = []
-        store.subscribe(lambda index, batch: seen.append(index))
-        tip = store.load().snapshot_edges(store.num_snapshots - 1)
-        present = EdgeSet(tip.codes[:1])
-        with pytest.raises(Exception):
-            store.append(DeltaBatch(additions=present,
-                                    deletions=EdgeSet.empty()))
-        assert seen == []

@@ -16,8 +16,10 @@ query observed a torn tip (TG column and overlay patch from different
 instants) — exactly what one published value, the overlay anchored on
 its own decomposition, rules out.
 
-A second storm races the two writer lanes against each other: updates
-(with threshold folds) on one thread, client ingests on another.
+A second storm races the writer lanes against each other: updates
+(with threshold folds) on one thread, client ingests on another and
+explicit folds on a third.  All appends take the state's one append
+lock, so none can land between another's append and its extension.
 """
 
 from __future__ import annotations
@@ -141,9 +143,10 @@ def test_compaction_racing_live_queries(livetip_store, livetip_weights):
 
 def test_ingests_racing_updates_and_folds(livetip_store, livetip_weights):
     """An update thread churns a few edges while an ingest thread folds
-    the log and appends batches, and readers query, switching every
-    10 µs: no update or batch is lost, every ingest receipt names its
-    own batch, and the state ends equal to the store."""
+    the log and appends batches, a third thread folds the log, and
+    readers query, switching every 10 µs: no update or batch is lost,
+    every ingest receipt names its own batch, and the state ends equal
+    to the store without a resync."""
     state = ServiceState(livetip_store, weight_fn=livetip_weights)
     try:
         pairs = absent_pairs(state, 12)
@@ -174,12 +177,16 @@ def test_ingests_racing_updates_and_folds(livetip_store, livetip_weights):
                 ingested.append(state.ingest(DeltaBatch(
                     additions=EdgeSet.from_pairs([edge]))))
 
+        def fold():
+            while not done.is_set():
+                state.compact_tip()
+
         def read():
             while not done.is_set():
                 state.query(ALGORITHM, SOURCE)
                 state.status()
 
-        threads = [guarded(update), guarded(ingest)]
+        threads = [guarded(update), guarded(ingest), guarded(fold)]
         threads += [guarded(read) for _ in range(2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -196,6 +203,7 @@ def test_ingests_racing_updates_and_folds(livetip_store, livetip_weights):
         # A lost publish would leave the state behind the store, healed
         # only by a resync from it.
         assert state.published.resyncs == 0
+        assert state.store.num_snapshots - 1 == state.latest_version
         assert seqs == list(range(1, len(seqs) + 1))
         evolving = state.store.load()
         assert len(ingested) == len(batches)

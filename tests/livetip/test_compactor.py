@@ -1,9 +1,9 @@
-"""Compactor unit tests: policy triggers, net-zero collapse, retry.
+"""Compactor unit tests: policy triggers, net-zero collapse, failures.
 
 The compactor is exercised here against a plain callable append lane
-(the retry loop needs injectable failures) and a :class:`Published`
-stand-in for the service state's publisher; the real store-backed fold
-path is covered end-to-end in ``test_state_livetip.py``.
+(so failures can be injected) and a :class:`Published` stand-in for the
+service state's publisher; the real store-backed fold path is covered
+end-to-end in ``test_state_livetip.py``.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ class Published:
     def apply_update(self, kind, u, v):
         self.overlay = self.overlay.apply_update(kind, u, v)
 
-    def collapse(self, seq):
-        if self.overlay.seq != seq:
-            return None
+    def collapse(self):
         self.overlay = self.overlay.rebase_onto(self.overlay._anchor, 0)
         return self.overlay
 
@@ -110,49 +108,36 @@ class TestFolding:
         assert published.overlay.depth == 0
         assert published.overlay.seq == 2
 
-    def test_an_update_after_the_seal_makes_the_collapse_reseal(self):
+    def test_an_update_landing_mid_collapse_stays_pending(self):
         published, _, appended = make_pair()
         published.apply_update("insert", 3, 0)
         published.apply_update("delete", 3, 0)
         collapse = published.collapse
 
-        def racing(seq):
-            if published.overlay.seq == 2:
-                published.apply_update("insert", 3, 1)  # lands mid-fold
-            return collapse(seq)
+        def racing():
+            published.apply_update("insert", 3, 1)  # lands after the seal
+            return collapse()
 
         published.collapse = racing
         receipt = published.compactor(appended.append).compact()
-        assert receipt == {"compacted": True, "updates_folded": 3,
-                           "tip_version": 0, "published": None}
-        assert [sorted(batch.additions) for batch in appended] == [[(3, 1)]]
-
-    def test_delta_error_triggers_a_reseal(self):
-        published, _, _ = make_pair()
-        published.apply_update("insert", 3, 0)
-        failures = [DeltaError("tip moved"), DeltaError("tip moved")]
-        appended: List[DeltaBatch] = []
-
-        def flaky_append(batch: DeltaBatch) -> None:
-            if failures:
-                raise failures.pop()
-            appended.append(batch)
-
-        compactor = published.compactor(flaky_append)
-        receipt = compactor.compact()
         assert receipt["compacted"] is True
-        assert len(appended) == 1
+        assert receipt["updates_folded"] == 2
+        assert appended == []
+        assert published.overlay.depth == 1
+        assert sorted(published.overlay.seal()[0].additions) == [(3, 1)]
 
-    def test_persistent_delta_error_raises_after_three_attempts(self):
+    def test_a_delta_error_raises_after_one_attempt(self):
         published, _, _ = make_pair()
         published.apply_update("insert", 3, 0)
         attempts = []
 
-        def broken_append(batch: DeltaBatch) -> None:
+        def rejecting_append(batch: DeltaBatch) -> None:
             attempts.append(batch)
-            raise DeltaError("tip keeps moving")
+            raise DeltaError("tip moved")
 
-        compactor = published.compactor(broken_append)
+        compactor = published.compactor(rejecting_append)
         with pytest.raises(DeltaError):
             compactor.compact()
-        assert len(attempts) == 3
+        assert len(attempts) == 1
+        assert published.overlay.depth == 1
+        assert compactor.snapshot()["compactions"] == 0

@@ -229,30 +229,34 @@ class TestCompactionProtocol:
         assert batch.additions == live - TIP == EdgeSet.from_pairs([(6, 2)])
         assert batch.deletions == TIP - live == EdgeSet.from_pairs([(3, 4)])
         # A foreign tip that already has (6, 2): its first insert is
-        # satisfied, the other seven updates replay and stay logged.
+        # satisfied and the edges that end as the tip has them drop out;
+        # only the delete of (3, 4) stays logged.
         foreign = TIP | EdgeSet.from_pairs([(6, 2), (2, 5)])
         overlay = overlay.rebase_onto(anchor(foreign), tip_version=5)
-        assert overlay.depth == 7
+        assert overlay.depth == 1
         batch, depth, _ = overlay.seal()
         live = overlay.live_edges()
-        assert depth == 7
+        assert depth == 1
         assert batch.additions == live - foreign == EdgeSet()
         assert batch.deletions == foreign - live == EdgeSet.from_pairs([(3, 4)])
 
-    def test_collapse_requires_a_current_seal(self, livetip_state):
-        """A net-zero log clears through the state's writer, and only
-        while no update landed after its seal."""
+    def test_a_collapse_keeps_an_update_after_the_seal_pending(
+            self, livetip_state):
+        """A net-zero log clears through the state's writer; an update
+        that landed after its seal stays pending, to be folded later."""
         state = livetip_state
         (u, v), (x, y) = absent_pairs(state, 2)
         state.update("insert", u, v)
         state.update("delete", u, v)
-        _, _, seq = state.published.livetip.seal()
+        batch, depth, _ = state.published.livetip.seal()
+        assert (batch.size, depth) == (0, 2)
         state.update("insert", x, y)  # lands after the seal
-        assert state._collapse(seq) is None
+        assert state._collapse() is state.published
+        assert state.published.livetip.depth == 1
         state.update("delete", x, y)
-        batch, depth, seq = state.published.livetip.seal()
-        assert (batch.size, depth) == (0, 4)
-        assert state._collapse(seq) is state.published
+        batch, depth, _ = state.published.livetip.seal()
+        assert (batch.size, depth) == (0, 2)
+        assert state._collapse() is state.published
         assert state.published.livetip.depth == 0
         assert state.published.livetip.seq == 4  # lifetime counter survives
         assert state.published.epoch == 0  # no append

@@ -78,8 +78,9 @@ class TestUpdateReceipts:
                 DeltaBatch(additions=EdgeSet.from_pairs([(a, b)])),))
             worker.start()
             worker.join(timeout=30)
+            return False  # no threshold fold
 
-        monkeypatch.setattr(state._compactor, "maybe_compact", raced)
+        monkeypatch.setattr(state._compactor, "due", raced)
         receipt = state.update("insert", x, y)
         assert (receipt["seq"], receipt["tip_version"],
                 receipt["overlay_depth"], receipt["epoch"]) == (2, 4, 2, 0)

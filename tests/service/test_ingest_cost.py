@@ -23,15 +23,14 @@ pytestmark = pytest.mark.service
 WINDOW = 16
 
 
-@pytest.fixture
-def smaller_operands(monkeypatch):
-    """Sizes of the smaller operand of every set operation, as it runs."""
+def _operand_sizes(monkeypatch, measure):
+    """``measure(len(a), len(b))`` of every set operation, as it runs."""
     sizes = []
     for op in ("union", "intersection", "difference"):
         raw = vars(EdgeSet)[op]
 
         def counted(self, other, _raw=raw):
-            sizes.append(min(len(self), len(other)))
+            sizes.append(measure(len(self), len(other)))
             return _raw(self, other)
 
         # The operators (``__or__ = union``) alias the function object.
@@ -39,6 +38,18 @@ def smaller_operands(monkeypatch):
             if value is raw:
                 monkeypatch.setattr(EdgeSet, name, counted)
     return sizes
+
+
+@pytest.fixture
+def smaller_operands(monkeypatch):
+    """Sizes of the smaller operand of every set operation, as it runs."""
+    return _operand_sizes(monkeypatch, min)
+
+
+@pytest.fixture
+def larger_operands(monkeypatch):
+    """Sizes of the larger operand of every set operation, as it runs."""
+    return _operand_sizes(monkeypatch, max)
 
 
 def test_one_ingest_runs_no_tip_sized_set_operation(tmp_path,
@@ -81,3 +92,23 @@ def test_one_ingest_runs_no_tip_sized_set_operation(tmp_path,
         f"a set operation with a {max(smaller_operands)}-edge smaller "
         f"operand on the ingest path (window churn {churn})"
     )
+
+
+def test_status_runs_no_tip_sized_set_operation(tmp_path, larger_operands):
+    """``status()`` counts the one-CSR-per-snapshot storage from the
+    decomposition's sizes: no snapshot is materialised, so no set
+    operation touches the tip-sized common graph.  (Each such union has
+    a small surplus as its smaller operand, but it copies the common
+    graph.)"""
+    evolving = build_workload(WorkloadSpec(
+        dataset="LJ", num_snapshots=WINDOW, batch_size=75, edge_scale=1.0,
+        seed=11)).evolving
+    state = ServiceState(SnapshotStore.create(tmp_path / "store", evolving),
+                         window=WINDOW)
+    decomposition = state.published.decomposition
+    assert len(decomposition.common) > 60_000
+    del larger_operands[:]
+    payload = state.status()
+    assert max(larger_operands, default=0) < 10_000
+    assert payload["snapshot_storage_edges"] == sum(
+        len(evolving.snapshot_edges(version)) for version in range(WINDOW))
