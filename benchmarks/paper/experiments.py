@@ -35,6 +35,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.algorithms.registry import get_algorithm
 from repro.bench.reporting import render_chart, render_markdown_table, render_table
 from repro.bench.workloads import Workload, WorkloadSpec, build_workload
@@ -48,7 +50,7 @@ from repro.core.steiner import (
     direct_hop_tree,
     exact_steiner,
     greedy_steiner,
-    halving_schedule,
+    split_schedule,
 )
 from repro.core.triangular_grid import TriangularGrid
 from repro.evolving.generator import UpdateStreamGenerator
@@ -623,7 +625,11 @@ def ablation_steiner(
     """Schedule-construction ablation: direct-hop vs greedy vs exact.
 
     Costs are in additions (the paper's schedule metric); exact search
-    is exponential, hence the small snapshot count.
+    is exponential, hence the small snapshot count.  ``walk_ms`` is what
+    ranks the trees on the level-synchronous walk: the median time of
+    one SSSP ``WorkSharingEvaluator(schedule=tree).run()`` over five
+    rounds from the four highest out-degree vertices, every tree's walks
+    interleaved, after one untimed round that builds the plan.
     """
     workload = build_workload(WorkloadSpec(
         dataset=dataset, num_snapshots=num_snapshots, batch_size=batch_size,
@@ -634,25 +640,38 @@ def ablation_steiner(
     result = ExperimentResult(
         name="ablation_steiner",
         title="Ablation — schedule construction (cost in additions)",
-        headers=["strategy", "cost_additions", "stabilisations", "depth"],
+        headers=["strategy", "cost_additions", "stabilisations", "depth",
+                 "walk_ms"],
         params={"dataset": dataset, "num_snapshots": num_snapshots,
                 "batch_size": batch_size},
     )
-    star = direct_hop_tree(grid)
-    greedy_raw = greedy_steiner(grid, compress=False)
-    greedy = greedy_steiner(grid, compress=True)
-    agglomerative = agglomerative_schedule(grid)
-    exact = exact_steiner(grid)
-    for label, tree in (
-        ("direct-hop", star),
-        ("greedy (no bypass)", greedy_raw),
-        ("greedy + bypass", greedy),
-        ("halving (the default)", halving_schedule(grid)),
-        ("agglomerative", agglomerative),
-        ("exact + bypass", exact),
-    ):
+    trees = {
+        "direct-hop": direct_hop_tree(grid),
+        "greedy (no bypass)": greedy_steiner(grid, compress=False),
+        "greedy + bypass": greedy_steiner(grid, compress=True),
+        "halving (fanout 2)": split_schedule(grid, 2),
+        "split-4 (the default)": build_schedule(grid),
+        "agglomerative": agglomerative_schedule(grid),
+        "exact + bypass": exact_steiner(grid),
+    }
+    degrees = decomp.common_csr(workload.weight_fn).degrees()
+    sources = np.argsort(-degrees, kind="stable")[:4].tolist()
+    alg = get_algorithm("SSSP")
+    samples: Dict[str, List[float]] = {label: [] for label in trees}
+    for round_ in range(6):
+        for source in sources:
+            for label, tree in trees.items():
+                walk = WorkSharingEvaluator(decomp, alg, source,
+                                            weight_fn=workload.weight_fn,
+                                            schedule=tree)
+                start = time.perf_counter()
+                walk.run(keep_values=False)
+                if round_:
+                    samples[label].append(time.perf_counter() - start)
+    for label, tree in trees.items():
         result.rows.append([label, tree.cost(grid), tree.num_stabilisations(),
-                            sum(1 for _ in tree.levels())])
+                            sum(1 for _ in tree.levels()),
+                            round(1000 * float(np.median(samples[label])), 3)])
     return result
 
 

@@ -228,7 +228,7 @@ class WorkSharingEvaluator:
     """Evaluates one query on snapshots ``first..last`` following a schedule tree.
 
     If no schedule is supplied, the decomposition's planned
-    range-halving schedule for that range is used, sweeps included; a
+    four-way split schedule for that range is used, sweeps included; a
     supplied one is validated against the range's sub-grid and walked
     as given.  Either way the graphs come from the plan.
     """

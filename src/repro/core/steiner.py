@@ -1,18 +1,20 @@
-"""Schedule construction: Direct-Hop, range halving, greedy and exact Steiner.
+"""Schedule construction: range splits, greedy and exact Steiner.
 
 Finding the minimum-cost query-evaluation schedule is a Steiner tree
 problem on the Triangular Grid with terminals {root} ∪ {leaves}
 (§3.2, Algorithm 1).  The engine sweeps a schedule one *level* at a
 time (:mod:`repro.core.engine`), so a schedule's running time is its
-depth times a few vectorised rounds, and its cost in additions is what
-each round carries.  :func:`halving_schedule` — the default,
-``"work-sharing"`` — is the tree that keeps both small without looking
-at a single surplus: split the range in two, recurse.  Its edges are
-the paper's bypass edges (containment jumps over every grid node in
-between), its depth is ``⌈log₂ n⌉``, and on the repo's generator
-profiles it costs a quarter of the nearest-terminal greedy tree, whose
-depth grows with ``n`` (DL/50: 10 708 additions at depth 6 against
-48 188 at depth 49).
+depth times a few vectorised rounds, plus the additions each round
+carries.  :func:`split_schedule` trades the two without looking at a
+single surplus: split the range into ``fanout`` equal parts, recurse.
+Its edges are the paper's bypass edges (containment jumps over every
+grid node in between) and its depth is ``⌈log_fanout n⌉``; fanout 2 is
+range halving, fanout ≥ n the Direct-Hop star.  The default,
+``"work-sharing"``, splits :data:`SPLIT_FANOUT` ways: on the repo's
+generator profiles it streams ~40 % more additions than halving in half
+the levels, and walks faster (DL/50: 15 255 additions at depth 3,
+halving 10 708 at depth 6, the nearest-terminal greedy tree 48 188 at
+depth 49).
 
 :func:`greedy_steiner` is the paper's Algorithm 1 heuristic, kept under
 the name ``"greedy"`` for the ablation table.  Because TG edge weights
@@ -33,6 +35,7 @@ tests and the ablation benchmark to measure the greedy gap.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -43,6 +46,8 @@ from repro.errors import ScheduleError
 __all__ = [
     "direct_hop_tree",
     "halving_schedule",
+    "split_schedule",
+    "SPLIT_FANOUT",
     "greedy_steiner",
     "agglomerative_schedule",
     "exact_steiner",
@@ -52,32 +57,49 @@ __all__ = [
 ]
 
 
-def direct_hop_tree(grid: TriangularGrid) -> ScheduleTree:
-    """The star schedule: every snapshot hangs directly off the root."""
-    tree = ScheduleTree(root=grid.root)
-    for leaf in grid.leaves:
-        if leaf != grid.root:
-            tree.parent[leaf] = grid.root
-    return tree
+#: Children per interior node of the default ``"work-sharing"`` tree: the
+#: measured optimum.  Walk time against fanout 2, BFS and SSSP from 30
+#: sources on the seed-11 DL/50 and LJ/16 inputs: fanout 3 ×0.88–0.99,
+#: 4 ×0.82–0.90, 8 ×0.78–0.92 (slower than 4 on LJ/16, wider leaf
+#: batches), the star ×0.88–1.06.
+SPLIT_FANOUT = 4
 
 
-def halving_schedule(grid: TriangularGrid) -> ScheduleTree:
-    """Recursive halving of the snapshot range: ``(i, j)`` hands
-    ``(i, m)`` and ``(m + 1, j)``, ``m = (i + j) // 2``, the additions
-    each half shares — the split
-    :meth:`~repro.core.common.CommonGraphDecomposition.interval_surplus`
-    memoises on.  ``2n − 1`` nodes, every interior one with two
-    children, so the bypass step has nothing left to cut."""
+def split_schedule(grid: TriangularGrid, fanout: int) -> ScheduleTree:
+    """Recursive ``fanout``-way split of the snapshot range: ``(i, j)``
+    hands ``min(fanout, j − i + 1)`` equal consecutive sub-ranges (the
+    earlier ones one snapshot longer when it does not divide) the
+    additions they share, and each sub-range recurses.  Its edges are
+    bypass edges, every interior node has at least two children, and
+    it compares no surplus.  ``fanout = 2`` is range halving, ``fanout
+    ≥ n`` the Direct-Hop star."""
+    if fanout < 2:
+        raise ScheduleError(f"a split needs fanout >= 2, got {fanout}")
     tree = ScheduleTree(root=grid.root)
     pending = [grid.root]
     while pending:
         i, j = node = pending.pop()
-        if i < j:
-            mid = (i + j) // 2
-            for child in ((i, mid), (mid + 1, j)):
-                tree.parent[child] = node
-                pending.append(child)
+        size = j - i + 1
+        parts = min(fanout, size)
+        if parts == 1:
+            continue
+        cuts = [i + part * (size // parts) + min(part, size % parts)
+                for part in range(parts + 1)]
+        for start, end in zip(cuts, cuts[1:]):
+            tree.parent[(start, end - 1)] = node
+            pending.append((start, end - 1))
     return tree
+
+
+def direct_hop_tree(grid: TriangularGrid) -> ScheduleTree:
+    """The star schedule: every snapshot hangs directly off the root."""
+    return split_schedule(grid, max(grid.n, 2))
+
+
+def halving_schedule(grid: TriangularGrid) -> ScheduleTree:
+    """Range halving: ``(i, j)`` splits at ``(i + j) // 2``, ``2n − 1``
+    nodes at depth ``⌈log₂ n⌉``."""
+    return split_schedule(grid, 2)
 
 
 def _descend_path(
@@ -163,16 +185,9 @@ def agglomerative_schedule(grid: TriangularGrid, compress: bool = True) -> Sched
     guaranteed.  In the ablation this typically closes most of the gap
     between the paper's greedy Steiner heuristic and the exact optimum.
     """
-    tree = ScheduleTree(root=grid.root)
-    for leaf in grid.leaves:
-        if leaf != grid.root:
-            tree.parent[leaf] = grid.root
-
-    def children_of() -> dict:
-        return tree.children_map()
-
+    tree = direct_hop_tree(grid)
     while True:
-        children = children_of()
+        children = tree.children_map()
         best: Optional[Tuple[int, str, Interval, Interval, Interval]] = None
         for parent, kids in children.items():
             if len(kids) < 2:
@@ -272,7 +287,7 @@ def exact_steiner(grid: TriangularGrid, max_snapshots: int = 6) -> ScheduleTree:
 #: Strategy name -> schedule constructor; the only place names resolve.
 _BUILDERS: Dict[str, Callable[[TriangularGrid], ScheduleTree]] = {
     "direct-hop": direct_hop_tree,
-    "work-sharing": halving_schedule,
+    "work-sharing": partial(split_schedule, fanout=SPLIT_FANOUT),
     "greedy": greedy_steiner,
     "agglomerative": agglomerative_schedule,
     "exact": exact_steiner,
@@ -300,8 +315,8 @@ def schedule_builder(strategy: str) -> Callable[[TriangularGrid], ScheduleTree]:
 def build_schedule(grid: TriangularGrid, strategy: str = "work-sharing") -> ScheduleTree:
     """Build a schedule by strategy name.
 
-    ``"direct-hop"``, ``"work-sharing"`` (range halving over bypass
-    edges, the default everywhere), ``"greedy"`` (the paper's greedy
+    ``"direct-hop"``, ``"work-sharing"`` (the four-way range split
+    over bypass edges, the default everywhere), ``"greedy"`` (the paper's greedy
     Steiner + bypass, for the ablation), ``"agglomerative"`` (bottom-up
     extension) or ``"exact"`` (small inputs only).
     """

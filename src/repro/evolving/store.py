@@ -486,6 +486,14 @@ class SnapshotStore:
         else:
             self._manifest_stat = self._stat_manifest()
 
+    def refresh(self) -> int:
+        """Catch up with other handles' appends; :attr:`num_snapshots`.
+        An unchanged manifest costs one ``stat``, no lock."""
+        if self._stat_manifest() != self._manifest_stat:
+            with self._append_lock():
+                self._refresh_if_stale()
+        return self.num_snapshots
+
     def _tip(self) -> EdgeSet:
         """The newest snapshot's edge set, cached after first use.
 

@@ -345,10 +345,12 @@ def parse_update(
     return kind, int(edge[0]), int(edge[1])
 
 
-def encode_values(values: Sequence[np.ndarray]) -> Dict[str, Any]:
+def encode_values(values: Sequence[np.ndarray],
+                  compact: Optional[CompactRange] = None) -> Dict[str, Any]:
     """A range answer in wire form (module docstring); round-trips bit
-    for bit through :func:`decode_values`."""
-    base, changes = compact_range(values)
+    for bit through :func:`decode_values`.  ``compact``, when the caller
+    holds it, is ``compact_range(values)``, not computed again."""
+    base, changes = compact_range(values) if compact is None else compact
     return {"base": encode_float_row(base),
             "changes": [[indices.tolist(), encode_float_row(cells)]
                         for indices, cells in changes]}

@@ -124,8 +124,8 @@ def _query_payload(answer: QueryAnswer,
     ``values_tag``, hashed on the entry's first conditional reuse, and
     ships no ``values`` when the request already holds that tag.  A
     miss and a live-tip-patched answer carry no tag and are encoded for
-    this reply alone; a miss stores nothing, since most
-    entries are never reused.
+    this reply alone, a miss from the compact form its entry holds; a
+    miss stores nothing, since most entries are never reused.
     """
     entry = answer.entry
     tag: Optional[str] = None
@@ -137,7 +137,7 @@ def _query_payload(answer: QueryAnswer,
     if tag is not None and tag == if_none_match:
         obs.annotate(wire="held")
     elif entry is None:
-        values = protocol.encode_values(answer.values)
+        values = protocol.encode_values(answer.values, answer.compact)
         obs.annotate(wire="encoded")
     else:
         if entry.wire is None:

@@ -78,6 +78,7 @@ from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.registry import get_algorithm
 from repro.core.common import CommonGraphDecomposition
 from repro.core.engine import planned_graphs
+from repro.core.results import CompactRange
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.evolving.delta import DeltaBatch
 from repro.evolving.store import SnapshotStore
@@ -104,9 +105,9 @@ class QueryAnswer:
     A result-cache hit carries its :class:`CachedRange` as ``entry`` and
     expands ``values`` from it only when they are read (the live-tip
     patch, a temporal range, an in-process caller).  Assigning
-    ``values`` detaches the entry; changing a row of a hit in place does
-    not, and the reply would still ship the entry's bytes — so rows read
-    from a hit must not be changed in place.
+    ``values`` detaches the entry (and a miss's ``compact``); changing a
+    row in place does not, and the reply would still ship the entry's
+    bytes — so rows read from an answer must not be changed in place.
     """
 
     algorithm: str
@@ -123,6 +124,8 @@ class QueryAnswer:
     #: live-tip overlay: the overlay sequence number the patch reflects.
     livetip_seq: Optional[int] = None
     entry: Optional[CachedRange] = field(default=None, init=False)
+    #: An unpatched miss's rows as its entry holds them: not compacted again.
+    compact: Optional[CompactRange] = field(default=None, init=False, repr=False)
     _rows: Optional[List[np.ndarray]] = field(default=None, init=False,
                                               repr=False)
 
@@ -140,7 +143,7 @@ class QueryAnswer:
 
     def _set_values(self, rows: List[np.ndarray]) -> None:
         self._rows = rows
-        self.entry = None
+        self.entry = self.compact = None
 
 
 # Set after the class body: a property there would stand in as the
@@ -413,6 +416,7 @@ class ServiceState:
         """
         with self._appending:
             if self._compactor is not None:
+                self._follow_store()
                 self._compactor.compact()
             published = self._append(batch)
         return {
@@ -422,10 +426,19 @@ class ServiceState:
             "window_last": published.latest,
         }
 
+    def _follow_store(self) -> None:  # holds-lock: _appending
+        """Rebuild if another store handle appended, so a fold seals
+        against the store's tip (the overlay re-anchors there)."""
+        index = self.store.refresh() - 1
+        if index > self.published.latest:
+            with obs.phase_span("state", "extend", label="resync"):
+                self._apply_append(index, None)
+
     def _apply_append(self, index: int,  # holds-lock: _appending
-                      batch: DeltaBatch) -> _Published:
+                      batch: Optional[DeltaBatch]) -> _Published:
         """Extend the window by the batch the store just made durable at
         ``index``, slide it and re-epoch; returns the value published.
+        Without a batch it rebuilds from the store.
 
         The state must not stay behind the store.  If the incremental
         path fails (or ``index`` is not the next version's batch because
@@ -441,7 +454,8 @@ class ServiceState:
             base = published.base
             # Only the batch that makes the next version may extend; a
             # gap means another process appended in between.
-            if published.poisoned is None and index == published.latest:
+            if (batch is not None and published.poisoned is None
+                    and index == published.latest):
                 try:
                     drop = 0 if self.window is None else max(
                         0, current.num_snapshots + 1 - self.window)
@@ -564,6 +578,7 @@ class ServiceState:
         fold = None
         if self._compactor.due():  # an update not due waits for no append
             with self._appending:
+                self._follow_store()
                 fold = self._compactor.maybe_compact()
         if fold is not None and fold["compacted"]:
             published = fold["published"]  # what the fold after it made
@@ -583,6 +598,7 @@ class ServiceState:
         with self._writer:
             published = self._with_livetip()
         with self._appending:
+            self._follow_store()
             fold = self._compactor.compact()
         if fold["compacted"]:
             published = fold["published"]
@@ -654,6 +670,7 @@ class ServiceState:
                   if None in held else None),
         )
         answer.values = planned.values
+        answer.compact = planned.entry.compact
         answer.node_hits = planned.node_hits
         answer.node_misses = planned.node_misses
         answer.additions_processed = planned.additions_processed

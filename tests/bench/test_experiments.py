@@ -127,6 +127,8 @@ class TestAblations:
         assert costs["greedy + bypass"] <= costs["direct-hop"]
         assert costs["exact + bypass"] <= costs["greedy + bypass"]
         assert costs["greedy (no bypass)"] == costs["greedy + bypass"]
+        assert costs["halving (fanout 2)"] <= costs["split-4 (the default)"]
+        assert all(ms > 0 for ms in result.column("walk_ms"))
 
     def test_overlay(self):
         result = ablation_overlay(spec=TINY)

@@ -13,6 +13,8 @@ from repro.core.steiner import (
     exact_steiner,
     greedy_steiner,
     halving_schedule,
+    split_schedule,
+    SPLIT_FANOUT,
 )
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import ScheduleError
@@ -71,11 +73,12 @@ class TestHalving:
             if i < j:
                 mid = (i + j) // 2
                 assert kids == [(i, mid), (mid + 1, j)]
-        assert build_schedule(grid, "work-sharing").parent == tree.parent
+        assert split_schedule(grid, 2).parent == tree.parent
 
     def test_compares_no_surplus(self, small_evolving):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
-        halving_schedule(TriangularGrid(decomp))
+        for fanout in (2, 3, SPLIT_FANOUT, decomp.num_snapshots):
+            split_schedule(TriangularGrid(decomp), fanout)
         assert decomp._interval_cache == {}
 
     def test_single_snapshot_and_subgrid(self, small_evolving):
@@ -93,6 +96,42 @@ class TestHalving:
         tree.validate(grid)
         assert exact_steiner(grid).cost(grid) <= tree.cost(grid)
         assert tree.cost(grid) <= direct_hop_tree(grid).cost(grid)
+
+
+class TestSplit:
+    def test_default_is_the_four_way_split(self, small_evolving):
+        grid = grid_for(small_evolving)
+        tree = split_schedule(grid, SPLIT_FANOUT)
+        tree.validate(grid)
+        assert tree.parent == tree.compressed(grid).parent
+        assert build_schedule(grid, "work-sharing").parent == tree.parent
+        for (i, j), kids in tree.children_map().items():
+            if i == j:
+                continue
+            # Consecutive, covering, the longer ones first by one at most.
+            assert len(kids) == min(SPLIT_FANOUT, j - i + 1)
+            assert [a for a, _ in kids] == [i] + [b + 1 for _, b in kids[:-1]]
+            assert kids[-1][1] == j
+            sizes = [b - a + 1 for a, b in kids]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] - sizes[-1] <= 1
+
+    def test_fanout_at_least_n_is_the_star(self, small_evolving):
+        grid = grid_for(small_evolving)
+        for fanout in (grid.n, grid.n + 5):
+            assert (split_schedule(grid, fanout).parent
+                    == direct_hop_tree(grid).parent)
+        with pytest.raises(ScheduleError, match="fanout"):
+            split_schedule(grid, 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(evolving_graphs(max_batches=6))
+    def test_valid_for_every_fanout(self, eg):
+        grid = grid_for(eg)
+        for fanout in (2, 3, 4):
+            tree = split_schedule(grid, fanout)
+            tree.validate(grid)
+            assert tree.cost(grid) <= direct_hop_tree(grid).cost(grid)
 
 
 class TestAgglomerative:

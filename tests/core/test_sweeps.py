@@ -3,6 +3,8 @@ graph answers exactly what the naive oracle answers — for every
 schedule shape, algorithm and sub-range — and what the same walk
 answers one edge at a time."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,13 +12,16 @@ from repro.algorithms.registry import get_algorithm
 from repro.bench.workloads import WorkloadSpec, build_workload
 from repro.core.common import CommonGraphDecomposition
 from repro.core.engine import WorkSharingEvaluator, planned_schedule
-from repro.core.steiner import build_schedule
+from repro.core.steiner import (
+    SPLIT_FANOUT, build_schedule, halving_schedule, split_schedule,
+)
 from repro.core.triangular_grid import TriangularGrid
 from repro.graph.weights import HashWeights
 from tests.conftest import ALL_ALGORITHMS, assert_values_equal, oracle_values
 from tests.strategies import evolving_graphs
 
 WF = HashWeights(max_weight=8, seed=7)
+PERF_WF = HashWeights(max_weight=64, seed=0)
 STRATEGIES = ("direct-hop", "work-sharing", "greedy", "agglomerative")
 
 
@@ -88,24 +93,61 @@ def test_a_walk_allocates_its_rows_once(small_evolving):
     assert single.snapshot_values[0].shape == (V,)
 
 
+@functools.lru_cache(maxsize=None)
+def perf_input(profile):
+    """A perf workload's input (seed 11), e.g. ``"DL/50"``."""
+    dataset, snapshots = profile.split("/")
+    return build_workload(WorkloadSpec(
+        dataset=dataset, num_snapshots=int(snapshots), batch_size=75,
+        edge_scale=1.0, seed=11)).evolving
+
+
 @pytest.mark.parametrize("profile, halving, greedy, depth", [
     ("small", 691, 1002, 3), ("LJ/16", 2389, 5083, 4),
     ("DL/50", 10708, 48188, 6),
 ])
 def test_halving_costs_no_more_than_greedy_on_the_generator_profiles(
         small_evolving, profile, halving, greedy, depth):
-    """The perf workloads' inputs (seed 11): the pinned costs are what
-    ``core.schedule_cost_edges`` reads there, halving against greedy."""
-    if profile == "small":
-        evolving = small_evolving
-    else:
-        dataset, snapshots = profile.split("/")
-        evolving = build_workload(WorkloadSpec(
-            dataset=dataset, num_snapshots=int(snapshots), batch_size=75,
-            edge_scale=1.0, seed=11)).evolving
+    """The perf workloads' inputs (seed 11): range halving (fanout 2)
+    against the paper's greedy tree, in additions."""
+    evolving = small_evolving if profile == "small" else perf_input(profile)
     grid = TriangularGrid(CommonGraphDecomposition.from_evolving(evolving))
-    tree = build_schedule(grid, "work-sharing")
+    tree = halving_schedule(grid)
     assert tree.cost(grid) == halving <= greedy
     assert build_schedule(grid, "greedy").cost(grid) == greedy
     assert len(list(tree.levels())) == depth
     assert len(tree.nodes) == 2 * grid.n - 1
+
+
+@pytest.mark.parametrize("profile, cost, levels", [
+    ("LJ/16", 3581, [4, 16]), ("DL/50", 15255, [4, 16, 50]),
+])
+def test_the_default_splits_four_ways_on_the_generator_profiles(
+        profile, cost, levels):
+    """What ``core.schedule_cost_edges`` reads on the perf inputs: ~40 %
+    more additions than halving, in half its levels (edges per level)."""
+    grid = TriangularGrid(
+        CommonGraphDecomposition.from_evolving(perf_input(profile)))
+    tree = build_schedule(grid, "work-sharing")
+    assert tree.parent == split_schedule(grid, SPLIT_FANOUT).parent
+    assert tree.cost(grid) == cost
+    assert [len(level) for level in tree.levels()] == levels
+
+
+@pytest.mark.parametrize("name, source, halving, split", [
+    ("BFS", 0, 19, 14), ("BFS", 1, 16, 12), ("BFS", 2, 24, 11),
+    ("SSSP", 0, 32, 21), ("SSSP", 1, 43, 25), ("SSSP", 2, 38, 26),
+])
+def test_the_walk_work_on_dl50(name, source, halving, split):
+    """Exact rounds and additions of a full DL/50 walk (the perf inputs
+    and weights): the four-way split streams 15 255 additions in fewer
+    rounds than halving's 10 708."""
+    decomp = CommonGraphDecomposition.from_evolving(perf_input("DL/50"))
+    grid = TriangularGrid(decomp)
+    for schedule, iterations, additions in (
+            (halving_schedule(grid), halving, 10708), (None, split, 15255)):
+        result = WorkSharingEvaluator(
+            decomp, get_algorithm(name), source, weight_fn=PERF_WF,
+            schedule=schedule).run(keep_values=False)
+        assert (result.counters.iterations,
+                result.additions_processed) == (iterations, additions)

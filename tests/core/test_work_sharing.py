@@ -10,13 +10,14 @@ from repro.core.engine import WorkSharingEvaluator
 from repro.core.schedule import ScheduleTree
 from repro.core.steiner import (
     direct_hop_tree, exact_steiner, greedy_steiner, halving_schedule,
+    split_schedule,
 )
 from repro.core.triangular_grid import TriangularGrid
 from repro.errors import ScheduleError
 from repro.graph.csr import CSRGraph
 from repro.graph.weights import HashWeights
 from repro.kickstarter.engine import static_compute
-from tests.conftest import assert_values_equal
+from tests.conftest import ALL_ALGORITHMS, assert_values_equal
 from tests.strategies import evolving_graphs
 
 WF = HashWeights(max_weight=8, seed=7)
@@ -34,12 +35,16 @@ class TestWorkSharing:
                 result.snapshot_values[i], want, f"{algorithm.name}@{i}"
             )
 
-    def test_default_schedule_is_range_halving(self, small_evolving):
+    def test_default_schedule_is_the_four_way_split(self, small_evolving):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
         evaluator = WorkSharingEvaluator(decomp, get_algorithm("BFS"), 3, weight_fn=WF)
         grid = TriangularGrid(decomp)
-        assert evaluator.schedule.parent == halving_schedule(grid).parent
-        assert evaluator.schedule.cost(grid) <= greedy_steiner(grid).cost(grid)
+        assert evaluator.schedule.parent == split_schedule(grid, 4).parent
+        # Fewer levels than halving, for more additions.
+        halving = halving_schedule(grid)
+        assert (len(list(evaluator.schedule.levels()))
+                < len(list(halving.levels())))
+        assert evaluator.schedule.cost(grid) >= halving.cost(grid)
 
     def test_additions_processed_equals_schedule_cost(self, small_evolving):
         decomp = CommonGraphDecomposition.from_evolving(small_evolving)
@@ -107,3 +112,28 @@ def test_work_sharing_random_schedules(schedule_kind, eg):
         g = CSRGraph.from_edge_set(eg.snapshot_edges(i), eg.num_vertices, weight_fn=WF)
         want = static_compute(g, alg, 0).values
         assert_values_equal(result.snapshot_values[i], want, f"{schedule_kind}@{i}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(evolving_graphs(max_batches=6))
+@pytest.mark.parametrize("fanout", [2, 3, 4, "n"])
+def test_every_split_fanout_gives_the_same_answers(fanout, eg):
+    """The fixpoint on ``ICG(node)`` is unique whatever tree reaches it:
+    every fanout answers what each snapshot's static convergence does,
+    bit for bit, for all five algorithms; fanout ``n`` is the star."""
+    decomp = CommonGraphDecomposition.from_evolving(eg)
+    grid = TriangularGrid(decomp)
+    schedule = split_schedule(grid, max(grid.n, 2) if fanout == "n" else fanout)
+    if fanout == "n":
+        assert schedule.parent == direct_hop_tree(grid).parent
+    snapshots = [CSRGraph.from_edge_set(eg.snapshot_edges(i), eg.num_vertices,
+                                        weight_fn=WF)
+                 for i in range(eg.num_snapshots)]
+    for name in ALL_ALGORITHMS:
+        alg = get_algorithm(name)
+        result = WorkSharingEvaluator(decomp, alg, 0, weight_fn=WF,
+                                      schedule=schedule).run()
+        for i, graph in enumerate(snapshots):
+            assert_values_equal(result.snapshot_values[i],
+                                static_compute(graph, alg, 0).values,
+                                f"{name}@{i}, fanout {fanout}")

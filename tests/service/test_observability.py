@@ -15,6 +15,8 @@ import errno
 import pytest
 
 from repro import obs
+from repro.core.steiner import build_schedule
+from repro.core.triangular_grid import TriangularGrid
 from repro.obs import read_spans
 from repro.service import ServiceClient, ServiceRunner, ServiceState
 from repro.testing import reset_observability
@@ -62,7 +64,8 @@ def trace_spans(runtime, trace_id):
 
 
 class TestQueryTraces:
-    def test_one_nested_trace_per_query(self, client, obs_runtime, tmp_path):
+    def test_one_nested_trace_per_query(self, client, obs_runtime, obs_state,
+                                        tmp_path):
         response = client.query("BFS", source=0)
         trace_id = response["trace_id"]
         spans = trace_spans(obs_runtime, trace_id)
@@ -76,11 +79,13 @@ class TestQueryTraces:
         sweeps = [span for span in spans if span.name == "planner.sweep"]
         assert all(s.attributes["edges"] >= 1 and "hits" not in s.attributes
                    for s in sweeps)
-        # A cold answer computes every snapshot, on a halving tree of
-        # 2n - 1 nodes.
-        snapshots = len(response["values"])
-        assert response["node_misses"] == snapshots
-        assert sum(s.attributes["edges"] for s in sweeps) + 1 == 2 * snapshots - 1
+        # A cold answer computes every snapshot: one sweep per level of
+        # the default tree, one edge per node below its root.
+        assert response["node_misses"] == len(response["values"])
+        tree = build_schedule(
+            TriangularGrid(obs_state.published.decomposition), "work-sharing")
+        assert len(sweeps) == len(list(tree.levels()))
+        assert sum(s.attributes["edges"] for s in sweeps) == len(tree.parent)
         by_id = {span.span_id: span for span in spans}
         (root,) = [span for span in spans if span.parent_id is None]
         assert root.name == "server.query"

@@ -17,6 +17,7 @@ from repro.evolving.store import SnapshotStore
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet, decode_edges
 from repro.graph.generators import rmat_edges
+from repro.graph.weights import HashWeights
 from repro.service import ServiceState
 from repro.service.state import QueryAnswer
 from repro.service.cache import CachedRange
@@ -251,6 +252,69 @@ class TestResync:
             state.ingest(batch)
             assert state.published.resyncs == 1
             assert state.latest_version == n
+        finally:
+            state.close()
+
+    def test_a_foreign_append_of_a_pending_insert_resyncs_before_the_fold(
+            self, service_store):
+        """Another handle appends the edge a pending update inserts.  The
+        next fold must seal against the store's tip, not re-add the
+        edge: both ingests land, consecutively, and the update drops
+        out because the tip already has its edge."""
+        state = ServiceState(service_store, weight_fn=HashWeights(64))
+        try:
+            foreign = valid_batch(service_store, n_add=1, n_del=0)
+            ((u,), (v,)) = (arr.tolist() for arr in
+                            decode_edges(foreign.additions.codes))
+            state.update("insert", u, v)
+            SnapshotStore(service_store.directory).append(foreign)
+            receipts = [
+                state.ingest(valid_batch(SnapshotStore(service_store.directory)))
+                for _ in range(2)
+            ]
+            assert [r["version"] for r in receipts] == [6, 7]
+            assert state.published.resyncs == 1
+            assert state.published.livetip.depth == 0
+            assert state.latest_version == service_store.num_snapshots - 1
+            for algorithm in ("BFS", "SSSP"):
+                answer = state.query(algorithm, 0)
+                want = state_oracle(state, algorithm, 0)
+                assert len(answer.values) == len(want) == 8
+                for got, expected in zip(answer.values, want):
+                    assert_values_equal(got, expected, algorithm)
+        finally:
+            state.close()
+
+    @pytest.mark.parametrize("fold", ["compact", "due"])
+    def test_a_fold_after_a_foreign_append_resyncs_first(
+            self, service_store, fold):
+        """The explicit compact and an update's threshold fold follow
+        the store too: the foreign batch carries the first pending
+        insert, which drops out; the second stays pending."""
+        state = ServiceState(service_store, weight_fn=HashWeights(64),
+                             livetip_max_updates=2)
+        try:
+            batch = valid_batch(service_store, n_add=2, n_del=0)
+            (u, x), (v, y) = (arr.tolist() for arr in
+                              decode_edges(batch.additions.codes))
+            state.update("insert", u, v)
+            SnapshotStore(service_store.directory).append(DeltaBatch(
+                additions=EdgeSet.from_pairs([(u, v)]),
+                deletions=EdgeSet.from_pairs([])))
+            if fold == "compact":
+                receipt = state.compact_tip()
+                depth = 0
+            else:
+                receipt = state.update("insert", x, y)
+                depth = 1
+            assert receipt["compacted"] is False
+            assert state.published.livetip.depth == depth
+            assert state.published.resyncs == 1
+            assert state.latest_version == service_store.num_snapshots - 1
+            answer = state.query("SSSP", 0)
+            for got, expected in zip(answer.values,
+                                     state_oracle(state, "SSSP", 0)):
+                assert_values_equal(got, expected, fold)
         finally:
             state.close()
 

@@ -132,6 +132,23 @@ class TestStoredBytes:
         assert calls == dict.fromkeys(calls, 0)
         assert frame == dict_form(frame, state_oracle(service_state, "BFS", 0))
 
+    @pytest.mark.parametrize("algorithm", ["BFS", "SSSP"])
+    def test_a_miss_compacts_its_rows_once(self, service_state, raw,
+                                           monkeypatch, algorithm):
+        """The planner compacts a miss's rows for its entry; the reply
+        encodes that compact form instead of compacting them again."""
+        calls = []
+        for module in (cache_module, protocol):
+            def counted(values, original=module.compact_range):
+                calls.append(len(values))
+                return original(values)
+            monkeypatch.setattr(module, "compact_range", counted)
+        frame = raw.frame(algorithm=algorithm, source=2)
+        assert calls == [service_state.latest_version + 1]
+        monkeypatch.undo()
+        assert frame == dict_form(frame,
+                                  state_oracle(service_state, algorithm, 2))
+
     def test_a_miss_stores_no_bytes(self, service_state, raw):
         raw.frame(algorithm="SSSP", source=2)
         assert entry_of(service_state, "SSSP", 2).wire is None
