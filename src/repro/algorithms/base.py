@@ -79,6 +79,14 @@ class MonotonicAlgorithm(ABC):
         else:
             np.maximum.at(values, targets, proposals)
 
+    def reduce_segments(self, proposals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The best proposal of every segment ``starts[k]:starts[k + 1]``
+        (the last runs to the end; none may be empty, or it reads its
+        neighbour's first element).  NaN is skipped: a segment's best is
+        NaN only if all of it is."""
+        reduce = np.fmin if self.direction == "min" else np.fmax
+        return reduce.reduceat(proposals, starts)
+
     def better(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise: is ``a`` strictly better than ``b``?"""
         return np.less(a, b) if self.direction == "min" else np.greater(a, b)

@@ -43,7 +43,9 @@ evaluator builds none of it: it reads the decomposition's plan memo
 (:meth:`CommonGraphDecomposition.plan`), which holds, built on first
 use and shared by every later evaluator of that decomposition,
 
-* ``("common", weight_fn)`` — the common graph's CSR;
+* ``("common", weight_fn)`` — the common graph's CSR, carrying its
+  in-edge view (so its dense rounds pull) unless the decomposition was
+  made by ``extended()``;
 * ``("delta", weight_fn)`` — the
   :class:`~repro.graph.stacked.IntervalDelta`: every edge outside the
   common graph once, with the snapshots it spans.  Every node's Δ and
@@ -211,7 +213,20 @@ def planned_graphs(
     """The plan's two graphs: the common CSR and the
     :class:`~repro.graph.stacked.IntervalDelta`, each built once per
     decomposition and weight function and shared by every caller
-    (never mutated)."""
+    (never mutated).
+
+    The common CSR carries its in-edge view, so its dense rounds pull,
+    when the decomposition was built from a history (``moved is
+    None``).  An :meth:`~CommonGraphDecomposition.extended` one lives
+    for one ingest: its queries would not repay the build, so its dense
+    rounds stream.
+    """
+    def build_common() -> CSRGraph:
+        common = decomposition.common_csr(weight_fn)
+        if decomposition.moved is None:
+            common.index_in_edges()
+        return common
+
     def build_delta() -> IntervalDelta:
         surpluses = decomposition.surpluses
         edges = EdgeSet(np.concatenate(
@@ -219,8 +234,7 @@ def planned_graphs(
         return IntervalDelta(decomposition.delta_csr(edges, weight_fn),
                              edges, surpluses)
 
-    common = decomposition.plan(("common", weight_fn),
-                                lambda: decomposition.common_csr(weight_fn))
+    common = decomposition.plan(("common", weight_fn), build_common)
     return common, decomposition.plan(("delta", weight_fn), build_delta)
 
 

@@ -16,13 +16,14 @@ filter on it, so a stack holds no per-row arrays at all.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
+from repro.utils import expand_ranges
 
 __all__ = ["IntervalDelta", "StackedGraph"]
 
@@ -71,7 +72,8 @@ class StackedGraph:
     vertices.  ``gather`` takes a frontier in any order.
     """
 
-    __slots__ = ("common", "delta", "first", "last", "width", "num_vertices")
+    __slots__ = ("common", "delta", "first", "last", "width", "num_vertices",
+                 "max_degree")
 
     def __init__(self, common: CSRGraph, delta: IntervalDelta,
                  nodes: Sequence[Tuple[int, int]]) -> None:
@@ -84,20 +86,43 @@ class StackedGraph:
         self.last = spans[:, 1].copy()
         self.width = common.num_vertices
         self.num_vertices = len(spans) * self.width
+        #: No flat vertex owns more out-edges than this.
+        self.max_degree = common.max_degree + delta.csr.max_degree
 
     def gather(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat out-edges of the flat frontier, each within its own row."""
+        return next(self.gathers(frontier))
+
+    def gathers(self, frontier: np.ndarray, cap: Optional[int] = None,
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`gather` of ``frontier`` in pieces, one at a time: cut at
+        row boundaries, each piece owning about ``cap`` out-edges (a row
+        is never cut, so a piece may own up to one row's edges more).
+        One piece when the frontier owns no more than ``cap``, or with no
+        ``cap``; else the pieces are sorted and in row order.  Edges are
+        counted before the Δ filter, so a count bounds what a row keeps.
+        """
         rows = frontier // self.width
         shifts = rows * self.width
         vertices = frontier - shifts
-        slots, degrees = self.common.slots(vertices)
+        common, delta = self.common, self.delta.csr
+        starts = common.indptr[vertices]
+        degrees = common.indptr[vertices + 1] - starts
+        delta_starts = delta.indptr[vertices]
+        delta_degrees = delta.indptr[vertices + 1] - delta_starts
+        if cap is not None and degrees.sum() + delta_degrees.sum() > cap:
+            for piece in _row_pieces(frontier, rows, degrees + delta_degrees,
+                                     cap):
+                yield self.gather(piece)
+            return
+        slots = expand_ranges(starts, degrees)
         origins = np.repeat(frontier, degrees)
-        targets = self.common.indices[slots] + np.repeat(shifts, degrees)
-        weights = self.common.weights[slots]
-        slots, degrees = self.delta.csr.slots(vertices)
+        targets = common.indices[slots] + np.repeat(shifts, degrees)
+        weights = common.weights[slots]
+        slots = expand_ranges(delta_starts, delta_degrees)
         if slots.size:
             # Each Δ edge's position in the frontier, hence its row.
-            position = np.repeat(np.arange(frontier.size), degrees)
+            position = np.repeat(np.arange(frontier.size), delta_degrees)
             row = rows[position]
             kept = self.delta.within(
                 slots, self.first[row], self.last[row]).nonzero()[0]
@@ -105,11 +130,9 @@ class StackedGraph:
                 slots, position = slots[kept], position[kept]
                 origins = np.concatenate([origins, frontier[position]])
                 targets = np.concatenate(
-                    [targets,
-                     self.delta.csr.indices[slots] + shifts[position]])
-                weights = np.concatenate(
-                    [weights, self.delta.csr.weights[slots]])
-        return origins, targets, weights
+                    [targets, delta.indices[slots] + shifts[position]])
+                weights = np.concatenate([weights, delta.weights[slots]])
+        yield origins, targets, weights
 
     def neighbors(self, vertex: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(targets, weights)`` of one flat vertex's out-edges."""
@@ -128,3 +151,19 @@ class StackedGraph:
     def __repr__(self) -> str:
         return (f"StackedGraph(rows={self.first.size}, V={self.width}, "
                 f"|Gc|={self.common.num_edges}, |Δ|={self.delta.csr.num_edges})")
+
+
+def _row_pieces(frontier: np.ndarray, rows: np.ndarray, owned: np.ndarray,
+                cap: int) -> List[np.ndarray]:
+    """``frontier`` (with each vertex's row and out-edge count) sorted
+    and cut where a row opens past the next multiple of ``cap`` edges."""
+    order = np.argsort(frontier)
+    frontier, rows, owned = frontier[order], rows[order], owned[order]
+    # Edges owned before each vertex, then before its row's first
+    # vertex: a row goes to the piece its first edge falls in.
+    before = np.cumsum(owned) - owned
+    opens = np.empty(rows.size, dtype=bool)
+    opens[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=opens[1:])
+    piece = np.maximum.accumulate(np.where(opens, before, 0)) // cap
+    return np.split(frontier, np.flatnonzero(np.diff(piece)) + 1)

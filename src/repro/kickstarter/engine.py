@@ -2,7 +2,7 @@
 
 The engine maintains one value per vertex and propagates improvements
 along out-edges until a fixpoint.  Every vectorised step — a push
-round, a dense round, the seeding of a streamed batch
+round, a streamed dense round, the seeding of a streamed batch
 (:func:`seed_edges`) — is *filter, then reduce*: it keeps only the
 edges whose proposal is strictly better than the target's current
 value, scatter-reduces that subset, and reads the changed vertices off
@@ -25,19 +25,28 @@ the default used by all evaluators.
 
 A sync round on a :class:`~repro.graph.csr.CSRGraph` whose frontier
 owns more than :data:`DENSE_SHARE` of the edges is a **dense round**
-(the direction switch of Ligra-style engines, done as a stream rather
-than a pull): every edge is relaxed in CSR order, with origin values
-from one ``repeat`` and no per-edge slot or origin array.  It is exact
-under the precondition every fixpoint here starts from — *no vertex
-outside the frontier has an improving out-edge* — because then every
-extra edge is filtered out and the improving edges are the ones the
+(the direction switch of Ligra-style engines): every edge is relaxed.
+On a CSR that carries its in-edge view
+(:meth:`~repro.graph.csr.CSRGraph.index_in_edges` — the common graph
+of a decomposition built from a history) it is a *pull*: each target's
+best proposal is one segmented ``fmin``/``fmax`` reduction over its
+in-edges, and the improved cells are written directly (about three
+edge-length passes).  On any other CSR it is a *stream*: the edges in
+CSR order, origin values from one ``repeat``, through the filter and
+scatter-reduce above (about seven).  Either is exact under the
+precondition every fixpoint here starts from — *no vertex outside the
+frontier has an improving out-edge* — because then no extra edge
+proposes anything better, and the improving edges are the ones the
 gathered round would have found, in the same order for a sorted
 frontier.  Values, parents, ``vertices_updated`` and ``iterations``
-are therefore those of the gathered round; only ``edges_relaxed``
-grows, since a dense round counts every edge — which is why a BFS can
-now report more relaxed edges than the graph has.  The root of a walk
-(the common graph) and any other convergence on a plain CSR take it;
-stacked sweeps, overlays and the mutable graph never do.
+are therefore those of the gathered round, and the pull's those of the
+stream; only ``edges_relaxed`` grows, since a dense round counts every
+edge — which is why a BFS can report more relaxed edges than the graph
+has.  The root of a walk (the common graph) and any other convergence
+on a plain CSR take it; stacked sweeps, overlays and the mutable graph
+never do.  A round on a stack whose frontier owns more than
+:data:`PIECE_EDGES` edges is relaxed in pieces of whole rows instead,
+which bounds a sweep's transient memory and changes nothing else.
 
 Optionally the engine tracks, per vertex, the *parent* — the origin of
 the edge whose proposal produced the vertex's current value.  Parents
@@ -56,7 +65,9 @@ import numpy as np
 from repro import obs
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.errors import EngineError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, InEdges
+from repro.graph.stacked import StackedGraph
+from repro.utils import expand_ranges
 
 __all__ = [
     "GraphLike",
@@ -70,6 +81,7 @@ __all__ = [
     "incremental_additions",
     "ASYNC_THRESHOLD",
     "DENSE_SHARE",
+    "PIECE_EDGES",
 ]
 
 #: Frontier size below which ``mode="auto"`` uses the async worklist:
@@ -79,13 +91,23 @@ __all__ = [
 ASYNC_THRESHOLD = 4
 
 #: Share of a :class:`CSRGraph`'s edges above which a sync round relaxes
-#: every edge in CSR order rather than gathering the frontier's: the
-#: measured crossover.  A gathered edge pays about eleven edge-length
-#: passes (slot expansion, origin repeat, two slot gathers, ...), a
-#: streamed one about five, so a round that gathers more than ~half the
-#: graph is cheaper streamed; static BFS/SSSP on the DL/50 and LJ/16
-#: common graphs time within noise anywhere from 0.2 to 0.6.
+#: every edge rather than gathering the frontier's: the measured
+#: crossover.  A gathered edge pays about eleven edge-length passes
+#: (slot expansion, origin repeat, two slot gathers, ...), a streamed
+#: one about seven and a pulled one about three, so a round that gathers
+#: a large share of the graph is cheaper dense.  Static BFS/SSSP on the
+#: DL/50 and LJ/16 common graphs time within noise from 0.2 to 0.5
+#: streamed and from 0.2 to 0.4 pulled.
 DENSE_SHARE = 0.4
+
+#: Out-edges above which a gathered round on a
+#: :class:`~repro.graph.stacked.StackedGraph` is relaxed in pieces of
+#: whole rows: no edge crosses rows, so the pieces are independent and
+#: the round is exact, but its transient arrays (~ten per gathered edge)
+#: are bounded by a piece, not by the sweep's widest frontier.  The
+#: measured cap: on the DL/50 walk, 2¹⁵ to 2¹⁸ time the same within
+#: noise, and the widest transient grows from 2¹⁷ on.
+PIECE_EDGES = 1 << 16
 
 _NO_VERTICES = np.empty(0, dtype=np.int64)
 _NO_VERTICES.setflags(write=False)
@@ -193,12 +215,15 @@ def _dense_round(
     counters: Optional[EngineCounters],
     mask: np.ndarray,
 ) -> np.ndarray:
-    """:func:`relax` over every edge of ``graph``, in CSR order: origin
-    values stream out of one ``repeat``, targets and weights are the
-    stored arrays, and an origin is looked up only for a winning edge
+    """:func:`relax` over every edge of ``graph``: a pull over its
+    in-edge view when it carries one (:func:`_pull`), else a stream in
+    CSR order — origin values out of one ``repeat``, targets and weights
+    the stored arrays, and an origin looked up only for a winning edge
     whose parent is tracked."""
     if counters is not None:
         counters.edges_relaxed += graph.num_edges
+    if graph.in_edges is not None:
+        return _pull(graph.in_edges, alg, state, counters)
     indptr = graph.indptr
     proposals = alg.proposals(np.repeat(state.values, np.diff(indptr)),
                               graph.weights)
@@ -206,6 +231,38 @@ def _dense_round(
         alg, state, graph.indices, proposals,
         lambda slots: np.searchsorted(indptr, slots, "right") - 1,
         counters, mask)
+
+
+def _pull(
+    view: InEdges,
+    alg: MonotonicAlgorithm,
+    state: VertexState,
+    counters: Optional[EngineCounters],
+) -> np.ndarray:
+    """The dense round as a pull: each target's best proposal by one
+    segmented reduction over its in-edges, written where it beats the
+    target's value.  The reduction skips NaN, so a NaN proposal is never
+    written, and the parent is the target's last winning in-edge — in CSR
+    order, the stream's last-edge-wins."""
+    values = state.values
+    proposals = alg.proposals(values.take(view.origins), view.weights)
+    best = alg.reduce_segments(proposals, view.bounds[:-1])
+    improved = alg.better(best, values.take(view.targets)).nonzero()[0]
+    if improved.size == 0:
+        return _NO_VERTICES
+    changed = view.targets[improved]
+    best = best[improved]
+    values[changed] = best
+    if state.parents is not None:
+        starts = view.bounds[improved]
+        lengths = view.bounds[improved + 1] - starts
+        slots = expand_ranges(starts, lengths)
+        owner = np.repeat(np.arange(improved.size), lengths)
+        winners = (proposals[slots] == best[owner]).nonzero()[0]
+        state.parents[changed[owner[winners]]] = view.origins[slots[winners]]
+    if counters is not None:
+        counters.vertices_updated += int(changed.size)
+    return changed
 
 
 def _reduce_improving(
@@ -311,12 +368,15 @@ def stabilise(
     sync round on a :class:`CSRGraph` whose frontier owns more than
     :data:`DENSE_SHARE` of the edges relaxes every edge instead
     (:func:`_dense_round`); the precondition is what makes that round
-    improve exactly the vertices a gathered round would.
+    improve exactly the vertices a gathered round would.  A sync round
+    on a :class:`StackedGraph` whose frontier owns more than
+    :data:`PIECE_EDGES` edges is relaxed in pieces of whole rows.
     """
     if mode not in ("sync", "async", "auto"):
         raise EngineError(f"unknown mode {mode!r}")
     mask = np.zeros(graph.num_vertices, dtype=bool)
     csr = graph if isinstance(graph, CSRGraph) else None
+    stack = graph if isinstance(graph, StackedGraph) else None
     while frontier.size:
         use_async = mode == "async" or (mode == "auto" and frontier.size < async_threshold)
         if use_async:
@@ -327,6 +387,10 @@ def stabilise(
             counters.iterations += 1
         if csr is not None and _out_edges(csr, frontier) > DENSE_SHARE * csr.num_edges:
             frontier = _dense_round(csr, alg, state, counters, mask)
+        elif stack is not None and frontier.size * stack.max_degree > PIECE_EDGES:
+            changed = [relax(alg, state, *edges, counters, mask)
+                       for edges in stack.gathers(frontier, PIECE_EDGES)]
+            frontier = changed[0] if len(changed) == 1 else np.concatenate(changed)
         else:
             frontier = relax(alg, state, *graph.gather(frontier), counters, mask)
 

@@ -349,7 +349,8 @@ def encode_values(values: Sequence[np.ndarray],
                   compact: Optional[CompactRange] = None) -> Dict[str, Any]:
     """A range answer in wire form (module docstring); round-trips bit
     for bit through :func:`decode_values`.  ``compact``, when the caller
-    holds it, is ``compact_range(values)``, not computed again."""
+    holds it, is ``compact_range(values)``, not computed again (and
+    ``values`` is then not read)."""
     base, changes = compact_range(values) if compact is None else compact
     return {"base": encode_float_row(base),
             "changes": [[indices.tolist(), encode_float_row(cells)]

@@ -142,7 +142,7 @@ def _query_payload(answer: QueryAnswer,
     else:
         if entry.wire is None:
             entry.wire = protocol.Encoded.of(
-                protocol.encode_values(answer.values))
+                protocol.encode_values((), compact=entry.compact))
         values = entry.wire
         obs.annotate(wire="cached")
     response = {

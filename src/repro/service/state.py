@@ -596,12 +596,14 @@ class ServiceState:
     def compact_tip(self) -> Dict[str, Any]:
         """Fold pending live-tip updates into the TG now (receipt)."""
         with self._writer:
-            published = self._with_livetip()
+            self._with_livetip()
         with self._appending:
             self._follow_store()
             fold = self._compactor.compact()
-        if fold["compacted"]:
-            published = fold["published"]
+            # Read under the lock, after any resync: the receipt is the
+            # state's own, not the value published before the fold.
+            published = (fold["published"] if fold["compacted"]
+                         else self.published)
         return {
             "kind": "compact",
             "seq": published.livetip.seq,

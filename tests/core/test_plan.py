@@ -255,6 +255,28 @@ class TestNoStalePlan:
         self.assert_fresh_and_right(old, new)
 
 
+def test_the_common_csr_pulls_where_the_plan_outlives_an_ingest(
+        small_evolving):
+    """A decomposition built from a history (``from_evolving``,
+    ``restrict``) plans its common CSR with the in-edge view; an
+    ``extended()`` one, which lives one ingest, plans it without."""
+    built = CommonGraphDecomposition.from_evolving(small_evolving)
+    tip = built.snapshot_edges(built.num_snapshots - 1)
+    batch = DeltaBatch(additions=EdgeSet.from_pairs([(3, 200), (200, 9)]) - tip)
+    pulls = {
+        "from_evolving": (built, True),
+        "restrict": (built.restrict(1, 5), True),
+        "extended": (built.extended(batch), False),
+        "slid": (built.extended(batch, drop=1), False),
+    }
+    for name, (decomp, pull) in pulls.items():
+        common = engine.planned_graphs(decomp, WF)[0]
+        assert (common.in_edges is not None) == pull, name
+        assert common == decomp.common_csr(WF), name
+        assert_range_is_oracle(decomp, get_algorithm("SSSP"), 3, 0,
+                               decomp.num_snapshots - 1)
+
+
 def test_two_threads_planning_a_fresh_decomposition_share_one_plan(
         small_evolving):
     decomp = CommonGraphDecomposition.from_evolving(small_evolving)

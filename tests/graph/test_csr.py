@@ -146,6 +146,37 @@ class TestGather:
         assert all(a.size == 0 for a in g.gather_in(np.array([3])))
 
 
+class TestInEdges:
+    @given(edge_pairs(max_edges=30), st.booleans())
+    def test_every_target_keeps_its_in_edges_in_csr_order(self, ab, wide):
+        n, pairs = ab
+        if wide:  # ids past uint16: the view sorts int64 keys
+            n += 1 << 16
+            pairs = pairs + [(0, n - 1), (1, n - 1)]
+        g = build(pairs, n, weight_fn=HashWeights(9, 4))
+        assert g.in_edges is None
+        view = g.index_in_edges().in_edges
+        assert g.index_in_edges().in_edges is view  # built once
+        want = {}
+        for u, v, w in zip(*(a.tolist() for a in g.edge_arrays())):
+            want.setdefault(v, []).append((u, w))
+        assert view.targets.tolist() == sorted(want)
+        assert view.bounds[0] == 0 and view.bounds[-1] == g.num_edges
+        for k, v in enumerate(view.targets.tolist()):
+            lo, hi = view.bounds[k], view.bounds[k + 1]
+            assert list(zip(view.origins[lo:hi].tolist(),
+                            view.weights[lo:hi].tolist())) == want[v]
+
+    def test_parallel_edges_keep_their_order(self):
+        g = build([(2, 0), (0, 1), (2, 1), (0, 1), (1, 1)], 3,
+                  weights=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        view = g.index_in_edges().in_edges
+        assert view.targets.tolist() == [0, 1]
+        assert view.bounds.tolist() == [0, 1, 5]
+        assert view.origins.tolist() == [2, 0, 0, 1, 2]
+        assert view.weights.tolist() == [1.0, 2.0, 4.0, 5.0, 3.0]
+
+
 class TestDerived:
     def test_transpose_reverses_edges(self):
         g = build([(0, 1), (1, 2)], 3, weight_fn=HashWeights(9, 0))

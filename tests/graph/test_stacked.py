@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.registry import get_algorithm
 from repro.core.common import CommonGraphDecomposition
+from repro.core.engine import WorkSharingEvaluator
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
 from repro.graph.overlay import OverlayGraph
+from repro.graph import stacked
 from repro.graph.stacked import IntervalDelta, StackedGraph
 from repro.graph.weights import HashWeights
 from repro.kickstarter import engine
@@ -129,3 +131,56 @@ def test_a_spill_on_a_three_row_stack_equals_the_all_sync_result(
         want = static_compute(icg(decomp, common, node), alg, source).values
         assert_values_equal(results["sync"][row], want, f"{name} sync {node}")
         assert_values_equal(results["auto"][row], want, f"{name} auto {node}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(evolving_graphs(max_batches=5), st.data())
+def test_pieces_are_whole_rows_that_gather_the_frontier(eg, data):
+    decomp, common, delta = parts_of(eg)
+    n, V = decomp.num_snapshots, decomp.num_vertices
+    nodes = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)).map(sorted),
+                               min_size=1, max_size=5), label="nodes")
+    stack = StackedGraph(common, delta, nodes)
+    frontier = np.array(data.draw(st.lists(
+        st.integers(0, stack.num_vertices - 1), unique=True, max_size=30),
+        label="frontier"), dtype=np.int64)
+    cap = data.draw(st.integers(1, 40), label="cap")
+    pieces = list(stack.gathers(frontier, cap))
+    assert edges_of(*(np.concatenate(column) for column in zip(*pieces))) == (
+        edges_of(*stack.gather(frontier)))
+    vertices = frontier % V
+    owned = int((np.diff(common.indptr)[vertices]
+                 + np.diff(delta.csr.indptr)[vertices]).sum())
+    if owned <= cap:
+        assert len(pieces) == 1
+    # Pieces hold whole rows, in row order.
+    rows = [np.unique(origins // V) for origins, _, _ in pieces]
+    rows = [r for r in rows if r.size]
+    for before, after in zip(rows, rows[1:]):
+        assert before[-1] < after[0]
+
+
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+def test_a_walk_in_row_pieces_is_the_walk(small_evolving, name, monkeypatch):
+    """Rows share no edge, so relaxing a round in pieces of rows changes
+    no value and no counter."""
+    decomp = CommonGraphDecomposition.from_evolving(small_evolving)
+    alg = get_algorithm(name)
+    source = int(decomp.common_csr().degrees().argmax())
+    whole = WorkSharingEvaluator(decomp, alg, source, weight_fn=WF).run()
+    cuts = []
+    row_pieces = stacked._row_pieces
+
+    def recording(*args):
+        pieces = row_pieces(*args)
+        cuts.append(len(pieces))
+        return pieces
+
+    monkeypatch.setattr(stacked, "_row_pieces", recording)
+    monkeypatch.setattr(engine, "PIECE_EDGES", 64)
+    cut = WorkSharingEvaluator(decomp, alg, source, weight_fn=WF).run()
+    assert max(cuts) > 1
+    assert cut.counters == whole.counters
+    for got, want in zip(cut.snapshot_values, whole.snapshot_values):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

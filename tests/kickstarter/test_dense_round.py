@@ -1,10 +1,12 @@
 """The dense round: a sync round on a ``CSRGraph`` whose frontier owns
-more than ``DENSE_SHARE`` of the edges relaxes every edge in CSR order.
+more than ``DENSE_SHARE`` of the edges relaxes every edge — a stream in
+CSR order, or a pull over the in-edge view when the CSR carries one.
 
-Under ``stabilise``'s precondition it must find exactly the improving
-edges a gathered round finds: values bit for bit, ``iterations`` and
-``vertices_updated`` equal, parents equal for a sorted frontier and
-valid always.  The gathered reference is the same engine on an
+Under ``stabilise``'s precondition either must find exactly the
+improving edges a gathered round finds: values bit for bit,
+``iterations`` and ``vertices_updated`` equal, parents equal for a
+sorted frontier and valid always (and the pull's equal to the
+stream's).  The gathered reference is the same engine on an
 ``OverlayGraph`` of the one CSR (same edges in the same order, never a
 dense round) and, where no NaN is written, the verbatim pre-relax round
 of ``tests/helpers.py``.
@@ -109,22 +111,33 @@ def dense_rounds(monkeypatch):
 @pytest.mark.parametrize("track_parents", [False, True])
 @pytest.mark.parametrize("name", ALL_ALGORITHMS)
 def test_dense_round_is_the_gathered_round(name, track_parents, case):
+    """Both dense rounds: the stream (the CSR as built) and the pull
+    (the same CSR carrying its in-edge view)."""
     graph, seeds = case
     alg = get_algorithm(name)
     owned = graph.degrees()[seeds].sum()
     assert owned > DENSE_SHARE * graph.num_edges  # the shape forces it
-    dense, dense_counters = _converge(graph, alg, seeds, track_parents)
     gathered, gathered_counters = _converge(OverlayGraph(graph, ()), alg, seeds,
                                             track_parents)
-    assert np.array_equal(_bits(dense.values), _bits(gathered.values))
-    assert not np.isnan(dense.values).any()
-    assert dense_counters.iterations == gathered_counters.iterations
-    assert dense_counters.vertices_updated == gathered_counters.vertices_updated
-    assert dense_counters.edges_relaxed >= gathered_counters.edges_relaxed
-    if track_parents:
-        _assert_parents_valid(graph, alg, dense)
-        if np.all(np.diff(seeds) > 0):
-            assert np.array_equal(dense.parents, gathered.parents)
+    pulled = CSRGraph(graph.num_vertices, graph.indptr, graph.indices,
+                      graph.weights).index_in_edges()
+    states = []
+    for csr in (graph, pulled):
+        dense, dense_counters = _converge(csr, alg, seeds, track_parents)
+        assert np.array_equal(_bits(dense.values), _bits(gathered.values))
+        assert not np.isnan(dense.values).any()
+        assert dense_counters.iterations == gathered_counters.iterations
+        assert dense_counters.vertices_updated == gathered_counters.vertices_updated
+        assert dense_counters.edges_relaxed >= gathered_counters.edges_relaxed
+        if track_parents:
+            _assert_parents_valid(graph, alg, dense)
+            if np.all(np.diff(seeds) > 0):
+                assert np.array_equal(dense.parents, gathered.parents)
+        states.append((dense, dense_counters))
+    (stream, stream_counters), (pull, pull_counters) = states
+    assert pull_counters == stream_counters
+    if track_parents:  # last edge wins, in CSR order, whatever the seeds
+        assert np.array_equal(pull.parents, stream.parents)
     if len(seeds) == 1:
         # The verbatim round scatters every proposal: a NaN one sticks,
         # and a non-improving -0.0 may overwrite a 0.0, so it is equal
@@ -132,9 +145,9 @@ def test_dense_round_is_the_gathered_round(name, track_parents, case):
         reference = reference_static_compute(graph, alg, int(seeds[0]),
                                              track_parents)
         if not np.isnan(reference.values).any():
-            assert np.array_equal(dense.values, reference.values)
+            assert np.array_equal(stream.values, reference.values)
             if track_parents:
-                assert np.array_equal(dense.parents, reference.parents)
+                assert np.array_equal(stream.parents, reference.parents)
 
 
 @pytest.mark.parametrize("tagging", ["hybrid", "parent", "support"])
@@ -174,12 +187,14 @@ def dl50():
 
 @pytest.mark.parametrize("name", ["BFS", "SSSP"])
 def test_dense_rounds_fire_on_the_dl50_root(dl50, name, dense_rounds):
+    """The plan's common CSR carries its in-edge view: the root pulls."""
     alg = get_algorithm(name)
     evaluator = WorkSharingEvaluator(dl50, alg, 0, weight_fn=DL_WF)
     counters = EngineCounters()
     root = evaluator.base_state(counters)
     assert dense_rounds
     assert all(graph is evaluator.base_csr for graph in dense_rounds)
+    assert evaluator.base_csr.in_edges is not None
     reference_counters = EngineCounters()
     reference = reference_static_compute(evaluator.base_csr, alg, 0,
                                          counters=reference_counters)

@@ -318,6 +318,30 @@ class TestResync:
         finally:
             state.close()
 
+    def test_a_compact_after_a_foreign_append_reports_the_state_it_left(
+            self, service_store):
+        """A compact that does not fold reports the state's version,
+        overlay depth and epoch after the resync, not the value
+        published before it."""
+        state = ServiceState(service_store, weight_fn=HashWeights(64))
+        try:
+            batch = valid_batch(service_store, n_add=1, n_del=0)
+            (u,), (v,) = (arr.tolist() for arr in
+                          decode_edges(batch.additions.codes))
+            state.update("insert", u, v)
+            SnapshotStore(service_store.directory).append(DeltaBatch(
+                additions=EdgeSet.from_pairs([(u, v)]),
+                deletions=EdgeSet.from_pairs([])))
+            receipt = state.compact_tip()
+            published = state.published
+            assert receipt["compacted"] is False
+            assert (receipt["tip_version"], receipt["overlay_depth"],
+                    receipt["epoch"]) == (5, 0, 1)
+            assert (published.livetip.tip_version, published.livetip.depth,
+                    published.epoch) == (5, 0, 1)
+        finally:
+            state.close()
+
     def test_unresyncable_state_poisons_queries_until_recovery(
         self, service_state, monkeypatch
     ):
