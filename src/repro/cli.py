@@ -44,13 +44,6 @@ Subcommands
     Audit a store's integrity (checksums, torn appends, leftovers) and
     deterministically repair it.  ``verify`` exits non-zero when the
     store has problems, so it can gate pipelines.
-``lint``
-    Run the project-invariant static analyzer (``repro.lint``) over
-    the package — lock discipline, async-safety, frozen-graph
-    immutability, error taxonomy, determinism, instrument agreement,
-    lock order.  Exits non-zero on any finding not silenced by an
-    inline allow, so it gates CI.  See
-    ``docs/static-analysis.md``.
 
 The paper's evaluation has its own entry point outside the package,
 ``python -m benchmarks.paper`` (from the repository root).
@@ -905,53 +898,6 @@ def _cmd_store_recover(args: argparse.Namespace) -> int:
     return 0 if check.ok else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro import lint
-    from repro.errors import LintError
-
-    root = Path(args.root) if args.root else lint.package_root()
-    engine = lint.LintEngine(root)
-    if args.list_rules:
-        for rule in engine.rules:
-            print(f"{rule.name}: {rule.title}")
-        return 0
-    paths = [Path(p) for p in args.paths] if args.paths else [root / "repro"]
-    try:
-        result = engine.run(paths)
-    except LintError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(lint.render_json(result))
-    elif args.format == "sarif":
-        print(lint.render_sarif(
-            result, uri_prefix=_sarif_uri_prefix(root), rules=engine.rules,
-        ))
-    else:
-        print(lint.render_text(result))
-    return 0 if result.ok else 1
-
-
-def _sarif_uri_prefix(root) -> str:
-    """Engine root relative to the repository root (``src`` here).
-
-    SARIF artifact URIs must be repository-relative for hosts to
-    annotate diffs; finding paths are engine-root-relative.
-    """
-    from pathlib import Path
-
-    resolved = Path(root).resolve()
-    for candidate in (resolved, *resolved.parents):
-        if (candidate / "pyproject.toml").is_file():
-            try:
-                return resolved.relative_to(candidate).as_posix().strip(".")
-            except ValueError:
-                return ""
-    return ""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -1217,27 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--weight-seed", type=int, default=0)
     ev.add_argument("--out", default=None, help="save raw values (.npz)")
     ev.set_defaults(func=_cmd_evaluate)
-
-    lint_parser = sub.add_parser(
-        "lint", help="run the project-invariant static analyzer"
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: the repro package)",
-    )
-    lint_parser.add_argument(
-        "--root", default=None,
-        help="source root anchoring relative paths (default: auto-detect)",
-    )
-    lint_parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (sarif for PR annotation)",
-    )
-    lint_parser.add_argument(
-        "--list-rules", action="store_true",
-        help="list registered rules and exit",
-    )
-    lint_parser.set_defaults(func=_cmd_lint)
 
     obs_parser = sub.add_parser(
         "obs", help="inspect a live service's observability data"

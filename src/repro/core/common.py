@@ -71,8 +71,8 @@ class CommonGraphDecomposition:
         #: against the decomposition this one was :meth:`extended` from
         #: (``None`` when built any other way).
         self.moved: Optional[Tuple[EdgeSet, EdgeSet]] = None
-        self._interval_cache: Dict[Tuple[int, int], EdgeSet] = {}  # guarded-by: _cache_lock
-        self._plan: Dict[Hashable, Any] = {}  # guarded-by: _cache_lock
+        self._interval_cache: Dict[Tuple[int, int], EdgeSet] = {}
+        self._plan: Dict[Hashable, Any] = {}
         # Guards the two memos only: lazy inserts from concurrent
         # queries race with each other (nothing iterates the memos).
         # Never held while computing.

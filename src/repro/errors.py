@@ -124,16 +124,6 @@ class ServiceOverloadedError(ServiceError):
         self.retry_after_ms = retry_after_ms
 
 
-class LintError(ReproError):
-    """Static-analysis configuration problem (bad annotation, bad baseline).
-
-    Raised for *misuse of the analyzer itself* — an unparseable
-    annotation comment, a baseline entry without a justification, an
-    unknown rule name in an ``allow`` pragma.  Findings in analysed
-    code are reported, never raised.
-    """
-
-
 class ObservabilityError(ReproError):
     """Misuse of the observability subsystem (:mod:`repro.obs`).
 

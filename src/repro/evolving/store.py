@@ -764,7 +764,8 @@ class SnapshotStore:
                         deletions=EdgeSet(npz["deletions"]),
                     )
                 tip = batch.apply(tip, strict=False)
-            # lint: allow(error-taxonomy): an unreadable batch simply ends the verifiable prefix; the truncation is recorded as a recovery action just below
+            # An unreadable batch ends the verifiable prefix; the
+            # truncation is recorded as a recovery action just below.
             except Exception:
                 break
             new_checksums[name] = _sha256(data)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.edgeset import EdgeSet, decode_edges, encode_edges
 from repro.graph.weights import UnitWeights, WeightFn
-from repro.utils import expand_ranges
+from repro.utils import expand_ranges, read_only
 
 __all__ = ["CSRGraph", "InEdges"]
 
@@ -90,9 +90,11 @@ class CSRGraph:
         if indices.size and (indices.min() < 0 or indices.max() >= num_vertices):
             raise GraphError("edge target out of range")
         self.num_vertices = int(num_vertices)
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
+        # Read-only views: a CSR is shared (by the plan, across queries
+        # and threads) and never changes after construction.
+        self.indptr = read_only(indptr)
+        self.indices = read_only(indices)
+        self.weights = read_only(weights)
         #: The largest out-degree.
         self.max_degree = int(degrees.max()) if degrees.size else 0
         #: The in-edge view, once :meth:`index_in_edges` built it.
@@ -250,8 +252,8 @@ class CSRGraph:
             np.cumsum(counts[targets], out=bounds[1:])
             origins = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
                                 self.degrees())
-            self.in_edges = InEdges(origins[order], self.weights[order],
-                                    targets, bounds)
+            self.in_edges = InEdges(*map(read_only, (
+                origins[order], self.weights[order], targets, bounds)))
         return self
 
     # -- derived graphs ---------------------------------------------------

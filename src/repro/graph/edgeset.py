@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Tuple
 import numpy as np
 
 from repro.errors import EdgeSetError
+from repro.utils import read_only
 
 __all__ = ["EdgeSet", "encode_edges", "decode_edges", "MAX_VERTEX_ID"]
 
@@ -60,8 +61,8 @@ class EdgeSet:
     Supports the standard set operators (``|``, ``-``, ``&``, ``^``),
     containment tests and iteration, all backed by sorted NumPy arrays.
 
-    Instances are treated as immutable; the underlying ``codes`` array
-    must not be modified by callers.
+    Instances are immutable: the underlying ``codes`` array is a
+    read-only view, so a write through it raises ``ValueError``.
     """
 
     __slots__ = ("_codes",)
@@ -69,12 +70,10 @@ class EdgeSet:
     def __init__(self, codes: np.ndarray | None = None, *,
                  _trusted: bool = False) -> None:
         if codes is None:
-            self._codes = np.empty(0, dtype=np.int64)
-        elif _trusted:
-            self._codes = codes
-        else:
-            codes = np.asarray(codes, dtype=np.int64)
-            self._codes = np.unique(codes)
+            codes = np.empty(0, dtype=np.int64)
+        elif not _trusted:
+            codes = np.unique(np.asarray(codes, dtype=np.int64))
+        self._codes = read_only(codes)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -100,7 +99,7 @@ class EdgeSet:
     # -- accessors ------------------------------------------------------
     @property
     def codes(self) -> np.ndarray:
-        """Sorted unique int64 edge codes (do not mutate)."""
+        """Sorted unique int64 edge codes (read-only)."""
         return self._codes
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgeset import EdgeSet
-from repro.utils import expand_ranges
+from repro.utils import expand_ranges, read_only
 
 __all__ = ["IntervalDelta", "StackedGraph"]
 
@@ -48,13 +48,14 @@ class IntervalDelta:
         present = np.zeros((len(edges), len(snapshots)), dtype=bool)
         for t, snapshot in enumerate(snapshots):
             present[np.searchsorted(edges.codes, snapshot.codes), t] = True
-        self.until = np.empty(present.shape, dtype=np.int32)
+        until = np.empty(present.shape, dtype=np.int32)
         run_end = np.full(len(edges), -1, dtype=np.int32)
         for t in range(len(snapshots) - 1, -1, -1):
             # Present at t: the run that continues at t + 1, or ends here.
             run_end = np.where(
                 present[:, t], np.where(run_end >= 0, run_end, t), -1)
-            self.until[:, t] = run_end
+            until[:, t] = run_end
+        self.until = read_only(until)
 
     def within(self, entries: np.ndarray, first: np.ndarray,
                last: np.ndarray) -> np.ndarray:

@@ -27,8 +27,9 @@ never waits for a fold in flight.
 Determinism: compaction must fire at the *same point in the update
 stream* on every replica of a fleet (receipts are compared per
 update), so the policy is count-based only — a clock-driven fold would
-land at a different update on each replica.  This module is in the
-lint determinism scope — no wall clock is read here.
+land at a different update on each replica.  No wall clock is read
+here: a fold is due at a count of pending updates
+(``tests/livetip/test_compactor.py::TestPolicy``).
 """
 
 from __future__ import annotations

@@ -40,8 +40,9 @@ beside the decomposition each one is anchored on) serialises the
 writers.  A capture holds only immutable inputs — the anchor
 decomposition, its tip edge set and the log's net batch — so its
 resolve, repair and fallback alike, answers for the overlay it was
-taken from whatever is published after it.  Determinism: the module is
-in the lint determinism scope — no wall clock here.
+taken from whatever is published after it.  Determinism: no wall
+clock or global RNG here (``tests/test_invariants.py`` runs a capture
+with both made to raise).
 """
 
 from __future__ import annotations

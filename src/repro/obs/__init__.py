@@ -8,9 +8,9 @@ Two pillars behind one facade:
   HTTP for ``repro serve --metrics``);
 * **structured tracing** (:mod:`repro.obs.tracing`) — nestable spans
   with one trace id per query, timed by an injected
-  :class:`~repro.obs.clock.Clock` so instrumented algorithm code stays
-  clean under the determinism lint rule, with a per-trace sampling knob
-  and a JSON-lines span exporter.
+  :class:`~repro.obs.clock.Clock` so instrumented algorithm code reads
+  no wall clock, with a per-trace sampling knob and a JSON-lines span
+  exporter.
 
 Observability is **off by default**.  Production code calls the
 module-level helpers below unconditionally; with no runtime configured

@@ -1,17 +1,15 @@
 """Injected clocks: the only sanctioned time source in algorithm paths.
 
-The determinism lint rule bans wall-clock reads inside ``repro/core/``
-and ``repro/kickstarter/`` because replayed runs must be pure functions
-of their inputs.  Telemetry still needs durations, so observability
-time flows through a :class:`Clock` *protocol* instead of module-level
-``time`` calls: production wires in :class:`MonotonicClock` (a thin
-``perf_counter`` wrapper — monotonic durations never feed back into
-computed values), and tests wire in :class:`FakeClock` to make span
-timings exact and assertions deterministic.
-
-The lint rule recognises calls through a receiver named ``clock`` /
-``_clock`` (and the :mod:`repro.obs` facade itself) as this sanctioned
-pattern; raw ``time.time()`` stays banned.
+The evaluation paths (``repro/core/``, ``repro/kickstarter/``,
+``repro/temporal/``, the live tip) read no wall clock, because replayed
+runs must be pure functions of their inputs; ``tests/test_invariants.py``
+runs them with ``time.time`` made to raise.  Telemetry still needs
+durations, so observability time flows through a :class:`Clock`
+*protocol* instead of module-level ``time`` calls: production wires in
+:class:`MonotonicClock` (a thin ``perf_counter`` wrapper — monotonic
+durations never feed back into computed values), and tests wire in
+:class:`FakeClock` to make span timings exact and assertions
+deterministic.
 """
 
 from __future__ import annotations

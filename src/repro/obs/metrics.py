@@ -58,7 +58,7 @@ class Counter:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0.0  # guarded-by: _lock
+        self._value = 0.0
 
     def inc(self, amount: Union[int, float] = 1) -> None:
         if amount < 0:
@@ -82,7 +82,7 @@ class Gauge:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0.0  # guarded-by: _lock
+        self._value = 0.0
 
     def set(self, value: Union[int, float]) -> None:
         with self._lock:
@@ -125,9 +125,9 @@ class Histogram:
             )
         self.boundaries: Tuple[float, ...] = edges
         self._lock = threading.Lock()
-        self._counts = [0] * (len(edges) + 1)  # guarded-by: _lock
-        self._sum = 0.0  # guarded-by: _lock
-        self._count = 0  # guarded-by: _lock
+        self._counts = [0] * (len(edges) + 1)
+        self._sum = 0.0
+        self._count = 0
 
     def observe(self, value: Union[int, float]) -> None:
         value = float(value)
@@ -208,7 +208,7 @@ class MetricFamily:
         self.labelnames = labelnames
         self.buckets = buckets
         self._lock = threading.Lock()
-        self._children: Dict[LabelValues, Metric] = {}  # guarded-by: _lock
+        self._children: Dict[LabelValues, Metric] = {}
 
     def _make_child(self) -> Metric:
         if self.kind == "counter":
@@ -259,8 +259,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._families: Dict[str, MetricFamily] = {}  # guarded-by: _lock
-        self._collectors: List[Collector] = []  # guarded-by: _lock
+        self._families: Dict[str, MetricFamily] = {}
+        self._collectors: List[Collector] = []
 
     # -- registration -------------------------------------------------------
     def _family(

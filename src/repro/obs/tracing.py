@@ -138,12 +138,14 @@ class Tracer:
             )
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.sample_rate = float(sample_rate)
+        # Guards the sampling RNG, the recent ring, the sink file and
+        # the three counts.
         self._lock = threading.Lock()
-        self._rng = random.Random(seed)  # guarded-by: _lock
+        self._rng = random.Random(seed)
         self._ids = itertools.count(1)
-        self._recent: Deque[Span] = deque(maxlen=max_recent)  # guarded-by: _lock
+        self._recent: Deque[Span] = deque(maxlen=max_recent)
         self._sink_path: Optional[Path] = None
-        self._sink_file: Optional[IO[str]] = None  # guarded-by: _lock
+        self._sink_file: Optional[IO[str]] = None
         self._owns_sink = False
         self._has_sink = sink is not None
         if isinstance(sink, (str, Path)):
@@ -151,11 +153,11 @@ class Tracer:
             self._owns_sink = True
         elif sink is not None:
             self._sink_file = sink
-        self.started = 0  # guarded-by: _lock
-        self.exported = 0  # guarded-by: _lock
+        self.started = 0
+        self.exported = 0
         #: Span lines the sink refused (an ``OSError`` opening, writing
         #: or flushing it): dropped, never raised into the traced code.
-        self.dropped = 0  # guarded-by: _lock
+        self.dropped = 0
         self._on_finish = on_finish
 
     # -- span lifecycle -----------------------------------------------------
@@ -239,7 +241,7 @@ class Tracer:
         if self._on_finish is not None:
             self._on_finish(span)
 
-    def _open_sink_locked(self) -> Optional[IO[str]]:  # holds-lock: _lock
+    def _open_sink_locked(self) -> Optional[IO[str]]:
         if self._sink_file is None and self._sink_path is not None:
             self._sink_path.parent.mkdir(parents=True, exist_ok=True)
             self._sink_file = self._sink_path.open("a", encoding="utf-8")

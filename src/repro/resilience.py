@@ -209,18 +209,20 @@ class CircuitBreaker:
         self.half_open_max_probes = half_open_max_probes
         self._clock: Clock = clock if clock is not None else MonotonicClock()
         self._on_transition = on_transition
+        # Guards the state, the counters and the transition log below.
         self._lock = threading.Lock()
-        self._state = self.CLOSED  # guarded-by: _lock
+        self._state = self.CLOSED
         #: Consecutive failures since the last success.
-        self._failures = 0  # guarded-by: _lock
-        self._opened_at = 0.0  # guarded-by: _lock
+        self._failures = 0
+        self._opened_at = 0.0
         #: Probes admitted in the current half-open window.
-        self._probes = 0  # guarded-by: _lock
+        self._probes = 0
         #: Every transition as ``"<from>-><to>"``, oldest first.
-        self._transitions: List[str] = []  # guarded-by: _lock
+        self._transitions: List[str] = []
 
     # -- state machine -------------------------------------------------------
-    def _transition(self, to: str) -> Tuple[str, str]:  # holds-lock: _lock
+    def _transition(self, to: str) -> Tuple[str, str]:
+        """Move to ``to``; the caller holds ``_lock``."""
         previous, self._state = self._state, to
         self._transitions.append(f"{previous}->{to}")
         return previous, to

@@ -80,13 +80,14 @@ class _Gate:
         self.kind = kind
         self.policy = policy
         self._semaphore = asyncio.Semaphore(policy.max_concurrent)
-        # The event loop mutates, the metrics scrape thread reads.
+        # Guards the counts below: the event loop mutates them, the
+        # metrics scrape thread reads them.
         self._lock = threading.Lock()
-        self.waiting = 0  # guarded-by: _lock
-        self.active = 0  # guarded-by: _lock
-        self.admitted = 0  # guarded-by: _lock
-        self.max_depth = 0  # guarded-by: _lock
-        self.shed: Dict[str, int] = dict.fromkeys(SHED_REASONS, 0)  # guarded-by: _lock
+        self.waiting = 0
+        self.active = 0
+        self.admitted = 0
+        self.max_depth = 0
+        self.shed: Dict[str, int] = dict.fromkeys(SHED_REASONS, 0)
 
     def _shed(self, reason: str, what: str) -> ServiceOverloadedError:
         with self._lock:

@@ -99,7 +99,7 @@ class LRUCache:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()  # guarded-by: _lock
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -135,7 +135,7 @@ class LRUCache:
         with self._lock:
             return self._entries.get(key)
 
-    def _hit_locked(self, key: Hashable) -> Optional[Any]:  # holds-lock: _lock
+    def _hit_locked(self, key: Hashable) -> Optional[Any]:
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)

@@ -395,9 +395,10 @@ class ServiceState:
         done with it (the perf harness's ``worker.py``)."""
 
     # -- writers --------------------------------------------------------------
-    def _append(self, batch: DeltaBatch) -> _Published:  # holds-lock: _appending
+    def _append(self, batch: DeltaBatch) -> _Published:
         """Append ``batch`` through the store and extend the window by
-        it; returns the value published."""
+        it; returns the value published.  The caller holds
+        ``_appending``."""
         index = self.store.append(batch)
         with obs.phase_span("state", "extend", label=f"batch:{index}"):
             return self._apply_append(index, batch)
@@ -426,19 +427,21 @@ class ServiceState:
             "window_last": published.latest,
         }
 
-    def _follow_store(self) -> None:  # holds-lock: _appending
+    def _follow_store(self) -> None:
         """Rebuild if another store handle appended, so a fold seals
-        against the store's tip (the overlay re-anchors there)."""
+        against the store's tip (the overlay re-anchors there).  The
+        caller holds ``_appending``."""
         index = self.store.refresh() - 1
         if index > self.published.latest:
             with obs.phase_span("state", "extend", label="resync"):
                 self._apply_append(index, None)
 
-    def _apply_append(self, index: int,  # holds-lock: _appending
+    def _apply_append(self, index: int,
                       batch: Optional[DeltaBatch]) -> _Published:
         """Extend the window by the batch the store just made durable at
         ``index``, slide it and re-epoch; returns the value published.
-        Without a batch it rebuilds from the store.
+        Without a batch it rebuilds from the store.  The caller holds
+        ``_appending``; this takes ``_writer``.
 
         The state must not stay behind the store.  If the incremental
         path fails (or ``index`` is not the next version's batch because
@@ -469,7 +472,9 @@ class ServiceState:
                     obs.annotate(
                         departed=len(departed), dropped=drop,
                         batch_size=batch.size, rejoined=len(rejoined))
-                # lint: allow(error-taxonomy): recovered by the full rebuild below (counted in resyncs); a rebuild failure poisons the state and re-raises loudly
+                # Any failure is recovered by the full rebuild below
+                # (counted in resyncs); a rebuild failure poisons the
+                # state and re-raises.
                 except Exception:
                     decomp = None
             epoch = published.epoch + 1
@@ -519,9 +524,10 @@ class ServiceState:
         return made
 
     # -- live-tip updates ----------------------------------------------------
-    def _with_livetip(self) -> _Published:  # holds-lock: _writer
+    def _with_livetip(self) -> _Published:
         """The published value, refusing a poisoned or livetip-less
-        state; creates the overlay and its compactor on first use."""
+        state; creates the overlay and its compactor on first use.  The
+        caller holds ``_writer``."""
         published = self.published.serviceable()
         if not self.livetip_enabled:
             raise ServiceError(
@@ -540,11 +546,11 @@ class ServiceState:
             )
         return published
 
-    def _collapse(self) -> _Published:  # holds-lock: _appending
+    def _collapse(self) -> _Published:
         """Clear a sealed live-tip log whose updates cancel out; returns
         the value published.  Re-anchored where it stands, the overlay
         drops the updates that cancel and keeps one that landed after
-        the seal pending."""
+        the seal pending.  The compactor calls it under ``_appending``."""
         with self._writer:
             published = self.published
             self.published = published._with(

@@ -15,7 +15,8 @@ from typing import Dict, Iterator
 
 import numpy as np
 
-__all__ = ["concat_ranges", "expand_ranges", "Stopwatch", "PhaseTimer"]
+__all__ = ["concat_ranges", "expand_ranges", "read_only", "Stopwatch",
+           "PhaseTimer"]
 
 
 def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -26,6 +27,14 @@ def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(ends[-1]) if ends.size else 0
     # Position p of range k holds starts[k] + (p - offset of range k).
     return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``: a write through it raises
+    ``ValueError``, and the caller's buffer keeps its own flags."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
